@@ -29,7 +29,7 @@ from .errors import (
     KindError,
     ModeCollision,
 )
-from .jets import InvariantPoint, Jet3
+from .jets import InvariantPoint, Jet3, richardson_central
 from .lagrangians import Kind, LagrangianModel
 
 _TINY = 1e-300
@@ -41,7 +41,8 @@ _EPS3 = np.zeros((3, 3, 3))
 _EPS3[0, 1, 2] = _EPS3[1, 2, 0] = _EPS3[2, 0, 1] = 1.0
 _EPS3[0, 2, 1] = _EPS3[2, 1, 0] = _EPS3[1, 0, 2] = -1.0
 
-_ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
+# Minkowski metric; equal to its inverse, so it raises and lowers indices
+ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
 
 def _vec3(v) -> np.ndarray:
@@ -193,12 +194,23 @@ class CharSystem:
                        np.asarray(builder(s), dtype=float)))
 
 
-def _eig_sorted(M: np.ndarray):
+def sorted_eig(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of M ordered by real, then imaginary part, with the
+    right eigenvectors as columns in the same order."""
     w, V = np.linalg.eig(M)
     order = np.lexsort((w.imag, w.real))
-    w = w[order]
-    V = V[:, order]
-    if w.size and np.max(np.abs(w.imag)) <= 1e-10 * (1.0 + np.max(np.abs(w.real))):
+    return w[order], V[:, order]
+
+
+def nearly_real(x: np.ndarray) -> bool:
+    """Whether the imaginary parts of x are rounding noise relative to
+    its real parts."""
+    return bool(np.max(np.abs(x.imag)) <= 1e-10 * (1.0 + np.max(np.abs(x.real))))
+
+
+def _eig_sorted(M: np.ndarray):
+    w, V = sorted_eig(M)
+    if w.size and nearly_real(w):
         w = w.real
         V = V.real if np.max(np.abs(V.imag)) <= 1e-10 else V
     cond = float(np.linalg.cond(V))
@@ -219,10 +231,7 @@ def _left_eigenvectors(M: np.ndarray, w: np.ndarray, V: np.ndarray,
     """
     if cond < 1e8:
         return np.linalg.inv(V)
-    wt, U = np.linalg.eig(M.T)
-    order = np.lexsort((wt.imag, wt.real))
-    wt = wt[order]
-    U = U[:, order]
+    _, U = sorted_eig(M.T)
     left = np.zeros_like(np.asarray(V, dtype=U.dtype).T)
     for i in range(len(w)):
         row = U[:, i]
@@ -230,7 +239,7 @@ def _left_eigenvectors(M: np.ndarray, w: np.ndarray, V: np.ndarray,
         if abs(d) > 1e-10:
             row = row / d
         left[i] = row
-    if np.max(np.abs(left.imag)) <= 1e-10 * (1.0 + np.max(np.abs(left.real))):
+    if nearly_real(left):
         left = left.real
     return left
 
@@ -384,29 +393,57 @@ def biorthogonality_defect(system: CharSystem) -> float:
 # --- covariant cones ----------------------------------------------------------
 
 
+def scalar_cone_matrix(jet: Jet3, bg: FieldBackground) -> np.ndarray:
+    """G^{mu nu} = eta L' + sigma^mu sigma^nu L'' of a scalar model on a
+    constant gradient background; its cone is G^{mu nu} p_mu p_nu = 0."""
+    sigma_up = np.array([-bg.sigma[0], *bg.sigma[1:]])
+    return ETA * jet.fa + np.outer(sigma_up, sigma_up) * jet.faa
+
+
 def scalar_cone(jet: Jet3 | LagrangianModel, bg: FieldBackground, p) -> float:
     """G^{mu nu} p_mu p_nu for a scalar model: eta L' + sigma sigma L''
     contracted twice with the covector p."""
     if isinstance(jet, LagrangianModel):
         jet = jet.jet_at(bg.point(Kind.Scalar))
     p = np.asarray(p, dtype=float).reshape(4)
-    sigma_up = np.array([-bg.sigma[0], *bg.sigma[1:]])
-    g = float(-p[0] ** 2 + p[1:] @ p[1:])
-    return float(jet.fa * g + jet.faa * (sigma_up @ p) ** 2)
+    return float(p @ scalar_cone_matrix(jet, bg) @ p)
 
 
-def _u_and_g(bg: FieldBackground, p: np.ndarray) -> tuple[float, float, float, float]:
-    """u = U^mu U_mu for U^mu = F^{lam mu} p_lam, g = p.p, plus
-    absolute-value counterparts for normalization."""
-    E, B = bg.E, bg.B
-    pv = p[1:]
-    U0 = -float(E @ pv)
-    Uv = E * p[0] - np.cross(pv, B)
-    u = -U0 ** 2 + float(Uv @ Uv)
-    g = -p[0] ** 2 + float(pv @ pv)
-    u_abs = U0 ** 2 + float(Uv @ Uv)
-    g_abs = p[0] ** 2 + float(pv @ pv)
-    return u, g, u_abs, g_abs
+def scalar_cone_fn(model: LagrangianModel,
+                   bg: FieldBackground) -> Callable[[np.ndarray], tuple[float, float]]:
+    G = scalar_cone_matrix(model.jet_at(bg.point(Kind.Scalar)), bg)
+    G_abs = np.abs(G)
+
+    def cone(p) -> tuple[float, float]:
+        p = np.asarray(p, dtype=float).reshape(4)
+        return float(p @ G @ p), float(np.abs(p) @ G_abs @ np.abs(p)) + _TINY
+
+    return cone
+
+
+def u_and_g(F: np.ndarray, p: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """U^mu = F^{lam mu} p_lam with its lowered form U_mu, and the cone
+    invariants u = U.U and g = p.p."""
+    U_up = F.T @ p
+    U_dn = ETA @ U_up
+    return U_up, U_dn, float(U_up @ U_dn), float(p @ ETA @ p)
+
+
+def _field_cone_fn(bg: FieldBackground,
+                   form: Callable[[float, float, float, float], tuple[float, float]]
+                   ) -> Callable[[np.ndarray], tuple[float, float]]:
+    """p -> form(u, g, u_abs, g_abs) on an (E, B) background, where
+    u_abs = sum U_mu^2 and g_abs = sum p_mu^2 are the absolute-value
+    counterparts of u and g used for normalization."""
+    F = bg.f_upper()
+
+    def cone(p) -> tuple[float, float]:
+        p = np.asarray(p, dtype=float).reshape(4)
+        U_up, _, u, g = u_and_g(F, p)
+        return form(u, g, float(U_up @ U_up), float(p @ p))
+
+    return cone
 
 
 def alpha_cone_fn(model: LagrangianModel,
@@ -415,56 +452,45 @@ def alpha_cone_fn(model: LagrangianModel,
     as p -> (raw value, normalization scale)."""
     jet = model.jet_at(bg.point(Kind.VectorAlpha))
     L1, L2 = jet.fa, jet.faa
-
-    def cone(p) -> tuple[float, float]:
-        u, g, u_abs, g_abs = _u_and_g(bg, np.asarray(p, dtype=float).reshape(4))
-        raw = 2.0 * u * L2 + g * L1
-        scale = 2.0 * u_abs * abs(L2) + g_abs * abs(L1) + _TINY
-        return raw, scale
-
-    return cone
-
-
-def scalar_cone_fn(model: LagrangianModel,
-                   bg: FieldBackground) -> Callable[[np.ndarray], tuple[float, float]]:
-    jet = model.jet_at(bg.point(Kind.Scalar))
-    sigma_up = np.array([-bg.sigma[0], *bg.sigma[1:]])
-
-    def cone(p) -> tuple[float, float]:
-        p = np.asarray(p, dtype=float).reshape(4)
-        g = float(-p[0] ** 2 + p[1:] @ p[1:])
-        g_abs = float(p[0] ** 2 + p[1:] @ p[1:])
-        proj = float(sigma_up @ p)
-        raw = jet.fa * g + jet.faa * proj ** 2
-        scale = abs(jet.fa) * g_abs + abs(jet.faa) * proj ** 2 + _TINY
-        return raw, scale
-
-    return cone
+    return _field_cone_fn(bg, lambda u, g, u_abs, g_abs: (
+        2.0 * u * L2 + g * L1,
+        2.0 * u_abs * abs(L2) + g_abs * abs(L1) + _TINY))
 
 
 def quartic_cone_fn(model: LagrangianModel,
                     bg: FieldBackground) -> Callable[[np.ndarray], tuple[float, float]]:
     """Full two-invariant dispersion function K u^2 + u g P + g^2 R."""
     point = bg.point(model.kind)
-    jet = model.jet_at(point)
-    K, P, R = _cone_coefficients(jet, point)
-
-    def cone(p) -> tuple[float, float]:
-        u, g, u_abs, g_abs = _u_and_g(bg, np.asarray(p, dtype=float).reshape(4))
-        raw = K * u * u + u * g * P + g * g * R
-        scale = (abs(K) * u_abs ** 2 + u_abs * g_abs * abs(P)
-                 + g_abs ** 2 * abs(R) + _TINY)
-        return raw, scale
-
-    return cone
+    K, P, R = point_cone_coefficients(model.jet_at(point), point)
+    return _field_cone_fn(bg, lambda u, g, u_abs, g_abs: (
+        K * u * u + u * g * P + g * g * R,
+        abs(K) * u_abs ** 2 + u_abs * g_abs * abs(P)
+        + g_abs ** 2 * abs(R) + _TINY))
 
 
-def _cone_coefficients(jet: Jet3, point: InvariantPoint) -> tuple[float, float, float]:
-    a = point.a
+def cone_coefficients(La, Laa, Lab, Lbb, a, b):
+    """Coefficients K, P, R of the dispersion quartic K u^2 + u g P + g^2 R
+    from the L-partials at the invariant point (a, b).  The arguments may
+    be floats or Jet3 values; with jets the (a, b)-gradients of K, P, R
+    come out exactly."""
+    K = Laa * Lbb - Lab ** 2
+    P = 2.0 * La * (Laa + 0.25 * Lbb) - a * K
+    R = La * (La + 2.0 * b * Lab - 0.5 * a * Lbb) - b * b * K
+    return K, P, R
+
+
+def degeneracy_scales(Laa: float, Lab: float, Lbb: float, K: float, P: float,
+                      R: float) -> tuple[float, float]:
+    """Magnitudes against which K and the pair-splitting discriminant
+    P^2 - 4KR count as zero, within DEGENERACY_RTOL."""
+    return abs(Laa * Lbb) + Lab ** 2, P * P + abs(4.0 * K * R)
+
+
+def point_cone_coefficients(jet: Jet3, point: InvariantPoint
+                            ) -> tuple[float, float, float]:
+    """K, P, R of a model's jet at one invariant point."""
     b = point.b if point.b is not None else 0.0
-    K = jet.faa * jet.fbb - jet.fab ** 2
-    P = 2.0 * jet.fa * (jet.faa + 0.25 * jet.fbb) - a * K
-    R = jet.fa * (jet.fa + 2.0 * b * jet.fab - 0.5 * a * jet.fbb) - b * b * K
+    K, P, R = cone_coefficients(jet.fa, jet.faa, jet.fab, jet.fbb, point.a, b)
     return float(K), float(P), float(R)
 
 
@@ -516,8 +542,9 @@ def fresnel_roots(jet: Jet3 | LagrangianModel, bg: FieldBackground,
     else:
         point = bg.point(Kind.VectorAlphaBeta)
         model_jet = jet
-    K, P, R = _cone_coefficients(model_jet, point)
-    k_scale = abs(model_jet.faa * model_jet.fbb) + model_jet.fab ** 2
+    K, P, R = point_cone_coefficients(model_jet, point)
+    k_scale, d_scale = degeneracy_scales(model_jet.faa, model_jet.fab,
+                                         model_jet.fbb, K, P, R)
 
     n = unit_direction(nhat)
     E, B = bg.E, bg.B
@@ -532,7 +559,6 @@ def fresnel_roots(jet: Jet3 | LagrangianModel, bg: FieldBackground,
 
     if abs(K) > DEGENERACY_RTOL * k_scale + _TINY:
         delta = P * P - 4.0 * K * R
-        d_scale = P * P + abs(4.0 * K * R)
         if abs(delta) <= DEGENERACY_RTOL * d_scale:
             delta = 0.0
         sq = np.sqrt(complex(delta))
@@ -552,9 +578,8 @@ def fresnel_roots(jet: Jet3 | LagrangianModel, bg: FieldBackground,
             "dispersion polynomial vanishes identically; propagation "
             "is undetermined at this background")
 
-    roots = np.concatenate([_quadratic_roots(f) for f in factors])
-    order = np.lexsort((roots.imag, roots.real))
-    roots = roots[order]
+    roots = np.sort_complex(np.concatenate([_quadratic_roots(f)
+                                            for f in factors]))
 
     tol_c = COINCIDENCE_RTOL * (1.0 + float(np.max(np.abs(roots))))
     partner = [-1, -1, -1, -1]
@@ -595,16 +620,14 @@ def exceptionality_per_mode(system: CharSystem, index: int,
     R = R / np.linalg.norm(R)
     L_row = system.left[index]
 
-    def tracked(hh: float, sign: float) -> float:
-        M = system.rebuild(system.state + sign * hh * R)
+    def tracked(t: float) -> float:
+        M = system.rebuild(system.state + t * R)
         w2, V2 = np.linalg.eig(M)
         overlaps = np.abs(L_row @ V2)
         j = int(np.argmax(overlaps))
         return float(np.real(w2[j]))
 
-    d1 = (tracked(h, +1.0) - tracked(h, -1.0)) / (2.0 * h)
-    d2 = (tracked(0.5 * h, +1.0) - tracked(0.5 * h, -1.0)) / h
-    return (4.0 * d2 - d1) / 3.0
+    return richardson_central(tracked, h)
 
 
 def crosscheck_cone_vs_eigen(system: CharSystem,
@@ -651,8 +674,13 @@ def fresnel_scan_rows(model: LagrangianModel,
     return header, rows
 
 
-def write_scan_csv(path: str, header: list[str], rows: list[list]) -> None:
+def write_csv(path: str, header: list[str], rows) -> None:
+    """Write one header line and then every row of an iterable."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_scan_csv(path: str, header: list[str], rows: list[list]) -> None:
+    write_csv(path, header, rows)

@@ -122,12 +122,6 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-def _check_format(fmt: str, expected: str, command: str) -> None:
-    if fmt != expected:
-        raise BadUsage(f"{command} writes {expected} output; "
-                       f"--format {fmt} is not available")
-
-
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2))
@@ -138,7 +132,6 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def cmd_ce_check(args) -> int:
-    _check_format(args.format, "json", "ce check")
     model = _resolve_model(args.builtin, args.params, args.expr, args.kind)
     grid = parse_grid(args.grid) if args.grid else None
     report = classify(model, grid=grid, tol=_check_tol(args.tol))
@@ -176,7 +169,6 @@ def _random_background_pairs(model: LagrangianModel, trials: int,
 
 
 def cmd_fresnel(args) -> int:
-    _check_format(args.format, "csv", "fresnel")
     model = _resolve_model(args.builtin, args.params, args.expr, args.kind)
     if args.trials < 1:
         raise BadParams("--trials must be at least 1")
@@ -211,7 +203,6 @@ def _stem(path: str) -> str:
 
 
 def cmd_shock(args) -> int:
-    _check_format(args.format, "json", "shock")
     if args.profile not in _PROFILES:
         raise BadParams(f"unknown profile '{args.profile}'; expected one "
                         f"of {sorted(_PROFILES)}")
@@ -259,7 +250,6 @@ def cmd_shock(args) -> int:
 
 
 def cmd_gravity(args) -> int:
-    _check_format(args.format, "json", "gravity")
     rng = np.random.default_rng(args.seed)
     survey = kernel_survey(args.theory, args.D, args.trials, rng,
                            p=args.p, q=args.q, f2=args.fpp)
@@ -275,7 +265,6 @@ def cmd_gravity(args) -> int:
 
 
 def cmd_rays(args) -> int:
-    _check_format(args.format, "csv", "rays")
     E = _parse_floats(args.E, 3)
     B = _parse_floats(args.B, 3)
     nhat = np.array(_parse_floats(args.nhat, 3))
@@ -296,9 +285,11 @@ def cmd_rays(args) -> int:
         if args.p0:
             p0 = np.array(_parse_floats(args.p0, 4))
         else:
+            # fresnel_roots solves H((p0, n)) = 0 for p0 itself; the
+            # smallest root is the fastest mode along n
             roots = fresnel_roots(model, bg, nhat).roots
             n = nhat / np.linalg.norm(nhat)
-            p0 = np.array([-float(np.max(roots.real)), *n])
+            p0 = np.array([float(np.min(roots.real)), *n])
         label = model.name
 
     ray = trace(H, np.zeros(4), p0, s_max=args.s_max, step=args.step,
@@ -328,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--tol", type=float, default=1e-9)
     check.add_argument("--seed", type=int, default=DEFAULT_SEED)
     check.add_argument("--out", default="ce_report.json")
-    check.add_argument("--format", default="json", choices=["json", "csv"])
     check.set_defaults(handler=cmd_ce_check)
 
     fres = sub.add_parser("fresnel",
@@ -338,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     fres.add_argument("--trials", type=int, default=50)
     fres.add_argument("--seed", type=int, default=DEFAULT_SEED)
     fres.add_argument("--out", default="fresnel.csv")
-    fres.add_argument("--format", default="csv", choices=["json", "csv"])
     fres.set_defaults(handler=cmd_fresnel)
 
     shock = sub.add_parser("shock",
@@ -355,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=[k.value for k in Kind])
     shock.add_argument("--seed", type=int, default=DEFAULT_SEED)
     shock.add_argument("--out", default="shock_summary.json")
-    shock.add_argument("--format", default="json", choices=["json", "csv"])
     shock.set_defaults(handler=cmd_shock)
 
     grav = sub.add_parser("gravity",
@@ -370,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     grav.add_argument("--fpp", type=float, default=1.0)
     grav.add_argument("--seed", type=int, default=DEFAULT_SEED)
     grav.add_argument("--out", default="gravity.json")
-    grav.add_argument("--format", default="json", choices=["json", "csv"])
     grav.set_defaults(handler=cmd_gravity)
 
     rays = sub.add_parser("rays", help="trace a dispersion-surface ray")
@@ -387,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     rays.add_argument("--tol", type=float, default=1e-9)
     rays.add_argument("--seed", type=int, default=DEFAULT_SEED)
     rays.add_argument("--out", default="ray.csv")
-    rays.add_argument("--format", default="csv", choices=["json", "csv"])
     rays.set_defaults(handler=cmd_rays)
 
     parser.add_argument("--list-builtins", action="store_true",

@@ -214,18 +214,21 @@ class KernelReport:
 
     @classmethod
     def from_operator(cls, op: np.ndarray, phi) -> "KernelReport":
-        sv = np.linalg.svd(_row_normalized(op), compute_uv=False)
-        s_max = float(sv[0]) if len(sv) else 0.0
-        dim = int(np.sum(sv < RANK_RTOL * (s_max + 1e-300)))
+        dim, sv = _kernel(op)
         return cls(kernel_dim=dim, singular_values=sv,
                    classification=classify_covector(phi))
 
 
-def kernel_dim(op: np.ndarray) -> int:
+def _kernel(op: np.ndarray) -> tuple[int, np.ndarray]:
+    """Numerical kernel dimension of the row-normalized operator, with
+    its singular values."""
     sv = np.linalg.svd(_row_normalized(op), compute_uv=False)
-    if len(sv) == 0:
-        return 0
-    return int(np.sum(sv < RANK_RTOL * (float(sv[0]) + 1e-300)))
+    s_max = float(sv[0]) if len(sv) else 0.0
+    return int(np.sum(sv < RANK_RTOL * (s_max + 1e-300))), sv
+
+
+def kernel_dim(op: np.ndarray) -> int:
+    return _kernel(op)[0]
 
 
 def einstein_trace_coeff(D: int) -> float:

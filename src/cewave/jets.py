@@ -260,14 +260,14 @@ class InvariantPoint:
         return "InvariantPoint(" + ", ".join(parts) + ")"
 
 
-def jet_eval(model, point: InvariantPoint) -> Jet3:
-    """Order-3 jet of a model's density at a point of invariant space.
+def richardson_central(fn, h: float):
+    """Derivative at 0 of fn(t) from central differences with steps h and
+    h/2 plus one Richardson extrapolation step, (4 D(h/2) - D(h)) / 3."""
 
-    The jet variables are the model's primary invariants (z for scalar
-    models, the field invariant a for alpha-only models, the pair (a, b)
-    otherwise); any remaining invariant is held fixed.
-    """
-    return model.jet_at(point)
+    def central(k: float):
+        return (fn(k) - fn(-k)) / (2.0 * k)
+
+    return (4.0 * central(h / 2.0) - central(h)) / 3.0
 
 
 def jet_check_fd(model, point: InvariantPoint, step: float = 1e-5) -> float:

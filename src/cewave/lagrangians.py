@@ -220,9 +220,6 @@ class Sqrt(Node):
         return f"sqrt({self.arg.pretty()})"
 
 
-ExprAst = Node
-
-
 # ---------------------------------------------------------------------------
 # Tokenizer + recursive-descent parser
 # ---------------------------------------------------------------------------
@@ -381,7 +378,7 @@ class _Parser:
         raise ParseError(f"unexpected token {tok.text!r}", tok.offset)
 
 
-def parse_lagrangian(text: str, kind: Kind | str) -> ExprAst:
+def parse_lagrangian(text: str, kind: Kind | str) -> Node:
     """Parse expression text, checking variables against the model kind."""
     if isinstance(kind, str):
         kind = kind_from_text(kind)

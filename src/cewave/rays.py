@@ -12,13 +12,19 @@ Everything integrates with fixed-step RK4 for reproducible output.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .charsys import FieldBackground, _cone_coefficients
+from .charsys import (
+    ETA,
+    FieldBackground,
+    point_cone_coefficients,
+    scalar_cone_matrix,
+    u_and_g,
+    write_csv,
+)
 from .errors import BadUsage, GridTooCoarse, OffShellStart, StepFailure
 from .lagrangians import Kind, LagrangianModel
 
@@ -26,8 +32,6 @@ _TINY = 1e-300
 DEFAULT_TOL = 1e-9
 DEFAULT_STEP = 1e-2
 BLOWUP_THRESHOLD = 1e12
-
-_ETA_UP = np.diag([-1.0, 1.0, 1.0, 1.0])
 
 
 class ConeHamiltonian:
@@ -41,14 +45,12 @@ class ConeHamiltonian:
 
     @classmethod
     def metric(cls) -> "ConeHamiltonian":
-        return cls(_ETA_UP)
+        return cls(ETA)
 
     @classmethod
     def scalar_model(cls, model: LagrangianModel,
                      bg: FieldBackground) -> "ConeHamiltonian":
-        jet = model.jet_at(bg.point(Kind.Scalar))
-        sigma_up = np.array([-bg.sigma[0], *bg.sigma[1:]])
-        return cls(_ETA_UP * jet.fa + np.outer(sigma_up, sigma_up) * jet.faa)
+        return cls(scalar_cone_matrix(model.jet_at(bg.point(Kind.Scalar)), bg))
 
     def value(self, x: np.ndarray, p: np.ndarray) -> float:
         return float(p @ self.G @ p)
@@ -77,22 +79,17 @@ class QuarticHamiltonian:
     def __init__(self, model: LagrangianModel, bg: FieldBackground):
         point = bg.point(model.kind)
         jet = model.jet_at(point)
-        self.K, self.P, self.R = _cone_coefficients(jet, point)
+        self.K, self.P, self.R = point_cone_coefficients(jet, point)
         self.F = bg.f_upper()
 
-    def _u_and_g(self, p: np.ndarray) -> tuple[np.ndarray, float, float]:
-        U_up = self.F.T @ p
-        U_dn = _ETA_UP @ U_up
-        return U_dn, float(U_up @ U_dn), float(p @ _ETA_UP @ p)
-
     def value(self, x: np.ndarray, p: np.ndarray) -> float:
-        _, u, g = self._u_and_g(p)
+        _, _, u, g = u_and_g(self.F, p)
         return self.K * u * u + u * g * self.P + g * g * self.R
 
     def grad_p(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        U_dn, u, g = self._u_and_g(p)
+        _, U_dn, u, g = u_and_g(self.F, p)
         du = 2.0 * (self.F @ U_dn)
-        dg = 2.0 * (_ETA_UP @ p)
+        dg = 2.0 * (ETA @ p)
         return (2.0 * self.K * u + g * self.P) * du + (
             u * self.P + 2.0 * g * self.R) * dg
 
@@ -162,6 +159,15 @@ class RayPath:
         return np.array([st.s for st in self.states])
 
 
+def rk4_step(f: Callable, y, h: float):
+    """One classical fourth-order Runge-Kutta step of dy/ds = f(y)."""
+    k1 = f(y)
+    k2 = f(y + 0.5 * h * k1)
+    k3 = f(y + 0.5 * h * k2)
+    k4 = f(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def trace(H, x0, p0, s_max: float, step: float = DEFAULT_STEP,
           tol: float = DEFAULT_TOL) -> RayPath:
     """Fixed-step RK4 ray from (x0, p0); requires the start on the
@@ -174,26 +180,25 @@ def trace(H, x0, p0, s_max: float, step: float = DEFAULT_STEP,
             f"initial dispersion value |H|={abs(H0):.3e} is not below "
             f"tol={tol:.1e}; the start point is off the cone")
 
-    def deriv(xc: np.ndarray, pc: np.ndarray):
-        dx = H.grad_p(xc, pc)
-        dp = -H.grad_x(xc, pc)
-        if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dp))):
+    def deriv(y: np.ndarray) -> np.ndarray:
+        # y stacks the position and the momentum: y = [x, p]
+        out = np.empty(8)
+        out[:4] = H.grad_p(y[:4], y[4:])
+        out[4:] = -H.grad_x(y[:4], y[4:])
+        if not np.all(np.isfinite(out)):
             raise StepFailure("non-finite ray derivative")
-        return dx, dp
+        return out
 
     n_steps = max(1, int(round(s_max / step)))
     states = [RayState(x=x.copy(), p=p.copy(), s=0.0, H=H0)]
     drift = 0.0
     s = 0.0
+    y = np.concatenate([x, p])
     for _ in range(n_steps):
-        k1x, k1p = deriv(x, p)
-        k2x, k2p = deriv(x + 0.5 * step * k1x, p + 0.5 * step * k1p)
-        k3x, k3p = deriv(x + 0.5 * step * k2x, p + 0.5 * step * k2p)
-        k4x, k4p = deriv(x + step * k3x, p + step * k3p)
-        x = x + (step / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        p = p + (step / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
+        y = rk4_step(deriv, y, step)
+        x, p = y[:4], y[4:]
         s += step
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
+        if not np.all(np.isfinite(y)):
             raise StepFailure(f"non-finite ray state at s={s:.6g}")
         Hk = H.value(x, p)
         drift = max(drift, abs(Hk - H0))
@@ -260,11 +265,7 @@ def transport_amplitude(ts: TransportState, s_max: float,
     v = ts.pi0
     s = 0.0
     for _ in range(n_steps):
-        k1 = f(v)
-        k2 = f(v + 0.5 * step * k1)
-        k3 = f(v + 0.5 * step * k2)
-        k4 = f(v + step * k3)
-        v = v + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        v = rk4_step(f, v, step)
         s += step
         ss.append(s)
         pis.append(v)
@@ -293,6 +294,19 @@ def transport_amplitude(ts: TransportState, s_max: float,
 
 
 # --- characteristic crossings -------------------------------------------------------
+
+
+def ternary_argmin(fn: Callable[[float], float], lo: float, hi: float) -> float:
+    """Ternary-search the minimizer of a unimodal function on [lo, hi]."""
+    a, b = float(lo), float(hi)
+    for _ in range(200):
+        m1 = a + (b - a) / 3.0
+        m2 = b - (b - a) / 3.0
+        if fn(m1) <= fn(m2):
+            b = m2
+        else:
+            a = m1
+    return 0.5 * (a + b)
 
 
 def crossing_time(lam, phis, t_max: float = np.inf,
@@ -327,16 +341,8 @@ def crossing_time(lam, phis, t_max: float = np.inf,
         def slope(phi: float) -> float:
             return (lam_fn(phi + h) - lam_fn(phi - h)) / (2.0 * h)
 
-        lo = float(phis[max(0, best - 1)])
-        hi = float(phis[min(len(phis) - 1, best + 2)])
-        for _ in range(200):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            if slope(m1) < slope(m2):
-                hi = m2
-            else:
-                lo = m1
-        s_min = slope(0.5 * (lo + hi))
+        s_min = slope(ternary_argmin(slope, phis[max(0, best - 1)],
+                                     phis[min(len(phis) - 1, best + 2)]))
         if s_min < 0.0:
             t_star = -1.0 / s_min
 
@@ -347,19 +353,13 @@ def crossing_time(lam, phis, t_max: float = np.inf,
 
 
 def write_ray_csv(path: str, ray: RayPath) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "x0", "x1", "x2", "x3",
-                         "p0", "p1", "p2", "p3", "H"])
-        for st in ray.states:
-            writer.writerow([repr(st.s), *(repr(float(v)) for v in st.x),
-                             *(repr(float(v)) for v in st.p), repr(st.H)])
+    write_csv(path, ["s", "x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3", "H"],
+              ([repr(st.s), *(repr(float(v)) for v in st.x),
+                *(repr(float(v)) for v in st.p), repr(st.H)]
+               for st in ray.states))
 
 
 def write_transport_csv(path: str, result: TransportResult) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "pi", "blown_up"])
-        for s, pi in zip(result.s, result.pi):
-            writer.writerow([repr(float(s)), repr(float(pi)),
-                             str(result.blown_up).lower()])
+    write_csv(path, ["s", "pi", "blown_up"],
+              ([repr(float(s)), repr(float(pi)), str(result.blown_up).lower()]
+               for s, pi in zip(result.s, result.pi)))

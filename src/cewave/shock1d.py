@@ -13,13 +13,18 @@ state space, and a side-by-side fan comparison.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .charsys import FieldBackground, scalar_system
+from .charsys import (
+    FieldBackground,
+    nearly_real,
+    scalar_system,
+    sorted_eig,
+    write_csv,
+)
 from .errors import (
     BadParams,
     CFLViolation,
@@ -27,7 +32,7 @@ from .errors import (
     ModeCollision,
 )
 from .lagrangians import LagrangianModel
-from .rays import crossing_time
+from .rays import crossing_time, rk4_step, ternary_argmin
 
 MULTIVALUED_TOL = 1e-12
 PERIODIC_TOL = 1e-12
@@ -153,20 +158,6 @@ class Snapshot:
     u: np.ndarray
 
 
-def _flux_argmin(flux: Callable[[float], float],
-                 lo: float, hi: float) -> float:
-    """Ternary-search the minimizer of a convex flux on [lo, hi]."""
-    a, b = float(lo), float(hi)
-    for _ in range(200):
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        if flux(m1) <= flux(m2):
-            b = m2
-        else:
-            a = m1
-    return 0.5 * (a + b)
-
-
 def upwind_solve(flux: Callable, profile: Profile1D, t: float, nx: int,
                  cfl: float = 0.45,
                  fprime: Callable | None = None) -> Snapshot:
@@ -200,8 +191,8 @@ def upwind_solve(flux: Callable, profile: Profile1D, t: float, nx: int,
         def fprime(v):
             return (flux(v + h) - flux(v - h)) / (2.0 * h)
 
-    u_star = _flux_argmin(flux, float(np.min(u)) - 1.0,
-                          float(np.max(u)) + 1.0)
+    u_star = ternary_argmin(flux, float(np.min(u)) - 1.0,
+                            float(np.max(u)) + 1.0)
     f = np.vectorize(flux, otypes=[float])
 
     def godunov(u_left: np.ndarray, u_right: np.ndarray) -> np.ndarray:
@@ -255,11 +246,8 @@ class ReducedSystem:
 
 def _reduced_from_matrix(M: np.ndarray) -> ReducedSystem:
     M = np.asarray(M, dtype=float)
-    w, V = np.linalg.eig(M)
-    order = np.lexsort((w.imag, w.real))
-    w = w[order]
-    V = V[:, order]
-    if np.max(np.abs(w.imag)) > 1e-10 * (1.0 + np.max(np.abs(w.real))):
+    w, V = sorted_eig(M)
+    if not nearly_real(w):
         raise ModeCollision("complex eigenvalues: system is not "
                             "hyperbolic at this state")
     return ReducedSystem(matrix=M, eigenvalues=w.real,
@@ -368,13 +356,14 @@ def simple_wave_construct(factory: Callable[[np.ndarray], ReducedSystem],
     phis = np.linspace(lo, hi, int(n))
     h = phis[1] - phis[0]
 
-    def rhs(U: np.ndarray, r_ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def rhs(U: np.ndarray) -> np.ndarray:
+        # follows the mode tracked at the current node, r_ref
         sysk = factory(U)
         _, r = _track_mode(sysk, r_ref)
         if abs(r[component]) < 1e-12:
             raise BadParams("tracked eigenvector loses its normalizing "
                             "component along the wave")
-        return r / r[component], r
+        return r / r[component]
 
     states = np.zeros((len(phis), len(U0)))
     lams = np.zeros(len(phis))
@@ -392,11 +381,7 @@ def simple_wave_construct(factory: Callable[[np.ndarray], ReducedSystem],
         r_ref = r
         if k == len(phis) - 1:
             break
-        k1, _ = rhs(U, r_ref)
-        k2, _ = rhs(U + 0.5 * h * k1, r_ref)
-        k3, _ = rhs(U + 0.5 * h * k2, r_ref)
-        k4, _ = rhs(U + h * k3, r_ref)
-        U = U + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        U = rk4_step(rhs, U, h)
 
     return SimpleWave(mode=mode, component=component, phis=phis,
                       states=states, lams=lams, xi=xis)
@@ -491,18 +476,13 @@ def exceptional_flux_demo(model: LagrangianModel, profile: Profile1D,
 def write_characteristics_csv(path, phis, lams, x_by_t,
                               t_list) -> None:
     """Columns phi, lam, then one pushed-position column per time."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["phi", "lam"]
-                        + [f"x_t{repr(float(t))}" for t in t_list])
-        for k in range(len(phis)):
-            writer.writerow([repr(float(phis[k])), repr(float(lams[k]))]
-                            + [repr(float(x[k])) for x in x_by_t])
+    write_csv(path, ["phi", "lam"] + [f"x_t{repr(float(t))}" for t in t_list],
+              ([repr(float(phis[k])), repr(float(lams[k]))]
+               + [repr(float(x[k])) for x in x_by_t]
+               for k in range(len(phis))))
 
 
 def write_snapshot_csv(path, snap: Snapshot) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "u"])
-        for xk, uk in zip(snap.x, snap.u):
-            writer.writerow([repr(float(xk)), repr(float(uk))])
+    write_csv(path, ["x", "u"],
+              ([repr(float(xk)), repr(float(uk))]
+               for xk, uk in zip(snap.x, snap.u)))

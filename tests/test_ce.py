@@ -6,6 +6,8 @@ import pytest
 from cewave.ce import (
     GridSpec,
     VectorCharData,
+    _am_groups,
+    _tar_terms,
     appendix_c_residuals,
     appendix_raw,
     classify,
@@ -17,6 +19,7 @@ from cewave.ce import (
     scalar_ce_residual,
     strong_ce_residuals,
 )
+from cewave.charsys import cone_coefficients
 from cewave.errors import DegeneracyError, EmptyGrid
 from cewave.jets import InvariantPoint, Jet3
 from cewave.lagrangians import Kind, LagrangianModel, builtin, from_expression
@@ -247,6 +250,34 @@ def test_appendix_and_general_on_third_partials_zero_jet():
         assert raw4 == pytest.approx(want4, rel=1e-10, abs=1e-12)
 
 
+def test_expanded_conditions_match_compact_forms_symbolically():
+    # Over symbolic L-partials, with the (a, b)-gradients of K, P, R taken
+    # by the chain rule, the expanded groups and the compact K/P/R forms
+    # are the same two polynomials (overall factor 1).
+    sp = pytest.importorskip("sympy")
+    La, Laa, Lab, Lbb, Laaa, Laab, Labb, Lbbb, a, b = sp.symbols(
+        "La Laa Lab Lbb Laaa Laab Labb Lbbb a b")
+    d_a = {La: Laa, Laa: Laaa, Lab: Laab, Lbb: Labb, a: 1, b: 0}
+    d_b = {La: Lab, Laa: Laab, Lab: Labb, Lbb: Lbbb, a: 0, b: 1}
+
+    def chain(f, d):
+        return sum(sp.diff(f, v) * dv for v, dv in d.items())
+
+    K, P, R = cone_coefficients(La, Laa, Lab, Lbb, a, b)
+    data = VectorCharData(
+        alpha=a, beta=b, La=La, Lb=0, Laa=Laa, Lab=Lab, Lbb=Lbb,
+        Laaa=Laaa, Laab=Laab, Labb=Labb, Lbbb=Lbbb, K=K, P=P, R=R,
+        p=2 * Laa, q=La + b * Lab, r=Lab, s=b * Lbb / 2,
+        Delta=P**2 - 4 * K * R,
+        Ka=chain(K, d_a), Kb=chain(K, d_b), Pa=chain(P, d_a),
+        Pb=chain(P, d_b), Ra=chain(R, d_a), Rb=chain(R, d_b))
+    t3, t4 = _tar_terms(data)
+    g1, g2 = _am_groups(data)
+    for compact, expanded in ((t3, g1), (t4, g2)):
+        difference = sp.nsimplify(sum(compact) - sum(expanded), rational=True)
+        assert sp.expand(difference) == 0
+
+
 def test_general_residuals_normalized_range():
     rng = np.random.default_rng(18)
     for _ in range(100):
@@ -333,11 +364,27 @@ def test_classify_separable_vector_scalar():
         "(1 - sqrt(1 + a - b^2)) + (1 - sqrt(1 + 2*z))", "vector-scalar")
     report = classify(model)
     assert report.label == "StronglyCE"
+    # the argmax is the point of the worst strong or scalar residual
+    worst = max(report.per_point, key=lambda row: max(
+        *row["residuals"]["strong"], *row["residuals"]["scalar"]))
+    assert report.argmax_point == worst["point"]
+    assert report.max_residual == max(*worst["residuals"]["strong"],
+                                      *worst["residuals"]["scalar"])
 
 
-def test_classify_coupled_vector_scalar_not_ce():
-    report = classify(from_expression("a*z + b", "vector-scalar"))
+@pytest.mark.parametrize("expr, failing", [
+    ("a*z + b", "coupling"),
+    # no coupling, but the scalar sector L(z) = 0.1 z^2 - z fails
+    ("-a/2 + 0.1*z^2 - z", "scalar"),
+    ("1 - sqrt(1 + a - b^2) + 0.1*z^2 - z", "scalar"),
+], ids=["coupled", "maxwell-plus-failing-z", "born-infeld-plus-failing-z"])
+def test_classify_coupled_vector_scalar_not_ce(expr, failing):
+    report = classify(from_expression(expr, "vector-scalar"))
     assert report.label == "NotCE"
+    assert report.max_residual == pytest.approx(1.0)
+    worst = max(report.per_point,
+                key=lambda row: max(row["residuals"][failing]))
+    assert report.argmax_point == worst["point"]
 
 
 def test_classify_y_dependent_not_ce_without_evaluation():

@@ -252,13 +252,21 @@ def test_rays_metric_cone_straight_line(tmp_path):
     assert all(abs(float(r[-1])) < 1e-12 for r in rows[1:])
 
 
-def test_rays_born_infeld_default_start(tmp_path, capsys):
+@pytest.mark.parametrize("background", [
+    [],
+    # Poynting flux along nhat: the dispersion roots are not +- pairs
+    ["--E=0.31,-0.2,0.1", "--B=0.1,0.4,0.2", "--nhat=0.41,0.6,-0.1"],
+], ids=["default-background", "poynting-flux"])
+def test_rays_born_infeld_default_start(background, tmp_path, capsys):
     out = tmp_path / "ray.csv"
     rc = main(["rays", "--builtin", "born-infeld", "--s-max", "2.0",
-               "--out", str(out)])
+               "--out", str(out)] + background)
     assert rc == 0
-    assert "drift 0.000e+00" in capsys.readouterr().out
-    assert len(_read_csv(out)) == 202
+    rows = _read_csv(out)
+    assert len(rows) == 202
+    assert all(abs(float(row[-1])) <= 1e-9 for row in rows[1:])
+    if not background:
+        assert "drift 0.000e+00" in capsys.readouterr().out
 
 
 def test_rays_off_shell_start_exit_3(tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cewave.errors import DomainError
-from cewave.jets import InvariantPoint, Jet3, jet_check_fd, jet_eval
+from cewave.jets import InvariantPoint, Jet3, jet_check_fd
 from cewave.lagrangians import builtin, from_expression
 
 
@@ -29,7 +29,7 @@ def _bi_partials(a: float, b: float) -> dict[str, float]:
 
 
 def test_maxwell_jet_is_linear():
-    jet = jet_eval(builtin("maxwell"), InvariantPoint.alpha(2.0))
+    jet = builtin("maxwell").jet_at(InvariantPoint.alpha(2.0))
     assert jet.f == -1.0
     assert jet.fa == -0.5
     for slot in ("fb", "faa", "fab", "fbb", "faaa", "faab", "fabb", "fbbb"):
@@ -38,7 +38,7 @@ def test_maxwell_jet_is_linear():
 
 def test_born_infeld_jet_matches_closed_form():
     for (a, b) in [(0.0, 0.0), (0.3, 0.2), (1.5, -0.7), (-0.2, 0.35)]:
-        jet = jet_eval(builtin("born-infeld"), InvariantPoint.alpha_beta(a, b))
+        jet = builtin("born-infeld").jet_at(InvariantPoint.alpha_beta(a, b))
         want = _bi_partials(a, b)
         for slot, expect in want.items():
             got = getattr(jet, slot)
@@ -46,7 +46,7 @@ def test_born_infeld_jet_matches_closed_form():
 
 
 def test_born_infeld_origin_example():
-    jet = jet_eval(builtin("born-infeld"), InvariantPoint.alpha_beta(0.0, 0.0))
+    jet = builtin("born-infeld").jet_at(InvariantPoint.alpha_beta(0.0, 0.0))
     assert jet.f == pytest.approx(0.0, abs=1e-15)
     assert jet.fa == pytest.approx(-0.5, rel=1e-14)
     assert jet.fb == pytest.approx(0.0, abs=1e-15)
@@ -55,7 +55,7 @@ def test_born_infeld_origin_example():
 
 def test_scalar_square_jet():
     model = from_expression("z^2", "scalar")
-    jet = jet_eval(model, InvariantPoint.scalar(1.0))
+    jet = model.jet_at(InvariantPoint.scalar(1.0))
     assert jet.f == 1.0
     assert jet.fa == 2.0
     assert jet.faa == 2.0
@@ -83,7 +83,7 @@ def test_fd_step_crossing_pole_raises():
 def test_sqrt_negative_raises():
     model = builtin("born-infeld")
     with pytest.raises(DomainError):
-        jet_eval(model, InvariantPoint.alpha_beta(-3.0, 0.0))
+        model.jet_at(InvariantPoint.alpha_beta(-3.0, 0.0))
 
 
 def test_division_by_zero_value_raises():
