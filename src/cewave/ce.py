@@ -560,10 +560,6 @@ def classify(model: LagrangianModel, grid: GridSpec | None = None,
                              key=lambda pair: pair[0])
         else:
             label, worst, arg = general_branch()
-            if label == "NotCE":
-                # this path reports no argmax point, a layout that the
-                # fixed-seed report bytes keep
-                arg = None
 
     if guard_excluded > 0.5 * total:
         label = "Degenerate"

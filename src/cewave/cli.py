@@ -160,12 +160,17 @@ def _random_background_pairs(model: LagrangianModel, trials: int,
         if np.linalg.norm(nhat) < 1e-3:
             continue
         bg = FieldBackground.vector(E, B)
-        try:
-            fresnel_roots(model, bg, nhat)
-        except (InputError, NumericalError):
-            continue
-        pairs.append((bg, nhat / np.linalg.norm(nhat)))
+        if _solvable(model, bg, nhat):
+            pairs.append((bg, nhat / np.linalg.norm(nhat)))
     return pairs
+
+
+def _solvable(model: LagrangianModel, bg: FieldBackground, nhat) -> bool:
+    try:
+        fresnel_roots(model, bg, nhat)
+    except (InputError, NumericalError):
+        return False
+    return True
 
 
 def cmd_fresnel(args) -> int:
@@ -173,8 +178,10 @@ def cmd_fresnel(args) -> int:
     if args.trials < 1:
         raise BadParams("--trials must be at least 1")
     rng = np.random.default_rng(args.seed)
-    pairs = [(FieldBackground.vector([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
-              np.array([1.0, 0.0, 0.0]))]
+    zero = (FieldBackground.vector([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+            np.array([1.0, 0.0, 0.0]))
+    # the zero field leads the scan unless it is outside the model's domain
+    pairs = [zero] if _solvable(model, *zero) else []
     pairs += _random_background_pairs(model, args.trials, rng)
     header, rows = fresnel_scan_rows(model, pairs)
     write_scan_csv(args.out, header, rows)

@@ -12,6 +12,13 @@ null normals are the ones that enlarge the kernel.
 
 Everything lives on a flat metric diag(-1, 1, ..., 1): the algebra is
 pointwise in the tensors, so a flat background loses nothing.
+
+The operator is linear in pi, so broadcasting tensor formulas turn T
+normals (T, 1, D) and the symmetric basis stack (n, D, D) into
+operators (T, D + n, n): D gauge rows, then n upper-triangle tensor
+entries; stacked SVDs rank them.  Q is one dot product per normal:
+on null normals it is ~1e-16 rounding noise that sets the curvature-
+squared null kernel, and a batched contraction rounds some of it to 0.
 """
 
 from __future__ import annotations
@@ -20,11 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParams, ZeroCouplings, ZeroCoupling, ZeroCovector
+from .errors import (BadParams, InternalCheckError, ZeroCouplings,
+                     ZeroCoupling, ZeroCovector)
 
 RANK_RTOL = 1e-10
 NULL_RTOL = 1e-10
 MIN_NONNULL_Q = 0.1
+GAUGE_MODE_RTOL = 1e-10
+_BLOCK = 16   # normals per survey step; bounds the (T, n, D, D) temporaries
 
 
 def eta(D: int) -> np.ndarray:
@@ -43,19 +53,17 @@ def sym_dim(D: int) -> int:
 
 
 def pi_from_components(c, D: int) -> np.ndarray:
-    """Symmetric matrix from its upper-triangle component vector."""
-    c = np.asarray(c, dtype=float).reshape(sym_dim(D))
-    P = np.zeros((D, D))
-    for k, (a, b) in enumerate(sym_pairs(D)):
-        P[a, b] = c[k]
-        P[b, a] = c[k]
+    """Symmetric matrices from upper-triangle component vectors (..., n)."""
+    c = np.asarray(c, dtype=float)
+    a, b = np.triu_indices(D)
+    P = np.zeros(c.shape[:-1] + (D, D))
+    P[..., a, b] = P[..., b, a] = c
     return P
 
 
 def components_from_pi(P: np.ndarray) -> np.ndarray:
     P = np.asarray(P, dtype=float)
-    D = P.shape[0]
-    return np.array([P[a, b] for a, b in sym_pairs(D)])
+    return P[(...,) + np.triu_indices(P.shape[-1])]
 
 
 def _check_covector(phi, D: int | None = None) -> np.ndarray:
@@ -85,33 +93,45 @@ def classify_covector(phi) -> str:
 
 
 # --- theory-specific discontinuity tensors -------------------------------------------
+# Each takes phi (..., D) and P (..., D, D) with broadcasting leading axes.
+
+
+def _outer(x, y):
+    return x[..., :, None] * y[..., None, :]
+
+
+def _scalars(phi, P):
+    """phi, eta, and Q (one dot per normal), pi^lam_lam and phi phi pi,
+    each shaped (..., 1, 1) to broadcast against tensors."""
+    phi = np.asarray(phi, dtype=float)
+    g = eta(phi.shape[-1])
+    Q = [covector_q(f) for f in phi.reshape(-1, len(g))]
+    up = (phi @ g)[..., None, :]
+    return (phi, g, np.reshape(Q, phi.shape[:-1] + (1, 1)),
+            np.trace(g @ P, axis1=-2, axis2=-1)[..., None, None],
+            up @ P @ np.swapaxes(up, -1, -2))
+
+
+def _phi_pi_terms(phi, P, g, trace):
+    """phi v + v phi - phi phi pi^lam_lam, v_nu = phi_lam pi^lam_nu."""
+    v = (phi[..., None, :] @ (g @ P))[..., 0, :]
+    return _outer(phi, v) + _outer(v, phi) - _outer(phi, phi) * trace
 
 
 def gauge_vector(phi, P: np.ndarray) -> np.ndarray:
     """Harmonic-gauge discontinuity 2 pi^{mu nu} phi_mu - pi phi^nu,
     returned with the free index up."""
     phi = np.asarray(phi, dtype=float)
-    D = len(phi)
-    g = eta(D)
-    P_upup = g @ P @ g
-    trace = float(np.trace(g @ P))
-    phi_up = g @ phi
-    return 2.0 * (P_upup @ phi) - trace * phi_up
+    g = eta(phi.shape[-1])
+    trace = np.trace(g @ P, axis1=-2, axis2=-1)[..., None]
+    return 2.0 * (g @ P @ g @ phi[..., None])[..., 0] - trace * (phi @ g)
 
 
 def einstein_tensor_disc(phi, P: np.ndarray) -> np.ndarray:
     """Leading discontinuity of the Einstein tensor, all indices down,
     assembled term by term with no gauge identities substituted."""
-    phi = np.asarray(phi, dtype=float)
-    D = len(phi)
-    g = eta(D)
-    P_mixed = g @ P          # pi^lam_nu
-    v = phi @ P_mixed        # phi_lam pi^lam_nu
-    Q = float(phi @ g @ phi)
-    trace = float(np.trace(P_mixed))
-    phiphi_pi = float(phi @ g @ P @ g @ phi)
-    t = (np.outer(phi, v) + np.outer(v, phi)
-         - np.outer(phi, phi) * trace
+    phi, g, Q, trace, phiphi_pi = _scalars(phi, P)
+    t = (_phi_pi_terms(phi, P, g, trace)
          - Q * P
          - g * (phiphi_pi - Q * trace))
     return 0.5 * t
@@ -131,12 +151,8 @@ def quadratic_tensor_disc(p: float, q: float, phi, P: np.ndarray) -> np.ndarray:
     non-null normals keep a one-dimensional kernel.  PAPER.md does not
     fix this convention; under p Ric^2 + q R^2 the sign of q here would
     flip."""
-    phi = np.asarray(phi, dtype=float)
-    D = len(phi)
-    g = eta(D)
-    Q = float(phi @ g @ phi)
-    trace = float(np.trace(g @ P))
-    inner = (0.5 * (p - 2.0 * q) * np.outer(phi, phi) * trace
+    phi, g, Q, trace, _ = _scalars(phi, P)
+    inner = (0.5 * (p - 2.0 * q) * _outer(phi, phi) * trace
              - 0.5 * p * Q * P
              - 0.5 * (0.5 * p - 2.0 * q) * Q * trace * g)
     return Q * inner
@@ -145,51 +161,72 @@ def quadratic_tensor_disc(p: float, q: float, phi, P: np.ndarray) -> np.ndarray:
 def fr_tensor_disc(f2: float, phi, P: np.ndarray) -> np.ndarray:
     """Leading discontinuity tensor of an f(R) action, proportional to
     the second derivative of f at the background curvature."""
-    phi = np.asarray(phi, dtype=float)
-    D = len(phi)
-    g = eta(D)
-    Q = float(phi @ g @ phi)
-    trace = float(np.trace(g @ P))
-    phiphi_pi = float(phi @ g @ P @ g @ phi)
-    return (Q * g - np.outer(phi, phi)) * (phiphi_pi - Q * trace) * f2
+    phi, g, Q, trace, phiphi_pi = _scalars(phi, P)
+    return (Q * g - _outer(phi, phi)) * (phiphi_pi - Q * trace) * f2
 
 
 # --- operator assembly ----------------------------------------------------------------
 
 
-def _assemble(phi, D: int, tensor_fn) -> np.ndarray:
-    phi = _check_covector(phi, D)
-    pairs = sym_pairs(D)
-    n = sym_dim(D)
-    op = np.zeros((D + n, n))
-    for k in range(n):
-        c = np.zeros(n)
-        c[k] = 1.0
-        P = pi_from_components(c, D)
-        op[:D, k] = gauge_vector(phi, P)
-        t = tensor_fn(phi, P)
-        op[D:, k] = [t[a, b] for a, b in pairs]
-    return op
+def _theory(theory: str, p: float = 1.0, q: float = 0.0, f2: float = 1.0):
+    """(tensor(phi, P), whether its rows must annihilate pure-gauge modes;
+    not curvature-squared ones, whose tensor substitutes harmonic gauge)."""
+    theory = theory.lower()
+    if theory == "einstein":
+        return einstein_tensor_disc, True
+    if theory == "quadratic":
+        if p == 0.0 and q == 0.0:
+            raise ZeroCouplings("couplings (p, q) = (0, 0) leave no equations")
+        return (lambda phi, P: quadratic_tensor_disc(p, q, phi, P)), False
+    if theory == "fr":
+        if f2 == 0.0:
+            raise ZeroCoupling("f'' = 0 degenerates to the Einstein case; "
+                               "use einstein_operator")
+        return (lambda phi, P: fr_tensor_disc(f2, phi, P)), True
+    raise BadParams(f"unknown gravity theory '{theory}'; expected "
+                    "einstein, quadratic, or fr")
+
+
+def _check_gauge_modes(phis: np.ndarray, eq: np.ndarray) -> None:
+    """Linearized diffeomorphism invariance: equation rows eq (T, n, n)
+    annihilate the pure-gauge modes phi xi + xi phi of phis (T, D)."""
+    e = np.eye(phis.shape[-1])
+    modes = components_from_pi(_outer(phis[:, None], e)
+                               + _outer(e, phis[:, None]))   # (T, D, n)
+    residual = np.abs(eq @ np.swapaxes(modes, 1, 2)).max(axis=(1, 2))
+    scale = np.abs(eq).max(axis=(1, 2)) * np.abs(modes).max(axis=(1, 2))
+    for phi, r in zip(phis, residual / scale):
+        if r > GAUGE_MODE_RTOL:
+            raise InternalCheckError(f"equation rows miss the pure-gauge modes"
+                                     f" of {phi.tolist()}: residual {r:.3g}")
+
+
+def _operators(tensor, gauge_invariant: bool, phis: np.ndarray) -> np.ndarray:
+    """Operators (T, D + n, n) of validated normals phis (T, D)."""
+    T, D = phis.shape
+    basis = pi_from_components(np.eye(sym_dim(D)), D)
+    a, b = np.triu_indices(D)
+    ops = np.empty((T, D + len(a), len(a)))
+    ops[:, :D] = np.swapaxes(gauge_vector(phis[:, None], basis), 1, 2)
+    ops[:, D:] = np.swapaxes(tensor(phis[:, None], basis)[..., a, b], 1, 2)
+    if gauge_invariant:
+        _check_gauge_modes(phis, ops[:, D:])
+    return ops
 
 
 def einstein_operator(phi, D: int = 4) -> np.ndarray:
     """Stacked gauge + Einstein discontinuity operator,
     shape (D + D(D+1)/2, D(D+1)/2)."""
-    return _assemble(phi, D, einstein_tensor_disc)
+    return _operators(*_theory("einstein"), _check_covector(phi, D)[None])[0]
 
 
 def quadratic_operator(p: float, q: float, phi, D: int = 4) -> np.ndarray:
-    if p == 0.0 and q == 0.0:
-        raise ZeroCouplings("couplings (p, q) = (0, 0) leave no equations")
-    return _assemble(phi, D,
-                     lambda f, P: quadratic_tensor_disc(p, q, f, P))
+    return _operators(*_theory("quadratic", p=p, q=q),
+                      _check_covector(phi, D)[None])[0]
 
 
 def fr_operator(f2: float, phi, D: int = 4) -> np.ndarray:
-    if f2 == 0.0:
-        raise ZeroCoupling("f'' = 0 degenerates to the Einstein case; "
-                           "use einstein_operator")
-    return _assemble(phi, D, lambda f, P: fr_tensor_disc(f2, f, P))
+    return _operators(*_theory("fr", f2=f2), _check_covector(phi, D)[None])[0]
 
 
 # --- kernel analysis -------------------------------------------------------------------
@@ -201,7 +238,7 @@ def _row_normalized(op: np.ndarray) -> np.ndarray:
     without this the singular-value threshold would depend on the
     covector's overall scale; the kernel itself is untouched."""
     op = np.asarray(op, dtype=float)
-    norms = np.linalg.norm(op, axis=1, keepdims=True)
+    norms = np.linalg.norm(op, axis=-1, keepdims=True)
     safe = np.where(norms > 0.0, norms, 1.0)
     return op / safe
 
@@ -215,20 +252,19 @@ class KernelReport:
     @classmethod
     def from_operator(cls, op: np.ndarray, phi) -> "KernelReport":
         dim, sv = _kernel(op)
-        return cls(kernel_dim=dim, singular_values=sv,
+        return cls(kernel_dim=int(dim), singular_values=sv,
                    classification=classify_covector(phi))
 
 
-def _kernel(op: np.ndarray) -> tuple[int, np.ndarray]:
-    """Numerical kernel dimension of the row-normalized operator, with
-    its singular values."""
+def _kernel(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Numerical kernel dimensions of row-normalized operators
+    (..., m, n), with their singular values, in one stacked SVD."""
     sv = np.linalg.svd(_row_normalized(op), compute_uv=False)
-    s_max = float(sv[0]) if len(sv) else 0.0
-    return int(np.sum(sv < RANK_RTOL * (s_max + 1e-300))), sv
+    return np.sum(sv < RANK_RTOL * (sv[..., :1] + 1e-300), axis=-1), sv
 
 
 def kernel_dim(op: np.ndarray) -> int:
-    return _kernel(op)[0]
+    return int(_kernel(op)[0])
 
 
 def einstein_trace_coeff(D: int) -> float:
@@ -244,26 +280,17 @@ def einstein_trace_coeff(D: int) -> float:
 
 def gauge_rows(phi, D: int) -> np.ndarray:
     phi = _check_covector(phi, D)
-    n = sym_dim(D)
-    rows = np.zeros((D, n))
-    for k in range(n):
-        c = np.zeros(n)
-        c[k] = 1.0
-        rows[:, k] = gauge_vector(phi, pi_from_components(c, D))
-    return rows
+    return gauge_vector(phi, pi_from_components(np.eye(sym_dim(D)), D)).T
 
 
 def gauge_project(phi, P: np.ndarray) -> np.ndarray:
     """Orthogonal projection of a symmetric discontinuity onto the
     subspace satisfying the gauge constraint."""
-    phi = np.asarray(phi, dtype=float)
-    D = len(phi)
-    rows = gauge_rows(phi, D)
-    c = components_from_pi(P)
-    _, sv, vt = np.linalg.svd(rows)
+    _, sv, vt = np.linalg.svd(gauge_rows(phi, len(phi)))
     rank = int(np.sum(sv > RANK_RTOL * (float(sv[0]) + 1e-300)))
     null_basis = vt[rank:]
-    return pi_from_components(null_basis.T @ (null_basis @ c), D)
+    c = null_basis.T @ (null_basis @ components_from_pi(P))
+    return pi_from_components(c, len(phi))
 
 
 def identity_checks(phi, P: np.ndarray) -> tuple[float, float]:
@@ -271,19 +298,12 @@ def identity_checks(phi, P: np.ndarray) -> tuple[float, float]:
     constraint: the symmetric phi-contraction combination and the
     double-contraction half-trace relation.  Both are normalized by the
     natural magnitude |phi|^2 max|pi|."""
-    phi = np.asarray(phi, dtype=float)
     P = np.asarray(P, dtype=float)
-    D = len(phi)
-    g = eta(D)
-    v = phi @ (g @ P)
-    trace = float(np.trace(g @ P))
-    Q = float(phi @ g @ phi)
-    phiphi_pi = float(phi @ g @ P @ g @ phi)
+    phi, g, Q, trace, phiphi_pi = _scalars(phi, P)
     scale = float(phi @ phi) * (np.max(np.abs(P)) + 1e-300)
-    first = np.outer(phi, v) + np.outer(v, phi) - np.outer(phi, phi) * trace
-    res1 = float(np.max(np.abs(first))) / scale
-    res2 = abs(phiphi_pi - 0.5 * Q * trace) / scale
-    return res1, res2
+    first = _phi_pi_terms(phi, P, g, trace)
+    res2 = abs(phiphi_pi - 0.5 * Q * trace)
+    return float(np.max(np.abs(first))) / scale, float(res2[0, 0]) / scale
 
 
 # --- Monte-Carlo survey ------------------------------------------------------------------
@@ -304,52 +324,34 @@ def random_nonnull_covector(rng: np.random.Generator, D: int) -> np.ndarray:
             return phi
 
 
-def _histogram(dims: list[int]) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for d in sorted(set(dims)):
-        out[str(d)] = dims.count(d)
-    return out
-
-
-def theory_operator_factory(theory: str, D: int, p: float = 1.0,
-                            q: float = 0.0, f2: float = 1.0):
-    theory = theory.lower()
-    if theory == "einstein":
-        return lambda phi: einstein_operator(phi, D)
-    if theory == "quadratic":
-        return lambda phi: quadratic_operator(p, q, phi, D)
-    if theory == "fr":
-        return lambda phi: fr_operator(f2, phi, D)
-    raise BadParams(f"unknown gravity theory '{theory}'; expected "
-                    "einstein, quadratic, or fr")
+def _histogram(dims: np.ndarray) -> dict[str, int]:
+    values, counts = np.unique(dims, return_counts=True)
+    return {str(d): int(c) for d, c in zip(values, counts)}
 
 
 def kernel_survey(theory: str, D: int, trials: int,
                   rng: np.random.Generator, p: float = 1.0,
                   q: float = 0.0, f2: float = 1.0) -> dict:
-    """Kernel-dimension histograms over random null and non-null
-    surface normals for one theory."""
+    """Kernel-dimension histograms over random null and non-null surface
+    normals for one theory, drawn first (a null then a non-null one per
+    trial), then assembled and solved in batches of _BLOCK normals."""
     if trials < 1:
         raise BadParams("survey needs at least one trial")
-    factory = theory_operator_factory(theory, D, p=p, q=q, f2=f2)
-    null_dims = []
-    nonnull_dims = []
-    for _ in range(trials):
-        null_dims.append(kernel_dim(factory(random_null_covector(rng, D))))
-        nonnull_dims.append(
-            kernel_dim(factory(random_nonnull_covector(rng, D))))
+    spec, theory = _theory(theory, p, q, f2), theory.lower()
+    phis = [draw(rng, D) for _ in range(trials)
+            for draw in (random_null_covector, random_nonnull_covector)]
+    phis = np.array([_check_covector(phi, D) for phi in phis])
+    dims = np.concatenate([_kernel(_operators(*spec, phis[s:s + _BLOCK]))[0]
+                           for s in range(0, len(phis), _BLOCK)])
     report = {
-        "theory": theory.lower(),
+        "theory": theory,
         "D": int(D),
         "trials": int(trials),
-        "null_kernel_dims": _histogram(null_dims),
-        "nonnull_kernel_dims": _histogram(nonnull_dims),
+        "null_kernel_dims": _histogram(dims[0::2]),
+        "nonnull_kernel_dims": _histogram(dims[1::2]),
     }
-    if theory.lower() == "quadratic":
-        report["p"] = float(p)
-        report["q"] = float(q)
-    if theory.lower() == "fr":
-        report["f2"] = float(f2)
+    report.update({"quadratic": {"p": float(p), "q": float(q)},
+                   "fr": {"f2": float(f2)}}.get(theory, {}))
     return report
 
 
@@ -378,15 +380,13 @@ class GravityProbe:
                             f"expected ({D}, {D})")
         if not np.allclose(pi, pi.T, atol=1e-12):
             raise BadParams("discontinuity tensor must be symmetric")
-        g = eta(D)
         return cls(D=D, phi=phi, pi=pi, theory=theory,
-                   Q=float(phi @ g @ phi), trace=float(np.trace(g @ pi)))
+                   Q=covector_q(phi), trace=float(np.trace(eta(D) @ pi)))
 
     def __post_init__(self):
-        g = eta(self.D)
         scale = float(self.phi @ self.phi) + 1e-300
-        if abs(self.Q - float(self.phi @ g @ self.phi)) > 1e-10 * scale:
+        if abs(self.Q - covector_q(self.phi)) > 1e-10 * scale:
             raise BadParams("stored Q does not match the covector")
         t_scale = float(np.max(np.abs(self.pi))) + 1e-300
-        if abs(self.trace - float(np.trace(g @ self.pi))) > 1e-10 * t_scale:
+        if abs(self.trace - np.trace(eta(self.D) @ self.pi)) > 1e-10 * t_scale:
             raise BadParams("stored trace does not match the tensor")

@@ -377,7 +377,10 @@ def test_classify_separable_vector_scalar():
     # no coupling, but the scalar sector L(z) = 0.1 z^2 - z fails
     ("-a/2 + 0.1*z^2 - z", "scalar"),
     ("1 - sqrt(1 + a - b^2) + 0.1*z^2 - z", "scalar"),
-], ids=["coupled", "maxwell-plus-failing-z", "born-infeld-plus-failing-z"])
+    # couplings and scalar sector pass; the birefringent branch fails
+    ("-a/2 + 0.1*a^2 + 0.05*b^2 + 1 - sqrt(1 + 2*z)", "general"),
+], ids=["coupled", "maxwell-plus-failing-z", "born-infeld-plus-failing-z",
+        "failing-general-branch"])
 def test_classify_coupled_vector_scalar_not_ce(expr, failing):
     report = classify(from_expression(expr, "vector-scalar"))
     assert report.label == "NotCE"

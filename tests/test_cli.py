@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from cewave import gravity
 from cewave.cli import main, parse_grid
 from cewave.errors import BadParams
 
@@ -131,6 +132,16 @@ def test_fresnel_perturbed_maxwell_flags_split_roots(tmp_path):
     assert any(r[flag] == "true" for r in rows[5:])
 
 
+def test_fresnel_skips_zero_background_outside_domain(tmp_path):
+    # alpha-over-beta needs b != 0, so the zero field is skipped like a
+    # rejected random draw instead of aborting the scan
+    out = tmp_path / "scan.csv"
+    rc = main(["fresnel", "--builtin", "alpha-over-beta", "--trials", "6",
+               "--out", str(out)])
+    assert rc == 0
+    assert len(_read_csv(out)) == 1 + 4 * 6
+
+
 def test_fresnel_rejects_zero_trials(capsys):
     assert main(["fresnel", "--builtin", "maxwell", "--trials", "0"]) == 2
     capsys.readouterr()
@@ -233,6 +244,20 @@ def test_gravity_fr_dimension_five(tmp_path):
 def test_gravity_rejects_zero_trials(capsys):
     assert main(["gravity", "--trials", "0"]) == 2
     capsys.readouterr()
+
+
+def test_gravity_broken_gauge_invariance_exits_4(tmp_path, capsys,
+                                                 monkeypatch):
+    # Einstein rows must annihilate the pure-gauge modes phi xi + xi phi;
+    # a corrupted tensor trips the internal check
+    exact = gravity.einstein_tensor_disc
+    monkeypatch.setattr(gravity, "einstein_tensor_disc",
+                        lambda phi, P: exact(phi, P) + 1e-3 * P)
+    rc = main(["gravity", "--theory", "einstein", "--trials", "3",
+               "--out", str(tmp_path / "g.json")])
+    assert rc == 4
+    assert "pure-gauge" in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists()
 
 
 # --- rays -----------------------------------------------------------------------------

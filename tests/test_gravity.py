@@ -3,8 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from cewave import gravity
 from cewave.errors import (
     BadParams,
+    InternalCheckError,
     ZeroCoupling,
     ZeroCouplings,
     ZeroCovector,
@@ -32,6 +34,7 @@ from cewave.gravity import (
     sym_dim,
     sym_pairs,
 )
+from cewave.gravity import _operators, _theory
 
 NULL4 = np.array([1.0, 1.0, 0.0, 0.0])
 TIME4 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -50,6 +53,9 @@ def test_symmetric_component_roundtrip():
         assert np.array_equal(P, P.T)
         assert np.array_equal(components_from_pi(P), c)
         assert len(sym_pairs(D)) == sym_dim(D)
+        stack = rng.uniform(-1.0, 1.0, size=(3, 2, sym_dim(D)))
+        assert np.array_equal(components_from_pi(pi_from_components(stack, D)),
+                              stack)
 
 
 def test_covector_classification():
@@ -249,3 +255,129 @@ def test_probe_record_validates_stored_scalars():
     with pytest.raises(BadParams):
         GravityProbe(D=4, phi=TIME4, pi=np.eye(4), theory="einstein",
                      Q=5.0, trace=2.0)
+
+
+# --- the batched assembly against the per-column loop ---------------------------------
+# The oracle is the single-normal, single-column assembly the batch
+# replaced, with its formulas spelled as they were; the batch must agree
+# bit for bit, since quadratic null kernels are set by rounding.
+
+
+def _oracle_tensors(p, q, f2):
+    def scalars(phi, P):
+        g = eta(len(phi))
+        return (g, float(phi @ g @ phi), float(np.trace(g @ P)),
+                float(phi @ g @ P @ g @ phi))
+
+    def einstein(phi, P):
+        g, Q, trace, phiphi_pi = scalars(phi, P)
+        v = phi @ (g @ P)
+        t = (np.outer(phi, v) + np.outer(v, phi)
+             - np.outer(phi, phi) * trace
+             - Q * P
+             - g * (phiphi_pi - Q * trace))
+        return 0.5 * t
+
+    def quadratic(phi, P):
+        g, Q, trace, _ = scalars(phi, P)
+        inner = (0.5 * (p - 2.0 * q) * np.outer(phi, phi) * trace
+                 - 0.5 * p * Q * P
+                 - 0.5 * (0.5 * p - 2.0 * q) * Q * trace * g)
+        return Q * inner
+
+    def fr(phi, P):
+        g, Q, trace, phiphi_pi = scalars(phi, P)
+        return (Q * g - np.outer(phi, phi)) * (phiphi_pi - Q * trace) * f2
+
+    return {"einstein": einstein, "quadratic": quadratic, "fr": fr}
+
+
+def _oracle_operator(tensor_fn, phi):
+    D = len(phi)
+    g = eta(D)
+    pairs = sym_pairs(D)
+    n = sym_dim(D)
+    op = np.zeros((D + n, n))
+    for k, (a, b) in enumerate(pairs):
+        P = np.zeros((D, D))
+        P[a, b] = P[b, a] = 1.0
+        op[:D, k] = (2.0 * (g @ P @ g @ phi)
+                     - float(np.trace(g @ P)) * (g @ phi))
+        t = tensor_fn(phi, P)
+        op[D:, k] = [t[i, j] for i, j in pairs]
+    return op
+
+
+SINGLE = {"einstein": lambda kw, phi, D: einstein_operator(phi, D),
+          "quadratic": lambda kw, phi, D: quadratic_operator(
+              kw["p"], kw["q"], phi, D),
+          "fr": lambda kw, phi, D: fr_operator(kw["f2"], phi, D)}
+
+
+@pytest.mark.parametrize("theory, kw", [
+    ("einstein", {}),
+    ("quadratic", {"p": 3.0, "q": 1.0}),
+    ("quadratic", {"p": 1.0, "q": 0.5}),
+    ("fr", {"f2": 0.7}),
+], ids=["einstein", "quadratic-3-1", "quadratic-1-0.5", "fr"])
+def test_batched_operators_equal_per_column_oracle(theory, kw):
+    rng = np.random.default_rng(37)
+    full = {"p": 1.0, "q": 0.0, "f2": 1.0, **kw}
+    oracle = _oracle_tensors(full["p"], full["q"], full["f2"])[theory]
+    for D in (4, 5, 6, 7):
+        # one batch of 40 normals, more than a survey block
+        phis = np.array([random_null_covector(rng, D) for _ in range(20)]
+                        + [random_nonnull_covector(rng, D)
+                           for _ in range(20)])
+        batch = _operators(*_theory(theory, **kw), phis)
+        assert batch.shape == (40, D + sym_dim(D), sym_dim(D))
+        for phi, op in zip(phis, batch):
+            want = _oracle_operator(oracle, phi)
+            assert np.array_equal(op, want)
+            assert np.array_equal(SINGLE[theory](full, phi, D), want)
+
+
+# survey histograms and the next draw of the shared generator, recorded
+# with the per-column loop; quadratic p=3q null dims vary with rounding
+FROZEN_SURVEYS = [
+    (10, "quadratic", {"p": 3.0, "q": 1.0}, 6, 24,
+     {"13": 1, "14": 23}, {"0": 24}, 0.40358283188626487),
+    (10, "quadratic", {"p": 3.0, "q": 1.0}, 7, 24,
+     {"19": 1, "20": 23}, {"0": 24}, 0.5597330055220254),
+    (4, "quadratic", {"p": 3.0, "q": 1.0}, 4, 24,
+     {"4": 1, "5": 23}, {"1": 24}, 0.9330184803740698),
+    (22, "quadratic", {"p": 3.0, "q": 1.0}, 5, 24,
+     {"8": 1, "9": 23}, {"0": 24}, 0.7825448718786666),
+    (8, "quadratic", {"p": 1.0, "q": 0.5}, 6, 20,
+     {"0": 20}, {"0": 20}, 0.7477759506336036),
+    (3, "einstein", {}, 7, 20, {"21": 20}, {"0": 20}, 0.9886481576138294),
+    (3, "fr", {"f2": 1.0}, 5, 20, {"10": 20}, {"9": 20}, 0.9648155495868265),
+]
+
+
+@pytest.mark.parametrize("seed, theory, kw, D, trials, null, nonnull, draw",
+                         FROZEN_SURVEYS)
+def test_kernel_survey_frozen_histograms(seed, theory, kw, D, trials, null,
+                                         nonnull, draw):
+    rng = np.random.default_rng(seed)
+    rep = kernel_survey(theory, D, trials, rng, **kw)
+    assert rep["null_kernel_dims"] == null
+    assert rep["nonnull_kernel_dims"] == nonnull
+    assert rng.uniform() == draw
+
+
+def test_gauge_mode_check_rejects_a_broken_tensor(monkeypatch):
+    exact = gravity.fr_tensor_disc
+    monkeypatch.setattr(gravity, "fr_tensor_disc",
+                        lambda f2, phi, P: exact(f2, phi, P) + 1e-6 * P)
+    with pytest.raises(InternalCheckError):
+        fr_operator(1.0, NULL4)
+
+
+def test_curvature_squared_rows_are_exempt_from_the_gauge_mode_check():
+    # harmonic gauge is substituted in their tensor, so a pure-gauge mode
+    # phi xi + xi phi is not annihilated and must not be checked
+    op = quadratic_operator(1.0, 0.5, TIME4)
+    mode = components_from_pi(np.outer(TIME4, SPACE4)
+                              + np.outer(SPACE4, TIME4))
+    assert np.max(np.abs(op[4:] @ mode)) > 0.1
