@@ -11,7 +11,8 @@ polarization speeds.
 
 import numpy as np
 
-from cewave.charsys import FieldBackground, fresnel_roots, fresnel_scan_rows, write_scan_csv
+from cewave.charsys import (FieldBackground, fresnel_roots, fresnel_scan_rows,
+                            unit_direction, write_scan_csv)
 from cewave.lagrangians import builtin
 
 bg = FieldBackground.vector([0.3, 0.0, 0.0], [0.0, 0.4, 0.0])
@@ -32,17 +33,17 @@ print("pair splits:", round(r[1] - r[0], 6), round(r[3] - r[2], 6))
 # A scan over random backgrounds, written in the same CSV layout the
 # command line uses.
 rng = np.random.default_rng(7)
-pairs = []
-while len(pairs) < 10:
-    E, B = rng.uniform(-0.6, 0.6, 3), rng.uniform(-0.6, 0.6, 3)
-    n = rng.normal(size=3)
+solved = []
+while len(solved) < 10:
+    bg = FieldBackground.vector(rng.uniform(-0.6, 0.6, 3),
+                                rng.uniform(-0.6, 0.6, 3))
+    n = unit_direction(rng.normal(size=3))
     try:
-        fresnel_roots(bi, FieldBackground.vector(E, B), n)
+        solved.append((bg, n, fresnel_roots(bi, bg, n)))
     except Exception:
         continue
-    pairs.append((FieldBackground.vector(E, B), n / np.linalg.norm(n)))
 
-header, rows = fresnel_scan_rows(bi, pairs)
+header, rows = fresnel_scan_rows(bi, solved)
 write_scan_csv("bi_scan.csv", header, rows)
 flagged = sum(1 for row in rows if row[-1] == "true")
 print(f"wrote bi_scan.csv: {len(rows)} roots, {flagged} birefringent rows")

@@ -28,7 +28,7 @@ import numpy as np
 
 from .charsys import DEGENERACY_RTOL, cone_coefficients, degeneracy_scales
 from .errors import DegeneracyError, DomainError, EmptyGrid
-from .jets import InvariantPoint, Jet3, richardson_central
+from .jets import InvariantPoint, Jet3
 from .lagrangians import Kind, LagrangianModel
 
 _TINY = 1e-300
@@ -173,11 +173,6 @@ class VectorCharData:
                 "use the no-birefringence conditions instead")
 
 
-def data_from_model(model: LagrangianModel,
-                    point: InvariantPoint) -> VectorCharData:
-    return VectorCharData.from_jet(model.jet_at(point), point)
-
-
 def _tar_terms(d: VectorCharData) -> tuple[list[float], list[float]]:
     K, P, R = d.K, d.P, d.R
     p, q, r, s = d.p, d.q, d.r, d.s
@@ -317,25 +312,18 @@ def discriminant(jet: Jet3, point: InvariantPoint) -> float:
 # Mixed vector-scalar coupling probe
 # ---------------------------------------------------------------------------
 
-def coupling_residuals(model: LagrangianModel, point: InvariantPoint,
-                       step: float = 1e-5) -> tuple[float, float]:
+def coupling_residuals(model: LagrangianModel,
+                       point: InvariantPoint) -> tuple[float, float]:
     """Normalized mixed partials L_za, L_zb of an L(a,b,z) model.
 
-    The (a, b)-jet is differenced in z (central, with one Richardson
-    extrapolation step), because the jet engine carries at most two formal
-    variables and the mixed conditions need only these two partials.
+    Both are read exactly from third-order jets: L_za is the mixed slot
+    of the (a, z)-jet, L_zb that of the (b, z)-jet, and the (a, z)-jet's
+    z-z slot gives the L_zz of the normalization.
     """
-    def first_partials(t: float) -> np.ndarray:
-        jet = model.jet_at(point.shifted("z", t))
-        return np.array([jet.fa, jet.fb])
-
-    Lza, Lzb = (float(v) for v in richardson_central(first_partials, step))
-
+    az = model.jet_at(point, wrt=("a", "z"))
+    bz = model.jet_at(point, wrt=("b", "z"))
     jet = model.jet_at(point)
-    vz = model.value_at(point)
-    vp = model.value_at(point.shifted("z", +step))
-    vm = model.value_at(point.shifted("z", -step))
-    Lzz = (vp - 2.0 * vz + vm) / (step * step)
+    Lza, Lzb, Lzz = az.fab, bz.fab, az.fbb
     ref = abs(Lzz) + abs(jet.faa) + abs(jet.fab) + abs(jet.fbb)
 
     res_a = abs(Lza) / (abs(Lza) + ref + _TINY)
@@ -443,6 +431,36 @@ def _margin_ok(model: LagrangianModel, point: InvariantPoint,
     return True
 
 
+def _scalar_sector(model: LagrangianModel, point: InvariantPoint,
+                   jet: Jet3) -> tuple[float]:
+    # a scalar model's primary jet is already its z-jet
+    if model.kind is not Kind.Scalar:
+        jet = model.jet_at(point, wrt=("z",))
+    return (scalar_ce_residual(jet),)
+
+
+# Per-point residual rows: sector name -> f(model, point, primary jet).
+_SECTORS = {
+    "scalar": _scalar_sector,
+    "strong": lambda model, point, jet: strong_ce_residuals(jet, point),
+    "alpha_ce": lambda model, point, jet: (scalar_ce_residual(jet),),
+    "coupling": lambda model, point, jet: coupling_residuals(model, point),
+}
+
+# kind -> (gate sectors, strong sectors, fallback sector).  The first
+# failing gate sector gives NotCE; otherwise passing every strong sector
+# gives StronglyCE, and failing one hands the label to the fallback (CE or
+# NotCE; no fallback means NotCE).  "general" is the birefringent branch,
+# evaluated only when the fallback is reached.
+_CLASSIFY_TABLE = {
+    Kind.Scalar: ((), ("scalar",), None),
+    Kind.VectorAlpha: ((), ("strong",), "alpha_ce"),
+    Kind.VectorAlphaBeta: ((), ("strong",), "general"),
+    Kind.VectorScalar: (("coupling", "scalar"), ("strong", "scalar"),
+                        "general"),
+}
+
+
 def classify(model: LagrangianModel, grid: GridSpec | None = None,
              tol: float = DEFAULT_TOL) -> CEReport:
     """Classify a model as StronglyCE / CE / NotCE / Degenerate on a grid."""
@@ -471,7 +489,14 @@ def classify(model: LagrangianModel, grid: GridSpec | None = None,
         raise EmptyGrid("every grid point violates the domain guard "
                         "(or its margin)")
 
-    per_point: list[dict] = []
+    gates, strong, fallback = _CLASSIFY_TABLE[model.kind]
+    sectors = [s for s in dict.fromkeys((*gates, *strong, fallback))
+               if s in _SECTORS]
+    jets = [model.jet_at(pt) for pt in points]
+    per_point = [{"point": _point_dict(pt),
+                  "residuals": {s: _SECTORS[s](model, pt, jet)
+                                for s in sectors}}
+                 for pt, jet in zip(points, jets)]
     degenerate_skipped = 0
 
     def summarize(key: str) -> tuple[float, dict | None]:
@@ -483,90 +508,38 @@ def classify(model: LagrangianModel, grid: GridSpec | None = None,
                     worst, arg = value, row["point"]
         return (worst if worst >= 0 else float("nan")), arg
 
-    def general_branch() -> tuple[str, float, dict | None]:
-        # the vector sector may still pass on the birefringent branch
-        nonlocal degenerate_skipped
-        for row, pt in zip(per_point, points):
-            try:
-                data = data_from_model(model, pt)
-                row["residuals"]["general"] = general_ce_residuals(data)
-            except DegeneracyError:
-                degenerate_skipped += 1
-        if guard_excluded + degenerate_skipped > 0.5 * total:
-            return "Degenerate", float("nan"), None
-        worst, arg = summarize("general")
-        return ("CE" if worst < tol else "NotCE"), worst, arg
-
-    kind = model.kind
-
-    if kind is Kind.Scalar:
-        for pt in points:
-            r = scalar_ce_residual(model.jet_at(pt))
-            per_point.append({"point": _point_dict(pt),
-                              "residuals": {"scalar": (r,)}})
-        worst, arg = summarize("scalar")
-        label = "StronglyCE" if worst < tol else "NotCE"
-
-    elif kind is Kind.VectorAlpha:
-        for pt in points:
-            jet = model.jet_at(pt)
-            strong = strong_ce_residuals(jet, pt)
-            dal = scalar_ce_residual(jet)
-            per_point.append({"point": _point_dict(pt),
-                              "residuals": {"strong": strong,
-                                            "alpha_ce": (dal,)}})
-        worst_strong, arg_s = summarize("strong")
-        worst_dal, arg_d = summarize("alpha_ce")
-        if worst_strong < tol:
-            label, worst, arg = "StronglyCE", worst_strong, arg_s
-        elif worst_dal < tol:
-            label, worst, arg = "CE", worst_dal, arg_d
-        else:
-            label, worst, arg = "NotCE", worst_dal, arg_d
-
-    elif kind is Kind.VectorAlphaBeta:
-        for pt in points:
-            jet = model.jet_at(pt)
-            strong = strong_ce_residuals(jet, pt)
-            row = {"point": _point_dict(pt),
-                   "residuals": {"strong": strong}}
-            per_point.append(row)
-        worst_strong, arg_s = summarize("strong")
-        if worst_strong < tol:
-            label, worst, arg = "StronglyCE", worst_strong, arg_s
-        else:
-            label, worst, arg = general_branch()
-
-    else:  # VectorScalar
-        for pt in points:
-            cp = coupling_residuals(model, pt)
-            jet = model.jet_at(pt)
-            strong = strong_ce_residuals(jet, pt)
-            zr = scalar_ce_residual(model.jet_at(pt, wrt=("z",)))
-            per_point.append({"point": _point_dict(pt),
-                              "residuals": {"coupling": cp,
-                                            "strong": strong,
-                                            "scalar": (zr,)}})
-        worst_cp, arg_cp = summarize("coupling")
-        worst_strong, arg_s = summarize("strong")
-        worst_scal, arg_z = summarize("scalar")
-        if worst_cp >= tol:
-            label, worst, arg = "NotCE", worst_cp, arg_cp
-        elif worst_scal >= tol:
-            label, worst, arg = "NotCE", worst_scal, arg_z
-        elif worst_strong < tol:
+    failing = [pair for pair in map(summarize, gates) if pair[0] >= tol]
+    if failing:
+        label, (worst, arg) = "NotCE", failing[0]
+    else:
+        # ties keep the earlier sector
+        worst, arg = max(map(summarize, strong), key=lambda pair: pair[0])
+        if worst < tol:
             label = "StronglyCE"
-            worst, arg = max((worst_strong, arg_s), (worst_scal, arg_z),
-                             key=lambda pair: pair[0])
+        elif fallback is None:
+            label = "NotCE"
         else:
-            label, worst, arg = general_branch()
+            if fallback == "general":
+                # the vector sector may still pass on the birefringent branch
+                for row, pt, jet in zip(per_point, points, jets):
+                    try:
+                        row["residuals"]["general"] = general_ce_residuals(
+                            VectorCharData.from_jet(jet, pt))
+                    except DegeneracyError:
+                        degenerate_skipped += 1
+            worst, arg = summarize(fallback)
+            label = "CE" if worst < tol else "NotCE"
+            if (fallback == "general"
+                    and guard_excluded + degenerate_skipped > 0.5 * total):
+                label, worst, arg = "Degenerate", float("nan"), None
 
     if guard_excluded > 0.5 * total:
         label = "Degenerate"
 
     return CEReport(
-        model=model.name, kind=kind.value, grid=grid, tol=tol, label=label,
-        max_residual=worst, argmax_point=arg, per_point=per_point,
+        model=model.name, kind=model.kind.value, grid=grid, tol=tol,
+        label=label, max_residual=worst, argmax_point=arg,
+        per_point=per_point,
         counts={"total": total, "evaluated": len(points),
                 "guard_excluded": guard_excluded,
                 "degenerate_skipped": degenerate_skipped},

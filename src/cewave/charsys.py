@@ -114,12 +114,6 @@ class FieldBackground:
         raise KindError(f"no invariant point for kind {kind.value!r} "
                         "on a pure field-strength background")
 
-    def rotated(self, Q: np.ndarray) -> "FieldBackground":
-        if self.kind == "scalar":
-            sig = np.concatenate([[self.sigma[0]], Q @ self.sigma[1:]])
-            return FieldBackground(kind="scalar", sigma=sig)
-        return FieldBackground(kind="vector", E=Q @ self.E, B=Q @ self.B)
-
     def f_upper(self) -> np.ndarray:
         """Field-strength matrix F^{mu nu} of a vector background."""
         if self.kind != "vector":
@@ -430,9 +424,9 @@ def u_and_g(F: np.ndarray, p: np.ndarray
     return U_up, U_dn, float(U_up @ U_dn), float(p @ ETA @ p)
 
 
-def _field_cone_fn(bg: FieldBackground,
-                   form: Callable[[float, float, float, float], tuple[float, float]]
-                   ) -> Callable[[np.ndarray], tuple[float, float]]:
+def field_cone_fn(bg: FieldBackground,
+                  form: Callable[[float, float, float, float], tuple[float, float]]
+                  ) -> Callable[[np.ndarray], tuple[float, float]]:
     """p -> form(u, g, u_abs, g_abs) on an (E, B) background, where
     u_abs = sum U_mu^2 and g_abs = sum p_mu^2 are the absolute-value
     counterparts of u and g used for normalization."""
@@ -452,9 +446,19 @@ def alpha_cone_fn(model: LagrangianModel,
     as p -> (raw value, normalization scale)."""
     jet = model.jet_at(bg.point(Kind.VectorAlpha))
     L1, L2 = jet.fa, jet.faa
-    return _field_cone_fn(bg, lambda u, g, u_abs, g_abs: (
+    return field_cone_fn(bg, lambda u, g, u_abs, g_abs: (
         2.0 * u * L2 + g * L1,
         2.0 * u_abs * abs(L2) + g_abs * abs(L1) + _TINY))
+
+
+def quartic_form(K: float, P: float,
+                 R: float) -> Callable[..., tuple[float, float]]:
+    """The dispersion quartic K u^2 + u g P + g^2 R as a field_cone_fn
+    form: (u, g, u_abs, g_abs) -> (value, sum of absolute term sizes)."""
+    return lambda u, g, u_abs, g_abs: (
+        K * u * u + u * g * P + g * g * R,
+        abs(K) * u_abs ** 2 + u_abs * g_abs * abs(P)
+        + g_abs ** 2 * abs(R) + _TINY)
 
 
 def quartic_cone_fn(model: LagrangianModel,
@@ -462,10 +466,7 @@ def quartic_cone_fn(model: LagrangianModel,
     """Full two-invariant dispersion function K u^2 + u g P + g^2 R."""
     point = bg.point(model.kind)
     K, P, R = point_cone_coefficients(model.jet_at(point), point)
-    return _field_cone_fn(bg, lambda u, g, u_abs, g_abs: (
-        K * u * u + u * g * P + g * g * R,
-        abs(K) * u_abs ** 2 + u_abs * g_abs * abs(P)
-        + g_abs ** 2 * abs(R) + _TINY))
+    return field_cone_fn(bg, quartic_form(K, P, R))
 
 
 def cone_coefficients(La, Laa, Lab, Lbb, a, b):
@@ -651,17 +652,16 @@ def crosscheck_cone_vs_eigen(system: CharSystem,
 
 
 def fresnel_scan_rows(model: LagrangianModel,
-                      pairs: Sequence[tuple[FieldBackground, np.ndarray]]
+                      solved: Sequence[tuple[FieldBackground, np.ndarray,
+                                             FresnelRoots]]
                       ) -> tuple[list[str], list[list]]:
-    """Rows of the dispersion-root scan: one row per root per
-    (background, direction) pair."""
+    """Rows of the dispersion-root scan: one row per root per solved
+    (background, unit normal, roots) triple."""
     header = ["model", "Ex", "Ey", "Ez", "Bx", "By", "Bz",
               "nx", "ny", "nz", "root_index", "p0",
               "coincident_with", "birefringent_flag"]
     rows: list[list] = []
-    for bg, nhat in pairs:
-        n = unit_direction(nhat)
-        fr = fresnel_roots(model, bg, n)
+    for bg, n, fr in solved:
         for i in range(4):
             rows.append([
                 model.name,

@@ -19,6 +19,7 @@ from .charsys import (
     FieldBackground,
     fresnel_roots,
     fresnel_scan_rows,
+    unit_direction,
     write_scan_csv,
 )
 from .errors import (
@@ -144,33 +145,31 @@ def cmd_ce_check(args) -> int:
 # --- fresnel scan ------------------------------------------------------------------------
 
 
-def _random_background_pairs(model: LagrangianModel, trials: int,
-                             rng: np.random.Generator):
-    pairs = []
-    attempts = 0
-    while len(pairs) < trials:
-        attempts += 1
-        if attempts > 200 * max(trials, 1):
-            raise DegeneracyError(
-                "could not draw enough usable backgrounds for the "
-                "dispersion scan")
+def _solved(model: LagrangianModel, bg: FieldBackground, nhat):
+    """(bg, n, roots) along the unit normal n that the scan row prints, or
+    None when the background lies outside the model's domain."""
+    n = unit_direction(nhat / np.linalg.norm(nhat))
+    try:
+        return bg, n, fresnel_roots(model, bg, n)
+    except (InputError, NumericalError):
+        return None
+
+
+def _random_backgrounds(model: LagrangianModel, trials: int,
+                        rng: np.random.Generator):
+    solved = []
+    for _ in range(200 * trials):
         E = rng.uniform(-1.0, 1.0, size=3)
         B = rng.uniform(-1.0, 1.0, size=3)
         nhat = rng.uniform(-1.0, 1.0, size=3)
-        if np.linalg.norm(nhat) < 1e-3:
-            continue
-        bg = FieldBackground.vector(E, B)
-        if _solvable(model, bg, nhat):
-            pairs.append((bg, nhat / np.linalg.norm(nhat)))
-    return pairs
-
-
-def _solvable(model: LagrangianModel, bg: FieldBackground, nhat) -> bool:
-    try:
-        fresnel_roots(model, bg, nhat)
-    except (InputError, NumericalError):
-        return False
-    return True
+        if np.linalg.norm(nhat) >= 1e-3:
+            background = _solved(model, FieldBackground.vector(E, B), nhat)
+            if background is not None:
+                solved.append(background)
+        if len(solved) == trials:
+            return solved
+    raise DegeneracyError("could not draw enough usable backgrounds for "
+                          "the dispersion scan")
 
 
 def cmd_fresnel(args) -> int:
@@ -178,16 +177,16 @@ def cmd_fresnel(args) -> int:
     if args.trials < 1:
         raise BadParams("--trials must be at least 1")
     rng = np.random.default_rng(args.seed)
-    zero = (FieldBackground.vector([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
-            np.array([1.0, 0.0, 0.0]))
+    zero = _solved(model, FieldBackground.vector(np.zeros(3), np.zeros(3)),
+                   np.array([1.0, 0.0, 0.0]))
     # the zero field leads the scan unless it is outside the model's domain
-    pairs = [zero] if _solvable(model, *zero) else []
-    pairs += _random_background_pairs(model, args.trials, rng)
-    header, rows = fresnel_scan_rows(model, pairs)
+    solved = [zero] if zero is not None else []
+    solved += _random_backgrounds(model, args.trials, rng)
+    header, rows = fresnel_scan_rows(model, solved)
     write_scan_csv(args.out, header, rows)
     flagged = sum(1 for r in rows if r[header.index("birefringent_flag")]
                   == "true")
-    print(f"{model.name}: {len(rows)} roots over {len(pairs)} backgrounds, "
+    print(f"{model.name}: {len(rows)} roots over {len(solved)} backgrounds, "
           f"{flagged} birefringent rows -> {args.out}")
     return 0
 
@@ -324,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--grid", default=None,
                        help="axis spec 'a:lo:hi:n,b:lo:hi:n'")
     check.add_argument("--tol", type=float, default=1e-9)
-    check.add_argument("--seed", type=int, default=DEFAULT_SEED)
     check.add_argument("--out", default="ce_report.json")
     check.set_defaults(handler=cmd_ce_check)
 
@@ -349,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     shock.add_argument("--model-expr", default=None)
     shock.add_argument("--model-kind", default=None,
                        choices=[k.value for k in Kind])
-    shock.add_argument("--seed", type=int, default=DEFAULT_SEED)
     shock.add_argument("--out", default="shock_summary.json")
     shock.set_defaults(handler=cmd_shock)
 
@@ -379,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     rays.add_argument("--s-max", type=float, default=10.0)
     rays.add_argument("--step", type=float, default=1e-2)
     rays.add_argument("--tol", type=float, default=1e-9)
-    rays.add_argument("--seed", type=int, default=DEFAULT_SEED)
     rays.add_argument("--out", default="ray.csv")
     rays.set_defaults(handler=cmd_rays)
 

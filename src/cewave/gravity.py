@@ -66,12 +66,16 @@ def components_from_pi(P: np.ndarray) -> np.ndarray:
     return P[(...,) + np.triu_indices(P.shape[-1])]
 
 
+def _check_dimension(D: int) -> None:
+    if D < 4:
+        raise BadParams("need spacetime dimension D >= 4")
+
+
 def _check_covector(phi, D: int | None = None) -> np.ndarray:
     phi = np.asarray(phi, dtype=float).reshape(-1)
     if D is not None and len(phi) != D:
         raise BadParams(f"covector has {len(phi)} components, expected {D}")
-    if len(phi) < 4:
-        raise BadParams("need spacetime dimension D >= 4")
+    _check_dimension(len(phi))
     if not np.all(np.isfinite(phi)):
         raise BadParams("covector contains non-finite entries")
     if not np.any(phi):
@@ -338,6 +342,8 @@ def kernel_survey(theory: str, D: int, trials: int,
     if trials < 1:
         raise BadParams("survey needs at least one trial")
     spec, theory = _theory(theory, p, q, f2), theory.lower()
+    # before any draw: a null normal needs at least one spatial component
+    _check_dimension(D)
     phis = [draw(rng, D) for _ in range(trials)
             for draw in (random_null_covector, random_nonnull_covector)]
     phis = np.array([_check_covector(phi, D) for phi in phis])

@@ -42,7 +42,7 @@ class Kind(enum.Enum):
     @property
     def jet_variables(self) -> tuple[str, ...]:
         """Invariants that become jet slots (at most two)."""
-        return _KIND_JET_VARS[self]
+        return self.variables[:2]
 
 
 _KIND_VARS = {
@@ -50,15 +50,6 @@ _KIND_VARS = {
     Kind.VectorAlpha: ("a",),
     Kind.VectorAlphaBeta: ("a", "b"),
     Kind.VectorScalar: ("a", "b", "z"),
-}
-
-# For mixed vector-scalar models the jet runs over (a, b) at fixed z; the
-# z-direction is probed separately (see ce.coupling_residuals).
-_KIND_JET_VARS = {
-    Kind.Scalar: ("z",),
-    Kind.VectorAlpha: ("a",),
-    Kind.VectorAlphaBeta: ("a", "b"),
-    Kind.VectorScalar: ("a", "b"),
 }
 
 

@@ -20,7 +20,9 @@ import numpy as np
 from .charsys import (
     ETA,
     FieldBackground,
+    field_cone_fn,
     point_cone_coefficients,
+    quartic_form,
     scalar_cone_matrix,
     u_and_g,
     write_csv,
@@ -81,10 +83,10 @@ class QuarticHamiltonian:
         jet = model.jet_at(point)
         self.K, self.P, self.R = point_cone_coefficients(jet, point)
         self.F = bg.f_upper()
+        self._cone = field_cone_fn(bg, quartic_form(self.K, self.P, self.R))
 
     def value(self, x: np.ndarray, p: np.ndarray) -> float:
-        _, _, u, g = u_and_g(self.F, p)
-        return self.K * u * u + u * g * self.P + g * g * self.R
+        return self._cone(p)[0]
 
     def grad_p(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         _, U_dn, u, g = u_and_g(self.F, p)
@@ -100,11 +102,7 @@ class QuarticHamiltonian:
         """Sum of absolute term magnitudes of H at (x, p).  On-shell the
         signed terms cancel (and for a coincident pair the gradient does
         too), so defect ratios need this as the reference scale."""
-        U_up = self.F.T @ p
-        u_abs = float(np.abs(U_up) @ np.abs(U_up))
-        g_abs = float(np.abs(p) @ np.abs(p))
-        return (abs(self.K) * u_abs * u_abs + abs(self.P) * u_abs * g_abs
-                + abs(self.R) * g_abs * g_abs)
+        return self._cone(p)[1]
 
 
 class CallableHamiltonian:

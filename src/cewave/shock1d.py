@@ -84,14 +84,6 @@ class Profile1D:
         return cls(x=np.asarray(x, dtype=float),
                    u=np.asarray(u, dtype=float), periodic=periodic)
 
-    def resample(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sample n points on the same interval, from the callable when
-        available and by linear interpolation otherwise."""
-        xs = np.linspace(self.x[0], self.x[-1], int(n))
-        if self.fn is not None:
-            return xs, np.asarray(self.fn(xs), dtype=float)
-        return xs, np.interp(xs, self.x, self.u)
-
 
 # --- exact characteristic push ------------------------------------------------------
 

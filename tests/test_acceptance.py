@@ -388,11 +388,12 @@ def test_criterion_11_ray_conservation_and_order():
 def test_criterion_12_cli_determinism(tmp_path):
     commands = {
         "check": ["ce", "check", "--builtin", "born-infeld"],
-        "scan": ["fresnel", "--builtin", "born-infeld", "--trials", "5"],
+        "scan": ["fresnel", "--builtin", "born-infeld", "--trials", "5",
+                 "--seed", "42"],
         "shock": ["shock", "--model-builtin", "scalar-bi",
                   "--t-list", "0.5,1.0"],
         "grav": ["gravity", "--theory", "quadratic", "--p", "3", "--q", "1",
-                 "--trials", "10"],
+                 "--trials", "10", "--seed", "42"],
         "ray": ["rays", "--builtin", "born-infeld", "--s-max", "2.0"],
     }
     suffix = {"check": ".json", "scan": ".csv", "shock": ".json",
@@ -401,7 +402,7 @@ def test_criterion_12_cli_determinism(tmp_path):
         outs = []
         for run in ("one", "two"):
             out = tmp_path / f"{label}_{run}{suffix[label]}"
-            rc = main(argv + ["--seed", "42", "--out", str(out)])
+            rc = main(argv + ["--out", str(out)])
             assert rc == 0, f"{label} run {run} exited {rc}"
             outs.append(out)
         assert outs[0].read_bytes() == outs[1].read_bytes(), label

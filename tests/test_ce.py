@@ -12,7 +12,6 @@ from cewave.ce import (
     appendix_raw,
     classify,
     coupling_residuals,
-    data_from_model,
     discriminant,
     general_ce_raw,
     general_ce_residuals,
@@ -148,11 +147,11 @@ def test_data_gradients_match_finite_differences():
     model = from_expression(
         "a^2*b + a*b^2 + a^3 - 0.3*b^3 + 0.5*a - 0.2*b + a*b", "alpha-beta")
     point = InvariantPoint.alpha_beta(0.7, -0.4)
-    data = data_from_model(model, point)
+    data = VectorCharData.from_jet(model.jet_at(point), point)
     h = 1e-6
 
     def kpr(p: InvariantPoint) -> tuple[float, float, float]:
-        d = data_from_model(model, p)
+        d = VectorCharData.from_jet(model.jet_at(p), p)
         return d.K, d.P, d.R
 
     for idx, (ga, gb) in enumerate([(data.Ka, data.Kb), (data.Pa, data.Pb),
@@ -187,7 +186,7 @@ def test_perfect_square_when_discriminant_vanishes():
         a = float(rng.uniform(-0.4, 1.5))
         b = float(rng.uniform(-0.8, 0.8))
         point = InvariantPoint.alpha_beta(a, b)
-        d = data_from_model(model, point)
+        d = VectorCharData.from_jet(model.jet_at(point), point)
         for _ in range(50):
             u = float(rng.uniform(-3, 3))
             g = float(rng.uniform(-3, 3))
@@ -204,7 +203,8 @@ def test_general_residuals_born_infeld_degenerate():
     model = builtin("born-infeld")
     point = InvariantPoint.alpha_beta(0.5, 0.4)
     with pytest.raises(DegeneracyError):
-        general_ce_residuals(data_from_model(model, point))
+        general_ce_residuals(
+            VectorCharData.from_jet(model.jet_at(point), point))
 
 
 def test_general_residuals_alpha_only_degenerate():
@@ -295,23 +295,32 @@ def test_coupling_residuals_separable_model():
     model = from_expression(
         "(1 - sqrt(1 + a - b^2)) + (1 - sqrt(1 + 2*z))", "vector-scalar")
     point = InvariantPoint.full(0.3, 0.2, 0.1)
-    ra, rb = coupling_residuals(model, point)
-    assert ra < 1e-8 and rb < 1e-8
+    assert coupling_residuals(model, point) == (0.0, 0.0)
 
 
 def test_coupling_residuals_bilinear_model():
     model = from_expression("a*z", "vector-scalar")
     point = InvariantPoint.full(0.5, 0.25, 0.1)
     ra, rb = coupling_residuals(model, point)
-    assert ra == pytest.approx(1.0, abs=1e-9)
-    assert rb < 1e-12
+    assert ra == 1.0
+    assert rb == 0.0
 
 
 def test_coupling_residuals_linear_model():
     model = from_expression("a + b + z", "vector-scalar")
     point = InvariantPoint.full(0.5, 0.25, 0.1)
-    ra, rb = coupling_residuals(model, point)
-    assert ra < 1e-12 and rb < 1e-12
+    assert coupling_residuals(model, point) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("a, z", [(0.5, 0.25), (0.7, -0.2)])
+def test_coupling_residuals_closed_form(a, z):
+    # L = a z^2 + b z: L_za = 2z, L_zb = 1, L_zz = 2a and L_aa = L_ab =
+    # L_bb = 0, so the residuals are |2z| / (|2z| + |2a|) and
+    # 1 / (1 + |2a|)
+    model = from_expression("a*z^2 + b*z", "vector-scalar")
+    ra, rb = coupling_residuals(model, InvariantPoint.full(a, 0.3, z))
+    assert ra == abs(2 * z) / (abs(2 * z) + abs(2 * a))
+    assert rb == 1.0 / (1.0 + abs(2 * a))
 
 
 # --- classification -------------------------------------------------------------
@@ -388,6 +397,41 @@ def test_classify_coupled_vector_scalar_not_ce(expr, failing):
     worst = max(report.per_point,
                 key=lambda row: max(row["residuals"][failing]))
     assert report.argmax_point == worst["point"]
+
+
+def test_classify_vector_scalar_ce_on_the_general_branch():
+    # couplings and the scalar sector pass, the strong sector fails and
+    # the birefringent-branch conditions hold
+    model = from_expression(
+        "1 - sqrt(1 + a - 0.5*b^2) + (1 - sqrt(1 + 2*z))", "vector-scalar")
+    report = classify(model)
+    assert report.label == "CE"
+    assert report.max_residual < 1e-12
+    assert report.argmax_point == {"a": -0.5, "b": -0.9, "z": -0.225}
+    assert report.counts == {"total": 2205, "evaluated": 1756,
+                             "guard_excluded": 449, "degenerate_skipped": 0}
+    assert all(set(row["residuals"]) == {"coupling", "strong", "scalar",
+                                         "general"}
+               for row in report.per_point)
+
+
+def test_classify_evaluates_one_primary_jet_per_point(monkeypatch):
+    # the general branch reuses the jets of the strong pass
+    calls = []
+    exact = LagrangianModel.jet_at
+
+    def counting(self, point, wrt=None):
+        calls.append(wrt)
+        return exact(self, point, wrt)
+
+    monkeypatch.setattr(LagrangianModel, "jet_at", counting)
+    report = classify(from_expression("-a/2 + 0.1*a^2 + 0.05*b^2",
+                                      "alpha-beta"),
+                      grid=GridSpec({"a": (-0.5, 2.0, 7),
+                                     "b": (-1.0, 1.0, 7)}))
+    assert report.label == "NotCE"
+    assert "general" in report.per_point[0]["residuals"]
+    assert calls == [None] * report.counts["evaluated"]
 
 
 def test_classify_y_dependent_not_ce_without_evaluation():

@@ -423,7 +423,8 @@ def test_fresnel_scan_csv(tmp_path):
         (FieldBackground.vector([0.1, 0.2, 0], [0, 0.1, 0.3]),
          np.array([0.0, 1.0, 0.0])),
     ]
-    header, rows = fresnel_scan_rows(model, pairs)
+    solved = [(bg, n, fresnel_roots(model, bg, n)) for bg, n in pairs]
+    header, rows = fresnel_scan_rows(model, solved)
     assert header[0] == "model"
     assert header[-1] == "birefringent_flag"
     assert len(rows) == 8

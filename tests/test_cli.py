@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from cewave import gravity
+from cewave import charsys, cli, gravity
 from cewave.cli import main, parse_grid
 from cewave.errors import BadParams
 
@@ -77,6 +77,8 @@ def test_ce_check_parse_error_reports_offset(tmp_path, capsys):
     ["ce", "check", "--expr", "a"],
     ["ce", "check", "--builtin", "maxwell", "--format", "csv"],
     ["ce", "check", "--builtin", "sqrt-family", "--params", "1.0"],
+    # nothing in a classification is random
+    ["ce", "check", "--builtin", "maxwell", "--seed", "1"],
 ])
 def test_ce_check_input_errors_exit_2(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -140,6 +142,46 @@ def test_fresnel_skips_zero_background_outside_domain(tmp_path):
                "--out", str(out)])
     assert rc == 0
     assert len(_read_csv(out)) == 1 + 4 * 6
+
+
+@pytest.mark.parametrize("model", [["--builtin", "perturbed-maxwell",
+                                    "--params", "0.1"],
+                                   ["--builtin", "alpha-over-beta"]])
+def test_fresnel_solves_each_written_background_once(model, tmp_path,
+                                                     monkeypatch):
+    solved = []
+
+    def counting(*args, **kwargs):
+        roots = exact(*args, **kwargs)
+        solved.append(roots)
+        return roots
+
+    exact = charsys.fresnel_roots
+    monkeypatch.setattr(charsys, "fresnel_roots", counting)
+    monkeypatch.setattr(cli, "fresnel_roots", counting)
+    out = tmp_path / "scan.csv"
+    assert main(["fresnel", *model, "--trials", "7", "--out", str(out)]) == 0
+    written = len(_read_csv(out)) - 1
+    assert written % 4 == 0
+    assert len(solved) == written // 4
+
+
+def test_fresnel_gives_up_after_200_draws_per_trial(tmp_path, capsys,
+                                                    monkeypatch):
+    # sqrt(a - 10) is undefined on every background the scan draws
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return exact(*args, **kwargs)
+
+    exact = cli.fresnel_roots
+    monkeypatch.setattr(cli, "fresnel_roots", counting)
+    rc = main(["fresnel", "--expr", "sqrt(a - 10)", "--kind", "alpha",
+               "--trials", "2", "--out", str(tmp_path / "scan.csv")])
+    assert rc == 3
+    assert "usable backgrounds" in capsys.readouterr().err
+    assert len(calls) == 1 + 200 * 2  # the zero field, then every draw
 
 
 def test_fresnel_rejects_zero_trials(capsys):
@@ -244,6 +286,21 @@ def test_gravity_fr_dimension_five(tmp_path):
 def test_gravity_rejects_zero_trials(capsys):
     assert main(["gravity", "--trials", "0"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("D", ["1", "0", "3"])
+def test_gravity_low_dimension_exits_2(D, tmp_path, capsys, monkeypatch):
+    class NoDrawRng:
+        def uniform(self, *args, **kwargs):
+            pytest.fail("the survey drew a normal before checking D")
+
+    monkeypatch.setattr(cli.np.random, "default_rng",
+                        lambda seed: NoDrawRng())
+    rc = main(["gravity", "--D", D, "--trials", "1",
+               "--out", str(tmp_path / "g.json")])
+    assert rc == 2
+    assert "D >= 4" in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists()
 
 
 def test_gravity_broken_gauge_invariance_exits_4(tmp_path, capsys,

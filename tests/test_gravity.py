@@ -242,6 +242,18 @@ def test_kernel_survey_histograms():
         kernel_survey("einstein", 4, 0, np.random.default_rng(0))
 
 
+class _NoDrawRng:
+    def uniform(self, *args, **kwargs):
+        pytest.fail("the survey drew a normal before checking D")
+
+
+@pytest.mark.parametrize("D", [1, 0, 3])
+def test_kernel_survey_rejects_low_dimension_before_drawing(D):
+    # D = 1 used to loop forever drawing empty spatial vectors
+    with pytest.raises(BadParams, match="D >= 4"):
+        kernel_survey("einstein", D, 3, _NoDrawRng())
+
+
 def test_probe_record_validates_stored_scalars():
     probe = GravityProbe.build(NULL4, np.diag([1.0, 2.0, 3.0, 4.0]))
     assert probe.Q == 0.0
