@@ -18,6 +18,9 @@ differential constraints on the Lagrangian density:
 Every residual is normalized: the raw value divided by the sum of the
 absolute values of its additive terms (plus 1e-300), so "zero" is
 scale-free and tolerances are dimensionless.
+
+The residual functions take jets and points with float or array slots
+alike; ``classify`` evaluates a whole grid as arrays.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charsys import DEGENERACY_RTOL, cone_coefficients, degeneracy_scales
-from .errors import DegeneracyError, DomainError, EmptyGrid
-from .jets import InvariantPoint, Jet3
+from .errors import DegeneracyError, DomainError, EmptyGrid, InternalCheckError
+from .jets import DomainMask, InvariantPoint, Jet3
 from .lagrangians import Kind, LagrangianModel
 
 _TINY = 1e-300
@@ -40,7 +43,7 @@ REPORT_SCHEMA = "cewave-report/1"
 
 
 def _raw_and_scale(terms) -> tuple[float, float]:
-    return float(sum(terms)), float(sum(abs(t) for t in terms)) + _TINY
+    return sum(terms), sum(abs(t) for t in terms) + _TINY
 
 
 def _norm(terms) -> float:
@@ -85,7 +88,8 @@ def strong_ce_residuals(jet: Jet3, point: InvariantPoint) -> tuple[float, float]
 
 @dataclass(frozen=True)
 class VectorCharData:
-    """Quartic-cone coefficients of an L(a,b) model at one point.
+    """Quartic-cone coefficients of an L(a,b) model at one point (floats)
+    or at a set of points (arrays).
 
     K, P, R are the coefficients of the dispersion quartic
     ``H = K u^2 + u g P + g^2 R`` (u the field-dependent square, g the
@@ -161,13 +165,24 @@ class VectorCharData:
         return degeneracy_scales(self.Laa, self.Lab, self.Lbb,
                                  self.K, self.P, self.R)
 
-    def check_nondegenerate(self) -> None:
+    def _below_tolerance(self):
+        """(K small, discriminant small), bools or boolean arrays."""
         k_scale, delta_scale = self._scales()
-        if abs(self.K) < DEGENERACY_RTOL * k_scale + _TINY:
+        return (abs(self.K) < DEGENERACY_RTOL * k_scale + _TINY,
+                abs(self.Delta) < DEGENERACY_RTOL * delta_scale + _TINY)
+
+    def degenerate(self):
+        """Where the birefringent-branch conditions do not apply."""
+        k_small, delta_small = self._below_tolerance()
+        return k_small | delta_small
+
+    def check_nondegenerate(self) -> None:
+        k_small, delta_small = self._below_tolerance()
+        if k_small:
             raise DegeneracyError(
                 "K below tolerance: the quartic factorizes and the "
                 "birefringent-branch conditions do not apply")
-        if abs(self.Delta) < DEGENERACY_RTOL * delta_scale + _TINY:
+        if delta_small:
             raise DegeneracyError(
                 "discriminant below tolerance: single shared cone, "
                 "use the no-birefringence conditions instead")
@@ -215,92 +230,12 @@ def general_ce_raw(data: VectorCharData) -> tuple[float, float, float, float]:
 def general_ce_residuals(data: VectorCharData) -> tuple[float, float]:
     """Normalized third-order CE residuals on the birefringent branch."""
     data.check_nondegenerate()
-    raw3, raw4, s3, s4 = general_ce_raw(data)
-    return abs(raw3) / s3, abs(raw4) / s4
+    return _general(data)
 
 
-def _am_groups(d: VectorCharData) -> tuple[list[float], list[float]]:
-    """Additive groups of the fully expanded third-order conditions.
-
-    These are the same two polynomials as the compact K/P/R-gradient
-    forms, written out in L-partials only; the equality is exact (checked
-    symbolically during development, overall factor 1).  Note the middle
-    factor of the last bracket in the second condition's Lbbb group is the
-    mixed partial Lab: with the pure partial Lbb there instead, the two
-    routes differ by La^2*Laa*Lbbb*b*(Lab-Lbb)*(8*Laa^2-3*Laa*Lbb+5*Lab^2)
-    and no constant factor relates them.
-    """
-    La = d.La
-    Laa, Lab, Lbb = d.Laa, d.Lab, d.Lbb
-    Laaa, Laab, Labb, Lbbb = d.Laaa, d.Laab, d.Labb, d.Lbbb
-    al, be = d.alpha, d.beta
-    K = d.K
-
-    g1 = [
-        1.5 * La * Labb * (
-            La * (16 * Laa**3 * Lab + 8 * Laa * Lab**3 + Lab**3 * Lbb)
-            - K * (8 * al * Laa**2 * Lab
-                   + be * (8 * Laa * Lab**2 + 4 * Laa**2 * Lbb
-                           + Lab**2 * Lbb))),
-        0.5 * La * Laaa * (
-            La * Lab * (16 * Laa * Lab**2 + 8 * Lab**2 * Lbb + Lbb**3)
-            - K * (8 * al * Lab**3 + be * Lbb * (12 * Lab**2 + Lbb**2))),
-        -1.5 * La * Lab * Laab * (
-            La * Lab * (16 * Laa**2 + 4 * Lab**2 + 4 * Laa * Lbb + Lbb**2)
-            - K * (8 * al * Laa * Lab
-                   + be * (4 * Lab**2 + 8 * Laa * Lbb + Lbb**2))),
-        -0.5 * La * Lbbb * (
-            La * (16 * Laa**4 + 12 * Laa**2 * Lab**2 + Lab**4
-                  - 4 * Laa**3 * Lbb)
-            - K * (8 * al * Laa**3 + be * Lab * (12 * Laa**2 + Lab**2))),
-        -1.5 * (4 * Laa + Lbb) * K**2 * (La * Lab - be * K),
-    ]
-
-    g2 = [
-        -1.5 * La * Laab * (
-            (4 * Laa + Lbb) * (2 * La**2 * Lab**2 - al * La * Lab**2 * Lbb)
-            + be * La * Lab * (16 * Laa * Lab**2 + 6 * Lab**2 * Lbb
-                               - 2 * Laa * Lbb**2)
-            - be * K * (-al * Lab * Lbb**2
-                        + 2 * be * (4 * Laa * Lab**2 + 2 * Lab**2 * Lbb
-                                    + Laa * Lbb**2))),
-        1.5 * La * Labb * (
-            (4 * Laa**2 + Lab**2) * (2 * La**2 * Lab - al * La * Lab * Lbb)
-            - be * K * Lab * (-al * Lab * Lbb
-                              + 2 * be * (4 * Laa**2 + Lab**2
-                                          + 2 * Laa * Lbb))
-            + 2 * be * La * (8 * Laa**2 * Lab**2 + 2 * Lab**4
-                             + Laa * Lbb * Lab**2 - Laa**2 * Lbb**2)),
-        0.5 * La * Laaa * (
-            (4 * Lab**2 + Lbb**2) * (2 * La**2 * Lab - al * La * Lab * Lbb)
-            + be * La * (16 * Lab**4 + 6 * Lab**2 * Lbb**2
-                         - 2 * Laa * Lbb**3)
-            - be * K * (8 * be * Lab**3 + 6 * be * Lab * Lbb**2
-                        - al * Lbb**3)),
-        -0.5 * La * Lbbb * (
-            2 * La**2 * Laa * (4 * Laa**2 + 2 * Lab**2 - Laa * Lbb)
-            + 2 * be * La * Laa * Lab * (8 * Laa**2 + 5 * Lab**2
-                                         - 3 * Laa * Lbb)
-            - be * K * (8 * be * Laa**3 + 6 * be * Laa * Lab**2
-                        - al * Lab**3)
-            - al * La * (Lab**4 + 4 * Laa**3 * Lbb)),
-        -1.5 * K**2 * (4 * La + 4 * be * Lab - al * Lbb)
-        * (La * Lab - be * K),
-    ]
-    return g1, g2
-
-
-def appendix_raw(jet: Jet3, point: InvariantPoint
-                 ) -> tuple[float, float, float, float]:
-    return _raw_pair(*_am_groups(VectorCharData.from_jet(jet, point)))
-
-
-def appendix_c_residuals(jet: Jet3, point: InvariantPoint
-                         ) -> tuple[float, float]:
-    """Normalized residuals of the expanded third-order conditions."""
-    VectorCharData.from_jet(jet, point).check_nondegenerate()
-    raw1, raw2, s1, s2 = appendix_raw(jet, point)
-    return abs(raw1) / s1, abs(raw2) / s2
+def _general(data: VectorCharData) -> tuple[float, float]:
+    t3, t4 = _tar_terms(data)
+    return _norm(t3), _norm(t4)
 
 
 def discriminant(jet: Jet3, point: InvariantPoint) -> float:
@@ -312,17 +247,17 @@ def discriminant(jet: Jet3, point: InvariantPoint) -> float:
 # Mixed vector-scalar coupling probe
 # ---------------------------------------------------------------------------
 
-def coupling_residuals(model: LagrangianModel,
-                       point: InvariantPoint) -> tuple[float, float]:
+def coupling_residuals(model: LagrangianModel, point: InvariantPoint,
+                       jet: Jet3) -> tuple[float, float]:
     """Normalized mixed partials L_za, L_zb of an L(a,b,z) model.
 
     Both are read exactly from third-order jets: L_za is the mixed slot
     of the (a, z)-jet, L_zb that of the (b, z)-jet, and the (a, z)-jet's
-    z-z slot gives the L_zz of the normalization.
+    z-z slot gives the L_zz of the normalization.  ``jet`` is the model's
+    primary (a, b)-jet at ``point``, which supplies the other terms.
     """
     az = model.jet_at(point, wrt=("a", "z"))
     bz = model.jet_at(point, wrt=("b", "z"))
-    jet = model.jet_at(point)
     Lza, Lzb, Lzz = az.fab, bz.fab, az.fbb
     ref = abs(Lzz) + abs(jet.faa) + abs(jet.fab) + abs(jet.fbb)
 
@@ -355,18 +290,16 @@ class GridSpec:
         mixed["z"] = (-0.45, 0.45, 5)
         return cls(mixed)
 
-    def points(self, names: tuple[str, ...]) -> list[InvariantPoint]:
+    def point(self, names: tuple[str, ...]) -> InvariantPoint:
+        """Every grid point, as flat coordinate arrays in C order (the
+        last axis varies fastest)."""
         axes = []
         for name in names:
             lo, hi, n = self.axes[name]
             axes.append(np.linspace(lo, hi, int(n)))
         grids = np.meshgrid(*axes, indexing="ij")
-        flat = [g.ravel() for g in grids]
-        out = []
-        for values in zip(*flat):
-            kw = dict(zip(names, (float(v) for v in values)))
-            out.append(InvariantPoint(**kw))
-        return out
+        return InvariantPoint(**{name: g.ravel()
+                                 for name, g in zip(names, grids)})
 
     def to_json(self) -> dict:
         return {name: {"lo": lo, "hi": hi, "n": n}
@@ -407,28 +340,65 @@ class CEReport:
         }
 
 
-def _point_dict(point: InvariantPoint) -> dict[str, float]:
-    return {n: getattr(point, n) for n in ("a", "b", "z")
-            if getattr(point, n) is not None}
+def _evaluate(compute, point: InvariantPoint):
+    """(compute(point), bad) on a set of points; ``bad`` marks the points
+    where computing left the domain (True: a failure shared by all)."""
+    with DomainMask() as mask:
+        try:
+            return compute(point), mask.bad
+        except DomainError:
+            return None, True
+
+
+def _on_grid(compute, point: InvariantPoint, single=None):
+    """compute(point) on a set of points.
+
+    Computing the points one at a time, in order, would stop at the first
+    one outside the domain; that point's own DomainError is raised here,
+    by ``single`` (default ``compute``) on that point alone.
+    """
+    out, bad = _evaluate(compute, point)
+    if np.any(bad):
+        index = int(np.argmax(bad))
+        (single or compute)(point.take(index))
+        raise InternalCheckError(
+            f"grid point {index} left the domain in the array pass only")
+    return out
 
 
 def _margin_ok(model: LagrangianModel, point: InvariantPoint,
-               names: tuple[str, ...]) -> bool:
+               names: tuple[str, ...]) -> np.ndarray:
+    """Which points of a set keep the guard, and evaluate, at the point
+    and GUARD_MARGIN away along each axis."""
+    ok = np.ones(point.get(names[0]).shape, dtype=bool)
     probes = [point]
     for name in names:
         for sign in (+1.0, -1.0):
             probes.append(point.shifted(name, sign * GUARD_MARGIN))
     for p in probes:
-        if not model.guard_ok(p):
-            return False
-    # Expression models carry no declared guard, so probe the evaluator
-    # itself; a DomainError marks the point as outside the usable domain.
-    try:
-        for p in probes:
-            model.value_at(p)
-    except DomainError:
-        return False
-    return True
+        ok &= model.guard_ok(p)
+        # Expression models carry no declared guard, so probe the evaluator
+        # itself; leaving the domain marks the point as outside it.
+        ok &= np.logical_not(_evaluate(model.value_at, p)[1])
+    return ok
+
+
+def _worst(components: list[np.ndarray], skip: np.ndarray | None,
+           points: list[dict]) -> tuple[float, dict | None]:
+    """Largest residual and its point, as a scan of the rows in order finds
+    it: each row's largest component (the first of equal ones), then the
+    first row above every earlier one; NaN never compares larger."""
+    value = components[0]
+    for c in components[1:]:
+        value = np.where(c > value, c, value)
+    eligible = value > -1.0
+    if skip is not None:
+        eligible &= ~skip
+    if not eligible.any():
+        return float("nan"), None
+    index = int(np.argmax(np.where(eligible, value, -np.inf)))
+    worst = float(value[index])
+    return (worst if worst >= 0 else float("nan")), points[index]
 
 
 def _scalar_sector(model: LagrangianModel, point: InvariantPoint,
@@ -439,12 +409,13 @@ def _scalar_sector(model: LagrangianModel, point: InvariantPoint,
     return (scalar_ce_residual(jet),)
 
 
-# Per-point residual rows: sector name -> f(model, point, primary jet).
+# Residual rows: sector name -> f(model, point, primary jet).
 _SECTORS = {
     "scalar": _scalar_sector,
     "strong": lambda model, point, jet: strong_ce_residuals(jet, point),
     "alpha_ce": lambda model, point, jet: (scalar_ce_residual(jet),),
-    "coupling": lambda model, point, jet: coupling_residuals(model, point),
+    "coupling": lambda model, point, jet: coupling_residuals(model, point,
+                                                             jet),
 }
 
 # kind -> (gate sectors, strong sectors, fallback sector).  The first
@@ -463,12 +434,19 @@ _CLASSIFY_TABLE = {
 
 def classify(model: LagrangianModel, grid: GridSpec | None = None,
              tol: float = DEFAULT_TOL) -> CEReport:
-    """Classify a model as StronglyCE / CE / NotCE / Degenerate on a grid."""
+    """Classify a model as StronglyCE / CE / NotCE / Degenerate on a grid.
+
+    The grid is one array pass: the model's guard and value on the grid
+    and on its 2*dim GUARD_MARGIN-shifted copies select the evaluated
+    points, then each jet the sectors need is evaluated once over all of
+    them.  Where evaluating the points one at a time would raise, the same
+    DomainError is raised.
+    """
     if grid is None:
         grid = GridSpec.default(model.kind)
     names = model.kind.variables
-    all_points = grid.points(names)
-    total = len(all_points)
+    grid_point = grid.point(names)
+    total = grid_point.get(names[0]).size
     if total == 0:
         raise EmptyGrid("grid has no points")
 
@@ -483,30 +461,39 @@ def classify(model: LagrangianModel, grid: GridSpec | None = None,
                  "are evaluated",
         )
 
-    points = [p for p in all_points if _margin_ok(model, p, names)]
-    guard_excluded = total - len(points)
-    if not points:
+    point = grid_point.take(_margin_ok(model, grid_point, names))
+    evaluated = point.get(names[0]).size
+    guard_excluded = total - evaluated
+    if not evaluated:
         raise EmptyGrid("every grid point violates the domain guard "
                         "(or its margin)")
 
     gates, strong, fallback = _CLASSIFY_TABLE[model.kind]
     sectors = [s for s in dict.fromkeys((*gates, *strong, fallback))
                if s in _SECTORS]
-    jets = [model.jet_at(pt) for pt in points]
-    per_point = [{"point": _point_dict(pt),
-                  "residuals": {s: _SECTORS[s](model, pt, jet)
-                                for s in sectors}}
-                 for pt, jet in zip(points, jets)]
-    degenerate_skipped = 0
+
+    def sector_residuals(p: InvariantPoint, jet: Jet3) -> dict:
+        return {s: _SECTORS[s](model, p, jet) for s in sectors}
+
+    def columns(values) -> list[np.ndarray]:
+        return [np.broadcast_to(v, (evaluated,)) for v in values]
+
+    def per_point_tuples(values) -> list[tuple]:
+        return list(zip(*(v.tolist() for v in values)))
+
+    jet = _on_grid(model.jet_at, point)
+    residuals = _on_grid(lambda p: sector_residuals(p, jet), point,
+                         lambda p: sector_residuals(p, model.jet_at(p)))
+    residuals = {s: columns(values) for s, values in residuals.items()}
+    points = _records({n: point.get(n).tolist() for n in names})
+    per_point = [{"point": p, "residuals": r} for p, r in zip(
+        points, _records({s: per_point_tuples(values)
+                          for s, values in residuals.items()}))]
+    degenerate = np.zeros(evaluated, dtype=bool)
 
     def summarize(key: str) -> tuple[float, dict | None]:
-        worst, arg = -1.0, None
-        for row in per_point:
-            if key in row["residuals"]:
-                value = max(row["residuals"][key])
-                if value > worst:
-                    worst, arg = value, row["point"]
-        return (worst if worst >= 0 else float("nan")), arg
+        skip = degenerate if key == "general" else None
+        return _worst(residuals[key], skip, points)
 
     failing = [pair for pair in map(summarize, gates) if pair[0] >= tol]
     if failing:
@@ -521,16 +508,18 @@ def classify(model: LagrangianModel, grid: GridSpec | None = None,
         else:
             if fallback == "general":
                 # the vector sector may still pass on the birefringent branch
-                for row, pt, jet in zip(per_point, points, jets):
-                    try:
-                        row["residuals"]["general"] = general_ce_residuals(
-                            VectorCharData.from_jet(jet, pt))
-                    except DegeneracyError:
-                        degenerate_skipped += 1
+                data = VectorCharData.from_jet(jet, point)
+                degenerate |= data.degenerate()
+                residuals["general"] = columns(_general(data))
+                for row, residual, skip in zip(
+                        per_point, per_point_tuples(residuals["general"]),
+                        degenerate.tolist()):
+                    if not skip:
+                        row["residuals"]["general"] = residual
             worst, arg = summarize(fallback)
             label = "CE" if worst < tol else "NotCE"
             if (fallback == "general"
-                    and guard_excluded + degenerate_skipped > 0.5 * total):
+                    and guard_excluded + degenerate.sum() > 0.5 * total):
                 label, worst, arg = "Degenerate", float("nan"), None
 
     if guard_excluded > 0.5 * total:
@@ -540,7 +529,18 @@ def classify(model: LagrangianModel, grid: GridSpec | None = None,
         model=model.name, kind=model.kind.value, grid=grid, tol=tol,
         label=label, max_residual=worst, argmax_point=arg,
         per_point=per_point,
-        counts={"total": total, "evaluated": len(points),
+        counts={"total": total, "evaluated": evaluated,
                 "guard_excluded": guard_excluded,
-                "degenerate_skipped": degenerate_skipped},
+                "degenerate_skipped": int(degenerate.sum())},
     )
+
+
+def _records(columns: dict[str, list]) -> list[dict]:
+    """One dict per position of equal-length columns, keys in column
+    order; filling them column by column is much faster than building
+    each dict from a zip."""
+    records = [{} for _ in next(iter(columns.values()))]
+    for key, column in columns.items():
+        for record, value in zip(records, column):
+            record[key] = value
+    return records

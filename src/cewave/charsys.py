@@ -29,7 +29,7 @@ from .errors import (
     KindError,
     ModeCollision,
 )
-from .jets import InvariantPoint, Jet3, richardson_central
+from .jets import InvariantPoint, Jet3, power, richardson_central
 from .lagrangians import Kind, LagrangianModel
 
 _TINY = 1e-300
@@ -474,7 +474,7 @@ def cone_coefficients(La, Laa, Lab, Lbb, a, b):
     from the L-partials at the invariant point (a, b).  The arguments may
     be floats or Jet3 values; with jets the (a, b)-gradients of K, P, R
     come out exactly."""
-    K = Laa * Lbb - Lab ** 2
+    K = Laa * Lbb - power(Lab, 2)
     P = 2.0 * La * (Laa + 0.25 * Lbb) - a * K
     R = La * (La + 2.0 * b * Lab - 0.5 * a * Lbb) - b * b * K
     return K, P, R
@@ -484,7 +484,7 @@ def degeneracy_scales(Laa: float, Lab: float, Lbb: float, K: float, P: float,
                       R: float) -> tuple[float, float]:
     """Magnitudes against which K and the pair-splitting discriminant
     P^2 - 4KR count as zero, within DEGENERACY_RTOL."""
-    return abs(Laa * Lbb) + Lab ** 2, P * P + abs(4.0 * K * R)
+    return abs(Laa * Lbb) + power(Lab, 2), P * P + abs(4.0 * K * R)
 
 
 def point_cone_coefficients(jet: Jet3, point: InvariantPoint

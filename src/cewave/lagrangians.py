@@ -10,7 +10,8 @@ Models come from a small built-in catalog (families whose exceptionality
 status is known in closed form) or from expression text parsed by
 ``parse_lagrangian``.  Either way the evaluator is polymorphic: fed plain
 floats it returns a float, fed ``Jet3`` values it returns the full
-third-order jet, which is what every downstream residual needs.
+third-order jet, which is what every downstream residual needs.  Arrays
+(and jets with array slots) evaluate a whole grid of points at once.
 
 The expression grammar is deliberately tiny: ``+ - * / ^`` with numeric
 literals, ``sqrt``, and the invariant names.  ``^`` binds tighter than
@@ -25,8 +26,11 @@ import re
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .errors import BadParams, DomainError, KindError, ParseError, UnknownModel
-from .jets import InvariantPoint, Jet3, sqrt as _sqrt
+from .jets import InvariantPoint, Jet3, check_domain, divide, power
+from .jets import sqrt as _sqrt
 
 
 class Kind(enum.Enum):
@@ -153,7 +157,7 @@ class BinOp(Node):
             return x - y
         if self.op == "*":
             return x * y
-        return x / y
+        return divide(x, y)
 
     def variables(self) -> set:
         return self.left.variables() | self.right.variables()
@@ -179,13 +183,12 @@ class Pow(Node):
         if isinstance(x, Jet3):
             return x ** self.exponent
         e = self.exponent
+        x = x if isinstance(x, np.ndarray) else float(x)
         if e == int(e):
-            return float(x) ** int(e)
-        from .errors import DomainError
-        if x < 1e-300:
-            raise DomainError(
-                f"fractional power of a non-positive value {x:.6g}")
-        return float(x) ** e
+            return power(x, int(e))
+        x = check_domain(x, x < 1e-300,
+                         "fractional power of a non-positive value {:.6g}")
+        return power(x, e)
 
     def variables(self) -> set:
         return self.base.variables()
@@ -394,7 +397,7 @@ class LagrangianModel:
 
     name: str
     kind: Kind
-    fn: Callable  # maps an env dict of Jet3/float values to Jet3/float
+    fn: Callable  # maps an env dict of Jet3/float/array values to one
     guard: Callable[[dict], bool] | None = None
     guard_text: str = ""
     depends_on_y: bool = False
@@ -412,14 +415,17 @@ class LagrangianModel:
                 env[name] = point.get(name)
         return env
 
-    def value_at(self, point: InvariantPoint) -> float:
+    def value_at(self, point: InvariantPoint):
+        """The model's value: a float, or an array on a set of points."""
         env = {name: point.get(name) for name in self.kind.variables}
         try:
             out = self.fn(env)
         except ZeroDivisionError:
             raise DomainError("division by zero while evaluating "
                               f"{self.name}") from None
-        return out.f if isinstance(out, Jet3) else float(out)
+        if isinstance(out, Jet3):
+            out = out.f
+        return out if isinstance(out, np.ndarray) else float(out)
 
     def jet_at(self, point: InvariantPoint,
                wrt: tuple[str, ...] | None = None) -> Jet3:
@@ -436,11 +442,14 @@ class LagrangianModel:
             out = Jet3.constant(out)
         return out
 
-    def guard_ok(self, point: InvariantPoint) -> bool:
+    def guard_ok(self, point: InvariantPoint):
+        """Whether the declared guard holds: a bool, or a boolean array on
+        a set of points."""
         if self.guard is None:
             return True
         env = {name: point.get(name) for name in self.kind.variables}
-        return bool(self.guard(env))
+        ok = self.guard(env)
+        return ok if isinstance(ok, np.ndarray) else bool(ok)
 
     def point(self, *values: float) -> InvariantPoint:
         """Build an InvariantPoint from positional values in kind order."""
@@ -476,7 +485,7 @@ def _born_infeld() -> LagrangianModel:
     return LagrangianModel(
         name="born-infeld", kind=Kind.VectorAlphaBeta,
         fn=lambda env: 1.0 - _sqrt(1.0 + env["a"] - env["b"] * env["b"]),
-        guard=lambda env: 1.0 + env["a"] - env["b"] ** 2 > 0.0,
+        guard=lambda env: 1.0 + env["a"] - power(env["b"], 2) > 0.0,
         guard_text="1 + a - b^2 > 0",
     )
 
@@ -500,7 +509,7 @@ def _scalar_bi() -> LagrangianModel:
 def _sqrt_family(k: float, d: float, c: float) -> LagrangianModel:
     return LagrangianModel(
         name=f"sqrt-family[{k:g},{d:g},{c:g}]", kind=Kind.VectorAlpha,
-        fn=lambda env: k + (d + c * env["a"]) ** 0.5,
+        fn=lambda env: k + power(d + c * env["a"], 0.5),
         guard=lambda env: d + c * env["a"] > 0.0,
         guard_text=f"{d:g} + {c:g}*a > 0",
     )
@@ -509,7 +518,7 @@ def _sqrt_family(k: float, d: float, c: float) -> LagrangianModel:
 def _alpha_over_beta() -> LagrangianModel:
     return LagrangianModel(
         name="alpha-over-beta", kind=Kind.VectorAlphaBeta,
-        fn=lambda env: env["a"] / env["b"],
+        fn=lambda env: divide(env["a"], env["b"]),
         guard=lambda env: abs(env["b"]) > 1e-12,
         guard_text="|b| > 0",
     )
@@ -518,7 +527,7 @@ def _alpha_over_beta() -> LagrangianModel:
 def _perturbed_maxwell(eps: float) -> LagrangianModel:
     return LagrangianModel(
         name=f"perturbed-maxwell[{eps:g}]", kind=Kind.VectorAlpha,
-        fn=lambda env: -env["a"] / 2 + eps * env["a"] ** 2,
+        fn=lambda env: -env["a"] / 2 + eps * power(env["a"], 2),
     )
 
 

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cewave.ce import (
     GridSpec,
     VectorCharData,
-    _am_groups,
     _tar_terms,
-    appendix_c_residuals,
-    appendix_raw,
     classify,
     coupling_residuals,
     discriminant,
@@ -19,9 +21,17 @@ from cewave.ce import (
     strong_ce_residuals,
 )
 from cewave.charsys import cone_coefficients
-from cewave.errors import DegeneracyError, EmptyGrid
+from cewave.errors import CewaveError, DegeneracyError, EmptyGrid
 from cewave.jets import InvariantPoint, Jet3
-from cewave.lagrangians import Kind, LagrangianModel, builtin, from_expression
+from cewave.lagrangians import (
+    Kind,
+    LagrangianModel,
+    builtin,
+    builtin_names,
+    from_expression,
+)
+
+from oracles import _am_groups, appendix_c_residuals, appendix_raw, classify_per_point
 
 
 def _synthetic_jet(rng) -> tuple[Jet3, InvariantPoint]:
@@ -295,13 +305,13 @@ def test_coupling_residuals_separable_model():
     model = from_expression(
         "(1 - sqrt(1 + a - b^2)) + (1 - sqrt(1 + 2*z))", "vector-scalar")
     point = InvariantPoint.full(0.3, 0.2, 0.1)
-    assert coupling_residuals(model, point) == (0.0, 0.0)
+    assert coupling_residuals(model, point, model.jet_at(point)) == (0.0, 0.0)
 
 
 def test_coupling_residuals_bilinear_model():
     model = from_expression("a*z", "vector-scalar")
     point = InvariantPoint.full(0.5, 0.25, 0.1)
-    ra, rb = coupling_residuals(model, point)
+    ra, rb = coupling_residuals(model, point, model.jet_at(point))
     assert ra == 1.0
     assert rb == 0.0
 
@@ -309,7 +319,7 @@ def test_coupling_residuals_bilinear_model():
 def test_coupling_residuals_linear_model():
     model = from_expression("a + b + z", "vector-scalar")
     point = InvariantPoint.full(0.5, 0.25, 0.1)
-    assert coupling_residuals(model, point) == (0.0, 0.0)
+    assert coupling_residuals(model, point, model.jet_at(point)) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("a, z", [(0.5, 0.25), (0.7, -0.2)])
@@ -318,7 +328,8 @@ def test_coupling_residuals_closed_form(a, z):
     # L_bb = 0, so the residuals are |2z| / (|2z| + |2a|) and
     # 1 / (1 + |2a|)
     model = from_expression("a*z^2 + b*z", "vector-scalar")
-    ra, rb = coupling_residuals(model, InvariantPoint.full(a, 0.3, z))
+    point = InvariantPoint.full(a, 0.3, z)
+    ra, rb = coupling_residuals(model, point, model.jet_at(point))
     assert ra == abs(2 * z) / (abs(2 * z) + abs(2 * a))
     assert rb == 1.0 / (1.0 + abs(2 * a))
 
@@ -415,23 +426,29 @@ def test_classify_vector_scalar_ce_on_the_general_branch():
                for row in report.per_point)
 
 
-def test_classify_evaluates_one_primary_jet_per_point(monkeypatch):
-    # the general branch reuses the jets of the strong pass
-    calls = []
-    exact = LagrangianModel.jet_at
+def test_classify_evaluates_one_primary_jet_per_point():
+    # One array pass per grid: the model function runs once on the grid
+    # and on each of its 2 * dim margin-shifted copies, and once for the
+    # primary jet of every evaluated point, whatever the grid size; the
+    # general branch reuses the jets of the strong pass.
+    base = from_expression("-a/2 + 0.1*a^2 + 0.05*b^2", "alpha-beta")
 
-    def counting(self, point, wrt=None):
-        calls.append(wrt)
-        return exact(self, point, wrt)
+    def calls_on(n: int) -> int:
+        calls = []
 
-    monkeypatch.setattr(LagrangianModel, "jet_at", counting)
-    report = classify(from_expression("-a/2 + 0.1*a^2 + 0.05*b^2",
-                                      "alpha-beta"),
-                      grid=GridSpec({"a": (-0.5, 2.0, 7),
-                                     "b": (-1.0, 1.0, 7)}))
-    assert report.label == "NotCE"
-    assert "general" in report.per_point[0]["residuals"]
-    assert calls == [None] * report.counts["evaluated"]
+        def counting(env):
+            calls.append(env)
+            return base.fn(env)
+
+        model = LagrangianModel(name=base.name, kind=base.kind, fn=counting)
+        report = classify(model, grid=GridSpec({"a": (-0.5, 2.0, n),
+                                                "b": (-1.0, 1.0, n)}))
+        assert report.label == "NotCE"
+        assert "general" in report.per_point[0]["residuals"]
+        assert report.counts["evaluated"] > 0
+        return len(calls)
+
+    assert calls_on(7) == calls_on(61) == (2 * 2 + 1) + 1
 
 
 def test_classify_y_dependent_not_ce_without_evaluation():
@@ -467,3 +484,108 @@ def test_report_json_shape():
     assert "argmax_point" in doc["residual_summary"]
     assert doc["grid"]["a"]["n"] == 21
     assert len(doc["per_point"]) == doc["counts"]["evaluated"]
+
+
+# --- the array pass against the per-point loop --------------------------------
+
+def _nan_as_text(doc):
+    # NaN != NaN, so compare report documents with NaN spelled out
+    if isinstance(doc, float) and math.isnan(doc):
+        return "nan"
+    if isinstance(doc, dict):
+        return {k: _nan_as_text(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return type(doc)(_nan_as_text(v) for v in doc)
+    return doc
+
+
+def _assert_same_as_per_point(model, grid=None):
+    """classify gives the per-point loop's report, byte for byte as the
+    command line writes it, or raises the same error."""
+    try:
+        want = classify_per_point(model, grid)
+    except CewaveError as err:
+        with pytest.raises(type(err)) as got:
+            classify(model, grid)
+        assert str(got.value) == str(err)
+        return None
+    got = classify(model, grid)
+    assert _nan_as_text(got.to_json()) == _nan_as_text(want.to_json())
+    assert (json.dumps(got.to_json(), sort_keys=True, indent=2)
+            == json.dumps(want.to_json(), sort_keys=True, indent=2))
+    return got
+
+
+@pytest.mark.parametrize("name, params", [
+    *((n, {"sqrt-family": [1.0, 3.0, 1.0],
+           "perturbed-maxwell": [0.1]}.get(n)) for n in builtin_names()),
+    ("sqrt-family", [0.0, 0.3, -1.0]),
+])
+def test_classify_builtin_matches_per_point_loop(name, params):
+    _assert_same_as_per_point(builtin(name, params))
+
+
+@pytest.mark.parametrize("text, kind", [
+    ("a/b", "alpha-beta"),
+    ("sqrt(a - 0.3)", "alpha"),
+    ("(1 + 2*z)^-0.5", "scalar"),
+])
+def test_classify_excluding_points_matches_per_point_loop(text, kind):
+    report = _assert_same_as_per_point(from_expression(text, kind))
+    assert 0 < report.counts["guard_excluded"] < report.counts["total"]
+
+
+@pytest.mark.parametrize("text, kind", [
+    # every point evaluates as floats but not as jets (|value| < 1e-300)
+    ("1/(1e-300*(2.5 - a))", "alpha"),
+    # the primary jets evaluate; the z-jets of the couplings do not
+    ("a + b + 1/(1e-300*z)", "vector-scalar"),
+    ("1/0 + a", "alpha"),
+    ("sqrt(a - 5)", "alpha"),
+])
+def test_classify_raises_what_the_per_point_loop_raises(text, kind):
+    _assert_same_as_per_point(from_expression(text, kind))
+
+
+# Dyadic grids and constants: sums and products of grid values are exact,
+# so a divisor is either exactly zero or far from it, and no draw overflows.
+_DYADIC_GRIDS = {
+    "scalar": {"z": (-0.5, 0.5, 17)},
+    "alpha": {"a": (-0.5, 2.0, 11)},
+    "alpha-beta": {"a": (-0.5, 2.0, 11), "b": (-1.0, 1.0, 9)},
+    "vector-scalar": {"a": (-0.5, 2.0, 6), "b": (-1.0, 1.0, 5),
+                      "z": (-0.5, 0.5, 5)},
+}
+_CONSTANTS = ("0.25", "0.5", "0.75", "1", "2")
+_EXPONENTS = ("2", "3", "0.5", "1.5", "-0.5", "-1", "-2")
+
+
+def _expressions(names: tuple[str, ...], depth: int):
+    leaf = st.sampled_from(names + _CONSTANTS)
+    if depth == 0:
+        return leaf
+    sub = _expressions(names, depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds("({} {} {})".format, sub, st.sampled_from("+-*/"), sub),
+        st.builds("sqrt({})".format, sub),
+        st.builds("({})^{}".format, sub, st.sampled_from(_EXPONENTS)),
+    )
+
+
+_KIND_AND_TEXT = st.sampled_from(sorted(_DYADIC_GRIDS)).flatmap(
+    lambda kind: st.tuples(
+        st.just(kind), _expressions(Kind(kind).variables, 3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind_and_text=_KIND_AND_TEXT)
+@example(kind_and_text=("alpha-beta", "(a / b)"))
+@example(kind_and_text=("alpha", "sqrt((a - 0.25))"))
+@example(kind_and_text=("scalar", "((1 + (2 * z)))^-0.5"))
+@example(kind_and_text=("vector-scalar",
+                        "(sqrt((1 + a)) + ((z - 0.25))^-1)"))
+def test_classify_grammar_draws_match_per_point_loop(kind_and_text):
+    kind, text = kind_and_text
+    grid = GridSpec(dict(_DYADIC_GRIDS[kind]))
+    _assert_same_as_per_point(from_expression(text, kind), grid)

@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cewave.errors import DomainError
-from cewave.jets import InvariantPoint, Jet3, jet_check_fd
-from cewave.lagrangians import builtin, from_expression
+from cewave.jets import DomainMask, InvariantPoint, Jet3, power, sqrt
+from cewave.lagrangians import builtin, builtin_names, from_expression
+
+from oracles import jet_check_fd
 
 
 def _bi_partials(a: float, b: float) -> dict[str, float]:
@@ -184,3 +187,96 @@ def test_negative_integer_power():
     expect = 1.0 / (u * u)
     for got, want in zip(inv2.as_tuple(), expect.as_tuple()):
         assert got == pytest.approx(want, rel=1e-13)
+
+
+# --- array slots and scalar callers -------------------------------------------
+
+@pytest.mark.parametrize("e", [2, 3, 1.5])
+def test_power_applies_python_pow_to_each_entry(e):
+    xs = np.random.default_rng(61).uniform(0.0, 3.0, size=200_000)
+    want = np.array([x ** e for x in xs.tolist()])
+    # numpy's vectorized pow rounds some of these entries differently
+    # (a few percent on AVX-512 hosts); the helper must match Python
+    # everywhere, those entries included
+    numpy_differs = np.power(xs, e) != want
+    assert np.array_equal(power(xs[numpy_differs], e), want[numpy_differs])
+    assert np.array_equal(power(xs, e), want)
+
+
+def test_power_domain_on_arrays():
+    xs = np.array([-1.0, 0.0, 4.0])
+    assert np.isnan(power(xs, 0.5)[0]) and power(xs, 0.5)[2] == 2.0
+    with pytest.raises(DomainError):
+        power(xs, -1)
+    with DomainMask() as mask:
+        out = power(xs, -1)
+    assert mask.bad.tolist() == [False, True, False]
+    assert out[0] == -1.0 and np.isnan(out[1]) and out[2] == 0.25
+
+
+def test_array_jet_matches_float_jets_bit_for_bit():
+    model = builtin("born-infeld")
+    a = np.linspace(-0.4, 1.5, 40)
+    b = np.linspace(-0.5, 0.5, 40)
+    jet = model.jet_at(InvariantPoint(a=a, b=b))
+    for i in range(len(a)):
+        single = model.jet_at(InvariantPoint.alpha_beta(a[i], b[i]))
+        assert [s[i] for s in jet.as_tuple()] == list(single.as_tuple())
+
+
+def test_array_domain_failures_mark_entries():
+    model = builtin("born-infeld")
+    point = InvariantPoint(a=np.array([0.0, -3.0, 0.5]),
+                           b=np.array([0.0, 0.0, 0.1]))
+    with pytest.raises(DomainError):
+        model.jet_at(point)
+    with DomainMask() as mask:
+        jet = model.jet_at(point)
+    assert mask.bad.tolist() == [False, True, False]
+    assert np.isnan(jet.fa[1]) and not np.isnan(jet.fa[[0, 2]]).any()
+
+
+_VALID = {"a": 0.3, "b": 0.5, "z": 0.1}
+_PARAMS = {"sqrt-family": [1.0, 3.0, 1.0], "perturbed-maxwell": [0.1]}
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_scalar_callers_get_float_slots(name):
+    model = builtin(name, _PARAMS.get(name))
+    point = model.point(*(_VALID[v] for v in model.kind.variables))
+    assert all(type(v) is float for v in model.jet_at(point).as_tuple())
+    assert type(model.value_at(point)) is float
+    assert type(model.guard_ok(point)) is bool
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sqrt(-1.0), "sqrt of a non-positive value -1"),
+    (lambda: Jet3.variable(-1.0).sqrt(),
+     "sqrt of a non-positive jet value -1"),
+    (lambda: Jet3.constant(1.0) / Jet3.variable(0.0),
+     "division by a jet whose value is zero"),
+    (lambda: Jet3.variable(-2.0) ** 0.5,
+     "fractional power of a non-positive jet value -2"),
+    (lambda: from_expression("a^0.5", "alpha").value_at(
+        InvariantPoint.alpha(-2.0)),
+     "fractional power of a non-positive value -2"),
+    (lambda: from_expression("1/a", "alpha").value_at(
+        InvariantPoint.alpha(0.0)),
+     "division by zero while evaluating 1/a"),
+    (lambda: from_expression("a^-1", "alpha").value_at(
+        InvariantPoint.alpha(0.0)),
+     "division by zero while evaluating a^-1"),
+    # the fresnel scan skips the zero background of alpha-over-beta on this
+    (lambda: builtin("alpha-over-beta").jet_at(
+        InvariantPoint.alpha_beta(0.0, 0.0)),
+     "division by a jet whose value is zero"),
+    (lambda: builtin("alpha-over-beta").value_at(
+        InvariantPoint.alpha_beta(1.0, 0.0)),
+     "division by zero while evaluating alpha-over-beta"),
+], ids=["sqrt", "jet-sqrt", "jet-division", "jet-fractional-power",
+        "fractional-power", "division", "negative-power", "builtin-jet",
+        "builtin-value"])
+def test_scalar_domain_errors_keep_their_messages(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message
