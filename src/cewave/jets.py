@@ -72,8 +72,6 @@ def check_domain(value, bad, message: str):
     Failing array entries are recorded in the active ``DomainMask`` and
     come back as NaN; with no mask active the first of them raises.
     """
-    if bad is False:
-        return value
     if not isinstance(bad, np.ndarray):
         if bad:
             raise DomainError(message.format(value))
@@ -117,6 +115,10 @@ def _slot(x):
     if isinstance(x, np.ndarray):
         return x.astype(float, copy=False)
     return float(x)
+
+
+def _short(x) -> str:
+    return f"<{x.size} values>" if isinstance(x, np.ndarray) else f"{x:.6g}"
 
 
 class Jet3:
@@ -168,7 +170,7 @@ class Jet3:
         return _slot_values(self)
 
     def __repr__(self) -> str:
-        parts = ", ".join(f"{s}={getattr(self, s):.6g}" for s in _SLOTS)
+        parts = ", ".join(f"{s}={_short(getattr(self, s))}" for s in _SLOTS)
         return f"Jet3({parts})"
 
     @staticmethod
@@ -381,7 +383,7 @@ class InvariantPoint:
                                  for n, v in kw.items()})
 
     def __repr__(self) -> str:
-        parts = [f"{n}={getattr(self, n):.6g}" for n in ("a", "b", "z")
+        parts = [f"{n}={_short(getattr(self, n))}" for n in ("a", "b", "z")
                  if getattr(self, n) is not None]
         return "InvariantPoint(" + ", ".join(parts) + ")"
 

@@ -162,7 +162,8 @@ def jet_check_fd(model, point: InvariantPoint, step: float = 1e-5) -> float:
 # Per-point classification
 # ---------------------------------------------------------------------------
 
-def grid_points(grid: GridSpec, names: tuple[str, ...]) -> list[InvariantPoint]:
+def grid_points(grid: GridSpec,
+                names: tuple[str, ...]) -> list[InvariantPoint]:
     axes = []
     for name in names:
         lo, hi, n = grid.axes[name]

@@ -31,7 +31,12 @@ from cewave.lagrangians import (
     from_expression,
 )
 
-from oracles import _am_groups, appendix_c_residuals, appendix_raw, classify_per_point
+from oracles import (
+    _am_groups,
+    appendix_c_residuals,
+    appendix_raw,
+    classify_per_point,
+)
 
 
 def _synthetic_jet(rng) -> tuple[Jet3, InvariantPoint]:
@@ -486,7 +491,7 @@ def test_report_json_shape():
     assert len(doc["per_point"]) == doc["counts"]["evaluated"]
 
 
-# --- the array pass against the per-point loop --------------------------------
+# --- the array pass against the per-point loop -------------------------------
 
 def _nan_as_text(doc):
     # NaN != NaN, so compare report documents with NaN spelled out

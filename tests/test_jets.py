@@ -189,7 +189,7 @@ def test_negative_integer_power():
         assert got == pytest.approx(want, rel=1e-13)
 
 
-# --- array slots and scalar callers -------------------------------------------
+# --- array slots and scalar callers ------------------------------------------
 
 @pytest.mark.parametrize("e", [2, 3, 1.5])
 def test_power_applies_python_pow_to_each_entry(e):
