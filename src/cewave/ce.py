@@ -432,6 +432,9 @@ _CLASSIFY_TABLE = {
 }
 
 
+# overflowing values become inf or NaN residuals; numpy's warnings about
+# them would only repeat what the report says
+@np.errstate(all="ignore")
 def classify(model: LagrangianModel, grid: GridSpec | None = None,
              tol: float = DEFAULT_TOL) -> CEReport:
     """Classify a model as StronglyCE / CE / NotCE / Degenerate on a grid.

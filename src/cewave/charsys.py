@@ -243,17 +243,14 @@ def _zero_count(w: np.ndarray) -> int:
     return int(np.sum(np.abs(w) < COINCIDENCE_RTOL * scale))
 
 
-def _scalar_axis_matrices(A: float, s: np.ndarray, L1: float, L2: float,
-                          theta: float) -> list[np.ndarray]:
-    mats = []
-    for i in range(3):
-        M = np.zeros((4, 4))
-        M[0, 0] = -2.0 * A * s[i] * L2 / theta
-        for j in range(3):
-            M[0, j + 1] = (s[i] * s[j] * L2 + (L1 if i == j else 0.0)) / theta
-        M[i + 1, 0] = -1.0
-        mats.append(M)
-    return mats
+def _scalar_axis_matrix(A: float, s: np.ndarray, L1: float, L2: float,
+                        theta: float, i: int = 0) -> np.ndarray:
+    M = np.zeros((4, 4))
+    M[0, 0] = -2.0 * A * s[i] * L2 / theta
+    for j in range(3):
+        M[0, j + 1] = (s[i] * s[j] * L2 + (L1 if i == j else 0.0)) / theta
+    M[i + 1, 0] = -1.0
+    return M
 
 
 def _scalar_theta(A: float, jet: Jet3, tol: float) -> float:
@@ -266,17 +263,32 @@ def _scalar_theta(A: float, jet: Jet3, tol: float) -> float:
     return theta
 
 
+def _scalar_jet_theta(bg: FieldBackground, model: LagrangianModel,
+                      tol: float) -> tuple[Jet3, float]:
+    if model.kind is not Kind.Scalar:
+        raise KindError("scalar_system needs a model in the field invariant z")
+    jet = model.jet_at(bg.point(Kind.Scalar))
+    return jet, _scalar_theta(bg.A, jet, tol)
+
+
+def scalar_axis_matrix(bg: FieldBackground, model: LagrangianModel,
+                       tol: float = DEGENERACY_RTOL) -> np.ndarray:
+    """The matrix of ``scalar_system(bg, model)`` along x1, without its
+    eigensystem.  Adding 0.0 makes zero entries +0.0, as the rotation
+    product in scalar_system leaves them: LAPACK orders eigenpairs by
+    the sign of a zero."""
+    jet, theta = _scalar_jet_theta(bg, model, tol)
+    return _scalar_axis_matrix(bg.A, bg.sigma_spatial, jet.fa, jet.faa,
+                               theta) + 0.0
+
+
 def scalar_system(bg: FieldBackground, model: LagrangianModel,
                   nhat=(1.0, 0.0, 0.0),
                   tol: float = DEGENERACY_RTOL) -> CharSystem:
     """4x4 characteristic system of a scalar-field model on a constant
     gradient background, along the wave normal nhat."""
-    if model.kind is not Kind.Scalar:
-        raise KindError("scalar_system needs a model in the field invariant z")
-    point = bg.point(Kind.Scalar)
-    jet = model.jet_at(point)
+    jet, theta = _scalar_jet_theta(bg, model, tol)
     L1, L2 = jet.fa, jet.faa
-    theta = _scalar_theta(bg.A, jet, tol)
 
     n = unit_direction(nhat)
     Q = rotation_to_x1(n)
@@ -284,7 +296,7 @@ def scalar_system(bg: FieldBackground, model: LagrangianModel,
     T[1:, 1:] = Q
 
     s_rot = Q @ bg.sigma_spatial
-    M_rot = _scalar_axis_matrices(bg.A, s_rot, L1, L2, theta)[0]
+    M_rot = _scalar_axis_matrix(bg.A, s_rot, L1, L2, theta)
     matrix = T.T @ M_rot @ T
     w, V, left, cond = _eig_sorted(matrix)
 
@@ -297,13 +309,14 @@ def scalar_system(bg: FieldBackground, model: LagrangianModel,
         z2 = 0.5 * (-A2 * A2 + float(s2 @ s2))
         jet2 = model.jet_at(InvariantPoint.scalar(z2))
         theta2 = _scalar_theta(A2, jet2, tol)
-        M2 = _scalar_axis_matrices(A2, Q @ s2, jet2.fa, jet2.faa, theta2)[0]
+        M2 = _scalar_axis_matrix(A2, Q @ s2, jet2.fa, jet2.faa, theta2)
         return T.T @ M2 @ T
 
     return CharSystem(
         n=4, state=bg.state(), nhat=n, matrix=matrix, eigenvalues=w,
         right=V, left=left, cond=cond,
-        ai=tuple(_scalar_axis_matrices(bg.A, bg.sigma_spatial, L1, L2, theta)),
+        ai=tuple(_scalar_axis_matrix(bg.A, bg.sigma_spatial, L1, L2, theta, i)
+                 for i in range(3)),
         theta=theta, poly=(float(a1), float(a2)),
         zero_multiplicity=_zero_count(w), rebuild=rebuild)
 

@@ -101,6 +101,10 @@ class OffShellStart(NumericalError):
     """Ray initial data does not satisfy the dispersion relation."""
 
 
+class FloatOverflow(NumericalError):
+    """A float power left the double range."""
+
+
 class StepFailure(NumericalError):
     """An integration step produced non-finite state."""
 

@@ -30,7 +30,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, FloatOverflow
 
 _TINY = 1e-300
 
@@ -94,15 +94,21 @@ def power(x, e):
     A zero array entry raised to a negative power is outside the domain
     (Python raises ZeroDivisionError); a negative entry raised to a
     fractional power gives NaN (Python would return a complex number).
+    A result beyond the double range raises FloatOverflow where Python
+    raises OverflowError.
     """
-    if not isinstance(x, np.ndarray):
-        return x ** e
-    if e < 0:
-        x = check_domain(x, x == 0.0, "zero raised to a negative power")
-    if e != int(e):
-        x = np.where(x < 0.0, np.nan, x)
-    out = np.fromiter(map(pow, x.ravel().tolist(), repeat(float(e))), float,
-                      x.size)
+    try:
+        if not isinstance(x, np.ndarray):
+            return x ** e
+        if e < 0:
+            x = check_domain(x, x == 0.0, "zero raised to a negative power")
+        if e != int(e):
+            x = np.where(x < 0.0, np.nan, x)
+        out = np.fromiter(map(pow, x.ravel().tolist(), repeat(float(e))),
+                          float, x.size)
+    except OverflowError:
+        raise FloatOverflow(f"a power with exponent {e:g} leaves the "
+                            "double range") from None
     return out.reshape(x.shape)
 
 

@@ -7,7 +7,10 @@ amplitude of a single mode obeys a scalar Riccati equation
 dpi/ds = -m pi - c pi^2 whose quadratic coefficient vanishes exactly
 for exceptional modes, which is what keeps their amplitudes bounded.
 
-Everything integrates with fixed-step RK4 for reproducible output.
+A ray on a constant background is a straight line built in closed
+form, equal to the last bit to what fixed-step RK4 would give; an
+x-dependent H integrates with fixed-step RK4.  Both give reproducible
+output.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ class ConeHamiltonian:
     coefficient matrix; gradients are analytic."""
 
     degree = 2
+    depends_on_x = False
 
     def __init__(self, G: np.ndarray):
         self.G = np.asarray(G, dtype=float).reshape(4, 4)
@@ -77,6 +81,7 @@ class QuarticHamiltonian:
     du/dp_mu = 2 U_nu F^{mu nu}, dg/dp_mu = 2 p^mu."""
 
     degree = 4
+    depends_on_x = False
 
     def __init__(self, model: LagrangianModel, bg: FieldBackground):
         point = bg.point(model.kind)
@@ -103,34 +108,6 @@ class QuarticHamiltonian:
         signed terms cancel (and for a coincident pair the gradient does
         too), so defect ratios need this as the reference scale."""
         return self._cone(p)[1]
-
-
-class CallableHamiltonian:
-    """Wrap an arbitrary H(x, p) with central-difference gradients."""
-
-    def __init__(self, fn: Callable[[np.ndarray, np.ndarray], float],
-                 step: float = 1e-6, degree: int | None = None):
-        self.fn = fn
-        self.step = step
-        self.degree = degree
-
-    def value(self, x: np.ndarray, p: np.ndarray) -> float:
-        return float(self.fn(x, p))
-
-    def _central(self, fn: Callable[[np.ndarray], float],
-                 v: np.ndarray) -> np.ndarray:
-        out = np.zeros(4)
-        for mu in range(4):
-            e = np.zeros(4)
-            e[mu] = self.step
-            out[mu] = (fn(v + e) - fn(v - e)) / (2.0 * self.step)
-        return out
-
-    def grad_p(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return self._central(lambda q: self.fn(x, q), p)
-
-    def grad_x(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return self._central(lambda y: self.fn(y, p), x)
 
 
 @dataclass(frozen=True)
@@ -166,10 +143,18 @@ def rk4_step(f: Callable, y, h: float):
     return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+# an overflow surfaces as a non-finite state, which raises StepFailure
+@np.errstate(over="ignore", invalid="ignore")
 def trace(H, x0, p0, s_max: float, step: float = DEFAULT_STEP,
           tol: float = DEFAULT_TOL) -> RayPath:
     """Fixed-step RK4 ray from (x0, p0); requires the start on the
-    cone and reports the worst |H - H0| drift along the path."""
+    cone and reports the worst |H - H0| drift along the path.
+
+    When H declares ``depends_on_x = False`` and the step is positive,
+    the path is built in closed form: p then stays equal to p0 to the
+    last bit, all four RK4 stages see the same slope, and every step adds
+    the same increment, so a cumulative sum gives the RK4 path exactly.
+    """
     x = np.asarray(x0, dtype=float).reshape(4).copy()
     p = np.asarray(p0, dtype=float).reshape(4).copy()
     H0 = H.value(x, p)
@@ -188,10 +173,15 @@ def trace(H, x0, p0, s_max: float, step: float = DEFAULT_STEP,
         return out
 
     n_steps = max(1, int(round(s_max / step)))
+    y = np.concatenate([x, p])
+    # a negative step would add +0.0 to p, turning its -0.0 entries into
+    # +0.0, so the RK4 stages could differ in the sign of a zero
+    if not getattr(H, "depends_on_x", True) and step > 0.0:
+        return _straight_ray(deriv(y), y, H0, n_steps, step)
+
     states = [RayState(x=x.copy(), p=p.copy(), s=0.0, H=H0)]
     drift = 0.0
     s = 0.0
-    y = np.concatenate([x, p])
     for _ in range(n_steps):
         y = rk4_step(deriv, y, step)
         x, p = y[:4], y[4:]
@@ -202,6 +192,27 @@ def trace(H, x0, p0, s_max: float, step: float = DEFAULT_STEP,
         drift = max(drift, abs(Hk - H0))
         states.append(RayState(x=x.copy(), p=p.copy(), s=s, H=Hk))
     return RayPath(states=states, drift=drift, step=step)
+
+
+def _straight_ray(k: np.ndarray, y0: np.ndarray, H0: float, n_steps: int,
+                  step: float) -> RayPath:
+    """The RK4 path of a constant slope k = [dH/dp, -dH/dx] from y0:
+    ``np.cumsum`` adds the rows in sequence, as the step loop does."""
+    rows = np.empty((n_steps + 1, 8))
+    rows[0] = y0
+    rows[1:] = (step / 6.0) * (k + 2 * k + 2 * k + k)
+    np.cumsum(rows, axis=0, out=rows)
+    s = np.full(n_steps + 1, step)
+    s[0] = 0.0
+    s = np.cumsum(s).tolist()
+    finite = np.all(np.isfinite(rows[1:]), axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite)) + 1
+        raise StepFailure(f"non-finite ray state at s={s[bad]:.6g}")
+    # H depends on p alone, and p never changes
+    return RayPath(states=[RayState(x=row[:4], p=row[4:], s=sk, H=H0)
+                           for row, sk in zip(rows, s)],
+                   drift=0.0, step=step)
 
 
 def euler_defect(H, x, p) -> float:

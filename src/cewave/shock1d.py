@@ -21,7 +21,8 @@ import numpy as np
 from .charsys import (
     FieldBackground,
     nearly_real,
-    scalar_system,
+    scalar_axis_matrix,
+    scalar_system,  # unused here; bench/test_bench.py patches this binding
     sorted_eig,
     write_csv,
 )
@@ -267,8 +268,7 @@ def scalar_reduced_factory(
     def make(U) -> ReducedSystem:
         A, B = (float(v) for v in np.asarray(U, dtype=float).reshape(2))
         bg = FieldBackground.scalar(A, B, 0.0, 0.0)
-        full = scalar_system(bg, model, (1.0, 0.0, 0.0))
-        return _reduced_from_matrix(full.matrix[:2, :2])
+        return _reduced_from_matrix(scalar_axis_matrix(bg, model)[:2, :2])
 
     return make
 
@@ -377,31 +377,6 @@ def simple_wave_construct(factory: Callable[[np.ndarray], ReducedSystem],
 
     return SimpleWave(mode=mode, component=component, phis=phis,
                       states=states, lams=lams, xi=xis)
-
-
-def wave_alignment_sines(wave: SimpleWave,
-                         factory: Callable[[np.ndarray], ReducedSystem]
-                         ) -> np.ndarray:
-    """Sine of the angle between the finite-difference tangent dU/dphi
-    and the tracked eigenvector at each interior node.  A five-point
-    stencil keeps the tangent estimate well below the alignment
-    tolerance even for strongly curved waves."""
-    if len(wave.phis) < 5:
-        raise GridTooCoarse("alignment check needs at least 5 nodes")
-    h = wave.phis[1] - wave.phis[0]
-    sines = []
-    for k in range(2, len(wave.phis) - 2):
-        dU = (wave.states[k - 2] - 8.0 * wave.states[k - 1]
-              + 8.0 * wave.states[k + 1] - wave.states[k + 2]) / (12.0 * h)
-        norm = np.linalg.norm(dU) + 1e-300
-        sysk = factory(wave.states[k])
-        j = int(np.argmax(np.abs(dU @ sysk.right)))
-        r = sysk.right[:, j]
-        # rejection of dU off the eigenvector keeps full precision at
-        # small angles, unlike sqrt(1 - cos^2)
-        rej = dU - (dU @ r) * r
-        sines.append(float(np.linalg.norm(rej) / norm))
-    return np.asarray(sines)
 
 
 # --- characteristic-fan comparison ---------------------------------------------------

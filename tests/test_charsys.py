@@ -15,6 +15,7 @@ from cewave.charsys import (
     fresnel_roots,
     fresnel_scan_rows,
     quartic_cone_fn,
+    scalar_axis_matrix,
     rotation_to_x1,
     scalar_cone,
     scalar_cone_fn,
@@ -134,6 +135,28 @@ def test_scalar_system_degenerate():
     bg = FieldBackground.scalar(1.0, np.sqrt(3.0), 0.0, 0.0)
     with pytest.raises(DegenerateSystem):
         scalar_system(bg, from_expression("z^2", "scalar"))
+
+
+def test_scalar_axis_matrix_is_the_x1_system_matrix_bit_for_bit():
+    rng = np.random.default_rng(17)
+    models = [builtin("scalar-bi"), builtin("scalar-maxwell"),
+              from_expression("-z", "scalar")]
+    sigmas = [rng.uniform(-0.5, 0.5, size=4) for _ in range(20)]
+    sigmas += [(0.0, 0.3, 0.0, 0.0), (-0.0, 0.3, -0.0, 0.0),
+               (0.3, -0.0, 0.2, 0.0), (0.0, 0.0, 0.0, 0.0)]
+    for model in models:
+        for sigma in sigmas:
+            bg = FieldBackground.scalar(*sigma)
+            full = scalar_system(bg, model).matrix
+            M = scalar_axis_matrix(bg, model)
+            assert np.array_equal(M, full)
+            assert np.array_equal(np.signbit(M), np.signbit(full))
+    with pytest.raises(KindError):
+        scalar_axis_matrix(FieldBackground.scalar(0.2, 0.5, 0.1, 0.3),
+                           builtin("maxwell"))
+    with pytest.raises(DegenerateSystem):
+        scalar_axis_matrix(FieldBackground.scalar(0.0, 0.0, 0.0, 0.0),
+                           from_expression("z^2", "scalar"))
 
 
 def test_scalar_system_kind_check():

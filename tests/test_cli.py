@@ -67,6 +67,29 @@ def test_ce_check_parse_error_reports_offset(tmp_path, capsys):
     assert "offset" in err
 
 
+def test_ce_check_power_overflow_exits_3(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    rc = main(["ce", "check", "--expr=(1e200*a)^2", "--kind", "alpha",
+               "--out", str(out)])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical error: a power with exponent 2 "
+                            "leaves the double range\n")
+    assert not out.exists()
+
+
+def test_ce_check_overflowing_values_print_no_warnings(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    rc = main(["ce", "check", "--expr=1e200*a*a*1e200", "--kind", "alpha",
+               "--out", str(out)])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (f"1e200*a*a*1e200: NotCE (max residual nan) "
+                            f"-> {out}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["ce", "check", "--builtin", "maxwell", "--grid", "a:0:1"],
     ["ce", "check", "--builtin", "maxwell", "--tol", "-1"],

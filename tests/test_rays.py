@@ -5,11 +5,10 @@ import csv
 import numpy as np
 import pytest
 
-from cewave.charsys import FieldBackground, fresnel_roots, scalar_cone
+from cewave.charsys import ETA, FieldBackground, fresnel_roots, scalar_cone
 from cewave.errors import BadUsage, GridTooCoarse, OffShellStart, StepFailure
 from cewave.lagrangians import builtin
 from cewave.rays import (
-    CallableHamiltonian,
     ConeHamiltonian,
     QuarticHamiltonian,
     TransportState,
@@ -20,6 +19,7 @@ from cewave.rays import (
     write_ray_csv,
     write_transport_csv,
 )
+from oracles import CallableHamiltonian
 
 BG = FieldBackground.vector([0.3, 0.0, 0.0], [0.0, 0.4, 0.0])
 
@@ -91,6 +91,132 @@ def test_quartic_ray_on_simple_root_moves_and_conserves():
     assert ray.drift < 1e-12
     assert np.max(np.abs(ray.states[-1].p - p0)) == 0.0
     assert abs(ray.states[-1].x[1]) > 0.1
+
+
+class _RK4Only:
+    """Delegates to a Hamiltonian without its ``depends_on_x``
+    declaration, so ``trace`` takes the RK4 step loop."""
+
+    def __init__(self, H):
+        self.H = H
+        self.degree = H.degree
+
+    def value(self, x, p):
+        return self.H.value(x, p)
+
+    def grad_p(self, x, p):
+        return self.H.grad_p(x, p)
+
+    def grad_x(self, x, p):
+        return self.H.grad_x(x, p)
+
+
+def _assert_same_ray(fast, loop):
+    def same(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        return (np.array_equal(a, b)
+                and np.array_equal(np.signbit(a), np.signbit(b)))
+
+    assert same(fast.positions(), loop.positions())
+    assert same(fast.momenta(), loop.momenta())
+    assert same(fast.parameters(), loop.parameters())
+    assert same([st.H for st in fast.states], [st.H for st in loop.states])
+    assert fast.drift == loop.drift == 0.0
+
+
+def _seeded_quartic_rays(seed):
+    rng = np.random.default_rng(seed)
+    models = [builtin("born-infeld"),
+              builtin("perturbed-maxwell", [float(rng.uniform(0.05, 0.2))]),
+              builtin("sqrt-family", [float(rng.uniform(-1, 1)),
+                                      float(rng.uniform(1.5, 3)),
+                                      float(rng.uniform(0.3, 0.6))])]
+    for model in models:
+        for in_plane in (True, False):
+            E = rng.uniform(-0.3, 0.3, size=3)
+            B = rng.uniform(-0.3, 0.3, size=3)
+            # an in-plane normal carries no Poynting flux
+            nhat = (rng.uniform(-1, 1) * E + rng.uniform(-1, 1) * B
+                    if in_plane else rng.uniform(-1, 1, size=3))
+            n = nhat / np.linalg.norm(nhat)
+            bg = FieldBackground.vector(E, B)
+            roots = fresnel_roots(model, bg, n).roots
+            yield (QuarticHamiltonian(model, bg),
+                   np.array([float(np.min(roots.real)), *n]))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_closed_form_quartic_rays_equal_rk4_loop_bit_for_bit(seed):
+    for H, p0 in _seeded_quartic_rays(seed):
+        fast = trace(H, np.zeros(4), p0, s_max=3.0)
+        loop = trace(_RK4Only(H), np.zeros(4), p0, s_max=3.0)
+        assert len(fast.states) == 301
+        _assert_same_ray(fast, loop)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_closed_form_cone_rays_equal_rk4_loop_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    n = rng.uniform(-1, 1, size=3)
+    n /= np.linalg.norm(n)
+    cases = [(ConeHamiltonian.metric(), np.array([-1.0, *n]))]
+    # scalar-bi cone: solve the quadratic in p0 along n
+    bg = FieldBackground.scalar(*rng.uniform(-0.4, 0.4, size=4))
+    H = ConeHamiltonian.scalar_model(builtin("scalar-bi"), bg)
+    G = H.G
+    roots = np.roots([G[0, 0], 2.0 * (G[0, 1:] @ n), n @ G[1:, 1:] @ n])
+    cases.append((H, np.array([float(np.min(roots.real)), *n])))
+    x0 = rng.uniform(-1, 1, size=4)
+    for H, p0 in cases:
+        fast = trace(H, x0, p0, s_max=2.0, step=0.003)
+        loop = trace(_RK4Only(H), x0, p0, s_max=2.0, step=0.003)
+        _assert_same_ray(fast, loop)
+
+
+@pytest.mark.parametrize("scale", [1e307, 1e308])
+def test_closed_form_failure_matches_rk4_loop(scale):
+    # 1e307: the slope is finite but x overflows near s = 9;
+    # 1e308: the slope itself overflows
+    H = ConeHamiltonian(ETA * scale)
+    p0 = np.array([-1.0, 1.0, 0.0, 0.0])
+    with pytest.raises(StepFailure) as fast:
+        trace(H, np.zeros(4), p0, s_max=10.0)
+    with pytest.raises(StepFailure) as loop:
+        trace(_RK4Only(H), np.zeros(4), p0, s_max=10.0)
+    assert str(fast.value) == str(loop.value)
+    if scale == 1e307:
+        assert str(fast.value) == "non-finite ray state at s=8.99"
+
+
+class _SignedZeroCone:
+    """H = p.eta p / 2 with an entry-wise gradient, which keeps the sign
+    of a zero entry of p."""
+
+    degree = 2
+    depends_on_x = False
+
+    def value(self, x, p):
+        return 0.5 * float(-p[0] ** 2 + p[1] ** 2 + p[2] ** 2 + p[3] ** 2)
+
+    def grad_p(self, x, p):
+        return np.array([-p[0], p[1], p[2], p[3]])
+
+    def grad_x(self, x, p):
+        return np.zeros(4)
+
+
+def test_negative_step_takes_the_step_loop():
+    # A negative step adds +0.0 to p, so later RK4 stages see +0.0 where
+    # the first saw -0.0; a closed form from the first slope would end
+    # with x2 = +0.0 instead of -0.0.
+    H = _SignedZeroCone()
+    x0 = np.array([0.0, 0.0, -0.0, 0.0])
+    p0 = np.array([-1.0, 1.0, -0.0, 0.0])
+    back = trace(H, x0, p0, s_max=-1.0, step=-0.01)
+    loop = trace(_RK4Only(H), x0, p0, s_max=-1.0, step=-0.01)
+    _assert_same_ray(back, loop)
+    assert np.allclose(back.states[-1].x, [-1.0, -1.0, 0.0, 0.0])
+    assert np.signbit(back.states[-1].x[2])
 
 
 def test_off_shell_start_is_rejected():

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cewave.errors import BadParams, CFLViolation, GridTooCoarse, ModeCollision
+from cewave.charsys import FieldBackground, scalar_system
+from cewave.errors import (
+    BadParams,
+    CFLViolation,
+    DomainError,
+    GridTooCoarse,
+    KindError,
+    ModeCollision,
+)
 from cewave.lagrangians import Kind, builtin, from_expression
 from cewave.rays import crossing_time
 from cewave.shock1d import (
@@ -15,6 +23,7 @@ from cewave.shock1d import (
     Profile1D,
     ReducedSystem,
     Snapshot,
+    _reduced_from_matrix,
     burgers_factory,
     exceptional_flux_demo,
     moc_solve,
@@ -23,10 +32,10 @@ from cewave.shock1d import (
     shock_time,
     simple_wave_construct,
     upwind_solve,
-    wave_alignment_sines,
     write_characteristics_csv,
     write_snapshot_csv,
 )
+from oracles import wave_alignment_sines
 
 
 def _identity(u):
@@ -159,6 +168,36 @@ def test_simple_wave_speed_constant_for_exceptional_scalar_model():
     assert wave.lam_variation() < 1e-8
     assert np.max(np.abs(wave.states[:, wave.component] - wave.phis)) < 1e-10
     assert np.max(wave_alignment_sines(wave, factory)) < 1e-8
+
+
+def test_scalar_reduction_equals_full_system_block_bit_for_bit():
+    rng = np.random.default_rng(23)
+    k, m, d = rng.uniform(-1, 1), rng.uniform(0.5, 2), rng.uniform(1, 2)
+    c = rng.uniform(1.0, 2.5)
+    models = [builtin("scalar-bi"), builtin("scalar-maxwell"),
+              from_expression(f"{k!r} - {m!r}*sqrt({d!r} + {c!r}*z)",
+                              "scalar")]
+    states = [(rng.uniform(-0.5, 0.5), rng.uniform(0.1, 0.6))
+              for _ in range(30)]
+    states += [(0.0, 0.3), (-0.0, 0.3), (0.3, 0.0), (0.3, -0.0)]
+    for model in models:
+        factory = scalar_reduced_factory(model)
+        for A, B in states:
+            bg = FieldBackground.scalar(A, B, 0.0, 0.0)
+            fast = factory(np.array([A, B]))
+            full = _reduced_from_matrix(scalar_system(bg, model).matrix[:2, :2])
+            for a, b in ((fast.matrix, full.matrix),
+                         (fast.eigenvalues, full.eigenvalues),
+                         (fast.right, full.right)):
+                assert np.array_equal(a, b)
+                assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_scalar_reduction_keeps_its_checks():
+    with pytest.raises(KindError):
+        scalar_reduced_factory(builtin("born-infeld"))([0.3, 0.1])
+    with pytest.raises(DomainError):
+        scalar_reduced_factory(builtin("scalar-bi"))([np.inf, 0.1])
 
 
 def test_simple_wave_speed_varies_for_non_exceptional_model():
