@@ -271,13 +271,13 @@ def _scalar_jet_theta(bg: FieldBackground, model: LagrangianModel,
     return jet, _scalar_theta(bg.A, jet, tol)
 
 
-def scalar_axis_matrix(bg: FieldBackground, model: LagrangianModel,
-                       tol: float = DEGENERACY_RTOL) -> np.ndarray:
+def scalar_axis_matrix(bg: FieldBackground,
+                       model: LagrangianModel) -> np.ndarray:
     """The matrix of ``scalar_system(bg, model)`` along x1, without its
     eigensystem.  Adding 0.0 makes zero entries +0.0, as the rotation
     product in scalar_system leaves them: LAPACK orders eigenpairs by
     the sign of a zero."""
-    jet, theta = _scalar_jet_theta(bg, model, tol)
+    jet, theta = _scalar_jet_theta(bg, model, DEGENERACY_RTOL)
     return _scalar_axis_matrix(bg.A, bg.sigma_spatial, jet.fa, jet.faa,
                                theta) + 0.0
 
