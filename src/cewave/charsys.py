@@ -160,12 +160,12 @@ class CharSystem:
 
     n: int
     state: np.ndarray
-    nhat: np.ndarray | None
     matrix: np.ndarray
     eigenvalues: np.ndarray
     right: np.ndarray
     left: np.ndarray
     cond: float
+    nhat: np.ndarray | None = None
     ai: tuple[np.ndarray, ...] | None = None
     theta: float | None = None
     poly: tuple[float, float] | None = None
@@ -181,7 +181,7 @@ class CharSystem:
         st = np.atleast_1d(np.asarray(state, dtype=float))
         M = np.atleast_2d(np.asarray(builder(st), dtype=float))
         w, V, left, cond = _eig_sorted(M)
-        return cls(n=M.shape[0], state=st, nhat=None, matrix=M,
+        return cls(n=M.shape[0], state=st, matrix=M,
                    eigenvalues=w, right=V, left=left, cond=cond,
                    zero_multiplicity=_zero_count(w),
                    rebuild=lambda s: np.atleast_2d(
@@ -253,22 +253,22 @@ def _scalar_axis_matrix(A: float, s: np.ndarray, L1: float, L2: float,
     return M
 
 
-def _scalar_theta(A: float, jet: Jet3, tol: float) -> float:
+def _scalar_theta(A: float, jet: Jet3) -> float:
     theta = A * A * jet.faa - jet.fa
     scale = abs(A * A * jet.faa) + abs(jet.fa)
-    if not abs(theta) > tol * scale:
+    if not abs(theta) > DEGENERACY_RTOL * scale:
         raise DegenerateSystem(
             "time-evolution reduction fails: A^2 L'' - L' vanishes "
             f"(theta={theta:.3e}, scale={scale:.3e})")
     return theta
 
 
-def _scalar_jet_theta(bg: FieldBackground, model: LagrangianModel,
-                      tol: float) -> tuple[Jet3, float]:
+def _scalar_jet_theta(bg: FieldBackground,
+                      model: LagrangianModel) -> tuple[Jet3, float]:
     if model.kind is not Kind.Scalar:
         raise KindError("scalar_system needs a model in the field invariant z")
     jet = model.jet_at(bg.point(Kind.Scalar))
-    return jet, _scalar_theta(bg.A, jet, tol)
+    return jet, _scalar_theta(bg.A, jet)
 
 
 def scalar_axis_matrix(bg: FieldBackground,
@@ -277,17 +277,16 @@ def scalar_axis_matrix(bg: FieldBackground,
     eigensystem.  Adding 0.0 makes zero entries +0.0, as the rotation
     product in scalar_system leaves them: LAPACK orders eigenpairs by
     the sign of a zero."""
-    jet, theta = _scalar_jet_theta(bg, model, DEGENERACY_RTOL)
+    jet, theta = _scalar_jet_theta(bg, model)
     return _scalar_axis_matrix(bg.A, bg.sigma_spatial, jet.fa, jet.faa,
                                theta) + 0.0
 
 
 def scalar_system(bg: FieldBackground, model: LagrangianModel,
-                  nhat=(1.0, 0.0, 0.0),
-                  tol: float = DEGENERACY_RTOL) -> CharSystem:
+                  nhat=(1.0, 0.0, 0.0)) -> CharSystem:
     """4x4 characteristic system of a scalar-field model on a constant
     gradient background, along the wave normal nhat."""
-    jet, theta = _scalar_jet_theta(bg, model, tol)
+    jet, theta = _scalar_jet_theta(bg, model)
     L1, L2 = jet.fa, jet.faa
 
     n = unit_direction(nhat)
@@ -308,7 +307,7 @@ def scalar_system(bg: FieldBackground, model: LagrangianModel,
         s2 = np.asarray(state[1:], dtype=float)
         z2 = 0.5 * (-A2 * A2 + float(s2 @ s2))
         jet2 = model.jet_at(InvariantPoint.scalar(z2))
-        theta2 = _scalar_theta(A2, jet2, tol)
+        theta2 = _scalar_theta(A2, jet2)
         M2 = _scalar_axis_matrix(A2, Q @ s2, jet2.fa, jet2.faa, theta2)
         return T.T @ M2 @ T
 
@@ -334,10 +333,10 @@ def _vector_blocks(E: np.ndarray, B: np.ndarray, L1: float, L2: float,
 
 
 def _vector_reduced(E: np.ndarray, B: np.ndarray, L1: float, L2: float,
-                    axis: int, tol: float) -> np.ndarray:
+                    axis: int) -> np.ndarray:
     P, Qb, S, R, sig = _vector_blocks(E, B, L1, L2, axis)
     sv = np.linalg.svd(P, compute_uv=False)
-    if sv[0] < _TINY or sv[-1] <= tol * sv[0]:
+    if sv[0] < _TINY or sv[-1] <= DEGENERACY_RTOL * sv[0]:
         raise DegenerateSystem(
             "electric block of the time matrix is singular "
             f"(singular values {sv[0]:.3e}..{sv[-1]:.3e})")
@@ -349,8 +348,7 @@ def _vector_reduced(E: np.ndarray, B: np.ndarray, L1: float, L2: float,
 
 
 def vector_system(bg: FieldBackground, model: LagrangianModel,
-                  nhat=(1.0, 0.0, 0.0),
-                  tol: float = DEGENERACY_RTOL) -> CharSystem:
+                  nhat=(1.0, 0.0, 0.0)) -> CharSystem:
     """6x6 characteristic system for L(alpha) electrodynamics on a
     constant (E, B) background, along the wave normal nhat."""
     if model.kind is not Kind.VectorAlpha:
@@ -365,7 +363,7 @@ def vector_system(bg: FieldBackground, model: LagrangianModel,
     T[:3, :3] = Q
     T[3:, 3:] = Q
 
-    W_rot = _vector_reduced(Q @ bg.E, Q @ bg.B, L1, L2, 0, tol)
+    W_rot = _vector_reduced(Q @ bg.E, Q @ bg.B, L1, L2, 0)
     matrix = T.T @ W_rot @ T
     w, V, left, cond = _eig_sorted(matrix)
 
@@ -374,15 +372,14 @@ def vector_system(bg: FieldBackground, model: LagrangianModel,
     quartic = (float(np.real(coeffs[4])), float(np.real(coeffs[3])),
                float(np.real(coeffs[2])), float(np.real(coeffs[1])))
 
-    ai = tuple(_vector_reduced(bg.E, bg.B, L1, L2, axis, tol)
-               for axis in range(3))
+    ai = tuple(_vector_reduced(bg.E, bg.B, L1, L2, axis) for axis in range(3))
 
     def rebuild(state: np.ndarray) -> np.ndarray:
         E2 = np.asarray(state[:3], dtype=float)
         B2 = np.asarray(state[3:], dtype=float)
         a2 = float(B2 @ B2 - E2 @ E2)
         jet2 = model.jet_at(InvariantPoint.alpha(a2))
-        W2 = _vector_reduced(Q @ E2, Q @ B2, jet2.fa, jet2.faa, 0, tol)
+        W2 = _vector_reduced(Q @ E2, Q @ B2, jet2.fa, jet2.faa, 0)
         return T.T @ W2 @ T
 
     return CharSystem(
@@ -407,11 +404,10 @@ def scalar_cone_matrix(jet: Jet3, bg: FieldBackground) -> np.ndarray:
     return ETA * jet.fa + np.outer(sigma_up, sigma_up) * jet.faa
 
 
-def scalar_cone(jet: Jet3 | LagrangianModel, bg: FieldBackground, p) -> float:
+def scalar_cone(model: LagrangianModel, bg: FieldBackground, p) -> float:
     """G^{mu nu} p_mu p_nu for a scalar model: eta L' + sigma sigma L''
     contracted twice with the covector p."""
-    if isinstance(jet, LagrangianModel):
-        jet = jet.jet_at(bg.point(Kind.Scalar))
+    jet = model.jet_at(bg.point(Kind.Scalar))
     p = np.asarray(p, dtype=float).reshape(4)
     return float(p @ scalar_cone_matrix(jet, bg) @ p)
 
@@ -535,7 +531,7 @@ def _quadratic_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.roots(coeffs)
 
 
-def fresnel_roots(jet: Jet3 | LagrangianModel, bg: FieldBackground,
+def fresnel_roots(model: LagrangianModel, bg: FieldBackground,
                   nhat=(1.0, 0.0, 0.0)) -> FresnelRoots:
     """Solve K u^2 + u g P + g^2 R = 0 for the frequency p0 with the
     spatial covector fixed to the unit normal.
@@ -548,17 +544,12 @@ def fresnel_roots(jet: Jet3 | LagrangianModel, bg: FieldBackground,
     untouched.  Within the degeneracy tolerance |P^2 - 4KR| is treated
     as exactly zero (perfect-square branch).
     """
-    if isinstance(jet, LagrangianModel):
-        if jet.kind not in (Kind.VectorAlpha, Kind.VectorAlphaBeta):
-            raise KindError("dispersion quartic needs a field-strength model")
-        point = bg.point(jet.kind)
-        model_jet = jet.jet_at(point)
-    else:
-        point = bg.point(Kind.VectorAlphaBeta)
-        model_jet = jet
-    K, P, R = point_cone_coefficients(model_jet, point)
-    k_scale, d_scale = degeneracy_scales(model_jet.faa, model_jet.fab,
-                                         model_jet.fbb, K, P, R)
+    if model.kind not in (Kind.VectorAlpha, Kind.VectorAlphaBeta):
+        raise KindError("dispersion quartic needs a field-strength model")
+    point = bg.point(model.kind)
+    jet = model.jet_at(point)
+    K, P, R = point_cone_coefficients(jet, point)
+    k_scale, d_scale = degeneracy_scales(jet.faa, jet.fab, jet.fbb, K, P, R)
 
     n = unit_direction(nhat)
     E, B = bg.E, bg.B
@@ -611,8 +602,7 @@ def fresnel_roots(jet: Jet3 | LagrangianModel, bg: FieldBackground,
 # --- mode probes ----------------------------------------------------------------
 
 
-def exceptionality_per_mode(system: CharSystem, index: int,
-                            step: float = 1e-5) -> float:
+def exceptionality_per_mode(system: CharSystem, index: int) -> float:
     """Directional derivative of eigenvalue `index` along its own
     (unit) right eigenvector, by rebuilding the system at perturbed
     states; central difference plus one Richardson step."""
@@ -621,7 +611,7 @@ def exceptionality_per_mode(system: CharSystem, index: int,
     w = np.real(system.eigenvalues)
     if not 0 <= index < system.n:
         raise BadUsage(f"mode index {index} out of range for n={system.n}")
-    h = step * (1.0 + float(np.linalg.norm(system.state)))
+    h = 1e-5 * (1.0 + float(np.linalg.norm(system.state)))
     others = np.delete(w, index)
     if others.size:
         spacing = float(np.min(np.abs(others - w[index])))
@@ -644,12 +634,12 @@ def exceptionality_per_mode(system: CharSystem, index: int,
     return richardson_central(tracked, h)
 
 
-def crosscheck_cone_vs_eigen(system: CharSystem,
-                             cone: Callable[[np.ndarray], tuple[float, float]],
-                             nhat=None) -> float:
-    """Insert each nonzero eigenvalue as p = (-lam, nhat) into the
+def crosscheck_cone_vs_eigen(
+        system: CharSystem,
+        cone: Callable[[np.ndarray], tuple[float, float]]) -> float:
+    """Insert each nonzero eigenvalue as p = (-lam, system.nhat) into the
     covariant cone; return the max normalized cone value."""
-    n = unit_direction(nhat if nhat is not None else system.nhat)
+    n = unit_direction(system.nhat)
     w = np.real(system.eigenvalues)
     scale = 1.0 + float(np.max(np.abs(w))) if w.size else 1.0
     worst = 0.0

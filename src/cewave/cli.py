@@ -100,7 +100,7 @@ def _add_model_flags(p: argparse.ArgumentParser, prefix: str = "") -> None:
                    help="model expression text")
     p.add_argument(f"{dash}kind", default=None,
                    choices=[k.value for k in Kind],
-                   help="invariant signature of --expr")
+                   help=f"invariant signature of {dash}expr")
 
 
 def _resolve_model(builtin_name, params, expr, kind) -> LagrangianModel:
@@ -216,6 +216,8 @@ def cmd_shock(args) -> int:
     t_list = _parse_floats(args.t_list)
     if any(t < 0 for t in t_list):
         raise BadParams("t values must be nonnegative")
+    if not np.isfinite(args.horizon):
+        raise BadParams(f"--horizon must be finite, got {args.horizon:g}")
 
     t_star = shock_time(lambda u: u, profile)
     t_cross = crossing_time(profile.u, profile.x, t_max=args.horizon)
@@ -342,11 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     shock.add_argument("--t-list", default="0.5,1.0,2.0,5.0",
                        help="comma-separated output times")
     shock.add_argument("--horizon", type=float, default=10.0)
-    shock.add_argument("--model-builtin", default=None)
-    shock.add_argument("--model-params", default=None)
-    shock.add_argument("--model-expr", default=None)
-    shock.add_argument("--model-kind", default=None,
-                       choices=[k.value for k in Kind])
+    _add_model_flags(shock, "model-")
     shock.add_argument("--out", default="shock_summary.json")
     shock.set_defaults(handler=cmd_shock)
 
@@ -378,9 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     rays.add_argument("--tol", type=float, default=1e-9)
     rays.add_argument("--out", default="ray.csv")
     rays.set_defaults(handler=cmd_rays)
-
-    parser.add_argument("--list-builtins", action="store_true",
-                        help=argparse.SUPPRESS)
     return parser
 
 

@@ -179,10 +179,15 @@ def _theory(theory: str, p: float = 1.0, q: float = 0.0, f2: float = 1.0):
     if theory == "einstein":
         return einstein_tensor_disc, True
     if theory == "quadratic":
+        if not (np.isfinite(p) and np.isfinite(q)):
+            raise BadParams(f"couplings (p, q) = ({p:g}, {q:g}) must be "
+                            "finite")
         if p == 0.0 and q == 0.0:
             raise ZeroCouplings("couplings (p, q) = (0, 0) leave no equations")
         return (lambda phi, P: quadratic_tensor_disc(p, q, phi, P)), False
     if theory == "fr":
+        if not np.isfinite(f2):
+            raise BadParams(f"f'' = {f2:g} must be finite")
         if f2 == 0.0:
             raise ZeroCoupling("f'' = 0 degenerates to the Einstein case; "
                                "use einstein_operator")

@@ -70,9 +70,7 @@ def kind_from_text(text: str) -> Kind:
 # ---------------------------------------------------------------------------
 
 class Node:
-    """Base AST node. Subclasses implement eval/variables/pretty."""
-
-    PREC = 9
+    """Base AST node. Subclasses implement eval/variables."""
 
     def eval(self, env):
         raise NotImplementedError
@@ -80,36 +78,18 @@ class Node:
     def variables(self) -> set:
         return set()
 
-    def pretty(self) -> str:
-        raise NotImplementedError
-
-    def _child(self, node: "Node", tighter: bool = False) -> str:
-        limit = self.PREC + (1 if tighter else 0)
-        text = node.pretty()
-        if node.PREC < limit:
-            return f"({text})"
-        return text
-
 
 @dataclass
 class Num(Node):
     value: float
-    PREC = 9
 
     def eval(self, env):
         return self.value
-
-    def pretty(self) -> str:
-        v = self.value
-        if v == int(v) and abs(v) < 1e15:
-            return str(int(v))
-        return repr(v)
 
 
 @dataclass
 class Var(Node):
     name: str
-    PREC = 9
 
     def eval(self, env):
         return env[self.name]
@@ -117,14 +97,10 @@ class Var(Node):
     def variables(self) -> set:
         return {self.name}
 
-    def pretty(self) -> str:
-        return self.name
-
 
 @dataclass
 class Neg(Node):
     arg: Node
-    PREC = 3
 
     def eval(self, env):
         return -self.arg.eval(env)
@@ -132,21 +108,12 @@ class Neg(Node):
     def variables(self) -> set:
         return self.arg.variables()
 
-    def pretty(self) -> str:
-        return "-" + self._child(self.arg, tighter=True)
-
 
 @dataclass
 class BinOp(Node):
     op: str
     left: Node
     right: Node
-
-    _PRECS = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-    @property
-    def PREC(self):  # type: ignore[override]
-        return self._PRECS[self.op]
 
     def eval(self, env):
         x = self.left.eval(env)
@@ -162,21 +129,11 @@ class BinOp(Node):
     def variables(self) -> set:
         return self.left.variables() | self.right.variables()
 
-    def pretty(self) -> str:
-        # left-associative: the right child needs parens at equal precedence
-        # for the non-commutative operators
-        lhs = self._child(self.left)
-        rhs = self._child(self.right, tighter=self.op in ("-", "/"))
-        if self.op in ("+", "-") and isinstance(self.right, Neg):
-            rhs = f"({self.right.pretty()})"
-        return f"{lhs} {self.op} {rhs}"
-
 
 @dataclass
 class Pow(Node):
     base: Node
     exponent: float
-    PREC = 4
 
     def eval(self, env):
         x = self.base.eval(env)
@@ -193,25 +150,16 @@ class Pow(Node):
     def variables(self) -> set:
         return self.base.variables()
 
-    def pretty(self) -> str:
-        e = self.exponent
-        etext = str(int(e)) if e == int(e) else repr(e)
-        return f"{self._child(self.base, tighter=True)}^{etext}"
-
 
 @dataclass
 class Sqrt(Node):
     arg: Node
-    PREC = 9
 
     def eval(self, env):
         return _sqrt(self.arg.eval(env))
 
     def variables(self) -> set:
         return self.arg.variables()
-
-    def pretty(self) -> str:
-        return f"sqrt({self.arg.pretty()})"
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +347,6 @@ class LagrangianModel:
     kind: Kind
     fn: Callable  # maps an env dict of Jet3/float/array values to one
     guard: Callable[[dict], bool] | None = None
-    guard_text: str = ""
     depends_on_y: bool = False
 
     def jet_vars(self) -> tuple[str, ...]:
@@ -486,7 +433,6 @@ def _born_infeld() -> LagrangianModel:
         name="born-infeld", kind=Kind.VectorAlphaBeta,
         fn=lambda env: 1.0 - _sqrt(1.0 + env["a"] - env["b"] * env["b"]),
         guard=lambda env: 1.0 + env["a"] - power(env["b"], 2) > 0.0,
-        guard_text="1 + a - b^2 > 0",
     )
 
 
@@ -502,7 +448,6 @@ def _scalar_bi() -> LagrangianModel:
         name="scalar-bi", kind=Kind.Scalar,
         fn=lambda env: 1.0 - _sqrt(1.0 + 2.0 * env["z"]),
         guard=lambda env: 1.0 + 2.0 * env["z"] > 0.0,
-        guard_text="1 + 2z > 0",
     )
 
 
@@ -511,7 +456,6 @@ def _sqrt_family(k: float, d: float, c: float) -> LagrangianModel:
         name=f"sqrt-family[{k:g},{d:g},{c:g}]", kind=Kind.VectorAlpha,
         fn=lambda env: k + power(d + c * env["a"], 0.5),
         guard=lambda env: d + c * env["a"] > 0.0,
-        guard_text=f"{d:g} + {c:g}*a > 0",
     )
 
 
@@ -520,7 +464,6 @@ def _alpha_over_beta() -> LagrangianModel:
         name="alpha-over-beta", kind=Kind.VectorAlphaBeta,
         fn=lambda env: divide(env["a"], env["b"]),
         guard=lambda env: abs(env["b"]) > 1e-12,
-        guard_text="|b| > 0",
     )
 
 

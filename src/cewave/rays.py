@@ -30,7 +30,13 @@ from .charsys import (
     u_and_g,
     write_csv,
 )
-from .errors import BadUsage, GridTooCoarse, OffShellStart, StepFailure
+from .errors import (
+    BadParams,
+    BadUsage,
+    GridTooCoarse,
+    OffShellStart,
+    StepFailure,
+)
 from .lagrangians import Kind, LagrangianModel
 
 _TINY = 1e-300
@@ -134,9 +140,9 @@ class RayPath:
         return np.array([st.s for st in self.states])
 
 
-def rk4_step(f: Callable, y, h: float):
-    """One classical fourth-order Runge-Kutta step of dy/ds = f(y)."""
-    k1 = f(y)
+def rk4_step(f: Callable, y, k1, h: float):
+    """One classical fourth-order Runge-Kutta step of dy/ds = f(y), given
+    the first stage k1 = f(y)."""
     k2 = f(y + 0.5 * h * k1)
     k3 = f(y + 0.5 * h * k2)
     k4 = f(y + h * k3)
@@ -172,7 +178,7 @@ def trace(H, x0, p0, s_max: float, step: float = DEFAULT_STEP,
             raise StepFailure("non-finite ray derivative")
         return out
 
-    n_steps = max(1, int(round(s_max / step)))
+    n_steps = _step_count(s_max, step)
     y = np.concatenate([x, p])
     # a negative step would add +0.0 to p, turning its -0.0 entries into
     # +0.0, so the RK4 stages could differ in the sign of a zero
@@ -183,7 +189,7 @@ def trace(H, x0, p0, s_max: float, step: float = DEFAULT_STEP,
     drift = 0.0
     s = 0.0
     for _ in range(n_steps):
-        y = rk4_step(deriv, y, step)
+        y = rk4_step(deriv, y, deriv(y), step)
         x, p = y[:4], y[4:]
         s += step
         if not np.all(np.isfinite(y)):
@@ -192,6 +198,15 @@ def trace(H, x0, p0, s_max: float, step: float = DEFAULT_STEP,
         drift = max(drift, abs(Hk - H0))
         states.append(RayState(x=x.copy(), p=p.copy(), s=s, H=Hk))
     return RayPath(states=states, drift=drift, step=step)
+
+
+def _step_count(s_max: float, step: float) -> int:
+    """Number of fixed steps that cover [0, s_max], at least one."""
+    if not (np.isfinite(s_max) and np.isfinite(step) and step != 0.0
+            and np.isfinite(float(s_max) / float(step))):
+        raise BadParams(f"need a finite s_max and a finite nonzero step, "
+                        f"got s_max={s_max:g}, step={step:g}")
+    return max(1, int(round(s_max / step)))
 
 
 def _straight_ray(k: np.ndarray, y0: np.ndarray, H0: float, n_steps: int,
@@ -255,8 +270,7 @@ class TransportResult:
 
 
 def transport_amplitude(ts: TransportState, s_max: float,
-                        step: float = DEFAULT_STEP,
-                        threshold: float = BLOWUP_THRESHOLD) -> TransportResult:
+                        step: float = DEFAULT_STEP) -> TransportResult:
     """Integrate dpi/ds = -m pi - c pi^2 with RK4 and blow-up
     detection.  Blow-up is an outcome, not an error.  When m = 0 the
     detected location is refined by bisecting the closed-form solution
@@ -266,7 +280,7 @@ def transport_amplitude(ts: TransportState, s_max: float,
     def f(v: float) -> float:
         return -m * v - c * v * v
 
-    n_steps = max(1, int(round(s_max / step)))
+    n_steps = _step_count(s_max, step)
     ss = [0.0]
     pis = [ts.pi0]
     blown = False
@@ -274,11 +288,11 @@ def transport_amplitude(ts: TransportState, s_max: float,
     v = ts.pi0
     s = 0.0
     for _ in range(n_steps):
-        v = rk4_step(f, v, step)
+        v = rk4_step(f, v, f(v), step)
         s += step
         ss.append(s)
         pis.append(v)
-        if not np.isfinite(v) or abs(v) > threshold:
+        if not np.isfinite(v) or abs(v) > BLOWUP_THRESHOLD:
             blown = True
             s_detect = s
             break
@@ -318,15 +332,10 @@ def ternary_argmin(fn: Callable[[float], float], lo: float, hi: float) -> float:
     return 0.5 * (a + b)
 
 
-def crossing_time(lam, phis, t_max: float = np.inf,
-                  lam_fn: Callable[[float], float] | None = None
-                  ) -> float | None:
+def crossing_time(lam, phis, t_max: float = np.inf) -> float | None:
     """Earliest positive intersection time of the straight
     characteristics x(t) = phi + lam(phi) t, from adjacent sample
     pairs t = -dphi/dlam; None when no pair converges within t_max.
-
-    With `lam_fn` the slope minimum is refined by ternary search on a
-    central-difference derivative around the best sampled pair.
     """
     phis = np.asarray(phis, dtype=float)
     if phis.size < 3:
@@ -339,22 +348,9 @@ def crossing_time(lam, phis, t_max: float = np.inf,
     dlam = np.diff(lam)
     with np.errstate(divide="ignore", invalid="ignore"):
         times = np.where(dlam < 0.0, -dphi / dlam, np.inf)
-    best = int(np.argmin(times))
-    t_star = float(times[best])
+    t_star = float(np.min(times))
     if not np.isfinite(t_star):
         return None
-
-    if lam_fn is not None:
-        h = max(1e-7, 1e-7 * float(np.max(np.abs(phis))))
-
-        def slope(phi: float) -> float:
-            return (lam_fn(phi + h) - lam_fn(phi - h)) / (2.0 * h)
-
-        s_min = slope(ternary_argmin(slope, phis[max(0, best - 1)],
-                                     phis[min(len(phis) - 1, best + 2)]))
-        if s_min < 0.0:
-            t_star = -1.0 / s_min
-
     return t_star if t_star <= t_max else None
 
 

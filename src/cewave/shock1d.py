@@ -38,6 +38,7 @@ from .rays import crossing_time, rk4_step, ternary_argmin
 MULTIVALUED_TOL = 1e-12
 PERIODIC_TOL = 1e-12
 MAX_CFL = 0.9
+COLLISION_TOL = 1e-8
 
 
 # --- initial data -----------------------------------------------------------------
@@ -79,11 +80,6 @@ class Profile1D:
         if u.shape != x.shape:
             u = np.array([float(fn(xi)) for xi in x])
         return cls(x=x, u=u, periodic=periodic, fn=fn)
-
-    @classmethod
-    def from_samples(cls, x, u, periodic: bool = False) -> "Profile1D":
-        return cls(x=np.asarray(x, dtype=float),
-                   u=np.asarray(u, dtype=float), periodic=periodic)
 
 
 # --- exact characteristic push ------------------------------------------------------
@@ -152,8 +148,7 @@ class Snapshot:
 
 
 def upwind_solve(flux: Callable, profile: Profile1D, t: float, nx: int,
-                 cfl: float = 0.45,
-                 fprime: Callable | None = None) -> Snapshot:
+                 cfl: float = 0.45) -> Snapshot:
     """Godunov first-order finite-volume solution for a convex flux.
 
     Serves as an independent cross-check of moc_solve before the shock
@@ -178,11 +173,10 @@ def upwind_solve(flux: Callable, profile: Profile1D, t: float, nx: int,
     else:
         u = np.interp(centers, profile.x, profile.u)
 
-    if fprime is None:
-        h = 1e-6
+    h = 1e-6
 
-        def fprime(v):
-            return (flux(v + h) - flux(v - h)) / (2.0 * h)
+    def speed(v):
+        return (flux(v + h) - flux(v - h)) / (2.0 * h)
 
     u_star = ternary_argmin(flux, float(np.min(u)) - 1.0,
                             float(np.max(u)) + 1.0)
@@ -197,7 +191,7 @@ def upwind_solve(flux: Callable, profile: Profile1D, t: float, nx: int,
 
     elapsed = 0.0
     while elapsed < t:
-        speeds = np.abs(np.asarray([fprime(v) for v in
+        speeds = np.abs(np.asarray([speed(v) for v in
                                     (float(np.min(u)), float(np.max(u)),
                                      u_star)]))
         s_max = float(np.max(speeds))
@@ -290,8 +284,8 @@ class SimpleWave:
         return float(np.max(self.lams) - np.min(self.lams))
 
 
-def _track_mode(sys: ReducedSystem, r_ref: np.ndarray,
-                collision_tol: float = 1e-8) -> tuple[int, np.ndarray]:
+def _track_mode(sys: ReducedSystem,
+                r_ref: np.ndarray) -> tuple[int, np.ndarray]:
     overlaps = np.abs(r_ref @ sys.right)
     j = int(np.argmax(overlaps))
     lam = sys.eigenvalues
@@ -299,10 +293,10 @@ def _track_mode(sys: ReducedSystem, r_ref: np.ndarray,
         gaps = np.abs(lam - lam[j])
         gaps[j] = np.inf
         scale = 1.0 + float(np.max(np.abs(lam)))
-        if float(np.min(gaps)) < collision_tol * scale:
+        if float(np.min(gaps)) < COLLISION_TOL * scale:
             raise ModeCollision(
                 f"eigenvalue gap {float(np.min(gaps)):.3e} below "
-                f"{collision_tol * scale:.3e} while tracking a mode")
+                f"{COLLISION_TOL * scale:.3e} while tracking a mode")
         runner_up = float(np.partition(overlaps, -2)[-2])
         if runner_up > 0.99 * float(overlaps[j]):
             raise ModeCollision(
@@ -348,14 +342,16 @@ def simple_wave_construct(factory: Callable[[np.ndarray], ReducedSystem],
     phis = np.linspace(lo, hi, int(n))
     h = phis[1] - phis[0]
 
-    def rhs(U: np.ndarray) -> np.ndarray:
+    def slope(sysk: ReducedSystem) -> np.ndarray:
         # follows the mode tracked at the current node, r_ref
-        sysk = factory(U)
         _, r = _track_mode(sysk, r_ref)
         if abs(r[component]) < 1e-12:
             raise BadParams("tracked eigenvector loses its normalizing "
                             "component along the wave")
         return r / r[component]
+
+    def rhs(U: np.ndarray) -> np.ndarray:
+        return slope(factory(U))
 
     states = np.zeros((len(phis), len(U0)))
     lams = np.zeros(len(phis))
@@ -363,9 +359,8 @@ def simple_wave_construct(factory: Callable[[np.ndarray], ReducedSystem],
     states[0] = U0
     r_ref = r0 if r0[component] > 0 else -r0
 
-    U = U0.copy()
+    U, sysk = U0.copy(), sys0
     for k in range(len(phis)):
-        sysk = factory(U)
         j, r = _track_mode(sysk, r_ref)
         states[k] = U
         lams[k] = sysk.eigenvalues[j]
@@ -373,7 +368,8 @@ def simple_wave_construct(factory: Callable[[np.ndarray], ReducedSystem],
         r_ref = r
         if k == len(phis) - 1:
             break
-        U = rk4_step(rhs, U, h)
+        U = rk4_step(rhs, U, slope(sysk), h)
+        sysk = factory(U)
 
     return SimpleWave(mode=mode, component=component, phis=phis,
                       states=states, lams=lams, xi=xis)
@@ -412,19 +408,17 @@ class FluxDemoReport:
 
 
 def exceptional_flux_demo(model: LagrangianModel, profile: Profile1D,
-                          t_list: Sequence[float], mode: int = 0,
-                          phi_range: tuple[float, float] = (0.1, 0.6),
-                          A0: float = 0.3, horizon: float = 10.0,
-                          n: int = 201) -> FluxDemoReport:
+                          t_list: Sequence[float],
+                          horizon: float = 10.0) -> FluxDemoReport:
     """Push a Burgers fan from the profile and a simple-wave fan of the
-    scalar model, and report when (whether) each fan folds."""
+    scalar model, and report when (whether) each fan folds.  The model's
+    wave follows mode 0 from (A, B) = (0.3, 0.1) for B across [0.1, 0.6]."""
     lam_b = profile.u
     burgers_x = tuple(profile.x + lam_b * float(t) for t in t_list)
     burgers_crossing = crossing_time(lam_b, profile.x, t_max=horizon)
 
-    wave = simple_wave_construct(scalar_reduced_factory(model), mode,
-                                 phi_range, np.array([A0, phi_range[0]]),
-                                 n=n, component=1)
+    wave = simple_wave_construct(scalar_reduced_factory(model), 0, (0.1, 0.6),
+                                 np.array([0.3, 0.1]), component=1)
     model_x = tuple(wave.phis + wave.lams * float(t) for t in t_list)
     model_crossing = crossing_time(wave.lams, wave.phis, t_max=horizon)
 

@@ -260,6 +260,8 @@ def test_shock_with_exceptional_model(tmp_path):
     ["shock", "--t-list", "0.5,-1.0"],
     ["shock", "--t-list", "abc"],
     ["shock", "--format", "csv"],
+    ["shock", "--horizon", "nan"],
+    ["shock", "--horizon", "inf"],
 ])
 def test_shock_input_errors_exit_2(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -326,6 +328,25 @@ def test_gravity_low_dimension_exits_2(D, tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "g.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--theory", "quadratic", "--p", "nan"],
+    ["--theory", "quadratic", "--p", "inf", "--q", "1"],
+    ["--theory", "fr", "--fpp", "inf"],
+])
+def test_gravity_non_finite_coupling_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "g.json"
+    assert main(["gravity", *argv, "--trials", "1", "--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gravity_einstein_ignores_couplings(tmp_path):
+    out = tmp_path / "g.json"
+    assert main(["gravity", "--p", "nan", "--fpp", "inf", "--trials", "2",
+                 "--out", str(out)]) == 0
+    assert _read_json(out)["null_kernel_dims"] == {"6": 2}
+
+
 def test_gravity_broken_gauge_invariance_exits_4(tmp_path, capsys,
                                                  monkeypatch):
     # Einstein rows must annihilate the pure-gauge modes phi xi + xi phi;
@@ -387,6 +408,10 @@ def test_rays_off_shell_start_exit_3(tmp_path, capsys):
     ["rays", "--cone", "--tol", "-1e-9"],
     ["rays", "--builtin", "born-infeld", "--format", "json"],
     ["rays"],
+    ["rays", "--cone", "--s-max", "inf"],
+    ["rays", "--cone", "--s-max", "nan"],
+    ["rays", "--cone", "--step", "0"],
+    ["rays", "--builtin", "born-infeld", "--step", "nan"],
 ])
 def test_rays_input_errors_exit_2(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from cewave.charsys import ETA, FieldBackground, fresnel_roots, scalar_cone
-from cewave.errors import BadUsage, GridTooCoarse, OffShellStart, StepFailure
+from cewave.errors import (
+    BadParams,
+    BadUsage,
+    GridTooCoarse,
+    OffShellStart,
+    StepFailure,
+)
 from cewave.lagrangians import builtin
 from cewave.rays import (
     ConeHamiltonian,
@@ -219,6 +225,18 @@ def test_negative_step_takes_the_step_loop():
     assert np.signbit(back.states[-1].x[2])
 
 
+@pytest.mark.parametrize("s_max, step", [
+    (np.inf, 0.01), (np.nan, 0.01), (1.0, 0.0), (1.0, np.nan),
+    (1e300, 1e-300),
+])
+def test_step_count_needs_finite_span_and_nonzero_step(s_max, step):
+    with pytest.raises(BadParams):
+        trace(ConeHamiltonian.metric(), np.zeros(4), [-1.0, 1.0, 0.0, 0.0],
+              s_max=s_max, step=step)
+    with pytest.raises(BadParams):
+        transport_amplitude(TransportState(pi0=1.0), s_max=s_max, step=step)
+
+
 def test_off_shell_start_is_rejected():
     H = ConeHamiltonian.metric()
     with pytest.raises(OffShellStart):
@@ -342,13 +360,10 @@ def test_crossing_time_none_for_spreading_and_constant_profiles():
     assert crossing_time(np.ones(50), phis) is None
 
 
-def test_crossing_time_for_sinusoidal_speed_grid_and_refined():
+def test_crossing_time_for_sinusoidal_speed_grid():
     phis = np.linspace(0.0, 2.0 * np.pi, 400)
-    lam = np.sin(phis)
-    t_grid = crossing_time(lam, phis)
+    t_grid = crossing_time(np.sin(phis), phis)
     assert abs(t_grid - 1.0) < 0.02
-    t_ref = crossing_time(lam, phis, lam_fn=np.sin)
-    assert abs(t_ref - 1.0) < 1e-6
 
 
 def test_crossing_time_respects_horizon_cap():

@@ -53,13 +53,13 @@ def _sin_profile(n=401):
 
 def test_profile_validation():
     with pytest.raises(BadParams):
-        Profile1D.from_samples([0.0, 1.0], [0.0, 1e-6], periodic=True)
+        Profile1D(x=[0.0, 1.0], u=[0.0, 1e-6], periodic=True)
     with pytest.raises(BadParams):
-        Profile1D.from_samples([0.0, 1.0, 0.5], [1.0, 2.0, 3.0])
+        Profile1D(x=[0.0, 1.0, 0.5], u=[1.0, 2.0, 3.0])
     with pytest.raises(BadParams):
-        Profile1D.from_samples([0.0, 1.0], [np.nan, 1.0])
+        Profile1D(x=[0.0, 1.0], u=[np.nan, 1.0])
     with pytest.raises(BadParams):
-        Profile1D.from_samples([0.0], [1.0])
+        Profile1D(x=[0.0], u=[1.0])
 
 
 def test_moc_push_keeps_values_and_flags_folding():
@@ -95,14 +95,14 @@ def test_shock_time_examples():
 
 def test_shock_time_needs_enough_samples():
     with pytest.raises(GridTooCoarse):
-        shock_time(_identity, Profile1D.from_samples([0.0, 1.0], [1.0, 0.0]))
+        shock_time(_identity, Profile1D(x=[0.0, 1.0], u=[1.0, 0.0]))
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.floats(min_value=0.2, max_value=5.0))
 def test_shock_time_scales_inversely_with_amplitude(scale):
     prof = _sin_profile()
-    scaled = Profile1D.from_samples(prof.x, scale * prof.u, periodic=True)
+    scaled = Profile1D(x=prof.x, u=scale * prof.u, periodic=True)
     t_base = shock_time(_identity, prof)
     t_scaled = shock_time(_identity, scaled)
     assert t_scaled == pytest.approx(t_base / scale, rel=1e-12)
@@ -143,8 +143,8 @@ def test_upwind_initial_data_and_constant_state_are_exact():
     prof = _sin_profile()
     snap = upwind_solve(_burgers_flux, prof, 0.0, nx=128)
     assert np.max(np.abs(snap.u - np.sin(snap.x))) == 0.0
-    const = Profile1D.from_samples([0.0, 1.0, 2.0, 3.0], np.full(4, 0.7),
-                                   periodic=True)
+    const = Profile1D(x=[0.0, 1.0, 2.0, 3.0], u=np.full(4, 0.7),
+                      periodic=True)
     snap_c = upwind_solve(_burgers_flux, const, 2.0, nx=64)
     assert np.max(np.abs(snap_c.u - 0.7)) == 0.0
 
@@ -206,6 +206,19 @@ def test_simple_wave_speed_varies_for_non_exceptional_model():
     wave = simple_wave_construct(factory, 0, (0.1, 0.6), [0.3, 0.1])
     assert wave.lam_variation() > 1e-2
     assert np.max(wave_alignment_sines(wave, factory)) < 1e-8
+
+
+def test_simple_wave_builds_each_state_system_once():
+    # node systems plus RK4 stages k2, k3 and k4; k1 is the node's system
+    base = scalar_reduced_factory(builtin("scalar-bi"))
+    calls = []
+
+    def factory(U):
+        calls.append(U)
+        return base(U)
+
+    simple_wave_construct(factory, 0, (0.1, 0.6), [0.3, 0.1], n=201)
+    assert len(calls) == 4 * 201 - 3
 
 
 def test_simple_wave_for_scalar_conservation_law_has_linear_speed():
