@@ -25,6 +25,7 @@ alike; ``classify`` evaluates a whole grid as arrays.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -306,9 +307,50 @@ class GridSpec:
                 for name, (lo, hi, n) in self.axes.items()}
 
 
+_JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(column: np.ndarray) -> list[str]:
+    """The literal json.dumps writes for each value of a float column.
+
+    Each distinct bit pattern is written once (grid coordinates repeat
+    along the other axes); bits, not values, keep -0.0 apart from 0.0.
+    """
+    bits, index = np.unique(column.view(np.int64), return_inverse=True)
+    values = bits.view(np.float64)
+    text = list(map(float.__repr__, values.tolist()))
+    if not np.isfinite(values).all():
+        text = [_JSON_CONSTANTS.get(t, t) for t in text]
+    return np.array(text, dtype=object)[index].tolist()
+
+
+def _json_items(doc: dict) -> str:
+    """The item lines between the braces of
+    json.dumps(doc, sort_keys=True, indent=2), for a non-empty doc."""
+    return json.dumps(doc, sort_keys=True, indent=2)[2:-2]
+
+
+def _row_template(names: list[str], widths: dict[str, int]) -> str:
+    """A per_point row as json.dumps(indent=2) writes it inside the
+    report, with a %s for each point coordinate and residual component
+    (points, then sectors in sorted order)."""
+    point = ",\n".join(f'        "{n}": %s' for n in names)
+    sectors = ",\n".join(
+        f'        "{s}": [\n' + ",\n".join(["          %s"] * widths[s])
+        + "\n        ]" for s in sorted(widths))
+    return ('    {\n      "point": {\n' + point + '\n      },\n'
+            '      "residuals": {\n' + sectors + '\n      }\n    }')
+
+
 @dataclass
 class CEReport:
-    """Result of classifying one model over a grid."""
+    """Result of classifying one model over a grid.
+
+    The evaluated points and their residuals are kept as columns: one
+    array per point coordinate, one array per component of each sector's
+    residuals, and ``general_rows`` marks the rows that carry the
+    "general" sector.
+    """
 
     model: str
     kind: str
@@ -317,11 +359,34 @@ class CEReport:
     label: str
     max_residual: float
     argmax_point: dict[str, float] | None
-    per_point: list[dict] = field(default_factory=list)
     counts: dict[str, int] = field(default_factory=dict)
     note: str = ""
+    points: dict[str, np.ndarray] = field(default_factory=dict)
+    residuals: dict[str, list[np.ndarray]] = field(default_factory=dict)
+    general_rows: np.ndarray | None = None
 
-    def to_json(self) -> dict:
+    @property
+    def per_point(self) -> list[dict]:
+        """One {"point": ..., "residuals": ...} dict per evaluated point."""
+        if not self.points:
+            return []
+
+        def tuples(components) -> list[tuple]:
+            return list(zip(*(c.tolist() for c in components)))
+
+        rows = [{"point": p, "residuals": r} for p, r in zip(
+            _records({n: c.tolist() for n, c in self.points.items()}),
+            _records({s: tuples(c) for s, c in self.residuals.items()
+                      if s != "general"}))]
+        if self.general_rows is not None:
+            for row, residual, keep in zip(
+                    rows, tuples(self.residuals["general"]),
+                    self.general_rows.tolist()):
+                if keep:
+                    row["residuals"]["general"] = residual
+        return rows
+
+    def _header(self) -> dict:
         return {
             "schema": REPORT_SCHEMA,
             "report": "ce-classification",
@@ -336,8 +401,45 @@ class CEReport:
             },
             "counts": self.counts,
             "note": self.note,
-            "per_point": self.per_point,
         }
+
+    def to_json(self) -> dict:
+        return {**self._header(), "per_point": self.per_point}
+
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json(), sort_keys=True, indent=2) + "\\n"``,
+        with the per_point rows written straight from the columns."""
+        head = self._header()
+        rows = self._per_point_rows()
+        block = ("[\n", ",\n".join(rows), "\n  ]") if rows else ("[]",)
+        # json.dumps sorts "per_point" between "note" and "report"
+        return "".join((
+            "{\n",
+            _json_items({k: v for k, v in head.items() if k < "per_point"}),
+            ',\n  "per_point": ', *block, ",\n",
+            _json_items({k: v for k, v in head.items() if k > "per_point"}),
+            "\n}\n"))
+
+    def _per_point_rows(self) -> list[str]:
+        names = sorted(self.points)
+        text = {n: [_json_floats(self.points[n])] for n in names}
+        text.update({s: [_json_floats(c) for c in components]
+                     for s, components in self.residuals.items()})
+
+        def rows_of(sectors: list[str]):
+            template = _row_template(
+                names, {s: len(self.residuals[s]) for s in sectors})
+            values = [c for key in (*names, *sorted(sectors))
+                      for c in text[key]]
+            return template, zip(*values)
+
+        plain, plain_values = rows_of(
+            [s for s in self.residuals if s != "general"])
+        if self.general_rows is None:
+            return [plain % v for v in plain_values]
+        full, full_values = rows_of(list(self.residuals))
+        return [full % f if keep else plain % p for keep, p, f in zip(
+            self.general_rows.tolist(), plain_values, full_values)]
 
 
 def _evaluate(compute, point: InvariantPoint):
@@ -383,22 +485,23 @@ def _margin_ok(model: LagrangianModel, point: InvariantPoint,
     return ok
 
 
-def _worst(components: list[np.ndarray], skip: np.ndarray | None,
-           points: list[dict]) -> tuple[float, dict | None]:
-    """Largest residual and its point, as a scan of the rows in order finds
+def _worst(components: list[np.ndarray],
+           rows: np.ndarray | None) -> tuple[float, int | None]:
+    """Largest residual and its row, as a scan of the rows in order finds
     it: each row's largest component (the first of equal ones), then the
-    first row above every earlier one; NaN never compares larger."""
+    first row above every earlier one; NaN never compares larger.  Only
+    the rows that ``rows`` marks (default all) take part."""
     value = components[0]
     for c in components[1:]:
         value = np.where(c > value, c, value)
     eligible = value > -1.0
-    if skip is not None:
-        eligible &= ~skip
+    if rows is not None:
+        eligible &= rows
     if not eligible.any():
         return float("nan"), None
     index = int(np.argmax(np.where(eligible, value, -np.inf)))
     worst = float(value[index])
-    return (worst if worst >= 0 else float("nan")), points[index]
+    return (worst if worst >= 0 else float("nan")), index
 
 
 def _scalar_sector(model: LagrangianModel, point: InvariantPoint,
@@ -481,22 +584,19 @@ def classify(model: LagrangianModel, grid: GridSpec | None = None,
     def columns(values) -> list[np.ndarray]:
         return [np.broadcast_to(v, (evaluated,)) for v in values]
 
-    def per_point_tuples(values) -> list[tuple]:
-        return list(zip(*(v.tolist() for v in values)))
-
     jet = _on_grid(model.jet_at, point)
     residuals = _on_grid(lambda p: sector_residuals(p, jet), point,
                          lambda p: sector_residuals(p, model.jet_at(p)))
     residuals = {s: columns(values) for s, values in residuals.items()}
-    points = _records({n: point.get(n).tolist() for n in names})
-    per_point = [{"point": p, "residuals": r} for p, r in zip(
-        points, _records({s: per_point_tuples(values)
-                          for s, values in residuals.items()}))]
-    degenerate = np.zeros(evaluated, dtype=bool)
+    points = {n: point.get(n) for n in names}
+    general_rows, degenerate_skipped = None, 0
 
     def summarize(key: str) -> tuple[float, dict | None]:
-        skip = degenerate if key == "general" else None
-        return _worst(residuals[key], skip, points)
+        worst, index = _worst(residuals[key],
+                              general_rows if key == "general" else None)
+        if index is None:
+            return worst, None
+        return worst, {n: float(c[index]) for n, c in points.items()}
 
     failing = [pair for pair in map(summarize, gates) if pair[0] >= tol]
     if failing:
@@ -510,19 +610,17 @@ def classify(model: LagrangianModel, grid: GridSpec | None = None,
             label = "NotCE"
         else:
             if fallback == "general":
-                # the vector sector may still pass on the birefringent branch
+                # the vector sector may still pass on the birefringent
+                # branch, at the points where it is not degenerate
                 data = VectorCharData.from_jet(jet, point)
-                degenerate |= data.degenerate()
+                general_rows = ~np.broadcast_to(data.degenerate(),
+                                                (evaluated,))
+                degenerate_skipped = evaluated - int(general_rows.sum())
                 residuals["general"] = columns(_general(data))
-                for row, residual, skip in zip(
-                        per_point, per_point_tuples(residuals["general"]),
-                        degenerate.tolist()):
-                    if not skip:
-                        row["residuals"]["general"] = residual
             worst, arg = summarize(fallback)
             label = "CE" if worst < tol else "NotCE"
             if (fallback == "general"
-                    and guard_excluded + degenerate.sum() > 0.5 * total):
+                    and guard_excluded + degenerate_skipped > 0.5 * total):
                 label, worst, arg = "Degenerate", float("nan"), None
 
     if guard_excluded > 0.5 * total:
@@ -531,10 +629,10 @@ def classify(model: LagrangianModel, grid: GridSpec | None = None,
     return CEReport(
         model=model.name, kind=model.kind.value, grid=grid, tol=tol,
         label=label, max_residual=worst, argmax_point=arg,
-        per_point=per_point,
         counts={"total": total, "evaluated": evaluated,
                 "guard_excluded": guard_excluded,
-                "degenerate_skipped": int(degenerate.sum())},
+                "degenerate_skipped": degenerate_skipped},
+        points=points, residuals=residuals, general_rows=general_rows,
     )
 
 

@@ -90,8 +90,11 @@ def parse_grid(text: str) -> GridSpec:
     return GridSpec(axes)
 
 
+_MODEL_FLAGS = ("builtin", "params", "expr", "kind")
+
+
 def _add_model_flags(p: argparse.ArgumentParser, prefix: str = "") -> None:
-    dash = f"--{prefix}" if prefix else "--"
+    dash = f"--{prefix}"
     p.add_argument(f"{dash}builtin", default=None, metavar="NAME",
                    help="builtin model name (see `--list-builtins`)")
     p.add_argument(f"{dash}params", default=None, metavar="P1,P2",
@@ -103,18 +106,27 @@ def _add_model_flags(p: argparse.ArgumentParser, prefix: str = "") -> None:
                    help=f"invariant signature of {dash}expr")
 
 
-def _resolve_model(builtin_name, params, expr, kind) -> LagrangianModel:
+def _model_flags(args, prefix: str = "") -> list:
+    """The values of the model flags that _add_model_flags(p, prefix)
+    added, in _MODEL_FLAGS order."""
+    dest = prefix.replace("-", "_")
+    return [getattr(args, dest + flag) for flag in _MODEL_FLAGS]
+
+
+def _resolve_model(args, prefix: str = "") -> LagrangianModel:
+    builtin_name, params, expr, kind = _model_flags(args, prefix)
+    dash = f"--{prefix}"
     if builtin_name is not None and expr is not None:
-        raise BadUsage("give either --builtin or --expr, not both")
+        raise BadUsage(f"give either {dash}builtin or {dash}expr, not both")
     if builtin_name is not None:
         values = _parse_floats(params) if params else None
         return builtin(builtin_name, values)
     if expr is not None:
         if kind is None:
-            raise BadUsage("--expr needs --kind")
+            raise BadUsage(f"{dash}expr needs {dash}kind")
         return from_expression(expr, kind)
-    raise BadUsage("no model given; use --builtin NAME or --expr TEXT "
-                   "--kind KIND")
+    raise BadUsage(f"no model given; use {dash}builtin NAME or {dash}expr "
+                   f"TEXT {dash}kind KIND")
 
 
 def _check_tol(tol: float) -> float:
@@ -133,10 +145,11 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def cmd_ce_check(args) -> int:
-    model = _resolve_model(args.builtin, args.params, args.expr, args.kind)
+    model = _resolve_model(args)
     grid = parse_grid(args.grid) if args.grid else None
     report = classify(model, grid=grid, tol=_check_tol(args.tol))
-    _write_json(args.out, report.to_json())
+    with open(args.out, "w") as fh:
+        fh.write(report.to_json_text())
     print(f"{model.name}: {report.label} "
           f"(max residual {report.max_residual:.3e}) -> {args.out}")
     return 0
@@ -173,7 +186,7 @@ def _random_backgrounds(model: LagrangianModel, trials: int,
 
 
 def cmd_fresnel(args) -> int:
-    model = _resolve_model(args.builtin, args.params, args.expr, args.kind)
+    model = _resolve_model(args)
     if args.trials < 1:
         raise BadParams("--trials must be at least 1")
     rng = np.random.default_rng(args.seed)
@@ -218,6 +231,9 @@ def cmd_shock(args) -> int:
         raise BadParams("t values must be nonnegative")
     if not np.isfinite(args.horizon):
         raise BadParams(f"--horizon must be finite, got {args.horizon:g}")
+    model = None
+    if any(value is not None for value in _model_flags(args, "model-")):
+        model = _resolve_model(args, "model-")
 
     t_star = shock_time(lambda u: u, profile)
     t_cross = crossing_time(profile.u, profile.x, t_max=args.horizon)
@@ -237,9 +253,7 @@ def cmd_shock(args) -> int:
                               [s.x for s in sols], t_list)
     outputs = [args.out, f"{stem}_burgers.csv"]
 
-    if args.model_builtin or args.model_expr:
-        model = _resolve_model(args.model_builtin, args.model_params,
-                               args.model_expr, args.model_kind)
+    if model is not None:
         demo = exceptional_flux_demo(model, profile, t_list,
                                      horizon=args.horizon)
         payload["model"] = demo.to_dict()
@@ -287,8 +301,7 @@ def cmd_rays(args) -> int:
             p0 = np.array([-1.0, *n])
         label = "metric-cone"
     else:
-        model = _resolve_model(args.builtin, args.params, args.expr,
-                               args.kind)
+        model = _resolve_model(args)
         H = QuarticHamiltonian(model, bg)
         if args.p0:
             p0 = np.array(_parse_floats(args.p0, 4))

@@ -284,7 +284,7 @@ def einstein_trace_coeff(D: int) -> float:
     return (D - 2.0) / 4.0
 
 
-# --- gauge projection and contraction identities ---------------------------------------
+# --- gauge projection ------------------------------------------------------------------
 
 
 def gauge_rows(phi, D: int) -> np.ndarray:
@@ -300,19 +300,6 @@ def gauge_project(phi, P: np.ndarray) -> np.ndarray:
     null_basis = vt[rank:]
     c = null_basis.T @ (null_basis @ components_from_pi(P))
     return pi_from_components(c, len(phi))
-
-
-def identity_checks(phi, P: np.ndarray) -> tuple[float, float]:
-    """Residuals of the two contraction identities implied by the gauge
-    constraint: the symmetric phi-contraction combination and the
-    double-contraction half-trace relation.  Both are normalized by the
-    natural magnitude |phi|^2 max|pi|."""
-    P = np.asarray(P, dtype=float)
-    phi, g, Q, trace, phiphi_pi = _scalars(phi, P)
-    scale = float(phi @ phi) * (np.max(np.abs(P)) + 1e-300)
-    first = _phi_pi_terms(phi, P, g, trace)
-    res2 = abs(phiphi_pi - 0.5 * Q * trace)
-    return float(np.max(np.abs(first))) / scale, float(res2[0, 0]) / scale
 
 
 # --- Monte-Carlo survey ------------------------------------------------------------------
@@ -364,40 +351,3 @@ def kernel_survey(theory: str, D: int, trials: int,
     report.update({"quadratic": {"p": float(p), "q": float(q)},
                    "fr": {"f2": float(f2)}}.get(theory, {}))
     return report
-
-
-# --- probe record -------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GravityProbe:
-    """One discontinuity experiment: a surface normal, a symmetric
-    discontinuity, and the theory it is probed against."""
-
-    D: int
-    phi: np.ndarray
-    pi: np.ndarray
-    theory: str
-    Q: float
-    trace: float
-
-    @classmethod
-    def build(cls, phi, pi, theory: str = "einstein") -> "GravityProbe":
-        phi = _check_covector(phi)
-        D = len(phi)
-        pi = np.asarray(pi, dtype=float)
-        if pi.shape != (D, D):
-            raise BadParams(f"discontinuity tensor has shape {pi.shape}, "
-                            f"expected ({D}, {D})")
-        if not np.allclose(pi, pi.T, atol=1e-12):
-            raise BadParams("discontinuity tensor must be symmetric")
-        return cls(D=D, phi=phi, pi=pi, theory=theory,
-                   Q=covector_q(phi), trace=float(np.trace(eta(D) @ pi)))
-
-    def __post_init__(self):
-        scale = float(self.phi @ self.phi) + 1e-300
-        if abs(self.Q - covector_q(self.phi)) > 1e-10 * scale:
-            raise BadParams("stored Q does not match the covector")
-        t_scale = float(np.max(np.abs(self.pi))) + 1e-300
-        if abs(self.trace - np.trace(eta(self.D) @ self.pi)) > 1e-10 * t_scale:
-            raise BadParams("stored trace does not match the tensor")

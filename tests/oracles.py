@@ -6,11 +6,13 @@ exactly.  ``_am_groups`` writes the third-order conditions out in
 L-partials, and ``jet_check_fd`` cross-checks jets against finite
 differences.  ``CallableHamiltonian`` traces rays of an arbitrary H with
 central-difference gradients, and ``wave_alignment_sines`` measures how
-closely a simple wave follows its eigenvector.
+closely a simple wave follows its eigenvector.  ``identity_checks`` and
+``GravityProbe`` check gauge-bound gravity discontinuities.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,7 +28,20 @@ from cewave.ce import (
     _raw_pair,
     general_ce_residuals,
 )
-from cewave.errors import DegeneracyError, DomainError, EmptyGrid, GridTooCoarse
+from cewave.errors import (
+    BadParams,
+    DegeneracyError,
+    DomainError,
+    EmptyGrid,
+    GridTooCoarse,
+)
+from cewave.gravity import (
+    _check_covector,
+    _phi_pi_terms,
+    _scalars,
+    covector_q,
+    eta,
+)
 from cewave.jets import InvariantPoint, Jet3
 from cewave.lagrangians import LagrangianModel
 from cewave.shock1d import ReducedSystem, SimpleWave
@@ -207,8 +222,9 @@ def _margin_ok(model: LagrangianModel, point: InvariantPoint,
 
 
 def classify_per_point(model: LagrangianModel, grid: GridSpec | None = None,
-                       tol: float = DEFAULT_TOL) -> CEReport:
-    """``ce.classify`` computed one grid point at a time."""
+                       tol: float = DEFAULT_TOL) -> dict:
+    """The report document (``CEReport.to_json()``) of ``ce.classify``,
+    computed one grid point at a time."""
     if grid is None:
         grid = GridSpec.default(model.kind)
     names = model.kind.variables
@@ -226,7 +242,7 @@ def classify_per_point(model: LagrangianModel, grid: GridSpec | None = None,
             note="declares dependence on the cross invariant y; no model "
                  "with that dependence is exceptional, so no residuals "
                  "are evaluated",
-        )
+        ).to_json()
 
     points = [p for p in all_points if _margin_ok(model, p, names)]
     guard_excluded = total - len(points)
@@ -284,11 +300,10 @@ def classify_per_point(model: LagrangianModel, grid: GridSpec | None = None,
     return CEReport(
         model=model.name, kind=model.kind.value, grid=grid, tol=tol,
         label=label, max_residual=worst, argmax_point=arg,
-        per_point=per_point,
         counts={"total": total, "evaluated": len(points),
                 "guard_excluded": guard_excluded,
                 "degenerate_skipped": degenerate_skipped},
-    )
+    ).to_json() | {"per_point": per_point}
 
 
 # ---------------------------------------------------------------------------
@@ -346,3 +361,54 @@ def wave_alignment_sines(wave: SimpleWave,
         rej = dU - (dU @ r) * r
         sines.append(float(np.linalg.norm(rej) / norm))
     return np.asarray(sines)
+
+
+# ---------------------------------------------------------------------------
+# Gravity: contraction identities and a validated probe record
+# ---------------------------------------------------------------------------
+
+def identity_checks(phi, P: np.ndarray) -> tuple[float, float]:
+    """Residuals of the two contraction identities implied by the gauge
+    constraint: the symmetric phi-contraction combination and the
+    double-contraction half-trace relation.  Both are normalized by the
+    natural magnitude |phi|^2 max|pi|."""
+    P = np.asarray(P, dtype=float)
+    phi, g, Q, trace, phiphi_pi = _scalars(phi, P)
+    scale = float(phi @ phi) * (np.max(np.abs(P)) + 1e-300)
+    first = _phi_pi_terms(phi, P, g, trace)
+    res2 = abs(phiphi_pi - 0.5 * Q * trace)
+    return float(np.max(np.abs(first))) / scale, float(res2[0, 0]) / scale
+
+
+@dataclass(frozen=True)
+class GravityProbe:
+    """One discontinuity experiment: a surface normal, a symmetric
+    discontinuity, and the theory it is probed against."""
+
+    D: int
+    phi: np.ndarray
+    pi: np.ndarray
+    theory: str
+    Q: float
+    trace: float
+
+    @classmethod
+    def build(cls, phi, pi, theory: str = "einstein") -> "GravityProbe":
+        phi = _check_covector(phi)
+        D = len(phi)
+        pi = np.asarray(pi, dtype=float)
+        if pi.shape != (D, D):
+            raise BadParams(f"discontinuity tensor has shape {pi.shape}, "
+                            f"expected ({D}, {D})")
+        if not np.allclose(pi, pi.T, atol=1e-12):
+            raise BadParams("discontinuity tensor must be symmetric")
+        return cls(D=D, phi=phi, pi=pi, theory=theory,
+                   Q=covector_q(phi), trace=float(np.trace(eta(D) @ pi)))
+
+    def __post_init__(self):
+        scale = float(self.phi @ self.phi) + 1e-300
+        if abs(self.Q - covector_q(self.phi)) > 1e-10 * scale:
+            raise BadParams("stored Q does not match the covector")
+        t_scale = float(np.max(np.abs(self.pi))) + 1e-300
+        if abs(self.trace - np.trace(eta(self.D) @ self.pi)) > 1e-10 * t_scale:
+            raise BadParams("stored trace does not match the tensor")

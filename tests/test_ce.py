@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cewave.ce import (
+    CEReport,
     GridSpec,
     VectorCharData,
     _tar_terms,
@@ -491,6 +492,62 @@ def test_report_json_shape():
     assert len(doc["per_point"]) == doc["counts"]["evaluated"]
 
 
+def _dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("text, kind, check", [
+    # overflowing values: NaN residuals and a NaN maximum
+    ("1e200*a*a*1e200", "alpha",
+     lambda r: math.isnan(r.max_residual) and r.argmax_point is None),
+    # K = 0 on the b = 0 line: rows with and without "general"
+    ("-a/2 + 0.1*a^2 + 0.05*b^3", "alpha-beta",
+     lambda r: 0 < r.counts["degenerate_skipped"] < r.counts["evaluated"]),
+    ("-a/2 + 0.1*a^2 + 0.05*b^3 + 1 - sqrt(1 + 2*z)", "vector-scalar",
+     lambda r: 0 < r.counts["degenerate_skipped"]),
+    # one-axis grids
+    ("z + z^3", "scalar", lambda r: set(r.points) == {"z"}),
+    ("-a/2 + 0.1*a^2", "alpha", lambda r: set(r.points) == {"a"}),
+])
+def test_report_text_is_json_dumps(text, kind, check):
+    report = classify(from_expression(text, kind))
+    assert check(report)
+    assert report.to_json_text() == _dumps(report.to_json())
+
+
+def test_report_text_of_a_y_dependent_model():
+    base = builtin("born-infeld")
+    report = classify(LagrangianModel(name="bi-with-y", kind=Kind.VectorScalar,
+                                      fn=lambda env: base.fn(env),
+                                      depends_on_y=True))
+    assert report.per_point == []
+    text = report.to_json_text()
+    assert text == _dumps(report.to_json())
+    assert '"per_point": [],' in text
+
+
+def test_report_text_spells_non_finite_values_as_json_does():
+    inf, nan = math.inf, math.nan
+    report = CEReport(
+        model="m", kind="alpha-beta",
+        grid=GridSpec({"a": (0.0, 1.0, 2), "b": (0.0, 1.0, 2)}), tol=1e-9,
+        label="NotCE", max_residual=inf, argmax_point={"a": -inf, "b": nan},
+        counts={"total": 4, "evaluated": 4},
+        points={"b": np.array([inf, -inf, -0.0, 1e-310]),
+                "a": np.array([0.0, 1.0, nan, 2.5])},
+        residuals={"strong": [np.array([nan, inf, 0.0, 1.0]),
+                              np.array([-inf, 5e-324, 1e300, -0.0])],
+                   "general": [np.array([inf, 1.0, 2.0, 3.0]),
+                               np.array([nan, -inf, 0.5, 0.25])]},
+        general_rows=np.array([True, False, True, False]))
+    text = report.to_json_text()
+    assert text == _dumps(report.to_json())
+    for literal in ("NaN", "Infinity", "-Infinity", "-0.0", "5e-324"):
+        assert literal in text
+    assert [set(row["residuals"]) for row in report.per_point] == [
+        {"strong", "general"}, {"strong"}] * 2
+
+
 # --- the array pass against the per-point loop -------------------------------
 
 def _nan_as_text(doc):
@@ -515,9 +572,10 @@ def _assert_same_as_per_point(model, grid=None):
         assert str(got.value) == str(err)
         return None
     got = classify(model, grid)
-    assert _nan_as_text(got.to_json()) == _nan_as_text(want.to_json())
-    assert (json.dumps(got.to_json(), sort_keys=True, indent=2)
-            == json.dumps(want.to_json(), sort_keys=True, indent=2))
+    assert _nan_as_text(got.to_json()) == _nan_as_text(want)
+    text = _dumps(want)
+    assert _dumps(got.to_json()) == text
+    assert got.to_json_text() == text
     return got
 
 

@@ -8,13 +8,16 @@ mapping, serialization) is covered without spawning subprocesses.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 
 import pytest
 
 from cewave import charsys, cli, gravity
+from cewave.ce import classify
 from cewave.cli import main, parse_grid
 from cewave.errors import BadParams
+from cewave.lagrangians import builtin, from_expression
 
 
 def _read_json(path):
@@ -88,6 +91,40 @@ def test_ce_check_overflowing_values_print_no_warnings(tmp_path, capsys):
     assert captured.err == ""
     assert captured.out == (f"1e200*a*a*1e200: NotCE (max residual nan) "
                             f"-> {out}\n")
+
+
+# The five large grids of the benchmark's classify-grid workload: a 2 MB
+# strong-pass report, third-order residuals at every point, the
+# birefringent branch, a vector-scalar model and a 10001-point scalar grid.
+@pytest.mark.parametrize("model, flags, grid", [
+    (("born-infeld", None), ["--builtin", "born-infeld"],
+     "a:-0.5:2:101,b:-1:1:101"),
+    (("-a/2 + 0.1*a^2 + 0.05*b^2", "alpha-beta"),
+     ["--expr=-a/2 + 0.1*a^2 + 0.05*b^2", "--kind", "alpha-beta"],
+     "a:-0.5:2:61,b:-1:1:61"),
+    (("1 - sqrt(1 + a - 0.5*b^2)", "alpha-beta"),
+     ["--expr=1 - sqrt(1 + a - 0.5*b^2)", "--kind", "alpha-beta"],
+     "a:-0.5:2:61,b:-1:1:61"),
+    (("1 - sqrt(1 + a - b^2) + 0.1*z^2 - z", "vector-scalar"),
+     ["--expr=1 - sqrt(1 + a - b^2) + 0.1*z^2 - z", "--kind",
+      "vector-scalar"], None),
+    (("scalar-bi", None), ["--builtin", "scalar-bi"], "z:-0.45:0.45:10001"),
+], ids=["born-infeld-101", "quadratic-61", "sqrt-ab-61", "vector-scalar",
+        "scalar-bi-10001"])
+def test_ce_check_writes_the_bytes_of_json_dumps(model, flags, grid,
+                                                 tmp_path):
+    out = tmp_path / "r.json"
+    argv = ["ce", "check", *flags, "--out", str(out)]
+    if grid is not None:
+        argv += ["--grid", grid]
+    assert main(argv) == 0
+    text, kind = model
+    report = classify(builtin(text) if kind is None
+                      else from_expression(text, kind),
+                      grid=parse_grid(grid) if grid else None)
+    want = json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == hashlib.sha256(want.encode()).hexdigest())
 
 
 @pytest.mark.parametrize("argv", [
@@ -267,6 +304,43 @@ def test_shock_input_errors_exit_2(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     capsys.readouterr()
+
+
+_NO_MODEL = "no model given; use --{0}builtin NAME or --{0}expr TEXT --{0}kind KIND"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ce", "check", "--expr", "a"], "--expr needs --kind"),
+    (["ce", "check", "--builtin", "maxwell", "--expr", "a"],
+     "give either --builtin or --expr, not both"),
+    (["ce", "check"], _NO_MODEL.format("")),
+    (["rays", "--params", "0.1"], _NO_MODEL.format("")),
+    (["shock", "--model-expr", "1 - sqrt(1 + 2*z)"],
+     "--model-expr needs --model-kind"),
+    (["shock", "--model-builtin", "scalar-bi", "--model-expr", "z"],
+     "give either --model-builtin or --model-expr, not both"),
+    # any model flag asks for a model, even an empty expression
+    (["shock", "--model-expr", ""], "--model-expr needs --model-kind"),
+    (["shock", "--model-params", "0.1"], _NO_MODEL.format("model-")),
+    (["shock", "--model-kind", "scalar"], _NO_MODEL.format("model-")),
+])
+def test_model_flag_errors_name_the_commands_flags(argv, message, tmp_path,
+                                                   capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: {message}\n"
+    assert captured.out == ""
+    # the model is resolved before anything is written
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_shock_empty_model_expression_exits_2(tmp_path, capsys):
+    rc = main(["shock", "--model-expr", "", "--model-kind", "scalar",
+               "--out", str(tmp_path / "s.json")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("input error")
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- gravity --------------------------------------------------------------------------

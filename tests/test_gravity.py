@@ -12,7 +12,6 @@ from cewave.errors import (
     ZeroCovector,
 )
 from cewave.gravity import (
-    GravityProbe,
     KernelReport,
     classify_covector,
     components_from_pi,
@@ -24,7 +23,6 @@ from cewave.gravity import (
     fr_operator,
     gauge_project,
     gauge_vector,
-    identity_checks,
     kernel_dim,
     kernel_survey,
     pi_from_components,
@@ -35,6 +33,8 @@ from cewave.gravity import (
     sym_pairs,
 )
 from cewave.gravity import _operators, _theory
+
+from oracles import GravityProbe, identity_checks
 
 NULL4 = np.array([1.0, 1.0, 0.0, 0.0])
 TIME4 = np.array([1.0, 0.0, 0.0, 0.0])
