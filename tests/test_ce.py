@@ -462,10 +462,11 @@ def test_classify_y_dependent_not_ce_without_evaluation():
     model = LagrangianModel(name="bi-with-y", kind=Kind.VectorScalar,
                             fn=lambda env: base.fn(env),
                             depends_on_y=True)
-    report = classify(model)
+    report = _assert_same_as_per_point(model)
     assert report.label == "NotCE"
     assert report.counts["evaluated"] == 0
     assert report.per_point == []
+    assert '"per_point": [],' in report.to_json_text()
 
 
 def test_classify_empty_grid():
@@ -494,36 +495,6 @@ def test_report_json_shape():
 
 def _dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-@pytest.mark.parametrize("text, kind, check", [
-    # overflowing values: NaN residuals and a NaN maximum
-    ("1e200*a*a*1e200", "alpha",
-     lambda r: math.isnan(r.max_residual) and r.argmax_point is None),
-    # K = 0 on the b = 0 line: rows with and without "general"
-    ("-a/2 + 0.1*a^2 + 0.05*b^3", "alpha-beta",
-     lambda r: 0 < r.counts["degenerate_skipped"] < r.counts["evaluated"]),
-    ("-a/2 + 0.1*a^2 + 0.05*b^3 + 1 - sqrt(1 + 2*z)", "vector-scalar",
-     lambda r: 0 < r.counts["degenerate_skipped"]),
-    # one-axis grids
-    ("z + z^3", "scalar", lambda r: set(r.points) == {"z"}),
-    ("-a/2 + 0.1*a^2", "alpha", lambda r: set(r.points) == {"a"}),
-])
-def test_report_text_is_json_dumps(text, kind, check):
-    report = classify(from_expression(text, kind))
-    assert check(report)
-    assert report.to_json_text() == _dumps(report.to_json())
-
-
-def test_report_text_of_a_y_dependent_model():
-    base = builtin("born-infeld")
-    report = classify(LagrangianModel(name="bi-with-y", kind=Kind.VectorScalar,
-                                      fn=lambda env: base.fn(env),
-                                      depends_on_y=True))
-    assert report.per_point == []
-    text = report.to_json_text()
-    assert text == _dumps(report.to_json())
-    assert '"per_point": [],' in text
 
 
 def test_report_text_spells_non_finite_values_as_json_does():
@@ -608,6 +579,24 @@ def test_classify_excluding_points_matches_per_point_loop(text, kind):
 ])
 def test_classify_raises_what_the_per_point_loop_raises(text, kind):
     _assert_same_as_per_point(from_expression(text, kind))
+
+
+@pytest.mark.parametrize("text, kind, check", [
+    # overflowing values: NaN residuals and a NaN maximum
+    ("1e200*a*a*1e200", "alpha",
+     lambda r: math.isnan(r.max_residual) and r.argmax_point is None),
+    # K = 0 on the b = 0 line: rows with and without "general"
+    ("-a/2 + 0.1*a^2 + 0.05*b^3", "alpha-beta",
+     lambda r: 0 < r.counts["degenerate_skipped"] < r.counts["evaluated"]),
+    ("-a/2 + 0.1*a^2 + 0.05*b^3 + 1 - sqrt(1 + 2*z)", "vector-scalar",
+     lambda r: 0 < r.counts["degenerate_skipped"]),
+    # one-axis grids
+    ("z + z^3", "scalar", lambda r: set(r.points) == {"z"}),
+    ("-a/2 + 0.1*a^2", "alpha", lambda r: set(r.points) == {"a"}),
+], ids=["overflow-nan", "degenerate-rows", "degenerate-rows-vector-scalar",
+        "z-axis", "a-axis"])
+def test_report_text_matches_per_point_loop(text, kind, check):
+    assert check(_assert_same_as_per_point(from_expression(text, kind)))
 
 
 # Dyadic grids and constants: sums and products of grid values are exact,

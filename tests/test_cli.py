@@ -306,7 +306,8 @@ def test_shock_input_errors_exit_2(argv, tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-_NO_MODEL = "no model given; use --{0}builtin NAME or --{0}expr TEXT --{0}kind KIND"
+_NO_MODEL = ("no model given; use --{0}builtin NAME or --{0}expr TEXT "
+             "--{0}kind KIND")
 
 
 @pytest.mark.parametrize("argv, message", [
