@@ -365,29 +365,11 @@ class CEReport:
     residuals: dict[str, list[np.ndarray]] = field(default_factory=dict)
     general_rows: np.ndarray | None = None
 
-    @property
-    def per_point(self) -> list[dict]:
-        """One {"point": ..., "residuals": ...} dict per evaluated point."""
-        if not self.points:
-            return []
-
-        def tuples(components) -> list[tuple]:
-            return list(zip(*(c.tolist() for c in components)))
-
-        rows = [{"point": p, "residuals": r} for p, r in zip(
-            _records({n: c.tolist() for n, c in self.points.items()}),
-            _records({s: tuples(c) for s, c in self.residuals.items()
-                      if s != "general"}))]
-        if self.general_rows is not None:
-            for row, residual, keep in zip(
-                    rows, tuples(self.residuals["general"]),
-                    self.general_rows.tolist()):
-                if keep:
-                    row["residuals"]["general"] = residual
-        return rows
-
-    def _header(self) -> dict:
-        return {
+    def to_json_text(self) -> str:
+        """The report as ``json.dumps(doc, sort_keys=True, indent=2)``
+        writes it, plus a newline; the per_point rows are written straight
+        from the columns."""
+        head = {
             "schema": REPORT_SCHEMA,
             "report": "ce-classification",
             "model": self.model,
@@ -402,14 +384,6 @@ class CEReport:
             "counts": self.counts,
             "note": self.note,
         }
-
-    def to_json(self) -> dict:
-        return {**self._header(), "per_point": self.per_point}
-
-    def to_json_text(self) -> str:
-        """``json.dumps(self.to_json(), sort_keys=True, indent=2) + "\\n"``,
-        with the per_point rows written straight from the columns."""
-        head = self._header()
         rows = self._per_point_rows()
         block = ("[\n", ",\n".join(rows), "\n  ]") if rows else ("[]",)
         # json.dumps sorts "per_point" between "note" and "report"
@@ -635,13 +609,3 @@ def classify(model: LagrangianModel, grid: GridSpec | None = None,
         points=points, residuals=residuals, general_rows=general_rows,
     )
 
-
-def _records(columns: dict[str, list]) -> list[dict]:
-    """One dict per position of equal-length columns, keys in column
-    order; filling them column by column is much faster than building
-    each dict from a zip."""
-    records = [{} for _ in next(iter(columns.values()))]
-    for key, column in columns.items():
-        for record, value in zip(records, column):
-            record[key] = value
-    return records

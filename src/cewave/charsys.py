@@ -303,12 +303,10 @@ def scalar_system(bg: FieldBackground, model: LagrangianModel,
     a2 = (s_rot[0] ** 2 * L2 + L1) / theta
 
     def rebuild(state: np.ndarray) -> np.ndarray:
-        A2 = float(state[0])
-        s2 = np.asarray(state[1:], dtype=float)
-        z2 = 0.5 * (-A2 * A2 + float(s2 @ s2))
-        jet2 = model.jet_at(InvariantPoint.scalar(z2))
-        theta2 = _scalar_theta(A2, jet2)
-        M2 = _scalar_axis_matrix(A2, Q @ s2, jet2.fa, jet2.faa, theta2)
+        bg2 = FieldBackground.scalar(*state)
+        jet2, theta2 = _scalar_jet_theta(bg2, model)
+        M2 = _scalar_axis_matrix(bg2.A, Q @ bg2.sigma_spatial, jet2.fa,
+                                 jet2.faa, theta2)
         return T.T @ M2 @ T
 
     return CharSystem(
@@ -375,11 +373,9 @@ def vector_system(bg: FieldBackground, model: LagrangianModel,
     ai = tuple(_vector_reduced(bg.E, bg.B, L1, L2, axis) for axis in range(3))
 
     def rebuild(state: np.ndarray) -> np.ndarray:
-        E2 = np.asarray(state[:3], dtype=float)
-        B2 = np.asarray(state[3:], dtype=float)
-        a2 = float(B2 @ B2 - E2 @ E2)
-        jet2 = model.jet_at(InvariantPoint.alpha(a2))
-        W2 = _vector_reduced(Q @ E2, Q @ B2, jet2.fa, jet2.faa, 0)
+        bg2 = FieldBackground.vector(state[:3], state[3:])
+        jet2 = model.jet_at(bg2.point(Kind.VectorAlpha))
+        W2 = _vector_reduced(Q @ bg2.E, Q @ bg2.B, jet2.fa, jet2.faa, 0)
         return T.T @ W2 @ T
 
     return CharSystem(
@@ -404,26 +400,6 @@ def scalar_cone_matrix(jet: Jet3, bg: FieldBackground) -> np.ndarray:
     return ETA * jet.fa + np.outer(sigma_up, sigma_up) * jet.faa
 
 
-def scalar_cone(model: LagrangianModel, bg: FieldBackground, p) -> float:
-    """G^{mu nu} p_mu p_nu for a scalar model: eta L' + sigma sigma L''
-    contracted twice with the covector p."""
-    jet = model.jet_at(bg.point(Kind.Scalar))
-    p = np.asarray(p, dtype=float).reshape(4)
-    return float(p @ scalar_cone_matrix(jet, bg) @ p)
-
-
-def scalar_cone_fn(model: LagrangianModel,
-                   bg: FieldBackground) -> Callable[[np.ndarray], tuple[float, float]]:
-    G = scalar_cone_matrix(model.jet_at(bg.point(Kind.Scalar)), bg)
-    G_abs = np.abs(G)
-
-    def cone(p) -> tuple[float, float]:
-        p = np.asarray(p, dtype=float).reshape(4)
-        return float(p @ G @ p), float(np.abs(p) @ G_abs @ np.abs(p)) + _TINY
-
-    return cone
-
-
 def u_and_g(F: np.ndarray, p: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """U^mu = F^{lam mu} p_lam with its lowered form U_mu, and the cone
@@ -431,51 +407,6 @@ def u_and_g(F: np.ndarray, p: np.ndarray
     U_up = F.T @ p
     U_dn = ETA @ U_up
     return U_up, U_dn, float(U_up @ U_dn), float(p @ ETA @ p)
-
-
-def field_cone_fn(bg: FieldBackground,
-                  form: Callable[[float, float, float, float], tuple[float, float]]
-                  ) -> Callable[[np.ndarray], tuple[float, float]]:
-    """p -> form(u, g, u_abs, g_abs) on an (E, B) background, where
-    u_abs = sum U_mu^2 and g_abs = sum p_mu^2 are the absolute-value
-    counterparts of u and g used for normalization."""
-    F = bg.f_upper()
-
-    def cone(p) -> tuple[float, float]:
-        p = np.asarray(p, dtype=float).reshape(4)
-        U_up, _, u, g = u_and_g(F, p)
-        return form(u, g, float(U_up @ U_up), float(p @ p))
-
-    return cone
-
-
-def alpha_cone_fn(model: LagrangianModel,
-                  bg: FieldBackground) -> Callable[[np.ndarray], tuple[float, float]]:
-    """Dispersion function 2 u L'' + g L' for L(alpha) models, returned
-    as p -> (raw value, normalization scale)."""
-    jet = model.jet_at(bg.point(Kind.VectorAlpha))
-    L1, L2 = jet.fa, jet.faa
-    return field_cone_fn(bg, lambda u, g, u_abs, g_abs: (
-        2.0 * u * L2 + g * L1,
-        2.0 * u_abs * abs(L2) + g_abs * abs(L1) + _TINY))
-
-
-def quartic_form(K: float, P: float,
-                 R: float) -> Callable[..., tuple[float, float]]:
-    """The dispersion quartic K u^2 + u g P + g^2 R as a field_cone_fn
-    form: (u, g, u_abs, g_abs) -> (value, sum of absolute term sizes)."""
-    return lambda u, g, u_abs, g_abs: (
-        K * u * u + u * g * P + g * g * R,
-        abs(K) * u_abs ** 2 + u_abs * g_abs * abs(P)
-        + g_abs ** 2 * abs(R) + _TINY)
-
-
-def quartic_cone_fn(model: LagrangianModel,
-                    bg: FieldBackground) -> Callable[[np.ndarray], tuple[float, float]]:
-    """Full two-invariant dispersion function K u^2 + u g P + g^2 R."""
-    point = bg.point(model.kind)
-    K, P, R = point_cone_coefficients(model.jet_at(point), point)
-    return field_cone_fn(bg, quartic_form(K, P, R))
 
 
 def cone_coefficients(La, Laa, Lab, Lbb, a, b):
@@ -634,11 +565,9 @@ def exceptionality_per_mode(system: CharSystem, index: int) -> float:
     return richardson_central(tracked, h)
 
 
-def crosscheck_cone_vs_eigen(
-        system: CharSystem,
-        cone: Callable[[np.ndarray], tuple[float, float]]) -> float:
+def crosscheck_cone_vs_eigen(system: CharSystem, H) -> float:
     """Insert each nonzero eigenvalue as p = (-lam, system.nhat) into the
-    covariant cone; return the max normalized cone value."""
+    dispersion function H; return the max of |H| over its magnitude."""
     n = unit_direction(system.nhat)
     w = np.real(system.eigenvalues)
     scale = 1.0 + float(np.max(np.abs(w))) if w.size else 1.0
@@ -646,8 +575,9 @@ def crosscheck_cone_vs_eigen(
     for lam in w:
         if abs(lam) < COINCIDENCE_RTOL * scale:
             continue
-        raw, ref = cone(np.array([-lam, *n]))
-        worst = max(worst, abs(raw) / (ref + _TINY))
+        p = np.array([-lam, *n])
+        worst = max(worst, abs(H.value(None, p)) / (H.magnitude(None, p)
+                                                    + _TINY))
     return worst
 
 

@@ -84,6 +84,9 @@ def parse_grid(text: str) -> GridSpec:
                             "bounds") from exc
         if n < 1:
             raise BadParams(f"grid axis '{name}' needs n >= 1")
+        if not np.isfinite([lo, hi, hi - lo]).all():
+            raise BadParams(f"grid axis '{name}' needs finite bounds a "
+                            "finite distance apart")
         axes[name] = (lo, hi, n)
     if not axes:
         raise BadParams("empty grid argument")
@@ -122,6 +125,9 @@ def _resolve_model(args, prefix: str = "") -> LagrangianModel:
         values = _parse_floats(params) if params else None
         return builtin(builtin_name, values)
     if expr is not None:
+        if params is not None:
+            raise BadUsage(f"{dash}params applies to {dash}builtin only, "
+                           f"not to {dash}expr")
         if kind is None:
             raise BadUsage(f"{dash}expr needs {dash}kind")
         return from_expression(expr, kind)
@@ -297,8 +303,7 @@ def cmd_rays(args) -> int:
         if args.p0:
             p0 = np.array(_parse_floats(args.p0, 4))
         else:
-            n = nhat / np.linalg.norm(nhat)
-            p0 = np.array([-1.0, *n])
+            p0 = np.array([-1.0, *unit_direction(nhat)])
         label = "metric-cone"
     else:
         model = _resolve_model(args)
@@ -309,8 +314,7 @@ def cmd_rays(args) -> int:
             # fresnel_roots solves H((p0, n)) = 0 for p0 itself; the
             # smallest root is the fastest mode along n
             roots = fresnel_roots(model, bg, nhat).roots
-            n = nhat / np.linalg.norm(nhat)
-            p0 = np.array([float(np.min(roots.real)), *n])
+            p0 = np.array([float(np.min(roots.real)), *unit_direction(nhat)])
         label = model.name
 
     ray = trace(H, np.zeros(4), p0, s_max=args.s_max, step=args.step,

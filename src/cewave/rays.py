@@ -23,9 +23,7 @@ import numpy as np
 from .charsys import (
     ETA,
     FieldBackground,
-    field_cone_fn,
     point_cone_coefficients,
-    quartic_form,
     scalar_cone_matrix,
     u_and_g,
     write_csv,
@@ -64,6 +62,15 @@ class ConeHamiltonian:
                      bg: FieldBackground) -> "ConeHamiltonian":
         return cls(scalar_cone_matrix(model.jet_at(bg.point(Kind.Scalar)), bg))
 
+    @classmethod
+    def alpha_model(cls, model: LagrangianModel,
+                    bg: FieldBackground) -> "ConeHamiltonian":
+        """The cone 2 u L'' + g L' of an L(alpha) model on an (E, B)
+        background: G = L' eta + 2 L'' F eta F^T, since u = p F eta F^T p."""
+        jet = model.jet_at(bg.point(Kind.VectorAlpha))
+        F = bg.f_upper()
+        return cls(ETA * jet.fa + 2.0 * jet.faa * (F @ ETA @ F.T))
+
     def value(self, x: np.ndarray, p: np.ndarray) -> float:
         return float(p @ self.G @ p)
 
@@ -94,10 +101,10 @@ class QuarticHamiltonian:
         jet = model.jet_at(point)
         self.K, self.P, self.R = point_cone_coefficients(jet, point)
         self.F = bg.f_upper()
-        self._cone = field_cone_fn(bg, quartic_form(self.K, self.P, self.R))
 
     def value(self, x: np.ndarray, p: np.ndarray) -> float:
-        return self._cone(p)[0]
+        _, _, u, g = u_and_g(self.F, p)
+        return self.K * u * u + u * g * self.P + g * g * self.R
 
     def grad_p(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         _, U_dn, u, g = u_and_g(self.F, p)
@@ -113,7 +120,10 @@ class QuarticHamiltonian:
         """Sum of absolute term magnitudes of H at (x, p).  On-shell the
         signed terms cancel (and for a coincident pair the gradient does
         too), so defect ratios need this as the reference scale."""
-        return self._cone(p)[1]
+        U_up, _, _, _ = u_and_g(self.F, p)
+        u_abs, g_abs = float(U_up @ U_up), float(p @ p)
+        return (abs(self.K) * u_abs ** 2 + u_abs * g_abs * abs(self.P)
+                + g_abs ** 2 * abs(self.R) + _TINY)
 
 
 @dataclass(frozen=True)

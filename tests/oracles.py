@@ -22,7 +22,7 @@ from cewave.ce import (
     _SECTORS,
     DEFAULT_TOL,
     GUARD_MARGIN,
-    CEReport,
+    REPORT_SCHEMA,
     GridSpec,
     VectorCharData,
     _raw_pair,
@@ -223,7 +223,7 @@ def _margin_ok(model: LagrangianModel, point: InvariantPoint,
 
 def classify_per_point(model: LagrangianModel, grid: GridSpec | None = None,
                        tol: float = DEFAULT_TOL) -> dict:
-    """The report document (``CEReport.to_json()``) of ``ce.classify``,
+    """The report document that ``ce.classify`` writes as JSON text,
     computed one grid point at a time."""
     if grid is None:
         grid = GridSpec.default(model.kind)
@@ -233,16 +233,25 @@ def classify_per_point(model: LagrangianModel, grid: GridSpec | None = None,
     if total == 0:
         raise EmptyGrid("grid has no points")
 
+    def document(label, worst, arg, counts, per_point, note=""):
+        return {
+            "schema": REPORT_SCHEMA, "report": "ce-classification",
+            "model": model.name, "kind": model.kind.value,
+            "grid": {name: {"lo": lo, "hi": hi, "n": n}
+                     for name, (lo, hi, n) in grid.axes.items()},
+            "tol": tol, "label": label,
+            "residual_summary": {"max": worst, "argmax_point": arg},
+            "counts": counts, "note": note, "per_point": per_point,
+        }
+
     if model.depends_on_y:
-        return CEReport(
-            model=model.name, kind=model.kind.value, grid=grid, tol=tol,
-            label="NotCE", max_residual=float("nan"), argmax_point=None,
-            counts={"total": total, "evaluated": 0, "guard_excluded": 0,
-                    "degenerate_skipped": 0},
+        return document(
+            "NotCE", float("nan"), None,
+            {"total": total, "evaluated": 0, "guard_excluded": 0,
+             "degenerate_skipped": 0}, [],
             note="declares dependence on the cross invariant y; no model "
                  "with that dependence is exceptional, so no residuals "
-                 "are evaluated",
-        ).to_json()
+                 "are evaluated")
 
     points = [p for p in all_points if _margin_ok(model, p, names)]
     guard_excluded = total - len(points)
@@ -297,13 +306,10 @@ def classify_per_point(model: LagrangianModel, grid: GridSpec | None = None,
     if guard_excluded > 0.5 * total:
         label = "Degenerate"
 
-    return CEReport(
-        model=model.name, kind=model.kind.value, grid=grid, tol=tol,
-        label=label, max_residual=worst, argmax_point=arg,
-        counts={"total": total, "evaluated": len(points),
-                "guard_excluded": guard_excluded,
-                "degenerate_skipped": degenerate_skipped},
-    ).to_json() | {"per_point": per_point}
+    return document(label, worst, arg,
+                    {"total": total, "evaluated": len(points),
+                     "guard_excluded": guard_excluded,
+                     "degenerate_skipped": degenerate_skipped}, per_point)
 
 
 # ---------------------------------------------------------------------------

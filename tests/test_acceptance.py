@@ -35,8 +35,6 @@ from cewave.charsys import (
     crosscheck_cone_vs_eigen,
     exceptionality_per_mode,
     fresnel_roots,
-    quartic_cone_fn,
-    scalar_cone_fn,
     scalar_system,
     vector_system,
 )
@@ -55,6 +53,7 @@ from cewave.gravity import (
 from cewave.jets import InvariantPoint, Jet3
 from cewave.lagrangians import builtin, from_expression
 from cewave.rays import (
+    ConeHamiltonian,
     QuarticHamiltonian,
     TransportState,
     crossing_time,
@@ -201,15 +200,16 @@ def test_criterion_05_eigenvalues_land_on_the_cone():
         if np.linalg.norm(nhat) < 1e-3:
             continue
         worst = crosscheck_cone_vs_eigen(vector_system(bg, model, nhat),
-                                         quartic_cone_fn(model, bg))
+                                         QuarticHamiltonian(model, bg))
         assert worst < 1e-8, f"vector crosscheck {worst:.3e}"
         checked += 1
 
     scalar = builtin("scalar-bi")
     for _ in range(20):
         bg = FieldBackground.scalar(*rng.uniform(-0.5, 0.5, size=4))
-        worst = crosscheck_cone_vs_eigen(scalar_system(bg, scalar),
-                                         scalar_cone_fn(scalar, bg))
+        worst = crosscheck_cone_vs_eigen(
+            scalar_system(bg, scalar),
+            ConeHamiltonian.scalar_model(scalar, bg))
         assert worst < 1e-8, f"scalar crosscheck {worst:.3e}"
 
 

@@ -8,17 +8,13 @@ import pytest
 from cewave.charsys import (
     CharSystem,
     FieldBackground,
-    alpha_cone_fn,
     biorthogonality_defect,
     crosscheck_cone_vs_eigen,
     exceptionality_per_mode,
     fresnel_roots,
     fresnel_scan_rows,
-    quartic_cone_fn,
     scalar_axis_matrix,
     rotation_to_x1,
-    scalar_cone,
-    scalar_cone_fn,
     scalar_system,
     unit_direction,
     vector_system,
@@ -32,6 +28,7 @@ from cewave.errors import (
     ModeCollision,
 )
 from cewave.lagrangians import builtin, from_expression
+from cewave.rays import ConeHamiltonian, QuarticHamiltonian
 
 _ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -169,9 +166,9 @@ def test_scalar_system_kind_check():
 
 def test_scalar_cone_null_covector_linear_model():
     bg = FieldBackground.scalar(0.2, 0.5, 0.1, 0.3)
-    m = builtin("scalar-maxwell")
-    assert scalar_cone(m, bg, [1.0, 1.0, 0.0, 0.0]) == 0.0
-    assert scalar_cone(m, bg, [0.0, 0.0, 0.0, 0.0]) == 0.0
+    H = ConeHamiltonian.scalar_model(builtin("scalar-maxwell"), bg)
+    assert H.value(None, np.array([1.0, 1.0, 0.0, 0.0])) == 0.0
+    assert H.value(None, np.zeros(4)) == 0.0
 
 
 def test_scalar_cone_dense_contraction_oracle():
@@ -180,10 +177,11 @@ def test_scalar_cone_dense_contraction_oracle():
     jet = model.jet_at(bg.point(model.kind))
     sigma_up = np.array([-0.2, 0.5, 0.1, 0.3])
     G = _ETA * jet.fa + np.outer(sigma_up, sigma_up) * jet.faa
+    H = ConeHamiltonian.scalar_model(model, bg)
     rng = np.random.default_rng(25)
     for _ in range(10):
         p = rng.uniform(-1, 1, 4)
-        assert scalar_cone(model, bg, p) == pytest.approx(
+        assert H.value(None, p) == pytest.approx(
             float(p @ G @ p), rel=1e-13, abs=1e-15)
 
 
@@ -390,7 +388,7 @@ def test_crosscheck_maxwell():
     bg = FieldBackground.vector([0.3, 0.1, -0.2], [0.1, 0.4, 0.2])
     model = builtin("maxwell")
     sys = vector_system(bg, model)
-    assert crosscheck_cone_vs_eigen(sys, quartic_cone_fn(model, bg)) < 1e-12
+    assert crosscheck_cone_vs_eigen(sys, QuarticHamiltonian(model, bg)) < 1e-12
 
 
 def test_crosscheck_sqrt_model_random():
@@ -404,20 +402,38 @@ def test_crosscheck_sqrt_model_random():
             continue
         n = unit_direction(rng.normal(size=3))
         sys = vector_system(bg, model, nhat=n)
-        assert crosscheck_cone_vs_eigen(sys, quartic_cone_fn(model, bg)) < 1e-8
+        assert crosscheck_cone_vs_eigen(sys, QuarticHamiltonian(model, bg)) < 1e-8
         checked += 1
 
 
 def test_inner_cone_vanishes_on_slow_pair_only():
     bg = FieldBackground.vector([0.3, 0, 0], [0, 0.4, 0])
     model = _bi_reduced()
-    cone = alpha_cone_fn(model, bg)
+    H = ConeHamiltonian.alpha_model(model, bg)
+
+    def defect(lam: float) -> float:
+        p = np.array([-lam, 1.0, 0.0, 0.0])
+        return abs(H.value(None, p)) / H.magnitude(None, p)
+
     v = 0.9284766908852594
-    for lam in (v, -v):
-        raw, scale = cone(np.array([-lam, 1.0, 0.0, 0.0]))
-        assert abs(raw) / scale < 1e-12
-    raw, scale = cone(np.array([-1.0, 1.0, 0.0, 0.0]))
-    assert abs(raw) / scale > 1e-3
+    assert defect(v) < 1e-12 and defect(-v) < 1e-12
+    assert defect(1.0) > 1e-3
+
+
+def test_alpha_cone_factors_the_quartic():
+    # an L(alpha) model has K = 0, P = 2 L' L'' and R = L'^2, so its
+    # quartic is g L' (2 u L'' + g L')
+    model = _bi_reduced()
+    bg = FieldBackground.vector([0.3, 0.1, -0.2], [0.1, 0.4, 0.2])
+    cone = ConeHamiltonian.alpha_model(model, bg)
+    quartic = QuarticHamiltonian(model, bg)
+    L1 = model.jet_at(bg.point(model.kind)).fa
+    rng = np.random.default_rng(32)
+    for _ in range(10):
+        p = rng.uniform(-1, 1, 4)
+        g = float(p @ _ETA @ p)
+        assert quartic.value(None, p) == pytest.approx(
+            g * L1 * cone.value(None, p), rel=1e-12, abs=1e-15)
 
 
 def test_crosscheck_scalar_sqrt_random():
@@ -433,7 +449,8 @@ def test_crosscheck_scalar_sqrt_random():
             sys = scalar_system(bg, model, nhat=n)
         except DegenerateSystem:
             continue
-        assert crosscheck_cone_vs_eigen(sys, scalar_cone_fn(model, bg)) < 1e-8
+        assert crosscheck_cone_vs_eigen(
+            sys, ConeHamiltonian.scalar_model(model, bg)) < 1e-8
         checked += 1
 
 

@@ -122,9 +122,12 @@ def test_ce_check_writes_the_bytes_of_json_dumps(model, flags, grid,
     report = classify(builtin(text) if kind is None
                       else from_expression(text, kind),
                       grid=parse_grid(grid) if grid else None)
-    want = json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
+    text = report.to_json_text()
     assert (hashlib.sha256(out.read_bytes()).hexdigest()
-            == hashlib.sha256(want.encode()).hexdigest())
+            == hashlib.sha256(text.encode()).hexdigest())
+    # the text is what json.dumps writes for the document it holds
+    assert text == json.dumps(json.loads(text), sort_keys=True,
+                              indent=2) + "\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -137,6 +140,10 @@ def test_ce_check_writes_the_bytes_of_json_dumps(model, flags, grid,
     ["ce", "check", "--expr", "a"],
     ["ce", "check", "--builtin", "maxwell", "--format", "csv"],
     ["ce", "check", "--builtin", "sqrt-family", "--params", "1.0"],
+    # non-finite bounds, and bounds whose distance overflows
+    ["ce", "check", "--builtin", "maxwell", "--grid", "a:nan:1:3"],
+    ["ce", "check", "--builtin", "maxwell", "--grid", "a:0:inf:3"],
+    ["ce", "check", "--builtin", "maxwell", "--grid", "a:-1e308:1e308:3"],
     # nothing in a classification is random
     ["ce", "check", "--builtin", "maxwell", "--seed", "1"],
 ])
@@ -152,7 +159,9 @@ def test_parse_grid():
     assert spec.axes["b"] == (-1.0, 1.0, 3)
 
 
-@pytest.mark.parametrize("text", ["a:0:1", "a:0:x:5", ":0:1:5", "a:0:1:0", ""])
+@pytest.mark.parametrize("text", ["a:0:1", "a:0:x:5", ":0:1:5", "a:0:1:0", "",
+                                  "a:nan:1:3", "a:0:inf:3",
+                                  "a:-1e308:1e308:3"])
 def test_parse_grid_rejects(text):
     with pytest.raises(BadParams):
         parse_grid(text)
@@ -324,6 +333,12 @@ _NO_MODEL = ("no model given; use --{0}builtin NAME or --{0}expr TEXT "
     (["shock", "--model-expr", ""], "--model-expr needs --model-kind"),
     (["shock", "--model-params", "0.1"], _NO_MODEL.format("model-")),
     (["shock", "--model-kind", "scalar"], _NO_MODEL.format("model-")),
+    # parameters belong to builtins; an expression would drop them
+    (["ce", "check", "--expr", "a", "--kind", "alpha", "--params", "1"],
+     "--params applies to --builtin only, not to --expr"),
+    (["shock", "--model-expr", "1 - sqrt(1 + 2*z)", "--model-kind",
+      "scalar", "--model-params", "1"],
+     "--model-params applies to --model-builtin only, not to --model-expr"),
 ])
 def test_model_flag_errors_name_the_commands_flags(argv, message, tmp_path,
                                                    capsys, monkeypatch):
@@ -487,6 +502,11 @@ def test_rays_off_shell_start_exit_3(tmp_path, capsys):
     ["rays", "--cone", "--s-max", "nan"],
     ["rays", "--cone", "--step", "0"],
     ["rays", "--builtin", "born-infeld", "--step", "nan"],
+    # the default start covector needs a nonzero, finite direction
+    ["rays", "--cone", "--nhat", "0,0,0"],
+    ["rays", "--cone", "--nhat", "nan,0,0"],
+    ["rays", "--builtin", "born-infeld", "--nhat", "0,0,0"],
+    ["rays", "--builtin", "born-infeld", "--nhat", "nan,0,0"],
 ])
 def test_rays_input_errors_exit_2(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)

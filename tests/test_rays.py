@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from cewave.charsys import ETA, FieldBackground, fresnel_roots, scalar_cone
+from cewave.charsys import ETA, FieldBackground, fresnel_roots
 from cewave.errors import (
     BadParams,
     BadUsage,
@@ -60,17 +60,6 @@ def test_metric_cone_ray_is_straight_and_exact():
     assert np.allclose(end.x, [2.0, 2.0, 0.0, 0.0], atol=1e-14)
     assert np.array_equal(end.p, p0)
     assert len(ray.states) == 101
-
-
-def test_scalar_cone_hamiltonian_matches_direct_contraction():
-    model = builtin("scalar-bi")
-    bg = FieldBackground.scalar(0.2, 0.5, 0.1, 0.3)
-    H = ConeHamiltonian.scalar_model(model, bg)
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        p = rng.uniform(-1.0, 1.0, size=4)
-        raw = scalar_cone(model, bg, p)
-        assert abs(H.value(np.zeros(4), p) - raw) < 1e-12
 
 
 def test_quartic_ray_on_coincident_pair_conserves_everything():
