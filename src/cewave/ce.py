@@ -30,8 +30,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charsys import DEGENERACY_RTOL, cone_coefficients, degeneracy_scales
-from .errors import DegeneracyError, DomainError, EmptyGrid, InternalCheckError
+from .charsys import (
+    DEGENERACY_RTOL,
+    cone_coefficients,
+    degeneracy_scales,
+    float_texts,
+)
+from .errors import (
+    BadParams,
+    DegeneracyError,
+    DomainError,
+    EmptyGrid,
+    InternalCheckError,
+)
 from .jets import DomainMask, InvariantPoint, Jet3
 from .lagrangians import Kind, LagrangianModel
 
@@ -293,7 +304,17 @@ class GridSpec:
 
     def point(self, names: tuple[str, ...]) -> InvariantPoint:
         """Every grid point, as flat coordinate arrays in C order (the
-        last axis varies fastest)."""
+        last axis varies fastest).  The grid must have exactly one axis
+        per name."""
+        wanted = ", ".join(names)
+        for name in names:
+            if name not in self.axes:
+                raise BadParams(f"grid has no axis '{name}'; the model's "
+                                f"invariants are {wanted}")
+        for name in self.axes:
+            if name not in names:
+                raise BadParams(f"grid axis '{name}' is not an invariant of "
+                                f"the model ({wanted})")
         axes = []
         for name in names:
             lo, hi, n = self.axes[name]
@@ -308,20 +329,6 @@ class GridSpec:
 
 
 _JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_floats(column: np.ndarray) -> list[str]:
-    """The literal json.dumps writes for each value of a float column.
-
-    Each distinct bit pattern is written once (grid coordinates repeat
-    along the other axes); bits, not values, keep -0.0 apart from 0.0.
-    """
-    bits, index = np.unique(column.view(np.int64), return_inverse=True)
-    values = bits.view(np.float64)
-    text = list(map(float.__repr__, values.tolist()))
-    if not np.isfinite(values).all():
-        text = [_JSON_CONSTANTS.get(t, t) for t in text]
-    return np.array(text, dtype=object)[index].tolist()
 
 
 def _json_items(doc: dict) -> str:
@@ -396,8 +403,10 @@ class CEReport:
 
     def _per_point_rows(self) -> list[str]:
         names = sorted(self.points)
-        text = {n: [_json_floats(self.points[n])] for n in names}
-        text.update({s: [_json_floats(c) for c in components]
+        text = {n: [float_texts(self.points[n], _JSON_CONSTANTS)]
+                for n in names}
+        text.update({s: [float_texts(c, _JSON_CONSTANTS)
+                         for c in components]
                      for s, components in self.residuals.items()})
 
         def rows_of(sectors: list[str]):

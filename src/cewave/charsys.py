@@ -16,6 +16,7 @@ lam = -p0 / |n|.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -43,6 +44,13 @@ _EPS3[0, 2, 1] = _EPS3[2, 1, 0] = _EPS3[1, 0, 2] = -1.0
 
 # Minkowski metric; equal to its inverse, so it raises and lowers indices
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
+
+
+def scalar_z(A: float, B: float, C: float, D: float) -> float:
+    """The invariant z = (1/2) sigma_mu sigma^mu of a gradient (A, B, C, D).
+    Squares are taken with ** (libm pow), which can differ from x*x in
+    the last bit; every z of a scalar background comes from here."""
+    return 0.5 * float(-A ** 2 + B ** 2 + C ** 2 + D ** 2)
 
 
 def _vec3(v) -> np.ndarray:
@@ -83,8 +91,7 @@ class FieldBackground:
 
     @property
     def z(self) -> float:
-        s = self.sigma
-        return 0.5 * float(-s[0] ** 2 + s[1] ** 2 + s[2] ** 2 + s[3] ** 2)
+        return scalar_z(*self.sigma)
 
     @property
     def alpha(self) -> float:
@@ -243,12 +250,19 @@ def _zero_count(w: np.ndarray) -> int:
     return int(np.sum(np.abs(w) < COINCIDENCE_RTOL * scale))
 
 
+def _scalar_row0(A: float, s, L1: float, L2: float, theta: float,
+                 i: int = 0) -> list[float]:
+    """Row 0 of the scalar system's matrix along axis i: the entry of
+    the time component A, then one entry per spatial component s[j]."""
+    return [-2.0 * A * s[i] * L2 / theta] + [
+        (s[i] * s[j] * L2 + (L1 if i == j else 0.0)) / theta
+        for j in range(len(s))]
+
+
 def _scalar_axis_matrix(A: float, s: np.ndarray, L1: float, L2: float,
                         theta: float, i: int = 0) -> np.ndarray:
     M = np.zeros((4, 4))
-    M[0, 0] = -2.0 * A * s[i] * L2 / theta
-    for j in range(3):
-        M[0, j + 1] = (s[i] * s[j] * L2 + (L1 if i == j else 0.0)) / theta
+    M[0] = _scalar_row0(A, s, L1, L2, theta, i)
     M[i + 1, 0] = -1.0
     return M
 
@@ -271,15 +285,20 @@ def _scalar_jet_theta(bg: FieldBackground,
     return jet, _scalar_theta(bg.A, jet)
 
 
-def scalar_axis_matrix(bg: FieldBackground,
-                       model: LagrangianModel) -> np.ndarray:
-    """The matrix of ``scalar_system(bg, model)`` along x1, without its
-    eigensystem.  Adding 0.0 makes zero entries +0.0, as the rotation
+def scalar_axis_block(model: LagrangianModel, A: float,
+                      B: float) -> np.ndarray:
+    """Leading 2x2 block of ``scalar_system``'s matrix along x1 on the
+    gradient (A, B, 0, 0), for a model of kind Scalar (the caller
+    checks the kind).  It is built from Python floats with the same
+    operations as the full matrix, so its bits equal the block sliced
+    from it.  Adding 0.0 makes zero entries +0.0, as the rotation
     product in scalar_system leaves them: LAPACK orders eigenpairs by
     the sign of a zero."""
-    jet, theta = _scalar_jet_theta(bg, model)
-    return _scalar_axis_matrix(bg.A, bg.sigma_spatial, jet.fa, jet.faa,
-                               theta) + 0.0
+    if not (math.isfinite(A) and math.isfinite(B)):
+        raise DomainError("background components must be finite")
+    jet = model.jet_at(InvariantPoint.scalar(scalar_z(A, B, 0.0, 0.0)))
+    m00, m01 = _scalar_row0(A, (B,), jet.fa, jet.faa, _scalar_theta(A, jet))
+    return np.array([[m00 + 0.0, m01 + 0.0], [-1.0, 0.0]])
 
 
 def scalar_system(bg: FieldBackground, model: LagrangianModel,
@@ -613,6 +632,33 @@ def write_csv(path: str, header: list[str], rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def float_texts(column, spelling: dict[str, str] | None = None) -> list[str]:
+    """repr of each value of a float column, with ``spelling`` renaming
+    the non-finite literals 'nan', 'inf' and '-inf' (JSON writes them
+    as NaN, Infinity and -Infinity).
+
+    Each distinct bit pattern is written once (grid coordinates and
+    constant columns repeat); bits, not values, keep -0.0 apart from 0.0.
+    """
+    column = np.asarray(column, dtype=float)
+    bits, index = np.unique(column.view(np.int64), return_inverse=True)
+    values = bits.view(np.float64)
+    text = list(map(float.__repr__, values.tolist()))
+    if spelling and not np.isfinite(values).all():
+        text = [spelling.get(t, t) for t in text]
+    return np.array(text, dtype=object)[index].tolist()
+
+
+def write_float_csv(path: str, header: list[str], columns) -> None:
+    """The bytes write_csv writes for rows of repr'd floats, built from
+    equal-length float columns: each row is its values' texts joined by
+    commas and ended by CRLF, as the csv module ends rows."""
+    rows = map(",".join, zip(*map(float_texts, columns), strict=True))
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(row + "\r\n" for row in rows)
 
 
 def write_scan_csv(path: str, header: list[str], rows: list[list]) -> None:

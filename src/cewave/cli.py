@@ -122,6 +122,9 @@ def _resolve_model(args, prefix: str = "") -> LagrangianModel:
     if builtin_name is not None and expr is not None:
         raise BadUsage(f"give either {dash}builtin or {dash}expr, not both")
     if builtin_name is not None:
+        if kind is not None:
+            raise BadUsage(f"{dash}kind applies to {dash}expr only, not to "
+                           f"{dash}builtin")
         values = _parse_floats(params) if params else None
         return builtin(builtin_name, values)
     if expr is not None:
@@ -299,6 +302,11 @@ def cmd_rays(args) -> int:
     bg = FieldBackground.vector(E, B)
 
     if args.cone:
+        given = [f"--{flag}" for flag, value in
+                 zip(_MODEL_FLAGS, _model_flags(args)) if value is not None]
+        if given:
+            raise BadUsage(f"--cone traces the metric cone and takes no "
+                           f"model; drop {', '.join(given)}")
         H = ConeHamiltonian.metric()
         if args.p0:
             p0 = np.array(_parse_floats(args.p0, 4))

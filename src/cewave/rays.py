@@ -15,6 +15,7 @@ output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,6 +28,7 @@ from .charsys import (
     scalar_cone_matrix,
     u_and_g,
     write_csv,
+    write_float_csv,
 )
 from .errors import (
     BadParams,
@@ -302,7 +304,7 @@ def transport_amplitude(ts: TransportState, s_max: float,
         s += step
         ss.append(s)
         pis.append(v)
-        if not np.isfinite(v) or abs(v) > BLOWUP_THRESHOLD:
+        if not math.isfinite(v) or abs(v) > BLOWUP_THRESHOLD:
             blown = True
             s_detect = s
             break
@@ -368,10 +370,12 @@ def crossing_time(lam, phis, t_max: float = np.inf) -> float | None:
 
 
 def write_ray_csv(path: str, ray: RayPath) -> None:
-    write_csv(path, ["s", "x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3", "H"],
-              ([repr(st.s), *(repr(float(v)) for v in st.x),
-                *(repr(float(v)) for v in st.p), repr(st.H)]
-               for st in ray.states))
+    states = ray.states
+    x = np.array([st.x for st in states])
+    p = np.array([st.p for st in states])
+    write_float_csv(
+        path, ["s", "x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3", "H"],
+        [[st.s for st in states], *x.T, *p.T, [st.H for st in states]])
 
 
 def write_transport_csv(path: str, result: TransportResult) -> None:

@@ -13,26 +13,25 @@ state space, and a side-by-side fan comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .charsys import (
-    FieldBackground,
-    nearly_real,
-    scalar_axis_matrix,
+    scalar_axis_block,
     scalar_system,  # unused here; bench/test_bench.py patches this binding
-    sorted_eig,
-    write_csv,
+    write_float_csv,
 )
 from .errors import (
     BadParams,
     CFLViolation,
     GridTooCoarse,
+    KindError,
     ModeCollision,
 )
-from .lagrangians import LagrangianModel
+from .lagrangians import Kind, LagrangianModel
 from .rays import crossing_time, rk4_step, ternary_argmin
 
 MULTIVALUED_TOL = 1e-12
@@ -42,6 +41,20 @@ COLLISION_TOL = 1e-8
 
 
 # --- initial data -----------------------------------------------------------------
+
+
+def _elementwise(fn: Callable, x: np.ndarray) -> np.ndarray:
+    """fn applied to every entry of x.  fn is called once on the whole
+    array; a function of one float (say, written with ``math``) raises
+    TypeError there or returns the wrong shape, and is then called once
+    per entry through ``np.vectorize``."""
+    try:
+        out = np.asarray(fn(x), dtype=float)
+    except TypeError:
+        out = None
+    if out is None or out.shape != x.shape:
+        out = np.vectorize(fn, otypes=[float])(x)
+    return out
 
 
 @dataclass(frozen=True)
@@ -76,10 +89,7 @@ class Profile1D:
     def from_callable(cls, fn: Callable, x_lo: float, x_hi: float,
                       n: int = 401, periodic: bool = False) -> "Profile1D":
         x = np.linspace(float(x_lo), float(x_hi), int(n))
-        u = np.asarray(fn(x), dtype=float)
-        if u.shape != x.shape:
-            u = np.array([float(fn(xi)) for xi in x])
-        return cls(x=x, u=u, periodic=periodic, fn=fn)
+        return cls(x=x, u=_elementwise(fn, x), periodic=periodic, fn=fn)
 
 
 # --- exact characteristic push ------------------------------------------------------
@@ -154,6 +164,10 @@ def upwind_solve(flux: Callable, profile: Profile1D, t: float, nx: int,
     Serves as an independent cross-check of moc_solve before the shock
     time; afterwards it keeps computing the entropy solution while the
     characteristic push goes multivalued.
+
+    The flux must be elementwise: flux(v)[k] depends on v[k] alone.  It
+    is called on whole arrays of cell values (a flux of one float is
+    called per cell instead, see _elementwise) and on single floats.
     """
     if cfl > MAX_CFL:
         raise CFLViolation(f"cfl={cfl:g} exceeds the stability bound "
@@ -169,7 +183,7 @@ def upwind_solve(flux: Callable, profile: Profile1D, t: float, nx: int,
     dx = (x_hi - x_lo) / nx
     centers = x_lo + dx * (np.arange(nx) + 0.5)
     if profile.fn is not None:
-        u = np.asarray(profile.fn(centers), dtype=float)
+        u = _elementwise(profile.fn, centers)
     else:
         u = np.interp(centers, profile.x, profile.u)
 
@@ -180,13 +194,13 @@ def upwind_solve(flux: Callable, profile: Profile1D, t: float, nx: int,
 
     u_star = ternary_argmin(flux, float(np.min(u)) - 1.0,
                             float(np.max(u)) + 1.0)
-    f = np.vectorize(flux, otypes=[float])
 
     def godunov(u_left: np.ndarray, u_right: np.ndarray) -> np.ndarray:
         lo = np.minimum(u_left, u_right)
         hi = np.maximum(u_left, u_right)
-        f_min = f(np.clip(u_star, lo, hi))
-        f_max = np.maximum(f(u_left), f(u_right))
+        f_min = _elementwise(flux, np.clip(u_star, lo, hi))
+        f_max = np.maximum(_elementwise(flux, u_left),
+                           _elementwise(flux, u_right))
         return np.where(u_left <= u_right, f_min, f_max)
 
     elapsed = 0.0
@@ -224,21 +238,47 @@ def moc_upwind_l1(sol: MoCSolution, snap: Snapshot) -> float:
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """Eigen-data of a small quasilinear system at one state."""
+    """Eigen-data of a small quasilinear system at one state: at most
+    two modes, eigenvalues ascending, right eigenvectors as unit
+    columns."""
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
     right: np.ndarray
 
 
-def _reduced_from_matrix(M: np.ndarray) -> ReducedSystem:
+MAX_MODES = 2
+
+
+def _check_size(n: int) -> None:
+    if n > MAX_MODES:
+        raise BadParams(f"simple waves take systems of at most {MAX_MODES} "
+                        f"modes, got {n}")
+
+
+def _reduced_from_matrix(M) -> ReducedSystem:
+    """Sorted, real, unit-normalized eigen-data of M.  The bookkeeping
+    runs on Python floats and gives the bits of charsys.sorted_eig,
+    nearly_real and a numpy column norm for systems of one or two
+    modes."""
     M = np.asarray(M, dtype=float)
-    w, V = sorted_eig(M)
-    if not nearly_real(w):
+    n = len(M)
+    _check_size(n)
+    w, V = np.linalg.eig(M)
+    w, V = w.tolist(), V.tolist()
+    order = sorted(range(n), key=lambda k: (w[k].real, w[k].imag))
+    top = max(abs(x.real) for x in w)
+    if not max(abs(x.imag) for x in w) <= 1e-10 * (1.0 + top):
         raise ModeCollision("complex eigenvalues: system is not "
                             "hyperbolic at this state")
-    return ReducedSystem(matrix=M, eigenvalues=w.real,
-                         right=V.real / np.linalg.norm(V.real, axis=0))
+    columns = []
+    for k in order:
+        col = [row[k].real for row in V]
+        norm = math.sqrt(sum(c * c for c in col))
+        columns.append([c / norm for c in col])
+    return ReducedSystem(matrix=M,
+                         eigenvalues=np.array([w[k].real for k in order]),
+                         right=np.array(columns).T)
 
 
 def burgers_factory() -> Callable[[np.ndarray], ReducedSystem]:
@@ -258,11 +298,13 @@ def scalar_reduced_factory(
     """1+1 reduction of a scalar-field model: states (A, B) with the
     remaining gradient components zero, which closes on the leading
     2x2 block of the full axis system."""
+    if model.kind is not Kind.Scalar:
+        raise KindError("the scalar reduction needs a model in the field "
+                        "invariant z")
 
     def make(U) -> ReducedSystem:
-        A, B = (float(v) for v in np.asarray(U, dtype=float).reshape(2))
-        bg = FieldBackground.scalar(A, B, 0.0, 0.0)
-        return _reduced_from_matrix(scalar_axis_matrix(bg, model)[:2, :2])
+        A, B = np.asarray(U, dtype=float).reshape(2).tolist()
+        return _reduced_from_matrix(scalar_axis_block(model, A, B))
 
     return make
 
@@ -284,27 +326,34 @@ class SimpleWave:
         return float(np.max(self.lams) - np.min(self.lams))
 
 
+def _dot(u: list[float], v: list[float]) -> float:
+    return sum(a * b for a, b in zip(u, v))
+
+
 def _track_mode(sys: ReducedSystem,
-                r_ref: np.ndarray) -> tuple[int, np.ndarray]:
-    overlaps = np.abs(r_ref @ sys.right)
-    j = int(np.argmax(overlaps))
-    lam = sys.eigenvalues
-    if len(lam) > 1:
-        gaps = np.abs(lam - lam[j])
-        gaps[j] = np.inf
-        scale = 1.0 + float(np.max(np.abs(lam)))
-        if float(np.min(gaps)) < COLLISION_TOL * scale:
+                r_ref: list[float]) -> tuple[int, list[float]]:
+    """Index and sign-aligned right eigenvector of the mode of sys that
+    best overlaps r_ref; ModeCollision when the mode is no longer
+    distinct.  Runs on Python floats (at most two modes)."""
+    columns = sys.right.T.tolist()
+    overlaps = [abs(_dot(r_ref, c)) for c in columns]
+    j = max(range(len(overlaps)), key=overlaps.__getitem__)
+    if len(columns) == 2:
+        lam = sys.eigenvalues.tolist()
+        gap = abs(lam[1 - j] - lam[j])
+        scale = 1.0 + max(abs(lam[0]), abs(lam[1]))
+        if gap < COLLISION_TOL * scale:
             raise ModeCollision(
-                f"eigenvalue gap {float(np.min(gaps)):.3e} below "
+                f"eigenvalue gap {gap:.3e} below "
                 f"{COLLISION_TOL * scale:.3e} while tracking a mode")
-        runner_up = float(np.partition(overlaps, -2)[-2])
-        if runner_up > 0.99 * float(overlaps[j]):
+        runner_up = overlaps[1 - j]
+        if runner_up > 0.99 * overlaps[j]:
             raise ModeCollision(
                 "eigenvectors no longer distinguish the tracked mode "
                 f"(overlap ratio {runner_up / overlaps[j]:.4f})")
-    r = sys.right[:, j]
-    if float(r @ r_ref) < 0.0:
-        r = -r
+    r = columns[j]
+    if _dot(r, r_ref) < 0.0:
+        r = [-c for c in r]
     return j, r
 
 
@@ -326,10 +375,11 @@ def simple_wave_construct(factory: Callable[[np.ndarray], ReducedSystem],
         raise GridTooCoarse("simple wave needs at least 3 nodes")
 
     sys0 = factory(U0)
+    _check_size(len(sys0.eigenvalues))
     if not 0 <= mode < len(sys0.eigenvalues):
         raise BadParams(f"mode index {mode} out of range for a "
                         f"{len(sys0.eigenvalues)}-mode system")
-    r0 = sys0.right[:, mode]
+    r0 = sys0.right[:, mode].tolist()
     if component is None:
         component = int(np.argmax(np.abs(r0)))
     elif not 0 <= component < len(U0):
@@ -345,10 +395,11 @@ def simple_wave_construct(factory: Callable[[np.ndarray], ReducedSystem],
     def slope(sysk: ReducedSystem) -> np.ndarray:
         # follows the mode tracked at the current node, r_ref
         _, r = _track_mode(sysk, r_ref)
-        if abs(r[component]) < 1e-12:
+        rc = r[component]
+        if abs(rc) < 1e-12:
             raise BadParams("tracked eigenvector loses its normalizing "
                             "component along the wave")
-        return r / r[component]
+        return np.array([c / rc for c in r])
 
     def rhs(U: np.ndarray) -> np.ndarray:
         return slope(factory(U))
@@ -357,7 +408,7 @@ def simple_wave_construct(factory: Callable[[np.ndarray], ReducedSystem],
     lams = np.zeros(len(phis))
     xis = np.zeros(len(phis))
     states[0] = U0
-    r_ref = r0 if r0[component] > 0 else -r0
+    r_ref = r0 if r0[component] > 0 else [-c for c in r0]
 
     U, sysk = U0.copy(), sys0
     for k in range(len(phis)):
@@ -437,13 +488,10 @@ def exceptional_flux_demo(model: LagrangianModel, profile: Profile1D,
 def write_characteristics_csv(path, phis, lams, x_by_t,
                               t_list) -> None:
     """Columns phi, lam, then one pushed-position column per time."""
-    write_csv(path, ["phi", "lam"] + [f"x_t{repr(float(t))}" for t in t_list],
-              ([repr(float(phis[k])), repr(float(lams[k]))]
-               + [repr(float(x[k])) for x in x_by_t]
-               for k in range(len(phis))))
+    write_float_csv(
+        path, ["phi", "lam"] + [f"x_t{repr(float(t))}" for t in t_list],
+        [phis, lams, *x_by_t])
 
 
 def write_snapshot_csv(path, snap: Snapshot) -> None:
-    write_csv(path, ["x", "u"],
-              ([repr(float(xk)), repr(float(uk))]
-               for xk, uk in zip(snap.x, snap.u)))
+    write_float_csv(path, ["x", "u"], [snap.x, snap.u])

@@ -5,13 +5,19 @@ point at a time with float jets; ``ce.classify`` must reproduce its report
 exactly.  ``_am_groups`` writes the third-order conditions out in
 L-partials, and ``jet_check_fd`` cross-checks jets against finite
 differences.  ``CallableHamiltonian`` traces rays of an arbitrary H with
-central-difference gradients, and ``wave_alignment_sines`` measures how
-closely a simple wave follows its eigenvector.  ``identity_checks`` and
+central-difference gradients.  ``scalar_reduced_oracle`` builds a simple
+wave's 2x2 eigen-data through the full scalar system with numpy
+bookkeeping, ``track_mode`` follows a mode with numpy, and
+``wave_alignment_sines`` measures how closely a simple wave follows its
+eigenvector.  ``repr_csv`` writes float rows one repr at a time through
+the csv module, as the column CSV writers must.  ``identity_checks`` and
 ``GravityProbe`` check gauge-bound gravity discontinuities.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,12 +34,20 @@ from cewave.ce import (
     _raw_pair,
     general_ce_residuals,
 )
+from cewave.charsys import (
+    FieldBackground,
+    _scalar_axis_matrix,
+    _scalar_jet_theta,
+    nearly_real,
+    sorted_eig,
+)
 from cewave.errors import (
     BadParams,
     DegeneracyError,
     DomainError,
     EmptyGrid,
     GridTooCoarse,
+    ModeCollision,
 )
 from cewave.gravity import (
     _check_covector,
@@ -44,7 +58,7 @@ from cewave.gravity import (
 )
 from cewave.jets import InvariantPoint, Jet3
 from cewave.lagrangians import LagrangianModel
-from cewave.shock1d import ReducedSystem, SimpleWave
+from cewave.shock1d import COLLISION_TOL, ReducedSystem, SimpleWave
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +356,71 @@ class CallableHamiltonian:
 
     def grad_x(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         return self._central(lambda y: self.fn(y, p), x)
+
+
+def scalar_axis_matrix(bg: FieldBackground,
+                       model: LagrangianModel) -> np.ndarray:
+    """The matrix of ``scalar_system(bg, model)`` along x1, without its
+    eigensystem.  Adding 0.0 makes zero entries +0.0, as the rotation
+    product in scalar_system leaves them: LAPACK orders eigenpairs by
+    the sign of a zero."""
+    jet, theta = _scalar_jet_theta(bg, model)
+    return _scalar_axis_matrix(bg.A, bg.sigma_spatial, jet.fa, jet.faa,
+                               theta) + 0.0
+
+
+def reduced_from_matrix(M: np.ndarray) -> ReducedSystem:
+    """Eigen-data of M with numpy bookkeeping: sorted_eig, nearly_real
+    and unit columns by np.linalg.norm."""
+    M = np.asarray(M, dtype=float)
+    w, V = sorted_eig(M)
+    if not nearly_real(w):
+        raise ModeCollision("complex eigenvalues: system is not "
+                            "hyperbolic at this state")
+    return ReducedSystem(matrix=M, eigenvalues=w.real,
+                         right=V.real / np.linalg.norm(V.real, axis=0))
+
+
+def scalar_reduced_oracle(model: LagrangianModel, A: float,
+                          B: float) -> ReducedSystem:
+    """The 1+1 reduction at the gradient (A, B, 0, 0) sliced from the
+    full 4x4 axis matrix of a FieldBackground."""
+    bg = FieldBackground.scalar(A, B, 0.0, 0.0)
+    return reduced_from_matrix(scalar_axis_matrix(bg, model)[:2, :2])
+
+
+def track_mode(sys: ReducedSystem,
+               r_ref: np.ndarray) -> tuple[int, np.ndarray]:
+    """The mode of sys that best overlaps r_ref, with numpy arrays:
+    argmax of the overlaps, gap and overlap-ratio checks, sign
+    alignment."""
+    overlaps = np.abs(np.asarray(r_ref) @ sys.right)
+    j = int(np.argmax(overlaps))
+    lam = sys.eigenvalues
+    if len(lam) > 1:
+        gaps = np.abs(lam - lam[j])
+        gaps[j] = np.inf
+        scale = 1.0 + float(np.max(np.abs(lam)))
+        if float(np.min(gaps)) < COLLISION_TOL * scale:
+            raise ModeCollision("eigenvalue gap below tolerance")
+        runner_up = float(np.partition(overlaps, -2)[-2])
+        if runner_up > 0.99 * float(overlaps[j]):
+            raise ModeCollision("eigenvectors no longer distinguish "
+                                "the tracked mode")
+    r = sys.right[:, j]
+    if float(r @ r_ref) < 0.0:
+        r = -r
+    return j, r
+
+
+def repr_csv(header: list[str], rows) -> bytes:
+    """The bytes of a CSV file with this header and repr(float(v)) for
+    each value of each row, written by csv.writer."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([repr(float(v)) for v in row] for row in rows)
+    return buf.getvalue().encode()
 
 
 def wave_alignment_sines(wave: SimpleWave,

@@ -13,7 +13,6 @@ from cewave.charsys import (
     exceptionality_per_mode,
     fresnel_roots,
     fresnel_scan_rows,
-    scalar_axis_matrix,
     rotation_to_x1,
     scalar_system,
     unit_direction,
@@ -29,6 +28,7 @@ from cewave.errors import (
 )
 from cewave.lagrangians import builtin, from_expression
 from cewave.rays import ConeHamiltonian, QuarticHamiltonian
+from oracles import scalar_axis_matrix
 
 _ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 

@@ -153,6 +153,26 @@ def test_ce_check_input_errors_exit_2(argv, tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("model, grid, message", [
+    ("maxwell", "q:0:1:3",
+     "grid has no axis 'a'; the model's invariants are a"),
+    ("born-infeld", "a:0:1:3",
+     "grid has no axis 'b'; the model's invariants are a, b"),
+    ("maxwell", "a:0:1:3,q:0:1:2",
+     "grid axis 'q' is not an invariant of the model (a)"),
+    ("scalar-bi", "z:0:0.1:3,a:0:1:3",
+     "grid axis 'a' is not an invariant of the model (z)"),
+])
+def test_ce_check_grid_needs_exactly_the_models_axes(model, grid, message,
+                                                      tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["ce", "check", "--builtin", model, "--grid", grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_parse_grid():
     spec = parse_grid("a:-0.5:2:21,b:-1:1:3")
     assert spec.axes["a"] == (-0.5, 2.0, 21)
@@ -339,6 +359,17 @@ _NO_MODEL = ("no model given; use --{0}builtin NAME or --{0}expr TEXT "
     (["shock", "--model-expr", "1 - sqrt(1 + 2*z)", "--model-kind",
       "scalar", "--model-params", "1"],
      "--model-params applies to --model-builtin only, not to --model-expr"),
+    # a builtin has its own kind
+    (["ce", "check", "--builtin", "maxwell", "--kind", "scalar"],
+     "--kind applies to --expr only, not to --builtin"),
+    (["shock", "--model-builtin", "scalar-bi", "--model-kind", "scalar"],
+     "--model-kind applies to --model-expr only, not to --model-builtin"),
+    # the metric cone takes no model, not even an unknown one
+    (["rays", "--cone", "--builtin", "no-such"],
+     "--cone traces the metric cone and takes no model; drop --builtin"),
+    (["rays", "--cone", "--expr", "a", "--kind", "alpha"],
+     "--cone traces the metric cone and takes no model; drop --expr, "
+     "--kind"),
 ])
 def test_model_flag_errors_name_the_commands_flags(argv, message, tmp_path,
                                                    capsys, monkeypatch):

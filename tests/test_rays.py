@@ -25,7 +25,7 @@ from cewave.rays import (
     write_ray_csv,
     write_transport_csv,
 )
-from oracles import CallableHamiltonian
+from oracles import CallableHamiltonian, repr_csv
 
 BG = FieldBackground.vector([0.3, 0.0, 0.0], [0.0, 0.4, 0.0])
 
@@ -377,6 +377,21 @@ def test_ray_csv_roundtrip(tmp_path):
     assert rows[0] == ["s", "x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3", "H"]
     assert len(rows) == 12
     assert float(rows[-1][1]) == pytest.approx(0.2)
+
+
+def test_ray_csv_keeps_the_sign_of_zero(tmp_path):
+    # x1 starts at -0.0 and p1 stays -0.0: the constant slope adds -0.0
+    # to it at every step
+    ray = trace(ConeHamiltonian.metric(), [0.0, -0.0, 0.0, 0.0],
+                [-1.0, -0.0, 0.0, 1.0], s_max=0.05)
+    out = tmp_path / "ray.csv"
+    write_ray_csv(out, ray)
+    want = repr_csv(["s", "x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3",
+                     "H"], ([st.s, *st.x, *st.p, st.H] for st in ray.states))
+    assert out.read_bytes() == want
+    rows = out.read_text().splitlines()
+    assert rows[1].split(",")[2] == "-0.0"
+    assert {row.split(",")[6] for row in rows[1:]} == {"-0.0"}
 
 
 def test_transport_csv_roundtrip(tmp_path):

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cewave.charsys import FieldBackground, scalar_system
 from cewave.errors import (
     BadParams,
+    CewaveError,
     CFLViolation,
+    DegenerateSystem,
     DomainError,
     GridTooCoarse,
     KindError,
@@ -24,6 +27,7 @@ from cewave.shock1d import (
     ReducedSystem,
     Snapshot,
     _reduced_from_matrix,
+    _track_mode,
     burgers_factory,
     exceptional_flux_demo,
     moc_solve,
@@ -35,7 +39,13 @@ from cewave.shock1d import (
     write_characteristics_csv,
     write_snapshot_csv,
 )
-from oracles import wave_alignment_sines
+from oracles import (
+    reduced_from_matrix,
+    repr_csv,
+    scalar_reduced_oracle,
+    track_mode,
+    wave_alignment_sines,
+)
 
 
 def _identity(u):
@@ -44,6 +54,12 @@ def _identity(u):
 
 def _burgers_flux(u):
     return 0.5 * u * u
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
 
 
 def _sin_profile(n=401):
@@ -60,6 +76,12 @@ def test_profile_validation():
         Profile1D(x=[0.0, 1.0], u=[np.nan, 1.0])
     with pytest.raises(BadParams):
         Profile1D(x=[0.0], u=[1.0])
+
+
+def test_profile_of_a_callable_that_returns_one_value():
+    # a scalar result has the wrong shape, so fn is called per sample
+    prof = Profile1D.from_callable(lambda x: 0.25, 0.0, 1.0, n=5)
+    assert prof.u.tolist() == [0.25] * 5
 
 
 def test_moc_push_keeps_values_and_flags_folding():
@@ -149,6 +171,25 @@ def test_upwind_initial_data_and_constant_state_are_exact():
     assert np.max(np.abs(snap_c.u - 0.7)) == 0.0
 
 
+def test_flux_of_one_float_falls_back_to_per_cell_calls_with_same_bits():
+    # math.sqrt takes one float; np.sqrt is correctly rounded as well,
+    # so both fluxes and both profiles give the same bits
+    def u0_math(x):
+        return math.sqrt(1.0 + x * x) - 1.2
+
+    def u0_numpy(x):
+        return np.sqrt(1.0 + x * x) - 1.2
+
+    profiles = [Profile1D.from_callable(fn, -1.0, 1.0, n=101)
+                for fn in (u0_math, u0_numpy)]
+    assert _same_bits(profiles[0].u, profiles[1].u)
+    snaps = [upwind_solve(flux, prof, 0.5, nx=64) for flux, prof in zip(
+        (lambda u: math.sqrt(1.0 + u * u), lambda u: np.sqrt(1.0 + u * u)),
+        profiles)]
+    assert _same_bits(snaps[0].u, snaps[1].u)
+    assert not _same_bits(snaps[1].u, u0_numpy(snaps[1].x))
+
+
 def test_upwind_rejects_unstable_cfl():
     with pytest.raises(CFLViolation):
         upwind_solve(_burgers_flux, _sin_profile(), 0.1, nx=64, cfl=0.95)
@@ -185,19 +226,93 @@ def test_scalar_reduction_equals_full_system_block_bit_for_bit():
         for A, B in states:
             bg = FieldBackground.scalar(A, B, 0.0, 0.0)
             fast = factory(np.array([A, B]))
-            full = _reduced_from_matrix(scalar_system(bg, model).matrix[:2, :2])
+            full = reduced_from_matrix(scalar_system(bg, model).matrix[:2, :2])
             for a, b in ((fast.matrix, full.matrix),
                          (fast.eigenvalues, full.eigenvalues),
                          (fast.right, full.right)):
-                assert np.array_equal(a, b)
-                assert np.array_equal(np.signbit(a), np.signbit(b))
+                assert _same_bits(a, b)
+
+
+# The model and state of a shock job where z = (B^2 - A^2)/2 computed
+# with A*A instead of A**2 is one ulp off and changes a speed.
+_POW_TRAP = ("-0.727 - 1.247*sqrt(1.153 + 1.608*z)", 0.489757429652944,
+             0.29250000000000015)
+
+_SCALAR_MODELS = st.one_of(
+    st.sampled_from(["scalar-bi", "scalar-maxwell"]).map(builtin),
+    st.sampled_from(["z^2", "-z", "z + 0.3*z^2", "(1 + 2*z)^1.5"]).map(
+        lambda text: from_expression(text, "scalar")),
+    st.tuples(st.floats(-1.0, 1.0), st.floats(0.5, 2.0),
+              st.floats(1.0, 2.0), st.floats(-2.5, 2.5)).map(
+        lambda kmdc: from_expression(
+            "{!r} - {!r}*sqrt({!r} + {!r}*z)".format(*kmdc), "scalar")),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=_SCALAR_MODELS, A=st.floats(-0.8, 0.8), B=st.floats(-0.8, 0.8))
+@example(model=from_expression(_POW_TRAP[0], "scalar"), A=_POW_TRAP[1],
+         B=_POW_TRAP[2])
+@example(model=builtin("scalar-bi"), A=-0.0, B=0.0)
+def test_scalar_reduction_matches_the_full_system_path_bit_for_bit(model, A,
+                                                                   B):
+    factory = scalar_reduced_factory(model)
+    try:
+        want = scalar_reduced_oracle(model, A, B)
+    except CewaveError as exc:
+        with pytest.raises(type(exc)):
+            factory(np.array([A, B]))
+        return
+    got = factory(np.array([A, B]))
+    for name in ("matrix", "eigenvalues", "right"):
+        assert _same_bits(getattr(got, name), getattr(want, name)), name
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+       ref=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2))
+def test_mode_tracking_on_floats_matches_numpy(entries, ref):
+    M = np.array(entries).reshape(2, 2)
+    try:
+        want = reduced_from_matrix(M)
+    except ModeCollision:
+        with pytest.raises(ModeCollision):
+            _reduced_from_matrix(M)
+        return
+    got = _reduced_from_matrix(M)
+    for name in ("matrix", "eigenvalues", "right"):
+        assert _same_bits(getattr(got, name), getattr(want, name)), name
+    try:
+        j_want, r_want = track_mode(want, np.array(ref))
+    except ModeCollision:
+        with pytest.raises(ModeCollision):
+            _track_mode(got, ref)
+        return
+    j_got, r_got = _track_mode(got, ref)
+    assert j_got == j_want
+    assert _same_bits(np.array(r_got), r_want)
+
+
+def test_simple_waves_take_at_most_two_modes():
+    with pytest.raises(BadParams):
+        _reduced_from_matrix(np.eye(3))
+
+    def factory(U):
+        return ReducedSystem(matrix=np.eye(3), eigenvalues=np.zeros(3),
+                             right=np.eye(3))
+
+    with pytest.raises(BadParams):
+        simple_wave_construct(factory, 0, (0.1, 0.6), [0.1, 0.0, 0.0])
 
 
 def test_scalar_reduction_keeps_its_checks():
+    # the kind is checked once, when the factory is made
     with pytest.raises(KindError):
-        scalar_reduced_factory(builtin("born-infeld"))([0.3, 0.1])
+        scalar_reduced_factory(builtin("born-infeld"))
     with pytest.raises(DomainError):
         scalar_reduced_factory(builtin("scalar-bi"))([np.inf, 0.1])
+    with pytest.raises(DegenerateSystem):
+        scalar_reduced_factory(from_expression("z^2", "scalar"))([0.0, 0.0])
 
 
 def test_simple_wave_speed_varies_for_non_exceptional_model():
@@ -295,6 +410,19 @@ def test_characteristics_csv_roundtrip(tmp_path):
     assert rows[0] == ["phi", "lam", "x_t0.5", "x_t1.0"]
     assert len(rows) == 12
     assert float(rows[1][0]) == 0.0
+
+
+def test_characteristics_csv_writes_non_finite_values_as_repr(tmp_path):
+    phis = np.array([0.0, -0.0, 1e-310, 2.0])
+    lams = np.array([np.nan, np.inf, -np.inf, 0.5])
+    xs = [phis + 0.5 * lams, np.array([1.0, 1.0, np.nan, -0.0])]
+    out = tmp_path / "chars.csv"
+    write_characteristics_csv(out, phis, lams, xs, [0.5, 2])
+    want = repr_csv(["phi", "lam", "x_t0.5", "x_t2.0"],
+                    zip(phis, lams, *xs))
+    assert out.read_bytes() == want
+    assert out.read_text().splitlines()[1:4] == [
+        "0.0,nan,nan,1.0", "-0.0,inf,inf,1.0", "1e-310,-inf,-inf,nan"]
 
 
 def test_snapshot_csv_roundtrip(tmp_path):
