@@ -2,14 +2,17 @@
 
 Every analysis writes a flat file (JSON or CSV) whose bytes depend only
 on the arguments and the seed, plus a one-line summary on stdout.  Exit
-codes: 0 success, 2 bad input (parse, domain, usage), 3 numerical
-precondition failure, 4 internal consistency violation.
+codes: 0 success, 2 bad input (parse, domain, usage, an output that
+cannot be written), 3 numerical precondition failure, 4 internal
+consistency violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -141,7 +144,16 @@ def _resolve_model(args, prefix: str = "") -> LagrangianModel:
 def _check_tol(tol: float) -> float:
     if not tol > 0.0:
         raise BadParams(f"tolerance must be positive, got {tol:g}")
+    if not math.isfinite(tol):
+        raise BadParams(f"tolerance must be finite, got {tol:g}")
     return tol
+
+
+def _rng(seed: int) -> np.random.Generator:
+    """The generator that --seed names; numpy takes no negative seed."""
+    if seed < 0:
+        raise BadParams(f"--seed must be nonnegative, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -198,7 +210,7 @@ def cmd_fresnel(args) -> int:
     model = _resolve_model(args)
     if args.trials < 1:
         raise BadParams("--trials must be at least 1")
-    rng = np.random.default_rng(args.seed)
+    rng = _rng(args.seed)
     zero = _solved(model, FieldBackground.vector(np.zeros(3), np.zeros(3)),
                    np.array([1.0, 0.0, 0.0]))
     # the zero field leads the scan unless it is outside the model's domain
@@ -236,10 +248,17 @@ def cmd_shock(args) -> int:
                         f"of {sorted(_PROFILES)}")
     profile = _PROFILES[args.profile]()
     t_list = _parse_floats(args.t_list)
+    if not t_list:
+        raise BadParams("--t-list needs at least one time")
+    if not np.isfinite(t_list).all():
+        raise BadParams("t values must be finite")
     if any(t < 0 for t in t_list):
         raise BadParams("t values must be nonnegative")
     if not np.isfinite(args.horizon):
         raise BadParams(f"--horizon must be finite, got {args.horizon:g}")
+    if args.horizon < 0:
+        raise BadParams(f"--horizon must be nonnegative, got "
+                        f"{args.horizon:g}")
     model = None
     if any(value is not None for value in _model_flags(args, "model-")):
         model = _resolve_model(args, "model-")
@@ -281,7 +300,7 @@ def cmd_shock(args) -> int:
 
 
 def cmd_gravity(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    rng = _rng(args.seed)
     survey = kernel_survey(args.theory, args.D, args.trials, rng,
                            p=args.p, q=args.q, f2=args.fpp)
     payload = {"schema": REPORT_SCHEMA, "report": "gravity-kernel-survey"}
@@ -336,7 +355,15 @@ def cmd_rays(args) -> int:
 # --- parser ---------------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by
+    every later one in the process, so in-process callers of main pay
+    for its 50 add_argument calls once.  Callers must not mutate it.
+    Each subparser binds its cmd_* handler when the parser is built;
+    nothing rebinds those names, and the handlers look up the library
+    functions they call at call time, so patching a library binding
+    still reaches a shared parser."""
     parser = argparse.ArgumentParser(
         prog="cewave",
         description="Exceptional-wave analyses of nonlinear field models")
@@ -433,6 +460,10 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        # the handlers open no file but their outputs
+        print(f"input error: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -27,13 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadParams, InternalCheckError, ZeroCouplings,
-                     ZeroCoupling, ZeroCovector)
+from .errors import (BadParams, InternalCheckError, NumericalError,
+                     ZeroCouplings, ZeroCoupling, ZeroCovector)
 
 RANK_RTOL = 1e-10
 NULL_RTOL = 1e-10
 MIN_NONNULL_Q = 0.1
 GAUGE_MODE_RTOL = 1e-10
+# smallest row norm whose squared entries sum in the normal double range
+_MIN_ROW_NORM = float(np.sqrt(np.finfo(float).tiny))
 _BLOCK = 16   # normals per survey step; bounds the (T, n, D, D) temporaries
 
 
@@ -245,9 +247,18 @@ def _row_normalized(op: np.ndarray) -> np.ndarray:
     """Scale each nonzero row to unit norm.  The gauge rows are linear
     in the covector while the equation rows carry higher powers, so
     without this the singular-value threshold would depend on the
-    covector's overall scale; the kernel itself is untouched."""
+    covector's overall scale; the kernel itself is untouched.  A
+    nonzero row whose norm overflows or underflows (huge or tiny
+    couplings) cannot be normalized and raises NumericalError: dividing
+    by an infinite or zero norm would change the kernel."""
     op = np.asarray(op, dtype=float)
-    norms = np.linalg.norm(op, axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(op, axis=-1, keepdims=True)
+    in_range = (norms >= _MIN_ROW_NORM) & (norms < np.inf)
+    if (~in_range & (op != 0.0).any(axis=-1, keepdims=True)).any():
+        raise NumericalError("an operator row's norm leaves the double "
+                             "range; the couplings are too large or too "
+                             "small to normalize")
     safe = np.where(norms > 0.0, norms, 1.0)
     return op / safe
 
@@ -339,8 +350,12 @@ def kernel_survey(theory: str, D: int, trials: int,
     phis = [draw(rng, D) for _ in range(trials)
             for draw in (random_null_covector, random_nonnull_covector)]
     phis = np.array([_check_covector(phi, D) for phi in phis])
-    dims = np.concatenate([_kernel(_operators(*spec, phis[s:s + _BLOCK]))[0]
-                           for s in range(0, len(phis), _BLOCK)])
+    # a coupling near the double range can overflow the operators;
+    # _row_normalized turns that into a NumericalError
+    with np.errstate(over="ignore", invalid="ignore"):
+        dims = np.concatenate([_kernel(_operators(*spec,
+                                                  phis[s:s + _BLOCK]))[0]
+                               for s in range(0, len(phis), _BLOCK)])
     report = {
         "theory": theory,
         "D": int(D),

@@ -1,8 +1,10 @@
 """End-to-end checks of the command-line front end.
 
-Every test drives ``main(argv)`` directly and inspects exit codes plus
+The tests drive ``main(argv)`` directly and inspect exit codes plus
 the files it writes, so the process boundary (argparse, error-to-exit
-mapping, serialization) is covered without spawning subprocesses.
+mapping, serialization) is covered without spawning subprocesses; only
+the check that importing the module builds no parser needs a fresh
+interpreter.
 """
 
 from __future__ import annotations
@@ -10,6 +12,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -328,11 +334,17 @@ def test_shock_with_exceptional_model(tmp_path):
     ["shock", "--format", "csv"],
     ["shock", "--horizon", "nan"],
     ["shock", "--horizon", "inf"],
+    ["shock", "--horizon=-1"],
+    # times must be finite, and there must be at least one
+    ["shock", "--t-list", "nan"],
+    ["shock", "--t-list", "0.5,inf"],
+    ["shock", "--t-list", ","],
 ])
 def test_shock_input_errors_exit_2(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 _NO_MODEL = ("no model given; use --{0}builtin NAME or --{0}expr TEXT "
@@ -461,6 +473,23 @@ def test_gravity_non_finite_coupling_exits_2(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--theory", "fr", "--fpp", "1e200"],
+    ["--theory", "fr", "--fpp", "1e-200"],
+    ["--theory", "fr", "--fpp", "1e308"],
+    ["--theory", "quadratic", "--p", "1e160", "--q", "0"],
+    ["--theory", "quadratic", "--p", "1e-200", "--q", "0"],
+])
+def test_gravity_couplings_whose_rows_leave_the_range_exit_3(argv, tmp_path,
+                                                            capsys):
+    out = tmp_path / "g.json"
+    assert main(["gravity", *argv, "--D", "4", "--trials", "5", "--seed",
+                 "3", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical error: an operator row's norm leaves the double range")
+    assert not out.exists()
+
+
 def test_gravity_einstein_ignores_couplings(tmp_path):
     out = tmp_path / "g.json"
     assert main(["gravity", "--p", "nan", "--fpp", "inf", "--trials", "2",
@@ -543,6 +572,142 @@ def test_rays_input_errors_exit_2(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    # StronglyCE at an infinite tolerance, NotCE at the default
+    ["ce", "check", "--expr=-a/2 + 0.1*a^2", "--kind", "alpha"],
+    # an off-cone start, |H| = 171
+    ["rays", "--builtin", "born-infeld", "--p0=-5,1,0,0"],
+])
+def test_infinite_tolerance_exits_2(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--tol", "inf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "input error: tolerance must be finite, got inf\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+# --- seeds and outputs ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, seed", [
+    (["fresnel", "--builtin", "maxwell"], "-1"),
+    (["gravity"], "-5"),
+])
+def test_negative_seed_exits_2(argv, seed, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: --seed must be nonnegative, got " \
+                           f"{seed}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["ce", "check", "--builtin", "maxwell"],
+    ["fresnel", "--builtin", "maxwell", "--trials", "2"],
+    ["shock"],
+    ["gravity", "--trials", "1"],
+    ["rays", "--cone", "--s-max", "0.1"],
+], ids=lambda argv: argv[0])
+def test_output_in_a_missing_directory_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: cannot write output: "
+                                   "[Errno 2] No such file or directory")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+# --- one parser per process -----------------------------------------------------------
+
+# every subcommand, parse errors, --help at the top and at subcommands, a
+# handler that exits 3, and --list-builtins, with their exit codes
+_MIXED_SEQUENCE = [
+    (["ce", "check", "--builtin", "born-infeld", "--out", "r.json"], 0),
+    (["--help"], 0),
+    (["gravity", "--D", "five"], 2),
+    (["fresnel", "--builtin", "born-infeld", "--trials", "3",
+      "--out", "f.csv"], 0),
+    (["rays", "--cone", "--p0=-2,1,0,0", "--out", "bad.csv"], 3),
+    (["shock", "--profile", "linear", "--t-list", "0.5", "--out",
+      "s.json"], 0),
+    (["--list-builtins"], 0),
+    (["gravity", "--help"], 0),
+    (["gravity", "--theory", "quadratic", "--p", "3", "--q", "1",
+      "--trials", "4", "--out", "g.json"], 0),
+    (["no-such-command"], 2),
+    (["rays", "--builtin", "born-infeld", "--s-max", "0.5", "--out",
+      "ray.csv"], 0),
+    (["ce", "check", "--help"], 0),
+    (["shock", "--model-builtin", "scalar-bi", "--t-list", "0.5,1.0",
+      "--out", "m.json"], 0),
+]
+
+
+def _outcome(argv, where, capsys, monkeypatch):
+    """What parsing argv and running main(argv) in the directory where
+    give: the parsed namespace (or parse exit code) with its output, the
+    exit code of main, its stdout and stderr, and the files it wrote."""
+    where.mkdir(parents=True)
+    monkeypatch.chdir(where)
+    try:
+        parsed = vars(cli.build_parser().parse_args(argv))
+    except SystemExit as exc:
+        parsed = exc.code
+    parse_output = capsys.readouterr()
+    rc = main(argv)
+    captured = capsys.readouterr()
+    files = {path.name: path.read_bytes() for path in where.iterdir()}
+    return parsed, parse_output, rc, captured.out, captured.err, files
+
+
+def test_one_parser_serves_a_process_as_a_fresh_one_would(tmp_path, capsys,
+                                                          monkeypatch):
+    cli.build_parser.cache_clear()
+    sequence = _MIXED_SEQUENCE * 2  # reused after errors, help and exits
+    shared = [_outcome(argv, tmp_path / "shared" / str(i), capsys,
+                       monkeypatch)
+              for i, (argv, _) in enumerate(sequence)]
+    assert cli.build_parser.cache_info().misses == 1
+    assert [outcome[2] for outcome in shared] == [rc for _, rc in sequence]
+    with monkeypatch.context() as fresh_parsers:
+        fresh_parsers.setattr(cli, "build_parser",
+                              cli.build_parser.__wrapped__)
+        fresh = [_outcome(argv, tmp_path / "fresh" / str(i), capsys,
+                          monkeypatch)
+                 for i, (argv, _) in enumerate(sequence)]
+    for argv_rc, one, other in zip(sequence, shared, fresh):
+        assert one == other, argv_rc[0]
+    helps = [outcome[3] for outcome, (argv, _) in zip(shared, sequence)
+             if "--help" in argv]
+    assert all(text.startswith("usage: cewave") for text in helps)
+
+
+def test_importing_the_cli_builds_no_parser():
+    # the parser is built on the first main call, not at import
+    code = ("import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import cewave.cli\n"
+            "print(len(built))\n"
+            "cewave.cli.main(['--help'])\n"
+            "print(len(built) > 0)\n")
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "0"
+    assert lines[-1] == "True"
 
 
 # --- determinism and top-level dispatch -----------------------------------------------

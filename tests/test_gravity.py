@@ -7,6 +7,7 @@ from cewave import gravity
 from cewave.errors import (
     BadParams,
     InternalCheckError,
+    NumericalError,
     ZeroCoupling,
     ZeroCouplings,
     ZeroCovector,
@@ -32,7 +33,7 @@ from cewave.gravity import (
     sym_dim,
     sym_pairs,
 )
-from cewave.gravity import _operators, _theory
+from cewave.gravity import _operators, _row_normalized, _theory
 
 from oracles import GravityProbe, identity_checks
 
@@ -393,3 +394,56 @@ def test_curvature_squared_rows_are_exempt_from_the_gauge_mode_check():
     mode = components_from_pi(np.outer(TIME4, SPACE4)
                               + np.outer(SPACE4, TIME4))
     assert np.max(np.abs(op[4:] @ mode)) > 0.1
+
+
+def test_row_normalization_keeps_every_bit_of_rows_in_range():
+    rng = np.random.default_rng(41)
+    op = rng.uniform(-1.0, 1.0, size=(3, 7, 5))
+    op[1, 2] = 0.0   # a zero row stays zero
+    op[2] *= 1e-150  # squares still sum in the normal range
+    norms = np.linalg.norm(op, axis=-1, keepdims=True)
+    expect = op / np.where(norms > 0.0, norms, 1.0)
+    assert np.array_equal(_row_normalized(op), expect)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e160, 1e-160, 1e-200],
+                         ids=["overflow", "overflow-sum", "subnormal-sum",
+                              "underflow"])
+def test_row_normalization_rejects_rows_out_of_range(scale):
+    # their norm squares leave the double range, so dividing by the
+    # computed norm would zero the row or leave it unnormalized
+    op = np.ones((2, 3, 4))
+    op[1, 0] *= scale
+    with pytest.raises(NumericalError, match="double range"):
+        _row_normalized(op)
+
+
+@pytest.mark.parametrize("theory, kw", [
+    ("fr", {"f2": 1e200}),
+    ("fr", {"f2": 1e-200}),
+    ("fr", {"f2": 1e308}),
+    ("quadratic", {"p": 1e160, "q": 0.0}),
+    ("quadratic", {"p": 1e-200, "q": 0.0}),
+])
+def test_kernel_survey_rejects_couplings_whose_rows_leave_the_range(theory,
+                                                                    kw):
+    # the kernel does not depend on the coupling's scale; without the
+    # check these surveys reported other dims than at f'' = 1 or p = 1
+    with pytest.raises(NumericalError, match="double range"):
+        kernel_survey(theory, 4, 5, np.random.default_rng(3), **kw)
+
+
+@pytest.mark.parametrize("theory, kw, unit", [
+    ("fr", {"f2": 1e100}, {"f2": 1.0}),
+    ("fr", {"f2": 1e-100}, {"f2": 1.0}),
+    ("quadratic", {"p": 1e100, "q": 0.0}, {"p": 1.0, "q": 0.0}),
+    ("quadratic", {"p": 3e-100, "q": 1e-100}, {"p": 3.0, "q": 1.0}),
+])
+def test_kernel_survey_is_coupling_scale_free_inside_the_range(theory, kw,
+                                                               unit):
+    def dims(couplings):
+        rep = kernel_survey(theory, 4, 5, np.random.default_rng(3),
+                            **couplings)
+        return rep["null_kernel_dims"], rep["nonnull_kernel_dims"]
+
+    assert dims(kw) == dims(unit)
