@@ -16,6 +16,7 @@ lam = -p0 / |n|.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -462,29 +463,96 @@ class FresnelRoots:
     roots: np.ndarray
     coincident_with: tuple[int, int, int, int]
     birefringent: bool
-    coeffs: np.ndarray
 
     def real_roots(self) -> np.ndarray:
         return self.roots.real
 
 
-def _quadratic_roots(coeffs: np.ndarray) -> np.ndarray:
-    top = float(np.max(np.abs(coeffs)))
-    if top < _TINY:
-        raise DegenerateQuartic(
-            "dispersion factor vanishes identically; propagation "
-            "is undetermined at this background")
-    if abs(coeffs[0]) <= 1e-14 * top:
-        raise DegenerateQuartic(
-            "leading quartic coefficient vanishes; a root escapes to "
-            "infinity at this background")
-    return np.roots(coeffs)
+# why a row of a FresnelBatch has no roots; FresnelBatch.unusable indexes it
+_UNUSABLE = (
+    None,
+    "dispersion quartic coefficients are not finite at this background",
+    "dispersion polynomial vanishes identically; propagation is "
+    "undetermined at this background",
+    "dispersion factor vanishes identically; propagation is undetermined "
+    "at this background",
+    "leading quartic coefficient vanishes; a root escapes to infinity at "
+    "this background",
+)
+
+# the metric cone g = p.p as a quadratic in p0 along a unit normal
+_METRIC_FACTOR = np.array([-1.0, 0.0, 1.0], dtype=complex)
 
 
-def fresnel_roots(model: LagrangianModel, bg: FieldBackground,
-                  nhat=(1.0, 0.0, 0.0)) -> FresnelRoots:
-    """Solve K u^2 + u g P + g^2 R = 0 for the frequency p0 with the
-    spatial covector fixed to the unit normal.
+@dataclass(frozen=True)
+class FresnelBatch:
+    """Dispersion roots of a stack of backgrounds, one row each: the
+    fields E and B and the normal n as given (N x 3), the four roots
+    sorted by real part (N x 4, NaN on an unusable row), the index of
+    each root's coincident partner or -1, the birefringence flag, and
+    ``unusable``, the nonzero reason code of a row without roots."""
+
+    E: np.ndarray
+    B: np.ndarray
+    n: np.ndarray
+    roots: np.ndarray
+    coincident_with: np.ndarray
+    birefringent: np.ndarray
+    unusable: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.roots)
+
+    def take(self, rows) -> "FresnelBatch":
+        """The rows an index array or boolean mask selects."""
+        return FresnelBatch(*(field[rows] for field in vars(self).values()))
+
+    @staticmethod
+    def concat(batches: Sequence["FresnelBatch"]) -> "FresnelBatch":
+        fields = zip(*(vars(b).values() for b in batches))
+        return FresnelBatch(*map(np.concatenate, fields))
+
+    def error(self, row: int) -> DegenerateQuartic | None:
+        """The error that leaves row ``row`` without roots, if any."""
+        code = int(self.unusable[row])
+        return DegenerateQuartic(_UNUSABLE[code]) if code else None
+
+
+def _quadratic_roots(C: np.ndarray) -> np.ndarray:
+    """Roots of the stacked quadratics C[..., 0] p0^2 + C[..., 1] p0 +
+    C[..., 2] with nonzero leading coefficients, bit for bit those of
+    ``np.roots`` on each row: one stacked ``eigvals`` of the companion
+    matrices [[-c1/c0, -c2/c0], [1, 0]], except that, as ``np.roots``
+    does, a zero c2 leaves the 1 x 1 companion [-c1/c0] and an exact
+    zero root, and zero c1 and c2 leave two zero roots."""
+    top_row = -C[..., 1:] / C[..., :1]
+    companion = np.zeros(C.shape[:-1] + (2, 2), dtype=complex)
+    companion[..., 0, :] = top_row
+    companion[..., 1, 0] = 1.0
+    roots = np.linalg.eigvals(companion)
+    trailing = C[..., 2] == 0
+    roots[trailing] = [0.0, 0.0]
+    linear = trailing & (C[..., 1] != 0)
+    roots[linear, 0] = top_row[linear, 0]
+    return roots
+
+
+def _check_field_model(model: LagrangianModel) -> None:
+    if model.kind not in (Kind.VectorAlpha, Kind.VectorAlphaBeta):
+        raise KindError("dispersion quartic needs a field-strength model")
+
+
+def unit_rows(v: np.ndarray) -> np.ndarray:
+    """Each row of v divided by its norm (the bits of np.linalg.norm of
+    the row)."""
+    return v / np.sqrt(np.vecdot(v, v))[:, None]
+
+
+@np.errstate(all="ignore")
+def fresnel_batch(model: LagrangianModel, E, B, nhat) -> FresnelBatch:
+    """Solve K u^2 + u g P + g^2 R = 0 for the frequency p0 at each row of
+    the stacked fields E and B (N x 3), with the spatial covector fixed
+    to the row's normal nhat made unit.
 
     The quartic is a quadratic form in (u, g), so it factors exactly
     into two quadratics in p0; each factor is solved by its companion
@@ -493,60 +561,97 @@ def fresnel_roots(model: LagrangianModel, bg: FieldBackground,
     direct quartic solve produces, while leaving real splittings
     untouched.  Within the degeneracy tolerance |P^2 - 4KR| is treated
     as exactly zero (perfect-square branch).
+
+    A row has no roots (a nonzero ``unusable``) when K, P, R or a factor
+    coefficient is not finite, or when the quartic or a factor
+    degenerates.  Inside a ``DomainMask`` a background outside the
+    model's domain carries NaN, and so has no roots; outside one it
+    raises DomainError.  A power that leaves the double range at any
+    row raises FloatOverflow for the whole stack.
     """
-    if model.kind not in (Kind.VectorAlpha, Kind.VectorAlphaBeta):
-        raise KindError("dispersion quartic needs a field-strength model")
-    point = bg.point(model.kind)
-    jet = model.jet_at(point)
-    K, P, R = point_cone_coefficients(jet, point)
-    k_scale, d_scale = degeneracy_scales(jet.faa, jet.fab, jet.fbb, K, P, R)
-
-    n = unit_direction(nhat)
-    E, B = bg.E, bg.B
-    nxB = np.cross(n, B)
-    u_poly = np.array([float(E @ E), -2.0 * float(E @ nxB),
-                       float(nxB @ nxB) - float(E @ n) ** 2])
-    g_poly = np.array([-1.0, 0.0, 1.0])
-
-    coeffs = (K * np.convolve(u_poly, u_poly)
-              + P * np.convolve(u_poly, g_poly)
-              + R * np.convolve(g_poly, g_poly))
-
-    if abs(K) > DEGENERACY_RTOL * k_scale + _TINY:
-        delta = P * P - 4.0 * K * R
-        if abs(delta) <= DEGENERACY_RTOL * d_scale:
-            delta = 0.0
-        sq = np.sqrt(complex(delta))
-        h_pair = ((-P + sq) / (2.0 * K), (-P - sq) / (2.0 * K))
-        factors = [np.array([u_poly[0] + h, u_poly[1], u_poly[2] - h])
-                   for h in h_pair]
-    elif abs(P) > _TINY:
-        # K = 0: the quartic is g (u P + g R)
-        factors = [g_poly.astype(complex),
-                   np.array([u_poly[0] * P - R, u_poly[1] * P,
-                             u_poly[2] * P + R], dtype=complex)]
-    elif abs(R) > _TINY:
-        # only the metric cone survives, doubled
-        factors = [g_poly.astype(complex), g_poly.astype(complex)]
+    _check_field_model(model)
+    E, B, nhat = (np.asarray(v, dtype=float).reshape(-1, 3)
+                  for v in (E, B, nhat))
+    a = np.vecdot(B, B) - np.vecdot(E, E)
+    b = -np.vecdot(B, E)
+    if model.kind is Kind.VectorAlpha:
+        point, b = InvariantPoint(a=a), 0.0
     else:
-        raise DegenerateQuartic(
-            "dispersion polynomial vanishes identically; propagation "
-            "is undetermined at this background")
+        point = InvariantPoint(a=a, b=b)
+    jet = model.jet_at(point)
+    K, P, R = cone_coefficients(jet.fa, jet.faa, jet.fab, jet.fbb, a, b)
+    k_scale, d_scale = degeneracy_scales(jet.faa, jet.fab, jet.fbb, K, P, R)
+    K, P, R, k_scale, d_scale = np.broadcast_arrays(K, P, R, k_scale,
+                                                    d_scale, a)[:5]
 
-    roots = np.sort_complex(np.concatenate([_quadratic_roots(f)
-                                            for f in factors]))
+    if not np.isfinite(nhat).all():
+        raise DomainError("vector components must be finite")
+    if (np.sqrt(np.vecdot(nhat, nhat)) < _TINY).any():
+        raise DomainError("wave direction must be nonzero")
+    n = unit_rows(nhat)
+    nxB = np.cross(n, B)
+    u0 = np.vecdot(E, E)
+    u1 = -2.0 * np.vecdot(E, nxB)
+    u2 = np.vecdot(nxB, nxB) - power(np.vecdot(E, n), 2)
 
-    tol_c = COINCIDENCE_RTOL * (1.0 + float(np.max(np.abs(roots))))
-    partner = [-1, -1, -1, -1]
-    for i in range(4):
-        for j in range(4):
-            if i != j and abs(roots[i] - roots[j]) < tol_c:
-                partner[i] = j
-                break
-    two_pairs = (abs(roots[0] - roots[1]) < tol_c
-                 and abs(roots[2] - roots[3]) < tol_c)
-    return FresnelRoots(roots=roots, coincident_with=tuple(partner),
-                        birefringent=not two_pairs, coeffs=coeffs)
+    # the K != 0 factors u + h g for the two roots h of K h^2 - P h + R
+    delta = P * P - 4.0 * K * R
+    delta[np.abs(delta) <= DEGENERACY_RTOL * d_scale] = 0.0
+    sq = np.sqrt(delta.astype(complex))
+    h = np.stack([-P + sq, -P - sq], axis=-1) / (2.0 * K)[:, None]
+    C = np.empty(h.shape + (3,), dtype=complex)
+    C[..., 0] = u0[:, None] + h
+    C[..., 1] = u1[:, None]
+    C[..., 2] = u2[:, None] - h
+
+    quadratic = np.abs(K) > DEGENERACY_RTOL * k_scale + _TINY
+    # K = 0: the quartic is g (u P + g R)
+    linear = ~quadratic & (np.abs(P) > _TINY)
+    # only the metric cone survives, doubled
+    metric = ~quadratic & ~linear & (np.abs(R) > _TINY)
+    C[~quadratic, 0] = _METRIC_FACTOR
+    C[linear, 1] = np.stack([u0 * P - R, u1 * P, u2 * P + R],
+                            axis=-1)[linear]
+    C[metric, 1] = _METRIC_FACTOR
+
+    top = np.abs(C).max(axis=-1)
+    vanishes = top < _TINY
+    # np.abs of a complex array may differ from abs() of one value in
+    # the last bit; np.hypot gives the bits of the latter
+    escapes = np.hypot(C[..., 0].real, C[..., 0].imag) <= 1e-14 * top
+    unusable = np.select(
+        [~np.isfinite([K, P, R]).all(axis=0), ~(quadratic | linear | metric),
+         ~np.isfinite(C).all(axis=(1, 2)), vanishes[:, 0], escapes[:, 0],
+         vanishes[:, 1], escapes[:, 1]],
+        [1, 2, 1, 3, 4, 3, 4], 0)
+    C[unusable != 0] = _METRIC_FACTOR  # eigvals takes finite input only
+    roots = np.sort_complex(_quadratic_roots(C).reshape(-1, 4))
+    roots[unusable != 0] = np.nan
+
+    tol_c = COINCIDENCE_RTOL * (1.0 + np.abs(roots).max(axis=-1))
+    gap = roots[:, :, None] - roots[:, None, :]
+    close = np.hypot(gap.real, gap.imag) < tol_c[:, None, None]
+    close[:, range(4), range(4)] = False
+    partner = np.where(close.any(axis=-1), close.argmax(axis=-1), -1)
+    two_pairs = close[:, 0, 1] & close[:, 2, 3]
+    return FresnelBatch(E=E, B=B, n=nhat, roots=roots,
+                        coincident_with=partner, birefringent=~two_pairs,
+                        unusable=unusable)
+
+
+def fresnel_roots(model: LagrangianModel, bg: FieldBackground,
+                  nhat=(1.0, 0.0, 0.0)) -> FresnelRoots:
+    """The dispersion roots along nhat at one background: the batch of
+    one of ``fresnel_batch``, raising where that row has no roots."""
+    _check_field_model(model)
+    bg.point(model.kind)  # KindError unless bg is an (E, B) background
+    batch = fresnel_batch(model, bg.E, bg.B, np.reshape(nhat, (1, 3)))
+    error = batch.error(0)
+    if error is not None:
+        raise error
+    return FresnelRoots(roots=batch.roots[0],
+                        coincident_with=tuple(batch.coincident_with[0].tolist()),
+                        birefringent=bool(batch.birefringent[0]))
 
 
 # --- mode probes ----------------------------------------------------------------
@@ -603,27 +708,25 @@ def crosscheck_cone_vs_eigen(system: CharSystem, H) -> float:
 # --- CSV export ------------------------------------------------------------------
 
 
-def fresnel_scan_rows(model: LagrangianModel,
-                      solved: Sequence[tuple[FieldBackground, np.ndarray,
-                                             FresnelRoots]]
-                      ) -> tuple[list[str], list[list]]:
-    """Rows of the dispersion-root scan: one row per root per solved
-    (background, unit normal, roots) triple."""
+def fresnel_scan_rows(model: LagrangianModel, batch: FresnelBatch
+                      ) -> tuple[list[str], list[list[str]]]:
+    """Header and text columns of the dispersion-root scan: one row per
+    root of each background of ``batch``, in root order."""
     header = ["model", "Ex", "Ey", "Ez", "Bx", "By", "Bz",
               "nx", "ny", "nz", "root_index", "p0",
               "coincident_with", "birefringent_flag"]
-    rows: list[list] = []
-    for bg, n, fr in solved:
-        for i in range(4):
-            rows.append([
-                model.name,
-                repr(float(bg.E[0])), repr(float(bg.E[1])), repr(float(bg.E[2])),
-                repr(float(bg.B[0])), repr(float(bg.B[1])), repr(float(bg.B[2])),
-                repr(float(n[0])), repr(float(n[1])), repr(float(n[2])),
-                i, repr(float(fr.roots[i].real)),
-                fr.coincident_with[i], str(fr.birefringent).lower(),
-            ])
-    return header, rows
+    count = len(batch)
+    name = io.StringIO()
+    csv.writer(name, lineterminator="").writerow([model.name])
+    columns = [[name.getvalue()] * (4 * count)]
+    columns += [float_texts(np.repeat(column, 4))
+                for column in (*batch.E.T, *batch.B.T, *batch.n.T)]
+    columns += [["0", "1", "2", "3"] * count,
+                float_texts(batch.roots.real.ravel()),
+                list(map(str, batch.coincident_with.ravel().tolist())),
+                np.repeat(np.where(batch.birefringent, "true", "false"),
+                          4).tolist()]
+    return header, columns
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
@@ -651,15 +754,22 @@ def float_texts(column, spelling: dict[str, str] | None = None) -> list[str]:
     return np.array(text, dtype=object)[index].tolist()
 
 
-def write_float_csv(path: str, header: list[str], columns) -> None:
-    """The bytes write_csv writes for rows of repr'd floats, built from
-    equal-length float columns: each row is its values' texts joined by
-    commas and ended by CRLF, as the csv module ends rows."""
-    rows = map(",".join, zip(*map(float_texts, columns), strict=True))
+def write_text_csv(path: str, header: list[str], columns) -> None:
+    """The bytes write_csv writes, built from equal-length columns of
+    field texts as the csv module writes them (quoted where needed): each
+    row is its texts joined by commas and ended by CRLF, as the csv
+    module ends rows."""
+    rows = map(",".join, zip(*columns, strict=True))
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         fh.writelines(row + "\r\n" for row in rows)
 
 
-def write_scan_csv(path: str, header: list[str], rows: list[list]) -> None:
-    write_csv(path, header, rows)
+def write_float_csv(path: str, header: list[str], columns) -> None:
+    """write_text_csv of the texts of float columns (float_texts)."""
+    write_text_csv(path, header, map(float_texts, columns))
+
+
+def write_scan_csv(path: str, header: list[str], columns) -> None:
+    """Write the columns of fresnel_scan_rows."""
+    write_text_csv(path, header, columns)

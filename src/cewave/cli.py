@@ -20,21 +20,26 @@ import numpy as np
 from .ce import GridSpec, REPORT_SCHEMA, classify
 from .charsys import (
     FieldBackground,
+    FresnelBatch,
+    fresnel_batch,
     fresnel_roots,
     fresnel_scan_rows,
     unit_direction,
+    unit_rows,
     write_scan_csv,
 )
 from .errors import (
     BadParams,
     BadUsage,
     DegeneracyError,
+    FloatOverflow,
     InputError,
     InternalCheckError,
     NumericalError,
     ParseError,
 )
 from .gravity import kernel_survey
+from .jets import DomainMask
 from .lagrangians import Kind, LagrangianModel, builtin, builtin_names, from_expression
 from .rays import (
     ConeHamiltonian,
@@ -156,10 +161,13 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2))
-        fh.write("\n")
+        fh.write(_json_text(payload))
 
 
 # --- ce check ---------------------------------------------------------------------------
@@ -179,48 +187,68 @@ def cmd_ce_check(args) -> int:
 # --- fresnel scan ------------------------------------------------------------------------
 
 
-def _solved(model: LagrangianModel, bg: FieldBackground, nhat):
-    """(bg, n, roots) along the unit normal n that the scan row prints, or
-    None when the background lies outside the model's domain."""
-    n = unit_direction(nhat / np.linalg.norm(nhat))
+def _usable(model: LagrangianModel, E: np.ndarray, B: np.ndarray,
+            n: np.ndarray) -> list[FresnelBatch]:
+    """The rows of (E, B, n) that have dispersion roots, as a list of
+    batches; a row outside the model's domain, or without roots, is
+    left out."""
     try:
-        return bg, n, fresnel_roots(model, bg, n)
+        with DomainMask():
+            batch = fresnel_batch(model, E, B, n)
+    except FloatOverflow:
+        # a power overflowing at one row raises for the whole stack, so
+        # each row is solved alone to leave out only the rows it reaches
+        if len(E) == 1:
+            return []
+        return [row for i in range(len(E))
+                for row in _usable(model, E[i:i + 1], B[i:i + 1], n[i:i + 1])]
     except (InputError, NumericalError):
-        return None
+        # anything else fails at every row alike: a model that is not a
+        # field model, or a constant outside the model's domain
+        return []
+    return [batch.take(batch.unusable == 0)]
 
 
-def _random_backgrounds(model: LagrangianModel, trials: int,
-                        rng: np.random.Generator):
-    solved = []
-    for _ in range(200 * trials):
-        E = rng.uniform(-1.0, 1.0, size=3)
-        B = rng.uniform(-1.0, 1.0, size=3)
-        nhat = rng.uniform(-1.0, 1.0, size=3)
-        if np.linalg.norm(nhat) >= 1e-3:
-            background = _solved(model, FieldBackground.vector(E, B), nhat)
-            if background is not None:
-                solved.append(background)
-        if len(solved) == trials:
-            return solved
-    raise DegeneracyError("could not draw enough usable backgrounds for "
-                          "the dispersion scan")
+def _fresnel_scan(model: LagrangianModel, trials: int,
+                  rng: np.random.Generator) -> FresnelBatch:
+    """The zero field along x1, unless it lies outside the model's
+    domain, then ``trials`` usable random backgrounds.
+
+    Each round draws one (E, B, nhat) row of uniforms on [-1, 1] per
+    background still missing, the values that drawing E, B and nhat in
+    turn gives, and solves the rows whose |nhat| >= 1e-3 along the unit
+    normal the scan prints.  So every written background is solved once
+    and none is drawn past the last one, and after 200 draws per trial
+    the scan gives up.
+    """
+    zero = np.zeros((1, 3))
+    found = _usable(model, zero, zero, np.array([[1.0, 0.0, 0.0]]))
+    count = drawn = 0
+    while count < trials:
+        need = min(trials - count, 200 * trials - drawn)
+        if need == 0:
+            raise DegeneracyError("could not draw enough usable backgrounds "
+                                  "for the dispersion scan")
+        rows = rng.uniform(-1.0, 1.0, size=(need, 9))
+        drawn += need
+        rows = rows[np.sqrt(np.vecdot(rows[:, 6:], rows[:, 6:])) >= 1e-3]
+        # normalized twice, as the unit normal has always been printed
+        n = unit_rows(unit_rows(rows[:, 6:]))
+        batches = _usable(model, rows[:, :3], rows[:, 3:6], n)
+        count += sum(map(len, batches))
+        found += batches
+    return FresnelBatch.concat(found)
 
 
 def cmd_fresnel(args) -> int:
     model = _resolve_model(args)
     if args.trials < 1:
         raise BadParams("--trials must be at least 1")
-    rng = _rng(args.seed)
-    zero = _solved(model, FieldBackground.vector(np.zeros(3), np.zeros(3)),
-                   np.array([1.0, 0.0, 0.0]))
-    # the zero field leads the scan unless it is outside the model's domain
-    solved = [zero] if zero is not None else []
-    solved += _random_backgrounds(model, args.trials, rng)
-    header, rows = fresnel_scan_rows(model, solved)
-    write_scan_csv(args.out, header, rows)
-    flagged = sum(1 for r in rows if r[header.index("birefringent_flag")]
-                  == "true")
-    print(f"{model.name}: {len(rows)} roots over {len(solved)} backgrounds, "
+    scan = _fresnel_scan(model, args.trials, _rng(args.seed))
+    header, columns = fresnel_scan_rows(model, scan)
+    write_scan_csv(args.out, header, columns)
+    flagged = 4 * int(np.count_nonzero(scan.birefringent))
+    print(f"{model.name}: {4 * len(scan)} roots over {len(scan)} backgrounds, "
           f"{flagged} birefringent rows -> {args.out}")
     return 0
 
@@ -277,19 +305,23 @@ def cmd_shock(args) -> int:
 
     stem = _stem(args.out)
     sols = [moc_solve(lambda u: u, profile, t) for t in t_list]
-    write_characteristics_csv(f"{stem}_burgers.csv", profile.x, profile.u,
-                              [s.x for s in sols], t_list)
     outputs = [args.out, f"{stem}_burgers.csv"]
-
+    demo = None
     if model is not None:
         demo = exceptional_flux_demo(model, profile, t_list,
                                      horizon=args.horizon)
         payload["model"] = demo.to_dict()
-        write_characteristics_csv(f"{stem}_model.csv", demo.model_phis,
-                                  demo.model_lams, demo.model_x, t_list)
         outputs.append(f"{stem}_model.csv")
 
-    _write_json(args.out, payload)
+    # the report is opened first: an --out that cannot be written leaves
+    # no fan file behind
+    with open(args.out, "w") as report:
+        write_characteristics_csv(f"{stem}_burgers.csv", profile.x,
+                                  profile.u, [s.x for s in sols], t_list)
+        if demo is not None:
+            write_characteristics_csv(f"{stem}_model.csv", demo.model_phis,
+                                      demo.model_lams, demo.model_x, t_list)
+        report.write(_json_text(payload))
     crossing = payload["model"]["model_crossing"] if payload["model"] else None
     print(f"profile={args.profile} shock_time={t_star} "
           f"model_crossing={crossing} -> {', '.join(outputs)}")

@@ -10,7 +10,9 @@ wave's 2x2 eigen-data through the full scalar system with numpy
 bookkeeping, ``track_mode`` follows a mode with numpy, and
 ``wave_alignment_sines`` measures how closely a simple wave follows its
 eigenvector.  ``repr_csv`` writes float rows one repr at a time through
-the csv module, as the column CSV writers must.  ``identity_checks`` and
+the csv module, as the column CSV writers must, and
+``fresnel_scan_per_draw`` is the dispersion scan that draws and solves
+one background at a time.  ``identity_checks`` and
 ``GravityProbe`` check gauge-bound gravity discontinuities.
 """
 
@@ -38,8 +40,10 @@ from cewave.charsys import (
     FieldBackground,
     _scalar_axis_matrix,
     _scalar_jet_theta,
+    fresnel_roots,
     nearly_real,
     sorted_eig,
+    unit_direction,
 )
 from cewave.errors import (
     BadParams,
@@ -47,7 +51,9 @@ from cewave.errors import (
     DomainError,
     EmptyGrid,
     GridTooCoarse,
+    InputError,
     ModeCollision,
+    NumericalError,
 )
 from cewave.gravity import (
     _check_covector,
@@ -420,6 +426,44 @@ def repr_csv(header: list[str], rows) -> bytes:
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows([repr(float(v)) for v in row] for row in rows)
+    return buf.getvalue().encode()
+
+
+def fresnel_scan_per_draw(model: LagrangianModel, trials: int,
+                          seed: int) -> bytes | None:
+    """The bytes of ``cewave fresnel`` written by the per-draw loop: the
+    zero field, then one draw of E, B and nhat after another, each solved
+    by fresnel_roots along its normal made unit twice, until ``trials``
+    are usable; None when 200 draws per trial are not enough."""
+    def solved(E, B, nhat):
+        n = unit_direction(nhat / np.linalg.norm(nhat))
+        try:
+            return E, B, n, fresnel_roots(model, FieldBackground.vector(E, B),
+                                          n)
+        except (InputError, NumericalError):
+            return None
+
+    rng = np.random.default_rng(seed)
+    found = [solved(np.zeros(3), np.zeros(3), np.array([1.0, 0.0, 0.0]))]
+    draws = 0
+    while sum(row is not None for row in found[1:]) < trials:
+        if draws == 200 * trials:
+            return None
+        E, B, nhat = (rng.uniform(-1.0, 1.0, size=3) for _ in range(3))
+        draws += 1
+        if np.linalg.norm(nhat) >= 1e-3:
+            found.append(solved(E, B, nhat))
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["model", "Ex", "Ey", "Ez", "Bx", "By", "Bz", "nx", "ny",
+                     "nz", "root_index", "p0", "coincident_with",
+                     "birefringent_flag"])
+    for E, B, n, fr in filter(None, found):
+        for i in range(4):
+            writer.writerow([model.name, *(repr(float(v)) for v in (*E, *B, *n)),
+                             i, repr(float(fr.roots[i].real)),
+                             fr.coincident_with[i],
+                             str(fr.birefringent).lower()])
     return buf.getvalue().encode()
 
 

@@ -1,16 +1,22 @@
 from __future__ import annotations
 
+import csv
+import io
 from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cewave import charsys
 from cewave.charsys import (
     CharSystem,
     FieldBackground,
     biorthogonality_defect,
     crosscheck_cone_vs_eigen,
     exceptionality_per_mode,
+    fresnel_batch,
     fresnel_roots,
     fresnel_scan_rows,
     rotation_to_x1,
@@ -23,10 +29,12 @@ from cewave.errors import (
     DegenerateQuartic,
     DegenerateSystem,
     DomainError,
+    FloatOverflow,
     KindError,
     ModeCollision,
 )
-from cewave.lagrangians import builtin, from_expression
+from cewave.jets import DomainMask
+from cewave.lagrangians import Kind, builtin, builtin_names, from_expression
 from cewave.rays import ConeHamiltonian, QuarticHamiltonian
 from oracles import scalar_axis_matrix
 
@@ -457,21 +465,133 @@ def test_crosscheck_scalar_sqrt_random():
 # --- CSV export ----------------------------------------------------------------------
 
 def test_fresnel_scan_csv(tmp_path):
-    model = builtin("born-infeld")
-    pairs = [
-        (FieldBackground.vector([0.3, 0, 0], [0, 0.4, 0]), np.array([1.0, 0, 0])),
-        (FieldBackground.vector([0.1, 0.2, 0], [0, 0.1, 0.3]),
-         np.array([0.0, 1.0, 0.0])),
-    ]
-    solved = [(bg, n, fresnel_roots(model, bg, n)) for bg, n in pairs]
-    header, rows = fresnel_scan_rows(model, solved)
+    # sqrt-family's name holds commas, so the csv module quotes it
+    model = builtin("sqrt-family", [0.5, 2.0, 0.4])
+    E = np.array([[0.3, 0.0, 0.0], [0.1, 0.2, -0.0]])
+    B = np.array([[0.0, 0.4, 0.0], [0.0, 0.1, 0.3]])
+    n = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    batch = fresnel_batch(model, E, B, n)
+    header, columns = fresnel_scan_rows(model, batch)
     assert header[0] == "model"
     assert header[-1] == "birefringent_flag"
-    assert len(rows) == 8
-    assert all(row[-1] == "false" for row in rows)
+    assert [len(column) for column in columns] == [8] * len(header)
 
     path = tmp_path / "scan.csv"
-    write_scan_csv(str(path), header, rows)
-    text = path.read_text().splitlines()
-    assert text[0].startswith("model,Ex,Ey,Ez,Bx,By,Bz,nx,ny,nz,root_index")
-    assert len(text) == 9
+    write_scan_csv(str(path), header, columns)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for k in range(2):
+        fr = fresnel_roots(model, FieldBackground.vector(E[k], B[k]), n[k])
+        for i in range(4):
+            writer.writerow([model.name,
+                             *(repr(float(v)) for v in (*E[k], *B[k], *n[k])), i,
+                             repr(float(fr.roots[i].real)),
+                             fr.coincident_with[i],
+                             str(fr.birefringent).lower()])
+    assert path.read_bytes() == buf.getvalue().encode()
+    assert path.read_bytes().decode().startswith('model,Ex,Ey,Ez,Bx,By,Bz,nx,ny,nz,'
+                                       'root_index,p0,coincident_with,'
+                                       'birefringent_flag\r\n'
+                                       '"sqrt-family[0.5,2,0.4]",0.3,')
+
+
+# --- batched dispersion roots ---------------------------------------------------------
+
+
+def test_stacked_quadratic_roots_equal_np_roots_bit_for_bit():
+    rng = np.random.default_rng(3)
+    a, b, c = rng.normal(size=(3, 40)) + 1j * rng.normal(size=(3, 40))
+    rows = [np.array(row, dtype=complex) for row in zip(a, b, c)]
+    rows += [np.array(row, dtype=complex) for row in [
+        [a[0], b[0], 0], [a[1], 0, 0], [a[2], -0.0, 0], [a[3], 0, c[3]],
+        [-1, 0, 1], [1, 0, -1], [2.5, -1.5, 0.25], [1, 2, 1],
+        [complex(3, -0.0), complex(-0.0, -0.0), complex(-0.0, 0.0)],
+        [complex(1e-14, 1), 1e3, complex(0, -1e-300)]]]
+    got = charsys._quadratic_roots(np.array(rows))
+    for row, roots in zip(rows, got):
+        assert roots.tobytes() == np.roots(row).astype(complex).tobytes()
+
+
+_FIELD_PARAMS = {"sqrt-family": [0.5, 2.0, 0.4], "perturbed-maxwell": [0.1]}
+_FIELD_BUILTINS = [model for model in (builtin(name, _FIELD_PARAMS.get(name))
+                                        for name in builtin_names())
+                   if model.kind in (Kind.VectorAlpha, Kind.VectorAlphaBeta)]
+_component = st.floats(-2.0, 2.0, allow_subnormal=False)
+_vector = st.lists(_component, min_size=3, max_size=3)
+_normal = _vector.filter(lambda v: np.linalg.norm(v) > 1e-3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=st.sampled_from(_FIELD_BUILTINS),
+       stack=st.lists(st.tuples(_vector, _vector, _normal), min_size=1,
+                      max_size=6),
+       data=st.data())
+def test_fresnel_roots_is_the_row_of_a_batch(model, stack, data):
+    E, B, n = (np.array(v) for v in zip(*stack))
+
+    def alone(row):
+        return fresnel_roots(model, FieldBackground.vector(E[row], B[row]),
+                             n[row])
+
+    try:
+        with DomainMask() as mask:
+            batch = fresnel_batch(model, E, B, n)
+    except FloatOverflow:
+        # raised for the whole stack when a power overflows at some row
+        failed = []
+        for row in range(len(stack)):
+            try:
+                alone(row)
+            except FloatOverflow:
+                failed.append(row)
+            except (DomainError, DegenerateQuartic):
+                pass
+        assert failed
+        return
+    row = data.draw(st.integers(0, len(stack) - 1))
+    try:
+        fr = alone(row)
+    except DomainError:
+        assert np.broadcast_to(mask.bad, len(stack))[row]
+        assert batch.unusable[row] != 0
+        return
+    except DegenerateQuartic as exc:
+        error = batch.error(row)
+        assert (type(error), str(error)) == (type(exc), str(exc))
+        return
+    assert batch.unusable[row] == 0
+    assert batch.roots[row].tobytes() == fr.roots.tobytes()
+    assert tuple(batch.coincident_with[row].tolist()) == fr.coincident_with
+    assert bool(batch.birefringent[row]) is fr.birefringent
+    assert batch.n[row].tobytes() == n[row].tobytes()
+
+
+@pytest.mark.parametrize("model, roots_hex", [
+    (builtin("perturbed-maxwell", [0.1]),
+     "ffffffffffffefbf0000000000000000fbf488eb656decbf0000000000000000"
+     "aaaee63b07c6ef3f0000000000000000fcffffffffffef3f0000000000000000"),
+    (builtin("born-infeld"),
+     "ccbfc57d2ed4e9bf0000000000000000ccbfc57d2ed4e9bf0000000000000000"
+     "7e1f674da997ef3f00000000000000807e1f674da997ef3f0000000000000080"),
+])
+def test_fresnel_roots_keep_the_bits_of_the_per_background_solve(
+        model, roots_hex):
+    # recorded with the per-background solve; (E.n)^2 goes through
+    # Python's pow, and x*x is one ulp off here and moves the roots
+    bg = FieldBackground.vector(
+        [-0.009694253064587377, 0.5900161257981069, 0.5598950201504465],
+        [0.18911940052261667, 0.43123435939441923, 0.11092123642424356])
+    n = [0.20216687463168137, 0.23031793525197086, 0.3574262893715525]
+    assert fresnel_roots(model, bg, n).roots.tobytes().hex() == roots_hex
+
+
+def test_fresnel_roots_with_non_finite_coefficients_raise():
+    bg = FieldBackground.vector([0.3, 0, 0], [0, 0.4, 0])
+    with pytest.raises(DegenerateQuartic, match="not finite"):
+        fresnel_roots(from_expression("1e300*a^2", "alpha"), bg, (1, 0, 0))
+    # a power beyond the double range raises for the whole stack
+    with pytest.raises(FloatOverflow):
+        fresnel_batch(from_expression("1e200*a*b^2", "alpha-beta"),
+                      [[0.3, 0, 0], [0, 0, 0]], [[0.2, 0.4, 0], [0, 0, 0]],
+                      [[1, 0, 0], [1, 0, 0]])

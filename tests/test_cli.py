@@ -17,13 +17,15 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from cewave import charsys, cli, gravity
+from cewave import cli, gravity
 from cewave.ce import classify
 from cewave.cli import main, parse_grid
 from cewave.errors import BadParams
 from cewave.lagrangians import builtin, from_expression
+from oracles import fresnel_scan_per_draw
 
 
 def _read_json(path):
@@ -247,36 +249,80 @@ def test_fresnel_solves_each_written_background_once(model, tmp_path,
     solved = []
 
     def counting(*args, **kwargs):
-        roots = exact(*args, **kwargs)
-        solved.append(roots)
-        return roots
+        batch = exact(*args, **kwargs)
+        solved.append(int(np.count_nonzero(batch.unusable == 0)))
+        return batch
 
-    exact = charsys.fresnel_roots
-    monkeypatch.setattr(charsys, "fresnel_roots", counting)
-    monkeypatch.setattr(cli, "fresnel_roots", counting)
+    exact = cli.fresnel_batch
+    monkeypatch.setattr(cli, "fresnel_batch", counting)
     out = tmp_path / "scan.csv"
     assert main(["fresnel", *model, "--trials", "7", "--out", str(out)]) == 0
     written = len(_read_csv(out)) - 1
     assert written % 4 == 0
-    assert len(solved) == written // 4
+    assert sum(solved) == written // 4
 
 
 def test_fresnel_gives_up_after_200_draws_per_trial(tmp_path, capsys,
                                                     monkeypatch):
     # sqrt(a - 10) is undefined on every background the scan draws
-    calls = []
+    rows = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return exact(*args, **kwargs)
+    def counting(model, E, B, n):
+        rows.append(len(E))
+        return exact(model, E, B, n)
 
-    exact = cli.fresnel_roots
-    monkeypatch.setattr(cli, "fresnel_roots", counting)
+    exact = cli.fresnel_batch
+    monkeypatch.setattr(cli, "fresnel_batch", counting)
     rc = main(["fresnel", "--expr", "sqrt(a - 10)", "--kind", "alpha",
                "--trials", "2", "--out", str(tmp_path / "scan.csv")])
     assert rc == 3
     assert "usable backgrounds" in capsys.readouterr().err
-    assert len(calls) == 1 + 200 * 2  # the zero field, then every draw
+    assert sum(rows) == 1 + 200 * 2  # the zero field, then every draw
+
+
+@pytest.mark.parametrize("model", [
+    ["--builtin", "born-infeld"],
+    ["--builtin", "sqrt-family", "--params", "0.2,1.6,0.5"],
+    ["--builtin", "alpha-over-beta"],
+    ["--expr", "-a/2 + 0.1*a^2 + 0.3*b^2", "--kind", "alpha-beta"],
+    # a power that overflows at some rows raises for a whole stack
+    ["--expr", "a^1500.5", "--kind", "alpha"],
+    ["--expr", "1e200*a*b^2", "--kind", "alpha-beta"],
+    # non-finite coefficients at every background
+    ["--expr", "1e300*a^2", "--kind", "alpha"],
+])
+def test_fresnel_scan_writes_the_bytes_of_the_per_draw_loop(model, tmp_path,
+                                                            capsys):
+    out = tmp_path / "scan.csv"
+    rc = main(["fresnel", *model, "--trials", "12", "--seed", "5",
+               "--out", str(out)])
+    capsys.readouterr()
+    want = fresnel_scan_per_draw(cli._resolve_model(
+        cli.build_parser().parse_args(["fresnel", *model])), 12, 5)
+    if want is None:
+        assert rc == 3 and not out.exists()
+    else:
+        assert rc == 0 and out.read_bytes() == want
+
+
+def test_fresnel_skips_backgrounds_with_non_finite_coefficients(tmp_path,
+                                                                capsys):
+    # K, P and R overflow on every background; RuntimeWarnings are errors
+    out = tmp_path / "scan.csv"
+    rc = main(["fresnel", "--expr", "1e300*a^2", "--kind", "alpha",
+               "--trials", "3", "--seed", "1", "--out", str(out)])
+    assert rc == 3
+    assert "usable backgrounds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rays_start_with_non_finite_coefficients_exits_3(tmp_path, capsys):
+    out = tmp_path / "ray.csv"
+    rc = main(["rays", "--expr", "1e300*a^2", "--kind", "alpha",
+               "--E", "0.3,0,0", "--B", "0,0.4,0", "--out", str(out)])
+    assert rc == 3
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fresnel_rejects_zero_trials(capsys):
@@ -396,6 +442,25 @@ def test_model_flag_errors_name_the_commands_flags(argv, message, tmp_path,
 
 def test_shock_empty_model_expression_exits_2(tmp_path, capsys):
     rc = main(["shock", "--model-expr", "", "--model-kind", "scalar",
+               "--out", str(tmp_path / "s.json")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("input error")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("model", [[], ["--model-builtin", "scalar-bi"]])
+def test_shock_unwritable_out_writes_no_file(model, tmp_path, capsys):
+    out = tmp_path / "fan"
+    out.mkdir()
+    assert main(["shock", *model, "--out", str(out)]) == 2
+    assert "cannot write output" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["fan"]
+    assert list(out.iterdir()) == []
+
+
+def test_shock_failing_model_fan_writes_no_file(tmp_path, capsys):
+    # sqrt(z) leaves its domain on the model fan, after the Burgers fan
+    rc = main(["shock", "--model-expr", "sqrt(z)", "--model-kind", "scalar",
                "--out", str(tmp_path / "s.json")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("input error")

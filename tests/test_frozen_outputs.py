@@ -1,8 +1,9 @@
 """Output bytes frozen against recorded sha256 digests.
 
 The digests were recorded before the simple-wave, upwind and CSV kernels
-were rewritten for speed, so these tests pin the rewritten kernels to
-the bytes of the code they replaced.  They were recorded with numpy 2.4
+were rewritten for speed, and the fresnel scans before the scan was
+solved as one batch, so these tests pin the rewritten kernels to the
+bytes of the code they replaced.  They were recorded with numpy 2.4
 (OpenBLAS) on x86-64; the eigen solves of a simple wave go through
 LAPACK, whose last bits may differ on another build.
 """
@@ -44,6 +45,36 @@ _CASES = {
         {"ray.csv": "e96c961dc711b94f7191c8ff0927dfef"
                     "6da017316e6efd9c5f6aabf895c02d12"}),
 }
+
+
+def _fresnel(model: list[str], digest: str):
+    return (["fresnel", *model, "--trials", "60", "--seed", "11", "--out",
+             "{dir}/scan.csv"], {"scan.csv": digest})
+
+
+_CASES.update({
+    "fresnel-perturbed-maxwell": _fresnel(
+        ["--builtin", "perturbed-maxwell", "--params", "0.1"],
+        "bac57e78b4aeea1ea450d528c02247411341da73c4dbafaf4a3f3fc1910c1bb6"),
+    "fresnel-born-infeld": _fresnel(
+        ["--builtin", "born-infeld"],
+        "d6a5b3c6e9e1aa1c5be9cbfd41b8a4ccc320772a2dc824289ea3ba30d189dc5c"),
+    "fresnel-sqrt-family": _fresnel(
+        ["--builtin", "sqrt-family", "--params", "0.5,2,0.4"],
+        "cd4a06546ebcd516883410738d6422a45d30b7fbc11193030c2fc67d995dd88c"),
+    # the zero field is outside the domain and skipped
+    "fresnel-alpha-over-beta": _fresnel(
+        ["--builtin", "alpha-over-beta"],
+        "9e5de688b725d7697ac84981c9d4b1ae4debb9ca3a993522fe6bf422e783471b"),
+    # CE through the birefringent branch
+    "fresnel-birefringent-branch": _fresnel(
+        ["--expr", "1 - sqrt(1 + a - 0.5*b^2)", "--kind", "alpha-beta"],
+        "e94fa2b74c3aff3c6f7abb8b1d8dd12e214d8e22dd7afc656dd3d0587ee7ebf5"),
+    # backgrounds whose coefficients overflow are skipped
+    "fresnel-overflow": _fresnel(
+        ["--expr", "a^700", "--kind", "alpha"],
+        "66af6d22f5b8e3eb3bf1e36e9bba12c2cb660c2a79adf4b262e0c05febda657c"),
+})
 
 
 def _sha256(data: bytes) -> str:
