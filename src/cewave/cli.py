@@ -21,6 +21,7 @@ from .ce import GridSpec, REPORT_SCHEMA, classify
 from .charsys import (
     FieldBackground,
     FresnelBatch,
+    _check_field_model,
     fresnel_batch,
     fresnel_roots,
     fresnel_scan_rows,
@@ -203,8 +204,8 @@ def _usable(model: LagrangianModel, E: np.ndarray, B: np.ndarray,
         return [row for i in range(len(E))
                 for row in _usable(model, E[i:i + 1], B[i:i + 1], n[i:i + 1])]
     except (InputError, NumericalError):
-        # anything else fails at every row alike: a model that is not a
-        # field model, or a constant outside the model's domain
+        # anything else fails at every row alike, such as a constant
+        # outside the model's domain
         return []
     return [batch.take(batch.unusable == 0)]
 
@@ -242,6 +243,7 @@ def _fresnel_scan(model: LagrangianModel, trials: int,
 
 def cmd_fresnel(args) -> int:
     model = _resolve_model(args)
+    _check_field_model(model)  # before the first draw
     if args.trials < 1:
         raise BadParams("--trials must be at least 1")
     scan = _fresnel_scan(model, args.trials, _rng(args.seed))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -236,15 +236,13 @@ def moc_upwind_l1(sol: MoCSolution, snap: Snapshot) -> float:
 # --- simple waves through state space -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReducedSystem:
-    """Eigen-data of a small quasilinear system at one state: at most
-    two modes, eigenvalues ascending, right eigenvectors as unit
-    columns."""
+class ReducedSystem(NamedTuple):
+    """Eigen-data of a small quasilinear system at one state, as Python
+    floats: at most two modes, eigenvalues ascending, and right[k] the
+    right eigenvector of mode k as a unit column."""
 
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
-    right: np.ndarray
+    eigenvalues: tuple[float, ...]
+    right: tuple[tuple[float, ...], ...]
 
 
 MAX_MODES = 2
@@ -256,39 +254,39 @@ def _check_size(n: int) -> None:
                         f"modes, got {n}")
 
 
+def _unit(x: float, y: float) -> tuple[float, float]:
+    norm = math.sqrt(x * x + y * y)
+    return x / norm, y / norm
+
+
 def _reduced_from_matrix(M) -> ReducedSystem:
-    """Sorted, real, unit-normalized eigen-data of M.  The bookkeeping
-    runs on Python floats and gives the bits of charsys.sorted_eig,
-    nearly_real and a numpy column norm for systems of one or two
-    modes."""
-    M = np.asarray(M, dtype=float)
-    n = len(M)
-    _check_size(n)
+    """Sorted, real, unit-normalized eigen-data of the 2x2 matrix M from
+    one LAPACK solve.  The bookkeeping runs on Python floats and gives
+    the bits of charsys.sorted_eig, nearly_real and a numpy column
+    norm."""
+    _check_size(len(M))
     w, V = np.linalg.eig(M)
-    w, V = w.tolist(), V.tolist()
-    order = sorted(range(n), key=lambda k: (w[k].real, w[k].imag))
-    top = max(abs(x.real) for x in w)
-    if not max(abs(x.imag) for x in w) <= 1e-10 * (1.0 + top):
+    (w0, w1), ((v00, v01), (v10, v11)) = w.tolist(), V.tolist()
+    # a real M has two real eigenvalues or a conjugate pair (equal real
+    # parts, conjugate eigenvectors), so w0 alone decides nearly_real, and
+    # sorted_eig's tie-break on the imaginary part leaves the real data
+    # unchanged
+    lam0, lam1 = w0.real, w1.real
+    if not abs(w0.imag) <= 1e-10 * (1.0 + abs(lam0)):
         raise ModeCollision("complex eigenvalues: system is not "
                             "hyperbolic at this state")
-    columns = []
-    for k in order:
-        col = [row[k].real for row in V]
-        norm = math.sqrt(sum(c * c for c in col))
-        columns.append([c / norm for c in col])
-    return ReducedSystem(matrix=M,
-                         eigenvalues=np.array([w[k].real for k in order]),
-                         right=np.array(columns).T)
+    r0, r1 = _unit(v00.real, v10.real), _unit(v01.real, v11.real)
+    if lam1 < lam0:
+        return ReducedSystem((lam1, lam0), (r1, r0))
+    return ReducedSystem((lam0, lam1), (r0, r1))
 
 
 def burgers_factory() -> Callable[[np.ndarray], ReducedSystem]:
     """1x1 system with speed equal to the state itself."""
 
     def make(U) -> ReducedSystem:
-        u = float(np.asarray(U).reshape(1)[0])
-        return ReducedSystem(matrix=np.array([[u]]),
-                             eigenvalues=np.array([u]),
-                             right=np.array([[1.0]]))
+        return ReducedSystem((float(np.asarray(U).reshape(1)[0]),),
+                             ((1.0,),))
 
     return make
 
@@ -326,20 +324,23 @@ class SimpleWave:
         return float(np.max(self.lams) - np.min(self.lams))
 
 
-def _dot(u: list[float], v: list[float]) -> float:
-    return sum(a * b for a, b in zip(u, v))
-
-
 def _track_mode(sys: ReducedSystem,
-                r_ref: list[float]) -> tuple[int, list[float]]:
+                r_ref) -> tuple[int, tuple[float, ...]]:
     """Index and sign-aligned right eigenvector of the mode of sys that
     best overlaps r_ref; ModeCollision when the mode is no longer
     distinct.  Runs on Python floats (at most two modes)."""
-    columns = sys.right.T.tolist()
-    overlaps = [abs(_dot(r_ref, c)) for c in columns]
-    j = max(range(len(overlaps)), key=overlaps.__getitem__)
-    if len(columns) == 2:
-        lam = sys.eigenvalues.tolist()
+    columns = sys.right
+    if len(columns) == 1:
+        j, dot = 0, r_ref[0] * columns[0][0]
+    else:
+        x, y = r_ref
+        (a0, a1), (b0, b1) = columns
+        dots = (x * a0 + y * a1, x * b0 + y * b1)
+        overlaps = (abs(dots[0]), abs(dots[1]))
+        # the first of equal overlaps wins, as in argmax
+        j = 1 if overlaps[1] > overlaps[0] else 0
+        dot = dots[j]
+        lam = sys.eigenvalues
         gap = abs(lam[1 - j] - lam[j])
         scale = 1.0 + max(abs(lam[0]), abs(lam[1]))
         if gap < COLLISION_TOL * scale:
@@ -352,8 +353,8 @@ def _track_mode(sys: ReducedSystem,
                 "eigenvectors no longer distinguish the tracked mode "
                 f"(overlap ratio {runner_up / overlaps[j]:.4f})")
     r = columns[j]
-    if _dot(r, r_ref) < 0.0:
-        r = [-c for c in r]
+    if dot < 0.0:
+        r = tuple([-c for c in r])
     return j, r
 
 
@@ -366,6 +367,10 @@ def simple_wave_construct(factory: Callable[[np.ndarray], ReducedSystem],
     phi itself (which requires U0 to carry the range start in that
     component).  The component defaults to the largest entry of the
     starting eigenvector.
+
+    The state is a numpy vector stepped by rays.rk4_step; each state's
+    system is built once (the node's system is RK4 stage k1) and its
+    eigen-data stay Python floats.
     """
     U0 = np.asarray(U0, dtype=float).reshape(-1)
     lo, hi = (float(v) for v in phi_range)
@@ -379,7 +384,7 @@ def simple_wave_construct(factory: Callable[[np.ndarray], ReducedSystem],
     if not 0 <= mode < len(sys0.eigenvalues):
         raise BadParams(f"mode index {mode} out of range for a "
                         f"{len(sys0.eigenvalues)}-mode system")
-    r0 = sys0.right[:, mode].tolist()
+    r0 = sys0.right[mode]
     if component is None:
         component = int(np.argmax(np.abs(r0)))
     elif not 0 <= component < len(U0):
@@ -390,7 +395,7 @@ def simple_wave_construct(factory: Callable[[np.ndarray], ReducedSystem],
             f"component: U0[{component}]={U0[component]:g} vs lo={lo:g}")
 
     phis = np.linspace(lo, hi, int(n))
-    h = phis[1] - phis[0]
+    h = float(phis[1] - phis[0])
 
     def slope(sysk: ReducedSystem) -> np.ndarray:
         # follows the mode tracked at the current node, r_ref
@@ -404,18 +409,14 @@ def simple_wave_construct(factory: Callable[[np.ndarray], ReducedSystem],
     def rhs(U: np.ndarray) -> np.ndarray:
         return slope(factory(U))
 
-    states = np.zeros((len(phis), len(U0)))
-    lams = np.zeros(len(phis))
-    xis = np.zeros(len(phis))
-    states[0] = U0
-    r_ref = r0 if r0[component] > 0 else [-c for c in r0]
-
-    U, sysk = U0.copy(), sys0
+    states, lams, xis = [], [], []
+    r_ref = r0 if r0[component] > 0 else tuple([-c for c in r0])
+    U, sysk = U0, sys0
     for k in range(len(phis)):
         j, r = _track_mode(sysk, r_ref)
-        states[k] = U
-        lams[k] = sysk.eigenvalues[j]
-        xis[k] = 1.0 / r[component]
+        states.append(U)
+        lams.append(sysk.eigenvalues[j])
+        xis.append(1.0 / r[component])
         r_ref = r
         if k == len(phis) - 1:
             break
@@ -423,7 +424,8 @@ def simple_wave_construct(factory: Callable[[np.ndarray], ReducedSystem],
         sysk = factory(U)
 
     return SimpleWave(mode=mode, component=component, phis=phis,
-                      states=states, lams=lams, xi=xis)
+                      states=np.array(states), lams=np.array(lams),
+                      xi=np.array(xis))
 
 
 # --- characteristic-fan comparison ---------------------------------------------------

@@ -7,7 +7,8 @@ L-partials, and ``jet_check_fd`` cross-checks jets against finite
 differences.  ``CallableHamiltonian`` traces rays of an arbitrary H with
 central-difference gradients.  ``scalar_reduced_oracle`` builds a simple
 wave's 2x2 eigen-data through the full scalar system with numpy
-bookkeeping, ``track_mode`` follows a mode with numpy, and
+bookkeeping, ``track_mode`` follows a mode with numpy,
+``simple_wave_oracle`` integrates a whole simple wave on those arrays, and
 ``wave_alignment_sines`` measures how closely a simple wave follows its
 eigenvector.  ``repr_csv`` writes float rows one repr at a time through
 the csv module, as the column CSV writers must, and
@@ -64,6 +65,7 @@ from cewave.gravity import (
 )
 from cewave.jets import InvariantPoint, Jet3
 from cewave.lagrangians import LagrangianModel
+from cewave.rays import rk4_step
 from cewave.shock1d import COLLISION_TOL, ReducedSystem, SimpleWave
 
 
@@ -375,7 +377,17 @@ def scalar_axis_matrix(bg: FieldBackground,
                                theta) + 0.0
 
 
-def reduced_from_matrix(M: np.ndarray) -> ReducedSystem:
+@dataclass(frozen=True)
+class ArrayReduced:
+    """Eigen-data of a small system as numpy arrays: the matrix, its
+    eigenvalues ascending and its right eigenvectors as unit columns."""
+
+    matrix: np.ndarray
+    eigenvalues: np.ndarray
+    right: np.ndarray
+
+
+def reduced_from_matrix(M: np.ndarray) -> ArrayReduced:
     """Eigen-data of M with numpy bookkeeping: sorted_eig, nearly_real
     and unit columns by np.linalg.norm."""
     M = np.asarray(M, dtype=float)
@@ -383,19 +395,19 @@ def reduced_from_matrix(M: np.ndarray) -> ReducedSystem:
     if not nearly_real(w):
         raise ModeCollision("complex eigenvalues: system is not "
                             "hyperbolic at this state")
-    return ReducedSystem(matrix=M, eigenvalues=w.real,
-                         right=V.real / np.linalg.norm(V.real, axis=0))
+    return ArrayReduced(matrix=M, eigenvalues=w.real,
+                        right=V.real / np.linalg.norm(V.real, axis=0))
 
 
 def scalar_reduced_oracle(model: LagrangianModel, A: float,
-                          B: float) -> ReducedSystem:
+                          B: float) -> ArrayReduced:
     """The 1+1 reduction at the gradient (A, B, 0, 0) sliced from the
     full 4x4 axis matrix of a FieldBackground."""
     bg = FieldBackground.scalar(A, B, 0.0, 0.0)
     return reduced_from_matrix(scalar_axis_matrix(bg, model)[:2, :2])
 
 
-def track_mode(sys: ReducedSystem,
+def track_mode(sys: ArrayReduced,
                r_ref: np.ndarray) -> tuple[int, np.ndarray]:
     """The mode of sys that best overlaps r_ref, with numpy arrays:
     argmax of the overlaps, gap and overlap-ratio checks, sign
@@ -417,6 +429,51 @@ def track_mode(sys: ReducedSystem,
     if float(r @ r_ref) < 0.0:
         r = -r
     return j, r
+
+
+def simple_wave_oracle(model: LagrangianModel, mode: int,
+                       phi_range: tuple[float, float], U0, n: int,
+                       component: int
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """States, speeds and xi of ``simple_wave_construct`` on the scalar
+    reduction of model, by the loop that keeps every state's eigen-data
+    in numpy arrays: each system sliced from the full 4x4 axis matrix
+    (``scalar_reduced_oracle``), each mode followed by ``track_mode``, and
+    the node's system reused as RK4 stage k1.  The caller passes valid
+    arguments; the checks of the inputs are not repeated here."""
+    def factory(U: np.ndarray) -> ArrayReduced:
+        A, B = U.tolist()
+        return scalar_reduced_oracle(model, A, B)
+
+    def slope(sysk: ArrayReduced) -> np.ndarray:
+        _, r = track_mode(sysk, r_ref)
+        if abs(r[component]) < 1e-12:
+            raise BadParams("tracked eigenvector loses its normalizing "
+                            "component along the wave")
+        return r / r[component]
+
+    U = np.asarray(U0, dtype=float).reshape(2).copy()
+    phis = np.linspace(*phi_range, n)
+    h = phis[1] - phis[0]
+    states = np.zeros((n, 2))
+    lams = np.zeros(n)
+    xis = np.zeros(n)
+    sysk = factory(U)
+    r_ref = sysk.right[:, mode]
+    if not r_ref[component] > 0:
+        r_ref = -r_ref
+    for k in range(n):
+        j, r = track_mode(sysk, r_ref)
+        states[k] = U
+        lams[k] = sysk.eigenvalues[j]
+        # a Python float division, which raises on a zero component
+        xis[k] = 1.0 / float(r[component])
+        r_ref = r
+        if k == n - 1:
+            break
+        U = rk4_step(lambda V: slope(factory(V)), U, slope(sysk), h)
+        sysk = factory(U)
+    return states, lams, xis
 
 
 def repr_csv(header: list[str], rows) -> bytes:
@@ -482,9 +539,9 @@ def wave_alignment_sines(wave: SimpleWave,
         dU = (wave.states[k - 2] - 8.0 * wave.states[k - 1]
               + 8.0 * wave.states[k + 1] - wave.states[k + 2]) / (12.0 * h)
         norm = np.linalg.norm(dU) + 1e-300
-        sysk = factory(wave.states[k])
-        j = int(np.argmax(np.abs(dU @ sysk.right)))
-        r = sysk.right[:, j]
+        right = np.array(factory(wave.states[k]).right).T
+        j = int(np.argmax(np.abs(dU @ right)))
+        r = right[:, j]
         # rejection of dU off the eigenvector keeps full precision at
         # small angles, unlike sqrt(1 - cos^2)
         rej = dU - (dU @ r) * r

@@ -325,6 +325,23 @@ def test_rays_start_with_non_finite_coefficients_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model", [["--builtin", "scalar-bi"],
+                                   ["--expr", "z^2", "--kind", "scalar"]])
+def test_fresnel_rejects_a_scalar_model_before_drawing(model, tmp_path,
+                                                       capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_rng", lambda seed: calls.append("rng"))
+    monkeypatch.setattr(cli, "fresnel_batch",
+                        lambda *args: calls.append("solve"))
+    out = tmp_path / "scan.csv"
+    rc = main(["fresnel", *model, "--trials", "5", "--out", str(out)])
+    assert rc == 2
+    assert ("dispersion quartic needs a field-strength model"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    assert calls == []
+
+
 def test_fresnel_rejects_zero_trials(capsys):
     assert main(["fresnel", "--builtin", "maxwell", "--trials", "0"]) == 2
     capsys.readouterr()

@@ -1,9 +1,10 @@
 """Output bytes frozen against recorded sha256 digests.
 
 The digests were recorded before the simple-wave, upwind and CSV kernels
-were rewritten for speed, and the fresnel scans before the scan was
-solved as one batch, so these tests pin the rewritten kernels to the
-bytes of the code they replaced.  They were recorded with numpy 2.4
+were rewritten for speed, the fresnel scans before the scan was solved
+as one batch, and the two shock runs whose speed varies along the wave
+before simple waves kept their eigen-data as floats, so these tests pin
+the rewritten kernels to the bytes of the code they replaced.  They were recorded with numpy 2.4
 (OpenBLAS) on x86-64; the eigen solves of a simple wave go through
 LAPACK, whose last bits may differ on another build.
 """
@@ -38,6 +39,27 @@ _CASES = {
                             "5c4d394f66d8d0f2a0fac39961c82a4c",
          "fan_model.csv": "006fcb754ff8c0dab5b623d20eeb7e63"
                           "b9132554d6779ad2fe5279b4d27ecb11"}),
+    # speeds that vary along the wave: the model fan folds at
+    # 0.8670062498710356
+    "shock-quadratic": (
+        ["shock", "--model-expr", "z^2", "--model-kind", "scalar", "--out",
+         "{dir}/fan.json"],
+        {"fan.json": "cda6a72f9ef42b5c28a41b905b942fdf"
+                     "0394925d5563799d56788c96d8c7b55e",
+         "fan_burgers.csv": "663238afaa6180b958949f7f1318b6fa"
+                            "5c4d394f66d8d0f2a0fac39961c82a4c",
+         "fan_model.csv": "abb97677214b17955e6194ac1438fcbb"
+                          "1ac202b64f6287c077e1ab1fc9088f86"}),
+    "shock-linear-cubic": (
+        ["shock", "--profile", "linear", "--t-list", "0.25,0.75,1.5",
+         "--model-expr=-z^3", "--model-kind", "scalar", "--out",
+         "{dir}/fan.json"],
+        {"fan.json": "8bd798b52b64c23664bbe88254118261"
+                     "32b88fd2c423970d010aebafdd1ff23c",
+         "fan_burgers.csv": "be9896aad3beca2300fdb937c0ff1ced"
+                            "f897983b29483ad0c1b0813ad8d79f6b",
+         "fan_model.csv": "4c7e8b21dc38736fcb44137e091728d5"
+                          "c46ce661f8c60d10cdea18dde6c40f30"}),
     # the README ray: 1001 states
     "rays-born-infeld": (
         ["rays", "--builtin", "born-infeld", "--E", "0.3,0,0", "--B",

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cewave.charsys import FieldBackground, scalar_system
+from cewave.charsys import FieldBackground, scalar_axis_block, scalar_system
 from cewave.errors import (
     BadParams,
     CewaveError,
@@ -43,6 +43,7 @@ from oracles import (
     reduced_from_matrix,
     repr_csv,
     scalar_reduced_oracle,
+    simple_wave_oracle,
     track_mode,
     wave_alignment_sines,
 )
@@ -60,6 +61,12 @@ def _same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return (a.dtype == b.dtype and a.shape == b.shape
             and a.tobytes() == b.tobytes())
+
+
+def _same_eigen_data(got: ReducedSystem, want) -> bool:
+    """Float-tuple eigen-data against an oracle's numpy arrays."""
+    return (_same_bits(np.array(got.eigenvalues), want.eigenvalues)
+            and _same_bits(np.array(got.right).T, want.right))
 
 
 def _sin_profile(n=401):
@@ -225,12 +232,9 @@ def test_scalar_reduction_equals_full_system_block_bit_for_bit():
         factory = scalar_reduced_factory(model)
         for A, B in states:
             bg = FieldBackground.scalar(A, B, 0.0, 0.0)
-            fast = factory(np.array([A, B]))
             full = reduced_from_matrix(scalar_system(bg, model).matrix[:2, :2])
-            for a, b in ((fast.matrix, full.matrix),
-                         (fast.eigenvalues, full.eigenvalues),
-                         (fast.right, full.right)):
-                assert _same_bits(a, b)
+            assert _same_bits(scalar_axis_block(model, A, B), full.matrix)
+            assert _same_eigen_data(factory(np.array([A, B])), full)
 
 
 # The model and state of a shock job where z = (B^2 - A^2)/2 computed
@@ -263,9 +267,8 @@ def test_scalar_reduction_matches_the_full_system_path_bit_for_bit(model, A,
         with pytest.raises(type(exc)):
             factory(np.array([A, B]))
         return
-    got = factory(np.array([A, B]))
-    for name in ("matrix", "eigenvalues", "right"):
-        assert _same_bits(getattr(got, name), getattr(want, name)), name
+    assert _same_bits(scalar_axis_block(model, A, B), want.matrix)
+    assert _same_eigen_data(factory(np.array([A, B])), want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -280,8 +283,7 @@ def test_mode_tracking_on_floats_matches_numpy(entries, ref):
             _reduced_from_matrix(M)
         return
     got = _reduced_from_matrix(M)
-    for name in ("matrix", "eigenvalues", "right"):
-        assert _same_bits(getattr(got, name), getattr(want, name)), name
+    assert _same_eigen_data(got, want)
     try:
         j_want, r_want = track_mode(want, np.array(ref))
     except ModeCollision:
@@ -293,13 +295,38 @@ def test_mode_tracking_on_floats_matches_numpy(entries, ref):
     assert _same_bits(np.array(r_got), r_want)
 
 
+@settings(max_examples=100, deadline=None)
+@given(model=_SCALAR_MODELS, A=st.floats(-0.8, 0.8), B=st.floats(-0.8, 0.8),
+       mode=st.sampled_from([0, 1]), component=st.sampled_from([0, 1]),
+       width=st.floats(1e-3, 1.0), n=st.integers(3, 25))
+@example(model=from_expression(_POW_TRAP[0], "scalar"), A=_POW_TRAP[1],
+         B=_POW_TRAP[2], mode=0, component=1, width=0.5, n=201)
+@example(model=builtin("scalar-bi"), A=0.3, B=0.1, mode=1, component=0,
+         width=0.5, n=41)
+def test_simple_wave_matches_the_numpy_array_loop_bit_for_bit(
+        model, A, B, mode, component, width, n):
+    U0 = [A, B]
+    phi_range = (U0[component], U0[component] + width)
+    args = (mode, phi_range, U0, n, component)
+    try:
+        want = simple_wave_oracle(model, *args)
+    except (CewaveError, ArithmeticError, RuntimeWarning) as exc:
+        with pytest.raises(type(exc)):
+            simple_wave_construct(scalar_reduced_factory(model), *args)
+        return
+    got = simple_wave_construct(scalar_reduced_factory(model), *args)
+    for name, value in zip(("states", "lams", "xi"), want):
+        assert _same_bits(getattr(got, name), value), name
+
+
 def test_simple_waves_take_at_most_two_modes():
     with pytest.raises(BadParams):
         _reduced_from_matrix(np.eye(3))
 
     def factory(U):
-        return ReducedSystem(matrix=np.eye(3), eigenvalues=np.zeros(3),
-                             right=np.eye(3))
+        return ReducedSystem(eigenvalues=(0.0, 0.0, 0.0),
+                             right=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                    (0.0, 0.0, 1.0)))
 
     with pytest.raises(BadParams):
         simple_wave_construct(factory, 0, (0.1, 0.6), [0.1, 0.0, 0.0])
@@ -323,17 +350,35 @@ def test_simple_wave_speed_varies_for_non_exceptional_model():
     assert np.max(wave_alignment_sines(wave, factory)) < 1e-8
 
 
-def test_simple_wave_builds_each_state_system_once():
-    # node systems plus RK4 stages k2, k3 and k4; k1 is the node's system
+def test_simple_wave_stops_where_the_eigenvector_loses_its_component():
+    def factory(U):
+        return ReducedSystem(eigenvalues=(0.0, 1.0),
+                             right=((1.0, 1e-13), (-1e-13, 1.0)))
+
+    with pytest.raises(BadParams, match="normalizing component"):
+        simple_wave_construct(factory, 0, (0.1, 0.6), [0.3, 0.1],
+                              component=1)
+
+
+def test_simple_wave_builds_each_state_system_once(monkeypatch):
+    # node systems plus RK4 stages k2, k3 and k4; k1 is the node's
+    # system, and each system is one eigen solve
     base = scalar_reduced_factory(builtin("scalar-bi"))
-    calls = []
+    calls, solves = [], []
+    eig = np.linalg.eig
 
     def factory(U):
         calls.append(U)
         return base(U)
 
+    def counted_eig(M):
+        solves.append(M)
+        return eig(M)
+
+    monkeypatch.setattr(np.linalg, "eig", counted_eig)
     simple_wave_construct(factory, 0, (0.1, 0.6), [0.3, 0.1], n=201)
     assert len(calls) == 4 * 201 - 3
+    assert len(solves) == len(calls)
 
 
 def test_simple_wave_for_scalar_conservation_law_has_linear_speed():
@@ -372,8 +417,9 @@ def test_simple_wave_detects_mode_collision():
         M = np.array([[0.0, (0.3 - a) ** 2], [1.0, 0.0]])
         w, V = np.linalg.eig(M)
         order = np.argsort(w.real)
-        return ReducedSystem(matrix=M, eigenvalues=w.real[order],
-                             right=V.real[:, order])
+        return ReducedSystem(eigenvalues=tuple(w.real[order].tolist()),
+                             right=tuple(map(tuple,
+                                             V.real[:, order].T.tolist())))
 
     with pytest.raises(ModeCollision):
         simple_wave_construct(factory, 1, (0.1, 20.0), [0.25, 0.1],
