@@ -160,10 +160,9 @@ class CharSystem:
     time matrix is the identity, with its eigen data along one
     direction.
 
-    `matrix` is M(n) in the original (unrotated) state coordinates;
-    `ai` holds the three per-axis matrices when the construction gives
-    them; `rebuild` maps a perturbed state vector to the matrix at that
-    state, used for mode-exceptionality probes.
+    `matrix` is M(n) in the original (unrotated) state coordinates and
+    `rebuild` is the state -> matrix map that made it; the mode probes
+    rebuild the system at perturbed states through it.
     """
 
     n: int
@@ -173,27 +172,26 @@ class CharSystem:
     right: np.ndarray
     left: np.ndarray
     cond: float
+    rebuild: Callable[[np.ndarray], np.ndarray]
     nhat: np.ndarray | None = None
-    ai: tuple[np.ndarray, ...] | None = None
-    theta: float | None = None
-    poly: tuple[float, float] | None = None
-    quartic: tuple[float, float, float, float] | None = None
     zero_multiplicity: int = 0
-    rebuild: Callable[[np.ndarray], np.ndarray] | None = None
 
     @classmethod
-    def from_builder(cls, state,
-                     builder: Callable[[np.ndarray], np.ndarray]) -> "CharSystem":
-        """Wrap an arbitrary state -> matrix map (e.g. a 1x1 scalar
-        conservation law) so the mode probes below apply to it."""
+    def from_builder(cls, state, builder: Callable[[np.ndarray], np.ndarray],
+                     nhat=None) -> "CharSystem":
+        """The system of an arbitrary state -> matrix map (e.g. a 1x1
+        scalar conservation law) at ``state``, taken along the wave
+        normal ``nhat`` when the map has one."""
+        def rebuild(s: np.ndarray) -> np.ndarray:
+            return np.atleast_2d(np.asarray(builder(s), dtype=float))
+
         st = np.atleast_1d(np.asarray(state, dtype=float))
-        M = np.atleast_2d(np.asarray(builder(st), dtype=float))
+        M = rebuild(st)
         w, V, left, cond = _eig_sorted(M)
         return cls(n=M.shape[0], state=st, matrix=M,
                    eigenvalues=w, right=V, left=left, cond=cond,
-                   zero_multiplicity=_zero_count(w),
-                   rebuild=lambda s: np.atleast_2d(
-                       np.asarray(builder(s), dtype=float)))
+                   rebuild=rebuild, nhat=nhat,
+                   zero_multiplicity=_zero_count(w))
 
 
 def sorted_eig(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,21 +249,13 @@ def _zero_count(w: np.ndarray) -> int:
     return int(np.sum(np.abs(w) < COINCIDENCE_RTOL * scale))
 
 
-def _scalar_row0(A: float, s, L1: float, L2: float, theta: float,
-                 i: int = 0) -> list[float]:
-    """Row 0 of the scalar system's matrix along axis i: the entry of
-    the time component A, then one entry per spatial component s[j]."""
-    return [-2.0 * A * s[i] * L2 / theta] + [
-        (s[i] * s[j] * L2 + (L1 if i == j else 0.0)) / theta
+def _scalar_row0(A: float, s, L1: float, L2: float,
+                 theta: float) -> list[float]:
+    """Row 0 of the scalar system's matrix along x1: the entry of the
+    time component A, then one entry per spatial component s[j]."""
+    return [-2.0 * A * s[0] * L2 / theta] + [
+        (s[0] * s[j] * L2 + (L1 if j == 0 else 0.0)) / theta
         for j in range(len(s))]
-
-
-def _scalar_axis_matrix(A: float, s: np.ndarray, L1: float, L2: float,
-                        theta: float, i: int = 0) -> np.ndarray:
-    M = np.zeros((4, 4))
-    M[0] = _scalar_row0(A, s, L1, L2, theta, i)
-    M[i + 1, 0] = -1.0
-    return M
 
 
 def _scalar_theta(A: float, jet: Jet3) -> float:
@@ -276,14 +266,6 @@ def _scalar_theta(A: float, jet: Jet3) -> float:
             "time-evolution reduction fails: A^2 L'' - L' vanishes "
             f"(theta={theta:.3e}, scale={scale:.3e})")
     return theta
-
-
-def _scalar_jet_theta(bg: FieldBackground,
-                      model: LagrangianModel) -> tuple[Jet3, float]:
-    if model.kind is not Kind.Scalar:
-        raise KindError("scalar_system needs a model in the field invariant z")
-    jet = model.jet_at(bg.point(Kind.Scalar))
-    return jet, _scalar_theta(bg.A, jet)
 
 
 def scalar_axis_block(model: LagrangianModel, A: float,
@@ -302,67 +284,71 @@ def scalar_axis_block(model: LagrangianModel, A: float,
     return np.array([[m00 + 0.0, m01 + 0.0], [-1.0, 0.0]])
 
 
-def scalar_system(bg: FieldBackground, model: LagrangianModel,
-                  nhat=(1.0, 0.0, 0.0)) -> CharSystem:
-    """4x4 characteristic system of a scalar-field model on a constant
-    gradient background, along the wave normal nhat."""
-    jet, theta = _scalar_jet_theta(bg, model)
+def _scalar_axis_matrix(model: LagrangianModel, Q: np.ndarray,
+                        state: np.ndarray) -> np.ndarray:
+    """The 4x4 scalar system's matrix along x1 at the gradient ``state``
+    with its spatial part rotated by Q; the jet is taken at the
+    gradient's own z."""
+    bg = FieldBackground.scalar(*state)
+    jet = model.jet_at(bg.point(Kind.Scalar))
+    M = np.zeros((4, 4))
+    M[0] = _scalar_row0(bg.A, Q @ bg.sigma_spatial, jet.fa, jet.faa,
+                        _scalar_theta(bg.A, jet))
+    M[1, 0] = -1.0
+    return M
+
+
+def _vector_axis_matrix(model: LagrangianModel, Q: np.ndarray,
+                        state: np.ndarray) -> np.ndarray:
+    """The 6x6 L(alpha) system's matrix along x1 at the fields
+    ``state`` = (E, B) rotated by Q: the flux blocks of the E and B
+    equations, reduced by the inverse of the electric time block P."""
+    bg = FieldBackground.vector(state[:3], state[3:])
+    jet = model.jet_at(bg.point(Kind.VectorAlpha))
     L1, L2 = jet.fa, jet.faa
-
-    n = unit_direction(nhat)
-    Q = rotation_to_x1(n)
-    T = np.eye(4)
-    T[1:, 1:] = Q
-
-    s_rot = Q @ bg.sigma_spatial
-    M_rot = _scalar_axis_matrix(bg.A, s_rot, L1, L2, theta)
-    matrix = T.T @ M_rot @ T
-    w, V, left, cond = _eig_sorted(matrix)
-
-    a1 = 2.0 * bg.A * s_rot[0] * L2 / theta
-    a2 = (s_rot[0] ** 2 * L2 + L1) / theta
-
-    def rebuild(state: np.ndarray) -> np.ndarray:
-        bg2 = FieldBackground.scalar(*state)
-        jet2, theta2 = _scalar_jet_theta(bg2, model)
-        M2 = _scalar_axis_matrix(bg2.A, Q @ bg2.sigma_spatial, jet2.fa,
-                                 jet2.faa, theta2)
-        return T.T @ M2 @ T
-
-    return CharSystem(
-        n=4, state=bg.state(), nhat=n, matrix=matrix, eigenvalues=w,
-        right=V, left=left, cond=cond,
-        ai=tuple(_scalar_axis_matrix(bg.A, bg.sigma_spatial, L1, L2, theta, i)
-                 for i in range(3)),
-        theta=theta, poly=(float(a1), float(a2)),
-        zero_multiplicity=_zero_count(w), rebuild=rebuild)
-
-
-def _vector_blocks(E: np.ndarray, B: np.ndarray, L1: float, L2: float,
-                   axis: int):
-    eps = _EPS3[axis]
+    E, B = Q @ bg.E, Q @ bg.B
+    eps = _EPS3[0]
     epsB = eps @ B
     P = 2.0 * L2 * np.outer(E, E) - L1 * np.eye(3)
     Qb = -2.0 * L2 * np.outer(E, B)
     S = 2.0 * L2 * np.outer(epsB, E)
     R = -2.0 * L2 * np.outer(epsB, B) - L1 * eps
     sig = -eps
-    return P, Qb, S, R, sig
-
-
-def _vector_reduced(E: np.ndarray, B: np.ndarray, L1: float, L2: float,
-                    axis: int) -> np.ndarray:
-    P, Qb, S, R, sig = _vector_blocks(E, B, L1, L2, axis)
     sv = np.linalg.svd(P, compute_uv=False)
     if sv[0] < _TINY or sv[-1] <= DEGENERACY_RTOL * sv[0]:
         raise DegenerateSystem(
             "electric block of the time matrix is singular "
             f"(singular values {sv[0]:.3e}..{sv[-1]:.3e})")
     Pinv = np.linalg.inv(P)
-    top_left = Pinv @ (S - Qb @ sig)
-    top_right = Pinv @ R
-    return np.block([[top_left, top_right],
+    return np.block([[Pinv @ (S - Qb @ sig), Pinv @ R],
                      [sig, np.zeros((3, 3))]])
+
+
+def _rotated_system(state: np.ndarray, nhat,
+                    axis_matrix: Callable[[np.ndarray, np.ndarray],
+                                          np.ndarray]) -> CharSystem:
+    """The system along nhat whose matrix at a state is the x1-axis
+    matrix of the rotated state, rotated back.  The state is an optional
+    scalar followed by spatial 3-vectors, and Q = rotation_to_x1(nhat)
+    turns each of those vectors."""
+    n = unit_direction(nhat)
+    Q = rotation_to_x1(n)
+    T = np.eye(len(state))
+    for start in range(len(state) % 3, len(state), 3):
+        T[start:start + 3, start:start + 3] = Q
+    return CharSystem.from_builder(
+        state, lambda s: T.T @ axis_matrix(Q, s) @ T, nhat=n)
+
+
+def scalar_system(bg: FieldBackground, model: LagrangianModel,
+                  nhat=(1.0, 0.0, 0.0)) -> CharSystem:
+    """4x4 characteristic system of a scalar-field model on a constant
+    gradient background, along the wave normal nhat."""
+    if model.kind is not Kind.Scalar:
+        raise KindError("scalar_system needs a model in the field invariant z")
+    bg.point(Kind.Scalar)  # KindError unless bg is a gradient background
+    return _rotated_system(
+        bg.state(), nhat, lambda Q, s: _scalar_axis_matrix(model, Q, s))
 
 
 def vector_system(bg: FieldBackground, model: LagrangianModel,
@@ -372,36 +358,9 @@ def vector_system(bg: FieldBackground, model: LagrangianModel,
     if model.kind is not Kind.VectorAlpha:
         raise KindError("vector_system needs a model in the invariant "
                         "alpha alone")
-    jet = model.jet_at(bg.point(Kind.VectorAlpha))
-    L1, L2 = jet.fa, jet.faa
-
-    n = unit_direction(nhat)
-    Q = rotation_to_x1(n)
-    T = np.zeros((6, 6))
-    T[:3, :3] = Q
-    T[3:, 3:] = Q
-
-    W_rot = _vector_reduced(Q @ bg.E, Q @ bg.B, L1, L2, 0)
-    matrix = T.T @ W_rot @ T
-    w, V, left, cond = _eig_sorted(matrix)
-
-    coeffs = np.poly(matrix)
-    coeffs = np.real_if_close(coeffs, tol=1000)
-    quartic = (float(np.real(coeffs[4])), float(np.real(coeffs[3])),
-               float(np.real(coeffs[2])), float(np.real(coeffs[1])))
-
-    ai = tuple(_vector_reduced(bg.E, bg.B, L1, L2, axis) for axis in range(3))
-
-    def rebuild(state: np.ndarray) -> np.ndarray:
-        bg2 = FieldBackground.vector(state[:3], state[3:])
-        jet2 = model.jet_at(bg2.point(Kind.VectorAlpha))
-        W2 = _vector_reduced(Q @ bg2.E, Q @ bg2.B, jet2.fa, jet2.faa, 0)
-        return T.T @ W2 @ T
-
-    return CharSystem(
-        n=6, state=bg.state(), nhat=n, matrix=matrix, eigenvalues=w,
-        right=V, left=left, cond=cond, ai=ai, quartic=quartic,
-        zero_multiplicity=_zero_count(w), rebuild=rebuild)
+    bg.point(Kind.VectorAlpha)  # KindError unless bg is an (E, B) background
+    return _rotated_system(
+        bg.state(), nhat, lambda Q, s: _vector_axis_matrix(model, Q, s))
 
 
 def biorthogonality_defect(system: CharSystem) -> float:
@@ -661,8 +620,6 @@ def exceptionality_per_mode(system: CharSystem, index: int) -> float:
     """Directional derivative of eigenvalue `index` along its own
     (unit) right eigenvector, by rebuilding the system at perturbed
     states; central difference plus one Richardson step."""
-    if system.rebuild is None:
-        raise BadUsage("system carries no state -> matrix rebuild map")
     w = np.real(system.eigenvalues)
     if not 0 <= index < system.n:
         raise BadUsage(f"mode index {index} out of range for n={system.n}")

@@ -24,6 +24,7 @@ import numpy as np
 from .charsys import (
     ETA,
     FieldBackground,
+    _check_field_model,
     point_cone_coefficients,
     scalar_cone_matrix,
     u_and_g,
@@ -99,6 +100,7 @@ class QuarticHamiltonian:
     depends_on_x = False
 
     def __init__(self, model: LagrangianModel, bg: FieldBackground):
+        _check_field_model(model)
         point = bg.point(model.kind)
         jet = model.jet_at(point)
         self.K, self.P, self.R = point_cone_coefficients(jet, point)

@@ -397,13 +397,17 @@ def simple_wave_construct(factory: Callable[[np.ndarray], ReducedSystem],
     phis = np.linspace(lo, hi, int(n))
     h = float(phis[1] - phis[0])
 
-    def slope(sysk: ReducedSystem) -> np.ndarray:
-        # follows the mode tracked at the current node, r_ref
-        _, r = _track_mode(sysk, r_ref)
+    def normalizer(r: tuple[float, ...]) -> float:
         rc = r[component]
         if abs(rc) < 1e-12:
             raise BadParams("tracked eigenvector loses its normalizing "
                             "component along the wave")
+        return rc
+
+    def slope(sysk: ReducedSystem) -> np.ndarray:
+        # follows the mode tracked at the current node, r_ref
+        _, r = _track_mode(sysk, r_ref)
+        rc = normalizer(r)
         return np.array([c / rc for c in r])
 
     def rhs(U: np.ndarray) -> np.ndarray:
@@ -416,7 +420,7 @@ def simple_wave_construct(factory: Callable[[np.ndarray], ReducedSystem],
         j, r = _track_mode(sysk, r_ref)
         states.append(U)
         lams.append(sysk.eigenvalues[j])
-        xis.append(1.0 / r[component])
+        xis.append(1.0 / normalizer(r))
         r_ref = r
         if k == len(phis) - 1:
             break

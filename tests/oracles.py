@@ -5,7 +5,8 @@ point at a time with float jets; ``ce.classify`` must reproduce its report
 exactly.  ``_am_groups`` writes the third-order conditions out in
 L-partials, and ``jet_check_fd`` cross-checks jets against finite
 differences.  ``CallableHamiltonian`` traces rays of an arbitrary H with
-central-difference gradients.  ``scalar_reduced_oracle`` builds a simple
+central-difference gradients.  ``axis_matrices`` writes a characteristic
+system out per coordinate axis.  ``scalar_reduced_oracle`` builds a simple
 wave's 2x2 eigen-data through the full scalar system with numpy
 bookkeeping, ``track_mode`` follows a mode with numpy,
 ``simple_wave_oracle`` integrates a whole simple wave on those arrays, and
@@ -40,7 +41,6 @@ from cewave.ce import (
 from cewave.charsys import (
     FieldBackground,
     _scalar_axis_matrix,
-    _scalar_jet_theta,
     fresnel_roots,
     nearly_real,
     sorted_eig,
@@ -53,6 +53,7 @@ from cewave.errors import (
     EmptyGrid,
     GridTooCoarse,
     InputError,
+    KindError,
     ModeCollision,
     NumericalError,
 )
@@ -64,7 +65,7 @@ from cewave.gravity import (
     eta,
 )
 from cewave.jets import InvariantPoint, Jet3
-from cewave.lagrangians import LagrangianModel
+from cewave.lagrangians import Kind, LagrangianModel
 from cewave.rays import rk4_step
 from cewave.shock1d import COLLISION_TOL, ReducedSystem, SimpleWave
 
@@ -372,9 +373,51 @@ def scalar_axis_matrix(bg: FieldBackground,
     eigensystem.  Adding 0.0 makes zero entries +0.0, as the rotation
     product in scalar_system leaves them: LAPACK orders eigenpairs by
     the sign of a zero."""
-    jet, theta = _scalar_jet_theta(bg, model)
-    return _scalar_axis_matrix(bg.A, bg.sigma_spatial, jet.fa, jet.faa,
-                               theta) + 0.0
+    if model.kind is not Kind.Scalar:
+        raise KindError("scalar_system needs a model in the field invariant z")
+    return _scalar_axis_matrix(model, np.eye(3), bg.state()) + 0.0
+
+
+# spatial Levi-Civita symbol, eps[i, j, k]
+_EPS3 = np.zeros((3, 3, 3))
+for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    _EPS3[_i, _j, _k], _EPS3[_i, _k, _j] = 1.0, -1.0
+
+
+def axis_matrices(bg: FieldBackground,
+                  model: LagrangianModel) -> list[np.ndarray]:
+    """The matrices A_i of the characteristic system along each
+    coordinate axis i, written out per axis without rotations, so that
+    the system along a unit normal n is sum_i n_i A_i.  A scalar model
+    on a gradient (A, s) gives row 0 (-2 A s_i L'', s_i s_j L'' +
+    delta_ij L') / theta and -1 at (i + 1, 0); an L(alpha) model on
+    (E, B) gives the flux blocks of the E and B equations along axis i,
+    built from eps[i], reduced by the inverse of the electric time
+    block."""
+    jet = model.jet_at(bg.point(model.kind))
+    L1, L2 = jet.fa, jet.faa
+    out = []
+    if model.kind is Kind.Scalar:
+        A, s = bg.A, bg.sigma_spatial
+        theta = A * A * L2 - L1
+        for i in range(3):
+            M = np.zeros((4, 4))
+            M[0, 0] = -2.0 * A * s[i] * L2 / theta
+            M[0, 1:] = (s[i] * s * L2 + L1 * np.eye(3)[i]) / theta
+            M[i + 1, 0] = -1.0
+            out.append(M)
+        return out
+    E, B = bg.E, bg.B
+    P_inv = np.linalg.inv(2.0 * L2 * np.outer(E, E) - L1 * np.eye(3))
+    Qb = -2.0 * L2 * np.outer(E, B)
+    for axis in range(3):
+        eps = _EPS3[axis]
+        epsB = eps @ B
+        S = 2.0 * L2 * np.outer(epsB, E)
+        R = -2.0 * L2 * np.outer(epsB, B) - L1 * eps
+        out.append(np.block([[P_inv @ (S + Qb @ eps), P_inv @ R],
+                             [-eps, np.zeros((3, 3))]]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -445,12 +488,15 @@ def simple_wave_oracle(model: LagrangianModel, mode: int,
         A, B = U.tolist()
         return scalar_reduced_oracle(model, A, B)
 
-    def slope(sysk: ArrayReduced) -> np.ndarray:
-        _, r = track_mode(sysk, r_ref)
+    def normalizer(r: np.ndarray) -> float:
         if abs(r[component]) < 1e-12:
             raise BadParams("tracked eigenvector loses its normalizing "
                             "component along the wave")
-        return r / r[component]
+        return float(r[component])
+
+    def slope(sysk: ArrayReduced) -> np.ndarray:
+        _, r = track_mode(sysk, r_ref)
+        return r / normalizer(r)
 
     U = np.asarray(U0, dtype=float).reshape(2).copy()
     phis = np.linspace(*phi_range, n)
@@ -466,8 +512,7 @@ def simple_wave_oracle(model: LagrangianModel, mode: int,
         j, r = track_mode(sysk, r_ref)
         states[k] = U
         lams[k] = sysk.eigenvalues[j]
-        # a Python float division, which raises on a zero component
-        xis[k] = 1.0 / float(r[component])
+        xis[k] = 1.0 / normalizer(r)
         r_ref = r
         if k == n - 1:
             break

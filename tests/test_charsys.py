@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cewave import charsys
+from cewave.ce import classify
 from cewave.charsys import (
+    COINCIDENCE_RTOL,
     CharSystem,
     FieldBackground,
     biorthogonality_defect,
@@ -36,7 +38,7 @@ from cewave.errors import (
 from cewave.jets import DomainMask
 from cewave.lagrangians import Kind, builtin, builtin_names, from_expression
 from cewave.rays import ConeHamiltonian, QuarticHamiltonian
-from oracles import scalar_axis_matrix
+from oracles import axis_matrices, scalar_axis_matrix
 
 _ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -112,7 +114,9 @@ def test_linear_scalar_system_matrix_and_eigen():
     assert sys.matrix[1, 0] == -1.0
     assert np.allclose(sys.eigenvalues, [-1.0, 0.0, 0.0, 1.0], atol=1e-14)
     assert sys.zero_multiplicity == 2
-    assert sys.theta == 1.0
+    # the reduction factor theta = A^2 L'' - L' of the time matrix
+    jet = builtin("scalar-maxwell").jet_at(bg.point(Kind.Scalar))
+    assert bg.A ** 2 * jet.faa - jet.fa == 1.0
 
 
 def test_scalar_sqrt_system_real_and_full_rank():
@@ -129,7 +133,12 @@ def test_scalar_charpoly_matches_closed_form():
     for _ in range(10):
         bg = FieldBackground.scalar(*rng.uniform(-0.5, 0.5, 4))
         sys = scalar_system(bg, model)
-        a1, a2 = sys.poly
+        # det(lam - M) = lam^2 (lam^2 + a1 lam + a2) along x1
+        jet = model.jet_at(bg.point(Kind.Scalar))
+        A, s1 = bg.A, bg.sigma[1]
+        theta = A * A * jet.faa - jet.fa
+        a1 = 2.0 * A * s1 * jet.faa / theta
+        a2 = (s1 ** 2 * jet.faa + jet.fa) / theta
         got = np.poly(sys.matrix)
         want = np.array([1.0, a1, a2, 0.0, 0.0])
         scale = np.max(np.abs(want))
@@ -199,7 +208,10 @@ def test_vector_system_maxwell_light_cone():
     bg = FieldBackground.vector([0.3, 0.0, 0.0], [0.0, 0.4, 0.0])
     sys = vector_system(bg, builtin("maxwell"))
     assert np.allclose(sys.eigenvalues, [-1, -1, 0, 0, 1, 1], atol=1e-12)
-    assert sys.quartic == pytest.approx((1.0, 0.0, -2.0, 0.0), abs=1e-12)
+    # det(lam - M) = lam^2 (lam^2 - 1)^2: the doubled light cone and the
+    # two constraint modes
+    assert np.poly(sys.matrix) == pytest.approx([1, 0, -2, 0, 1, 0, 0],
+                                                abs=1e-12)
     assert sys.zero_multiplicity == 2
 
 
@@ -230,8 +242,9 @@ def test_vector_system_quartic_roots_match_nonzero_eigenvalues():
         if 1.0 + bg.alpha < 0.1:
             continue
         sys = vector_system(bg, model)
-        c0, c1, c2, c3 = sys.quartic
-        qroots = np.sort(np.roots([1.0, c3, c2, c1, c0]).real)
+        # det(lam - M) = lam^2 q(lam), with q the dispersion quartic
+        coeffs = np.real_if_close(np.poly(sys.matrix), tol=1000).real
+        qroots = np.sort(np.roots(coeffs[:5]).real)
         w = np.sort(np.real(sys.eigenvalues))
         nonzero = w[np.abs(w) > 1e-8]
         assert np.allclose(qroots, nonzero, atol=1e-8)
@@ -269,12 +282,14 @@ def test_rotation_route_matches_direct_axis_sum():
         bgv = FieldBackground.vector(rng.uniform(-0.5, 0.5, 3),
                                      rng.uniform(-0.5, 0.5, 3))
         sv = vector_system(bgv, _bi_reduced(), nhat=n)
-        direct = sum(ni * Ai for ni, Ai in zip(n, sv.ai))
+        direct = sum(ni * Ai for ni, Ai in
+                     zip(n, axis_matrices(bgv, _bi_reduced())))
         assert np.allclose(sv.matrix, direct, atol=1e-12)
 
         bgs = FieldBackground.scalar(*rng.uniform(-0.5, 0.5, 4))
         ss = scalar_system(bgs, builtin("scalar-bi"), nhat=n)
-        direct = sum(ni * Ai for ni, Ai in zip(n, ss.ai))
+        direct = sum(ni * Ai for ni, Ai in
+                     zip(n, axis_matrices(bgs, builtin("scalar-bi"))))
         assert np.allclose(ss.matrix, direct, atol=1e-12)
 
 
@@ -388,6 +403,84 @@ def test_exceptionality_zero_modes_collide():
     sys = scalar_system(bg, builtin("scalar-bi"))
     with pytest.raises(ModeCollision):
         exceptionality_per_mode(sys, 1)
+
+
+# --- two routes to complete exceptionality --------------------------------------
+
+
+def _mode_probes(model, seed: int, backgrounds: int = 12):
+    """|grad lam . r| of every propagating mode of the model's system at
+    random backgrounds inside the default classify grid and random
+    normals, and the number of probes that ModeCollision skipped."""
+    rng = np.random.default_rng(seed)
+    probes, skipped = [], 0
+    for _ in range(backgrounds):
+        n = rng.normal(size=3)
+        if model.kind is Kind.Scalar:
+            bg = FieldBackground.scalar(*rng.uniform(-0.5, 0.5, 4))
+            sys = scalar_system(bg, model, nhat=n)
+        else:
+            bg = FieldBackground.vector(rng.uniform(-0.4, 0.4, 3),
+                                        rng.uniform(-0.4, 0.4, 3))
+            sys = vector_system(bg, model, nhat=n)
+        w = sys.eigenvalues
+        assert np.isrealobj(w)  # hyperbolic at this background
+        scale = 1.0 + np.max(np.abs(w))
+        for mode in np.flatnonzero(np.abs(w) >= COINCIDENCE_RTOL * scale):
+            try:
+                probes.append(abs(exceptionality_per_mode(sys, mode)))
+            except ModeCollision:
+                skipped += 1
+    return np.array(probes), skipped
+
+
+def _assert_routes_agree(model, probes: np.ndarray) -> None:
+    # a NotCE model may still be exceptional at isolated backgrounds (the
+    # zero field), so NotCE asks for one clearly nonzero probe
+    label = classify(model).label
+    assert probes.size
+    if label in ("CE", "StronglyCE"):
+        assert probes.max() <= 1e-7, (label, probes.max())
+    else:
+        assert label == "NotCE"
+        assert probes.max() >= 1e-2, (label, probes.max())
+
+
+@pytest.mark.parametrize("model", [
+    builtin("scalar-bi"),
+    builtin("scalar-maxwell"),
+    from_expression("z + 0.3*z^2", "scalar"),
+    from_expression("1 - sqrt(1 + a)", "alpha"),
+    from_expression("-a/2 + 0.1*a^2", "alpha"),
+    builtin("sqrt-family", [0.5, 2.0, 0.4]),
+], ids=lambda model: model.name)
+def test_classify_label_matches_mode_probes(model):
+    probes, skipped = _mode_probes(model, seed=31)
+    assert skipped == 0
+    _assert_routes_agree(model, probes)
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.floats(-2.0, 2.0), d=st.floats(2.2, 4.0),
+       c=st.floats(0.05, 1.0), c_sign=st.sampled_from([-1.0, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sqrt_family_label_matches_mode_probes(k, d, c, c_sign, seed):
+    # d > 2|c| keeps d + c*a positive on the default grid's a in [-0.5, 2]
+    model = from_expression(f"{k!r} + sqrt({d!r} + {c_sign * c!r}*a)",
+                            "alpha")
+    probes, skipped = _mode_probes(model, seed, backgrounds=6)
+    assert skipped <= probes.size // 4
+    _assert_routes_agree(model, probes)
+
+
+@settings(max_examples=25, deadline=None)
+@given(e=st.floats(0.1, 0.2), e_sign=st.sampled_from([-1.0, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_quadratic_family_label_matches_mode_probes(e, e_sign, seed):
+    model = from_expression(f"-a/2 + {e_sign * e!r}*a^2", "alpha")
+    probes, skipped = _mode_probes(model, seed, backgrounds=6)
+    assert skipped <= probes.size // 4
+    _assert_routes_agree(model, probes)
 
 
 # --- cone / eigen crosschecks -------------------------------------------------------

@@ -627,6 +627,17 @@ def test_rays_born_infeld_default_start(background, tmp_path, capsys):
         assert "drift 0.000e+00" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("model", [["--builtin", "scalar-bi"],
+                                   ["--expr", "z^2", "--kind", "scalar"]])
+def test_rays_rejects_a_scalar_model(model, tmp_path, capsys):
+    out = tmp_path / "ray.csv"
+    rc = main(["rays", *model, "--out", str(out)])
+    assert rc == 2
+    assert ("dispersion quartic needs a field-strength model"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_rays_off_shell_start_exit_3(tmp_path, capsys):
     rc = main(["rays", "--cone", "--p0=-2,1,0,0",
                "--out", str(tmp_path / "ray.csv")])

@@ -360,6 +360,33 @@ def test_simple_wave_stops_where_the_eigenvector_loses_its_component():
                               component=1)
 
 
+def test_simple_wave_rejects_a_zero_normalizing_component_at_the_start():
+    def factory(U):
+        return ReducedSystem((0.0, 1.0), ((1.0, 0.0), (0.0, 1.0)))
+
+    with pytest.raises(BadParams, match="normalizing component"):
+        simple_wave_construct(factory, 0, (0.1, 0.6), [0.3, 0.1],
+                              component=1)
+
+
+def test_simple_wave_rejects_a_zero_normalizing_component_at_the_end():
+    # a 3-node wave builds 9 systems: one per node and three RK4 stages
+    # per step, so only the last node's system has the tracked
+    # eigenvector (1, 0), whose normalizing component is exactly 0
+    calls = []
+
+    def factory(U):
+        calls.append(U)
+        if len(calls) == 9:
+            return ReducedSystem((0.0, 1.0), ((1.0, 0.0), (0.0, 1.0)))
+        return ReducedSystem((0.0, 1.0), ((0.8, 0.6), (-0.6, 0.8)))
+
+    with pytest.raises(BadParams, match="normalizing component"):
+        simple_wave_construct(factory, 0, (0.1, 0.6), [0.3, 0.1], n=3,
+                              component=1)
+    assert len(calls) == 9
+
+
 def test_simple_wave_builds_each_state_system_once(monkeypatch):
     # node systems plus RK4 stages k2, k3 and k4; k1 is the node's
     # system, and each system is one eigen solve
