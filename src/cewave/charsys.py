@@ -31,7 +31,7 @@ from .errors import (
     KindError,
     ModeCollision,
 )
-from .jets import InvariantPoint, Jet3, power, richardson_central
+from .jets import InvariantPoint, Jet2, Jet3, power, richardson_central
 from .lagrangians import Kind, LagrangianModel
 
 _TINY = 1e-300
@@ -258,7 +258,7 @@ def _scalar_row0(A: float, s, L1: float, L2: float,
         for j in range(len(s))]
 
 
-def _scalar_theta(A: float, jet: Jet3) -> float:
+def _scalar_theta(A: float, jet: Jet2 | Jet3) -> float:
     theta = A * A * jet.faa - jet.fa
     scale = abs(A * A * jet.faa) + abs(jet.fa)
     if not abs(theta) > DEGENERACY_RTOL * scale:
@@ -271,15 +271,16 @@ def _scalar_theta(A: float, jet: Jet3) -> float:
 def scalar_axis_block(model: LagrangianModel, A: float,
                       B: float) -> np.ndarray:
     """Leading 2x2 block of ``scalar_system``'s matrix along x1 on the
-    gradient (A, B, 0, 0), for a model of kind Scalar (the caller
-    checks the kind).  It is built from Python floats with the same
-    operations as the full matrix, so its bits equal the block sliced
-    from it.  Adding 0.0 makes zero entries +0.0, as the rotation
+    gradient (A, B, 0, 0), for a model of kind Scalar.  The block reads
+    L' and L'' alone, so it takes the model's order-2 jet in z, whose
+    slots are those of ``jet_at``.  It is built from Python floats with
+    the same operations as the full matrix, so its bits equal the block
+    sliced from it.  Adding 0.0 makes zero entries +0.0, as the rotation
     product in scalar_system leaves them: LAPACK orders eigenpairs by
     the sign of a zero."""
     if not (math.isfinite(A) and math.isfinite(B)):
         raise DomainError("background components must be finite")
-    jet = model.jet_at(InvariantPoint.scalar(scalar_z(A, B, 0.0, 0.0)))
+    jet = model.jet2_at(scalar_z(A, B, 0.0, 0.0))
     m00, m01 = _scalar_row0(A, (B,), jet.fa, jet.faa, _scalar_theta(A, jet))
     return np.array([[m00 + 0.0, m01 + 0.0], [-1.0, 0.0]])
 
@@ -619,18 +620,24 @@ def fresnel_roots(model: LagrangianModel, bg: FieldBackground,
 def exceptionality_per_mode(system: CharSystem, index: int) -> float:
     """Directional derivative of eigenvalue `index` along its own
     (unit) right eigenvector, by rebuilding the system at perturbed
-    states; central difference plus one Richardson step."""
+    states; central difference plus one Richardson step.  The step is
+    1e-5 (1 + |state|), or a tenth of the distance to the nearest other
+    eigenvalue if that is less; a mode within COINCIDENCE_RTOL
+    (1 + |state|) of another has no trustworthy gradient."""
     w = np.real(system.eigenvalues)
     if not 0 <= index < system.n:
         raise BadUsage(f"mode index {index} out of range for n={system.n}")
-    h = 1e-5 * (1.0 + float(np.linalg.norm(system.state)))
+    scale = 1.0 + float(np.linalg.norm(system.state))
+    h = 1e-5 * scale
     others = np.delete(w, index)
     if others.size:
         spacing = float(np.min(np.abs(others - w[index])))
-        if spacing < 10.0 * h:
+        if spacing < COINCIDENCE_RTOL * scale:
             raise ModeCollision(
-                f"eigenvalue spacing {spacing:.3e} below 10h={10 * h:.3e}; "
-                "the mode gradient is untrustworthy")
+                f"eigenvalue spacing {spacing:.3e} below "
+                f"{COINCIDENCE_RTOL * scale:.3e}; the mode gradient is "
+                "untrustworthy")
+        h = min(h, spacing / 10.0)
 
     R = np.real(system.right[:, index])
     R = R / np.linalg.norm(R)

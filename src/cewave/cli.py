@@ -105,16 +105,18 @@ def parse_grid(text: str) -> GridSpec:
 _MODEL_FLAGS = ("builtin", "params", "expr", "kind")
 
 
-def _add_model_flags(p: argparse.ArgumentParser, prefix: str = "") -> None:
+def _add_model_flags(p: argparse.ArgumentParser, prefix: str = "",
+                     kinds: tuple[Kind, ...] = tuple(Kind)) -> None:
     dash = f"--{prefix}"
     p.add_argument(f"{dash}builtin", default=None, metavar="NAME",
-                   help="builtin model name (see `--list-builtins`)")
+                   help="builtin model name (`cewave --list-builtins` "
+                        "lists them)")
     p.add_argument(f"{dash}params", default=None, metavar="P1,P2",
                    help="comma-separated parameters for the builtin")
     p.add_argument(f"{dash}expr", default=None, metavar="TEXT",
                    help="model expression text")
     p.add_argument(f"{dash}kind", default=None,
-                   choices=[k.value for k in Kind],
+                   choices=[k.value for k in kinds],
                    help=f"invariant signature of {dash}expr")
 
 
@@ -400,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     still reaches a shared parser."""
     parser = argparse.ArgumentParser(
         prog="cewave",
-        description="Exceptional-wave analyses of nonlinear field models")
+        description="Exceptional-wave analyses of nonlinear field models",
+        epilog="`cewave --list-builtins` lists the builtin model names.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     ce = sub.add_parser("ce", help="classification commands")
@@ -430,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     shock.add_argument("--t-list", default="0.5,1.0,2.0,5.0",
                        help="comma-separated output times")
     shock.add_argument("--horizon", type=float, default=10.0)
-    _add_model_flags(shock, "model-")
+    # the simple-wave fan runs scalar models only
+    _add_model_flags(shock, "model-", kinds=(Kind.Scalar,))
     shock.add_argument("--out", default="shock_summary.json")
     shock.set_defaults(handler=cmd_shock)
 

@@ -3,7 +3,10 @@
 A ``Jet3`` stores the value of a function of (x, y) together with every
 partial derivative up to third order, and propagates all of them exactly
 through arithmetic.  One-variable models simply ride the first slot and
-keep the y-derivatives at zero.
+keep the y-derivatives at zero.  A ``Jet2`` keeps only the slots f, fa
+and faa of such a one-variable jet: every rule computes those slots from
+the same slots of its operands, so the two types share one copy of the
+rules for them and agree bit for bit.
 
 The derivative coefficients are stored raw (not divided by factorials), so
 ``jet.faa`` literally equals d2f/dx2 at the expansion point.
@@ -127,6 +130,153 @@ def _short(x) -> str:
     return f"<{x.size} values>" if isinstance(x, np.ndarray) else f"{x:.6g}"
 
 
+# --- rules shared by Jet3 and Jet2 ------------------------------------------
+#
+# Both jet types bind these functions as their operations.  The slots f,
+# fa and faa of a result come from the same slots of the operands alone,
+# so each rule computes those first, and a Jet3 goes on to its others.
+# The product, quotient and chain rules call their operand jets f and g,
+# as the formulas do.
+
+
+def _add(self, other):
+    o = self._coerce(other)
+    if o is NotImplemented:
+        return NotImplemented
+    return self._of(*map(operator.add, self.as_tuple(), o.as_tuple()))
+
+
+def _neg(self):
+    return self._of(*map(operator.neg, self.as_tuple()))
+
+
+def _pos(self):
+    return self
+
+
+def _sub(self, other):
+    o = self._coerce(other)
+    if o is NotImplemented:
+        return NotImplemented
+    return self._of(*map(operator.sub, self.as_tuple(), o.as_tuple()))
+
+
+def _rsub(self, other):
+    o = self._coerce(other)
+    if o is NotImplemented:
+        return NotImplemented
+    return o - self
+
+
+def _mul(f, other):
+    g = f._coerce(other)
+    if g is NotImplemented:
+        return NotImplemented
+    hf = f.f * g.f
+    ha = f.fa * g.f + f.f * g.fa
+    haa = f.faa * g.f + 2.0 * f.fa * g.fa + f.f * g.faa
+    if f.__class__ is Jet2:
+        return Jet2._of(hf, ha, haa)
+    return Jet3._of(
+        hf,
+        ha,
+        f.fb * g.f + f.f * g.fb,
+        haa,
+        f.fab * g.f + f.fa * g.fb + f.fb * g.fa + f.f * g.fab,
+        f.fbb * g.f + 2.0 * f.fb * g.fb + f.f * g.fbb,
+        f.faaa * g.f + 3.0 * f.faa * g.fa + 3.0 * f.fa * g.faa + f.f * g.faaa,
+        f.faab * g.f + f.faa * g.fb + 2.0 * f.fab * g.fa
+        + 2.0 * f.fa * g.fab + f.fb * g.faa + f.f * g.faab,
+        f.fabb * g.f + 2.0 * f.fab * g.fb + f.fbb * g.fa
+        + f.fa * g.fbb + 2.0 * f.fb * g.fab + f.f * g.fabb,
+        f.fbbb * g.f + 3.0 * f.fbb * g.fb + 3.0 * f.fb * g.fbb + f.f * g.fbbb,
+    )
+
+
+def _truediv(f, other):
+    g = f._coerce(other)
+    if g is NotImplemented:
+        return NotImplemented
+    gf = check_domain(g.f, abs(g.f) < _TINY,
+                      "division by a jet whose value is zero")
+    hf = f.f / gf
+    ha = (f.fa - hf * g.fa) / gf
+    haa = (f.faa - 2.0 * ha * g.fa - hf * g.faa) / gf
+    if f.__class__ is Jet2:
+        return Jet2._of(hf, ha, haa)
+    hb = (f.fb - hf * g.fb) / gf
+    hab = (f.fab - ha * g.fb - hb * g.fa - hf * g.fab) / gf
+    hbb = (f.fbb - 2.0 * hb * g.fb - hf * g.fbb) / gf
+    haaa = (f.faaa - 3.0 * haa * g.fa - 3.0 * ha * g.faa
+            - hf * g.faaa) / gf
+    haab = (f.faab - haa * g.fb - 2.0 * hab * g.fa
+            - 2.0 * ha * g.fab - hb * g.faa - hf * g.faab) / gf
+    habb = (f.fabb - 2.0 * hab * g.fb - hbb * g.fa
+            - ha * g.fbb - 2.0 * hb * g.fab - hf * g.fabb) / gf
+    hbbb = (f.fbbb - 3.0 * hbb * g.fb - 3.0 * hb * g.fbb
+            - hf * g.fbbb) / gf
+    return Jet3._of(hf, ha, hb, haa, hab, hbb, haaa, haab, habb, hbbb)
+
+
+def _rtruediv(self, other):
+    o = self._coerce(other)
+    if o is NotImplemented:
+        return NotImplemented
+    return o / self
+
+
+def _compose(f, g0, g1, g2, g3):
+    """Chain rule for h = g(f) given g, g', g'', g''' at f.f (a Jet2 has
+    no use for g''')."""
+    ha = g1 * f.fa
+    haa = g2 * f.fa * f.fa + g1 * f.faa
+    if f.__class__ is Jet2:
+        return Jet2._of(g0, ha, haa)
+    return Jet3._of(
+        g0,
+        ha,
+        g1 * f.fb,
+        haa,
+        g2 * f.fa * f.fb + g1 * f.fab,
+        g2 * f.fb * f.fb + g1 * f.fbb,
+        g3 * power(f.fa, 3) + 3.0 * g2 * f.fa * f.faa + g1 * f.faaa,
+        (g3 * f.fa * f.fa * f.fb
+         + g2 * (f.faa * f.fb + 2.0 * f.fa * f.fab) + g1 * f.faab),
+        (g3 * f.fa * f.fb * f.fb
+         + g2 * (f.fbb * f.fa + 2.0 * f.fb * f.fab) + g1 * f.fabb),
+        g3 * power(f.fb, 3) + 3.0 * g2 * f.fb * f.fbb + g1 * f.fbbb,
+    )
+
+
+def _sqrt(self):
+    v = check_domain(self.f, self.f < _TINY,
+                     "sqrt of a non-positive jet value {:.6g}")
+    r = _root(v)
+    return self.compose(r, 0.5 / r, -0.25 / (v * r), 0.375 / (v * v * r))
+
+
+def _pow(self, exponent):
+    e = float(exponent)
+    if e == int(e):
+        n = int(e)
+        if n == 0:
+            return self.constant(1.0)
+        if n < 0:
+            return 1.0 / (self ** (-n))
+        out = self
+        for _ in range(n - 1):
+            out = out * self
+        return out
+    # fractional exponent: real branch only, positive base required
+    v = check_domain(self.f, self.f < _TINY,
+                     "fractional power of a non-positive jet value {:.6g}")
+    g0 = power(v, e)
+    g1 = e * power(v, e - 1.0)
+    g2 = e * (e - 1.0) * power(v, e - 2.0)
+    g3 = e * (e - 1.0) * (e - 2.0) * power(v, e - 3.0)
+    return self.compose(g0, g1, g2, g3)
+
+
 class Jet3:
     """Order-3 Taylor jet in two variables."""
 
@@ -187,136 +337,75 @@ class Jet3:
             return Jet3.constant(x)
         return NotImplemented
 
-    # --- ring operations --------------------------------------------------
+    # --- operations (see the shared rules above) -------------------------
 
-    def __add__(self, other):
-        o = Jet3._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Jet3._of(*map(operator.add, self.as_tuple(), o.as_tuple()))
+    __add__ = __radd__ = _add
+    __neg__ = _neg
+    __pos__ = _pos
+    __sub__ = _sub
+    __rsub__ = _rsub
+    __mul__ = __rmul__ = _mul
+    __truediv__ = _truediv
+    __rtruediv__ = _rtruediv
+    compose = _compose
+    sqrt = _sqrt
+    __pow__ = _pow
 
-    __radd__ = __add__
 
-    def __neg__(self):
-        return Jet3._of(*map(operator.neg, self.as_tuple()))
+class Jet2:
+    """Order-2 Taylor jet in one variable: the slots f, fa and faa of the
+    Jet3 that rides its first slot, by the same rules and so with the
+    same bits.  It raises where that Jet3 does, except where only the
+    Jet3's third derivative leaves the double range."""
 
-    def __pos__(self):
-        return self
+    __slots__ = ("f", "fa", "faa")
 
-    def __sub__(self, other):
-        o = Jet3._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Jet3._of(*map(operator.sub, self.as_tuple(), o.as_tuple()))
+    __array_ufunc__ = None
 
-    def __rsub__(self, other):
-        o = Jet3._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o - self
+    @classmethod
+    def constant(cls, c) -> "Jet2":
+        return cls._of(_slot(c), 0.0, 0.0)
 
-    def __mul__(self, other):
-        o = Jet3._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        f, g = self, o
-        return Jet3._of(
-            f.f * g.f,
-            f.fa * g.f + f.f * g.fa,
-            f.fb * g.f + f.f * g.fb,
-            f.faa * g.f + 2.0 * f.fa * g.fa + f.f * g.faa,
-            f.fab * g.f + f.fa * g.fb + f.fb * g.fa + f.f * g.fab,
-            f.fbb * g.f + 2.0 * f.fb * g.fb + f.f * g.fbb,
-            f.faaa * g.f + 3.0 * f.faa * g.fa + 3.0 * f.fa * g.faa + f.f * g.faaa,
-            f.faab * g.f + f.faa * g.fb + 2.0 * f.fab * g.fa
-            + 2.0 * f.fa * g.fab + f.fb * g.faa + f.f * g.faab,
-            f.fabb * g.f + 2.0 * f.fab * g.fb + f.fbb * g.fa
-            + f.fa * g.fbb + 2.0 * f.fb * g.fab + f.f * g.fabb,
-            f.fbbb * g.f + 3.0 * f.fbb * g.fb + 3.0 * f.fb * g.fbb + f.f * g.fbbb,
-        )
+    @classmethod
+    def variable(cls, value) -> "Jet2":
+        return cls._of(_slot(value), 1.0, 0.0)
 
-    __rmul__ = __mul__
+    @classmethod
+    def _of(cls, f, fa, faa) -> "Jet2":
+        jet = object.__new__(cls)
+        jet.f, jet.fa, jet.faa = f, fa, faa
+        return jet
 
-    def __truediv__(self, other):
-        o = Jet3._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        f, g = self, o
-        gf = check_domain(g.f, abs(g.f) < _TINY,
-                          "division by a jet whose value is zero")
-        hf = f.f / gf
-        ha = (f.fa - hf * g.fa) / gf
-        hb = (f.fb - hf * g.fb) / gf
-        haa = (f.faa - 2.0 * ha * g.fa - hf * g.faa) / gf
-        hab = (f.fab - ha * g.fb - hb * g.fa - hf * g.fab) / gf
-        hbb = (f.fbb - 2.0 * hb * g.fb - hf * g.fbb) / gf
-        haaa = (f.faaa - 3.0 * haa * g.fa - 3.0 * ha * g.faa
-                - hf * g.faaa) / gf
-        haab = (f.faab - haa * g.fb - 2.0 * hab * g.fa
-                - 2.0 * ha * g.fab - hb * g.faa - hf * g.faab) / gf
-        habb = (f.fabb - 2.0 * hab * g.fb - hbb * g.fa
-                - ha * g.fbb - 2.0 * hb * g.fab - hf * g.fabb) / gf
-        hbbb = (f.fbbb - 3.0 * hbb * g.fb - 3.0 * hb * g.fbb
-                - hf * g.fbbb) / gf
-        return Jet3._of(hf, ha, hb, haa, hab, hbb, haaa, haab, habb, hbbb)
+    def as_tuple(self) -> tuple[float, ...]:
+        return self.f, self.fa, self.faa
 
-    def __rtruediv__(self, other):
-        o = Jet3._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
+    @staticmethod
+    def _coerce(x) -> "Jet2":
+        if isinstance(x, Jet2):
+            return x
+        if isinstance(x, (int, float, np.ndarray)):
+            return Jet2.constant(x)
+        return NotImplemented
 
-    # --- composition with a scalar outer function -------------------------
+    __add__ = __radd__ = _add
+    __neg__ = _neg
+    __pos__ = _pos
+    __sub__ = _sub
+    __rsub__ = _rsub
+    __mul__ = __rmul__ = _mul
+    __truediv__ = _truediv
+    __rtruediv__ = _rtruediv
+    compose = _compose
+    sqrt = _sqrt
+    __pow__ = _pow
 
-    def compose(self, g0, g1, g2, g3) -> "Jet3":
-        """Chain rule for h = g(self) given g, g', g'', g''' at self.f."""
-        f = self
-        return Jet3._of(
-            g0,
-            g1 * f.fa,
-            g1 * f.fb,
-            g2 * f.fa * f.fa + g1 * f.faa,
-            g2 * f.fa * f.fb + g1 * f.fab,
-            g2 * f.fb * f.fb + g1 * f.fbb,
-            g3 * power(f.fa, 3) + 3.0 * g2 * f.fa * f.faa + g1 * f.faaa,
-            (g3 * f.fa * f.fa * f.fb
-             + g2 * (f.faa * f.fb + 2.0 * f.fa * f.fab) + g1 * f.faab),
-            (g3 * f.fa * f.fb * f.fb
-             + g2 * (f.fbb * f.fa + 2.0 * f.fb * f.fab) + g1 * f.fabb),
-            g3 * power(f.fb, 3) + 3.0 * g2 * f.fb * f.fbb + g1 * f.fbbb,
-        )
 
-    def sqrt(self) -> "Jet3":
-        v = check_domain(self.f, self.f < _TINY,
-                         "sqrt of a non-positive jet value {:.6g}")
-        r = _root(v)
-        return self.compose(r, 0.5 / r, -0.25 / (v * r), 0.375 / (v * v * r))
-
-    def __pow__(self, exponent):
-        e = float(exponent)
-        if e == int(e):
-            n = int(e)
-            if n == 0:
-                return Jet3.constant(1.0)
-            if n < 0:
-                return 1.0 / (self ** (-n))
-            out = self
-            for _ in range(n - 1):
-                out = out * self
-            return out
-        # fractional exponent: real branch only, positive base required
-        v = check_domain(self.f, self.f < _TINY,
-                         "fractional power of a non-positive jet value {:.6g}")
-        g0 = power(v, e)
-        g1 = e * power(v, e - 1.0)
-        g2 = e * (e - 1.0) * power(v, e - 2.0)
-        g3 = e * (e - 1.0) * (e - 2.0) * power(v, e - 3.0)
-        return self.compose(g0, g1, g2, g3)
+JETS = (Jet3, Jet2)
 
 
 def sqrt(x):
-    """Square root that accepts a Jet3, a plain number or an array."""
-    if isinstance(x, Jet3):
+    """Square root that accepts a jet, a plain number or an array."""
+    if isinstance(x, JETS):
         return x.sqrt()
     v = _slot(x)
     return _root(check_domain(v, v < _TINY,
@@ -330,7 +419,7 @@ def divide(x, y):
     array divisor marks its zero entries (see ``check_domain``).  Jets
     keep their own check.
     """
-    if isinstance(x, Jet3) or isinstance(y, Jet3):
+    if isinstance(x, JETS) or isinstance(y, JETS):
         return x / y
     if isinstance(y, np.ndarray):
         y = check_domain(y, y == 0.0, "division by zero")

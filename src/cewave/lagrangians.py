@@ -10,7 +10,8 @@ Models come from a small built-in catalog (families whose exceptionality
 status is known in closed form) or from expression text parsed by
 ``parse_lagrangian``.  Either way the evaluator is polymorphic: fed plain
 floats it returns a float, fed ``Jet3`` values it returns the full
-third-order jet, which is what every downstream residual needs.  Arrays
+third-order jet, which is what every downstream residual needs, and fed
+a ``Jet2`` in z it returns the order-2 jet of a scalar model.  Arrays
 (and jets with array slots) evaluate a whole grid of points at once.
 
 The expression grammar is deliberately tiny: ``+ - * / ^`` with numeric
@@ -29,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BadParams, DomainError, KindError, ParseError, UnknownModel
-from .jets import InvariantPoint, Jet3, check_domain, divide, power
+from .jets import JETS, InvariantPoint, Jet2, Jet3, check_domain, divide, power
 from .jets import sqrt as _sqrt
 
 
@@ -137,7 +138,7 @@ class Pow(Node):
 
     def eval(self, env):
         x = self.base.eval(env)
-        if isinstance(x, Jet3):
+        if isinstance(x, JETS):
             return x ** self.exponent
         e = self.exponent
         x = x if isinstance(x, np.ndarray) else float(x)
@@ -345,7 +346,7 @@ class LagrangianModel:
 
     name: str
     kind: Kind
-    fn: Callable  # maps an env dict of Jet3/float/array values to one
+    fn: Callable  # maps an env dict of jet/float/array values to one
     guard: Callable[[dict], bool] | None = None
     depends_on_y: bool = False
 
@@ -362,14 +363,17 @@ class LagrangianModel:
                 env[name] = point.get(name)
         return env
 
-    def value_at(self, point: InvariantPoint):
-        """The model's value: a float, or an array on a set of points."""
-        env = {name: point.get(name) for name in self.kind.variables}
+    def _eval(self, env: dict):
         try:
-            out = self.fn(env)
+            return self.fn(env)
         except ZeroDivisionError:
             raise DomainError("division by zero while evaluating "
                               f"{self.name}") from None
+
+    def value_at(self, point: InvariantPoint):
+        """The model's value: a float, or an array on a set of points."""
+        out = self._eval({name: point.get(name)
+                          for name in self.kind.variables})
         if isinstance(out, Jet3):
             out = out.f
         return out if isinstance(out, np.ndarray) else float(out)
@@ -380,13 +384,20 @@ class LagrangianModel:
         names = self.jet_vars() if wrt is None else wrt
         if len(names) > 2:
             raise ValueError("a jet covers at most two variables")
-        try:
-            out = self.fn(self._env(point, names))
-        except ZeroDivisionError:
-            raise DomainError("division by zero while evaluating "
-                              f"{self.name}") from None
+        out = self._eval(self._env(point, names))
         if not isinstance(out, Jet3):
             out = Jet3.constant(out)
+        return out
+
+    def jet2_at(self, z: float) -> Jet2:
+        """Order-2 jet in z of a Scalar model at the float z: the slots f,
+        fa and faa of ``jet_at`` there, bit for bit."""
+        if self.kind is not Kind.Scalar:
+            raise KindError("an order-2 jet in z needs a model in the "
+                            "field invariant z")
+        out = self._eval({"z": Jet2.variable(z)})
+        if not isinstance(out, Jet2):
+            out = Jet2.constant(out)
         return out
 
     def guard_ok(self, point: InvariantPoint):

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
+from numpy.linalg._linalg import _raise_linalgerror_eigenvalues_nonconvergence
 
 from .charsys import (
     scalar_axis_block,
@@ -259,13 +261,26 @@ def _unit(x: float, y: float) -> tuple[float, float]:
     return x / norm, y / norm
 
 
+def _eig(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and right eigenvectors (columns) of the real matrix M,
+    both complex: the LAPACK gufunc behind np.linalg.eig under that
+    wrapper's finiteness check and error state, so with its bits, but
+    without its shape and type checks, casts and real-result test."""
+    if not np.isfinite(M).all():
+        raise LinAlgError("Array must not contain infs or NaNs")
+    with np.errstate(call=_raise_linalgerror_eigenvalues_nonconvergence,
+                     invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        return _umath_linalg.eig(M, signature="d->DD")
+
+
 def _reduced_from_matrix(M) -> ReducedSystem:
-    """Sorted, real, unit-normalized eigen-data of the 2x2 matrix M from
-    one LAPACK solve.  The bookkeeping runs on Python floats and gives
-    the bits of charsys.sorted_eig, nearly_real and a numpy column
+    """Sorted, real, unit-normalized eigen-data of the 2x2 float matrix M
+    from one LAPACK call.  The bookkeeping runs on Python floats and
+    gives the bits of charsys.sorted_eig, nearly_real and a numpy column
     norm."""
     _check_size(len(M))
-    w, V = np.linalg.eig(M)
+    w, V = _eig(M)
     (w0, w1), ((v00, v01), (v10, v11)) = w.tolist(), V.tolist()
     # a real M has two real eigenvalues or a conjugate pair (equal real
     # parts, conjugate eigenvectors), so w0 alone decides nearly_real, and

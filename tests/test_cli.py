@@ -457,6 +457,29 @@ def test_model_flag_errors_name_the_commands_flags(argv, message, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("kind", ["alpha", "alpha-beta", "vector-scalar"])
+def test_shock_offers_scalar_models_only(kind, tmp_path, capsys,
+                                         monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["shock", "--model-expr", "a", "--model-kind", kind]) == 2
+    err = capsys.readouterr().err
+    assert f"--model-kind: invalid choice: '{kind}'" in err
+    assert "(choose from 'scalar')" in err
+    assert list(tmp_path.iterdir()) == []
+    assert main(["shock", "--help"]) == 0
+    assert "--model-kind {scalar}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["ce", "check", "--help"],
+                                  ["fresnel", "--help"], ["rays", "--help"],
+                                  ["shock", "--help"]])
+def test_help_names_the_list_builtins_command(argv, capsys):
+    # the flag works only in front of every subcommand
+    assert main(argv) == 0
+    assert "`cewave --list-builtins`" in " ".join(
+        capsys.readouterr().out.split())
+
+
 def test_shock_empty_model_expression_exits_2(tmp_path, capsys):
     rc = main(["shock", "--model-expr", "", "--model-kind", "scalar",
                "--out", str(tmp_path / "s.json")])

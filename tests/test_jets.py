@@ -1,14 +1,23 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cewave.errors import DomainError
-from cewave.jets import DomainMask, InvariantPoint, Jet3, power, sqrt
+from cewave.errors import DomainError, FloatOverflow, KindError
+from cewave.jets import (
+    DomainMask,
+    InvariantPoint,
+    Jet2,
+    Jet3,
+    divide,
+    power,
+    sqrt,
+)
 from cewave.lagrangians import builtin, builtin_names, from_expression
 
 from oracles import jet_check_fd
@@ -313,3 +322,85 @@ def test_scalar_domain_errors_keep_their_messages(call, message):
     with pytest.raises(DomainError) as err:
         call()
     assert str(err.value) == message
+
+
+# --- the order-2 jet in z ------------------------------------------------------
+
+def _leading_bits(jet) -> tuple[bytes, ...]:
+    # bits, so that -0.0 and 0.0 differ
+    return tuple(struct.pack("<d", v) for v in (jet.f, jet.fa, jet.faa))
+
+
+def _outcome(call):
+    """The leading-slot bits of a jet, or the type and text of what the
+    call raised."""
+    try:
+        return _leading_bits(call())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_jet2_matches_jet_at(model, z: float) -> None:
+    want = _outcome(lambda: model.jet_at(InvariantPoint.scalar(z)))
+    got = _outcome(lambda: model.jet2_at(z))
+    if want[0] is FloatOverflow and got != want:
+        # only Jet3's third derivative left the double range
+        assert isinstance(got[0], bytes)
+        return
+    assert got == want
+
+
+_Z_POINTS = [0.0, -0.0, 0.3, -0.3, -0.5, -0.5 + 1e-17, -0.7, 1e-310, 2.5,
+             -4.0]
+
+
+@pytest.mark.parametrize("name", ["scalar-bi", "scalar-maxwell"])
+def test_jet2_matches_jet_at_on_scalar_builtins(name):
+    model = builtin(name)
+    zs = _Z_POINTS + np.random.default_rng(17).uniform(-1.0, 1.0,
+                                                         200).tolist()
+    for z in zs:
+        _assert_jet2_matches_jet_at(model, z)
+    if name == "scalar-bi":
+        with pytest.raises(DomainError, match="sqrt of a non-positive"):
+            model.jet2_at(-0.7)
+
+
+_LITERAL = st.floats(0.1, 3.0).map(repr)
+_EXPONENT = st.sampled_from(["0", "1", "2", "3", "-1", "-2", "0.5", "1.5",
+                             "-0.5", "-1.5"])
+
+
+def _grow(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        inner.map(lambda e: f"sqrt({e})"),
+        inner.map(lambda e: f"-{e}"),
+        st.tuples(inner, _EXPONENT).map(lambda t: f"({t[0]})^{t[1]}"))
+
+
+_SCALAR_EXPR = st.recursive(st.one_of(st.just("z"), _LITERAL), _grow,
+                            max_leaves=6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_SCALAR_EXPR, z=st.floats(-3.0, 3.0))
+@example(text="sqrt(1 + 2*z)", z=-0.5)
+@example(text="(z - 0.5)^-2 / sqrt(z)", z=-0.0)
+@example(text="(z * z)^1.5 + 1/z", z=0.0)
+def test_jet2_matches_jet_at_on_expressions(text, z):
+    model = from_expression(text, "scalar")
+    _assert_jet2_matches_jet_at(model, z)
+
+
+def test_jet2_dispatch_and_kind():
+    z = Jet2.variable(0.5)
+    assert _leading_bits(sqrt(z)) == _leading_bits(
+        sqrt(Jet3.variable(0.5)))
+    assert _leading_bits(divide(1.0, z)) == _leading_bits(
+        divide(1.0, Jet3.variable(0.5)))
+    with pytest.raises(DomainError, match="division by a jet"):
+        divide(z, Jet2.variable(0.0))
+    with pytest.raises(KindError):
+        builtin("maxwell").jet2_at(0.5)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cewave import shock1d
 from cewave.charsys import FieldBackground, scalar_axis_block, scalar_system
 from cewave.errors import (
     BadParams,
@@ -387,12 +388,74 @@ def test_simple_wave_rejects_a_zero_normalizing_component_at_the_end():
     assert len(calls) == 9
 
 
+def _eig_test_matrices(rng: np.random.Generator, count: int) -> np.ndarray:
+    """count 2x2 matrices in five equal families: random entries, the
+    rows (m00, m01), (-1, 0) of the scalar reduction, repeated
+    eigenvalues, complex pairs, and random entries of which about half
+    are +0.0 or -0.0."""
+    k = count // 5
+    random = rng.uniform(-2.0, 2.0, (k, 2, 2))
+    reduction = np.zeros((k, 2, 2))
+    reduction[:, 0] = rng.uniform(-2.0, 2.0, (k, 2))
+    reduction[:, 1, 0] = -1.0
+    # (a - d)^2 + 4 b c = 0: a double eigenvalue (a + d) / 2
+    a, b, d = rng.uniform(-2.0, 2.0, (3, k))
+    b[b == 0.0] = 1.0
+    repeated = np.stack([a, b, -(a - d) ** 2 / (4.0 * b), d],
+                        axis=-1).reshape(k, 2, 2)
+    repeated[: k // 4] = np.eye(2) * a[: k // 4, None, None]
+    repeated[k // 4: k // 2, 1, 0] = 0.0
+    repeated[k // 4: k // 2, 1, 1] = repeated[k // 4: k // 2, 0, 0]
+    # [[a, -b], [b, a]] and its conjugates by random matrices
+    s, t = rng.uniform(-2.0, 2.0, (2, k))
+    pairs = np.stack([s, -np.abs(t) - 0.01, np.abs(t) + 0.01, s],
+                     axis=-1).reshape(k, 2, 2)
+    P = rng.uniform(-2.0, 2.0, (k, 2, 2)) + 3.0 * np.eye(2)
+    pairs[k // 2:] = (P @ pairs @ np.linalg.inv(P))[k // 2:]
+    zeros = rng.uniform(-2.0, 2.0, (k, 2, 2))
+    signs = rng.integers(0, 3, (k, 2, 2))
+    zeros[signs == 1] = 0.0
+    zeros[signs == 2] = -0.0
+    return np.concatenate([random, reduction, repeated, pairs, zeros])
+
+
+def test_eig_helper_matches_numpy_eig_bit_for_bit():
+    mats = _eig_test_matrices(np.random.default_rng(1616), 100_000)
+    assert len(mats) == 100_000
+    w, V = shock1d._eig(mats)
+    # one stack, so numpy returns complex data for every matrix
+    w_np, V_np = np.linalg.eig(mats)
+    assert _same_bits(w, w_np) and _same_bits(V, V_np)
+    assert (w.imag != 0.0).sum() > 20_000  # the complex pairs, at least
+    # one matrix at a time, as the reduction calls it: numpy drops the
+    # imaginary parts when they are all zero
+    for i in np.random.default_rng(7).choice(len(mats), 2000,
+                                             replace=False):
+        wi, Vi = shock1d._eig(mats[i])
+        assert _same_bits(wi, w[i]) and _same_bits(Vi, V[i])
+        wi_np, Vi_np = np.linalg.eig(mats[i])
+        assert _same_bits(wi.real, wi_np.real)
+        assert _same_bits(Vi.real, Vi_np.real)
+        assert np.array_equal(wi.imag, np.imag(wi_np))
+        assert np.array_equal(Vi.imag, np.imag(Vi_np))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eig_helper_rejects_non_finite_matrices_as_numpy_does(bad):
+    M = np.array([[0.3, bad], [-1.0, 0.0]])
+    with pytest.raises(np.linalg.LinAlgError) as want:
+        np.linalg.eig(M)
+    with pytest.raises(np.linalg.LinAlgError) as got:
+        shock1d._eig(M)
+    assert str(got.value) == str(want.value)
+
+
 def test_simple_wave_builds_each_state_system_once(monkeypatch):
     # node systems plus RK4 stages k2, k3 and k4; k1 is the node's
     # system, and each system is one eigen solve
     base = scalar_reduced_factory(builtin("scalar-bi"))
     calls, solves = [], []
-    eig = np.linalg.eig
+    eig = shock1d._eig
 
     def factory(U):
         calls.append(U)
@@ -402,7 +465,7 @@ def test_simple_wave_builds_each_state_system_once(monkeypatch):
         solves.append(M)
         return eig(M)
 
-    monkeypatch.setattr(np.linalg, "eig", counted_eig)
+    monkeypatch.setattr(shock1d, "_eig", counted_eig)
     simple_wave_construct(factory, 0, (0.1, 0.6), [0.3, 0.1], n=201)
     assert len(calls) == 4 * 201 - 3
     assert len(solves) == len(calls)
