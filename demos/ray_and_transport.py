@@ -24,8 +24,9 @@ from cewave.rays import (
 # to the last bit.
 ray = trace(ConeHamiltonian.metric(), np.zeros(4),
             np.array([-1.0, 1.0, 0.0, 0.0]), s_max=5.0)
-end = ray.states[-1]
-print(f"metric cone: end x = {np.round(end.x, 12)}, drift {ray.drift:.1e}")
+# Each row of ray.states is (s, x0..x3, p0..p3, H).
+end_x = ray.states[-1, 1:5]
+print(f"metric cone: end x = {np.round(end_x, 12)}, drift {ray.drift:.1e}")
 
 # Quartic surface of a split-cone model on a constant background.  The
 # start covector must sit on the surface, so take a scanned root.
@@ -34,7 +35,7 @@ bg = FieldBackground.vector([0.3, 0.0, 0.0], [0.0, 0.4, 0.0])
 roots = fresnel_roots(pm, bg, (1.0, 0.0, 0.0)).real_roots()
 p0 = np.array([-float(np.max(roots)), 1.0, 0.0, 0.0])
 ray = trace(QuarticHamiltonian(pm, bg), np.zeros(4), p0, s_max=10.0)
-print(f"quartic ray: group position x1 = {ray.states[-1].x[1]:.4f} "
+print(f"quartic ray: group position x1 = {ray.states[-1, 2]:.4f} "
       f"after s=10, drift {ray.drift:.1e}")
 
 # Amplitude transport.  With a quadratic coefficient the amplitude

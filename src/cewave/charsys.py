@@ -693,14 +693,6 @@ def fresnel_scan_rows(model: LagrangianModel, batch: FresnelBatch
     return header, columns
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
-    """Write one header line and then every row of an iterable."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def float_texts(column, spelling: dict[str, str] | None = None) -> list[str]:
     """repr of each value of a float column, with ``spelling`` renaming
     the non-finite literals 'nan', 'inf' and '-inf' (JSON writes them
@@ -719,10 +711,9 @@ def float_texts(column, spelling: dict[str, str] | None = None) -> list[str]:
 
 
 def write_text_csv(path: str, header: list[str], columns) -> None:
-    """The bytes write_csv writes, built from equal-length columns of
-    field texts as the csv module writes them (quoted where needed): each
-    row is its texts joined by commas and ended by CRLF, as the csv
-    module ends rows."""
+    """Write a header and then equal-length columns of field texts,
+    quoted where the csv module would quote them: each row is its texts
+    joined by commas and ended by CRLF, the bytes csv.writer writes."""
     rows = map(",".join, zip(*columns, strict=True))
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)

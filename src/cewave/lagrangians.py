@@ -513,5 +513,8 @@ def builtin(name: str, params: list[float] | None = None) -> LagrangianModel:
     return factory(*values)
 
 
-def builtin_names() -> tuple[str, ...]:
-    return tuple(sorted(_CATALOG))
+def builtin_names(kinds: tuple[Kind, ...] = tuple(Kind)) -> tuple[str, ...]:
+    """The sorted names of the builtins whose models have one of these
+    kinds (a builtin's kind does not depend on its parameters)."""
+    return tuple(name for name, (arity, factory) in sorted(_CATALOG.items())
+                 if factory(*[1.0] * arity).kind in kinds)

@@ -25,11 +25,12 @@ from .charsys import (
     ETA,
     FieldBackground,
     _check_field_model,
+    float_texts,
     point_cone_coefficients,
     scalar_cone_matrix,
     u_and_g,
-    write_csv,
     write_float_csv,
+    write_text_csv,
 )
 from .errors import (
     BadParams,
@@ -130,28 +131,16 @@ class QuarticHamiltonian:
                 + g_abs ** 2 * abs(self.R) + _TINY)
 
 
-@dataclass(frozen=True)
-class RayState:
-    x: np.ndarray
-    p: np.ndarray
-    s: float
-    H: float
+RAY_HEADER = ["s", "x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3", "H"]
 
 
 @dataclass(frozen=True)
 class RayPath:
-    states: list[RayState]
+    """A traced ray as one table: row k is the state after k steps, with
+    the columns of RAY_HEADER (s, x0..x3, p0..p3, H)."""
+
+    states: np.ndarray
     drift: float
-    step: float
-
-    def positions(self) -> np.ndarray:
-        return np.array([st.x for st in self.states])
-
-    def momenta(self) -> np.ndarray:
-        return np.array([st.p for st in self.states])
-
-    def parameters(self) -> np.ndarray:
-        return np.array([st.s for st in self.states])
 
 
 def rk4_step(f: Callable, y, k1, h: float):
@@ -193,25 +182,33 @@ def trace(H, x0, p0, s_max: float, step: float = DEFAULT_STEP,
         return out
 
     n_steps = _step_count(s_max, step)
+    states = np.empty((n_steps + 1, 10))
+    # s adds the step in sequence, as a running s += step does
+    s = states[:, 0]
+    s[0] = 0.0
+    s[1:] = step
+    np.cumsum(s, out=s)
     y = np.concatenate([x, p])
     # a negative step would add +0.0 to p, turning its -0.0 entries into
     # +0.0, so the RK4 stages could differ in the sign of a zero
     if not getattr(H, "depends_on_x", True) and step > 0.0:
-        return _straight_ray(deriv(y), y, H0, n_steps, step)
+        _straight_ray(deriv(y), y, states, step)
+        # H depends on p alone, and p never changes
+        states[:, 9] = H0
+        return RayPath(states=states, drift=0.0)
 
-    states = [RayState(x=x.copy(), p=p.copy(), s=0.0, H=H0)]
+    states[0, 1:9] = y
+    states[0, 9] = H0
     drift = 0.0
-    s = 0.0
-    for _ in range(n_steps):
+    for k in range(1, n_steps + 1):
         y = rk4_step(deriv, y, deriv(y), step)
-        x, p = y[:4], y[4:]
-        s += step
         if not np.all(np.isfinite(y)):
-            raise StepFailure(f"non-finite ray state at s={s:.6g}")
-        Hk = H.value(x, p)
+            raise StepFailure(f"non-finite ray state at s={s[k]:.6g}")
+        Hk = H.value(y[:4], y[4:])
         drift = max(drift, abs(Hk - H0))
-        states.append(RayState(x=x.copy(), p=p.copy(), s=s, H=Hk))
-    return RayPath(states=states, drift=drift, step=step)
+        states[k, 1:9] = y
+        states[k, 9] = Hk
+    return RayPath(states=states, drift=drift)
 
 
 def _step_count(s_max: float, step: float) -> int:
@@ -223,25 +220,19 @@ def _step_count(s_max: float, step: float) -> int:
     return max(1, int(round(s_max / step)))
 
 
-def _straight_ray(k: np.ndarray, y0: np.ndarray, H0: float, n_steps: int,
-                  step: float) -> RayPath:
-    """The RK4 path of a constant slope k = [dH/dp, -dH/dx] from y0:
-    ``np.cumsum`` adds the rows in sequence, as the step loop does."""
-    rows = np.empty((n_steps + 1, 8))
+def _straight_ray(k: np.ndarray, y0: np.ndarray, states: np.ndarray,
+                  step: float) -> None:
+    """Fill the x and p columns of ``states`` with the RK4 path of a
+    constant slope k = [dH/dp, -dH/dx] from y0: ``np.cumsum`` adds the
+    rows in sequence, as the step loop does."""
+    rows = states[:, 1:9]
     rows[0] = y0
     rows[1:] = (step / 6.0) * (k + 2 * k + 2 * k + k)
     np.cumsum(rows, axis=0, out=rows)
-    s = np.full(n_steps + 1, step)
-    s[0] = 0.0
-    s = np.cumsum(s).tolist()
     finite = np.all(np.isfinite(rows[1:]), axis=1)
     if not finite.all():
         bad = int(np.argmin(finite)) + 1
-        raise StepFailure(f"non-finite ray state at s={s[bad]:.6g}")
-    # H depends on p alone, and p never changes
-    return RayPath(states=[RayState(x=row[:4], p=row[4:], s=sk, H=H0)
-                           for row, sk in zip(rows, s)],
-                   drift=0.0, step=step)
+        raise StepFailure(f"non-finite ray state at s={states[bad, 0]:.6g}")
 
 
 def euler_defect(H, x, p) -> float:
@@ -372,15 +363,11 @@ def crossing_time(lam, phis, t_max: float = np.inf) -> float | None:
 
 
 def write_ray_csv(path: str, ray: RayPath) -> None:
-    states = ray.states
-    x = np.array([st.x for st in states])
-    p = np.array([st.p for st in states])
-    write_float_csv(
-        path, ["s", "x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3", "H"],
-        [[st.s for st in states], *x.T, *p.T, [st.H for st in states]])
+    write_float_csv(path, RAY_HEADER, ray.states.T)
 
 
 def write_transport_csv(path: str, result: TransportResult) -> None:
-    write_csv(path, ["s", "pi", "blown_up"],
-              ([repr(float(s)), repr(float(pi)), str(result.blown_up).lower()]
-               for s, pi in zip(result.s, result.pi)))
+    flag = str(result.blown_up).lower()
+    write_text_csv(path, ["s", "pi", "blown_up"],
+                   [float_texts(result.s), float_texts(result.pi),
+                    [flag] * len(result.s)])

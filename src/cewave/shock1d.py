@@ -33,7 +33,7 @@ from .errors import (
     KindError,
     ModeCollision,
 )
-from .lagrangians import Kind, LagrangianModel
+from .lagrangians import Kind, LagrangianModel, builtin_names
 from .rays import crossing_time, rk4_step, ternary_argmin
 
 MULTIVALUED_TOL = 1e-12
@@ -313,7 +313,8 @@ def scalar_reduced_factory(
     2x2 block of the full axis system."""
     if model.kind is not Kind.Scalar:
         raise KindError("the scalar reduction needs a model in the field "
-                        "invariant z")
+                        "invariant z, such as the builtins "
+                        + ", ".join(builtin_names((Kind.Scalar,))))
 
     def make(U) -> ReducedSystem:
         A, B = np.asarray(U, dtype=float).reshape(2).tolist()

@@ -20,11 +20,11 @@ import sys
 import numpy as np
 import pytest
 
-from cewave import cli, gravity
+from cewave import cli, gravity, rays
 from cewave.ce import classify
 from cewave.cli import main, parse_grid
 from cewave.errors import BadParams
-from cewave.lagrangians import builtin, from_expression
+from cewave.lagrangians import Kind, builtin, builtin_names, from_expression
 from oracles import fresnel_scan_per_draw
 
 
@@ -480,6 +480,36 @@ def test_help_names_the_list_builtins_command(argv, capsys):
         capsys.readouterr().out.split())
 
 
+def test_shock_help_lists_exactly_the_scalar_builtins(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "400")  # one line per option
+    assert main(["shock", "--help"]) == 0
+    line, = [line for line in capsys.readouterr().out.splitlines()
+             if line.lstrip().startswith("--model-builtin NAME")]
+    listed = line.split("builtin model name (")[1].split(";")[0].split(", ")
+    assert listed == ["scalar-bi", "scalar-maxwell"]
+    assert all(builtin(name).kind is Kind.Scalar for name in listed)
+    field_kinds = tuple(kind for kind in Kind if kind is not Kind.Scalar)
+    assert (sorted(builtin_names(field_kinds) + tuple(listed))
+            == list(builtin_names()))
+
+
+@pytest.mark.parametrize("model", [
+    ["maxwell"], ["born-infeld"], ["alpha-over-beta"],
+    ["perturbed-maxwell", "--model-params", "0.1"],
+    ["sqrt-family", "--model-params", "0,1,1"],
+])
+def test_shock_field_builtin_exits_2_naming_the_scalar_builtins(
+        model, tmp_path, capsys):
+    rc = main(["shock", "--model-builtin", *model,
+               "--out", str(tmp_path / "s.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error")
+    assert err.rstrip().endswith("such as the builtins scalar-bi, "
+                                 "scalar-maxwell")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_shock_empty_model_expression_exits_2(tmp_path, capsys):
     rc = main(["shock", "--model-expr", "", "--model-kind", "scalar",
                "--out", str(tmp_path / "s.json")])
@@ -658,6 +688,21 @@ def test_rays_rejects_a_scalar_model(model, tmp_path, capsys):
     assert rc == 2
     assert ("dispersion quartic needs a field-strength model"
             in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model", [["--cone"], ["--builtin", "born-infeld"]])
+def test_rays_broken_euler_identity_exits_4(model, tmp_path, capsys,
+                                            monkeypatch):
+    # p . dH/dp = N H holds for every homogeneous dispersion function; a
+    # corrupted gradient trips the check before any file is written
+    for cls in (rays.ConeHamiltonian, rays.QuarticHamiltonian):
+        monkeypatch.setattr(cls, "grad_p",
+                            lambda self, x, p, exact=cls.grad_p:
+                            exact(self, x, p) + 1e-3 * p)
+    out = tmp_path / "ray.csv"
+    assert main(["rays", *model, "--out", str(out)]) == 4
+    assert "internal check failed" in capsys.readouterr().err
     assert not out.exists()
 
 

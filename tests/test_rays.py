@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -28,6 +29,9 @@ from cewave.rays import (
 from oracles import CallableHamiltonian, repr_csv
 
 BG = FieldBackground.vector([0.3, 0.0, 0.0], [0.0, 0.4, 0.0])
+# the x and p columns of RayPath.states, whose columns are s, x0..x3,
+# p0..p3, H
+X, P = slice(1, 5), slice(5, 9)
 
 
 class _WaveH:
@@ -57,8 +61,8 @@ def test_metric_cone_ray_is_straight_and_exact():
     ray = trace(H, np.zeros(4), p0, s_max=1.0)
     assert ray.drift == 0.0
     end = ray.states[-1]
-    assert np.allclose(end.x, [2.0, 2.0, 0.0, 0.0], atol=1e-14)
-    assert np.array_equal(end.p, p0)
+    assert np.allclose(end[X], [2.0, 2.0, 0.0, 0.0], atol=1e-14)
+    assert np.array_equal(end[P], p0)
     assert len(ray.states) == 101
 
 
@@ -73,8 +77,8 @@ def test_quartic_ray_on_coincident_pair_conserves_everything():
     assert abs(H.value(np.zeros(4), p0)) < 1e-15
     ray = trace(H, np.zeros(4), p0, s_max=10.0)
     assert ray.drift < 1e-12
-    assert np.max(np.abs(ray.states[-1].p - p0)) == 0.0
-    assert np.max(np.abs(ray.states[-1].x)) < 1e-12
+    assert np.max(np.abs(ray.states[-1, P] - p0)) == 0.0
+    assert np.max(np.abs(ray.states[-1, X])) < 1e-12
 
 
 def test_quartic_ray_on_simple_root_moves_and_conserves():
@@ -84,8 +88,8 @@ def test_quartic_ray_on_simple_root_moves_and_conserves():
     p0 = np.array([-float(fr.roots[-1].real), 1.0, 0.0, 0.0])
     ray = trace(H, np.zeros(4), p0, s_max=10.0)
     assert ray.drift < 1e-12
-    assert np.max(np.abs(ray.states[-1].p - p0)) == 0.0
-    assert abs(ray.states[-1].x[1]) > 0.1
+    assert np.max(np.abs(ray.states[-1, P] - p0)) == 0.0
+    assert abs(ray.states[-1, 2]) > 0.1
 
 
 class _RK4Only:
@@ -107,15 +111,11 @@ class _RK4Only:
 
 
 def _assert_same_ray(fast, loop):
-    def same(a, b):
-        a, b = np.asarray(a), np.asarray(b)
-        return (np.array_equal(a, b)
-                and np.array_equal(np.signbit(a), np.signbit(b)))
-
-    assert same(fast.positions(), loop.positions())
-    assert same(fast.momenta(), loop.momenta())
-    assert same(fast.parameters(), loop.parameters())
-    assert same([st.H for st in fast.states], [st.H for st in loop.states])
+    # every column (s, x, p and H), signs of zero included
+    a, b = fast.states, loop.states
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
     assert fast.drift == loop.drift == 0.0
 
 
@@ -210,8 +210,8 @@ def test_negative_step_takes_the_step_loop():
     back = trace(H, x0, p0, s_max=-1.0, step=-0.01)
     loop = trace(_RK4Only(H), x0, p0, s_max=-1.0, step=-0.01)
     _assert_same_ray(back, loop)
-    assert np.allclose(back.states[-1].x, [-1.0, -1.0, 0.0, 0.0])
-    assert np.signbit(back.states[-1].x[2])
+    assert np.allclose(back.states[-1, X], [-1.0, -1.0, 0.0, 0.0])
+    assert np.signbit(back.states[-1, 3])
 
 
 @pytest.mark.parametrize("s_max, step", [
@@ -263,7 +263,7 @@ def test_callable_wrapper_reproduces_analytic_path():
     ray_fd = trace(fd, x0, p0, s_max=2.0, step=1e-3)
     ray_an = trace(_WaveH(), x0, p0, s_max=2.0, step=1e-3)
     assert ray_fd.drift < 1e-8
-    assert np.max(np.abs(ray_fd.states[-1].x - ray_an.states[-1].x)) < 1e-8
+    assert np.max(np.abs(ray_fd.states[-1, X] - ray_an.states[-1, X])) < 1e-8
 
 
 def test_integrator_order_at_least_fourth_on_x_dependent_system():
@@ -292,12 +292,24 @@ def test_euler_defect_requires_declared_degree():
         euler_defect(_WaveH(), None, [1.0, 0.0, 0.0, 0.0])
 
 
-def test_path_arrays_have_matching_shapes():
+def test_path_table_has_one_row_per_state():
     ray = trace(ConeHamiltonian.metric(), np.zeros(4),
                 [-1.0, 1.0, 0.0, 0.0], s_max=0.5)
-    assert ray.positions().shape == (51, 4)
-    assert ray.momenta().shape == (51, 4)
-    assert ray.parameters().shape == (51,)
+    assert ray.states.shape == (51, 10)
+    assert ray.states.dtype == np.float64
+
+
+@pytest.mark.parametrize("s_max, step, n_steps", [
+    (0.5, 0.01, 50), (0.3, 0.07, 4), (-1.0, -0.01, 100), (1e-4, 0.01, 1),
+])
+def test_states_hold_one_row_per_step_and_the_start(s_max, step, n_steps):
+    # the CLI's "N states" message and the traced benchmark's step count
+    # both read len(states) - 1 as the number of steps
+    H = ConeHamiltonian.metric()
+    p0 = [-1.0, 1.0, 0.0, 0.0]
+    for ray in (trace(H, np.zeros(4), p0, s_max=s_max, step=step),
+                trace(_RK4Only(H), np.zeros(4), p0, s_max=s_max, step=step)):
+        assert len(ray.states) == n_steps + 1
 
 
 def test_transport_constant_amplitude_without_coefficients():
@@ -387,7 +399,7 @@ def test_ray_csv_keeps_the_sign_of_zero(tmp_path):
     out = tmp_path / "ray.csv"
     write_ray_csv(out, ray)
     want = repr_csv(["s", "x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3",
-                     "H"], ([st.s, *st.x, *st.p, st.H] for st in ray.states))
+                     "H"], ray.states.tolist())
     assert out.read_bytes() == want
     rows = out.read_text().splitlines()
     assert rows[1].split(",")[2] == "-0.0"
@@ -404,3 +416,27 @@ def test_transport_csv_roundtrip(tmp_path):
     assert rows[0] == ["s", "pi", "blown_up"]
     assert rows[1][2] == "false"
     assert len(rows) == len(res.s) + 1
+
+
+@pytest.mark.parametrize("ts, blown_up, last_finite", [
+    (TransportState(pi0=1.0, m=0.7, c=0.0), False, True),
+    (TransportState(pi0=-0.0, m=0.7, c=0.0), False, True),
+    # passes the blow-up threshold at a finite value
+    (TransportState(pi0=-2.0, m=0.0, c=1.0), True, True),
+    # the first RK4 stage overflows and the step ends in nan
+    (TransportState(pi0=-1e200, m=0.0, c=1.0), True, False),
+], ids=["decay", "signed-zero", "blowup", "overflow"])
+def test_transport_csv_bytes_match_the_csv_writer(ts, blown_up, last_finite,
+                                                  tmp_path):
+    res = transport_amplitude(ts, s_max=1.0)
+    assert res.blown_up is blown_up
+    assert np.isfinite(res.pi[-1]) == last_finite
+    out = tmp_path / "pi.csv"
+    write_transport_csv(out, res)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["s", "pi", "blown_up"])
+    writer.writerows([repr(float(s)), repr(float(pi)),
+                      str(res.blown_up).lower()]
+                     for s, pi in zip(res.s, res.pi))
+    assert out.read_bytes() == buf.getvalue().encode()
