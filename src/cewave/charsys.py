@@ -32,7 +32,7 @@ from .errors import (
     ModeCollision,
 )
 from .jets import InvariantPoint, Jet2, Jet3, power, richardson_central
-from .lagrangians import Kind, LagrangianModel
+from .lagrangians import Kind, LagrangianModel, builtin_names
 
 _TINY = 1e-300
 DEGENERACY_RTOL = 1e-12
@@ -497,9 +497,15 @@ def _quadratic_roots(C: np.ndarray) -> np.ndarray:
     return roots
 
 
+# the kinds of model that have a dispersion quartic
+FIELD_KINDS = (Kind.VectorAlpha, Kind.VectorAlphaBeta)
+
+
 def _check_field_model(model: LagrangianModel) -> None:
-    if model.kind not in (Kind.VectorAlpha, Kind.VectorAlphaBeta):
-        raise KindError("dispersion quartic needs a field-strength model")
+    if model.kind not in FIELD_KINDS:
+        raise KindError("dispersion quartic needs a field-strength model, "
+                        "such as the builtins "
+                        + ", ".join(builtin_names(FIELD_KINDS)))
 
 
 def unit_rows(v: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .ce import GridSpec, REPORT_SCHEMA, classify
 from .charsys import (
+    FIELD_KINDS,
     FieldBackground,
     FresnelBatch,
     _check_field_model,
@@ -110,10 +111,15 @@ _MODEL_FLAGS = ("builtin", "params", "expr", "kind")
 
 
 def _add_model_flags(p: argparse.ArgumentParser, prefix: str = "",
-                     kinds: tuple[Kind, ...] = tuple(Kind)) -> None:
+                     kinds: tuple[Kind, ...] = tuple(Kind),
+                     builtin_kinds: tuple[Kind, ...] | None = None) -> None:
+    """The model flags; ``kinds`` are the choices of the kind flag, and
+    the builtin help names the builtins of ``builtin_kinds`` (default
+    ``kinds``), the ones that run there, unless those are all."""
     dash = f"--{prefix}"
-    names = ("" if kinds == tuple(Kind)
-             else f"{', '.join(builtin_names(kinds))}; ")
+    builtin_kinds = kinds if builtin_kinds is None else builtin_kinds
+    names = ("" if builtin_kinds == tuple(Kind)
+             else f"{', '.join(builtin_names(builtin_kinds))}; ")
     p.add_argument(f"{dash}builtin", default=None, metavar="NAME",
                    help=f"builtin model name ({names}`cewave "
                         "--list-builtins` lists every builtin)")
@@ -434,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     fres = sub.add_parser("fresnel",
                           help="scan quartic dispersion roots over "
                                "random backgrounds")
-    _add_model_flags(fres)
+    # a model of another kind reaches the dispersion check and its message
+    _add_model_flags(fres, builtin_kinds=FIELD_KINDS)
     fres.add_argument("--trials", type=int, default=50)
     fres.add_argument("--seed", type=int, default=DEFAULT_SEED)
     fres.add_argument("--out", default="fresnel.csv")
@@ -467,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     grav.set_defaults(handler=cmd_gravity)
 
     rays = sub.add_parser("rays", help="trace a dispersion-surface ray")
-    _add_model_flags(rays)
+    _add_model_flags(rays, builtin_kinds=FIELD_KINDS)
     rays.add_argument("--cone", action="store_true",
                       help="use the flat metric cone instead of a model")
     rays.add_argument("--E", default="0.3,0.0,0.0")

@@ -13,7 +13,11 @@ The derivative coefficients are stored raw (not divided by factorials), so
 
 Forward-mode propagation rules are the standard multivariate Leibniz and
 Faa di Bruno formulas truncated at order 3; division solves the Leibniz
-triangle backwards in dependency order.
+triangle backwards in dependency order.  A number or array operand
+(``2.0 * jet``, ``1.0 - jet``, ``jet / 2``) enters a rule as its value
+with derivative slots 0.0, and no constant jet is built for it; the rule
+runs the operations it would run on that constant jet, so the result has
+the same bits.
 
 A slot holds a Python float, or a numpy array to evaluate many points at
 once (a slot that does not vary may stay a float).  Array arithmetic is
@@ -137,69 +141,46 @@ def _short(x) -> str:
 # so each rule computes those first, and a Jet3 goes on to its others.
 # The product, quotient and chain rules call their operand jets f and g,
 # as the formulas do.
+#
+# A binary rule takes its operand as a value and a jet that supplies the
+# derivative slots (see _operand); for a number or an array that jet is
+# the type's zero jet.  The terms ``x + 0.0`` and ``x * 0.0`` this leaves
+# in a formula must stay: they turn -0.0 into 0.0 and inf into NaN, as
+# on a constant jet.
 
 
-def _add(self, other):
-    o = self._coerce(other)
-    if o is NotImplemented:
-        return NotImplemented
-    return self._of(*map(operator.add, self.as_tuple(), o.as_tuple()))
+def _operand(jet, other):
+    """The value of ``other`` as an operand of ``jet``, and a jet of
+    ``jet``'s type that supplies its derivative slots: ``other`` itself,
+    or the type's zero jet for a number or an array, whose value is
+    coerced as ``_slot`` does.  (NotImplemented, None) for anything
+    else."""
+    if isinstance(other, jet.__class__):
+        return other.f, other
+    if isinstance(other, (int, float)):
+        return float(other), jet._zero
+    if isinstance(other, np.ndarray):
+        return other.astype(float, copy=False), jet._zero
+    return NotImplemented, None
 
 
-def _neg(self):
-    return self._of(*map(operator.neg, self.as_tuple()))
-
-
-def _pos(self):
-    return self
-
-
-def _sub(self, other):
-    o = self._coerce(other)
-    if o is NotImplemented:
-        return NotImplemented
-    return self._of(*map(operator.sub, self.as_tuple(), o.as_tuple()))
-
-
-def _rsub(self, other):
-    o = self._coerce(other)
-    if o is NotImplemented:
-        return NotImplemented
-    return o - self
-
-
-def _mul(f, other):
-    g = f._coerce(other)
-    if g is NotImplemented:
-        return NotImplemented
-    hf = f.f * g.f
-    ha = f.fa * g.f + f.f * g.fa
-    haa = f.faa * g.f + 2.0 * f.fa * g.fa + f.f * g.faa
+def _difference(ff, f, gf, g):
+    """f - g, where f has the value ff and g the value gf."""
+    hf = ff - gf
+    ha = f.fa - g.fa
+    haa = f.faa - g.faa
     if f.__class__ is Jet2:
         return Jet2._of(hf, ha, haa)
-    return Jet3._of(
-        hf,
-        ha,
-        f.fb * g.f + f.f * g.fb,
-        haa,
-        f.fab * g.f + f.fa * g.fb + f.fb * g.fa + f.f * g.fab,
-        f.fbb * g.f + 2.0 * f.fb * g.fb + f.f * g.fbb,
-        f.faaa * g.f + 3.0 * f.faa * g.fa + 3.0 * f.fa * g.faa + f.f * g.faaa,
-        f.faab * g.f + f.faa * g.fb + 2.0 * f.fab * g.fa
-        + 2.0 * f.fa * g.fab + f.fb * g.faa + f.f * g.faab,
-        f.fabb * g.f + 2.0 * f.fab * g.fb + f.fbb * g.fa
-        + f.fa * g.fbb + 2.0 * f.fb * g.fab + f.f * g.fabb,
-        f.fbbb * g.f + 3.0 * f.fbb * g.fb + 3.0 * f.fb * g.fbb + f.f * g.fbbb,
-    )
+    return Jet3._of(hf, ha, f.fb - g.fb, haa, f.fab - g.fab, f.fbb - g.fbb,
+                    f.faaa - g.faaa, f.faab - g.faab, f.fabb - g.fabb,
+                    f.fbbb - g.fbbb)
 
 
-def _truediv(f, other):
-    g = f._coerce(other)
-    if g is NotImplemented:
-        return NotImplemented
-    gf = check_domain(g.f, abs(g.f) < _TINY,
+def _quotient(ff, f, gf, g):
+    """f / g, where f has the value ff and g the value gf."""
+    gf = check_domain(gf, abs(gf) < _TINY,
                       "division by a jet whose value is zero")
-    hf = f.f / gf
+    hf = ff / gf
     ha = (f.fa - hf * g.fa) / gf
     haa = (f.faa - 2.0 * ha * g.fa - hf * g.faa) / gf
     if f.__class__ is Jet2:
@@ -218,11 +199,79 @@ def _truediv(f, other):
     return Jet3._of(hf, ha, hb, haa, hab, hbb, haaa, haab, habb, hbbb)
 
 
-def _rtruediv(self, other):
-    o = self._coerce(other)
-    if o is NotImplemented:
+def _add(f, other):
+    gf, g = _operand(f, other)
+    if g is None:
         return NotImplemented
-    return o / self
+    hf = f.f + gf
+    ha = f.fa + g.fa
+    haa = f.faa + g.faa
+    if f.__class__ is Jet2:
+        return Jet2._of(hf, ha, haa)
+    return Jet3._of(hf, ha, f.fb + g.fb, haa, f.fab + g.fab, f.fbb + g.fbb,
+                    f.faaa + g.faaa, f.faab + g.faab, f.fabb + g.fabb,
+                    f.fbbb + g.fbbb)
+
+
+def _neg(self):
+    return self._of(*map(operator.neg, self.as_tuple()))
+
+
+def _pos(self):
+    return self
+
+
+def _sub(self, other):
+    gf, g = _operand(self, other)
+    if g is None:
+        return NotImplemented
+    return _difference(self.f, self, gf, g)
+
+
+def _rsub(self, other):
+    gf, g = _operand(self, other)
+    if g is None:
+        return NotImplemented
+    return _difference(gf, g, self.f, self)
+
+
+def _mul(f, other):
+    gf, g = _operand(f, other)
+    if g is None:
+        return NotImplemented
+    hf = f.f * gf
+    ha = f.fa * gf + f.f * g.fa
+    haa = f.faa * gf + 2.0 * f.fa * g.fa + f.f * g.faa
+    if f.__class__ is Jet2:
+        return Jet2._of(hf, ha, haa)
+    return Jet3._of(
+        hf,
+        ha,
+        f.fb * gf + f.f * g.fb,
+        haa,
+        f.fab * gf + f.fa * g.fb + f.fb * g.fa + f.f * g.fab,
+        f.fbb * gf + 2.0 * f.fb * g.fb + f.f * g.fbb,
+        f.faaa * gf + 3.0 * f.faa * g.fa + 3.0 * f.fa * g.faa + f.f * g.faaa,
+        f.faab * gf + f.faa * g.fb + 2.0 * f.fab * g.fa
+        + 2.0 * f.fa * g.fab + f.fb * g.faa + f.f * g.faab,
+        f.fabb * gf + 2.0 * f.fab * g.fb + f.fbb * g.fa
+        + f.fa * g.fbb + 2.0 * f.fb * g.fab + f.f * g.fabb,
+        f.fbbb * gf + 3.0 * f.fbb * g.fb + 3.0 * f.fb * g.fbb + f.f * g.fbbb,
+    )
+
+
+def _truediv(self, other):
+    gf, g = _operand(self, other)
+    if g is None:
+        return NotImplemented
+    return _quotient(self.f, self, gf, g)
+
+
+def _rtruediv(self, other):
+    gf, g = _operand(self, other)
+    if g is None:
+        return NotImplemented
+    return _quotient(gf, g, self.f, self)
 
 
 def _compose(f, g0, g1, g2, g3):
@@ -329,14 +378,6 @@ class Jet3:
         parts = ", ".join(f"{s}={_short(getattr(self, s))}" for s in _SLOTS)
         return f"Jet3({parts})"
 
-    @staticmethod
-    def _coerce(x) -> "Jet3":
-        if isinstance(x, Jet3):
-            return x
-        if isinstance(x, (int, float, np.ndarray)):
-            return Jet3.constant(x)
-        return NotImplemented
-
     # --- operations (see the shared rules above) -------------------------
 
     __add__ = __radd__ = _add
@@ -379,14 +420,6 @@ class Jet2:
     def as_tuple(self) -> tuple[float, ...]:
         return self.f, self.fa, self.faa
 
-    @staticmethod
-    def _coerce(x) -> "Jet2":
-        if isinstance(x, Jet2):
-            return x
-        if isinstance(x, (int, float, np.ndarray)):
-            return Jet2.constant(x)
-        return NotImplemented
-
     __add__ = __radd__ = _add
     __neg__ = _neg
     __pos__ = _pos
@@ -399,6 +432,10 @@ class Jet2:
     sqrt = _sqrt
     __pow__ = _pow
 
+
+# the derivative slots of a number or array operand (see _operand)
+Jet3._zero = Jet3.constant(0.0)
+Jet2._zero = Jet2.constant(0.0)
 
 JETS = (Jet3, Jet2)
 

@@ -266,7 +266,7 @@ def _eig(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     both complex: the LAPACK gufunc behind np.linalg.eig under that
     wrapper's finiteness check and error state, so with its bits, but
     without its shape and type checks, casts and real-result test."""
-    if not np.isfinite(M).all():
+    if not all(map(math.isfinite, M.ravel().tolist())):
         raise LinAlgError("Array must not contain infs or NaNs")
     with np.errstate(call=_raise_linalgerror_eigenvalues_nonconvergence,
                      invalid="call", over="ignore", divide="ignore",
@@ -283,15 +283,15 @@ def _reduced_from_matrix(M) -> ReducedSystem:
     w, V = _eig(M)
     (w0, w1), ((v00, v01), (v10, v11)) = w.tolist(), V.tolist()
     # a real M has two real eigenvalues or a conjugate pair (equal real
-    # parts, conjugate eigenvectors), so w0 alone decides nearly_real, and
-    # sorted_eig's tie-break on the imaginary part leaves the real data
-    # unchanged
+    # parts, conjugate eigenvectors), so w0 alone decides nearly_real.
+    # Equal real parts are ordered by the imaginary part, as sorted_eig
+    # does: a nearly real pair may carry real parts -0.0 and 0.0
     lam0, lam1 = w0.real, w1.real
     if not abs(w0.imag) <= 1e-10 * (1.0 + abs(lam0)):
         raise ModeCollision("complex eigenvalues: system is not "
                             "hyperbolic at this state")
     r0, r1 = _unit(v00.real, v10.real), _unit(v01.real, v11.real)
-    if lam1 < lam0:
+    if lam1 < lam0 or (lam1 == lam0 and w1.imag < w0.imag):
         return ReducedSystem((lam1, lam0), (r1, r0))
     return ReducedSystem((lam0, lam1), (r0, r1))
 

@@ -493,6 +493,46 @@ def test_shock_help_lists_exactly_the_scalar_builtins(capsys, monkeypatch):
             == list(builtin_names()))
 
 
+_FIELD_BUILTINS = ["alpha-over-beta", "born-infeld", "maxwell",
+                   "perturbed-maxwell", "sqrt-family"]
+
+
+@pytest.mark.parametrize("command", ["rays", "fresnel"])
+def test_quartic_help_lists_exactly_the_field_builtins(command, capsys,
+                                                       monkeypatch):
+    monkeypatch.setenv("COLUMNS", "400")  # one line per option
+    assert main([command, "--help"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    line, = [line for line in lines
+             if line.lstrip().startswith("--builtin NAME")]
+    listed = line.split("builtin model name (")[1].split(";")[0].split(", ")
+    assert listed == _FIELD_BUILTINS
+    assert (sorted(builtin_names((Kind.Scalar,)) + tuple(listed))
+            == list(builtin_names()))
+    # the kind flag still offers every kind: a scalar --expr reaches the
+    # dispersion check and its message, not an argparse error
+    kind_line, = [line for line in lines
+                  if line.lstrip().startswith("--kind {")]
+    assert kind_line.split("{")[1].split("}")[0].split(",") == [
+        kind.value for kind in Kind]
+
+
+@pytest.mark.parametrize("command", ["rays", "fresnel"])
+@pytest.mark.parametrize("model", [["--builtin", "scalar-bi"],
+                                   ["--builtin", "scalar-maxwell"],
+                                   ["--expr", "z^2", "--kind", "scalar"]])
+def test_quartic_commands_name_the_field_builtins_on_a_scalar_model(
+        command, model, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main([command, *model, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: dispersion quartic needs a "
+                          "field-strength model")
+    assert err.rstrip().endswith("such as the builtins "
+                                 + ", ".join(_FIELD_BUILTINS))
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("model", [
     ["maxwell"], ["born-infeld"], ["alpha-over-beta"],
     ["perturbed-maxwell", "--model-params", "0.1"],

@@ -2,9 +2,11 @@
 
 The digests were recorded before the simple-wave, upwind and CSV kernels
 were rewritten for speed, the fresnel scans before the scan was solved
-as one batch, and the two shock runs whose speed varies along the wave
-before simple waves kept their eigen-data as floats, so these tests pin
-the rewritten kernels to the bytes of the code they replaced.  They were recorded with numpy 2.4
+as one batch, the two shock runs whose speed varies along the wave
+before simple waves kept their eigen-data as floats, and the shock run
+with float operands before the jet rules took floats without a constant
+jet, so these tests pin the rewritten kernels to the bytes of the code
+they replaced.  They were recorded with numpy 2.4
 (OpenBLAS) on x86-64; the eigen solves of a simple wave go through
 LAPACK, whose last bits may differ on another build.
 """
@@ -60,6 +62,17 @@ _CASES = {
                             "f897983b29483ad0c1b0813ad8d79f6b",
          "fan_model.csv": "4c7e8b21dc38736fcb44137e091728d5"
                           "c46ce661f8c60d10cdea18dde6c40f30"}),
+    # float operands on every side of the jet rules: jet / c, jet - c,
+    # jet + c, c / jet, c - jet and jet * c
+    "shock-float-operands": (
+        ["shock", "--model-expr", "z/2 - 0.25 + (0.5 - 1/(z + 3))*0.8",
+         "--model-kind", "scalar", "--out", "{dir}/fan.json"],
+        {"fan.json": "be6668df6a0a9f721e6efd3785b9c1b6"
+                     "4a5abba3fd6531d2cc30aca1fe134033",
+         "fan_burgers.csv": "663238afaa6180b958949f7f1318b6fa"
+                            "5c4d394f66d8d0f2a0fac39961c82a4c",
+         "fan_model.csv": "cd1a4da22734094ffe5ee748b58f376d"
+                          "61cd315735848e79b1c5175fff300f20"}),
     # the README ray: 1001 states
     "rays-born-infeld": (
         ["rays", "--builtin", "born-infeld", "--E", "0.3,0,0", "--B",

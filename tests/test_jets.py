@@ -404,3 +404,88 @@ def test_jet2_dispatch_and_kind():
         divide(z, Jet2.variable(0.0))
     with pytest.raises(KindError):
         builtin("maxwell").jet2_at(0.5)
+
+
+# --- float operands ------------------------------------------------------------
+
+_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+          2.2250738585072014e-308, 1e-300, -1e-300, 9.99e-301, 1e300]
+_SLOT = st.one_of(st.sampled_from(_EDGES), st.floats())
+_LANES = 3
+
+
+def _slots(size: int, arrays: bool):
+    if arrays:
+        return st.lists(st.lists(_SLOT, min_size=_LANES, max_size=_LANES).map(
+            np.array), min_size=size, max_size=size)
+    return st.lists(_SLOT, min_size=size, max_size=size)
+
+
+_JET = st.one_of(
+    *(st.tuples(st.just(cls), _slots(len(cls.constant(0.0).as_tuple()),
+                                     arrays))
+      for cls in (Jet3, Jet2) for arrays in (False, True))).map(
+    lambda cs: cs[0]._of(*cs[1]))
+_NUMBER = st.one_of(_SLOT, _SLOT.map(np.float64), st.booleans(),
+                    st.integers(-10, 10), st.integers(-2 ** 1100, 2 ** 1100))
+_OPERAND = st.one_of(_NUMBER, st.lists(_SLOT, min_size=_LANES,
+                                       max_size=_LANES).map(np.array))
+# each rule with the route it took before: the operand coerced to a
+# constant jet k; a reflected + or * ran as ``jet + k`` or ``jet * k``
+_RULES = {
+    "jet + c": (lambda j, c: j + c, lambda j, k: j + k),
+    "c + jet": (lambda j, c: c + j, lambda j, k: j + k),
+    "jet - c": (lambda j, c: j - c, lambda j, k: j - k),
+    "c - jet": (lambda j, c: c - j, lambda j, k: k - j),
+    "jet * c": (lambda j, c: j * c, lambda j, k: j * k),
+    "c * jet": (lambda j, c: c * j, lambda j, k: j * k),
+    "jet / c": (lambda j, c: j / c, lambda j, k: j / k),
+    "c / jet": (lambda j, c: c / j, lambda j, k: k / j),
+}
+
+
+def _slot_bits(jet) -> tuple:
+    out = []
+    for v in jet.as_tuple():
+        assert type(v) is float or type(v) is np.ndarray
+        out.append(struct.pack("<d", v) if type(v) is float
+                   else (v.dtype.str, v.shape, v.tobytes()))
+    return type(jet), tuple(out)
+
+
+def _rule_outcome(call):
+    try:
+        with np.errstate(all="ignore"):
+            return _slot_bits(call())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(jet=_JET, c=_OPERAND, rule=st.sampled_from(sorted(_RULES)))
+@example(jet=Jet2._of(-0.0, -0.0, math.inf), c=-0.0, rule="jet * c")
+@example(jet=Jet3.variable(2.0), c=-0.0, rule="c / jet")
+@example(jet=Jet2.variable(0.5), c=1e-300, rule="jet / c")
+@example(jet=Jet2.variable(0.5), c=9.99e-301, rule="jet / c")
+@example(jet=Jet3.variable(0.5), c=2 ** 1100, rule="c - jet")
+def test_float_operands_match_the_constant_jet_bit_for_bit(jet, c, rule):
+    # the rule on a plain operand runs the operations of the rule on the
+    # explicit constant jet of that operand, so every slot keeps its bits,
+    # signs of zero and NaNs included, and every error its type and text
+    op, before = _RULES[rule]
+    got = _rule_outcome(lambda: op(jet, c))
+    want = _rule_outcome(lambda: before(jet, jet.constant(c)))
+    assert got == want
+
+
+def test_float_operands_build_no_constant_jet(monkeypatch):
+    built = []
+    for cls in (Jet3, Jet2):
+        constant = cls.constant
+        monkeypatch.setattr(cls, "constant", classmethod(
+            lambda cls, c, constant=constant: built.append(c)
+            or constant(c)))
+    for jet in (Jet3.variable(0.5), Jet2.variable(0.5)):
+        for op, _ in _RULES.values():
+            assert isinstance(op(jet, 2.0), type(jet))
+    assert built == []
