@@ -15,7 +15,6 @@ output.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -145,7 +144,12 @@ class RayPath:
 
 def rk4_step(f: Callable, y, k1, h: float):
     """One classical fourth-order Runge-Kutta step of dy/ds = f(y), given
-    the first stage k1 = f(y)."""
+    the first stage k1 = f(y).
+
+    This is the one definition of the step.  ``transport_amplitude`` and
+    ``shock1d.simple_wave_construct`` write its stages out on Python
+    floats with the same operations in the same order, and tests pin
+    both loops to it bit for bit."""
     k2 = f(y + 0.5 * h * k1)
     k3 = f(y + 0.5 * h * k2)
     k4 = f(y + h * k3)
@@ -212,11 +216,15 @@ def trace(H, x0, p0, s_max: float, step: float = DEFAULT_STEP,
 
 
 def _step_count(s_max: float, step: float) -> int:
-    """Number of fixed steps that cover [0, s_max], at least one."""
+    """Number of fixed steps that cover [0, s_max], at least one; the
+    step must point from 0 toward s_max."""
     if not (np.isfinite(s_max) and np.isfinite(step) and step != 0.0
             and np.isfinite(float(s_max) / float(step))):
         raise BadParams(f"need a finite s_max and a finite nonzero step, "
                         f"got s_max={s_max:g}, step={step:g}")
+    if s_max / step < 0.0:
+        raise BadParams(f"the step must have the sign of s_max, got "
+                        f"s_max={s_max:g}, step={step:g}")
     return max(1, int(round(s_max / step)))
 
 
@@ -279,45 +287,50 @@ def transport_amplitude(ts: TransportState, s_max: float,
     """Integrate dpi/ds = -m pi - c pi^2 with RK4 and blow-up
     detection.  Blow-up is an outcome, not an error.  When m = 0 the
     detected location is refined by bisecting the closed-form solution
-    denominator 1 + c pi0 s, which RK4 alone overshoots."""
+    denominator 1 + c pi0 s, which RK4 alone overshoots.
+
+    The step loop is rk4_step written out on floats, with the same
+    operations in the same order."""
     m, c = ts.m, ts.c
-
-    def f(v: float) -> float:
-        return -m * v - c * v * v
-
     n_steps = _step_count(s_max, step)
-    ss = [0.0]
-    pis = [ts.pi0]
-    blown = False
-    s_detect = None
+    half, sixth = 0.5 * step, step / 6.0
     v = ts.pi0
-    s = 0.0
+    pis = [v]
+    blown = False
     for _ in range(n_steps):
-        v = rk4_step(f, v, f(v), step)
-        s += step
-        ss.append(s)
+        k1 = -m * v - c * v * v
+        w = v + half * k1
+        k2 = -m * w - c * w * w
+        w = v + half * k2
+        k3 = -m * w - c * w * w
+        w = v + step * k3
+        k4 = -m * w - c * w * w
+        v = v + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
         pis.append(v)
-        if not math.isfinite(v) or abs(v) > BLOWUP_THRESHOLD:
+        # also true for nan and +-inf
+        if not abs(v) <= BLOWUP_THRESHOLD:
             blown = True
-            s_detect = s
             break
+    # s adds the step in sequence, as a running s += step does
+    s = np.empty(len(pis))
+    s[0] = 0.0
+    s[1:] = step
+    np.cumsum(s, out=s)
 
-    s_star = None
-    if blown:
-        s_star = s_detect
-        if m == 0.0 and c * ts.pi0 < 0.0:
-            # denominator of pi(s) = pi0 / (1 + c pi0 s)
-            lo, hi = 0.0, s_detect
-            d = lambda t: 1.0 + c * ts.pi0 * t
-            if d(hi) < 0.0 < d(lo):
-                for _ in range(200):
-                    mid = 0.5 * (lo + hi)
-                    if d(mid) > 0.0:
-                        lo = mid
-                    else:
-                        hi = mid
-                s_star = 0.5 * (lo + hi)
-    return TransportResult(s=np.array(ss), pi=np.array(pis),
+    s_star = float(s[-1]) if blown else None
+    if blown and m == 0.0 and c * ts.pi0 < 0.0:
+        # denominator of pi(s) = pi0 / (1 + c pi0 s)
+        lo, hi = 0.0, s_star
+        d = lambda t: 1.0 + c * ts.pi0 * t
+        if d(hi) < 0.0 < d(lo):
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if d(mid) > 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            s_star = 0.5 * (lo + hi)
+    return TransportResult(s=s, pi=np.array(pis),
                            blown_up=blown, s_star=s_star, state=ts)
 
 

@@ -34,7 +34,7 @@ from .errors import (
     ModeCollision,
 )
 from .lagrangians import Kind, LagrangianModel, builtin_names
-from .rays import crossing_time, rk4_step, ternary_argmin
+from .rays import crossing_time, ternary_argmin
 
 MULTIVALUED_TOL = 1e-12
 PERIODIC_TOL = 1e-12
@@ -261,17 +261,18 @@ def _unit(x: float, y: float) -> tuple[float, float]:
     return x / norm, y / norm
 
 
+@np.errstate(call=_raise_linalgerror_eigenvalues_nonconvergence,
+             invalid="call", over="ignore", divide="ignore", under="ignore")
 def _eig(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and right eigenvectors (columns) of the real matrix M,
     both complex: the LAPACK gufunc behind np.linalg.eig under that
     wrapper's finiteness check and error state, so with its bits, but
-    without its shape and type checks, casts and real-result test."""
+    without its shape and type checks, casts and real-result test.  The
+    decorator enters the error state without building an errstate
+    object per call."""
     if not all(map(math.isfinite, M.ravel().tolist())):
         raise LinAlgError("Array must not contain infs or NaNs")
-    with np.errstate(call=_raise_linalgerror_eigenvalues_nonconvergence,
-                     invalid="call", over="ignore", divide="ignore",
-                     under="ignore"):
-        return _umath_linalg.eig(M, signature="d->DD")
+    return _umath_linalg.eig(M, signature="d->DD")
 
 
 def _reduced_from_matrix(M) -> ReducedSystem:
@@ -296,18 +297,19 @@ def _reduced_from_matrix(M) -> ReducedSystem:
     return ReducedSystem((lam0, lam1), (r0, r1))
 
 
-def burgers_factory() -> Callable[[np.ndarray], ReducedSystem]:
+def burgers_factory() -> Callable[[tuple[float, ...]], ReducedSystem]:
     """1x1 system with speed equal to the state itself."""
 
     def make(U) -> ReducedSystem:
-        return ReducedSystem((float(np.asarray(U).reshape(1)[0]),),
-                             ((1.0,),))
+        (u,) = U
+        return ReducedSystem((float(u),), ((1.0,),))
 
     return make
 
 
 def scalar_reduced_factory(
-        model: LagrangianModel) -> Callable[[np.ndarray], ReducedSystem]:
+        model: LagrangianModel
+) -> Callable[[tuple[float, ...]], ReducedSystem]:
     """1+1 reduction of a scalar-field model: states (A, B) with the
     remaining gradient components zero, which closes on the leading
     2x2 block of the full axis system."""
@@ -317,7 +319,7 @@ def scalar_reduced_factory(
                         + ", ".join(builtin_names((Kind.Scalar,))))
 
     def make(U) -> ReducedSystem:
-        A, B = np.asarray(U, dtype=float).reshape(2).tolist()
+        A, B = U
         return _reduced_from_matrix(scalar_axis_block(model, A, B))
 
     return make
@@ -374,7 +376,8 @@ def _track_mode(sys: ReducedSystem,
     return j, r
 
 
-def simple_wave_construct(factory: Callable[[np.ndarray], ReducedSystem],
+def simple_wave_construct(factory: Callable[[tuple[float, ...]],
+                                            ReducedSystem],
                           mode: int, phi_range: tuple[float, float],
                           U0, n: int = 201,
                           component: int | None = None) -> SimpleWave:
@@ -384,11 +387,13 @@ def simple_wave_construct(factory: Callable[[np.ndarray], ReducedSystem],
     component).  The component defaults to the largest entry of the
     starting eigenvector.
 
-    The state is a numpy vector stepped by rays.rk4_step; each state's
-    system is built once (the node's system is RK4 stage k1) and its
-    eigen-data stay Python floats.
+    The state is a tuple of Python floats, one per component, and each
+    RK4 step is rays.rk4_step written out on those floats with the same
+    operations in the same order; each state's system is built once (the
+    node's system is RK4 stage k1) and its eigen-data stay Python floats.
+    The factory receives the state tuple.
     """
-    U0 = np.asarray(U0, dtype=float).reshape(-1)
+    U0 = tuple(np.asarray(U0, dtype=float).reshape(-1).tolist())
     lo, hi = (float(v) for v in phi_range)
     if not hi > lo:
         raise BadParams("phi range must be increasing")
@@ -420,14 +425,16 @@ def simple_wave_construct(factory: Callable[[np.ndarray], ReducedSystem],
                             "component along the wave")
         return rc
 
-    def slope(sysk: ReducedSystem) -> np.ndarray:
+    def slope(sysk: ReducedSystem) -> tuple[float, ...]:
         # follows the mode tracked at the current node, r_ref
         _, r = _track_mode(sysk, r_ref)
         rc = normalizer(r)
-        return np.array([c / rc for c in r])
+        return tuple([c / rc for c in r])
 
-    def rhs(U: np.ndarray) -> np.ndarray:
+    def rhs(U: tuple[float, ...]) -> tuple[float, ...]:
         return slope(factory(U))
+
+    half, sixth = 0.5 * h, h / 6.0
 
     states, lams, xis = [], [], []
     r_ref = r0 if r0[component] > 0 else tuple([-c for c in r0])
@@ -440,7 +447,12 @@ def simple_wave_construct(factory: Callable[[np.ndarray], ReducedSystem],
         r_ref = r
         if k == len(phis) - 1:
             break
-        U = rk4_step(rhs, U, slope(sysk), h)
+        k1 = slope(sysk)
+        k2 = rhs(tuple([u + half * du for u, du in zip(U, k1)]))
+        k3 = rhs(tuple([u + half * du for u, du in zip(U, k2)]))
+        k4 = rhs(tuple([u + h * du for u, du in zip(U, k3)]))
+        U = tuple([u + sixth * (a + 2 * b + 2 * c + d)
+                   for u, a, b, c, d in zip(U, k1, k2, k3, k4)])
         sysk = factory(U)
 
     return SimpleWave(mode=mode, component=component, phis=phis,

@@ -11,7 +11,8 @@ wave's 2x2 eigen-data through the full scalar system with numpy
 bookkeeping, ``track_mode`` follows a mode with numpy,
 ``simple_wave_oracle`` integrates a whole simple wave on those arrays, and
 ``wave_alignment_sines`` measures how closely a simple wave follows its
-eigenvector.  ``repr_csv`` writes float rows one repr at a time through
+eigenvector.  ``transport_oracle`` integrates the amplitude transport
+with one ``rk4_step`` call per step.  ``repr_csv`` writes float rows one repr at a time through
 the csv module, as the column CSV writers must, and
 ``fresnel_scan_per_draw`` is the dispersion scan that draws and solves
 one background at a time.  ``identity_checks`` and
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -66,7 +68,13 @@ from cewave.gravity import (
 )
 from cewave.jets import InvariantPoint, Jet3
 from cewave.lagrangians import Kind, LagrangianModel
-from cewave.rays import rk4_step
+from cewave.rays import (
+    BLOWUP_THRESHOLD,
+    TransportResult,
+    TransportState,
+    _step_count,
+    rk4_step,
+)
 from cewave.shock1d import COLLISION_TOL, ReducedSystem, SimpleWave
 
 
@@ -519,6 +527,52 @@ def simple_wave_oracle(model: LagrangianModel, mode: int,
         U = rk4_step(lambda V: slope(factory(V)), U, slope(sysk), h)
         sysk = factory(U)
     return states, lams, xis
+
+
+def transport_oracle(ts: TransportState, s_max: float,
+                     step: float) -> TransportResult:
+    """``transport_amplitude`` by the loop that steps the amplitude with
+    ``rk4_step`` and a closure for the slope, keeping s as a running sum
+    and testing blow-up with ``math.isfinite`` and a threshold."""
+    m, c = ts.m, ts.c
+
+    def f(v: float) -> float:
+        return -m * v - c * v * v
+
+    n_steps = _step_count(s_max, step)
+    ss = [0.0]
+    pis = [ts.pi0]
+    blown = False
+    s_detect = None
+    v = ts.pi0
+    s = 0.0
+    for _ in range(n_steps):
+        v = rk4_step(f, v, f(v), step)
+        s += step
+        ss.append(s)
+        pis.append(v)
+        if not math.isfinite(v) or abs(v) > BLOWUP_THRESHOLD:
+            blown = True
+            s_detect = s
+            break
+
+    s_star = None
+    if blown:
+        s_star = s_detect
+        if m == 0.0 and c * ts.pi0 < 0.0:
+            # denominator of pi(s) = pi0 / (1 + c pi0 s)
+            lo, hi = 0.0, s_detect
+            d = lambda t: 1.0 + c * ts.pi0 * t
+            if d(hi) < 0.0 < d(lo):
+                for _ in range(200):
+                    mid = 0.5 * (lo + hi)
+                    if d(mid) > 0.0:
+                        lo = mid
+                    else:
+                        hi = mid
+                s_star = 0.5 * (lo + hi)
+    return TransportResult(s=np.array(ss), pi=np.array(pis),
+                           blown_up=blown, s_star=s_star, state=ts)
 
 
 def repr_csv(header: list[str], rows) -> bytes:

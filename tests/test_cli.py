@@ -746,6 +746,15 @@ def test_rays_broken_euler_identity_exits_4(model, tmp_path, capsys,
     assert not out.exists()
 
 
+def test_rays_step_pointing_away_from_s_max_exits_2(tmp_path, capsys):
+    out = tmp_path / "ray.csv"
+    rc = main(["rays", "--cone", "--nhat=1,0,0", "--s-max", "1",
+               "--step", "-0.01", "--out", str(out)])
+    assert rc == 2
+    assert "the step must have the sign of s_max" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rays_off_shell_start_exit_3(tmp_path, capsys):
     rc = main(["rays", "--cone", "--p0=-2,1,0,0",
                "--out", str(tmp_path / "ray.csv")])

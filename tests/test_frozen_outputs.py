@@ -3,10 +3,11 @@
 The digests were recorded before the simple-wave, upwind and CSV kernels
 were rewritten for speed, the fresnel scans before the scan was solved
 as one batch, the two shock runs whose speed varies along the wave
-before simple waves kept their eigen-data as floats, and the shock run
+before simple waves kept their eigen-data as floats, the shock run
 with float operands before the jet rules took floats without a constant
-jet, so these tests pin the rewritten kernels to the bytes of the code
-they replaced.  They were recorded with numpy 2.4
+jet, and the transport arrays before the transport loop wrote its RK4
+stages out on floats, so these tests pin the rewritten kernels to the
+bytes of the code they replaced.  They were recorded with numpy 2.4
 (OpenBLAS) on x86-64; the eigen solves of a simple wave go through
 LAPACK, whose last bits may differ on another build.
 """
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 from cewave.cli import main
+from cewave.rays import TransportState, transport_amplitude
 from cewave.shock1d import Profile1D, upwind_solve
 
 _SQRT_Z = "-0.727 - 1.247*sqrt(1.153 + 1.608*z)"
@@ -134,3 +136,22 @@ def test_upwind_arrays_keep_their_recorded_bytes():
                                          "a63daa5bde7b9feba6b30185ee3f0c71")
     assert _sha256(snap.u.tobytes()) == ("8c012dea8eeb6ba065d3d5d0e84c3e32"
                                          "722d8ec23d829c449ffb8fce0f0d291f")
+
+
+@pytest.mark.parametrize("ts, s_max, s_star, s_digest, pi_digest", [
+    # blows up at the pole s = 1/2, located by bisection
+    (TransportState(pi0=-2.0, m=0.0, c=1.0), 2.0, 0.5,
+     "3f0a138dc53d235aa6c085bb5f9d2e511166425225c96561536c040ca95f3884",
+     "c1ccfc2a43ff040217b6b9c7834c72292d76e9424a2ff1c5b45be3ef804631b8"),
+    # exceptional: c = 0, so the amplitude only decays
+    (TransportState(pi0=-2.0, m=0.3, c=0.0), 10.0, None,
+     "56715afa76002573bef3d599b38627daede33499f9073e7b6e25aa74ca62a6d1",
+     "c2bc5c62639c2f655c631b81ba2049abf7d7bba5b5295b4a7e7cbcd94e11466a"),
+], ids=["blowup", "exceptional"])
+def test_transport_arrays_keep_their_recorded_bytes(ts, s_max, s_star,
+                                                    s_digest, pi_digest):
+    res = transport_amplitude(ts, s_max=s_max)
+    assert res.blown_up is (s_star is not None)
+    assert res.s_star == s_star
+    assert _sha256(res.s.tobytes()) == s_digest
+    assert _sha256(res.pi.tobytes()) == pi_digest

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from cewave.charsys import ETA, FieldBackground, fresnel_roots
 from cewave.errors import (
@@ -16,6 +19,7 @@ from cewave.errors import (
 )
 from cewave.lagrangians import builtin
 from cewave.rays import (
+    BLOWUP_THRESHOLD,
     ConeHamiltonian,
     QuarticHamiltonian,
     TransportState,
@@ -26,7 +30,7 @@ from cewave.rays import (
     write_ray_csv,
     write_transport_csv,
 )
-from oracles import CallableHamiltonian, repr_csv
+from oracles import CallableHamiltonian, repr_csv, transport_oracle
 
 BG = FieldBackground.vector([0.3, 0.0, 0.0], [0.0, 0.4, 0.0])
 # the x and p columns of RayPath.states, whose columns are s, x0..x3,
@@ -217,6 +221,8 @@ def test_negative_step_takes_the_step_loop():
 @pytest.mark.parametrize("s_max, step", [
     (np.inf, 0.01), (np.nan, 0.01), (1.0, 0.0), (1.0, np.nan),
     (1e300, 1e-300),
+    # a step pointing away from s_max never reaches it
+    (1.0, -0.01), (-1.0, 0.01),
 ])
 def test_step_count_needs_finite_span_and_nonzero_step(s_max, step):
     with pytest.raises(BadParams):
@@ -404,6 +410,75 @@ def test_ray_csv_keeps_the_sign_of_zero(tmp_path):
     rows = out.read_text().splitlines()
     assert rows[1].split(",")[2] == "-0.0"
     assert {row.split(",")[6] for row in rows[1:]} == {"-0.0"}
+
+
+_ODD_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, -1e-300,
+               1e300, -1e300, math.inf, -math.inf, math.nan]
+_NEAR_THRESHOLD = [BLOWUP_THRESHOLD, -BLOWUP_THRESHOLD,
+                   math.nextafter(BLOWUP_THRESHOLD, math.inf),
+                   math.nextafter(-BLOWUP_THRESHOLD, -math.inf),
+                   math.nextafter(BLOWUP_THRESHOLD, 0.0), 1e11, -1e11]
+_STEPS = [0.01, -0.01, 1e-3, -1e-3, 0.25, -0.25, 0.0, -0.0, 5e-324, 1e-300,
+          -1e-300, math.inf, math.nan]
+
+
+def _few_steps(s_max: float, step: float) -> bool:
+    """Whether the step count is small, or the call is rejected anyway."""
+    try:
+        ratio = s_max / step
+    except ZeroDivisionError:
+        return True
+    return not math.isfinite(ratio) or abs(ratio) <= 4000.0
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+def _same_s_star(a, b) -> bool:
+    """Both None, or floats of one type with the same bits, where any
+    nan equals any nan."""
+    if a is None or b is None:
+        return a is b
+    return type(a) is type(b) and (_same_bits(a, b)
+                                   or (math.isnan(a) and math.isnan(b)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(pi0=st.one_of(st.sampled_from(_ODD_FLOATS + _NEAR_THRESHOLD),
+                     st.floats(-10.0, 10.0)),
+       m=st.one_of(st.sampled_from(_ODD_FLOATS), st.floats(-3.0, 3.0)),
+       c=st.one_of(st.sampled_from(_ODD_FLOATS), st.floats(-3.0, 3.0)),
+       s_max=st.one_of(st.sampled_from(_ODD_FLOATS), st.floats(-30.0, 30.0)),
+       step=st.one_of(st.sampled_from(_STEPS), st.floats(-1.0, 1.0)))
+# pole at s = 1/2 on either side of zero, refined by bisection
+@example(pi0=-2.0, m=0.0, c=1.0, s_max=2.0, step=0.01)
+@example(pi0=2.0, m=0.0, c=1.0, s_max=-2.0, step=-0.01)
+# the first RK4 stage overflows and the step ends in nan
+@example(pi0=-1e200, m=0.0, c=1.0, s_max=1.0, step=0.01)
+# grows past the threshold after about 2.3 / 0.01 steps
+@example(pi0=1e11, m=-1.0, c=0.0, s_max=5.0, step=0.01)
+@example(pi0=BLOWUP_THRESHOLD, m=0.0, c=0.0, s_max=1.0, step=0.01)
+@example(pi0=math.nextafter(BLOWUP_THRESHOLD, math.inf), m=0.0, c=0.0,
+         s_max=1.0, step=0.01)
+def test_transport_matches_the_rk4_step_loop_bit_for_bit(pi0, m, c, s_max,
+                                                          step):
+    assume(_few_steps(s_max, step))
+    ts = TransportState(pi0=pi0, m=m, c=c)
+    try:
+        want = transport_oracle(ts, s_max, step)
+    except BadParams as exc:
+        with pytest.raises(BadParams) as got:
+            transport_amplitude(ts, s_max=s_max, step=step)
+        assert str(got.value) == str(exc)
+        return
+    got = transport_amplitude(ts, s_max=s_max, step=step)
+    assert _same_bits(got.s, want.s)
+    assert _same_bits(got.pi, want.pi)
+    assert got.blown_up is want.blown_up
+    assert _same_s_star(got.s_star, want.s_star)
 
 
 def test_transport_csv_roundtrip(tmp_path):

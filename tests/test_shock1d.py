@@ -454,6 +454,36 @@ def test_eig_helper_rejects_non_finite_matrices_as_numpy_does(bad):
     assert str(got.value) == str(want.value)
 
 
+class _InvalidEig:
+    """Stand-in for the LAPACK module whose eig raises numpy's invalid
+    flag, as LAPACK's non-convergence does."""
+
+    @staticmethod
+    def eig(M, signature):
+        return np.subtract(np.inf, np.inf), None
+
+
+class _OverflowingEig:
+    @staticmethod
+    def eig(M, signature):
+        return np.multiply(1e300, 1e300), None
+
+
+def test_eig_helper_keeps_numpys_error_state(monkeypatch):
+    M = np.array([[0.3, 0.2], [-1.0, 0.0]])
+    monkeypatch.setattr(shock1d, "_umath_linalg", _InvalidEig)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="^Eigenvalues did not converge$"):
+        shock1d._eig(M)
+    # overflow is ignored inside; pyproject makes a RuntimeWarning an error
+    monkeypatch.setattr(shock1d, "_umath_linalg", _OverflowingEig)
+    w, _ = shock1d._eig(M)
+    assert w == np.inf
+    # and the caller's error state is back in force afterwards
+    with pytest.raises(RuntimeWarning):
+        np.multiply(1e300, 1e300)
+
+
 def test_simple_wave_builds_each_state_system_once(monkeypatch):
     # node systems plus RK4 stages k2, k3 and k4; k1 is the node's
     # system, and each system is one eigen solve
