@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .ce import GridSpec, REPORT_SCHEMA, classify
+from .ce import DEFAULT_TOL as CE_TOL, GridSpec, REPORT_SCHEMA, classify
 from .charsys import (
     FIELD_KINDS,
     FieldBackground,
@@ -44,6 +44,8 @@ from .gravity import kernel_survey
 from .jets import DomainMask
 from .lagrangians import Kind, LagrangianModel, builtin, builtin_names, from_expression
 from .rays import (
+    DEFAULT_STEP,
+    DEFAULT_TOL as RAY_TOL,
     ConeHamiltonian,
     QuarticHamiltonian,
     crossing_time,
@@ -433,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(check)
     check.add_argument("--grid", default=None,
                        help="axis spec 'a:lo:hi:n,b:lo:hi:n'")
-    check.add_argument("--tol", type=float, default=1e-9)
+    check.add_argument("--tol", type=float, default=CE_TOL)
     check.add_argument("--out", default="ce_report.json")
     check.set_defaults(handler=cmd_ce_check)
 
@@ -483,8 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     rays.add_argument("--p0", default=None,
                       help="explicit start covector 'p0,p1,p2,p3'")
     rays.add_argument("--s-max", type=float, default=10.0)
-    rays.add_argument("--step", type=float, default=1e-2)
-    rays.add_argument("--tol", type=float, default=1e-9)
+    rays.add_argument("--step", type=float, default=DEFAULT_STEP)
+    rays.add_argument("--tol", type=float, default=RAY_TOL)
     rays.add_argument("--out", default="ray.csv")
     rays.set_defaults(handler=cmd_rays)
     return parser

@@ -40,7 +40,8 @@ class DomainError(InputError):
 
 
 class ParseError(InputError):
-    """Expression text could not be parsed; carries a byte offset."""
+    """Expression text could not be parsed; carries the character offset
+    into the text."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at byte {offset})")

@@ -67,100 +67,35 @@ def kind_from_text(text: str) -> Kind:
 
 
 # ---------------------------------------------------------------------------
-# Expression AST
+# Expression evaluation
 # ---------------------------------------------------------------------------
 
-class Node:
-    """Base AST node. Subclasses implement eval/variables."""
-
-    def eval(self, env):
-        raise NotImplementedError
-
-    def variables(self) -> set:
-        return set()
-
-
-@dataclass
-class Num(Node):
-    value: float
-
-    def eval(self, env):
-        return self.value
+def _binop(op: str, left: Callable, right: Callable) -> Callable:
+    """The function of env for ``left op right``: the left operand is
+    evaluated first, and + - * are Python's operators, so a float on
+    either side reaches the jet rules through reflected dispatch."""
+    if op == "+":
+        return lambda env: left(env) + right(env)
+    if op == "-":
+        return lambda env: left(env) - right(env)
+    if op == "*":
+        return lambda env: left(env) * right(env)
+    return lambda env: divide(left(env), right(env))
 
 
-@dataclass
-class Var(Node):
-    name: str
-
-    def eval(self, env):
-        return env[self.name]
-
-    def variables(self) -> set:
-        return {self.name}
-
-
-@dataclass
-class Neg(Node):
-    arg: Node
-
-    def eval(self, env):
-        return -self.arg.eval(env)
-
-    def variables(self) -> set:
-        return self.arg.variables()
-
-
-@dataclass
-class BinOp(Node):
-    op: str
-    left: Node
-    right: Node
-
-    def eval(self, env):
-        x = self.left.eval(env)
-        y = self.right.eval(env)
-        if self.op == "+":
-            return x + y
-        if self.op == "-":
-            return x - y
-        if self.op == "*":
-            return x * y
-        return divide(x, y)
-
-    def variables(self) -> set:
-        return self.left.variables() | self.right.variables()
-
-
-@dataclass
-class Pow(Node):
-    base: Node
-    exponent: float
-
-    def eval(self, env):
-        x = self.base.eval(env)
+def _pow(base: Callable, e: float) -> Callable:
+    """The function of env for ``base ^ e``, e a literal exponent."""
+    def fn(env):
+        x = base(env)
         if isinstance(x, JETS):
-            return x ** self.exponent
-        e = self.exponent
+            return x ** e
         x = x if isinstance(x, np.ndarray) else float(x)
         if e == int(e):
             return power(x, int(e))
         x = check_domain(x, x < 1e-300,
                          "fractional power of a non-positive value {:.6g}")
         return power(x, e)
-
-    def variables(self) -> set:
-        return self.base.variables()
-
-
-@dataclass
-class Sqrt(Node):
-    arg: Node
-
-    def eval(self, env):
-        return _sqrt(self.arg.eval(env))
-
-    def variables(self) -> set:
-        return self.arg.variables()
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +130,10 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token("num", m.group(), i))
             i = m.end()
             continue
-        if ch.isalpha() or ch == "_":
-            m = _IDENT.match(text, i)
+        # a letter outside ASCII matches no identifier, so it falls
+        # through to the unexpected-character error
+        m = _IDENT.match(text, i)
+        if m:
             tokens.append(_Token("ident", m.group(), i))
             i = m.end()
             continue
@@ -218,10 +155,13 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
+    """Each production returns a function of the env dict; ``variables``
+    collects the invariant names the text uses."""
+
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.variables: set[str] = set()
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -237,41 +177,42 @@ class _Parser:
             raise ParseError(f"expected {what}", tok.offset)
         return self.advance()
 
-    def parse(self) -> Node:
-        node = self.expr()
+    def parse(self) -> Callable:
+        fn = self.expr()
         tok = self.peek()
         if tok.kind != "eof":
             raise ParseError(f"unexpected trailing input {tok.text!r}",
                              tok.offset)
-        return node
+        return fn
 
-    def expr(self) -> Node:
-        node = self.term()
+    def expr(self) -> Callable:
+        fn = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.advance().text
-            node = BinOp(op, node, self.term())
-        return node
+            fn = _binop(op, fn, self.term())
+        return fn
 
-    def term(self) -> Node:
-        node = self.unary()
+    def term(self) -> Callable:
+        fn = self.unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.advance().text
-            node = BinOp(op, node, self.unary())
-        return node
+            fn = _binop(op, fn, self.unary())
+        return fn
 
-    def unary(self) -> Node:
+    def unary(self) -> Callable:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return Neg(self.unary())
+            arg = self.unary()
+            return lambda env: -arg(env)
         return self.power()
 
-    def power(self) -> Node:
-        node = self.atom()
+    def power(self) -> Callable:
+        fn = self.atom()
         while self.peek().kind == "op" and self.peek().text == "^":
             self.advance()
-            node = Pow(node, self.exponent())
-        return node
+            fn = _pow(fn, self.exponent())
+        return fn
 
     def exponent(self) -> float:
         sign = 1.0
@@ -293,23 +234,26 @@ class _Parser:
                 tok.offset)
         return sign * value
 
-    def atom(self) -> Node:
+    def atom(self) -> Callable:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
             try:
-                return Num(float(tok.text))
+                value = float(tok.text)
             except ValueError:
                 raise ParseError("malformed number", tok.offset) from None
+            return lambda env: value
         if tok.kind == "ident":
             self.advance()
             if tok.text == "sqrt":
                 self.expect("lparen", "'(' after sqrt")
                 inner = self.expr()
                 self.expect("rparen", "')'")
-                return Sqrt(inner)
+                return lambda env: _sqrt(inner(env))
             if tok.text in _VALID_VARS:
-                return Var(tok.text)
+                name = tok.text
+                self.variables.add(name)
+                return lambda env: env[name]
             raise ParseError(f"unknown identifier {tok.text!r}", tok.offset)
         if tok.kind == "lparen":
             self.advance()
@@ -321,19 +265,20 @@ class _Parser:
         raise ParseError(f"unexpected token {tok.text!r}", tok.offset)
 
 
-def parse_lagrangian(text: str, kind: Kind | str) -> Node:
-    """Parse expression text, checking variables against the model kind."""
+def parse_lagrangian(text: str, kind: Kind | str) -> Callable:
+    """Parse expression text into a function of the env dict, checking
+    variables against the model kind."""
     if isinstance(kind, str):
         kind = kind_from_text(kind)
-    ast = _Parser(text).parse()
+    parser = _Parser(text)
+    fn = parser.parse()
     allowed = set(kind.variables)
-    used = ast.variables()
-    bad = sorted(used - allowed)
+    bad = sorted(parser.variables - allowed)
     if bad:
         raise KindError(
             f"variable(s) {', '.join(bad)} not allowed for kind {kind.value};"
             f" allowed: {', '.join(sorted(allowed))}")
-    return ast
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +294,6 @@ class LagrangianModel:
     fn: Callable  # maps an env dict of jet/float/array values to one
     guard: Callable[[dict], bool] | None = None
     depends_on_y: bool = False
-
-    def jet_vars(self) -> tuple[str, ...]:
-        return self.kind.jet_variables
 
     def _env(self, point: InvariantPoint, jet_names: tuple[str, ...]) -> dict:
         env: dict = {}
@@ -381,7 +323,7 @@ class LagrangianModel:
     def jet_at(self, point: InvariantPoint,
                wrt: tuple[str, ...] | None = None) -> Jet3:
         """Third-order jet with respect to ``wrt`` (default: primary vars)."""
-        names = self.jet_vars() if wrt is None else wrt
+        names = self.kind.jet_variables if wrt is None else wrt
         if len(names) > 2:
             raise ValueError("a jet covers at most two variables")
         out = self._eval(self._env(point, names))
@@ -420,11 +362,10 @@ def from_expression(text: str, kind: Kind | str,
     """Wrap parsed expression text as a model (no automatic guard)."""
     if isinstance(kind, str):
         kind = kind_from_text(kind)
-    ast = parse_lagrangian(text, kind)
     return LagrangianModel(
         name=name or text.strip(),
         kind=kind,
-        fn=ast.eval,
+        fn=parse_lagrangian(text, kind),
     )
 
 

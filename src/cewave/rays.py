@@ -216,8 +216,11 @@ def trace(H, x0, p0, s_max: float, step: float = DEFAULT_STEP,
 
 
 def _step_count(s_max: float, step: float) -> int:
-    """Number of fixed steps that cover [0, s_max], at least one; the
-    step must point from 0 toward s_max."""
+    """Number of fixed steps from 0 toward s_max: ``s_max / step``
+    rounded to the nearest whole number (ties to even), and at least
+    one, so the last state can fall short of s_max or pass it by up to
+    half a step, or by more when the count is raised to one.  The step
+    must point from 0 toward s_max."""
     if not (np.isfinite(s_max) and np.isfinite(step) and step != 0.0
             and np.isfinite(float(s_max) / float(step))):
         raise BadParams(f"need a finite s_max and a finite nonzero step, "

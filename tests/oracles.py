@@ -179,7 +179,7 @@ def jet_check_fd(model, point: InvariantPoint, step: float = 1e-5) -> float:
     forward-mode propagation rules are wired correctly.
     """
     jet = model.jet_at(point)
-    names = model.jet_vars()
+    names = model.kind.jet_variables
     h = float(step)
 
     def val(p: InvariantPoint) -> float:

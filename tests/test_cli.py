@@ -154,6 +154,9 @@ def test_ce_check_writes_the_bytes_of_json_dumps(model, flags, grid,
     ["ce", "check", "--builtin", "maxwell", "--grid", "a:-1e308:1e308:3"],
     # nothing in a classification is random
     ["ce", "check", "--builtin", "maxwell", "--seed", "1"],
+    # letters outside ASCII: e with an acute accent, fullwidth a
+    ["ce", "check", "--expr=1 + \u00e9", "--kind", "alpha"],
+    ["ce", "check", "--expr=\uff41", "--kind", "alpha"],
 ])
 def test_ce_check_input_errors_exit_2(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)

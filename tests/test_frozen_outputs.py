@@ -5,9 +5,11 @@ were rewritten for speed, the fresnel scans before the scan was solved
 as one batch, the two shock runs whose speed varies along the wave
 before simple waves kept their eigen-data as floats, the shock run
 with float operands before the jet rules took floats without a constant
-jet, and the transport arrays before the transport loop wrote its RK4
-stages out on floats, so these tests pin the rewritten kernels to the
-bytes of the code they replaced.  They were recorded with numpy 2.4
+jet, the transport arrays before the transport loop wrote its RK4
+stages out on floats, and the ``ce check`` reports of two expression
+models before parsed expressions were evaluated as closures, so these
+tests pin the rewritten code to the bytes of the code it replaced.
+They were recorded with numpy 2.4
 (OpenBLAS) on x86-64; the eigen solves of a simple wave go through
 LAPACK, whose last bits may differ on another build.
 """
@@ -111,6 +113,22 @@ _CASES.update({
     "fresnel-overflow": _fresnel(
         ["--expr", "a^700", "--kind", "alpha"],
         "66af6d22f5b8e3eb3bf1e36e9bba12c2cb660c2a79adf4b262e0c05febda657c"),
+})
+
+
+def _ce_check(expr: str, kind: str, digest: str):
+    return (["ce", "check", "--expr", expr, "--kind", kind, "--out",
+             "{dir}/report.json"], {"report.json": digest})
+
+
+# expression models on their default grids
+_CASES.update({
+    "ce-check-vector-scalar-expr": _ce_check(
+        "1 - sqrt(1 + a - b^2) + 0.1*z^2 - z", "vector-scalar",
+        "edf3cf7dae85b37d96d839691601b10dbdc5420b13e56d4d349eccb57f56fb43"),
+    "ce-check-alpha-beta-expr": _ce_check(
+        "-a/2 + 0.1*a^2 + 0.05*b^2", "alpha-beta",
+        "13fd590851f749f8f75ccec5446d078f495c480f6ad84b6b808d430838f20ca2"),
 })
 
 

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from cewave import jets
 from cewave.errors import BadParams, KindError, ParseError, UnknownModel
-from cewave.jets import InvariantPoint
+from cewave.jets import InvariantPoint, Jet3
 from cewave.lagrangians import (
     Kind,
     builtin,
@@ -45,6 +46,19 @@ def test_parse_error_unknown_identifier_offset():
     assert err.value.offset == 0
 
 
+@pytest.mark.parametrize("text, offset", [
+    ("1 + \u00e9", 4),     # e with an acute accent
+    ("\uff41", 0),         # fullwidth a
+    ("a\u00e9", 1),
+])
+def test_parse_error_non_ascii_letter(text, offset):
+    with pytest.raises(ParseError) as err:
+        parse_lagrangian(text, Kind.VectorAlpha)
+    assert err.value.offset == offset
+    assert str(err.value).startswith(
+        f"unexpected character {text[offset]!r}")
+
+
 def test_parse_error_unbalanced_parens():
     with pytest.raises(ParseError):
         parse_lagrangian("(1 + a", Kind.VectorAlpha)
@@ -63,8 +77,8 @@ def test_parse_error_malformed_exponent():
 
 
 def test_half_integer_exponent_accepted():
-    ast = parse_lagrangian("(1 + a)^0.5", Kind.VectorAlpha)
-    assert ast.eval({"a": 0.44}) == pytest.approx(1.2)
+    fn = parse_lagrangian("(1 + a)^0.5", Kind.VectorAlpha)
+    assert fn({"a": 0.44}) == pytest.approx(1.2)
 
 
 def test_kind_error_for_disallowed_variable():
@@ -78,22 +92,22 @@ def test_kind_error_for_disallowed_variable():
 
 def test_precedence_unary_minus_vs_power():
     # ^ binds tighter than unary minus: -a^2 is -(a^2)
-    ast = parse_lagrangian("-a^2", Kind.VectorAlpha)
-    assert ast.eval({"a": 3.0}) == -9.0
+    fn = parse_lagrangian("-a^2", Kind.VectorAlpha)
+    assert fn({"a": 3.0}) == -9.0
 
 
 def test_precedence_left_associativity():
-    ast = parse_lagrangian("2 - 3 - 4", Kind.VectorAlpha)
-    assert ast.eval({}) == -5.0
-    ast = parse_lagrangian("24 / 4 / 2", Kind.VectorAlpha)
-    assert ast.eval({}) == 3.0
-    ast = parse_lagrangian("a^2^3", Kind.VectorAlpha)
-    assert ast.eval({"a": 2.0}) == 64.0  # (2^2)^3
+    fn = parse_lagrangian("2 - 3 - 4", Kind.VectorAlpha)
+    assert fn({}) == -5.0
+    fn = parse_lagrangian("24 / 4 / 2", Kind.VectorAlpha)
+    assert fn({}) == 3.0
+    fn = parse_lagrangian("a^2^3", Kind.VectorAlpha)
+    assert fn({"a": 2.0}) == 64.0  # (2^2)^3
 
 
 def test_negative_exponent_literal():
-    ast = parse_lagrangian("a^-1", Kind.VectorAlpha)
-    assert ast.eval({"a": 4.0}) == 0.25
+    fn = parse_lagrangian("a^-1", Kind.VectorAlpha)
+    assert fn({"a": 4.0}) == 0.25
 
 
 def test_parser_matches_python_eval_random_points():
@@ -112,12 +126,21 @@ def test_parser_matches_python_eval_random_points():
     ]
     rng = np.random.default_rng(3)
     for text in texts:
-        ast = parse_lagrangian(text, Kind.VectorAlphaBeta)
+        fn = parse_lagrangian(text, Kind.VectorAlphaBeta)
         python = text.replace("^", "**").replace("sqrt", "math.sqrt")
+        # on jets the Python text runs the same jet methods through
+        # Python's own precedence, so every slot matches bit for bit
+        on_jets = text.replace("^", "**").replace("sqrt", "jets.sqrt")
         for _ in range(100):
             env = {"a": float(rng.uniform(0.1, 2.0)),
                    "b": float(rng.uniform(0.1, 1.0))}
-            assert ast.eval(env) == eval(python, {"math": math}, env), text
+            assert fn(env) == eval(python, {"math": math}, env), text
+            jet_env = {"a": Jet3.variable(env["a"], "a"),
+                       "b": Jet3.variable(env["b"], "b")}
+            got = fn(jet_env).as_tuple()
+            want = eval(on_jets, {"jets": jets}, jet_env).as_tuple()
+            assert (np.array(got).tobytes()
+                    == np.array(want).tobytes()), text
 
 
 def test_builtin_unknown_name():
@@ -178,7 +201,7 @@ def test_vector_scalar_kind_jets_run_over_alpha_beta():
     jet = model.jet_at(point)
     assert jet.fa == pytest.approx(2.0)   # d/da of a*z at z=2
     assert jet.fb == pytest.approx(0.5)   # d/db of b^2 at b=0.25
-    assert model.jet_vars() == ("a", "b")
+    assert model.kind.jet_variables == ("a", "b")
     zjet = model.jet_at(point, wrt=("z",))
     assert zjet.fa == pytest.approx(0.5)  # d/dz of a*z at a=0.5
 
