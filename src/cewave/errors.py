@@ -44,7 +44,7 @@ class ParseError(InputError):
     into the text."""
 
     def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at byte {offset})")
+        super().__init__(message)
         self.offset = offset
 
 

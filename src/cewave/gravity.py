@@ -16,14 +16,23 @@ pointwise in the tensors, so a flat background loses nothing.
 The operator is linear in pi, so broadcasting tensor formulas turn T
 normals (T, 1, D) and the symmetric basis stack (n, D, D) into
 operators (T, D + n, n): D gauge rows, then n upper-triangle tensor
-entries; stacked SVDs rank them.  Q is one dot product per normal:
-on null normals it is ~1e-16 rounding noise that sets the curvature-
-squared null kernel, and a batched contraction rounds some of it to 0.
+entries; stacked SVDs rank them.  eta, the triangle indices and the
+basis are built once per D and kept read-only in small caches.
+
+A survey draws, checks and contracts its normals as arrays: the
+uniforms of up to 128 normals per call, re-laid after a rejection so the
+generator yields the values a per-normal loop would (see
+``_draw_normals``).  Q is one
+dot product per normal, ``_q``, stacked as a matmul of (1, D) rows and
+(D, 1) columns: on null normals it is ~1e-16 rounding noise that sets
+the curvature-squared null kernel, and a batched contraction (einsum,
+a sum over an axis) rounds some of it to 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,11 +46,17 @@ GAUGE_MODE_RTOL = 1e-10
 # smallest row norm whose squared entries sum in the normal double range
 _MIN_ROW_NORM = float(np.sqrt(np.finfo(float).tiny))
 _BLOCK = 16   # normals per survey step; bounds the (T, n, D, D) temporaries
+_MIN_NULL_NORM = 1e-3   # a null normal's spatial part is redrawn below this
+_FRAMES = 8   # dimensions whose eta and symmetric frame stay cached
+_DRAW_SLOTS = 128   # normals per draw call; bounds the re-laying per rejection
 
 
+@lru_cache(maxsize=_FRAMES)
 def eta(D: int) -> np.ndarray:
+    """The flat metric diag(-1, 1, ..., 1), built once per D; read-only."""
     g = np.eye(D)
     g[0, 0] = -1.0
+    g.setflags(write=False)
     return g
 
 
@@ -68,9 +83,33 @@ def components_from_pi(P: np.ndarray) -> np.ndarray:
     return P[(...,) + np.triu_indices(P.shape[-1])]
 
 
+@lru_cache(maxsize=_FRAMES)
+def _frame(D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Upper-triangle indices (a, b) and the symmetric basis stack
+    (n, D, D) of dimension D, built once per D; read-only."""
+    a, b = np.triu_indices(D)
+    basis = pi_from_components(np.eye(len(a)), D)
+    for x in (a, b, basis):
+        x.setflags(write=False)
+    return a, b, basis
+
+
 def _check_dimension(D: int) -> None:
     if D < 4:
         raise BadParams("need spacetime dimension D >= 4")
+
+
+def _check_normals(phis: np.ndarray) -> np.ndarray:
+    """Normals phis (T, D), raising for the first one that is non-finite
+    or identically zero."""
+    nonfinite = ~np.isfinite(phis).all(axis=-1)
+    zero = ~phis.any(axis=-1)
+    first = np.argmax(nonfinite | zero)
+    if nonfinite[first]:
+        raise BadParams("covector contains non-finite entries")
+    if zero[first]:
+        raise ZeroCovector("surface normal covector is identically zero")
+    return phis
 
 
 def _check_covector(phi, D: int | None = None) -> np.ndarray:
@@ -78,16 +117,19 @@ def _check_covector(phi, D: int | None = None) -> np.ndarray:
     if D is not None and len(phi) != D:
         raise BadParams(f"covector has {len(phi)} components, expected {D}")
     _check_dimension(len(phi))
-    if not np.all(np.isfinite(phi)):
-        raise BadParams("covector contains non-finite entries")
-    if not np.any(phi):
-        raise ZeroCovector("surface normal covector is identically zero")
-    return phi
+    return _check_normals(phi[None])[0]
+
+
+def _q(phi: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Q = phi eta phi of normals phi (..., D), shaped (..., 1, 1): per
+    normal a (1, D) @ (D, 1) product, which numpy hands to the same dot
+    as phi @ g @ phi."""
+    return (phi @ g)[..., None, :] @ phi[..., :, None]
 
 
 def covector_q(phi) -> float:
     phi = np.asarray(phi, dtype=float)
-    return float(phi @ eta(len(phi)) @ phi)
+    return float(_q(phi, eta(len(phi)))[0, 0])
 
 
 def classify_covector(phi) -> str:
@@ -111,9 +153,8 @@ def _scalars(phi, P):
     each shaped (..., 1, 1) to broadcast against tensors."""
     phi = np.asarray(phi, dtype=float)
     g = eta(phi.shape[-1])
-    Q = [covector_q(f) for f in phi.reshape(-1, len(g))]
     up = (phi @ g)[..., None, :]
-    return (phi, g, np.reshape(Q, phi.shape[:-1] + (1, 1)),
+    return (phi, g, _q(phi, g),
             np.trace(g @ P, axis1=-2, axis2=-1)[..., None, None],
             up @ P @ np.swapaxes(up, -1, -2))
 
@@ -202,21 +243,24 @@ def _check_gauge_modes(phis: np.ndarray, eq: np.ndarray) -> None:
     """Linearized diffeomorphism invariance: equation rows eq (T, n, n)
     annihilate the pure-gauge modes phi xi + xi phi of phis (T, D)."""
     e = np.eye(phis.shape[-1])
-    modes = components_from_pi(_outer(phis[:, None], e)
-                               + _outer(e, phis[:, None]))   # (T, D, n)
+    a, b, _ = _frame(phis.shape[-1])
+    modes = (_outer(phis[:, None], e)
+             + _outer(e, phis[:, None]))[..., a, b]   # (T, D, n)
     residual = np.abs(eq @ np.swapaxes(modes, 1, 2)).max(axis=(1, 2))
     scale = np.abs(eq).max(axis=(1, 2)) * np.abs(modes).max(axis=(1, 2))
-    for phi, r in zip(phis, residual / scale):
-        if r > GAUGE_MODE_RTOL:
-            raise InternalCheckError(f"equation rows miss the pure-gauge modes"
-                                     f" of {phi.tolist()}: residual {r:.3g}")
+    ratio = residual / scale
+    bad = np.flatnonzero(ratio > GAUGE_MODE_RTOL)
+    if bad.size:
+        i = bad[0]
+        raise InternalCheckError(f"equation rows miss the pure-gauge modes"
+                                 f" of {phis[i].tolist()}: residual "
+                                 f"{ratio[i]:.3g}")
 
 
 def _operators(tensor, gauge_invariant: bool, phis: np.ndarray) -> np.ndarray:
     """Operators (T, D + n, n) of validated normals phis (T, D)."""
     T, D = phis.shape
-    basis = pi_from_components(np.eye(sym_dim(D)), D)
-    a, b = np.triu_indices(D)
+    a, b, basis = _frame(D)
     ops = np.empty((T, D + len(a), len(a)))
     ops[:, :D] = np.swapaxes(gauge_vector(phis[:, None], basis), 1, 2)
     ops[:, D:] = np.swapaxes(tensor(phis[:, None], basis)[..., a, b], 1, 2)
@@ -316,19 +360,61 @@ def gauge_project(phi, P: np.ndarray) -> np.ndarray:
 # --- Monte-Carlo survey ------------------------------------------------------------------
 
 
+def _draw_normals(rng: np.random.Generator, D: int,
+                  null: np.ndarray) -> np.ndarray:
+    """Normals (len(null), D) drawn in order.  Slot i with null[i] takes
+    D - 1 uniforms v, redrawn while |v| <= _MIN_NULL_NORM, and gives the
+    null normal (|v|, v); any other slot takes D uniforms, redrawn while
+    |Q| <= MIN_NONNULL_Q.
+
+    The uniforms of up to _DRAW_SLOTS open slots come from one call,
+    laid out as if no candidate were rejected.  The slots before the
+    first rejection are accepted; the values after it are re-laid from
+    the rejected slot on, and only the shortfall is drawn.  So the
+    generator yields exactly the values a per-slot loop would, and ends
+    in the same state."""
+    null = np.asarray(null, dtype=bool)
+    if D < 1 + null.any():
+        # with nothing to draw every candidate would be rejected
+        raise BadParams(f"a random {'null ' if null.any() else ''}normal"
+                        f" needs dimension D >= {1 + null.any()}")
+    g = eta(D)
+    out = np.empty((len(null), D))
+    done, spare = 0, np.empty(0)
+    while done < len(null):
+        todo = null[done:done + _DRAW_SLOTS]
+        ends = np.cumsum(D - todo)
+        short = ends[-1] - len(spare)
+        spare = np.concatenate([spare, rng.uniform(-1.0, 1.0, size=short)])
+        # the D values that end where each slot does; column 0 of a null
+        # slot, the value before it, is replaced by its norm
+        cand = spare[np.maximum(ends[:, None] - D + np.arange(D), 0)]
+        v = cand[todo, 1:]
+        norms = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+        cand[todo, 0] = norms
+        ok = np.empty(len(todo), dtype=bool)
+        ok[todo] = norms > _MIN_NULL_NORM
+        ok[~todo] = np.abs(_q(cand[~todo], g)[:, 0, 0]) > MIN_NONNULL_Q
+        took = len(todo) if ok.all() else int(np.argmin(ok))
+        out[done:done + took] = cand[:took]
+        spare = spare[ends[took]:] if took < len(todo) else np.empty(0)
+        done += took
+    return out
+
+
 def random_null_covector(rng: np.random.Generator, D: int) -> np.ndarray:
-    while True:
-        v = rng.uniform(-1.0, 1.0, size=D - 1)
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-3:
-            return np.concatenate([[norm], v])
+    return _draw_normals(rng, D, [True])[0]
 
 
 def random_nonnull_covector(rng: np.random.Generator, D: int) -> np.ndarray:
-    while True:
-        phi = rng.uniform(-1.0, 1.0, size=D)
-        if abs(covector_q(phi)) > MIN_NONNULL_Q:
-            return phi
+    return _draw_normals(rng, D, [False])[0]
+
+
+def _survey_normals(rng: np.random.Generator, D: int,
+                    trials: int) -> np.ndarray:
+    """A null then a non-null normal per trial, (2 trials, D), checked."""
+    return _check_normals(_draw_normals(rng, D, np.tile([True, False],
+                                                        trials)))
 
 
 def _histogram(dims: np.ndarray) -> dict[str, int]:
@@ -347,9 +433,7 @@ def kernel_survey(theory: str, D: int, trials: int,
     spec, theory = _theory(theory, p, q, f2), theory.lower()
     # before any draw: a null normal needs at least one spatial component
     _check_dimension(D)
-    phis = [draw(rng, D) for _ in range(trials)
-            for draw in (random_null_covector, random_nonnull_covector)]
-    phis = np.array([_check_covector(phi, D) for phi in phis])
+    phis = _survey_normals(rng, D, trials)
     # a coupling near the double range can overflow the operators;
     # _row_normalized turns that into a NumericalError
     with np.errstate(over="ignore", invalid="ignore"):

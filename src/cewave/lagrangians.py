@@ -102,7 +102,7 @@ def _pow(base: Callable, e: float) -> Callable:
 # Tokenizer + recursive-descent parser
 # ---------------------------------------------------------------------------
 
-_NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+")
+_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 _VALID_VARS = ("a", "b", "z")
@@ -123,7 +123,9 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit() or ch == ".":
+        # ASCII digits only: str.isdigit and \d also take other scripts'
+        # digits, which float() would read
+        if ch in "0123456789.":
             m = _NUMBER.match(text, i)
             if not m:
                 raise ParseError("malformed number", i)

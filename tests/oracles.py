@@ -16,7 +16,10 @@ with one ``rk4_step`` call per step.  ``repr_csv`` writes float rows one repr at
 the csv module, as the column CSV writers must, and
 ``fresnel_scan_per_draw`` is the dispersion scan that draws and solves
 one background at a time.  ``identity_checks`` and
-``GravityProbe`` check gauge-bound gravity discontinuities.
+``GravityProbe`` check gauge-bound gravity discontinuities, and
+``survey_normals_per_draw`` draws a gravity survey's normals one
+candidate at a time, with Q as ``covector_q_dot`` and the null norm as
+``null_norm``.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from cewave.errors import (
     NumericalError,
 )
 from cewave.gravity import (
+    MIN_NONNULL_Q,
     _check_covector,
     _phi_pi_terms,
     _scalars,
@@ -697,3 +701,36 @@ class GravityProbe:
         t_scale = float(np.max(np.abs(self.pi))) + 1e-300
         if abs(self.trace - np.trace(eta(self.D) @ self.pi)) > 1e-10 * t_scale:
             raise BadParams("stored trace does not match the tensor")
+
+
+# ---------------------------------------------------------------------------
+# Gravity: survey normals drawn one candidate at a time
+# ---------------------------------------------------------------------------
+
+def covector_q_dot(phi) -> float:
+    """Q of one normal as the dot product phi eta phi."""
+    return float(phi @ eta(len(phi)) @ phi)
+
+
+def null_norm(v) -> float:
+    return float(np.linalg.norm(v))
+
+
+def survey_normals_per_draw(rng, D: int, trials: int) -> np.ndarray:
+    """A null then a non-null normal per trial, each candidate drawn by
+    its own ``rng.uniform`` call and redrawn until it is accepted."""
+    def null():
+        while True:
+            v = rng.uniform(-1.0, 1.0, size=D - 1)
+            norm = null_norm(v)
+            if norm > 1e-3:
+                return np.concatenate([[norm], v])
+
+    def nonnull():
+        while True:
+            phi = rng.uniform(-1.0, 1.0, size=D)
+            if abs(covector_q_dot(phi)) > MIN_NONNULL_Q:
+                return phi
+
+    return np.array([draw() for _ in range(trials)
+                     for draw in (null, nonnull)])

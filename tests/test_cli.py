@@ -78,6 +78,19 @@ def test_ce_check_parse_error_reports_offset(tmp_path, capsys):
     assert "offset" in err
 
 
+@pytest.mark.parametrize("expr, message", [
+    ("1 + \u00e9", "input error at offset 4: unexpected character 'é'\n"),
+    ("\u0661 + a", "input error at offset 0: unexpected character '١'\n"),
+])
+def test_ce_check_parse_error_names_the_offset_once(expr, message, tmp_path,
+                                                   capsys):
+    rc = main(["ce", "check", f"--expr={expr}", "--kind", "alpha",
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_ce_check_power_overflow_exits_3(tmp_path, capsys):
     out = tmp_path / "r.json"
     rc = main(["ce", "check", "--expr=(1e200*a)^2", "--kind", "alpha",

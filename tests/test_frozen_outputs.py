@@ -6,9 +6,11 @@ as one batch, the two shock runs whose speed varies along the wave
 before simple waves kept their eigen-data as floats, the shock run
 with float operands before the jet rules took floats without a constant
 jet, the transport arrays before the transport loop wrote its RK4
-stages out on floats, and the ``ce check`` reports of two expression
-models before parsed expressions were evaluated as closures, so these
-tests pin the rewritten code to the bytes of the code it replaced.
+stages out on floats, the ``ce check`` reports of two expression
+models before parsed expressions were evaluated as closures, and four
+gravity surveys before their normals were drawn, checked and contracted
+as arrays, so these tests pin the rewritten code to the bytes of the
+code it replaced.
 They were recorded with numpy 2.4
 (OpenBLAS) on x86-64; the eigen solves of a simple wave go through
 LAPACK, whose last bits may differ on another build.
@@ -129,6 +131,28 @@ _CASES.update({
     "ce-check-alpha-beta-expr": _ce_check(
         "-a/2 + 0.1*a^2 + 0.05*b^2", "alpha-beta",
         "13fd590851f749f8f75ccec5446d078f495c480f6ad84b6b808d430838f20ca2"),
+})
+
+
+def _gravity(flags: list[str], digest: str):
+    return (["gravity", *flags, "--trials", "48", "--out",
+             "{dir}/gravity.json"], {"gravity.json": digest})
+
+
+# quadratic p = 3q at D = 4 and 7: null dims set by rounding
+_CASES.update({
+    "gravity-einstein-D7": _gravity(
+        ["--theory", "einstein", "--D", "7"],
+        "472f50d75b349d1a51ab1bf00f9ae2e12489879699f4d4270d88ceba9cab7ad3"),
+    "gravity-fr-D5": _gravity(
+        ["--theory", "fr", "--D", "5"],
+        "b0de8b03aa08f5f848f58952a7e362cbc325fcca92efbc4c477208fe27eb0743"),
+    "gravity-quadratic-p3-q1-D4": _gravity(
+        ["--theory", "quadratic", "--p", "3", "--q", "1", "--D", "4"],
+        "4142bcd546577b2d653f1805905db5e9aa9047dea80395a89c6b82a6226bbf43"),
+    "gravity-quadratic-p3-q1-D7": _gravity(
+        ["--theory", "quadratic", "--p", "3", "--q", "1", "--D", "7"],
+        "6997af89b63978124812b741ac8f25c06fc4a51207d227636c4b39237758abb3"),
 })
 
 

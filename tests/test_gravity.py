@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cewave import gravity
 from cewave.errors import (
@@ -33,9 +35,12 @@ from cewave.gravity import (
     sym_dim,
     sym_pairs,
 )
-from cewave.gravity import _operators, _row_normalized, _theory
+from cewave.gravity import (_check_normals, _frame, _operators,
+                            _row_normalized, _scalars, _survey_normals,
+                            _theory)
 
-from oracles import GravityProbe, identity_checks
+from oracles import (GravityProbe, covector_q_dot, identity_checks,
+                     survey_normals_per_draw)
 
 NULL4 = np.array([1.0, 1.0, 0.0, 0.0])
 TIME4 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -255,6 +260,30 @@ def test_kernel_survey_rejects_low_dimension_before_drawing(D):
         kernel_survey("einstein", D, 3, _NoDrawRng())
 
 
+@pytest.mark.parametrize("draw, D, need", [
+    (random_null_covector, 1, 2),
+    (random_null_covector, 0, 2),
+    (random_nonnull_covector, 0, 1),
+])
+def test_random_covectors_reject_dimensions_with_nothing_to_draw(draw, D,
+                                                                 need):
+    # these draws used to reject every candidate and redraw forever
+    with pytest.raises(BadParams, match=f"needs dimension D >= {need}"):
+        draw(np.random.default_rng(0), D)
+
+
+def test_nonnull_covector_at_one_dimension_is_a_time_covector():
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(20):
+        phi = random_nonnull_covector(rng, 1)
+        while True:
+            want = ref.uniform(-1.0, 1.0, size=1)
+            if abs(covector_q_dot(want)) > gravity.MIN_NONNULL_Q:
+                break
+        assert phi.tobytes() == want.tobytes()
+    assert rng.uniform() == ref.uniform()
+
+
 def test_probe_record_validates_stored_scalars():
     probe = GravityProbe.build(NULL4, np.diag([1.0, 2.0, 3.0, 4.0]))
     assert probe.Q == 0.0
@@ -383,8 +412,23 @@ def test_gauge_mode_check_rejects_a_broken_tensor(monkeypatch):
     exact = gravity.fr_tensor_disc
     monkeypatch.setattr(gravity, "fr_tensor_disc",
                         lambda f2, phi, P: exact(f2, phi, P) + 1e-6 * P)
-    with pytest.raises(InternalCheckError):
+    with pytest.raises(InternalCheckError,
+                       match=r"modes of \[1.0, 1.0, 0.0, 0.0\]: residual"):
         fr_operator(1.0, NULL4)
+
+
+def test_gauge_mode_check_names_the_first_failing_normal(monkeypatch):
+    exact = gravity.fr_tensor_disc
+
+    def broken_if_phi0_large(f2, phi, P):
+        large = (phi[..., 0] > 1.5)[..., None, None]
+        return exact(f2, phi, P) + 1e-6 * P * large
+
+    monkeypatch.setattr(gravity, "fr_tensor_disc", broken_if_phi0_large)
+    phis = np.array([NULL4, 2.0 * TIME4, 3.0 * NULL4, SPACE4])
+    with pytest.raises(InternalCheckError,
+                       match=r"modes of \[2.0, 0.0, 0.0, 0.0\]: residual"):
+        _operators(*_theory("fr"), phis)
 
 
 def test_curvature_squared_rows_are_exempt_from_the_gauge_mode_check():
@@ -447,3 +491,141 @@ def test_kernel_survey_is_coupling_scale_free_inside_the_range(theory, kw,
         return rep["null_kernel_dims"], rep["nonnull_kernel_dims"]
 
     assert dims(kw) == dims(unit)
+
+
+# --- survey normals drawn as arrays against the per-draw loop ---------------------------
+# The survey draws every candidate's uniforms in one call and re-lays them
+# after a rejection; the normals, their Q and the generator's state must
+# equal those of one draw per candidate bit for bit.
+
+
+def _survey_q(phis: np.ndarray) -> np.ndarray:
+    """Q of each normal as the survey's operators see it."""
+    return _scalars(phis[:, None], _frame(phis.shape[1])[2])[2].ravel()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), D=st.integers(4, 9),
+       trials=st.integers(1, 64))
+def test_survey_normals_equal_per_draw_oracle(seed, D, trials):
+    rng = np.random.default_rng(seed)
+    ref = np.random.default_rng(seed)
+    phis = _survey_normals(rng, D, trials)
+    want = survey_normals_per_draw(ref, D, trials)
+    assert phis.tobytes() == want.tobytes()
+    q = np.array([covector_q_dot(phi) for phi in want])
+    assert _survey_q(phis).tobytes() == q.tobytes()
+    assert np.array([covector_q(phi) for phi in phis]).tobytes() == q.tobytes()
+    assert rng.uniform() == ref.uniform()
+
+
+class _CountingRng:
+    def __init__(self, seed):
+        self.rng, self.calls, self.most = np.random.default_rng(seed), 0, 0
+
+    def uniform(self, *args, size=None, **kwargs):
+        self.calls += 1
+        self.most = max(self.most, int(np.prod(size or 1)))
+        return self.rng.uniform(*args, size=size, **kwargs)
+
+
+@pytest.mark.parametrize("D", [4, 9])
+def test_survey_normals_of_many_trials_equal_per_draw_oracle(D):
+    # 10,000 normals span many draw calls; a call and a rejection's
+    # re-laying cover at most _DRAW_SLOTS normals, so the draw stays
+    # linear in the trial count
+    rng, ref = _CountingRng(D), _CountingRng(D)
+    phis = _survey_normals(rng, D, 5000)
+    want = survey_normals_per_draw(ref, D, 5000)
+    assert phis.tobytes() == want.tobytes()
+    rejections = ref.calls - 10000
+    assert rng.calls <= -(-10000 // gravity._DRAW_SLOTS) + rejections
+    assert rng.most <= gravity._DRAW_SLOTS * D
+    assert rng.uniform() == ref.uniform()
+
+
+class _StreamRng:
+    """Uniforms from a scripted head, then from a seeded generator, so a
+    draw split over several calls reads the same values as one call."""
+
+    def __init__(self, head, seed=0):
+        self.head = list(head)
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def uniform(self, low, high, size):
+        self.calls += 1
+        take, self.head = self.head[:size], self.head[size:]
+        return np.concatenate([take, self.rng.uniform(low, high,
+                                                      size=size - len(take))])
+
+
+# D = 4 candidates: a null one takes 3 values, a non-null one 4
+_SHORT = [1e-4, -2e-4, 3e-4]          # |v| <= 1e-3
+_FLAT = [0.5, 0.5, 0.0, 0.0]          # Q = 0
+_NULL_OK = [0.3, -0.4, 0.2]
+_NONNULL_OK = [0.9, 0.1, 0.0, 0.2]
+
+
+@pytest.mark.parametrize("head, rejections", [
+    (_SHORT + _NULL_OK + _NONNULL_OK, 1),
+    (_NULL_OK + _FLAT + _FLAT + _NONNULL_OK, 2),
+    (_SHORT + _SHORT + _NULL_OK + _FLAT + _NONNULL_OK + _SHORT + _NULL_OK
+     + _FLAT, 5),
+], ids=["null", "nonnull-twice", "mixed"])
+def test_survey_normals_redraw_rejected_candidates_like_the_loop(head,
+                                                                 rejections):
+    stub, ref = _StreamRng(head), _StreamRng(head)
+    phis = _survey_normals(stub, 4, 3)
+    want = survey_normals_per_draw(ref, 4, 3)
+    assert phis.tobytes() == want.tobytes()
+    assert ref.calls == 6 + rejections
+    assert stub.calls == 1 + rejections
+    assert stub.head == ref.head
+    assert stub.rng.uniform() == ref.rng.uniform()
+
+
+def test_survey_makes_no_per_normal_calls(monkeypatch):
+    # 48 trials, 96 normals: one draw call plus one per rejected
+    # candidate, no per-normal Q or norm (_row_normalized takes one
+    # norm per block of operators)
+    counts = {"covector_q": 0, "norm": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    ref = _CountingRng(5)
+    survey_normals_per_draw(ref, 5, 48)
+    rejections = ref.calls - 96
+    assert rejections > 0
+    monkeypatch.setattr(gravity, "covector_q",
+                        counted("covector_q", gravity.covector_q))
+    monkeypatch.setattr(np.linalg, "norm", counted("norm", np.linalg.norm))
+    rng = _CountingRng(5)
+    kernel_survey("fr", 5, 48, rng)
+    assert counts["covector_q"] == 0
+    assert counts["norm"] <= -(-96 // gravity._BLOCK)
+    assert rng.calls <= 1 + rejections
+
+
+@pytest.mark.parametrize("rows, error", [
+    ([[1.0, 0.0, 0.0, 0.0], [0.0] * 4, [np.nan, 0.0, 0.0, 0.0]], ZeroCovector),
+    ([[1.0, 0.0, 0.0, 0.0], [np.inf, 1.0, 0.0, 0.0], [0.0] * 4], BadParams),
+])
+def test_normal_checks_raise_for_the_first_bad_normal(rows, error):
+    with pytest.raises(error):
+        _check_normals(np.array(rows))
+
+
+def test_frames_are_built_once_and_read_only():
+    assert eta(6) is eta(6)
+    a, b, basis = _frame(6)
+    assert _frame(6)[2] is basis
+    for x in (eta(6), a, b, basis):
+        assert not x.flags.writeable
+    assert np.array_equal(basis, pi_from_components(np.eye(sym_dim(6)), 6))
+    assert _frame.cache_info().maxsize is not None
+    assert eta.cache_info().maxsize is not None

@@ -55,8 +55,22 @@ def test_parse_error_non_ascii_letter(text, offset):
     with pytest.raises(ParseError) as err:
         parse_lagrangian(text, Kind.VectorAlpha)
     assert err.value.offset == offset
-    assert str(err.value).startswith(
-        f"unexpected character {text[offset]!r}")
+    assert str(err.value) == f"unexpected character {text[offset]!r}"
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("\u0661 + a", 0),    # Arabic-Indic digit one
+    ("1\u0665 + a", 1),   # ASCII 1, then Arabic-Indic five
+    ("a\u00b2", 1),       # superscript two
+    ("\uff11*a", 0),      # fullwidth one
+])
+def test_parse_error_non_ascii_digit(text, offset):
+    # numeric literals are ASCII digits only, although str.isdigit and
+    # float() also take other scripts' digits
+    with pytest.raises(ParseError) as err:
+        parse_lagrangian(text, Kind.VectorAlpha)
+    assert err.value.offset == offset
+    assert str(err.value) == f"unexpected character {text[offset]!r}"
 
 
 def test_parse_error_unbalanced_parens():
