@@ -22,13 +22,13 @@ nhat = (1.0, 0.0, 0.0)
 
 bi = builtin("born-infeld")
 fr = fresnel_roots(bi, bg, nhat)
-print("born-infeld roots:", np.round(fr.real_roots(), 12))
+print("born-infeld roots:", np.round(fr.roots.real, 12))
 print("pairing:", fr.coincident_with, "birefringent:", fr.birefringent)
 
 # Perturbing Maxwell by a quadratic term splits the pairs.
 pm = builtin("perturbed-maxwell", [0.1])
 fr = fresnel_roots(pm, bg, nhat)
-r = np.sort(fr.real_roots())
+r = np.sort(fr.roots.real)
 print("perturbed roots:  ", np.round(r, 6))
 print("pair splits:", round(r[1] - r[0], 6), round(r[3] - r[2], 6))
 

@@ -32,7 +32,7 @@ print(f"metric cone: end x = {np.round(end_x, 12)}, drift {ray.drift:.1e}")
 # start covector must sit on the surface, so take a scanned root.
 pm = builtin("perturbed-maxwell", [0.1])
 bg = FieldBackground.vector([0.3, 0.0, 0.0], [0.0, 0.4, 0.0])
-roots = fresnel_roots(pm, bg, (1.0, 0.0, 0.0)).real_roots()
+roots = fresnel_roots(pm, bg, (1.0, 0.0, 0.0)).roots.real
 p0 = np.array([-float(np.max(roots)), 1.0, 0.0, 0.0])
 ray = trace(QuarticHamiltonian(pm, bg), np.zeros(4), p0, s_max=10.0)
 print(f"quartic ray: group position x1 = {ray.states[-1, 2]:.4f} "

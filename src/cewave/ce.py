@@ -114,7 +114,6 @@ class VectorCharData:
     alpha: float
     beta: float
     La: float
-    Lb: float
     Laa: float
     Lab: float
     Lbb: float
@@ -153,7 +152,7 @@ class VectorCharData:
 
         return cls(
             alpha=a, beta=b,
-            La=jet.fa, Lb=jet.fb,
+            La=jet.fa,
             Laa=jet.faa, Lab=jet.fab, Lbb=jet.fbb,
             Laaa=jet.faaa, Laab=jet.faab, Labb=jet.fabb, Lbbb=jet.fbbb,
             K=K_j.f, P=P_j.f, R=R_j.f,
@@ -167,19 +166,14 @@ class VectorCharData:
             Ra=R_j.fa, Rb=R_j.fb,
         )
 
-    def k_scale(self) -> float:
-        return self._scales()[0]
-
-    def delta_scale(self) -> float:
-        return self._scales()[1]
-
-    def _scales(self) -> tuple[float, float]:
+    def scales(self) -> tuple[float, float]:
+        """The magnitudes against which K and Delta count as zero."""
         return degeneracy_scales(self.Laa, self.Lab, self.Lbb,
                                  self.K, self.P, self.R)
 
     def _below_tolerance(self):
         """(K small, discriminant small), bools or boolean arrays."""
-        k_scale, delta_scale = self._scales()
+        k_scale, delta_scale = self.scales()
         return (abs(self.K) < DEGENERACY_RTOL * k_scale + _TINY,
                 abs(self.Delta) < DEGENERACY_RTOL * delta_scale + _TINY)
 
@@ -248,11 +242,6 @@ def general_ce_residuals(data: VectorCharData) -> tuple[float, float]:
 def _general(data: VectorCharData) -> tuple[float, float]:
     t3, t4 = _tar_terms(data)
     return _norm(t3), _norm(t4)
-
-
-def discriminant(jet: Jet3, point: InvariantPoint) -> float:
-    """Pair-splitting discriminant P^2 - 4KR of the dispersion quartic."""
-    return VectorCharData.from_jet(jet, point).Delta
 
 
 # ---------------------------------------------------------------------------

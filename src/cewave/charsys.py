@@ -112,13 +112,13 @@ class FieldBackground:
         if kind is Kind.Scalar:
             if self.kind != "scalar":
                 raise KindError("scalar model needs a scalar background")
-            return InvariantPoint.scalar(self.z)
+            return InvariantPoint(z=self.z)
         if self.kind != "vector":
             raise KindError("field-strength model needs an (E, B) background")
         if kind is Kind.VectorAlpha:
-            return InvariantPoint.alpha(self.alpha)
+            return InvariantPoint(a=self.alpha)
         if kind is Kind.VectorAlphaBeta:
-            return InvariantPoint.alpha_beta(self.alpha, self.beta)
+            return InvariantPoint(a=self.alpha, b=self.beta)
         raise KindError(f"no invariant point for kind {kind.value!r} "
                         "on a pure field-strength background")
 
@@ -423,9 +423,6 @@ class FresnelRoots:
     roots: np.ndarray
     coincident_with: tuple[int, int, int, int]
     birefringent: bool
-
-    def real_roots(self) -> np.ndarray:
-        return self.roots.real
 
 
 # why a row of a FresnelBatch has no roots; FresnelBatch.unusable indexes it

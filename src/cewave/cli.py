@@ -55,7 +55,7 @@ from .rays import (
 )
 from .shock1d import (
     Profile1D,
-    exceptional_flux_demo,
+    model_wave,
     moc_solve,
     shock_time,
     write_characteristics_csv,
@@ -92,6 +92,8 @@ def parse_grid(text: str) -> GridSpec:
         name = parts[0].strip()
         if not name:
             raise BadParams(f"grid axis '{chunk}' has an empty name")
+        if name in axes:
+            raise BadParams(f"grid axis '{name}' is given more than once")
         try:
             lo, hi = float(parts[1]), float(parts[2])
             n = int(parts[3])
@@ -324,11 +326,17 @@ def cmd_shock(args) -> int:
     stem = _stem(args.out)
     sols = [moc_solve(lambda u: u, profile, t) for t in t_list]
     outputs = [args.out, f"{stem}_burgers.csv"]
-    demo = None
+    wave = model_crossing = None
     if model is not None:
-        demo = exceptional_flux_demo(model, profile, t_list,
-                                     horizon=args.horizon)
-        payload["model"] = demo.to_dict()
+        wave, model_crossing = model_wave(model, horizon=args.horizon)
+        payload["model"] = {
+            "t_list": t_list,
+            "burgers_crossing": t_cross,
+            "model": model.name,
+            "model_crossing": model_crossing,
+            "model_lam_variation": wave.lam_variation(),
+            "horizon": args.horizon,
+        }
         outputs.append(f"{stem}_model.csv")
 
     # the report is opened first: an --out that cannot be written leaves
@@ -336,13 +344,13 @@ def cmd_shock(args) -> int:
     with open(args.out, "w") as report:
         write_characteristics_csv(f"{stem}_burgers.csv", profile.x,
                                   profile.u, [s.x for s in sols], t_list)
-        if demo is not None:
-            write_characteristics_csv(f"{stem}_model.csv", demo.model_phis,
-                                      demo.model_lams, demo.model_x, t_list)
+        if wave is not None:
+            write_characteristics_csv(
+                f"{stem}_model.csv", wave.phis, wave.lams,
+                [wave.phis + wave.lams * t for t in t_list], t_list)
         report.write(_json_text(payload))
-    crossing = payload["model"]["model_crossing"] if payload["model"] else None
     print(f"profile={args.profile} shock_time={t_star} "
-          f"model_crossing={crossing} -> {', '.join(outputs)}")
+          f"model_crossing={model_crossing} -> {', '.join(outputs)}")
     return 0
 
 

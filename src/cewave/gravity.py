@@ -342,19 +342,16 @@ def einstein_trace_coeff(D: int) -> float:
 # --- gauge projection ------------------------------------------------------------------
 
 
-def gauge_rows(phi, D: int) -> np.ndarray:
-    phi = _check_covector(phi, D)
-    return gauge_vector(phi, pi_from_components(np.eye(sym_dim(D)), D)).T
-
-
 def gauge_project(phi, P: np.ndarray) -> np.ndarray:
     """Orthogonal projection of a symmetric discontinuity onto the
     subspace satisfying the gauge constraint."""
-    _, sv, vt = np.linalg.svd(gauge_rows(phi, len(phi)))
+    D = len(phi)
+    phi = _check_covector(phi, D)
+    _, sv, vt = np.linalg.svd(gauge_vector(phi, _frame(D)[2]).T)
     rank = int(np.sum(sv > RANK_RTOL * (float(sv[0]) + 1e-300)))
     null_basis = vt[rank:]
     c = null_basis.T @ (null_basis @ components_from_pi(P))
-    return pi_from_components(c, len(phi))
+    return pi_from_components(c, D)
 
 
 # --- Monte-Carlo survey ------------------------------------------------------------------

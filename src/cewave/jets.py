@@ -480,22 +480,6 @@ class InvariantPoint:
         self.b = None if b is None else _slot(b)
         self.z = None if z is None else _slot(z)
 
-    @classmethod
-    def scalar(cls, z: float) -> "InvariantPoint":
-        return cls(z=z)
-
-    @classmethod
-    def alpha(cls, a: float) -> "InvariantPoint":
-        return cls(a=a)
-
-    @classmethod
-    def alpha_beta(cls, a: float, b: float) -> "InvariantPoint":
-        return cls(a=a, b=b)
-
-    @classmethod
-    def full(cls, a: float, b: float, z: float) -> "InvariantPoint":
-        return cls(a=a, b=b, z=z)
-
     def get(self, name: str):
         v = getattr(self, name)
         if v is None:

@@ -318,8 +318,6 @@ class LagrangianModel:
         """The model's value: a float, or an array on a set of points."""
         out = self._eval({name: point.get(name)
                           for name in self.kind.variables})
-        if isinstance(out, Jet3):
-            out = out.f
         return out if isinstance(out, np.ndarray) else float(out)
 
     def jet_at(self, point: InvariantPoint,

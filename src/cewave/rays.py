@@ -282,7 +282,6 @@ class TransportResult:
     pi: np.ndarray
     blown_up: bool
     s_star: float | None
-    state: TransportState
 
 
 def transport_amplitude(ts: TransportState, s_max: float,
@@ -334,7 +333,7 @@ def transport_amplitude(ts: TransportState, s_max: float,
                     hi = mid
             s_star = 0.5 * (lo + hi)
     return TransportResult(s=s, pi=np.array(pis),
-                           blown_up=blown, s_star=s_star, state=ts)
+                           blown_up=blown, s_star=s_star)
 
 
 # --- characteristic crossings -------------------------------------------------------

@@ -8,20 +8,22 @@ shock; when the tracked mode is exceptional the speed is constant along
 a simple wave and the characteristic fan never folds.  This module
 builds both kinds of object explicitly: exact characteristic pushes, a
 first-order finite-volume cross-check, simple-wave integration through
-state space, and a side-by-side fan comparison.
+state space, and the simple wave of a scalar model with the time its
+characteristic fan folds, if it does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 from numpy.linalg._linalg import _raise_linalgerror_eigenvalues_nonconvergence
 
 from .charsys import (
+    COINCIDENCE_RTOL,
     scalar_axis_block,
     scalar_system,  # unused here; bench/test_bench.py patches this binding
     write_float_csv,
@@ -39,7 +41,6 @@ from .rays import crossing_time, ternary_argmin
 MULTIVALUED_TOL = 1e-12
 PERIODIC_TOL = 1e-12
 MAX_CFL = 0.9
-COLLISION_TOL = 1e-8
 
 
 # --- initial data -----------------------------------------------------------------
@@ -361,10 +362,10 @@ def _track_mode(sys: ReducedSystem,
         lam = sys.eigenvalues
         gap = abs(lam[1 - j] - lam[j])
         scale = 1.0 + max(abs(lam[0]), abs(lam[1]))
-        if gap < COLLISION_TOL * scale:
+        if gap < COINCIDENCE_RTOL * scale:
             raise ModeCollision(
                 f"eigenvalue gap {gap:.3e} below "
-                f"{COLLISION_TOL * scale:.3e} while tracking a mode")
+                f"{COINCIDENCE_RTOL * scale:.3e} while tracking a mode")
         runner_up = overlaps[1 - j]
         if runner_up > 0.99 * overlaps[j]:
             raise ModeCollision(
@@ -460,60 +461,18 @@ def simple_wave_construct(factory: Callable[[tuple[float, ...]],
                       xi=np.array(xis))
 
 
-# --- characteristic-fan comparison ---------------------------------------------------
+# --- a model's simple-wave fan ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FluxDemoReport:
-    """Side-by-side characteristic fans: a genuinely nonlinear scalar
-    law versus a simple wave of the model under test."""
-
-    t_list: tuple[float, ...]
-    burgers_phis: np.ndarray
-    burgers_lams: np.ndarray
-    burgers_x: tuple[np.ndarray, ...]
-    burgers_crossing: float | None
-    model_name: str
-    model_phis: np.ndarray
-    model_lams: np.ndarray
-    model_x: tuple[np.ndarray, ...]
-    model_crossing: float | None
-    horizon: float
-
-    def to_dict(self) -> dict:
-        return {
-            "t_list": list(self.t_list),
-            "burgers_crossing": self.burgers_crossing,
-            "model": self.model_name,
-            "model_crossing": self.model_crossing,
-            "model_lam_variation": float(np.max(self.model_lams)
-                                         - np.min(self.model_lams)),
-            "horizon": self.horizon,
-        }
-
-
-def exceptional_flux_demo(model: LagrangianModel, profile: Profile1D,
-                          t_list: Sequence[float],
-                          horizon: float = 10.0) -> FluxDemoReport:
-    """Push a Burgers fan from the profile and a simple-wave fan of the
-    scalar model, and report when (whether) each fan folds.  The model's
-    wave follows mode 0 from (A, B) = (0.3, 0.1) for B across [0.1, 0.6]."""
-    lam_b = profile.u
-    burgers_x = tuple(profile.x + lam_b * float(t) for t in t_list)
-    burgers_crossing = crossing_time(lam_b, profile.x, t_max=horizon)
-
+def model_wave(model: LagrangianModel,
+               horizon: float = 10.0) -> tuple[SimpleWave, float | None]:
+    """The simple wave of a scalar model that ``cewave shock`` fans out,
+    mode 0 from (A, B) = (0.3, 0.1) for B across [0.1, 0.6], and the
+    time within the horizon at which its characteristics first cross
+    (None when the fan does not fold by then)."""
     wave = simple_wave_construct(scalar_reduced_factory(model), 0, (0.1, 0.6),
                                  np.array([0.3, 0.1]), component=1)
-    model_x = tuple(wave.phis + wave.lams * float(t) for t in t_list)
-    model_crossing = crossing_time(wave.lams, wave.phis, t_max=horizon)
-
-    return FluxDemoReport(
-        t_list=tuple(float(t) for t in t_list),
-        burgers_phis=profile.x.copy(), burgers_lams=lam_b.copy(),
-        burgers_x=burgers_x, burgers_crossing=burgers_crossing,
-        model_name=model.name, model_phis=wave.phis, model_lams=wave.lams,
-        model_x=model_x, model_crossing=model_crossing,
-        horizon=float(horizon))
+    return wave, crossing_time(wave.lams, wave.phis, t_max=horizon)
 
 
 # --- plot-ready exports --------------------------------------------------------------

@@ -3,7 +3,8 @@
 ``classify_per_point`` is the classification loop that evaluates one grid
 point at a time with float jets; ``ce.classify`` must reproduce its report
 exactly.  ``_am_groups`` writes the third-order conditions out in
-L-partials, and ``jet_check_fd`` cross-checks jets against finite
+L-partials, ``synthetic_jet`` and ``nondegenerate_jet`` draw random
+third-order jets, and ``jet_check_fd`` cross-checks jets against finite
 differences.  ``CallableHamiltonian`` traces rays of an arbitrary H with
 central-difference gradients.  ``axis_matrices`` writes a characteristic
 system out per coordinate axis.  ``scalar_reduced_oracle`` builds a simple
@@ -44,6 +45,7 @@ from cewave.ce import (
     general_ce_residuals,
 )
 from cewave.charsys import (
+    COINCIDENCE_RTOL,
     FieldBackground,
     _scalar_axis_matrix,
     fresnel_roots,
@@ -79,7 +81,7 @@ from cewave.rays import (
     _step_count,
     rk4_step,
 )
-from cewave.shock1d import COLLISION_TOL, ReducedSystem, SimpleWave
+from cewave.shock1d import ReducedSystem, SimpleWave
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +170,28 @@ def appendix_c_residuals(jet: Jet3, point: InvariantPoint
     VectorCharData.from_jet(jet, point).check_nondegenerate()
     raw1, raw2, s1, s2 = appendix_raw(jet, point)
     return abs(raw1) / s1, abs(raw2) / s2
+
+
+def synthetic_jet(rng) -> tuple[Jet3, InvariantPoint]:
+    """A jet and an (a, b) point from 12 uniforms on [-2, 2]."""
+    vals = rng.uniform(-2.0, 2.0, size=12)
+    jet = Jet3(f=vals[0], fa=vals[1], fb=vals[2], faa=vals[3], fab=vals[4],
+               fbb=vals[5], faaa=vals[6], faab=vals[7], fabb=vals[8],
+               fbbb=vals[9])
+    point = InvariantPoint(a=float(vals[10]), b=float(vals[11]))
+    return jet, point
+
+
+def nondegenerate_jet(rng) -> tuple[Jet3, InvariantPoint]:
+    """The first synthetic jet whose K and Delta both clear 5% of their
+    degeneracy scales."""
+    while True:
+        jet, point = synthetic_jet(rng)
+        data = VectorCharData.from_jet(jet, point)
+        k_scale, delta_scale = data.scales()
+        if (abs(data.K) > 0.05 * (k_scale + 1e-30)
+                and abs(data.Delta) > 0.05 * (delta_scale + 1e-30)):
+            return jet, point
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +498,7 @@ def track_mode(sys: ArrayReduced,
         gaps = np.abs(lam - lam[j])
         gaps[j] = np.inf
         scale = 1.0 + float(np.max(np.abs(lam)))
-        if float(np.min(gaps)) < COLLISION_TOL * scale:
+        if float(np.min(gaps)) < COINCIDENCE_RTOL * scale:
             raise ModeCollision("eigenvalue gap below tolerance")
         runner_up = float(np.partition(overlaps, -2)[-2])
         if runner_up > 0.99 * float(overlaps[j]):
@@ -576,7 +600,7 @@ def transport_oracle(ts: TransportState, s_max: float,
                         hi = mid
                 s_star = 0.5 * (lo + hi)
     return TransportResult(s=np.array(ss), pi=np.array(pis),
-                           blown_up=blown, s_star=s_star, state=ts)
+                           blown_up=blown, s_star=s_star)
 
 
 def repr_csv(header: list[str], rows) -> bytes:

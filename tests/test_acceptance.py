@@ -50,7 +50,6 @@ from cewave.gravity import (
     quadratic_operator,
     random_nonnull_covector,
 )
-from cewave.jets import InvariantPoint, Jet3
 from cewave.lagrangians import builtin, from_expression
 from cewave.rays import (
     ConeHamiltonian,
@@ -68,7 +67,7 @@ from cewave.shock1d import (
     simple_wave_construct,
 )
 
-from oracles import appendix_raw
+from oracles import appendix_raw, nondegenerate_jet
 
 
 def _accepted_vector_draws(probe, count, rng):
@@ -91,19 +90,6 @@ def _accepted_vector_draws(probe, count, rng):
             continue
         out.append((bg, nhat))
     return out
-
-
-def _synthetic_nondegenerate_jet(rng):
-    while True:
-        vals = rng.uniform(-2.0, 2.0, size=12)
-        jet = Jet3(f=vals[0], fa=vals[1], fb=vals[2], faa=vals[3],
-                   fab=vals[4], fbb=vals[5], faaa=vals[6], faab=vals[7],
-                   fabb=vals[8], fbbb=vals[9])
-        point = InvariantPoint.alpha_beta(float(vals[10]), float(vals[11]))
-        data = VectorCharData.from_jet(jet, point)
-        if (abs(data.K) > 0.05 * (data.k_scale() + 1e-30)
-                and abs(data.Delta) > 0.05 * (data.delta_scale() + 1e-30)):
-            return jet, point
 
 
 def test_criterion_01_strong_ce_builtins_classify_clean():
@@ -137,7 +123,7 @@ def test_criterion_02_scalar_ce_oracle():
 
 def test_criterion_03_expanded_conditions_match_compact_up_to_one_factor():
     rng = np.random.default_rng(203)
-    jets = [_synthetic_nondegenerate_jet(rng) for _ in range(1000)]
+    jets = [nondegenerate_jet(rng) for _ in range(1000)]
 
     factor = None
     for jet, point in jets:
@@ -170,16 +156,16 @@ def test_criterion_04_birefringence_detection():
     pm_splits = []
     for bg, nhat in draws:
         fr = fresnel_roots(bi, bg, nhat)
-        r = np.sort(fr.real_roots())
+        r = np.sort(fr.roots.real)
         assert max(r[1] - r[0], r[3] - r[2]) < 1e-8
         assert not fr.birefringent
-        rp = np.sort(fresnel_roots(pm, bg, nhat).real_roots())
+        rp = np.sort(fresnel_roots(pm, bg, nhat).roots.real)
         pm_splits.append(min(rp[1] - rp[0], rp[3] - rp[2]))
     assert max(pm_splits) > 1e-3
 
     bg = FieldBackground.vector([0.3, 0.0, 0.0], [0.0, 0.4, 0.0])
     fr = fresnel_roots(pm, bg, (1.0, 0.0, 0.0))
-    rp = np.sort(fr.real_roots())
+    rp = np.sort(fr.roots.real)
     assert fr.birefringent
     assert min(rp[1] - rp[0], rp[3] - rp[2]) > 1e-3
 
@@ -360,7 +346,7 @@ def test_criterion_11_ray_conservation_and_order():
     bg = FieldBackground.vector([0.3, 0.0, 0.0], [0.0, 0.4, 0.0])
     for model in (builtin("born-infeld"), builtin("perturbed-maxwell", [0.1])):
         fr = fresnel_roots(model, bg, (1.0, 0.0, 0.0))
-        p0 = np.array([-float(np.max(fr.real_roots())), 1.0, 0.0, 0.0])
+        p0 = np.array([-float(np.max(fr.roots.real)), 1.0, 0.0, 0.0])
         ray = trace(QuarticHamiltonian(model, bg), np.zeros(4), p0,
                     s_max=10.0)
         assert ray.drift < 1e-12, f"{model.name}: drift {ray.drift:.3e}"

@@ -15,7 +15,6 @@ from cewave.ce import (
     _tar_terms,
     classify,
     coupling_residuals,
-    discriminant,
     general_ce_raw,
     general_ce_residuals,
     scalar_ce_residual,
@@ -23,7 +22,7 @@ from cewave.ce import (
 )
 from cewave.charsys import cone_coefficients
 from cewave.errors import CewaveError, DegeneracyError, EmptyGrid
-from cewave.jets import InvariantPoint, Jet3
+from cewave.jets import InvariantPoint
 from cewave.lagrangians import (
     Kind,
     LagrangianModel,
@@ -37,25 +36,9 @@ from oracles import (
     appendix_c_residuals,
     appendix_raw,
     classify_per_point,
+    nondegenerate_jet,
+    synthetic_jet,
 )
-
-
-def _synthetic_jet(rng) -> tuple[Jet3, InvariantPoint]:
-    vals = rng.uniform(-2.0, 2.0, size=12)
-    jet = Jet3(f=vals[0], fa=vals[1], fb=vals[2], faa=vals[3], fab=vals[4],
-               fbb=vals[5], faaa=vals[6], faab=vals[7], fabb=vals[8],
-               fbbb=vals[9])
-    point = InvariantPoint.alpha_beta(float(vals[10]), float(vals[11]))
-    return jet, point
-
-
-def _nondegenerate_jet(rng) -> tuple[Jet3, InvariantPoint]:
-    while True:
-        jet, point = _synthetic_jet(rng)
-        data = VectorCharData.from_jet(jet, point)
-        if (abs(data.K) > 0.05 * (data.k_scale() + 1e-30)
-                and abs(data.Delta) > 0.05 * (data.delta_scale() + 1e-30)):
-            return jet, point
 
 
 # --- scalar condition --------------------------------------------------------
@@ -63,18 +46,18 @@ def _nondegenerate_jet(rng) -> tuple[Jet3, InvariantPoint]:
 def test_scalar_residual_linear_model_zero():
     model = builtin("scalar-maxwell")
     for z in (-0.3, 0.0, 0.4):
-        assert scalar_ce_residual(model.jet_at(InvariantPoint.scalar(z))) == 0.0
+        assert scalar_ce_residual(model.jet_at(InvariantPoint(z=z))) == 0.0
 
 
 def test_scalar_residual_sqrt_model_zero():
     model = builtin("scalar-bi")
-    jet = model.jet_at(InvariantPoint.scalar(0.3))
+    jet = model.jet_at(InvariantPoint(z=0.3))
     assert scalar_ce_residual(jet) < 1e-12
 
 
 def test_scalar_residual_square_model():
     model = from_expression("z^2", "scalar")
-    jet = model.jet_at(InvariantPoint.scalar(1.0))
+    jet = model.jet_at(InvariantPoint(z=1.0))
     # L'=2, L''=2, L'''=0: raw residual -12, term sum 12
     assert jet.fa * jet.faaa - 3.0 * jet.faa**2 == -12.0
     assert scalar_ce_residual(jet) == pytest.approx(1.0)
@@ -88,7 +71,7 @@ def test_scalar_sqrt_family_random_params():
         c = float(rng.uniform(0.1, 1.0)) * float(rng.choice([-1.0, 1.0]))
         model = from_expression(f"{k!r} + sqrt({d!r} + {c!r}*z)", "scalar")
         for z in rng.uniform(-0.45, 0.45, size=20):
-            jet = model.jet_at(InvariantPoint.scalar(float(z)))
+            jet = model.jet_at(InvariantPoint(z=float(z)))
             assert scalar_ce_residual(jet) < 1e-12
 
 
@@ -96,7 +79,7 @@ def test_scalar_sqrt_family_random_params():
 
 def test_strong_residuals_born_infeld():
     model = builtin("born-infeld")
-    p = InvariantPoint.alpha_beta(0.5, 0.4)
+    p = InvariantPoint(a=0.5, b=0.4)
     r1, r2 = strong_ce_residuals(model.jet_at(p), p)
     assert r1 < 1e-10 and r2 < 1e-10
 
@@ -104,20 +87,20 @@ def test_strong_residuals_born_infeld():
 def test_strong_residuals_maxwell_exact_zero():
     model = builtin("maxwell")
     for a in (-0.3, 0.0, 1.7):
-        p = InvariantPoint.alpha(a)
+        p = InvariantPoint(a=a)
         assert strong_ce_residuals(model.jet_at(p), p) == (0.0, 0.0)
 
 
 def test_strong_residuals_alpha_over_beta():
     model = builtin("alpha-over-beta")
-    p = InvariantPoint.alpha_beta(1.0, 2.0)
+    p = InvariantPoint(a=1.0, b=2.0)
     r1, r2 = strong_ce_residuals(model.jet_at(p), p)
     assert r1 < 1e-10 and r2 < 1e-10
 
 
 def test_strong_residuals_perturbed_maxwell():
     model = builtin("perturbed-maxwell", [0.1])
-    p = InvariantPoint.alpha(1.0)
+    p = InvariantPoint(a=1.0)
     r1, r2 = strong_ce_residuals(model.jet_at(p), p)
     assert r1 > 0.1
     assert r2 == 0.0
@@ -130,7 +113,7 @@ def test_second_strong_residual_vanishes_for_alpha_models():
               builtin("maxwell")]
     for model in models:
         for a in rng.uniform(-0.4, 1.5, size=30):
-            p = InvariantPoint.alpha(float(a))
+            p = InvariantPoint(a=float(a))
             _, r2 = strong_ce_residuals(model.jet_at(p), p)
             assert r2 < 1e-14
 
@@ -140,7 +123,7 @@ def test_second_strong_residual_vanishes_for_alpha_models():
 def test_data_k_recomputation_exact():
     rng = np.random.default_rng(13)
     for _ in range(50):
-        jet, point = _synthetic_jet(rng)
+        jet, point = synthetic_jet(rng)
         data = VectorCharData.from_jet(jet, point)
         assert data.K == jet.faa * jet.fbb - jet.fab * jet.fab
 
@@ -148,7 +131,7 @@ def test_data_k_recomputation_exact():
 def test_discriminant_identity_quarter_vec1_sq_plus_4_vec2_sq():
     rng = np.random.default_rng(14)
     for _ in range(200):
-        jet, point = _synthetic_jet(rng)
+        jet, point = synthetic_jet(rng)
         data = VectorCharData.from_jet(jet, point)
         a, b = data.alpha, data.beta
         vec1 = -jet.fa * (4.0 * jet.faa - jet.fbb) + 2.0 * a * data.K
@@ -162,7 +145,7 @@ def test_discriminant_identity_quarter_vec1_sq_plus_4_vec2_sq():
 def test_data_gradients_match_finite_differences():
     model = from_expression(
         "a^2*b + a*b^2 + a^3 - 0.3*b^3 + 0.5*a - 0.2*b + a*b", "alpha-beta")
-    point = InvariantPoint.alpha_beta(0.7, -0.4)
+    point = InvariantPoint(a=0.7, b=-0.4)
     data = VectorCharData.from_jet(model.jet_at(point), point)
     h = 1e-6
 
@@ -182,17 +165,17 @@ def test_data_gradients_match_finite_differences():
 
 def test_discriminant_values():
     bi = builtin("born-infeld")
-    p = InvariantPoint.alpha_beta(0.5, 0.4)
-    assert abs(discriminant(bi.jet_at(p), p)) < 1e-12
+    p = InvariantPoint(a=0.5, b=0.4)
+    assert abs(VectorCharData.from_jet(bi.jet_at(p), p).Delta) < 1e-12
 
     mx = builtin("maxwell")
-    p = InvariantPoint.alpha(1.0)
-    assert discriminant(mx.jet_at(p), p) == 0.0
+    p = InvariantPoint(a=1.0)
+    assert VectorCharData.from_jet(mx.jet_at(p), p).Delta == 0.0
 
     pm = builtin("perturbed-maxwell", [0.1])
-    p = InvariantPoint.alpha_beta(1.0, 1.0)
-    jet = pm.jet_at(InvariantPoint.alpha(1.0))
-    assert discriminant(jet, p) > 1e-4
+    p = InvariantPoint(a=1.0, b=1.0)
+    jet = pm.jet_at(InvariantPoint(a=1.0))
+    assert VectorCharData.from_jet(jet, p).Delta > 1e-4
 
 
 def test_perfect_square_when_discriminant_vanishes():
@@ -201,7 +184,7 @@ def test_perfect_square_when_discriminant_vanishes():
     for _ in range(10):
         a = float(rng.uniform(-0.4, 1.5))
         b = float(rng.uniform(-0.8, 0.8))
-        point = InvariantPoint.alpha_beta(a, b)
+        point = InvariantPoint(a=a, b=b)
         d = VectorCharData.from_jet(model.jet_at(point), point)
         for _ in range(50):
             u = float(rng.uniform(-3, 3))
@@ -217,7 +200,7 @@ def test_perfect_square_when_discriminant_vanishes():
 
 def test_general_residuals_born_infeld_degenerate():
     model = builtin("born-infeld")
-    point = InvariantPoint.alpha_beta(0.5, 0.4)
+    point = InvariantPoint(a=0.5, b=0.4)
     with pytest.raises(DegeneracyError):
         general_ce_residuals(
             VectorCharData.from_jet(model.jet_at(point), point))
@@ -227,8 +210,8 @@ def test_general_residuals_alpha_only_degenerate():
     # K vanishes identically for any L(a); the birefringent-branch
     # conditions never apply there, whatever the claimed residual values
     model = builtin("perturbed-maxwell", [0.1])
-    jet = model.jet_at(InvariantPoint.alpha(1.0))
-    point = InvariantPoint.alpha_beta(1.0, 0.5)
+    jet = model.jet_at(InvariantPoint(a=1.0))
+    point = InvariantPoint(a=1.0, b=0.5)
     with pytest.raises(DegeneracyError):
         general_ce_residuals(VectorCharData.from_jet(jet, point))
 
@@ -236,7 +219,7 @@ def test_general_residuals_alpha_only_degenerate():
 def test_appendix_matches_general_raw_on_random_jets():
     rng = np.random.default_rng(16)
     for _ in range(200):
-        jet, point = _nondegenerate_jet(rng)
+        jet, point = nondegenerate_jet(rng)
         data = VectorCharData.from_jet(jet, point)
         raw3, raw4, s3, s4 = general_ce_raw(data)
         am1, am2, t1, t2 = appendix_raw(jet, point)
@@ -248,7 +231,7 @@ def test_appendix_matches_general_raw_on_random_jets():
 def test_appendix_and_general_on_third_partials_zero_jet():
     rng = np.random.default_rng(17)
     for _ in range(50):
-        jet, point = _nondegenerate_jet(rng)
+        jet, point = nondegenerate_jet(rng)
         jet.faaa = jet.faab = jet.fabb = jet.fbbb = 0.0
         data = VectorCharData.from_jet(jet, point)
         raw3, raw4, s3, s4 = general_ce_raw(data)
@@ -281,7 +264,7 @@ def test_expanded_conditions_match_compact_forms_symbolically():
 
     K, P, R = cone_coefficients(La, Laa, Lab, Lbb, a, b)
     data = VectorCharData(
-        alpha=a, beta=b, La=La, Lb=0, Laa=Laa, Lab=Lab, Lbb=Lbb,
+        alpha=a, beta=b, La=La, Laa=Laa, Lab=Lab, Lbb=Lbb,
         Laaa=Laaa, Laab=Laab, Labb=Labb, Lbbb=Lbbb, K=K, P=P, R=R,
         p=2 * Laa, q=La + b * Lab, r=Lab, s=b * Lbb / 2,
         Delta=P**2 - 4 * K * R,
@@ -297,7 +280,7 @@ def test_expanded_conditions_match_compact_forms_symbolically():
 def test_general_residuals_normalized_range():
     rng = np.random.default_rng(18)
     for _ in range(100):
-        jet, point = _nondegenerate_jet(rng)
+        jet, point = nondegenerate_jet(rng)
         data = VectorCharData.from_jet(jet, point)
         n3, n4 = general_ce_residuals(data)
         a1, a2 = appendix_c_residuals(jet, point)
@@ -310,13 +293,13 @@ def test_general_residuals_normalized_range():
 def test_coupling_residuals_separable_model():
     model = from_expression(
         "(1 - sqrt(1 + a - b^2)) + (1 - sqrt(1 + 2*z))", "vector-scalar")
-    point = InvariantPoint.full(0.3, 0.2, 0.1)
+    point = InvariantPoint(a=0.3, b=0.2, z=0.1)
     assert coupling_residuals(model, point, model.jet_at(point)) == (0.0, 0.0)
 
 
 def test_coupling_residuals_bilinear_model():
     model = from_expression("a*z", "vector-scalar")
-    point = InvariantPoint.full(0.5, 0.25, 0.1)
+    point = InvariantPoint(a=0.5, b=0.25, z=0.1)
     ra, rb = coupling_residuals(model, point, model.jet_at(point))
     assert ra == 1.0
     assert rb == 0.0
@@ -324,7 +307,7 @@ def test_coupling_residuals_bilinear_model():
 
 def test_coupling_residuals_linear_model():
     model = from_expression("a + b + z", "vector-scalar")
-    point = InvariantPoint.full(0.5, 0.25, 0.1)
+    point = InvariantPoint(a=0.5, b=0.25, z=0.1)
     assert coupling_residuals(model, point, model.jet_at(point)) == (0.0, 0.0)
 
 
@@ -334,7 +317,7 @@ def test_coupling_residuals_closed_form(a, z):
     # L_bb = 0, so the residuals are |2z| / (|2z| + |2a|) and
     # 1 / (1 + |2a|)
     model = from_expression("a*z^2 + b*z", "vector-scalar")
-    point = InvariantPoint.full(a, 0.3, z)
+    point = InvariantPoint(a=a, b=0.3, z=z)
     ra, rb = coupling_residuals(model, point, model.jet_at(point))
     assert ra == abs(2 * z) / (abs(2 * z) + abs(2 * a))
     assert rb == 1.0 / (1.0 + abs(2 * a))

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 import pytest
 
-from cewave import cli, gravity, rays
+from cewave import cli, gravity, rays, shock1d
 from cewave.ce import classify
 from cewave.cli import main, parse_grid
 from cewave.errors import BadParams
@@ -186,6 +186,8 @@ def test_ce_check_input_errors_exit_2(argv, tmp_path, capsys, monkeypatch):
      "grid axis 'q' is not an invariant of the model (a)"),
     ("scalar-bi", "z:0:0.1:3,a:0:1:3",
      "grid axis 'a' is not an invariant of the model (z)"),
+    # the last copy of a repeated axis used to replace the first
+    ("maxwell", "a:0:1:3,a:5:6:3", "grid axis 'a' is given more than once"),
 ])
 def test_ce_check_grid_needs_exactly_the_models_axes(model, grid, message,
                                                       tmp_path, capsys,
@@ -205,11 +207,11 @@ def test_parse_grid():
 
 @pytest.mark.parametrize("text", ["a:0:1", "a:0:x:5", ":0:1:5", "a:0:1:0", "",
                                   "a:nan:1:3", "a:0:inf:3",
-                                  "a:-1e308:1e308:3"])
+                                  "a:-1e308:1e308:3", "a:0:1:3,a:5:6:3",
+                                  "a:0:1:3,b:0:1:3, a :0:1:3"])
 def test_parse_grid_rejects(text):
     with pytest.raises(BadParams):
         parse_grid(text)
-
 
 # --- fresnel scan ---------------------------------------------------------------------
 
@@ -404,6 +406,41 @@ def test_shock_with_exceptional_model(tmp_path):
     fan = _read_csv(tmp_path / "s_model.csv")
     assert fan[0][:2] == ["phi", "lam"]
     assert len(fan) == 202
+
+
+@pytest.mark.parametrize("profile", ["sin", "linear", "step"])
+def test_shock_with_a_model_builds_one_burgers_fan(profile, tmp_path,
+                                                   monkeypatch):
+    # one crossing time for the Burgers fan and one for the model's
+    # simple wave, counted at every binding of each function
+    calls = {"crossing_time": 0, "simple_wave_construct": 0}
+    package = [m for n, m in sys.modules.items()
+               if n == "cewave" or n.startswith("cewave.")]
+    patched = set()
+    for name, fn in (("crossing_time", rays.crossing_time),
+                     ("simple_wave_construct",
+                      shock1d.simple_wave_construct)):
+
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in package:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+                    patched.add((module.__name__, attr))
+    assert {("cewave.cli", "crossing_time"),
+            ("cewave.shock1d", "crossing_time"),
+            ("cewave.shock1d", "simple_wave_construct")} <= patched
+
+    out = tmp_path / "s.json"
+    assert main(["shock", "--profile", profile, "--model-builtin",
+                 "scalar-bi", "--out", str(out)]) == 0
+    assert calls == {"crossing_time": 2, "simple_wave_construct": 1}
+    payload = _read_json(out)
+    assert (payload["model"]["burgers_crossing"]
+            == payload["burgers"]["crossing_time"])
 
 
 @pytest.mark.parametrize("argv", [

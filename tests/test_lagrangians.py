@@ -23,7 +23,7 @@ def test_parse_maxwell_matches_builtin():
     ref = builtin("maxwell")
     rng = np.random.default_rng(1)
     for a in rng.uniform(-2.0, 2.0, size=25):
-        p = InvariantPoint.alpha(float(a))
+        p = InvariantPoint(a=float(a))
         assert expr.jet_at(p).as_tuple() == ref.jet_at(p).as_tuple()
 
 
@@ -34,7 +34,7 @@ def test_parse_born_infeld_text():
     for _ in range(25):
         a = float(rng.uniform(-0.4, 1.5))
         b = float(rng.uniform(-0.9, 0.9))
-        p = InvariantPoint.alpha_beta(a, b)
+        p = InvariantPoint(a=a, b=b)
         got = expr.jet_at(p).as_tuple()
         want = ref.jet_at(p).as_tuple()
         assert got == pytest.approx(want, rel=1e-14, abs=1e-15)
@@ -179,21 +179,21 @@ def test_builtin_catalog_complete():
 def test_builtin_kinds_and_guards():
     bi = builtin("born-infeld")
     assert bi.kind is Kind.VectorAlphaBeta
-    assert bi.guard_ok(InvariantPoint.alpha_beta(0.0, 0.0))
-    assert not bi.guard_ok(InvariantPoint.alpha_beta(-2.0, 0.0))
+    assert bi.guard_ok(InvariantPoint(a=0.0, b=0.0))
+    assert not bi.guard_ok(InvariantPoint(a=-2.0, b=0.0))
 
     sq = builtin("sqrt-family", [1.0, 1.0, -2.0])
     assert sq.kind is Kind.VectorAlpha
-    assert sq.guard_ok(InvariantPoint.alpha(0.3))
-    assert not sq.guard_ok(InvariantPoint.alpha(0.6))
+    assert sq.guard_ok(InvariantPoint(a=0.3))
+    assert not sq.guard_ok(InvariantPoint(a=0.6))
 
     ab = builtin("alpha-over-beta")
-    assert not ab.guard_ok(InvariantPoint.alpha_beta(1.0, 0.0))
+    assert not ab.guard_ok(InvariantPoint(a=1.0, b=0.0))
 
 
 def test_sqrt_family_value():
     model = builtin("sqrt-family", [1.0, 1.0, -2.0])
-    p = InvariantPoint.alpha(0.18)
+    p = InvariantPoint(a=0.18)
     assert model.value_at(p) == pytest.approx(1.8)
     jet = model.jet_at(p)
     # d/da of (1 - 2a)^(1/2) = -1/sqrt(1-2a)
@@ -202,7 +202,7 @@ def test_sqrt_family_value():
 
 def test_perturbed_maxwell_value():
     model = builtin("perturbed-maxwell", [0.1])
-    jet = model.jet_at(InvariantPoint.alpha(1.0))
+    jet = model.jet_at(InvariantPoint(a=1.0))
     assert jet.f == pytest.approx(-0.4)
     assert jet.fa == pytest.approx(-0.5 + 0.2)
     assert jet.faa == pytest.approx(0.2)
@@ -211,7 +211,7 @@ def test_perturbed_maxwell_value():
 
 def test_vector_scalar_kind_jets_run_over_alpha_beta():
     model = from_expression("a*z + b*b", "vector-scalar")
-    point = InvariantPoint.full(0.5, 0.25, 2.0)
+    point = InvariantPoint(a=0.5, b=0.25, z=2.0)
     jet = model.jet_at(point)
     assert jet.fa == pytest.approx(2.0)   # d/da of a*z at z=2
     assert jet.fb == pytest.approx(0.5)   # d/db of b^2 at b=0.25

@@ -431,10 +431,17 @@ def _few_steps(s_max: float, step: float) -> bool:
     return not math.isfinite(ratio) or abs(ratio) <= 4000.0
 
 
-def _same_bits(a, b) -> bool:
+def _same_bits_but_nan(a, b) -> bool:
+    """Same dtype, shape and bits, signs of zero included, where any nan
+    equals any nan: IEEE 754 leaves the sign of a nan result open, and
+    CPython's specialized float operations return another nan operand
+    than its generic ones."""
     a, b = np.asarray(a), np.asarray(b)
-    return (a.dtype == b.dtype and a.shape == b.shape
-            and a.tobytes() == b.tobytes())
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
 
 
 def _same_s_star(a, b) -> bool:
@@ -442,8 +449,7 @@ def _same_s_star(a, b) -> bool:
     nan equals any nan."""
     if a is None or b is None:
         return a is b
-    return type(a) is type(b) and (_same_bits(a, b)
-                                   or (math.isnan(a) and math.isnan(b)))
+    return type(a) is type(b) and _same_bits_but_nan(a, b)
 
 
 @settings(max_examples=400, deadline=None)
@@ -463,6 +469,10 @@ def _same_s_star(a, b) -> bool:
 @example(pi0=BLOWUP_THRESHOLD, m=0.0, c=0.0, s_max=1.0, step=0.01)
 @example(pi0=math.nextafter(BLOWUP_THRESHOLD, math.inf), m=0.0, c=0.0,
          s_max=1.0, step=0.01)
+# nan + -nan: the sign of the nan depends on which float operations the
+# interpreter has specialized by then
+@example(pi0=math.nan, m=math.nan, c=-2.225073858507203e-309, s_max=0.0,
+         step=1e-300)
 def test_transport_matches_the_rk4_step_loop_bit_for_bit(pi0, m, c, s_max,
                                                           step):
     assume(_few_steps(s_max, step))
@@ -475,8 +485,8 @@ def test_transport_matches_the_rk4_step_loop_bit_for_bit(pi0, m, c, s_max,
         assert str(got.value) == str(exc)
         return
     got = transport_amplitude(ts, s_max=s_max, step=step)
-    assert _same_bits(got.s, want.s)
-    assert _same_bits(got.pi, want.pi)
+    assert _same_bits_but_nan(got.s, want.s)
+    assert _same_bits_but_nan(got.pi, want.pi)
     assert got.blown_up is want.blown_up
     assert _same_s_star(got.s_star, want.s_star)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from cewave import shock1d
 from cewave.charsys import FieldBackground, scalar_axis_block, scalar_system
+from cewave.cli import main
 from cewave.errors import (
     BadParams,
     CewaveError,
@@ -31,7 +33,7 @@ from cewave.shock1d import (
     _reduced_from_matrix,
     _track_mode,
     burgers_factory,
-    exceptional_flux_demo,
+    model_wave,
     moc_solve,
     moc_upwind_l1,
     scalar_reduced_factory,
@@ -573,23 +575,30 @@ def test_simple_wave_detects_mode_collision():
                               component=1)
 
 
-def test_flux_demo_contrasts_folding_and_exceptional_fans():
-    report = exceptional_flux_demo(builtin("scalar-bi"), _sin_profile(),
-                                   [0.5, 1.0, 2.0, 5.0])
-    assert abs(report.burgers_crossing - 1.0) < 0.02
-    assert report.model_crossing is None
-    assert np.max(report.model_lams) - np.min(report.model_lams) < 1e-8
-    assert len(report.burgers_x) == 4
-    d = report.to_dict()
+def test_flux_demo_contrasts_folding_and_exceptional_fans(tmp_path):
+    out = tmp_path / "fan.json"
+    assert main(["shock", "--model-builtin", "scalar-bi", "--t-list",
+                 "0.5,1.0,2.0,5.0", "--out", str(out)]) == 0
+    d = json.loads(out.read_text())["model"]
+    assert abs(d["burgers_crossing"] - 1.0) < 0.02
     assert d["model_crossing"] is None
+    assert d["model_lam_variation"] < 1e-8
+    burgers = (tmp_path / "fan_burgers.csv").read_text().splitlines()
+    assert len(burgers[0].split(",")) == 2 + 4
     assert d["model"] == "scalar-bi"
+    wave, crossing = model_wave(builtin("scalar-bi"))
+    assert crossing is None
+    assert np.max(wave.lams) - np.min(wave.lams) < 1e-8
 
 
 def test_flux_demo_reports_finite_crossing_for_genuinely_nonlinear_model():
     model = from_expression("z^2", Kind.Scalar, name="quadratic")
-    report = exceptional_flux_demo(model, _sin_profile(), [0.5])
-    assert report.model_crossing is not None
-    assert 0.0 < report.model_crossing < 10.0
+    wave, crossing = model_wave(model)
+    assert crossing is not None
+    assert 0.0 < crossing < 10.0
+    assert crossing == crossing_time(wave.lams, wave.phis, t_max=10.0)
+    # the horizon bounds the reported crossing
+    assert model_wave(model, horizon=0.5 * crossing)[1] is None
 
 
 def test_characteristics_csv_roundtrip(tmp_path):
