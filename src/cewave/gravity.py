@@ -16,8 +16,12 @@ pointwise in the tensors, so a flat background loses nothing.
 The operator is linear in pi, so broadcasting tensor formulas turn T
 normals (T, 1, D) and the symmetric basis stack (n, D, D) into
 operators (T, D + n, n): D gauge rows, then n upper-triangle tensor
-entries; stacked SVDs rank them.  eta, the triangle indices and the
-basis are built once per D and kept read-only in small caches.
+entries; stacked SVDs rank them.  Each tensor formula takes an entry
+selection at = (a, b) and then computes only those entries, (T, n, n)
+instead of (T, n, D, D), by the same elementwise operations, so they
+equal the full tensor's bit for bit.  eta, the triangle indices, the
+basis and its contractions with eta are built once per D and kept
+read-only in small caches.
 
 A survey draws, checks and contracts its normals as arrays: the
 uniforms of up to 128 normals per call, re-laid after a rejection so the
@@ -31,6 +35,7 @@ a sum over an axis) rounds some of it to 0.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,7 +50,7 @@ MIN_NONNULL_Q = 0.1
 GAUGE_MODE_RTOL = 1e-10
 # smallest row norm whose squared entries sum in the normal double range
 _MIN_ROW_NORM = float(np.sqrt(np.finfo(float).tiny))
-_BLOCK = 16   # normals per survey step; bounds the (T, n, D, D) temporaries
+_BLOCK = 16   # normals per survey step; bounds the (T, n, n) entry arrays
 _MIN_NULL_NORM = 1e-3   # a null normal's spatial part is redrawn below this
 _FRAMES = 8   # dimensions whose eta and symmetric frame stay cached
 _DRAW_SLOTS = 128   # normals per draw call; bounds the re-laying per rejection
@@ -128,12 +133,12 @@ def _q(phi: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def covector_q(phi) -> float:
-    phi = np.asarray(phi, dtype=float)
+    phi = _check_covector(phi)
     return float(_q(phi, eta(len(phi)))[0, 0])
 
 
 def classify_covector(phi) -> str:
-    phi = np.asarray(phi, dtype=float)
+    phi = _check_covector(phi)
     scale = float(phi @ phi)
     if abs(covector_q(phi)) < NULL_RTOL * (scale + 1e-300):
         return "NullDirection"
@@ -141,28 +146,72 @@ def classify_covector(phi) -> str:
 
 
 # --- theory-specific discontinuity tensors -------------------------------------------
-# Each takes phi (..., D) and P (..., D, D) with broadcasting leading axes.
+# Each takes phi (..., D) and P (..., D, D) with broadcasting leading axes;
+# given at = (a, b) it returns only the tensor's entries [..., a, b].
 
 
-def _outer(x, y):
-    return x[..., :, None] * y[..., None, :]
+def _outer(x, y, at=None):
+    """x y^T (..., D, D), or its entries x_a y_b when at = (a, b) selects
+    them."""
+    if at is None:
+        return x[..., :, None] * y[..., None, :]
+    return x[..., at[0]] * y[..., at[1]]
 
 
-def _scalars(phi, P):
-    """phi, eta, and Q (one dot per normal), pi^lam_lam and phi phi pi,
-    each shaped (..., 1, 1) to broadcast against tensors."""
+def _entries(x, at):
+    """x (..., D, D), or its entries x[..., a, b] when at = (a, b)."""
+    return x if at is None else x[..., at[0], at[1]]
+
+
+def _eta_contractions(g, P):
+    """g P, its trace pi^lam_lam and g P g."""
+    gP = g @ P
+    return gP, np.trace(gP, axis1=-2, axis2=-1), gP @ g
+
+
+@lru_cache(maxsize=_FRAMES)
+def _basis_contractions(D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_eta_contractions of the symmetric basis stack (n, D, D), which
+    every survey block contracts, built once per D; read-only."""
+    out = _eta_contractions(eta(D), _frame(D)[2])
+    for x in out:
+        x.setflags(write=False)
+    return out
+
+
+def _contractions(g, P):
+    """_eta_contractions of P, taken from the per-D cache when P is the
+    symmetric basis stack."""
+    if P is _frame(len(g))[2]:
+        return _basis_contractions(len(g))
+    return _eta_contractions(g, P)
+
+
+def _scalars(phi, P, at=None):
+    """phi, eta, Q (one dot per normal, ``_q``) and pi^lam_lam, the
+    scalars shaped (..., 1, 1) to broadcast against tensors, or (..., 1)
+    against their entries at = (a, b)."""
     phi = np.asarray(phi, dtype=float)
     g = eta(phi.shape[-1])
+    Q, trace = _q(phi, g), _contractions(g, P)[1][..., None, None]
+    if at is not None:
+        Q, trace = Q[..., 0], trace[..., 0]
+    return phi, g, Q, trace
+
+
+def _phiphi_pi(phi, g, P, at=None):
+    """phi phi pi = up P up^T of the upper-index normal up, shaped as
+    the ``_scalars``."""
     up = (phi @ g)[..., None, :]
-    return (phi, g, _q(phi, g),
-            np.trace(g @ P, axis1=-2, axis2=-1)[..., None, None],
-            up @ P @ np.swapaxes(up, -1, -2))
+    s = up @ P @ np.swapaxes(up, -1, -2)
+    return s if at is None else s[..., 0]
 
 
-def _phi_pi_terms(phi, P, g, trace):
+def _phi_pi_terms(phi, P, g, trace, at=None):
     """phi v + v phi - phi phi pi^lam_lam, v_nu = phi_lam pi^lam_nu."""
-    v = (phi[..., None, :] @ (g @ P))[..., 0, :]
-    return _outer(phi, v) + _outer(v, phi) - _outer(phi, phi) * trace
+    v = (phi[..., None, :] @ _contractions(g, P)[0])[..., 0, :]
+    return (_outer(phi, v, at) + _outer(v, phi, at)
+            - _outer(phi, phi, at) * trace)
 
 
 def gauge_vector(phi, P: np.ndarray) -> np.ndarray:
@@ -170,21 +219,22 @@ def gauge_vector(phi, P: np.ndarray) -> np.ndarray:
     returned with the free index up."""
     phi = np.asarray(phi, dtype=float)
     g = eta(phi.shape[-1])
-    trace = np.trace(g @ P, axis1=-2, axis2=-1)[..., None]
-    return 2.0 * (g @ P @ g @ phi[..., None])[..., 0] - trace * (phi @ g)
+    _, trace, gPg = _contractions(g, P)
+    return 2.0 * (gPg @ phi[..., None])[..., 0] - trace[..., None] * (phi @ g)
 
 
-def einstein_tensor_disc(phi, P: np.ndarray) -> np.ndarray:
+def einstein_tensor_disc(phi, P: np.ndarray, at=None) -> np.ndarray:
     """Leading discontinuity of the Einstein tensor, all indices down,
     assembled term by term with no gauge identities substituted."""
-    phi, g, Q, trace, phiphi_pi = _scalars(phi, P)
-    t = (_phi_pi_terms(phi, P, g, trace)
-         - Q * P
-         - g * (phiphi_pi - Q * trace))
+    phi, g, Q, trace = _scalars(phi, P, at)
+    t = (_phi_pi_terms(phi, P, g, trace, at)
+         - Q * _entries(P, at)
+         - _entries(g, at) * (_phiphi_pi(phi, g, P, at) - Q * trace))
     return 0.5 * t
 
 
-def quadratic_tensor_disc(p: float, q: float, phi, P: np.ndarray) -> np.ndarray:
+def quadratic_tensor_disc(p: float, q: float, phi, P: np.ndarray,
+                          at=None) -> np.ndarray:
     """Leading discontinuity tensor of curvature-squared gravity with
     couplings (p, q), harmonic gauge already used in its derivation.
 
@@ -198,26 +248,28 @@ def quadratic_tensor_disc(p: float, q: float, phi, P: np.ndarray) -> np.ndarray:
     non-null normals keep a one-dimensional kernel.  PAPER.md does not
     fix this convention; under p Ric^2 + q R^2 the sign of q here would
     flip."""
-    phi, g, Q, trace, _ = _scalars(phi, P)
-    inner = (0.5 * (p - 2.0 * q) * _outer(phi, phi) * trace
-             - 0.5 * p * Q * P
-             - 0.5 * (0.5 * p - 2.0 * q) * Q * trace * g)
+    phi, g, Q, trace = _scalars(phi, P, at)
+    inner = (0.5 * (p - 2.0 * q) * _outer(phi, phi, at) * trace
+             - 0.5 * p * Q * _entries(P, at)
+             - 0.5 * (0.5 * p - 2.0 * q) * Q * trace * _entries(g, at))
     return Q * inner
 
 
-def fr_tensor_disc(f2: float, phi, P: np.ndarray) -> np.ndarray:
+def fr_tensor_disc(f2: float, phi, P: np.ndarray, at=None) -> np.ndarray:
     """Leading discontinuity tensor of an f(R) action, proportional to
     the second derivative of f at the background curvature."""
-    phi, g, Q, trace, phiphi_pi = _scalars(phi, P)
-    return (Q * g - _outer(phi, phi)) * (phiphi_pi - Q * trace) * f2
+    phi, g, Q, trace = _scalars(phi, P, at)
+    return ((Q * _entries(g, at) - _outer(phi, phi, at))
+            * (_phiphi_pi(phi, g, P, at) - Q * trace) * f2)
 
 
 # --- operator assembly ----------------------------------------------------------------
 
 
 def _theory(theory: str, p: float = 1.0, q: float = 0.0, f2: float = 1.0):
-    """(tensor(phi, P), whether its rows must annihilate pure-gauge modes;
-    not curvature-squared ones, whose tensor substitutes harmonic gauge)."""
+    """(tensor(phi, P, at=None), whether its rows must annihilate
+    pure-gauge modes; not curvature-squared ones, whose tensor substitutes
+    harmonic gauge)."""
     theory = theory.lower()
     if theory == "einstein":
         return einstein_tensor_disc, True
@@ -227,25 +279,30 @@ def _theory(theory: str, p: float = 1.0, q: float = 0.0, f2: float = 1.0):
                             "finite")
         if p == 0.0 and q == 0.0:
             raise ZeroCouplings("couplings (p, q) = (0, 0) leave no equations")
-        return (lambda phi, P: quadratic_tensor_disc(p, q, phi, P)), False
+        return (lambda phi, P, at=None:
+                quadratic_tensor_disc(p, q, phi, P, at)), False
     if theory == "fr":
         if not np.isfinite(f2):
             raise BadParams(f"f'' = {f2:g} must be finite")
         if f2 == 0.0:
             raise ZeroCoupling("f'' = 0 degenerates to the Einstein case; "
                                "use einstein_operator")
-        return (lambda phi, P: fr_tensor_disc(f2, phi, P)), True
+        return (lambda phi, P, at=None: fr_tensor_disc(f2, phi, P, at)), True
     raise BadParams(f"unknown gravity theory '{theory}'; expected "
                     "einstein, quadratic, or fr")
 
 
+def _gauge_modes(phis: np.ndarray, at=None) -> np.ndarray:
+    """Pure-gauge modes phi xi + xi phi of phis (T, D) for the D unit
+    vectors xi, (T, D, D, D), or their entries (T, D, n) at = (a, b)."""
+    e = np.eye(phis.shape[-1])
+    return _outer(phis[:, None], e, at) + _outer(e, phis[:, None], at)
+
+
 def _check_gauge_modes(phis: np.ndarray, eq: np.ndarray) -> None:
     """Linearized diffeomorphism invariance: equation rows eq (T, n, n)
-    annihilate the pure-gauge modes phi xi + xi phi of phis (T, D)."""
-    e = np.eye(phis.shape[-1])
-    a, b, _ = _frame(phis.shape[-1])
-    modes = (_outer(phis[:, None], e)
-             + _outer(e, phis[:, None]))[..., a, b]   # (T, D, n)
+    annihilate the pure-gauge modes of phis (T, D)."""
+    modes = _gauge_modes(phis, _frame(phis.shape[-1])[:2])
     residual = np.abs(eq @ np.swapaxes(modes, 1, 2)).max(axis=(1, 2))
     scale = np.abs(eq).max(axis=(1, 2)) * np.abs(modes).max(axis=(1, 2))
     ratio = residual / scale
@@ -263,7 +320,7 @@ def _operators(tensor, gauge_invariant: bool, phis: np.ndarray) -> np.ndarray:
     a, b, basis = _frame(D)
     ops = np.empty((T, D + len(a), len(a)))
     ops[:, :D] = np.swapaxes(gauge_vector(phis[:, None], basis), 1, 2)
-    ops[:, D:] = np.swapaxes(tensor(phis[:, None], basis)[..., a, b], 1, 2)
+    ops[:, D:] = np.swapaxes(tensor(phis[:, None], basis, at=(a, b)), 1, 2)
     if gauge_invariant:
         _check_gauge_modes(phis, ops[:, D:])
     return ops
@@ -415,8 +472,8 @@ def _survey_normals(rng: np.random.Generator, D: int,
 
 
 def _histogram(dims: np.ndarray) -> dict[str, int]:
-    values, counts = np.unique(dims, return_counts=True)
-    return {str(d): int(c) for d, c in zip(values, counts)}
+    counts = Counter(dims.tolist())
+    return {str(d): counts[d] for d in sorted(counts)}
 
 
 def kernel_survey(theory: str, D: int, trials: int,

@@ -68,6 +68,7 @@ from cewave.gravity import (
     MIN_NONNULL_Q,
     _check_covector,
     _phi_pi_terms,
+    _phiphi_pi,
     _scalars,
     covector_q,
     eta,
@@ -686,7 +687,8 @@ def identity_checks(phi, P: np.ndarray) -> tuple[float, float]:
     double-contraction half-trace relation.  Both are normalized by the
     natural magnitude |phi|^2 max|pi|."""
     P = np.asarray(P, dtype=float)
-    phi, g, Q, trace, phiphi_pi = _scalars(phi, P)
+    phi, g, Q, trace = _scalars(phi, P)
+    phiphi_pi = _phiphi_pi(phi, g, P)
     scale = float(phi @ phi) * (np.max(np.abs(P)) + 1e-300)
     first = _phi_pi_terms(phi, P, g, trace)
     res2 = abs(phiphi_pi - 0.5 * Q * trace)

@@ -658,6 +658,21 @@ def test_gravity_quadratic_special_couplings(tmp_path):
     assert payload["nonnull_kernel_dims"] == {"1": 10}
 
 
+@pytest.mark.parametrize("D", ["4", "7"])
+def test_gravity_quadratic_p_twice_q(D, tmp_path):
+    # p = 2q is below the conformal ratio 4(D-1)/D, so non-null normals
+    # leave no kernel; the null dims are set by the rounding of Q and are
+    # not asserted
+    out = tmp_path / "g.json"
+    rc = main(["gravity", "--theory", "quadratic", "--p", "2", "--q", "1",
+               "--D", D, "--trials", "40", "--out", str(out)])
+    assert rc == 0
+    payload = _read_json(out)
+    assert sum(payload["null_kernel_dims"].values()) == 40
+    assert sum(payload["nonnull_kernel_dims"].values()) == 40
+    assert payload["nonnull_kernel_dims"] == {"0": 40}
+
+
 def test_gravity_fr_dimension_five(tmp_path):
     out = tmp_path / "g.json"
     rc = main(["gravity", "--theory", "fr", "--D", "5", "--trials", "10",
@@ -731,7 +746,8 @@ def test_gravity_broken_gauge_invariance_exits_4(tmp_path, capsys,
     # a corrupted tensor trips the internal check
     exact = gravity.einstein_tensor_disc
     monkeypatch.setattr(gravity, "einstein_tensor_disc",
-                        lambda phi, P: exact(phi, P) + 1e-3 * P)
+                        lambda phi, P, at=None: exact(phi, P, at)
+                        + 1e-3 * gravity._entries(P, at))
     rc = main(["gravity", "--theory", "einstein", "--trials", "3",
                "--out", str(tmp_path / "g.json")])
     assert rc == 4

@@ -72,6 +72,24 @@ def test_covector_classification():
     assert covector_q(SPACE4) == 1.0
 
 
+@pytest.mark.parametrize("check", [covector_q, classify_covector])
+def test_covector_checks_reject_a_zero_covector(check):
+    with pytest.raises(ZeroCovector):
+        check([0.0, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("check", [covector_q, classify_covector])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_covector_checks_reject_a_non_finite_covector(check, bad):
+    with pytest.raises(BadParams):
+        check([bad, 1.0, 0.0, 0.0])
+
+
+def test_kernel_report_rejects_a_zero_covector():
+    with pytest.raises(ZeroCovector):
+        KernelReport.from_operator(einstein_operator(NULL4), np.zeros(4))
+
+
 def test_operator_shapes_and_input_checks():
     op = einstein_operator(NULL4)
     assert op.shape == (14, 10)
@@ -379,6 +397,43 @@ def test_batched_operators_equal_per_column_oracle(theory, kw):
             assert np.array_equal(SINGLE[theory](full, phi, D), want)
 
 
+# The operators ask each tensor for its upper-triangle entries only; the
+# entries must be those of the full tensor bit for bit, so each formula
+# has one definition.
+
+
+def _normals_with_signed_zeros(rng, D, T, zeros):
+    """T normals (T, D), null and non-null alternating, with the entries
+    at the mask zeros (T, D) replaced by +0.0 or -0.0."""
+    v = rng.uniform(-1.0, 1.0, size=(T, D))
+    v[zeros] = np.where(rng.uniform(size=(T, D)) < 0.5, 0.0, -0.0)[zeros]
+    v[::2, 0] = np.sqrt(np.sum(v[::2, 1:] ** 2, axis=1))
+    return v[v.any(axis=1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), D=st.integers(4, 7),
+       T=st.integers(1, 6), m=st.integers(1, 4),
+       zero_rate=st.sampled_from([0.0, 0.3, 0.6]))
+def test_tensor_entries_equal_the_full_tensor(seed, D, T, m, zero_rate):
+    rng = np.random.default_rng(seed)
+    phis = _normals_with_signed_zeros(rng, D, T, rng.uniform(size=(T, D))
+                                      < zero_rate)
+    stack = rng.uniform(-1.0, 1.0, size=(m, sym_dim(D)))
+    a, b = np.triu_indices(D)
+    tensors = {"einstein": einstein_tensor_disc,
+               "quadratic": lambda phi, P, at=None:
+                   gravity.quadratic_tensor_disc(1.3, 0.4, phi, P, at),
+               "fr": lambda phi, P, at=None:
+                   gravity.fr_tensor_disc(0.7, phi, P, at)}
+    for P in (pi_from_components(stack, D), _frame(D)[2]):
+        for name, tensor in tensors.items():
+            full = tensor(phis[:, None], P)[..., a, b]
+            assert tensor(phis[:, None], P, (a, b)).tobytes() == full.tobytes()
+    assert (gravity._gauge_modes(phis, (a, b)).tobytes()
+            == gravity._gauge_modes(phis)[..., a, b].tobytes())
+
+
 # survey histograms and the next draw of the shared generator, recorded
 # with the per-column loop; quadratic p=3q null dims vary with rounding
 FROZEN_SURVEYS = [
@@ -408,10 +463,16 @@ def test_kernel_survey_frozen_histograms(seed, theory, kw, D, trials, null,
     assert rng.uniform() == draw
 
 
+def test_histogram_keys_ascend_numerically():
+    hist = gravity._histogram(np.array([10, 9, 10]))
+    assert list(hist.items()) == [("9", 1), ("10", 2)]
+
+
 def test_gauge_mode_check_rejects_a_broken_tensor(monkeypatch):
     exact = gravity.fr_tensor_disc
     monkeypatch.setattr(gravity, "fr_tensor_disc",
-                        lambda f2, phi, P: exact(f2, phi, P) + 1e-6 * P)
+                        lambda f2, phi, P, at=None: exact(f2, phi, P, at)
+                        + 1e-6 * gravity._entries(P, at))
     with pytest.raises(InternalCheckError,
                        match=r"modes of \[1.0, 1.0, 0.0, 0.0\]: residual"):
         fr_operator(1.0, NULL4)
@@ -420,9 +481,10 @@ def test_gauge_mode_check_rejects_a_broken_tensor(monkeypatch):
 def test_gauge_mode_check_names_the_first_failing_normal(monkeypatch):
     exact = gravity.fr_tensor_disc
 
-    def broken_if_phi0_large(f2, phi, P):
-        large = (phi[..., 0] > 1.5)[..., None, None]
-        return exact(f2, phi, P) + 1e-6 * P * large
+    def broken_if_phi0_large(f2, phi, P, at=None):
+        # _operators asks for the entries (T, n, n) of normals (T, 1, D)
+        large = phi[..., :1] > 1.5
+        return exact(f2, phi, P, at) + 1e-6 * gravity._entries(P, at) * large
 
     monkeypatch.setattr(gravity, "fr_tensor_disc", broken_if_phi0_large)
     phis = np.array([NULL4, 2.0 * TIME4, 3.0 * NULL4, SPACE4])
