@@ -356,7 +356,6 @@ class CEReport:
     max_residual: float
     argmax_point: dict[str, float] | None
     counts: dict[str, int] = field(default_factory=dict)
-    note: str = ""
     points: dict[str, np.ndarray] = field(default_factory=dict)
     residuals: dict[str, list[np.ndarray]] = field(default_factory=dict)
     general_rows: np.ndarray | None = None
@@ -378,7 +377,7 @@ class CEReport:
                 "argmax_point": self.argmax_point,
             },
             "counts": self.counts,
-            "note": self.note,
+            "note": "",  # always empty; the report schema keeps the key
         }
         rows = self._per_point_rows()
         block = ("[\n", ",\n".join(rows), "\n  ]") if rows else ("[]",)
@@ -527,17 +526,6 @@ def classify(model: LagrangianModel, grid: GridSpec | None = None,
     total = grid_point.get(names[0]).size
     if total == 0:
         raise EmptyGrid("grid has no points")
-
-    if model.depends_on_y:
-        return CEReport(
-            model=model.name, kind=model.kind.value, grid=grid, tol=tol,
-            label="NotCE", max_residual=float("nan"), argmax_point=None,
-            counts={"total": total, "evaluated": 0, "guard_excluded": 0,
-                    "degenerate_skipped": 0},
-            note="declares dependence on the cross invariant y; no model "
-                 "with that dependence is exceptional, so no residuals "
-                 "are evaluated",
-        )
 
     point = grid_point.take(_margin_ok(model, grid_point, names))
     evaluated = point.get(names[0]).size

@@ -106,8 +106,6 @@ def parse_grid(text: str) -> GridSpec:
             raise BadParams(f"grid axis '{name}' needs finite bounds a "
                             "finite distance apart")
         axes[name] = (lo, hi, n)
-    if not axes:
-        raise BadParams("empty grid argument")
     return GridSpec(axes)
 
 
@@ -194,7 +192,7 @@ def _write_json(path: str, payload: dict) -> None:
 
 def cmd_ce_check(args) -> int:
     model = _resolve_model(args)
-    grid = parse_grid(args.grid) if args.grid else None
+    grid = None if args.grid is None else parse_grid(args.grid)
     report = classify(model, grid=grid, tol=_check_tol(args.tol))
     with open(args.out, "w") as fh:
         fh.write(report.to_json_text())

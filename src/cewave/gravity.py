@@ -304,7 +304,8 @@ def _check_gauge_modes(phis: np.ndarray, eq: np.ndarray) -> None:
     annihilate the pure-gauge modes of phis (T, D)."""
     modes = _gauge_modes(phis, _frame(phis.shape[-1])[:2])
     residual = np.abs(eq @ np.swapaxes(modes, 1, 2)).max(axis=(1, 2))
-    scale = np.abs(eq).max(axis=(1, 2)) * np.abs(modes).max(axis=(1, 2))
+    # the largest entry of the modes is a diagonal phi_i + phi_i
+    scale = np.abs(eq).max(axis=(1, 2)) * (2.0 * np.abs(phis).max(axis=-1))
     ratio = residual / scale
     bad = np.flatnonzero(ratio > GAUGE_MODE_RTOL)
     if bad.size:

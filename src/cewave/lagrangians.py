@@ -17,7 +17,11 @@ a ``Jet2`` in z it returns the order-2 jet of a scalar model.  Arrays
 The expression grammar is deliberately tiny: ``+ - * / ^`` with numeric
 literals, ``sqrt``, and the invariant names.  ``^`` binds tighter than
 unary minus and only accepts integer or half-integer literal exponents so
-that jet arithmetic never needs logarithms of negative values.
+that jet arithmetic never needs logarithms of negative values.  One
+regular expression splits the text into tokens: after optional
+whitespace, a numeric literal of ASCII digits (``2``, ``2.``, ``.5``,
+``1e-3``), an ASCII identifier, or one of ``+ - * / ^ ( )``; any other
+character is a parse error at its offset.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NoReturn
 
 import numpy as np
 
@@ -102,57 +106,32 @@ def _pow(base: Callable, e: float) -> Callable:
 # Tokenizer + recursive-descent parser
 # ---------------------------------------------------------------------------
 
-_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# After optional whitespace, group 1 is a token: a numeric literal, an
+# identifier or an operator, in ASCII only (str.isdigit and float() also
+# take other scripts' digits).  Group 2 is any other character, an error.
+_TOKEN = re.compile(r"""\s*(?:
+    ( [0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)? | \.[0-9]+
+    | [A-Za-z_][A-Za-z_0-9]*
+    | [-+*/^()] )
+    | (\S) )""", re.VERBOSE)
 
+_NUMBER_START = frozenset("0123456789.")
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 _VALID_VARS = ("a", "b", "z")
 
 
-@dataclass
-class _Token:
-    kind: str  # num | ident | op | lparen | rparen | eof
-    text: str
-    offset: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        # ASCII digits only: str.isdigit and \d also take other scripts'
-        # digits, which float() would read
-        if ch in "0123456789.":
-            m = _NUMBER.match(text, i)
-            if not m:
-                raise ParseError("malformed number", i)
-            tokens.append(_Token("num", m.group(), i))
-            i = m.end()
-            continue
-        # a letter outside ASCII matches no identifier, so it falls
-        # through to the unexpected-character error
-        m = _IDENT.match(text, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), i))
-            i = m.end()
-            continue
-        if ch in "+-*/^":
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(_Token("lparen", ch, i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(_Token("rparen", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("eof", "", n))
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """``(text, offset)`` pairs, ended by ``("", len(text))``."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        token, bad = m.groups()
+        if bad is not None:
+            # a digit always starts a literal, so only a lone "." is left
+            message = ("malformed number" if bad == "."
+                       else f"unexpected character {bad!r}")
+            raise ParseError(message, m.start(2))
+        tokens.append((token, m.start(1)))
+    tokens.append(("", len(text)))
     return tokens
 
 
@@ -165,106 +144,86 @@ class _Parser:
         self.pos = 0
         self.variables: set[str] = set()
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        return self.tokens[self.pos][0]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def advance(self) -> tuple[str, int]:
+        token = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return token
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}", tok.offset)
-        return self.advance()
+    def fail(self, message: str) -> NoReturn:
+        raise ParseError(message, self.tokens[self.pos][1])
+
+    def expect(self, text: str, what: str) -> None:
+        if self.peek() != text:
+            self.fail(f"expected {what}")
+        self.pos += 1
 
     def parse(self) -> Callable:
-        fn = self.expr()
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"unexpected trailing input {tok.text!r}",
-                             tok.offset)
+        fn = self.binary()
+        if self.peek():
+            self.fail(f"unexpected trailing input {self.peek()!r}")
         return fn
 
-    def expr(self) -> Callable:
-        fn = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            fn = _binop(op, fn, self.term())
-        return fn
-
-    def term(self) -> Callable:
+    def binary(self, level: int = 1) -> Callable:
+        """Operators of ``level`` or tighter; each operator's right operand
+        binds tighter than it, so ``+ - * /`` associate to the left."""
         fn = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            fn = _binop(op, fn, self.unary())
+        while _PRECEDENCE.get(self.peek(), 0) >= level:
+            op = self.advance()[0]
+            fn = _binop(op, fn, self.binary(_PRECEDENCE[op] + 1))
         return fn
 
     def unary(self) -> Callable:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
+        """``-`` unary, or an atom with a left-associative ``^`` chain, so
+        ``^`` binds tighter than unary minus."""
+        if self.peek() == "-":
+            self.pos += 1
             arg = self.unary()
             return lambda env: -arg(env)
-        return self.power()
-
-    def power(self) -> Callable:
         fn = self.atom()
-        while self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
+        while self.peek() == "^":
+            self.pos += 1
             fn = _pow(fn, self.exponent())
         return fn
 
     def exponent(self) -> float:
         sign = 1.0
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
+        if self.peek() == "-":
+            self.pos += 1
             sign = -1.0
-            tok = self.peek()
-        if tok.kind != "num":
-            raise ParseError("exponent must be a numeric literal", tok.offset)
-        self.advance()
-        try:
-            value = float(tok.text)
-        except ValueError:
-            raise ParseError("malformed number", tok.offset) from None
+        if self.peek()[:1] not in _NUMBER_START:
+            self.fail("exponent must be a numeric literal")
+        text, offset = self.advance()
+        value = float(text)
         if (2.0 * value) != int(2.0 * value):
             raise ParseError(
-                "exponent must be an integer or half-integer literal",
-                tok.offset)
+                "exponent must be an integer or half-integer literal", offset)
         return sign * value
 
     def atom(self) -> Callable:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            try:
-                value = float(tok.text)
-            except ValueError:
-                raise ParseError("malformed number", tok.offset) from None
+        text, offset = self.advance()
+        if text[:1] in _NUMBER_START:
+            value = float(text)
             return lambda env: value
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text == "sqrt":
-                self.expect("lparen", "'(' after sqrt")
-                inner = self.expr()
-                self.expect("rparen", "')'")
-                return lambda env: _sqrt(inner(env))
-            if tok.text in _VALID_VARS:
-                name = tok.text
-                self.variables.add(name)
-                return lambda env: env[name]
-            raise ParseError(f"unknown identifier {tok.text!r}", tok.offset)
-        if tok.kind == "lparen":
-            self.advance()
-            inner = self.expr()
-            self.expect("rparen", "')'")
+        if text == "(":
+            inner = self.binary()
+            self.expect(")", "')'")
             return inner
-        if tok.kind == "eof":
-            raise ParseError("unexpected end of input", tok.offset)
-        raise ParseError(f"unexpected token {tok.text!r}", tok.offset)
+        if text == "sqrt":
+            self.expect("(", "'(' after sqrt")
+            inner = self.binary()
+            self.expect(")", "')'")
+            return lambda env: _sqrt(inner(env))
+        if text in _VALID_VARS:
+            self.variables.add(text)
+            return lambda env: env[text]
+        if not text:
+            raise ParseError("unexpected end of input", offset)
+        if text[0] in "+-*/^)":
+            raise ParseError(f"unexpected token {text!r}", offset)
+        raise ParseError(f"unknown identifier {text!r}", offset)
 
 
 def parse_lagrangian(text: str, kind: Kind | str) -> Callable:
@@ -295,7 +254,6 @@ class LagrangianModel:
     kind: Kind
     fn: Callable  # maps an env dict of jet/float/array values to one
     guard: Callable[[dict], bool] | None = None
-    depends_on_y: bool = False
 
     def _env(self, point: InvariantPoint, jet_names: tuple[str, ...]) -> dict:
         env: dict = {}

@@ -293,7 +293,7 @@ def classify_per_point(model: LagrangianModel, grid: GridSpec | None = None,
     if total == 0:
         raise EmptyGrid("grid has no points")
 
-    def document(label, worst, arg, counts, per_point, note=""):
+    def document(label, worst, arg, counts, per_point):
         return {
             "schema": REPORT_SCHEMA, "report": "ce-classification",
             "model": model.name, "kind": model.kind.value,
@@ -301,17 +301,8 @@ def classify_per_point(model: LagrangianModel, grid: GridSpec | None = None,
                      for name, (lo, hi, n) in grid.axes.items()},
             "tol": tol, "label": label,
             "residual_summary": {"max": worst, "argmax_point": arg},
-            "counts": counts, "note": note, "per_point": per_point,
+            "counts": counts, "note": "", "per_point": per_point,
         }
-
-    if model.depends_on_y:
-        return document(
-            "NotCE", float("nan"), None,
-            {"total": total, "evaluated": 0, "guard_excluded": 0,
-             "degenerate_skipped": 0}, [],
-            note="declares dependence on the cross invariant y; no model "
-                 "with that dependence is exceptional, so no residuals "
-                 "are evaluated")
 
     points = [p for p in all_points if _margin_ok(model, p, names)]
     guard_excluded = total - len(points)

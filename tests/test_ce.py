@@ -444,22 +444,17 @@ def test_classify_evaluates_one_primary_jet_per_point():
     assert calls_on(7) == calls_on(61) == (2 * 2 + 1) + 1
 
 
-def test_classify_y_dependent_not_ce_without_evaluation():
-    base = builtin("born-infeld")
-    model = LagrangianModel(name="bi-with-y", kind=Kind.VectorScalar,
-                            fn=lambda env: base.fn(env),
-                            depends_on_y=True)
-    report = _assert_same_as_per_point(model)
-    assert report.label == "NotCE"
-    assert report.counts["evaluated"] == 0
-    assert '"per_point": [],' in report.to_json_text()
-
-
 def test_classify_empty_grid():
     model = builtin("sqrt-family", [0.0, 0.01, -1.0])
     grid = GridSpec({"a": (1.0, 2.0, 5)})
     with pytest.raises(EmptyGrid):
         classify(model, grid=grid)
+
+
+def test_classify_grid_without_points():
+    with pytest.raises(EmptyGrid) as err:
+        classify(builtin("maxwell"), grid=GridSpec({"a": (0, 1, 0)}))
+    assert str(err.value) == "grid has no points"
 
 
 def test_classify_degenerate_when_guard_dominates():

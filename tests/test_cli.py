@@ -188,6 +188,8 @@ def test_ce_check_input_errors_exit_2(argv, tmp_path, capsys, monkeypatch):
      "grid axis 'a' is not an invariant of the model (z)"),
     # the last copy of a repeated axis used to replace the first
     ("maxwell", "a:0:1:3,a:5:6:3", "grid axis 'a' is given more than once"),
+    # an empty value used to classify on the default grid
+    ("maxwell", "", "grid axis '' is not name:lo:hi:n"),
 ])
 def test_ce_check_grid_needs_exactly_the_models_axes(model, grid, message,
                                                       tmp_path, capsys,
@@ -331,6 +333,17 @@ def test_fresnel_skips_backgrounds_with_non_finite_coefficients(tmp_path,
                "--trials", "3", "--seed", "1", "--out", str(out)])
     assert rc == 3
     assert "usable backgrounds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fresnel_gives_up_when_every_row_fails_alike(tmp_path, capsys):
+    # sqrt(0 - 1) is outside the domain at every background, so each
+    # batch raises as a whole and no row is kept
+    out = tmp_path / "scan.csv"
+    rc = main(["fresnel", "--expr", "sqrt(0 - 1) + a", "--kind", "alpha",
+               "--trials", "2", "--out", str(out)])
+    assert rc == 3
+    assert "could not draw enough usable backgrounds" in capsys.readouterr().err
     assert not out.exists()
 
 

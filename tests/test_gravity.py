@@ -434,6 +434,23 @@ def test_tensor_entries_equal_the_full_tensor(seed, D, T, m, zero_rate):
             == gravity._gauge_modes(phis)[..., a, b].tobytes())
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), D=st.integers(4, 9),
+       T=st.sampled_from([1, 5, 16]), exponent=st.integers(-200, 150),
+       zero_rate=st.sampled_from([0.0, 0.3, 0.6]))
+def test_gauge_mode_scale_is_twice_the_largest_normal_entry(seed, D, T,
+                                                           exponent,
+                                                           zero_rate):
+    # _check_gauge_modes scales by 2 max|phi| in place of the largest
+    # entry of the modes themselves
+    rng = np.random.default_rng(seed)
+    phis = 10.0 ** exponent * _normals_with_signed_zeros(
+        rng, D, T, rng.uniform(size=(T, D)) < zero_rate)
+    modes = gravity._gauge_modes(phis, _frame(D)[:2])
+    assert ((2.0 * np.abs(phis).max(axis=-1)).tobytes()
+            == np.abs(modes).max(axis=(1, 2)).tobytes())
+
+
 # survey histograms and the next draw of the shared generator, recorded
 # with the per-column loop; quadratic p=3q null dims vary with rounding
 FROZEN_SURVEYS = [

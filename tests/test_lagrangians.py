@@ -73,6 +73,27 @@ def test_parse_error_non_ascii_digit(text, offset):
     assert str(err.value) == f"unexpected character {text[offset]!r}"
 
 
+@pytest.mark.parametrize("text, offset, message", [
+    (".", 0, "malformed number"),
+    ("1 + .e2", 4, "malformed number"),
+    ("a b", 2, "unexpected trailing input 'b'"),
+    ("sqrt a", 5, "expected '(' after sqrt"),
+    ("sqrt(a", 6, "expected ')'"),
+    ("x", 0, "unknown identifier 'x'"),
+    ("a +", 3, "unexpected end of input"),
+    ("", 0, "unexpected end of input"),
+    ("a + *", 4, "unexpected token '*'"),
+    ("a + )", 4, "unexpected token ')'"),
+    ("a ** 2", 3, "unexpected token '*'"),
+    ("a^-b", 3, "exponent must be a numeric literal"),
+    ("a^0.3", 2, "exponent must be an integer or half-integer literal"),
+])
+def test_parse_error_message_and_offset(text, offset, message):
+    with pytest.raises(ParseError) as err:
+        parse_lagrangian(text, Kind.VectorAlphaBeta)
+    assert (str(err.value), err.value.offset) == (message, offset)
+
+
 def test_parse_error_unbalanced_parens():
     with pytest.raises(ParseError):
         parse_lagrangian("(1 + a", Kind.VectorAlpha)

@@ -206,6 +206,25 @@ def test_upwind_rejects_unstable_cfl():
         upwind_solve(_burgers_flux, _sin_profile(), 0.1, nx=64, cfl=0.95)
 
 
+def test_upwind_constant_flux_keeps_the_initial_cells():
+    # every wave speed is zero, so the solve stops before its first step
+    prof = _sin_profile()
+    snap = upwind_solve(lambda u: 0.0 * u + 2.0, prof, 0.5, nx=64)
+    assert _same_bits(snap.u, np.sin(snap.x))
+
+
+@pytest.mark.parametrize("t, nx, cfl, message", [
+    (0.1, 64, 0.0, "cfl must be positive"),
+    (0.1, 64, -0.2, "cfl must be positive"),
+    (-0.1, 64, 0.45, "upwind solve needs t >= 0"),
+    (0.1, 3, 0.45, "upwind solve needs nx >= 4"),
+])
+def test_upwind_rejects_bad_params(t, nx, cfl, message):
+    with pytest.raises(BadParams) as err:
+        upwind_solve(_burgers_flux, _sin_profile(), t, nx, cfl=cfl)
+    assert str(err.value) == message
+
+
 def test_l1_comparison_refuses_folded_push():
     prof = _sin_profile()
     folded = moc_solve(_identity, prof, 1.5)
