@@ -66,7 +66,6 @@ class FieldBackground:
     """Constant background state: either a scalar-field gradient
     sigma_mu = (A,B,C,D) or an electromagnetic pair (E, B)."""
 
-    kind: str
     sigma: np.ndarray | None = None
     E: np.ndarray | None = None
     B: np.ndarray | None = None
@@ -76,11 +75,11 @@ class FieldBackground:
         sig = np.asarray([A, B, C, D], dtype=float)
         if not np.all(np.isfinite(sig)):
             raise DomainError("background components must be finite")
-        return cls(kind="scalar", sigma=sig)
+        return cls(sigma=sig)
 
     @classmethod
     def vector(cls, E, B) -> "FieldBackground":
-        return cls(kind="vector", E=_vec3(E), B=_vec3(B))
+        return cls(E=_vec3(E), B=_vec3(B))
 
     @property
     def A(self) -> float:
@@ -104,16 +103,16 @@ class FieldBackground:
 
     def state(self) -> np.ndarray:
         """Background as the state vector of its characteristic system."""
-        if self.kind == "scalar":
+        if self.E is None:
             return self.sigma.copy()
         return np.concatenate([self.E, self.B])
 
     def point(self, kind: Kind) -> InvariantPoint:
         if kind is Kind.Scalar:
-            if self.kind != "scalar":
+            if self.sigma is None:
                 raise KindError("scalar model needs a scalar background")
             return InvariantPoint(z=self.z)
-        if self.kind != "vector":
+        if self.E is None:
             raise KindError("field-strength model needs an (E, B) background")
         if kind is Kind.VectorAlpha:
             return InvariantPoint(a=self.alpha)
@@ -124,7 +123,7 @@ class FieldBackground:
 
     def f_upper(self) -> np.ndarray:
         """Field-strength matrix F^{mu nu} of a vector background."""
-        if self.kind != "vector":
+        if self.E is None:
             raise KindError("field strength is defined for (E, B) backgrounds")
         F = np.zeros((4, 4))
         F[0, 1:] = self.E
@@ -405,14 +404,6 @@ def degeneracy_scales(Laa: float, Lab: float, Lbb: float, K: float, P: float,
     """Magnitudes against which K and the pair-splitting discriminant
     P^2 - 4KR count as zero, within DEGENERACY_RTOL."""
     return abs(Laa * Lbb) + power(Lab, 2), P * P + abs(4.0 * K * R)
-
-
-def point_cone_coefficients(jet: Jet3, point: InvariantPoint
-                            ) -> tuple[float, float, float]:
-    """K, P, R of a model's jet at one invariant point."""
-    b = point.b if point.b is not None else 0.0
-    K, P, R = cone_coefficients(jet.fa, jet.faa, jet.fab, jet.fbb, point.a, b)
-    return float(K), float(P), float(R)
 
 
 @dataclass(frozen=True)

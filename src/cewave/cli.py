@@ -56,7 +56,6 @@ from .rays import (
 from .shock1d import (
     Profile1D,
     model_wave,
-    moc_solve,
     shock_time,
     write_characteristics_csv,
 )
@@ -180,11 +179,6 @@ def _rng(seed: int) -> np.random.Generator:
 
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write(_json_text(payload))
 
 
 # --- ce check ---------------------------------------------------------------------------
@@ -322,7 +316,6 @@ def cmd_shock(args) -> int:
     }
 
     stem = _stem(args.out)
-    sols = [moc_solve(lambda u: u, profile, t) for t in t_list]
     outputs = [args.out, f"{stem}_burgers.csv"]
     wave = model_crossing = None
     if model is not None:
@@ -340,8 +333,9 @@ def cmd_shock(args) -> int:
     # the report is opened first: an --out that cannot be written leaves
     # no fan file behind
     with open(args.out, "w") as report:
-        write_characteristics_csv(f"{stem}_burgers.csv", profile.x,
-                                  profile.u, [s.x for s in sols], t_list)
+        write_characteristics_csv(
+            f"{stem}_burgers.csv", profile.x, profile.u,
+            [profile.x + profile.u * t for t in t_list], t_list)
         if wave is not None:
             write_characteristics_csv(
                 f"{stem}_model.csv", wave.phis, wave.lams,
@@ -361,7 +355,8 @@ def cmd_gravity(args) -> int:
                            p=args.p, q=args.q, f2=args.fpp)
     payload = {"schema": REPORT_SCHEMA, "report": "gravity-kernel-survey"}
     payload.update(survey)
-    _write_json(args.out, payload)
+    with open(args.out, "w") as fh:
+        fh.write(_json_text(payload))
     print(f"{args.theory} D={args.D}: null {survey['null_kernel_dims']} "
           f"nonnull {survey['nonnull_kernel_dims']} -> {args.out}")
     return 0
@@ -383,22 +378,20 @@ def cmd_rays(args) -> int:
             raise BadUsage(f"--cone traces the metric cone and takes no "
                            f"model; drop {', '.join(given)}")
         H = ConeHamiltonian.metric()
-        if args.p0:
-            p0 = np.array(_parse_floats(args.p0, 4))
-        else:
-            p0 = np.array([-1.0, *unit_direction(nhat)])
         label = "metric-cone"
     else:
         model = _resolve_model(args)
         H = QuarticHamiltonian(model, bg)
-        if args.p0:
-            p0 = np.array(_parse_floats(args.p0, 4))
-        else:
-            # fresnel_roots solves H((p0, n)) = 0 for p0 itself; the
-            # smallest root is the fastest mode along n
-            roots = fresnel_roots(model, bg, nhat).roots
-            p0 = np.array([float(np.min(roots.real)), *unit_direction(nhat)])
         label = model.name
+    if args.p0:
+        p0 = np.array(_parse_floats(args.p0, 4))
+    elif args.cone:
+        p0 = np.array([-1.0, *unit_direction(nhat)])
+    else:
+        # fresnel_roots solves H((p0, n)) = 0 for p0 itself; the smallest
+        # root is the fastest mode along n
+        roots = fresnel_roots(model, bg, nhat).roots
+        p0 = np.array([float(np.min(roots.real)), *unit_direction(nhat)])
 
     tol = _check_tol(args.tol)
     # an overflowing start gives a nan defect, and trace rejects it
@@ -514,9 +507,7 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except ParseError as exc:
-        offset = getattr(exc, "offset", None)
-        where = f" at offset {offset}" if offset is not None else ""
-        print(f"input error{where}: {exc}", file=sys.stderr)
+        print(f"input error at offset {exc.offset}: {exc}", file=sys.stderr)
         return 2
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -99,14 +99,16 @@ def power(x, e):
     numpy's vectorized pow can differ from the C library pow behind
     Python's ``**`` in the last bit, so arrays go through Python floats.
     A zero array entry raised to a negative power is outside the domain
-    (Python raises ZeroDivisionError); a negative entry raised to a
+    (Python raises ZeroDivisionError); a negative value raised to a
     fractional power gives NaN (Python would return a complex number).
     A result beyond the double range raises FloatOverflow where Python
     raises OverflowError.
     """
     try:
         if not isinstance(x, np.ndarray):
-            return x ** e
+            if isinstance(x, (int, float)) and x < 0.0 and e != int(e):
+                return math.nan
+            return x ** e  # a jet raises by its own rule
         if e < 0:
             x = check_domain(x, x == 0.0, "zero raised to a negative power")
         if e != int(e):
@@ -215,10 +217,6 @@ def _add(f, other):
 
 def _neg(self):
     return self._of(*map(operator.neg, self.as_tuple()))
-
-
-def _pos(self):
-    return self
 
 
 def _sub(self, other):
@@ -382,7 +380,6 @@ class Jet3:
 
     __add__ = __radd__ = _add
     __neg__ = _neg
-    __pos__ = _pos
     __sub__ = _sub
     __rsub__ = _rsub
     __mul__ = __rmul__ = _mul
@@ -422,7 +419,6 @@ class Jet2:
 
     __add__ = __radd__ = _add
     __neg__ = _neg
-    __pos__ = _pos
     __sub__ = _sub
     __rsub__ = _rsub
     __mul__ = __rmul__ = _mul

@@ -27,6 +27,7 @@ character is a parse error at its offset.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, NoReturn
@@ -197,7 +198,9 @@ class _Parser:
             self.fail("exponent must be a numeric literal")
         text, offset = self.advance()
         value = float(text)
-        if (2.0 * value) != int(2.0 * value):
+        # 2.0 * value overflows for literals from about 9e307 up
+        twice = 2.0 * value
+        if not math.isfinite(twice) or twice != int(twice):
             raise ParseError(
                 "exponent must be an integer or half-integer literal", offset)
         return sign * value

@@ -24,8 +24,8 @@ from .charsys import (
     ETA,
     FieldBackground,
     _check_field_model,
+    cone_coefficients,
     float_texts,
-    point_cone_coefficients,
     scalar_cone_matrix,
     u_and_g,
     write_float_csv,
@@ -103,7 +103,10 @@ class QuarticHamiltonian:
         _check_field_model(model)
         point = bg.point(model.kind)
         jet = model.jet_at(point)
-        self.K, self.P, self.R = point_cone_coefficients(jet, point)
+        b = point.b if point.b is not None else 0.0
+        K, P, R = cone_coefficients(jet.fa, jet.faa, jet.fab, jet.fbb,
+                                    point.a, b)
+        self.K, self.P, self.R = float(K), float(P), float(R)
         self.F = bg.f_upper()
 
     def value(self, x: np.ndarray, p: np.ndarray) -> float:
@@ -247,8 +250,8 @@ def _straight_ray(k: np.ndarray, y0: np.ndarray, states: np.ndarray,
 
 
 def euler_defect(H, x, p) -> float:
-    """Normalized violation of the p-homogeneity identity
-    p . dH/dp = N H; requires the evaluator to declare its degree."""
+    """Violation of p . dH/dp = N H relative to N times H's term
+    magnitude at (x, p); requires the evaluator to declare its degree."""
     if H.degree is None:
         raise BadUsage("Hamiltonian declares no homogeneity degree")
     x = np.zeros(4) if x is None else np.asarray(x, dtype=float).reshape(4)
@@ -256,10 +259,7 @@ def euler_defect(H, x, p) -> float:
     gp = H.grad_p(x, p)
     lhs = float(p @ gp)
     rhs = H.degree * H.value(x, p)
-    if hasattr(H, "magnitude"):
-        scale = H.degree * H.magnitude(x, p)
-    else:
-        scale = float(np.sum(np.abs(p * gp))) + abs(rhs)
+    scale = H.degree * H.magnitude(x, p)
     return abs(lhs - rhs) / (scale + _TINY)
 
 

@@ -100,10 +100,8 @@ class Profile1D:
 
 @dataclass(frozen=True)
 class MoCSolution:
-    """Profile carried along straight characteristics to time t."""
+    """Pushed positions x, the values u riding them, and whether x folds."""
 
-    t: float
-    phis: np.ndarray
     x: np.ndarray
     u: np.ndarray
     multivalued: bool
@@ -128,8 +126,7 @@ def moc_solve(speed: Callable, profile: Profile1D, t: float) -> MoCSolution:
     lam = _speed_samples(speed, profile.u)
     x_t = profile.x + lam * t
     multivalued = bool(np.any(np.diff(x_t) < -MULTIVALUED_TOL))
-    return MoCSolution(t=float(t), phis=profile.x.copy(), x=x_t,
-                       u=profile.u.copy(), multivalued=multivalued)
+    return MoCSolution(x=x_t, u=profile.u.copy(), multivalued=multivalued)
 
 
 def shock_time(speed: Callable, profile: Profile1D) -> float | None:
@@ -168,9 +165,10 @@ def upwind_solve(flux: Callable, profile: Profile1D, t: float, nx: int,
     time; afterwards it keeps computing the entropy solution while the
     characteristic push goes multivalued.
 
-    The flux must be elementwise: flux(v)[k] depends on v[k] alone.  It
-    is called on whole arrays of cell values (a flux of one float is
-    called per cell instead, see _elementwise) and on single floats.
+    The flux must be elementwise: flux(v)[k] depends on v[k] alone.  Each
+    step calls it once on the cells with their two ghost cells and once
+    on the clipped interface states (a flux of one float is called per
+    entry instead, see _elementwise), and on single floats for speeds.
     """
     if cfl > MAX_CFL:
         raise CFLViolation(f"cfl={cfl:g} exceeds the stability bound "
@@ -198,12 +196,13 @@ def upwind_solve(flux: Callable, profile: Profile1D, t: float, nx: int,
     u_star = ternary_argmin(flux, float(np.min(u)) - 1.0,
                             float(np.max(u)) + 1.0)
 
-    def godunov(u_left: np.ndarray, u_right: np.ndarray) -> np.ndarray:
+    def godunov(u_ext: np.ndarray) -> np.ndarray:
+        u_left, u_right = u_ext[:-1], u_ext[1:]
         lo = np.minimum(u_left, u_right)
         hi = np.maximum(u_left, u_right)
         f_min = _elementwise(flux, np.clip(u_star, lo, hi))
-        f_max = np.maximum(_elementwise(flux, u_left),
-                           _elementwise(flux, u_right))
+        f = _elementwise(flux, u_ext)  # once per cell, ghost cells included
+        f_max = np.maximum(f[:-1], f[1:])
         return np.where(u_left <= u_right, f_min, f_max)
 
     elapsed = 0.0
@@ -219,7 +218,7 @@ def upwind_solve(flux: Callable, profile: Profile1D, t: float, nx: int,
             u_ext = np.concatenate([[u[-1]], u, [u[0]]])
         else:
             u_ext = np.concatenate([[u[0]], u, [u[-1]]])
-        fluxes = godunov(u_ext[:-1], u_ext[1:])
+        fluxes = godunov(u_ext)
         u = u - (dt / dx) * (fluxes[1:] - fluxes[:-1])
         elapsed += dt
     return Snapshot(t=float(t), x=centers, u=u)

@@ -81,6 +81,12 @@ def test_ce_check_parse_error_reports_offset(tmp_path, capsys):
 @pytest.mark.parametrize("expr, message", [
     ("1 + \u00e9", "input error at offset 4: unexpected character 'é'\n"),
     ("\u0661 + a", "input error at offset 0: unexpected character '١'\n"),
+    # exponent literals: one that reads as infinity, one that overflows
+    # when doubled
+    ("a^1e999", "input error at offset 2: exponent must be an integer or "
+                "half-integer literal\n"),
+    ("2*a^-1e308", "input error at offset 5: exponent must be an integer "
+                   "or half-integer literal\n"),
 ])
 def test_ce_check_parse_error_names_the_offset_once(expr, message, tmp_path,
                                                    capsys):

@@ -6,11 +6,12 @@ as one batch, the two shock runs whose speed varies along the wave
 before simple waves kept their eigen-data as floats, the shock run
 with float operands before the jet rules took floats without a constant
 jet, the transport arrays before the transport loop wrote its RK4
-stages out on floats, the ``ce check`` reports of two expression
-models before parsed expressions were evaluated as closures, and four
-gravity surveys before their normals were drawn, checked and contracted
-as arrays, so these tests pin the rewritten code to the bytes of the
-code it replaced.
+stages out on floats, the upwind arrays of the step profile before each
+Godunov step evaluated the flux once per cell, the ``ce check`` reports
+of two expression models before parsed expressions were evaluated as
+closures, and four gravity surveys before their normals were drawn,
+checked and contracted as arrays, so these tests pin the rewritten code
+to the bytes of the code it replaced.
 They were recorded with numpy 2.4
 (OpenBLAS) on x86-64; the eigen solves of a simple wave go through
 LAPACK, whose last bits may differ on another build.
@@ -19,6 +20,7 @@ LAPACK, whose last bits may differ on another build.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -178,6 +180,23 @@ def test_upwind_arrays_keep_their_recorded_bytes():
                                          "a63daa5bde7b9feba6b30185ee3f0c71")
     assert _sha256(snap.u.tobytes()) == ("8c012dea8eeb6ba065d3d5d0e84c3e32"
                                          "722d8ec23d829c449ffb8fce0f0d291f")
+
+
+@pytest.mark.parametrize("flux, u_digest", [
+    (lambda u: 0.5 * u * u,
+     "cba715c27bc1b38f1351d710eded640ee3b7c6c76f9a2dc75220330a8e71ba2c"),
+    # a flux of one float, called per cell through np.vectorize
+    (lambda u: math.sqrt(1.0 + u * u),
+     "1f2dc56a17bfc9d6ec9b1fb6146d55006dec2ead96a7ad29253537f5418290ab"),
+], ids=["burgers", "float-flux"])
+def test_upwind_step_profile_keeps_its_recorded_bytes(flux, u_digest):
+    # the CLI's non-periodic step profile, run past its shock time (~1.0)
+    profile = Profile1D.from_callable(lambda x: -np.tanh(x), -5.0, 5.0,
+                                      n=401)
+    snap = upwind_solve(flux, profile, 2.0, nx=200)
+    assert _sha256(snap.x.tobytes()) == ("b53eda950fd618569edc77a60a0ba919"
+                                         "fd8f7c8793192fd6b2e6192d9ff9fb78")
+    assert _sha256(snap.u.tobytes()) == u_digest
 
 
 @pytest.mark.parametrize("ts, s_max, s_star, s_digest, pi_digest", [

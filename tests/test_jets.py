@@ -256,6 +256,26 @@ def test_power_domain_on_arrays():
     assert out[0] == -1.0 and np.isnan(out[1]) and out[2] == 0.25
 
 
+# zero to a negative power raises, as a float or as an array entry
+@pytest.mark.parametrize("x, e", [
+    (x, e) for x in (-2.0, -math.inf, -1e-300, -0.0, 4.0, math.inf)
+    for e in (0.5, 1.5, -0.5) if not (x == 0.0 and e < 0)])
+def test_fractional_power_of_a_float_has_the_bits_of_its_array_entry(x, e):
+    got = power(x, e)
+    assert type(got) is float
+    assert struct.pack("<d", got) == struct.pack(
+        "<d", power(np.array([x]), e)[0])
+    # a negative base has no real fractional power; -0.0 is not negative
+    # and gives 0.0
+    assert math.isnan(got) is (x < 0.0)
+
+
+def test_sqrt_family_value_is_nan_below_its_branch_point():
+    # sqrt(0 + 1 * a) at a = -2: the float path returned a complex number
+    model = builtin("sqrt-family", [0.0, 1.0, 1.0])
+    assert math.isnan(model.value_at(InvariantPoint(a=-2.0)))
+
+
 def test_array_jet_matches_float_jets_bit_for_bit():
     model = builtin("born-infeld")
     a = np.linspace(-0.4, 1.5, 40)

@@ -87,6 +87,9 @@ def test_parse_error_non_ascii_digit(text, offset):
     ("a ** 2", 3, "unexpected token '*'"),
     ("a^-b", 3, "exponent must be a numeric literal"),
     ("a^0.3", 2, "exponent must be an integer or half-integer literal"),
+    # 1e999 reads as infinity, and 1e308 overflows when doubled
+    ("a^1e999", 2, "exponent must be an integer or half-integer literal"),
+    ("a^1e308", 2, "exponent must be an integer or half-integer literal"),
 ])
 def test_parse_error_message_and_offset(text, offset, message):
     with pytest.raises(ParseError) as err:
