@@ -25,6 +25,7 @@ alike; ``classify`` evaluates a whole grid as arrays.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 
@@ -32,6 +33,7 @@ import numpy as np
 
 from .charsys import (
     DEGENERACY_RTOL,
+    ROW_BLOCK,
     cone_coefficients,
     degeneracy_scales,
     float_texts,
@@ -360,10 +362,10 @@ class CEReport:
     residuals: dict[str, list[np.ndarray]] = field(default_factory=dict)
     general_rows: np.ndarray | None = None
 
-    def to_json_text(self) -> str:
-        """The report as ``json.dumps(doc, sort_keys=True, indent=2)``
-        writes it, plus a newline; the per_point rows are written straight
-        from the columns."""
+    def write_json(self, fh) -> None:
+        """Write the report to ``fh`` as ``json.dumps(doc, sort_keys=True,
+        indent=2)`` writes it, plus a newline; the per_point rows are
+        written straight from the columns, one ROW_BLOCK at a time."""
         head = {
             "schema": REPORT_SCHEMA,
             "report": "ce-classification",
@@ -379,21 +381,30 @@ class CEReport:
             "counts": self.counts,
             "note": "",  # always empty; the report schema keeps the key
         }
-        rows = self._per_point_rows()
-        block = ("[\n", ",\n".join(rows), "\n  ]") if rows else ("[]",)
         # json.dumps sorts "per_point" between "note" and "report"
-        return "".join((
-            "{\n",
-            _json_items({k: v for k, v in head.items() if k < "per_point"}),
-            ',\n  "per_point": ', *block, ",\n",
-            _json_items({k: v for k, v in head.items() if k > "per_point"}),
-            "\n}\n"))
+        fh.write("{\n" + _json_items(
+            {k: v for k, v in head.items() if k < "per_point"})
+            + ',\n  "per_point": ')
+        count = len(next(iter(self.points.values()), ()))
+        separator = "[\n"
+        for start in range(0, count, ROW_BLOCK):
+            fh.write(separator + ",\n".join(
+                self._per_point_rows(slice(start, start + ROW_BLOCK))))
+            separator = ",\n"
+        fh.write(("\n  ]" if count else "[]") + ",\n" + _json_items(
+            {k: v for k, v in head.items() if k > "per_point"}) + "\n}\n")
 
-    def _per_point_rows(self) -> list[str]:
+    def to_json_text(self) -> str:
+        """The text that write_json writes."""
+        buf = io.StringIO()
+        self.write_json(buf)
+        return buf.getvalue()
+
+    def _per_point_rows(self, block: slice) -> list[str]:
         names = sorted(self.points)
-        text = {n: [float_texts(self.points[n], _JSON_CONSTANTS)]
+        text = {n: [float_texts(self.points[n][block], _JSON_CONSTANTS)]
                 for n in names}
-        text.update({s: [float_texts(c, _JSON_CONSTANTS)
+        text.update({s: [float_texts(c[block], _JSON_CONSTANTS)
                          for c in components]
                      for s, components in self.residuals.items()})
 
@@ -410,7 +421,7 @@ class CEReport:
             return [plain % v for v in plain_values]
         full, full_values = rows_of(list(self.residuals))
         return [full % f if keep else plain % p for keep, p, f in zip(
-            self.general_rows.tolist(), plain_values, full_values)]
+            self.general_rows[block].tolist(), plain_values, full_values)]
 
 
 def _evaluate(compute, point: InvariantPoint):

@@ -687,6 +687,12 @@ def fresnel_scan_rows(model: LagrangianModel, batch: FresnelBatch
     return header, columns
 
 
+# Rows per block of a written table: the writers render and write one
+# block of rows at a time (float_texts, row texts, write), so the text
+# they hold at once does not grow with the table.
+ROW_BLOCK = 1024
+
+
 def float_texts(column, spelling: dict[str, str] | None = None) -> list[str]:
     """repr of each value of a float column, with ``spelling`` renaming
     the non-finite literals 'nan', 'inf' and '-inf' (JSON writes them
@@ -704,19 +710,33 @@ def float_texts(column, spelling: dict[str, str] | None = None) -> list[str]:
     return np.array(text, dtype=object)[index].tolist()
 
 
-def write_text_csv(path: str, header: list[str], columns) -> None:
-    """Write a header and then equal-length columns of field texts,
-    quoted where the csv module would quote them: each row is its texts
-    joined by commas and ended by CRLF, the bytes csv.writer writes."""
-    rows = map(",".join, zip(*columns, strict=True))
+def _write_csv(path: str, header: list[str], blocks) -> None:
+    """Write a header and then the rows of each block of equal-length
+    columns of field texts, quoted where the csv module would quote them:
+    each row is its texts joined by commas and ended by CRLF, the bytes
+    csv.writer writes."""
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        fh.writelines(row + "\r\n" for row in rows)
+        for columns in blocks:
+            fh.writelines(",".join(row) + "\r\n"
+                          for row in zip(*columns, strict=True))
+
+
+def write_text_csv(path: str, header: list[str], columns) -> None:
+    """Write a header and then equal-length columns of field texts."""
+    _write_csv(path, header, [columns])
 
 
 def write_float_csv(path: str, header: list[str], columns) -> None:
-    """write_text_csv of the texts of float columns (float_texts)."""
-    write_text_csv(path, header, map(float_texts, columns))
+    """Write a header and then equal-length float columns, each value as
+    its float_texts, one ROW_BLOCK of rows at a time."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    # up to the longest column, so a shorter one ends a block early and
+    # the row writer's zip raises
+    rows = max(map(len, columns), default=0)
+    _write_csv(path, header, (
+        [float_texts(c[start:start + ROW_BLOCK]) for c in columns]
+        for start in range(0, rows, ROW_BLOCK)))
 
 
 def write_scan_csv(path: str, header: list[str], columns) -> None:

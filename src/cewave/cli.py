@@ -189,7 +189,7 @@ def cmd_ce_check(args) -> int:
     grid = None if args.grid is None else parse_grid(args.grid)
     report = classify(model, grid=grid, tol=_check_tol(args.tol))
     with open(args.out, "w") as fh:
-        fh.write(report.to_json_text())
+        report.write_json(fh)
     print(f"{model.name}: {report.label} "
           f"(max residual {report.max_residual:.3e}) -> {args.out}")
     return 0

@@ -65,15 +65,6 @@ def eta(D: int) -> np.ndarray:
     return g
 
 
-def sym_pairs(D: int) -> list[tuple[int, int]]:
-    """Index pairs (a <= b) enumerating independent symmetric components."""
-    return [(a, b) for a in range(D) for b in range(a, D)]
-
-
-def sym_dim(D: int) -> int:
-    return D * (D + 1) // 2
-
-
 def pi_from_components(c, D: int) -> np.ndarray:
     """Symmetric matrices from upper-triangle component vectors (..., n)."""
     c = np.asarray(c, dtype=float)

@@ -297,16 +297,6 @@ def _reduced_from_matrix(M) -> ReducedSystem:
     return ReducedSystem((lam0, lam1), (r0, r1))
 
 
-def burgers_factory() -> Callable[[tuple[float, ...]], ReducedSystem]:
-    """1x1 system with speed equal to the state itself."""
-
-    def make(U) -> ReducedSystem:
-        (u,) = U
-        return ReducedSystem((float(u),), ((1.0,),))
-
-    return make
-
-
 def scalar_reduced_factory(
         model: LagrangianModel
 ) -> Callable[[tuple[float, ...]], ReducedSystem]:
@@ -483,7 +473,3 @@ def write_characteristics_csv(path, phis, lams, x_by_t,
     write_float_csv(
         path, ["phi", "lam"] + [f"x_t{repr(float(t))}" for t in t_list],
         [phis, lams, *x_by_t])
-
-
-def write_snapshot_csv(path, snap: Snapshot) -> None:
-    write_float_csv(path, ["x", "u"], [snap.x, snap.u])

@@ -7,20 +7,23 @@ L-partials, ``synthetic_jet`` and ``nondegenerate_jet`` draw random
 third-order jets, and ``jet_check_fd`` cross-checks jets against finite
 differences.  ``CallableHamiltonian`` traces rays of an arbitrary H with
 central-difference gradients.  ``axis_matrices`` writes a characteristic
-system out per coordinate axis.  ``scalar_reduced_oracle`` builds a simple
+system out per coordinate axis.  ``burgers_factory`` is the 1x1 system
+whose speed is its state.  ``scalar_reduced_oracle`` builds a simple
 wave's 2x2 eigen-data through the full scalar system with numpy
 bookkeeping, ``track_mode`` follows a mode with numpy,
 ``simple_wave_oracle`` integrates a whole simple wave on those arrays, and
 ``wave_alignment_sines`` measures how closely a simple wave follows its
 eigenvector.  ``transport_oracle`` integrates the amplitude transport
-with one ``rk4_step`` call per step.  ``repr_csv`` writes float rows one repr at a time through
-the csv module, as the column CSV writers must, and
-``fresnel_scan_per_draw`` is the dispersion scan that draws and solves
-one background at a time.  ``identity_checks`` and
-``GravityProbe`` check gauge-bound gravity discontinuities, and
-``survey_normals_per_draw`` draws a gravity survey's normals one
-candidate at a time, with Q as ``covector_q_dot`` and the null norm as
-``null_norm``.
+with one ``rk4_step`` call per step.  ``repr_csv`` writes float rows one
+repr at a time through the csv module, as the column CSV writers must,
+``write_snapshot_csv`` writes an upwind snapshot through the float CSV
+writer, and ``fresnel_scan_per_draw`` is the dispersion scan that draws
+and solves one background at a time.  ``sym_pairs`` and ``sym_dim``
+enumerate and count the independent components of a symmetric D x D
+matrix, ``identity_checks`` and ``GravityProbe`` check gauge-bound
+gravity discontinuities, and ``survey_normals_per_draw`` draws a gravity
+survey's normals one candidate at a time, with Q as ``covector_q_dot``
+and the null norm as ``null_norm``.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from cewave.charsys import (
     nearly_real,
     sorted_eig,
     unit_direction,
+    write_float_csv,
 )
 from cewave.errors import (
     BadParams,
@@ -82,7 +86,7 @@ from cewave.rays import (
     _step_count,
     rk4_step,
 )
-from cewave.shock1d import ReducedSystem, SimpleWave
+from cewave.shock1d import ReducedSystem, SimpleWave, Snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +452,16 @@ def axis_matrices(bg: FieldBackground,
     return out
 
 
+def burgers_factory() -> Callable[[tuple[float, ...]], ReducedSystem]:
+    """1x1 system with speed equal to the state itself."""
+
+    def make(U) -> ReducedSystem:
+        (u,) = U
+        return ReducedSystem((float(u),), ((1.0,),))
+
+    return make
+
+
 @dataclass(frozen=True)
 class ArrayReduced:
     """Eigen-data of a small system as numpy arrays: the matrix, its
@@ -605,6 +619,10 @@ def repr_csv(header: list[str], rows) -> bytes:
     return buf.getvalue().encode()
 
 
+def write_snapshot_csv(path, snap: Snapshot) -> None:
+    write_float_csv(path, ["x", "u"], [snap.x, snap.u])
+
+
 def fresnel_scan_per_draw(model: LagrangianModel, trials: int,
                           seed: int) -> bytes | None:
     """The bytes of ``cewave fresnel`` written by the per-draw loop: the
@@ -671,6 +689,15 @@ def wave_alignment_sines(wave: SimpleWave,
 # ---------------------------------------------------------------------------
 # Gravity: contraction identities and a validated probe record
 # ---------------------------------------------------------------------------
+
+def sym_pairs(D: int) -> list[tuple[int, int]]:
+    """Index pairs (a <= b) enumerating independent symmetric components."""
+    return [(a, b) for a in range(D) for b in range(a, D)]
+
+
+def sym_dim(D: int) -> int:
+    return D * (D + 1) // 2
+
 
 def identity_checks(phi, P: np.ndarray) -> tuple[float, float]:
     """Residuals of the two contraction identities implied by the gauge

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cewave.ce import (
+    REPORT_SCHEMA,
     CEReport,
     GridSpec,
     VectorCharData,
@@ -20,7 +23,8 @@ from cewave.ce import (
     scalar_ce_residual,
     strong_ce_residuals,
 )
-from cewave.charsys import cone_coefficients
+from cewave.charsys import ROW_BLOCK, cone_coefficients
+from cewave.cli import main, parse_grid
 from cewave.errors import CewaveError, DegeneracyError, EmptyGrid
 from cewave.jets import InvariantPoint
 from cewave.lagrangians import (
@@ -616,3 +620,107 @@ def test_classify_grammar_draws_match_per_point_loop(kind_and_text):
     kind, text = kind_and_text
     grid = GridSpec(dict(_DYADIC_GRIDS[kind]))
     _assert_same_as_per_point(from_expression(text, kind), grid)
+
+
+# --- reports written in row blocks -------------------------------------------
+
+_BLOCK_EDGES = [0, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1]
+
+
+def _report_doc(report: CEReport) -> dict:
+    """The document of a report, built one row at a time from its fields."""
+    names = sorted(report.points)
+    count = len(report.points[names[0]])
+    per_point = [{
+        "point": {n: float(report.points[n][i]) for n in names},
+        "residuals": {s: [float(c[i]) for c in components]
+                      for s, components in report.residuals.items()
+                      if s != "general" or report.general_rows[i]},
+    } for i in range(count)]
+    return {
+        "schema": REPORT_SCHEMA, "report": "ce-classification",
+        "model": report.model, "kind": report.kind,
+        "grid": report.grid.to_json(), "tol": report.tol,
+        "label": report.label,
+        "residual_summary": {"max": report.max_residual,
+                             "argmax_point": report.argmax_point},
+        "counts": report.counts, "note": "", "per_point": per_point,
+    }
+
+
+def _draw_columns(rng, count: int, width: int) -> list[np.ndarray]:
+    """Columns of repeated grid-like values, signed zeros, subnormals and
+    non-finite values."""
+    pool = np.array([0.0, -0.0, 1.0, -2.5, 1e-310, 5e-324, 1e300, 0.1,
+                     np.nan, np.inf, -np.inf])
+    return [np.where(rng.random(count) < 0.5, rng.choice(pool, count),
+                     rng.standard_normal(count)) for _ in range(width)]
+
+
+@pytest.mark.parametrize("general", [False, True], ids=["plain", "general"])
+@pytest.mark.parametrize("count", _BLOCK_EDGES)
+def test_report_text_is_json_dumps_across_block_edges(count, general):
+    rng = np.random.default_rng(count)
+    a, b = _draw_columns(rng, count, 2)
+    residuals = {"coupling": _draw_columns(rng, count, 2),
+                 "scalar": _draw_columns(rng, count, 1),
+                 "strong": _draw_columns(rng, count, 2)}
+    general_rows = None
+    if general:
+        residuals["general"] = _draw_columns(rng, count, 2)
+        # runs of both kinds of row, switching inside blocks; the rows on
+        # each side of a block edge differ
+        general_rows = rng.random(count) < 0.5
+        if count > ROW_BLOCK:
+            general_rows[ROW_BLOCK - 1:ROW_BLOCK + 1] = [True, False]
+    report = CEReport(
+        model="m", kind="vector-scalar",
+        grid=GridSpec({"a": (0.0, 1.0, count), "b": (0.0, 1.0, 1),
+                       "z": (0.0, 0.0, 1)}),
+        tol=1e-9, label="NotCE", max_residual=np.nan, argmax_point=None,
+        counts={"total": count, "evaluated": count},
+        points={"z": np.zeros(count), "b": b, "a": a},
+        residuals=residuals, general_rows=general_rows)
+    want = _dumps(_report_doc(report))
+    assert report.to_json_text() == want
+    fh = io.StringIO()
+    report.write_json(fh)
+    assert fh.getvalue() == want
+
+
+@pytest.mark.parametrize("text, kind, grid", [
+    ("-a/2 + 0.1*a^2", "alpha", "a:-0.5:2:{count}"),
+    # every row carries the general sector
+    ("1 - sqrt(1 + a - 0.5*b^2)", "alpha-beta", "a:0:2:{count},b:0.5:0.5:1"),
+], ids=["alpha", "general"])
+@pytest.mark.parametrize("count", _BLOCK_EDGES[1:])
+def test_ce_check_file_is_json_dumps_across_block_edges(count, text, kind,
+                                                        grid, tmp_path,
+                                                        capsys):
+    grid = grid.format(count=count)
+    out = tmp_path / "r.json"
+    assert main(["ce", "check", "--expr", text, "--kind", kind, "--grid",
+                 grid, "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = classify(from_expression(text, kind), parse_grid(grid))
+    assert report.counts["evaluated"] == count
+    want = _dumps(_report_doc(report))
+    assert report.to_json_text() == want
+    assert out.read_text() == want
+
+
+def test_writing_a_report_holds_a_bounded_share_of_it(tmp_path):
+    # 2 MB, fixed before the first run: the report is about 7.9 MB, and
+    # writing it as one text peaked at about 3.3 times that
+    report = classify(builtin("born-infeld"),
+                      parse_grid("a:-0.5:2:201,b:-1:1:201"))
+    out = tmp_path / "r.json"
+    with open(out, "w") as fh:
+        tracemalloc.start()
+        try:
+            report.write_json(fh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert out.stat().st_size > 7_000_000
+    assert peak < 2_000_000

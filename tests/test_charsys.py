@@ -13,6 +13,7 @@ from cewave import charsys
 from cewave.ce import classify
 from cewave.charsys import (
     COINCIDENCE_RTOL,
+    ROW_BLOCK,
     CharSystem,
     FieldBackground,
     biorthogonality_defect,
@@ -25,6 +26,7 @@ from cewave.charsys import (
     scalar_system,
     unit_direction,
     vector_system,
+    write_float_csv,
     write_scan_csv,
 )
 from cewave.errors import (
@@ -38,7 +40,7 @@ from cewave.errors import (
 from cewave.jets import DomainMask
 from cewave.lagrangians import Kind, builtin, builtin_names, from_expression
 from cewave.rays import ConeHamiltonian, QuarticHamiltonian
-from oracles import axis_matrices, scalar_axis_matrix
+from oracles import axis_matrices, repr_csv, scalar_axis_matrix
 
 _ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -589,6 +591,29 @@ def test_fresnel_scan_csv(tmp_path):
                                        'root_index,p0,coincident_with,'
                                        'birefringent_flag\r\n'
                                        '"sqrt-family[0.5,2,0.4]",0.3,')
+
+
+@pytest.mark.parametrize("count", [0, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
+                                   2 * ROW_BLOCK + 1])
+def test_float_csv_is_repr_csv_across_block_edges(count, tmp_path):
+    rng = np.random.default_rng(count)
+    pool = np.array([0.0, -0.0, 0.5, 1e-310, np.nan, np.inf, -np.inf])
+    columns = [np.where(rng.random(count) < 0.5, rng.choice(pool, count),
+                        rng.standard_normal(count)) for _ in range(3)]
+    # a constant column repeats one bit pattern in every block
+    columns.append(np.full(count, -0.0))
+    path = tmp_path / "floats.csv"
+    header = ["u", "v", "w", "zero"]
+    write_float_csv(str(path), header, columns)
+    assert path.read_bytes() == repr_csv(header, zip(*columns))
+
+
+@pytest.mark.parametrize("lengths", [(ROW_BLOCK, ROW_BLOCK + 1),
+                                     (ROW_BLOCK + 1, ROW_BLOCK), (3, 2)])
+def test_float_csv_rejects_columns_of_unequal_length(lengths, tmp_path):
+    columns = [np.zeros(n) for n in lengths]
+    with pytest.raises(ValueError):
+        write_float_csv(str(tmp_path / "floats.csv"), ["u", "v"], columns)
 
 
 # --- batched dispersion roots ---------------------------------------------------------

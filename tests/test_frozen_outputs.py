@@ -9,7 +9,8 @@ jet, the transport arrays before the transport loop wrote its RK4
 stages out on floats, the upwind arrays of the step profile before each
 Godunov step evaluated the flux once per cell, the ``ce check`` reports
 of two expression models before parsed expressions were evaluated as
-closures, and four gravity surveys before their normals were drawn,
+closures, two larger reports and a longer ray before reports and float
+CSVs were written in row blocks, and four gravity surveys before their normals were drawn,
 checked and contracted as arrays, so these tests pin the rewritten code
 to the bytes of the code it replaced.
 They were recorded with numpy 2.4
@@ -133,6 +134,29 @@ _CASES.update({
     "ce-check-alpha-beta-expr": _ce_check(
         "-a/2 + 0.1*a^2 + 0.05*b^2", "alpha-beta",
         "13fd590851f749f8f75ccec5446d078f495c480f6ad84b6b808d430838f20ca2"),
+})
+
+
+# reports and a ray that span several row blocks of the writers
+_CASES.update({
+    "ce-check-born-infeld-101x101": (
+        ["ce", "check", "--builtin", "born-infeld", "--grid",
+         "a:-0.5:2:101,b:-1:1:101", "--out", "{dir}/report.json"],
+        {"report.json": "f5f404b56b3a00719bb5757275d4f53b"
+                        "548ee65e0eb85408c90d8195ddd7ba7c"}),
+    # 3715 of the 3721 rows carry the general sector
+    "ce-check-general-rows-61x61": (
+        ["ce", "check", "--expr", "1 - sqrt(1 + a - 0.5*b^2)", "--kind",
+         "alpha-beta", "--grid", "a:-0.5:2:61,b:-1:1:61", "--out",
+         "{dir}/report.json"],
+        {"report.json": "a29fe76e603084a89ae26ce5d504af85"
+                        "6e272e33ff9ccbabad825b2dcc607fe8"}),
+    # 1601 states
+    "rays-born-infeld-s16": (
+        ["rays", "--builtin", "born-infeld", "--E", "0.3,0,0", "--B",
+         "0,0.4,0", "--s-max", "16", "--out", "{dir}/ray.csv"],
+        {"ray.csv": "560463239ab1d8834c6258f8d1b16e14"
+                    "4724f0dd4deddf46f42db8d088bce420"}),
 })
 
 

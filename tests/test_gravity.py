@@ -32,15 +32,13 @@ from cewave.gravity import (
     quadratic_operator,
     random_nonnull_covector,
     random_null_covector,
-    sym_dim,
-    sym_pairs,
 )
 from cewave.gravity import (_check_normals, _frame, _operators,
                             _row_normalized, _scalars, _survey_normals,
                             _theory)
 
 from oracles import (GravityProbe, covector_q_dot, identity_checks,
-                     survey_normals_per_draw)
+                     survey_normals_per_draw, sym_dim, sym_pairs)
 
 NULL4 = np.array([1.0, 1.0, 0.0, 0.0])
 TIME4 = np.array([1.0, 0.0, 0.0, 0.0])

@@ -32,7 +32,6 @@ from cewave.shock1d import (
     Snapshot,
     _reduced_from_matrix,
     _track_mode,
-    burgers_factory,
     model_wave,
     moc_solve,
     moc_upwind_l1,
@@ -41,15 +40,16 @@ from cewave.shock1d import (
     simple_wave_construct,
     upwind_solve,
     write_characteristics_csv,
-    write_snapshot_csv,
 )
 from oracles import (
+    burgers_factory,
     reduced_from_matrix,
     repr_csv,
     scalar_reduced_oracle,
     simple_wave_oracle,
     track_mode,
     wave_alignment_sines,
+    write_snapshot_csv,
 )
 
 
