@@ -667,28 +667,25 @@ def crosscheck_cone_vs_eigen(system: CharSystem, H) -> float:
 
 
 def fresnel_scan_rows(model: LagrangianModel, batch: FresnelBatch
-                      ) -> tuple[list[str], list[list[str]]]:
-    """Header and text columns of the dispersion-root scan: one row per
-    root of each background of ``batch``, in root order."""
+                      ) -> tuple[list[str], list[np.ndarray]]:
+    """Header and data columns of the dispersion-root scan, for write_csv:
+    one row per root of each background of ``batch``, in root order."""
     header = ["model", "Ex", "Ey", "Ez", "Bx", "By", "Bz",
               "nx", "ny", "nz", "root_index", "p0",
               "coincident_with", "birefringent_flag"]
     count = len(batch)
     name = io.StringIO()
     csv.writer(name, lineterminator="").writerow([model.name])
-    columns = [[name.getvalue()] * (4 * count)]
-    columns += [float_texts(np.repeat(column, 4))
-                for column in (*batch.E.T, *batch.B.T, *batch.n.T)]
-    columns += [["0", "1", "2", "3"] * count,
-                float_texts(batch.roots.real.ravel()),
-                list(map(str, batch.coincident_with.ravel().tolist())),
-                np.repeat(np.where(batch.birefringent, "true", "false"),
-                          4).tolist()]
+    columns = [np.full(4 * count, name.getvalue())]
+    columns += [np.repeat(c, 4) for c in (*batch.E.T, *batch.B.T, *batch.n.T)]
+    columns += [np.tile(np.arange(4), count), batch.roots.real.ravel(),
+                batch.coincident_with.ravel(),
+                np.repeat(batch.birefringent, 4)]
     return header, columns
 
 
 # Rows per block of a written table: the writers render and write one
-# block of rows at a time (float_texts, row texts, write), so the text
+# block of rows at a time (field texts, row texts, write), so the text
 # they hold at once does not grow with the table.
 ROW_BLOCK = 1024
 
@@ -710,35 +707,32 @@ def float_texts(column, spelling: dict[str, str] | None = None) -> list[str]:
     return np.array(text, dtype=object)[index].tolist()
 
 
-def _write_csv(path: str, header: list[str], blocks) -> None:
-    """Write a header and then the rows of each block of equal-length
-    columns of field texts, quoted where the csv module would quote them:
-    each row is its texts joined by commas and ended by CRLF, the bytes
-    csv.writer writes."""
+def _field_texts(column: np.ndarray) -> list[str]:
+    """A block of a column as CSV fields, spelled by dtype: floats as
+    float_texts, bools true/false, else str (ints, quoted names)."""
+    if column.dtype.kind == "f":
+        return float_texts(column)
+    if column.dtype.kind == "b":
+        return np.where(column, "true", "false").tolist()
+    return list(map(str, column.tolist()))
+
+
+def write_csv(path: str, header: list[str], columns) -> None:
+    """Write a header and then equal-length data columns, one ROW_BLOCK of
+    rows at a time: each row's field texts joined by commas and ended by
+    CRLF, the bytes csv.writer writes for texts it would not quote."""
+    columns = [np.asarray(c) for c in columns]
+    # up to the longest column, so a shorter one ends a block early and
+    # the row zip raises
+    rows = max(map(len, columns), default=0)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        for columns in blocks:
+        for start in range(0, rows, ROW_BLOCK):
+            texts = [_field_texts(c[start:start + ROW_BLOCK]) for c in columns]
             fh.writelines(",".join(row) + "\r\n"
-                          for row in zip(*columns, strict=True))
-
-
-def write_text_csv(path: str, header: list[str], columns) -> None:
-    """Write a header and then equal-length columns of field texts."""
-    _write_csv(path, header, [columns])
-
-
-def write_float_csv(path: str, header: list[str], columns) -> None:
-    """Write a header and then equal-length float columns, each value as
-    its float_texts, one ROW_BLOCK of rows at a time."""
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    # up to the longest column, so a shorter one ends a block early and
-    # the row writer's zip raises
-    rows = max(map(len, columns), default=0)
-    _write_csv(path, header, (
-        [float_texts(c[start:start + ROW_BLOCK]) for c in columns]
-        for start in range(0, rows, ROW_BLOCK)))
+                          for row in zip(*texts, strict=True))
 
 
 def write_scan_csv(path: str, header: list[str], columns) -> None:
     """Write the columns of fresnel_scan_rows."""
-    write_text_csv(path, header, columns)
+    write_csv(path, header, columns)

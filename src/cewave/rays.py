@@ -25,11 +25,9 @@ from .charsys import (
     FieldBackground,
     _check_field_model,
     cone_coefficients,
-    float_texts,
     scalar_cone_matrix,
     u_and_g,
-    write_float_csv,
-    write_text_csv,
+    write_csv,
 )
 from .errors import (
     BadParams,
@@ -355,7 +353,8 @@ def ternary_argmin(fn: Callable[[float], float], lo: float, hi: float) -> float:
 def crossing_time(lam, phis, t_max: float = np.inf) -> float | None:
     """Earliest positive intersection time of the straight
     characteristics x(t) = phi + lam(phi) t, from adjacent sample
-    pairs t = -dphi/dlam; None when no pair converges within t_max.
+    pairs t = -dphi/dlam, with phis in either order; None when no pair
+    converges within t_max.
     """
     phis = np.asarray(phis, dtype=float)
     if phis.size < 3:
@@ -366,8 +365,10 @@ def crossing_time(lam, phis, t_max: float = np.inf) -> float | None:
 
     dphi = np.diff(phis)
     dlam = np.diff(lam)
+    # opposite signs converge; the product dphi * dlam could underflow
+    converging = np.sign(dphi) * np.sign(dlam) < 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        times = np.where(dlam < 0.0, -dphi / dlam, np.inf)
+        times = np.where(converging, -dphi / dlam, np.inf)
     t_star = float(np.min(times))
     if not np.isfinite(t_star):
         return None
@@ -378,11 +379,10 @@ def crossing_time(lam, phis, t_max: float = np.inf) -> float | None:
 
 
 def write_ray_csv(path: str, ray: RayPath) -> None:
-    write_float_csv(path, RAY_HEADER, ray.states.T)
+    write_csv(path, RAY_HEADER, ray.states.T)
 
 
 def write_transport_csv(path: str, result: TransportResult) -> None:
-    flag = str(result.blown_up).lower()
-    write_text_csv(path, ["s", "pi", "blown_up"],
-                   [float_texts(result.s), float_texts(result.pi),
-                    [flag] * len(result.s)])
+    """Columns s, pi and the run's blown_up flag on every row."""
+    write_csv(path, ["s", "pi", "blown_up"],
+              [result.s, result.pi, np.full(len(result.s), result.blown_up)])

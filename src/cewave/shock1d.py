@@ -26,7 +26,7 @@ from .charsys import (
     COINCIDENCE_RTOL,
     scalar_axis_block,
     scalar_system,  # unused here; bench/test_bench.py patches this binding
-    write_float_csv,
+    write_csv,
 )
 from .errors import (
     BadParams,
@@ -123,6 +123,8 @@ def moc_solve(speed: Callable, profile: Profile1D, t: float) -> MoCSolution:
     """
     if t < 0.0:
         raise BadParams("characteristic push needs t >= 0")
+    if not math.isfinite(t):
+        raise BadParams("characteristic push needs a finite t")
     lam = _speed_samples(speed, profile.u)
     x_t = profile.x + lam * t
     multivalued = bool(np.any(np.diff(x_t) < -MULTIVALUED_TOL))
@@ -173,10 +175,12 @@ def upwind_solve(flux: Callable, profile: Profile1D, t: float, nx: int,
     if cfl > MAX_CFL:
         raise CFLViolation(f"cfl={cfl:g} exceeds the stability bound "
                            f"{MAX_CFL:g}")
-    if cfl <= 0.0:
+    if not cfl > 0.0:
         raise BadParams("cfl must be positive")
     if t < 0.0:
         raise BadParams("upwind solve needs t >= 0")
+    if not math.isfinite(t):
+        raise BadParams("upwind solve needs a finite t")
     if nx < 4:
         raise BadParams("upwind solve needs nx >= 4")
 
@@ -470,6 +474,6 @@ def model_wave(model: LagrangianModel,
 def write_characteristics_csv(path, phis, lams, x_by_t,
                               t_list) -> None:
     """Columns phi, lam, then one pushed-position column per time."""
-    write_float_csv(
+    write_csv(
         path, ["phi", "lam"] + [f"x_t{repr(float(t))}" for t in t_list],
         [phis, lams, *x_by_t])

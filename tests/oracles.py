@@ -55,7 +55,7 @@ from cewave.charsys import (
     nearly_real,
     sorted_eig,
     unit_direction,
-    write_float_csv,
+    write_csv,
 )
 from cewave.errors import (
     BadParams,
@@ -620,7 +620,7 @@ def repr_csv(header: list[str], rows) -> bytes:
 
 
 def write_snapshot_csv(path, snap: Snapshot) -> None:
-    write_float_csv(path, ["x", "u"], [snap.x, snap.u])
+    write_csv(path, ["x", "u"], [snap.x, snap.u])
 
 
 def fresnel_scan_per_draw(model: LagrangianModel, trials: int,

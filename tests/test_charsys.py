@@ -26,7 +26,7 @@ from cewave.charsys import (
     scalar_system,
     unit_direction,
     vector_system,
-    write_float_csv,
+    write_csv,
     write_scan_csv,
 )
 from cewave.errors import (
@@ -561,6 +561,23 @@ def test_crosscheck_scalar_sqrt_random():
 
 # --- CSV export ----------------------------------------------------------------------
 
+def _scan_csv_oracle(model, E, B, n) -> bytes:
+    # the scan's bytes as csv.writer writes them, row by row from
+    # fresnel_roots
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(fresnel_scan_rows(model, fresnel_batch(model, E, B, n))[0])
+    for k in range(len(E)):
+        fr = fresnel_roots(model, FieldBackground.vector(E[k], B[k]), n[k])
+        for i in range(4):
+            writer.writerow([model.name,
+                             *(repr(float(v)) for v in (*E[k], *B[k], *n[k])), i,
+                             repr(float(fr.roots[i].real)),
+                             fr.coincident_with[i],
+                             str(fr.birefringent).lower()])
+    return buf.getvalue().encode()
+
+
 def test_fresnel_scan_csv(tmp_path):
     # sqrt-family's name holds commas, so the csv module quotes it
     model = builtin("sqrt-family", [0.5, 2.0, 0.4])
@@ -575,22 +592,25 @@ def test_fresnel_scan_csv(tmp_path):
 
     path = tmp_path / "scan.csv"
     write_scan_csv(str(path), header, columns)
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for k in range(2):
-        fr = fresnel_roots(model, FieldBackground.vector(E[k], B[k]), n[k])
-        for i in range(4):
-            writer.writerow([model.name,
-                             *(repr(float(v)) for v in (*E[k], *B[k], *n[k])), i,
-                             repr(float(fr.roots[i].real)),
-                             fr.coincident_with[i],
-                             str(fr.birefringent).lower()])
-    assert path.read_bytes() == buf.getvalue().encode()
+    assert path.read_bytes() == _scan_csv_oracle(model, E, B, n)
     assert path.read_bytes().decode().startswith('model,Ex,Ey,Ez,Bx,By,Bz,nx,ny,nz,'
                                        'root_index,p0,coincident_with,'
                                        'birefringent_flag\r\n'
                                        '"sqrt-family[0.5,2,0.4]",0.3,')
+
+
+# four rows per background: one and then two row-block edges crossed
+@pytest.mark.parametrize("count", [ROW_BLOCK // 4 + 1, ROW_BLOCK // 2 + 1])
+def test_fresnel_scan_csv_across_block_edges(count, tmp_path):
+    model = builtin("sqrt-family", [0.5, 2.0, 0.4])
+    rng = np.random.default_rng(count)
+    E, B = rng.uniform(-0.4, 0.4, size=(2, count, 3))
+    n = rng.standard_normal((count, 3))
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    path = tmp_path / "scan.csv"
+    write_scan_csv(str(path), *fresnel_scan_rows(
+        model, fresnel_batch(model, E, B, n)))
+    assert path.read_bytes() == _scan_csv_oracle(model, E, B, n)
 
 
 @pytest.mark.parametrize("count", [0, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
@@ -604,8 +624,29 @@ def test_float_csv_is_repr_csv_across_block_edges(count, tmp_path):
     columns.append(np.full(count, -0.0))
     path = tmp_path / "floats.csv"
     header = ["u", "v", "w", "zero"]
-    write_float_csv(str(path), header, columns)
+    write_csv(str(path), header, columns)
     assert path.read_bytes() == repr_csv(header, zip(*columns))
+
+
+@pytest.mark.parametrize("count", [0, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
+                                   2 * ROW_BLOCK + 1])
+def test_csv_spells_bool_int_and_str_columns_across_block_edges(count,
+                                                                 tmp_path):
+    rng = np.random.default_rng(count)
+    names = np.where(rng.random(count) < 0.5, "a,b", "c")
+    columns = [rng.standard_normal(count), rng.random(count) < 0.5,
+               rng.integers(-5, 5, count),
+               # str fields come quoted, as fresnel_scan_rows quotes names
+               np.where(names == "c", "c", '"a,b"')]
+    header = ["float", "bool", "int", "str"]
+    path = tmp_path / "mixed.csv"
+    write_csv(str(path), header, columns)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([repr(float(f)), str(bool(b)).lower(), int(i), name]
+                     for f, b, i, name in zip(*columns[:3], names))
+    assert path.read_bytes() == buf.getvalue().encode()
 
 
 @pytest.mark.parametrize("lengths", [(ROW_BLOCK, ROW_BLOCK + 1),
@@ -613,7 +654,7 @@ def test_float_csv_is_repr_csv_across_block_edges(count, tmp_path):
 def test_float_csv_rejects_columns_of_unequal_length(lengths, tmp_path):
     columns = [np.zeros(n) for n in lengths]
     with pytest.raises(ValueError):
-        write_float_csv(str(tmp_path / "floats.csv"), ["u", "v"], columns)
+        write_csv(str(tmp_path / "floats.csv"), ["u", "v"], columns)
 
 
 # --- batched dispersion roots ---------------------------------------------------------

@@ -10,8 +10,9 @@ stages out on floats, the upwind arrays of the step profile before each
 Godunov step evaluated the flux once per cell, the ``ce check`` reports
 of two expression models before parsed expressions were evaluated as
 closures, two larger reports and a longer ray before reports and float
-CSVs were written in row blocks, and four gravity surveys before their normals were drawn,
-checked and contracted as arrays, so these tests pin the rewritten code
+CSVs were written in row blocks, four gravity surveys before their normals were drawn,
+checked and contracted as arrays, and a 1204-row fresnel scan before one
+writer spelled every CSV column by its dtype, so these tests pin the rewritten code
 to the bytes of the code it replaced.
 They were recorded with numpy 2.4
 (OpenBLAS) on x86-64; the eigen solves of a simple wave go through
@@ -118,6 +119,12 @@ _CASES.update({
     "fresnel-overflow": _fresnel(
         ["--expr", "a^700", "--kind", "alpha"],
         "66af6d22f5b8e3eb3bf1e36e9bba12c2cb660c2a79adf4b262e0c05febda657c"),
+    # 1204 rows: two row blocks, and a model name quoted for its commas
+    "fresnel-sqrt-family-300": (
+        ["fresnel", "--builtin", "sqrt-family", "--params", "0.5,2,0.4",
+         "--trials", "300", "--seed", "5", "--out", "{dir}/scan.csv"],
+        {"scan.csv": "db5192d2793eb4a51e242c02f3889fc0"
+                     "33d4b2d1827ceb786604872344df7041"}),
 })
 
 

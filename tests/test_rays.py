@@ -378,6 +378,14 @@ def test_crossing_time_respects_horizon_cap():
     assert crossing_time(np.sin(phis), phis, t_max=0.5) is None
 
 
+def test_crossing_time_with_decreasing_parameters():
+    # the first fan spreads apart; the second meets at t = 1, as it does
+    # with its samples listed in increasing order
+    assert crossing_time([1.0, 0.0, -1.0], [2.0, 1.0, 0.0]) is None
+    assert crossing_time([-1.0, 0.0, 1.0], [2.0, 1.0, 0.0]) == 1.0
+    assert crossing_time([1.0, 0.0, -1.0], [0.0, 1.0, 2.0]) == 1.0
+
+
 def test_crossing_time_needs_enough_samples():
     with pytest.raises(GridTooCoarse):
         crossing_time([1.0, 0.5], [0.0, 1.0])
@@ -503,17 +511,19 @@ def test_transport_csv_roundtrip(tmp_path):
     assert len(rows) == len(res.s) + 1
 
 
-@pytest.mark.parametrize("ts, blown_up, last_finite", [
-    (TransportState(pi0=1.0, m=0.7, c=0.0), False, True),
-    (TransportState(pi0=-0.0, m=0.7, c=0.0), False, True),
+@pytest.mark.parametrize("ts, s_max, blown_up, last_finite", [
+    (TransportState(pi0=1.0, m=0.7, c=0.0), 1.0, False, True),
+    (TransportState(pi0=-0.0, m=0.7, c=0.0), 1.0, False, True),
     # passes the blow-up threshold at a finite value
-    (TransportState(pi0=-2.0, m=0.0, c=1.0), True, True),
+    (TransportState(pi0=-2.0, m=0.0, c=1.0), 1.0, True, True),
     # the first RK4 stage overflows and the step ends in nan
-    (TransportState(pi0=-1e200, m=0.0, c=1.0), True, False),
-], ids=["decay", "signed-zero", "blowup", "overflow"])
-def test_transport_csv_bytes_match_the_csv_writer(ts, blown_up, last_finite,
-                                                  tmp_path):
-    res = transport_amplitude(ts, s_max=1.0)
+    (TransportState(pi0=-1e200, m=0.0, c=1.0), 1.0, True, False),
+    # 2501 rows, past two row-block edges
+    (TransportState(pi0=1.0, m=0.1, c=0.0), 25.0, False, True),
+], ids=["decay", "signed-zero", "blowup", "overflow", "three-blocks"])
+def test_transport_csv_bytes_match_the_csv_writer(ts, s_max, blown_up,
+                                                  last_finite, tmp_path):
+    res = transport_amplitude(ts, s_max=s_max)
     assert res.blown_up is blown_up
     assert np.isfinite(res.pi[-1]) == last_finite
     out = tmp_path / "pi.csv"

@@ -118,6 +118,12 @@ def test_moc_rejects_negative_time():
         moc_solve(_identity, _sin_profile(), -0.1)
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_moc_rejects_non_finite_time(t):
+    with pytest.raises(BadParams, match="characteristic push needs a finite t"):
+        moc_solve(_identity, _sin_profile(), t)
+
+
 def test_shock_time_examples():
     assert abs(shock_time(_identity, _sin_profile()) - 1.0) < 0.02
     rising = Profile1D.from_callable(lambda x: x, -2.0, 2.0, n=201)
@@ -218,6 +224,9 @@ def test_upwind_constant_flux_keeps_the_initial_cells():
     (0.1, 64, -0.2, "cfl must be positive"),
     (-0.1, 64, 0.45, "upwind solve needs t >= 0"),
     (0.1, 3, 0.45, "upwind solve needs nx >= 4"),
+    (0.1, 64, math.nan, "cfl must be positive"),
+    (math.inf, 64, 0.45, "upwind solve needs a finite t"),
+    (math.nan, 64, 0.45, "upwind solve needs a finite t"),
 ])
 def test_upwind_rejects_bad_params(t, nx, cfl, message):
     with pytest.raises(BadParams) as err:
