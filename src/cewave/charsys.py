@@ -31,7 +31,14 @@ from .errors import (
     KindError,
     ModeCollision,
 )
-from .jets import InvariantPoint, Jet2, Jet3, power, richardson_central
+from .jets import (
+    InvariantPoint,
+    Jet2,
+    Jet3,
+    distinct,
+    power,
+    richardson_central,
+)
 from .lagrangians import Kind, LagrangianModel, builtin_names
 
 _TINY = 1e-300
@@ -698,9 +705,7 @@ def float_texts(column, spelling: dict[str, str] | None = None) -> list[str]:
     Each distinct bit pattern is written once (grid coordinates and
     constant columns repeat); bits, not values, keep -0.0 apart from 0.0.
     """
-    column = np.asarray(column, dtype=float)
-    bits, index = np.unique(column.view(np.int64), return_inverse=True)
-    values = bits.view(np.float64)
+    values, index = distinct(column)
     text = list(map(float.__repr__, values.tolist()))
     if spelling and not np.isfinite(values).all():
         text = [spelling.get(t, t) for t in text]

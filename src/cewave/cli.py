@@ -64,6 +64,10 @@ DEFAULT_SEED = 42
 # the Euler identity of a degree-N dispersion function holds to rounding
 # (at most 6.7e-18 over the rays jobs of 39 benchmark seeds)
 EULER_DEFECT_TOL = 1e-10
+# a ce check takes about 0.25-0.5 KB of RSS per grid point (born-infeld
+# and vector-scalar expressions, up to 1000x1000 points), so this bound
+# keeps a run near 0.5 GB and a few seconds
+MAX_GRID_POINTS = 1_000_000
 
 
 # --- shared argument plumbing ---------------------------------------------------------
@@ -95,16 +99,24 @@ def parse_grid(text: str) -> GridSpec:
             raise BadParams(f"grid axis '{name}' is given more than once")
         try:
             lo, hi = float(parts[1]), float(parts[2])
-            n = int(parts[3])
         except ValueError as exc:
             raise BadParams(f"grid axis '{chunk}' has non-numeric "
                             "bounds") from exc
+        try:
+            n = int(parts[3])
+        except ValueError as exc:
+            raise BadParams(f"grid axis '{name}' needs an integer point "
+                            f"count, got '{parts[3]}'") from exc
         if n < 1:
             raise BadParams(f"grid axis '{name}' needs n >= 1")
         if not np.isfinite([lo, hi, hi - lo]).all():
             raise BadParams(f"grid axis '{name}' needs finite bounds a "
                             "finite distance apart")
         axes[name] = (lo, hi, n)
+    points = math.prod(n for _, _, n in axes.values())
+    if points > MAX_GRID_POINTS:
+        raise BadParams(f"--grid asks for {points} points; a ce check takes "
+                        f"at most {MAX_GRID_POINTS}")
     return GridSpec(axes)
 
 
@@ -433,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="classify a model over an invariant grid")
     _add_model_flags(check)
     check.add_argument("--grid", default=None,
-                       help="axis spec 'a:lo:hi:n,b:lo:hi:n'")
+                       help="axis spec 'a:lo:hi:n,b:lo:hi:n', at most "
+                            f"{MAX_GRID_POINTS} points in all")
     check.add_argument("--tol", type=float, default=CE_TOL)
     check.add_argument("--out", default="ce_report.json")
     check.set_defaults(handler=cmd_ce_check)

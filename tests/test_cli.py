@@ -12,17 +12,19 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from cewave import cli, gravity, rays, shock1d
 from cewave.ce import classify
-from cewave.cli import main, parse_grid
+from cewave.cli import MAX_GRID_POINTS, main, parse_grid
 from cewave.errors import BadParams
 from cewave.lagrangians import Kind, builtin, builtin_names, from_expression
 from oracles import fresnel_scan_per_draw
@@ -196,6 +198,11 @@ def test_ce_check_input_errors_exit_2(argv, tmp_path, capsys, monkeypatch):
     ("maxwell", "a:0:1:3,a:5:6:3", "grid axis 'a' is given more than once"),
     # an empty value used to classify on the default grid
     ("maxwell", "", "grid axis '' is not name:lo:hi:n"),
+    # a point count that is not an integer used to read as a bad bound
+    ("maxwell", "a:0:1:3.0",
+     "grid axis 'a' needs an integer point count, got '3.0'"),
+    ("maxwell", "a:0:1:1e3",
+     "grid axis 'a' needs an integer point count, got '1e3'"),
 ])
 def test_ce_check_grid_needs_exactly_the_models_axes(model, grid, message,
                                                       tmp_path, capsys,
@@ -220,6 +227,30 @@ def test_parse_grid():
 def test_parse_grid_rejects(text):
     with pytest.raises(BadParams):
         parse_grid(text)
+
+
+def test_parse_grid_bounds_the_point_count():
+    side = math.isqrt(MAX_GRID_POINTS)
+    assert parse_grid(f"a:0:1:{side},b:0:1:{side}").axes["b"][2] == side
+    with pytest.raises(BadParams, match="--grid asks for"):
+        parse_grid(f"a:0:1:{side},b:0:1:{side + 1}")
+    with pytest.raises(BadParams, match="--grid asks for"):
+        parse_grid(f"a:0:1:2,b:0:1:3,z:0:1:{MAX_GRID_POINTS // 6 + 1}")
+
+
+def test_ce_check_oversized_grid_exits_2_at_once(tmp_path, capsys,
+                                                 monkeypatch):
+    # 10^10 points would ask for about 75 GiB
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    rc = main(["ce", "check", "--builtin", "born-infeld",
+               "--grid", "a:0:1:100000,b:0:1:100000"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "input error: --grid asks for 10000000000 points; a ce check takes "
+        f"at most {MAX_GRID_POINTS}\n")
+    assert list(tmp_path.iterdir()) == []
 
 # --- fresnel scan ---------------------------------------------------------------------
 

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cewave import jets
+from cewave.ce import GridSpec
 from cewave.errors import DomainError, FloatOverflow, KindError
 from cewave.jets import (
     DomainMask,
@@ -254,6 +256,134 @@ def test_power_domain_on_arrays():
         out = power(xs, -1)
     assert mask.bad.tolist() == [False, True, False]
     assert out[0] == -1.0 and np.isnan(out[1]) and out[2] == 0.25
+
+
+# --- power on arrays: each distinct entry once ----------------------------------
+
+_CUT = jets._DEDUPE_SIZE
+# shapes on both sides of the cutoff; each array is drawn with its last
+# axis twice as long, then cut, sliced or transposed to its shape
+_POWER_SHAPES = [(1,), (21,), (_CUT - 1,), (_CUT,), (_CUT + 1,), (1000,),
+                 (3, 7), (15, 17), (16, 16), (21, 21), (40, 25)]
+_POWER_EXPONENTS = [0, 2, 3, -1, -2, 0.5, 1.5]
+_EDGE_FLOATS = st.sampled_from([
+    0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+    5e-324, -5e-324, 2.2250738585072014e-308, 1e-160, 1.3e-154,
+    1e103, 6e102, 1e154, 1.4e154, 1e308, 1.7976931348623157e308, -1e154,
+    1.0, -1.0, 0.1, 2.0, -2.5])
+_POWER_VALUES = _EDGE_FLOATS | st.floats()
+_POWER_INTS = (st.integers(-50, 50) | st.integers(-2**63, 2**63 - 1)
+               | st.sampled_from([2**53 + 1, -(2**53 + 1), 2**62 + 3]))
+
+
+@st.composite
+def _power_arrays(draw):
+    """Arrays with repeated entries: picks from a small pool of floats or
+    of integers, or a grid axis tiled the way a grid column repeats."""
+    shape = draw(st.sampled_from(_POWER_SHAPES))
+    layout = draw(st.sampled_from(["flat", "sliced", "transposed"]))
+    wide = shape[:-1] + (2 * shape[-1],)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    source = draw(st.sampled_from(["floats", "ints", "grid"]))
+    if source == "grid":
+        lo, hi = draw(st.tuples(_POWER_VALUES, _POWER_VALUES))
+        with np.errstate(all="ignore"):
+            axis = np.linspace(lo, hi, draw(st.integers(1, 101)))
+        xs = np.resize(axis, wide)
+    else:
+        values, dtype = ((_POWER_VALUES, float) if source == "floats"
+                         else (_POWER_INTS, np.int64))
+        pool = np.array(draw(st.lists(values, min_size=1, max_size=8)),
+                        dtype=dtype)
+        xs = rng.choice(pool, wide)
+    if layout == "flat":
+        return np.ascontiguousarray(xs[..., :shape[-1]])
+    if layout == "sliced":
+        return xs[..., ::2]
+    return np.ascontiguousarray(xs[..., ::2].T).T
+
+
+def _per_entry_power(xs, e, masked):
+    """What ``power(xs, e)`` gives, worked out one entry at a time with
+    Python's pow: the result's bits and the mask's bits, or the error."""
+    values = [float(x) for x in xs.ravel().tolist()]
+    zero = [e < 0 and x == 0.0 for x in values]
+    if any(zero) and not masked:
+        return DomainError, "zero raised to a negative power"
+    try:
+        out = [math.nan if z or (e != int(e) and x < 0.0) else pow(x, float(e))
+               for x, z in zip(values, zero)]
+    except OverflowError:
+        return (FloatOverflow,
+                f"a power with exponent {e:g} leaves the double range")
+    bad = np.array(zero).reshape(xs.shape) if any(zero) else False
+    return (np.array(out).reshape(xs.shape).view(np.int64).tolist(),
+            np.asarray(bad).tolist())
+
+
+def _power_outcome(xs, e, masked):
+    """``power(xs, e)`` in the terms of ``_per_entry_power``."""
+    try:
+        if masked:
+            with DomainMask() as mask:
+                out = power(xs, e)
+            bad = mask.bad
+        else:
+            out, bad = power(xs, e), False
+    except (DomainError, FloatOverflow) as exc:
+        return type(exc), str(exc)
+    assert out.shape == xs.shape and out.dtype == float
+    return out.view(np.int64).tolist(), np.asarray(bad).tolist()
+
+
+@settings(max_examples=600, deadline=None)
+@given(xs=_power_arrays(), e=st.sampled_from(_POWER_EXPONENTS),
+       masked=st.booleans())
+def test_power_on_arrays_is_per_entry_pow_bit_for_bit(xs, e, masked):
+    before = xs.copy()
+    assert _power_outcome(xs, e, masked) == _per_entry_power(xs, e, masked)
+    assert np.array_equal(xs, before, equal_nan=True)
+
+
+@pytest.mark.parametrize("size", [21, 1000])
+@pytest.mark.parametrize("values, e, masked, error", [
+    ([1e200, 2.0, 1e200, 3.0], 2, False, FloatOverflow),
+    ([2.0, 0.0, -0.0, 3.0, 0.0], -1, False, DomainError),
+    ([2.0, 0.0, -0.0, 3.0, 0.0], -2, True, None),
+    ([-2.0, 0.0, 4.0, -0.0, math.nan], 0.5, True, None),
+])
+def test_power_errors_and_masks_match_per_entry_pow(values, e, masked,
+                                                     error, size):
+    xs = np.resize(np.array(values), size)
+    got = _power_outcome(xs, e, masked)
+    assert got == _per_entry_power(xs, e, masked)
+    assert got[0] is error if error else isinstance(got[0], list)
+
+
+def _count_pow(monkeypatch):
+    calls = []
+
+    def counted(x, e):
+        calls.append(x)
+        return pow(x, e)
+    monkeypatch.setattr(jets, "pow", counted, raising=False)
+    return calls
+
+
+def test_power_of_a_grid_column_raises_each_distinct_entry_once(monkeypatch):
+    grid = GridSpec({"a": (-0.5, 2.0, 101), "b": (-1.0, 1.0, 101)})
+    b = grid.point(("a", "b")).b
+    calls = _count_pow(monkeypatch)
+    out = power(b, 2)
+    assert len(calls) == 101
+    assert out.tolist() == [x ** 2 for x in b.tolist()]
+
+
+def test_power_below_the_cutoff_raises_every_entry(monkeypatch):
+    xs = np.zeros(21)
+    calls = _count_pow(monkeypatch)
+    power(xs, 3)
+    assert len(calls) == 21
 
 
 # zero to a negative power raises, as a float or as an array entry
