@@ -258,10 +258,13 @@ def _zero_count(w: np.ndarray) -> int:
 def _scalar_row0(A: float, s, L1: float, L2: float,
                  theta: float) -> list[float]:
     """Row 0 of the scalar system's matrix along x1: the entry of the
-    time component A, then one entry per spatial component s[j]."""
-    return [-2.0 * A * s[0] * L2 / theta] + [
-        (s[0] * s[j] * L2 + (L1 if j == 0 else 0.0)) / theta
-        for j in range(len(s))]
+    time component A, then one entry per spatial component s[j], which
+    is (s[0] s[j] L'' + L' [j = 0]) / theta with 0.0 added for j > 0."""
+    s0, *rest = s
+    row = [-2.0 * A * s0 * L2 / theta, (s0 * s0 * L2 + L1) / theta]
+    for sj in rest:
+        row.append((s0 * sj * L2 + 0.0) / theta)
+    return row
 
 
 def _scalar_theta(A: float, jet: Jet2 | Jet3) -> float:
@@ -274,21 +277,30 @@ def _scalar_theta(A: float, jet: Jet2 | Jet3) -> float:
     return theta
 
 
-def scalar_axis_block(model: LagrangianModel, A: float,
-                      B: float) -> np.ndarray:
-    """Leading 2x2 block of ``scalar_system``'s matrix along x1 on the
-    gradient (A, B, 0, 0), for a model of kind Scalar.  The block reads
-    L' and L'' alone, so it takes the model's order-2 jet in z, whose
-    slots are those of ``jet_at``.  It is built from Python floats with
-    the same operations as the full matrix, so its bits equal the block
-    sliced from it.  Adding 0.0 makes zero entries +0.0, as the rotation
-    product in scalar_system leaves them: LAPACK orders eigenpairs by
-    the sign of a zero."""
+def scalar_axis_entries(model: LagrangianModel, A: float,
+                        B: float) -> tuple[float, float]:
+    """The entries (m00, m01) of ``scalar_axis_block``'s first row, as
+    Python floats; its second row is always (-1.0, 0.0).  The block
+    reads L' and L'' alone, so they come from the model's order-2 jet in
+    z, whose slots are those of ``jet_at``, and with the same operations
+    as the full matrix, so their bits equal the entries sliced from it.
+    Adding 0.0 makes a zero entry +0.0, as the rotation product in
+    scalar_system leaves it: LAPACK orders eigenpairs by the sign of a
+    zero."""
     if not (math.isfinite(A) and math.isfinite(B)):
         raise DomainError("background components must be finite")
     jet = model.jet2_at(scalar_z(A, B, 0.0, 0.0))
     m00, m01 = _scalar_row0(A, (B,), jet.fa, jet.faa, _scalar_theta(A, jet))
-    return np.array([[m00 + 0.0, m01 + 0.0], [-1.0, 0.0]])
+    return m00 + 0.0, m01 + 0.0
+
+
+def scalar_axis_block(model: LagrangianModel, A: float,
+                      B: float) -> np.ndarray:
+    """Leading 2x2 block of ``scalar_system``'s matrix along x1 on the
+    gradient (A, B, 0, 0), for a model of kind Scalar, with the bits of
+    the block sliced from the full matrix (see scalar_axis_entries)."""
+    m00, m01 = scalar_axis_entries(model, A, B)
+    return np.array([[m00, m01], [-1.0, 0.0]])
 
 
 def _scalar_axis_matrix(model: LagrangianModel, Q: np.ndarray,

@@ -46,6 +46,7 @@ from .lagrangians import Kind, LagrangianModel, builtin, builtin_names, from_exp
 from .rays import (
     DEFAULT_STEP,
     DEFAULT_TOL as RAY_TOL,
+    MAX_STEPS,
     ConeHamiltonian,
     QuarticHamiltonian,
     crossing_time,
@@ -68,6 +69,12 @@ EULER_DEFECT_TOL = 1e-10
 # and vector-scalar expressions, up to 1000x1000 points), so this bound
 # keeps a run near 0.5 GB and a few seconds
 MAX_GRID_POINTS = 1_000_000
+# a fresnel scan or gravity survey takes at most this many trials, 500
+# times the README's 200-trial survey; time grows about linearly in
+# trials, and so does a scan's memory (a 20,000-trial born-infeld scan
+# took 0.39 s and 58 MiB, a 2,000-trial D = 7 quadratic survey 0.44 s
+# and 38 MiB)
+MAX_TRIALS = 100_000
 
 
 # --- shared argument plumbing ---------------------------------------------------------
@@ -118,6 +125,12 @@ def parse_grid(text: str) -> GridSpec:
         raise BadParams(f"--grid asks for {points} points; a ce check takes "
                         f"at most {MAX_GRID_POINTS}")
     return GridSpec(axes)
+
+
+def _check_trials(trials: int, run: str) -> None:
+    if trials > MAX_TRIALS:
+        raise BadParams(f"--trials asks for {trials}; a {run} takes at most "
+                        f"{MAX_TRIALS}")
 
 
 _MODEL_FLAGS = ("builtin", "params", "expr", "kind")
@@ -268,6 +281,7 @@ def cmd_fresnel(args) -> int:
     _check_field_model(model)  # before the first draw
     if args.trials < 1:
         raise BadParams("--trials must be at least 1")
+    _check_trials(args.trials, "fresnel scan")
     scan = _fresnel_scan(model, args.trials, _rng(args.seed))
     header, columns = fresnel_scan_rows(model, scan)
     write_scan_csv(args.out, header, columns)
@@ -362,6 +376,7 @@ def cmd_shock(args) -> int:
 
 
 def cmd_gravity(args) -> int:
+    _check_trials(args.trials, "gravity survey")
     rng = _rng(args.seed)
     survey = kernel_survey(args.theory, args.D, args.trials, rng,
                            p=args.p, q=args.q, f2=args.fpp)
@@ -456,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "random backgrounds")
     # a model of another kind reaches the dispersion check and its message
     _add_model_flags(fres, builtin_kinds=FIELD_KINDS)
-    fres.add_argument("--trials", type=int, default=50)
+    fres.add_argument("--trials", type=int, default=50,
+                      help=f"backgrounds to solve, at most {MAX_TRIALS}")
     fres.add_argument("--seed", type=int, default=DEFAULT_SEED)
     fres.add_argument("--out", default="fresnel.csv")
     fres.set_defaults(handler=cmd_fresnel)
@@ -478,7 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
                                "operators")
     grav.add_argument("--theory", default="einstein",
                       choices=["einstein", "quadratic", "fr"])
-    grav.add_argument("--trials", type=int, default=200)
+    grav.add_argument("--trials", type=int, default=200,
+                      help="null and non-null normal pairs to draw, at most "
+                           f"{MAX_TRIALS}")
     grav.add_argument("--D", type=int, default=4)
     grav.add_argument("--p", type=float, default=1.0)
     grav.add_argument("--q", type=float, default=0.0)
@@ -496,7 +514,9 @@ def build_parser() -> argparse.ArgumentParser:
     rays.add_argument("--nhat", default="1.0,0.0,0.0")
     rays.add_argument("--p0", default=None,
                       help="explicit start covector 'p0,p1,p2,p3'")
-    rays.add_argument("--s-max", type=float, default=10.0)
+    rays.add_argument("--s-max", type=float, default=10.0,
+                      help="ray parameter to reach, in at most "
+                           f"{MAX_STEPS} steps of --step")
     rays.add_argument("--step", type=float, default=DEFAULT_STEP)
     rays.add_argument("--tol", type=float, default=RAY_TOL)
     rays.add_argument("--out", default="ray.csv")

@@ -332,9 +332,13 @@ def _pow(self, exponent):
             return self.constant(1.0)
         if n < 0:
             return 1.0 / (self ** (-n))
+        # square and multiply, from the leading bit of n down: x^2 is
+        # x*x and x^3 is (x*x)*x, and n takes O(log n) products
         out = self
-        for _ in range(n - 1):
-            out = out * self
+        for bit in bin(n)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
     # fractional exponent: real branch only, positive base required
     v = check_domain(self.f, self.f < _TINY,

@@ -42,6 +42,10 @@ _TINY = 1e-300
 DEFAULT_TOL = 1e-9
 DEFAULT_STEP = 1e-2
 BLOWUP_THRESHOLD = 1e12
+# a ray or transport run takes at most this many fixed steps: 100 times
+# the longest run of the benchmark and the README (10,000 steps); a ray's
+# states then take at most 80 MB
+MAX_STEPS = 1_000_000
 
 
 class ConeHamiltonian:
@@ -221,7 +225,8 @@ def _step_count(s_max: float, step: float) -> int:
     rounded to the nearest whole number (ties to even), and at least
     one, so the last state can fall short of s_max or pass it by up to
     half a step, or by more when the count is raised to one.  The step
-    must point from 0 toward s_max."""
+    must point from 0 toward s_max, and the count be at most
+    MAX_STEPS."""
     if not (np.isfinite(s_max) and np.isfinite(step) and step != 0.0
             and np.isfinite(float(s_max) / float(step))):
         raise BadParams(f"need a finite s_max and a finite nonzero step, "
@@ -229,7 +234,12 @@ def _step_count(s_max: float, step: float) -> int:
     if s_max / step < 0.0:
         raise BadParams(f"the step must have the sign of s_max, got "
                         f"s_max={s_max:g}, step={step:g}")
-    return max(1, int(round(s_max / step)))
+    count = max(1, int(round(s_max / step)))
+    if count > MAX_STEPS:
+        raise BadParams(f"s_max / step (--s-max / --step) asks for "
+                        f"{s_max / step:.6g} steps; at most {MAX_STEPS} "
+                        "are taken")
+    return count
 
 
 def _straight_ray(k: np.ndarray, y0: np.ndarray, states: np.ndarray,

@@ -15,16 +15,19 @@ characteristic fan folds, if it does.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
+from numpy._core._ufunc_config import _extobj_contextvar
+from numpy._core.umath import _make_extobj
 from numpy.linalg._linalg import _raise_linalgerror_eigenvalues_nonconvergence
 
 from .charsys import (
     COINCIDENCE_RTOL,
-    scalar_axis_block,
+    scalar_axis_entries,
     scalar_system,  # unused here; bench/test_bench.py patches this binding
     write_csv,
 )
@@ -159,6 +162,15 @@ class Snapshot:
     u: np.ndarray
 
 
+def _nan_max(*values):
+    """The largest of values, or the first nan among them, as np.max
+    gives it; max() alone keeps a nan only when it comes first."""
+    for v in values:
+        if v != v:
+            return v
+    return max(values)
+
+
 def upwind_solve(flux: Callable, profile: Profile1D, t: float, nx: int,
                  cfl: float = 0.45) -> Snapshot:
     """Godunov first-order finite-volume solution for a convex flux.
@@ -171,6 +183,8 @@ def upwind_solve(flux: Callable, profile: Profile1D, t: float, nx: int,
     step calls it once on the cells with their two ghost cells and once
     on the clipped interface states (a flux of one float is called per
     entry instead, see _elementwise), and on single floats for speeds.
+    The cells live in one array between their two ghost cells, and the
+    speed at the flux's minimizer, which never moves, is taken once.
     """
     if cfl > MAX_CFL:
         raise CFLViolation(f"cfl={cfl:g} exceeds the stability bound "
@@ -181,51 +195,52 @@ def upwind_solve(flux: Callable, profile: Profile1D, t: float, nx: int,
         raise BadParams("upwind solve needs t >= 0")
     if not math.isfinite(t):
         raise BadParams("upwind solve needs a finite t")
+    try:
+        nx = operator.index(nx)
+    except TypeError:
+        raise BadParams(f"upwind solve needs a whole number of cells, "
+                        f"got nx={nx!r}") from None
     if nx < 4:
         raise BadParams("upwind solve needs nx >= 4")
 
     x_lo, x_hi = float(profile.x[0]), float(profile.x[-1])
     dx = (x_hi - x_lo) / nx
     centers = x_lo + dx * (np.arange(nx) + 0.5)
+    u_ext = np.empty(nx + 2)
+    u, u_left, u_right = u_ext[1:-1], u_ext[:-1], u_ext[1:]
     if profile.fn is not None:
-        u = _elementwise(profile.fn, centers)
+        u[:] = _elementwise(profile.fn, centers)
     else:
-        u = np.interp(centers, profile.x, profile.u)
+        u[:] = np.interp(centers, profile.x, profile.u)
+    left, right = (-1, 0) if profile.periodic else (0, -1)
 
     h = 1e-6
 
     def speed(v):
-        return (flux(v + h) - flux(v - h)) / (2.0 * h)
+        return abs((flux(v + h) - flux(v - h)) / (2.0 * h))
 
-    u_star = ternary_argmin(flux, float(np.min(u)) - 1.0,
-                            float(np.max(u)) + 1.0)
-
-    def godunov(u_ext: np.ndarray) -> np.ndarray:
-        u_left, u_right = u_ext[:-1], u_ext[1:]
-        lo = np.minimum(u_left, u_right)
-        hi = np.maximum(u_left, u_right)
-        f_min = _elementwise(flux, np.clip(u_star, lo, hi))
-        f = _elementwise(flux, u_ext)  # once per cell, ghost cells included
-        f_max = np.maximum(f[:-1], f[1:])
-        return np.where(u_left <= u_right, f_min, f_max)
+    u_star = ternary_argmin(flux, float(u.min()) - 1.0, float(u.max()) + 1.0)
+    s_star = speed(u_star)
+    # np.clip(u_star, lo, hi) without converting u_star in every step
+    star = np.array(u_star)
 
     elapsed = 0.0
     while elapsed < t:
-        speeds = np.abs(np.asarray([speed(v) for v in
-                                    (float(np.min(u)), float(np.max(u)),
-                                     u_star)]))
-        s_max = float(np.max(speeds))
+        s_max = float(_nan_max(speed(float(u.min())), speed(float(u.max())),
+                               s_star))
         if s_max == 0.0:
             break
         dt = min(cfl * dx / s_max, t - elapsed)
-        if profile.periodic:
-            u_ext = np.concatenate([[u[-1]], u, [u[0]]])
-        else:
-            u_ext = np.concatenate([[u[0]], u, [u[-1]]])
-        fluxes = godunov(u_ext)
-        u = u - (dt / dx) * (fluxes[1:] - fluxes[:-1])
+        u_ext[0], u_ext[-1] = u[left], u[right]  # the ghost cells
+        lo = np.minimum(u_left, u_right)
+        hi = np.maximum(u_left, u_right)
+        f_min = _elementwise(flux, star.clip(lo, hi))
+        f = _elementwise(flux, u_ext)  # once per cell, ghost cells included
+        f_max = np.maximum(f[:-1], f[1:])
+        fluxes = np.where(u_left <= u_right, f_min, f_max)
+        u -= (dt / dx) * (fluxes[1:] - fluxes[:-1])
         elapsed += dt
-    return Snapshot(t=float(t), x=centers, u=u)
+    return Snapshot(t=float(t), x=centers, u=u.copy())
 
 
 def moc_upwind_l1(sol: MoCSolution, snap: Snapshot) -> float:
@@ -265,28 +280,46 @@ def _unit(x: float, y: float) -> tuple[float, float]:
     return x / norm, y / norm
 
 
-@np.errstate(call=_raise_linalgerror_eigenvalues_nonconvergence,
-             invalid="call", over="ignore", divide="ignore", under="ignore")
+# numpy's error state inside _eig, that of np.linalg.eig: LAPACK's
+# non-convergence sets the invalid flag, which raises LinAlgError, and
+# the other flags are ignored.  It is built once (its buffer size is the
+# one in force at import, which no ufunc of _eig reads)
+_EIG_STATE = _make_extobj(call=_raise_linalgerror_eigenvalues_nonconvergence,
+                          invalid="call", over="ignore", divide="ignore",
+                          under="ignore")
+
+
 def _eig(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and right eigenvectors (columns) of the real matrix M,
     both complex: the LAPACK gufunc behind np.linalg.eig under that
     wrapper's finiteness check and error state, so with its bits, but
     without its shape and type checks, casts and real-result test.  The
-    decorator enters the error state without building an errstate
-    object per call."""
+    error state is entered by setting the prebuilt _EIG_STATE on numpy's
+    context variable, as np.errstate does, and the caller's is put back
+    on the way out, also when LAPACK raises."""
     if not all(map(math.isfinite, M.ravel().tolist())):
         raise LinAlgError("Array must not contain infs or NaNs")
-    return _umath_linalg.eig(M, signature="d->DD")
+    token = _extobj_contextvar.set(_EIG_STATE)
+    try:
+        return _umath_linalg.eig(M, signature="d->DD")
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def _reduced_from_matrix(M) -> ReducedSystem:
+    """Eigen-data of the float matrix M (see _reduced_2x2), which must
+    have at most two modes."""
+    _check_size(len(M))
+    return _reduced_2x2(M)
+
+
+def _reduced_2x2(M: np.ndarray) -> ReducedSystem:
     """Sorted, real, unit-normalized eigen-data of the 2x2 float matrix M
     from one LAPACK call.  The bookkeeping runs on Python floats and
     gives the bits of charsys.sorted_eig, nearly_real and a numpy column
     norm."""
-    _check_size(len(M))
     w, V = _eig(M)
-    (w0, w1), ((v00, v01), (v10, v11)) = w.tolist(), V.tolist()
+    (w0, w1), ((v00, v01), (v10, v11)) = w.tolist(), V.real.tolist()
     # a real M has two real eigenvalues or a conjugate pair (equal real
     # parts, conjugate eigenvectors), so w0 alone decides nearly_real.
     # Equal real parts are ordered by the imaginary part, as sorted_eig
@@ -295,7 +328,7 @@ def _reduced_from_matrix(M) -> ReducedSystem:
     if not abs(w0.imag) <= 1e-10 * (1.0 + abs(lam0)):
         raise ModeCollision("complex eigenvalues: system is not "
                             "hyperbolic at this state")
-    r0, r1 = _unit(v00.real, v10.real), _unit(v01.real, v11.real)
+    r0, r1 = _unit(v00, v10), _unit(v01, v11)
     if lam1 < lam0 or (lam1 == lam0 and w1.imag < w0.imag):
         return ReducedSystem((lam1, lam0), (r1, r0))
     return ReducedSystem((lam0, lam1), (r0, r1))
@@ -314,7 +347,8 @@ def scalar_reduced_factory(
 
     def make(U) -> ReducedSystem:
         A, B = U
-        return _reduced_from_matrix(scalar_axis_block(model, A, B))
+        m00, m01 = scalar_axis_entries(model, A, B)
+        return _reduced_2x2(np.array(((m00, m01), (-1.0, 0.0))))
 
     return make
 

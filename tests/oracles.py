@@ -17,7 +17,8 @@ eigenvector.  ``transport_oracle`` integrates the amplitude transport
 with one ``rk4_step`` call per step.  ``repr_csv`` writes float rows one
 repr at a time through the csv module, as the column CSV writers must,
 ``write_snapshot_csv`` writes an upwind snapshot through the float CSV
-writer, and ``fresnel_scan_per_draw`` is the dispersion scan that draws
+writer, ``upwind_oracle`` is the Godunov loop that rebuilds its ghost
+cells and all three wave speeds in every step, and ``fresnel_scan_per_draw`` is the dispersion scan that draws
 and solves one background at a time.  ``sym_pairs`` and ``sym_dim``
 enumerate and count the independent components of a symmetric D x D
 matrix, ``identity_checks`` and ``GravityProbe`` check gauge-bound
@@ -59,6 +60,7 @@ from cewave.charsys import (
 )
 from cewave.errors import (
     BadParams,
+    CFLViolation,
     DegeneracyError,
     DomainError,
     EmptyGrid,
@@ -85,8 +87,16 @@ from cewave.rays import (
     TransportState,
     _step_count,
     rk4_step,
+    ternary_argmin,
 )
-from cewave.shock1d import ReducedSystem, SimpleWave, Snapshot
+from cewave.shock1d import (
+    MAX_CFL,
+    Profile1D,
+    ReducedSystem,
+    SimpleWave,
+    Snapshot,
+    _elementwise,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +631,69 @@ def repr_csv(header: list[str], rows) -> bytes:
 
 def write_snapshot_csv(path, snap: Snapshot) -> None:
     write_csv(path, ["x", "u"], [snap.x, snap.u])
+
+
+def upwind_oracle(flux: Callable, profile: Profile1D, t: float, nx: int,
+                  cfl: float = 0.45) -> Snapshot:
+    """``shock1d.upwind_solve`` by the loop that, in every step, takes
+    all three wave speeds of its CFL bound (at min u, max u and the
+    flux's minimizer u_star) through ``np.max``, concatenates the ghost
+    cells onto the cells and clips u_star into each interface's range
+    with ``np.clip``."""
+    if cfl > MAX_CFL:
+        raise CFLViolation(f"cfl={cfl:g} exceeds the stability bound "
+                           f"{MAX_CFL:g}")
+    if not cfl > 0.0:
+        raise BadParams("cfl must be positive")
+    if t < 0.0:
+        raise BadParams("upwind solve needs t >= 0")
+    if not math.isfinite(t):
+        raise BadParams("upwind solve needs a finite t")
+    if nx < 4:
+        raise BadParams("upwind solve needs nx >= 4")
+
+    x_lo, x_hi = float(profile.x[0]), float(profile.x[-1])
+    dx = (x_hi - x_lo) / nx
+    centers = x_lo + dx * (np.arange(nx) + 0.5)
+    if profile.fn is not None:
+        u = _elementwise(profile.fn, centers)
+    else:
+        u = np.interp(centers, profile.x, profile.u)
+
+    h = 1e-6
+
+    def speed(v):
+        return (flux(v + h) - flux(v - h)) / (2.0 * h)
+
+    u_star = ternary_argmin(flux, float(np.min(u)) - 1.0,
+                            float(np.max(u)) + 1.0)
+
+    def godunov(u_ext: np.ndarray) -> np.ndarray:
+        u_left, u_right = u_ext[:-1], u_ext[1:]
+        lo = np.minimum(u_left, u_right)
+        hi = np.maximum(u_left, u_right)
+        f_min = _elementwise(flux, np.clip(u_star, lo, hi))
+        f = _elementwise(flux, u_ext)
+        f_max = np.maximum(f[:-1], f[1:])
+        return np.where(u_left <= u_right, f_min, f_max)
+
+    elapsed = 0.0
+    while elapsed < t:
+        speeds = np.abs(np.asarray([speed(v) for v in
+                                    (float(np.min(u)), float(np.max(u)),
+                                     u_star)]))
+        s_max = float(np.max(speeds))
+        if s_max == 0.0:
+            break
+        dt = min(cfl * dx / s_max, t - elapsed)
+        if profile.periodic:
+            u_ext = np.concatenate([[u[-1]], u, [u[0]]])
+        else:
+            u_ext = np.concatenate([[u[0]], u, [u[-1]]])
+        fluxes = godunov(u_ext)
+        u = u - (dt / dx) * (fluxes[1:] - fluxes[:-1])
+        elapsed += dt
+    return Snapshot(t=float(t), x=centers, u=u)
 
 
 def fresnel_scan_per_draw(model: LagrangianModel, trials: int,

@@ -24,7 +24,7 @@ import pytest
 
 from cewave import cli, gravity, rays, shock1d
 from cewave.ce import classify
-from cewave.cli import MAX_GRID_POINTS, main, parse_grid
+from cewave.cli import MAX_GRID_POINTS, MAX_TRIALS, main, parse_grid
 from cewave.errors import BadParams
 from cewave.lagrangians import Kind, builtin, builtin_names, from_expression
 from oracles import fresnel_scan_per_draw
@@ -251,6 +251,57 @@ def test_ce_check_oversized_grid_exits_2_at_once(tmp_path, capsys,
         "input error: --grid asks for 10000000000 points; a ce check takes "
         f"at most {MAX_GRID_POINTS}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    # 10^15 ray states would take about 71 PiB
+    (["rays", "--cone", "--s-max", "1e12", "--step", "1e-3"],
+     "s_max / step (--s-max / --step) asks for 1e+15 steps; at most "
+     f"{rays.MAX_STEPS} are taken"),
+    # 10^11 trials would draw about 186 GiB of normals
+    (["gravity", "--trials", "100000000000"],
+     f"--trials asks for 100000000000; a gravity survey takes at most "
+     f"{MAX_TRIALS}"),
+    (["fresnel", "--builtin", "born-infeld", "--trials", "100000000000"],
+     f"--trials asks for 100000000000; a fresnel scan takes at most "
+     f"{MAX_TRIALS}"),
+])
+def test_over_bound_work_exits_2_at_once(argv, message, tmp_path, capsys,
+                                         monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where each command's default --out goes
+    start = time.perf_counter()
+    rc = main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, runner", [
+    (["gravity", "--D", "7"], "kernel_survey"),
+    (["fresnel", "--builtin", "born-infeld"], "_fresnel_scan"),
+])
+def test_trials_bound_admits_the_bound_itself(argv, runner, monkeypatch):
+    # the survey or scan is stubbed out, so no run at the bound is made
+    class Reached(Exception):
+        pass
+
+    def stub(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(cli, runner, stub)
+    with pytest.raises(Reached):
+        main([*argv, "--trials", str(MAX_TRIALS)])
+    assert main([*argv, "--trials", str(MAX_TRIALS + 1)]) == 2
+
+
+def test_shock_with_a_huge_integer_power_ends_at_once(tmp_path):
+    # z^100000000 takes 37 jet products, where it took 10^8 - 1
+    start = time.perf_counter()
+    rc = main(["shock", "--model-expr", "1-sqrt(1+2*z)+z^100000000",
+               "--model-kind", "scalar", "--out", str(tmp_path / "s.json")])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 0
 
 # --- fresnel scan ---------------------------------------------------------------------
 

@@ -233,6 +233,70 @@ def test_negative_integer_power():
         assert got == pytest.approx(want, rel=1e-13)
 
 
+def _random_jets(rng, lo: float, hi: float) -> list:
+    """A Jet3 in a and b and a Jet2, each once with float slots and once
+    with array slots, every slot drawn from [lo, hi)."""
+    out = []
+    for size in (None, 7):
+        slots = rng.uniform(lo, hi, (10,) if size is None else (10, size))
+        slots = [s if size else float(s) for s in slots]
+        out += [Jet3(*slots), Jet2._of(*slots[:3])]
+    return out
+
+
+def _same_jet_bits(x, y) -> bool:
+    return all(np.asarray(a, dtype=float).tobytes()
+               == np.asarray(b, dtype=float).tobytes()
+               for a, b in zip(x.as_tuple(), y.as_tuple(), strict=True))
+
+
+def _counted_products(monkeypatch, cls) -> list:
+    products = []
+    mul = cls.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(cls, "__mul__", counted)
+    return products
+
+
+def test_square_and_cube_keep_their_products(monkeypatch):
+    # classify-grid raises array jets to ^2 and ^3: their bits and their
+    # number of products stay those of x*x and (x*x)*x
+    for x in _random_jets(np.random.default_rng(71), -1.5, 1.5):
+        square, cube = x * x, (x * x) * x
+        products = _counted_products(monkeypatch, type(x))
+        assert _same_jet_bits(x ** 2, square) and len(products) == 1
+        assert _same_jet_bits(x ** 3, cube) and len(products) == 3
+        assert _same_jet_bits(x ** -2, 1.0 / square)
+        assert x ** 1 is x
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n", [4, 5, 7, 8, 13, 64, 100])
+def test_integer_powers_agree_with_repeated_products(n):
+    # positive slots: no term of the product rule cancels another, so
+    # both routes stay within a few n ulps of the exact slots
+    for x in _random_jets(np.random.default_rng(n), 0.5, 1.5):
+        repeated = x
+        for _ in range(n - 1):
+            repeated = repeated * x
+        for got, want in zip((x ** n).as_tuple(), repeated.as_tuple()):
+            np.testing.assert_allclose(got, want, rtol=4 * n * 2.0 ** -52,
+                                       atol=0.0)
+
+
+def test_integer_powers_take_logarithmically_many_products(monkeypatch):
+    x = Jet3.variable(0.999, "a")
+    products = _counted_products(monkeypatch, Jet3)
+    out = x ** 100_000_000
+    # 27 bits: 26 squarings and one more product per further set bit
+    assert len(products) == 26 + bin(100_000_000).count("1") - 1
+    assert out.as_tuple() == Jet3.constant(0.0).as_tuple()
+
+
 # --- array slots and scalar callers ------------------------------------------
 
 @pytest.mark.parametrize("e", [2, 3, 1.5])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,9 +21,11 @@ from cewave.errors import (
 from cewave.lagrangians import builtin
 from cewave.rays import (
     BLOWUP_THRESHOLD,
+    MAX_STEPS,
     ConeHamiltonian,
     QuarticHamiltonian,
     TransportState,
+    _step_count,
     crossing_time,
     euler_defect,
     trace,
@@ -230,6 +233,31 @@ def test_step_count_needs_finite_span_and_nonzero_step(s_max, step):
               s_max=s_max, step=step)
     with pytest.raises(BadParams):
         transport_amplitude(TransportState(pi0=1.0), s_max=s_max, step=step)
+
+
+def test_step_count_is_bounded():
+    # the count itself, at and past the bound: nothing is stepped here
+    assert _step_count(float(MAX_STEPS), 1.0) == MAX_STEPS
+    assert _step_count(-float(MAX_STEPS), -1.0) == MAX_STEPS
+    # ties round to even, so half a step past the bound is still in it
+    assert _step_count(MAX_STEPS + 0.5, 1.0) == MAX_STEPS
+    for s_max, step in ((MAX_STEPS + 1.0, 1.0), (1.0, 1e-300),
+                        (-1e12, -1e-3)):
+        with pytest.raises(BadParams, match=r"^s_max / step \(--s-max / "
+                           r"--step\) asks for .* steps; at most "
+                           f"{MAX_STEPS} are taken$"):
+            _step_count(s_max, step)
+
+
+def test_over_bound_step_counts_end_before_any_step():
+    start = time.perf_counter()
+    # 10^15 ray states would take about 71 PiB
+    with pytest.raises(BadParams, match="asks for 1e\\+15 steps"):
+        trace(ConeHamiltonian.metric(), np.zeros(4), [-1.0, 1.0, 0.0, 0.0],
+              s_max=1e12, step=1e-3)
+    with pytest.raises(BadParams, match="asks for 1e\\+15 steps"):
+        transport_amplitude(TransportState(pi0=1.0), s_max=1e12, step=1e-3)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_off_shell_start_is_rejected():

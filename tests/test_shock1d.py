@@ -48,6 +48,7 @@ from oracles import (
     scalar_reduced_oracle,
     simple_wave_oracle,
     track_mode,
+    upwind_oracle,
     wave_alignment_sines,
     write_snapshot_csv,
 )
@@ -232,6 +233,88 @@ def test_upwind_rejects_bad_params(t, nx, cfl, message):
     with pytest.raises(BadParams) as err:
         upwind_solve(_burgers_flux, _sin_profile(), t, nx, cfl=cfl)
     assert str(err.value) == message
+
+
+def _nan_outside_burgers(u):
+    # no warning is raised: the nan is chosen, not computed
+    return np.where(np.abs(u) <= 1.0, 0.5 * u * u, np.nan)
+
+
+_UPWIND_FLUXES = {
+    "burgers": _burgers_flux,
+    # a flux of one float, called per cell through np.vectorize
+    "math-sqrt": lambda u: math.sqrt(1.0 + u * u),
+    # nan outside |u| <= 1: the CFL bound is nan as soon as one of its
+    # three speeds is, wherever that speed stands among them
+    "nan-outside": _nan_outside_burgers,
+}
+
+_LEVELS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0]),
+                    st.floats(-1.4, 1.4))
+
+
+@st.composite
+def _upwind_profiles(draw) -> Profile1D:
+    """Periodic sines, piecewise-constant profiles given by a callable
+    and sampled profiles read by interpolation; the last two carry exact
+    +0.0 and -0.0 cells."""
+    shape = draw(st.sampled_from(["sin", "levels", "samples"]))
+    periodic = draw(st.booleans())
+    if shape == "sin":
+        amp = draw(st.floats(0.1, 1.4))
+        phase = draw(st.floats(0.0, 2.0 * math.pi))
+        return Profile1D.from_callable(lambda x: amp * np.sin(x + phase),
+                                       0.0, 2.0 * math.pi, n=401,
+                                       periodic=True)
+    levels = draw(st.lists(_LEVELS, min_size=1, max_size=6))
+    if periodic:
+        levels.append(levels[0])
+    if shape == "levels":
+        values = np.array(levels)
+
+        def fn(x):
+            k = np.minimum((x + 2.0) * (len(values) / 4.0), len(values) - 1)
+            return values[k.astype(int)]
+
+        return Profile1D.from_callable(fn, -2.0, 2.0, n=201,
+                                       periodic=periodic)
+    x = np.linspace(-2.0, 2.0, max(len(levels), 2))
+    return Profile1D(x=x, u=np.resize(levels, len(x)), periodic=periodic)
+
+
+@settings(max_examples=80, deadline=None)
+@given(flux=st.sampled_from(sorted(_UPWIND_FLUXES)),
+       profile=_upwind_profiles(), nx=st.integers(4, 400),
+       t=st.floats(0.0, 2.5), cfl=st.floats(0.2, 1.0))
+def test_upwind_matches_the_loop_that_rebuilds_each_step_bit_for_bit(
+        flux, profile, nx, t, cfl):
+    args = (_UPWIND_FLUXES[flux], profile, t, nx, cfl)
+    try:
+        want = upwind_oracle(*args)
+    except CewaveError as exc:
+        with pytest.raises(type(exc)) as got:
+            upwind_solve(*args)
+        assert str(got.value) == str(exc)
+        return
+    got = upwind_solve(*args)
+    assert got.t == want.t
+    assert _same_bits(got.x, want.x) and _same_bits(got.u, want.u)
+
+
+@pytest.mark.parametrize("nx", [100.5, np.float64(1e300), 64.0, "64", None])
+def test_upwind_rejects_a_cell_count_that_is_not_an_integer(nx):
+    # 100.5 used to give 101 cells of width L/100.5, the last one centred
+    # on x_hi, and 1e300 to fail inside numpy
+    with pytest.raises(BadParams) as err:
+        upwind_solve(_burgers_flux, _sin_profile(), 0.1, nx)
+    assert str(err.value) == ("upwind solve needs a whole number of cells, "
+                              f"got nx={nx!r}")
+
+
+def test_upwind_takes_numpy_integer_cell_counts():
+    want = upwind_solve(_burgers_flux, _sin_profile(), 0.3, 64)
+    got = upwind_solve(_burgers_flux, _sin_profile(), 0.3, np.int64(64))
+    assert _same_bits(got.x, want.x) and _same_bits(got.u, want.u)
 
 
 def test_l1_comparison_refuses_folded_push():
@@ -512,6 +595,46 @@ def test_eig_helper_keeps_numpys_error_state(monkeypatch):
     # and the caller's error state is back in force afterwards
     with pytest.raises(RuntimeWarning):
         np.multiply(1e300, 1e300)
+
+
+def _overflow_raises() -> bool:
+    try:
+        np.multiply(1e300, 1e300)
+    except FloatingPointError:
+        return True
+    return False
+
+
+def test_eig_helper_puts_back_the_callers_error_state(monkeypatch):
+    M = np.array([[0.3, 0.2], [-1.0, 0.0]])
+    outside = np.geterr(), np.geterrcall()
+    monkeypatch.setattr(shock1d, "_umath_linalg", _InvalidEig)
+    with pytest.raises(np.linalg.LinAlgError):
+        shock1d._eig(M)
+    # back at once after the raise: pyproject makes a RuntimeWarning an
+    # error, so numpy's own invalid flag warns again
+    assert (np.geterr(), np.geterrcall()) == outside
+    with pytest.raises(RuntimeWarning):
+        np.subtract(np.inf, np.inf)
+
+    def note(kind, flag):
+        pass
+
+    # a state the caller entered survives the call, raised or returned,
+    # and is not replaced by numpy's default
+    with np.errstate(call=note, over="raise", invalid="call",
+                     divide="ignore", under="ignore"):
+        entered = np.geterr(), np.geterrcall()
+        with pytest.raises(np.linalg.LinAlgError):
+            shock1d._eig(M)
+        assert (np.geterr(), np.geterrcall()) == entered
+        assert _overflow_raises()
+        monkeypatch.setattr(shock1d, "_umath_linalg", _OverflowingEig)
+        w, _ = shock1d._eig(M)  # overflow is ignored inside
+        assert w == np.inf
+        assert (np.geterr(), np.geterrcall()) == entered
+        assert _overflow_raises()
+    assert (np.geterr(), np.geterrcall()) == outside
 
 
 def test_simple_wave_builds_each_state_system_once(monkeypatch):
