@@ -45,10 +45,8 @@ from .errors import (
     EmptyGrid,
     InternalCheckError,
 )
-from .jets import DomainMask, InvariantPoint, Jet3
+from .jets import TINY, DomainMask, InvariantPoint, Jet3
 from .lagrangians import Kind, LagrangianModel
-
-_TINY = 1e-300
 
 DEFAULT_TOL = 1e-9
 GUARD_MARGIN = 0.05
@@ -57,7 +55,7 @@ REPORT_SCHEMA = "cewave-report/1"
 
 
 def _raw_and_scale(terms) -> tuple[float, float]:
-    return sum(terms), sum(abs(t) for t in terms) + _TINY
+    return sum(terms), sum(abs(t) for t in terms) + TINY
 
 
 def _norm(terms) -> float:
@@ -176,8 +174,8 @@ class VectorCharData:
     def _below_tolerance(self):
         """(K small, discriminant small), bools or boolean arrays."""
         k_scale, delta_scale = self.scales()
-        return (abs(self.K) < DEGENERACY_RTOL * k_scale + _TINY,
-                abs(self.Delta) < DEGENERACY_RTOL * delta_scale + _TINY)
+        return (abs(self.K) < DEGENERACY_RTOL * k_scale + TINY,
+                abs(self.Delta) < DEGENERACY_RTOL * delta_scale + TINY)
 
     def degenerate(self):
         """Where the birefringent-branch conditions do not apply."""
@@ -264,8 +262,8 @@ def coupling_residuals(model: LagrangianModel, point: InvariantPoint,
     Lza, Lzb, Lzz = az.fab, bz.fab, az.fbb
     ref = abs(Lzz) + abs(jet.faa) + abs(jet.fab) + abs(jet.fbb)
 
-    res_a = abs(Lza) / (abs(Lza) + ref + _TINY)
-    res_b = abs(Lzb) / (abs(Lzb) + ref + _TINY)
+    res_a = abs(Lza) / (abs(Lza) + ref + TINY)
+    res_b = abs(Lzb) / (abs(Lzb) + ref + TINY)
     return res_a, res_b
 
 
@@ -590,11 +588,11 @@ def classify(model: LagrangianModel, grid: GridSpec | None = None,
                 residuals["general"] = columns(_general(data))
             worst, arg = summarize(fallback)
             label = "CE" if worst < tol else "NotCE"
-            if (fallback == "general"
+            if (fallback == "general" and not worst >= tol
                     and guard_excluded + degenerate_skipped > 0.5 * total):
                 label, worst, arg = "Degenerate", float("nan"), None
 
-    if guard_excluded > 0.5 * total:
+    if guard_excluded > 0.5 * total and not worst >= tol:
         label = "Degenerate"
 
     return CEReport(

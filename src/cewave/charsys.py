@@ -32,6 +32,7 @@ from .errors import (
     ModeCollision,
 )
 from .jets import (
+    TINY,
     InvariantPoint,
     Jet2,
     Jet3,
@@ -41,7 +42,6 @@ from .jets import (
 )
 from .lagrangians import Kind, LagrangianModel, builtin_names
 
-_TINY = 1e-300
 DEGENERACY_RTOL = 1e-12
 COINCIDENCE_RTOL = 1e-8
 
@@ -142,7 +142,7 @@ class FieldBackground:
 def unit_direction(nhat) -> np.ndarray:
     n = _vec3(nhat)
     norm = float(np.linalg.norm(n))
-    if norm < _TINY:
+    if norm < TINY:
         raise DomainError("wave direction must be nonzero")
     return n / norm
 
@@ -279,28 +279,19 @@ def _scalar_theta(A: float, jet: Jet2 | Jet3) -> float:
 
 def scalar_axis_entries(model: LagrangianModel, A: float,
                         B: float) -> tuple[float, float]:
-    """The entries (m00, m01) of ``scalar_axis_block``'s first row, as
-    Python floats; its second row is always (-1.0, 0.0).  The block
-    reads L' and L'' alone, so they come from the model's order-2 jet in
-    z, whose slots are those of ``jet_at``, and with the same operations
-    as the full matrix, so their bits equal the entries sliced from it.
-    Adding 0.0 makes a zero entry +0.0, as the rotation product in
-    scalar_system leaves it: LAPACK orders eigenpairs by the sign of a
-    zero."""
+    """Row 0, (m00, m01), of the leading 2x2 block of ``scalar_system``'s
+    matrix along x1 at the gradient (A, B, 0, 0), as Python floats; row 1
+    is always (-1.0, 0.0).  The block reads L' and L'' alone, so they come
+    from the model's order-2 jet in z, whose slots are those of
+    ``jet_at``, and with the same operations as the full matrix, so their
+    bits equal the entries sliced from it.  Adding 0.0 makes a zero entry
+    +0.0, as the rotation product in scalar_system leaves it: LAPACK
+    orders eigenpairs by the sign of a zero."""
     if not (math.isfinite(A) and math.isfinite(B)):
         raise DomainError("background components must be finite")
     jet = model.jet2_at(scalar_z(A, B, 0.0, 0.0))
     m00, m01 = _scalar_row0(A, (B,), jet.fa, jet.faa, _scalar_theta(A, jet))
     return m00 + 0.0, m01 + 0.0
-
-
-def scalar_axis_block(model: LagrangianModel, A: float,
-                      B: float) -> np.ndarray:
-    """Leading 2x2 block of ``scalar_system``'s matrix along x1 on the
-    gradient (A, B, 0, 0), for a model of kind Scalar, with the bits of
-    the block sliced from the full matrix (see scalar_axis_entries)."""
-    m00, m01 = scalar_axis_entries(model, A, B)
-    return np.array([[m00, m01], [-1.0, 0.0]])
 
 
 def _scalar_axis_matrix(model: LagrangianModel, Q: np.ndarray,
@@ -334,7 +325,7 @@ def _vector_axis_matrix(model: LagrangianModel, Q: np.ndarray,
     R = -2.0 * L2 * np.outer(epsB, B) - L1 * eps
     sig = -eps
     sv = np.linalg.svd(P, compute_uv=False)
-    if sv[0] < _TINY or sv[-1] <= DEGENERACY_RTOL * sv[0]:
+    if sv[0] < TINY or sv[-1] <= DEGENERACY_RTOL * sv[0]:
         raise DegenerateSystem(
             "electric block of the time matrix is singular "
             f"(singular values {sv[0]:.3e}..{sv[-1]:.3e})")
@@ -559,7 +550,7 @@ def fresnel_batch(model: LagrangianModel, E, B, nhat) -> FresnelBatch:
 
     if not np.isfinite(nhat).all():
         raise DomainError("vector components must be finite")
-    if (np.sqrt(np.vecdot(nhat, nhat)) < _TINY).any():
+    if (np.sqrt(np.vecdot(nhat, nhat)) < TINY).any():
         raise DomainError("wave direction must be nonzero")
     n = unit_rows(nhat)
     nxB = np.cross(n, B)
@@ -577,18 +568,18 @@ def fresnel_batch(model: LagrangianModel, E, B, nhat) -> FresnelBatch:
     C[..., 1] = u1[:, None]
     C[..., 2] = u2[:, None] - h
 
-    quadratic = np.abs(K) > DEGENERACY_RTOL * k_scale + _TINY
+    quadratic = np.abs(K) > DEGENERACY_RTOL * k_scale + TINY
     # K = 0: the quartic is g (u P + g R)
-    linear = ~quadratic & (np.abs(P) > _TINY)
+    linear = ~quadratic & (np.abs(P) > TINY)
     # only the metric cone survives, doubled
-    metric = ~quadratic & ~linear & (np.abs(R) > _TINY)
+    metric = ~quadratic & ~linear & (np.abs(R) > TINY)
     C[~quadratic, 0] = _METRIC_FACTOR
     C[linear, 1] = np.stack([u0 * P - R, u1 * P, u2 * P + R],
                             axis=-1)[linear]
     C[metric, 1] = _METRIC_FACTOR
 
     top = np.abs(C).max(axis=-1)
-    vanishes = top < _TINY
+    vanishes = top < TINY
     # np.abs of a complex array may differ from abs() of one value in
     # the last bit; np.hypot gives the bits of the latter
     escapes = np.hypot(C[..., 0].real, C[..., 0].imag) <= 1e-14 * top
@@ -678,7 +669,7 @@ def crosscheck_cone_vs_eigen(system: CharSystem, H) -> float:
             continue
         p = np.array([-lam, *n])
         worst = max(worst, abs(H.value(None, p)) / (H.magnitude(None, p)
-                                                    + _TINY))
+                                                    + TINY))
     return worst
 
 

@@ -359,13 +359,11 @@ def cmd_shock(args) -> int:
     # the report is opened first: an --out that cannot be written leaves
     # no fan file behind
     with open(args.out, "w") as report:
-        write_characteristics_csv(
-            f"{stem}_burgers.csv", profile.x, profile.u,
-            [profile.x + profile.u * t for t in t_list], t_list)
+        write_characteristics_csv(f"{stem}_burgers.csv", profile.x,
+                                  profile.u, t_list)
         if wave is not None:
-            write_characteristics_csv(
-                f"{stem}_model.csv", wave.phis, wave.lams,
-                [wave.phis + wave.lams * t for t in t_list], t_list)
+            write_characteristics_csv(f"{stem}_model.csv", wave.phis,
+                                      wave.lams, t_list)
         report.write(_json_text(payload))
     print(f"profile={args.profile} shock_time={t_star} "
           f"model_crossing={model_crossing} -> {', '.join(outputs)}")

@@ -43,6 +43,7 @@ import numpy as np
 
 from .errors import (BadParams, InternalCheckError, NumericalError,
                      ZeroCouplings, ZeroCoupling, ZeroCovector)
+from .jets import TINY
 
 RANK_RTOL = 1e-10
 NULL_RTOL = 1e-10
@@ -54,6 +55,9 @@ _BLOCK = 16   # normals per survey step; bounds the (T, n, n) entry arrays
 _MIN_NULL_NORM = 1e-3   # a null normal's spatial part is redrawn below this
 _FRAMES = 8   # dimensions whose eta and symmetric frame stay cached
 _DRAW_SLOTS = 128   # normals per draw call; bounds the re-laying per rejection
+# a survey takes about 1 ms per trial at D = 10 (one Xeon core), so
+# cli.MAX_TRIALS trials at D = MAX_DIMENSION end in under two minutes
+MAX_DIMENSION = 10
 
 
 @lru_cache(maxsize=_FRAMES)
@@ -93,6 +97,9 @@ def _frame(D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _check_dimension(D: int) -> None:
     if D < 4:
         raise BadParams("need spacetime dimension D >= 4")
+    if D > MAX_DIMENSION:
+        raise BadParams(f"spacetime dimension D (--D) is {D}; at most "
+                        f"{MAX_DIMENSION} is taken")
 
 
 def _check_normals(phis: np.ndarray) -> np.ndarray:
@@ -131,7 +138,7 @@ def covector_q(phi) -> float:
 def classify_covector(phi) -> str:
     phi = _check_covector(phi)
     scale = float(phi @ phi)
-    if abs(covector_q(phi)) < NULL_RTOL * (scale + 1e-300):
+    if abs(covector_q(phi)) < NULL_RTOL * (scale + TINY):
         return "NullDirection"
     return "NonNull"
 
@@ -373,7 +380,7 @@ def _kernel(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Numerical kernel dimensions of row-normalized operators
     (..., m, n), with their singular values, in one stacked SVD."""
     sv = np.linalg.svd(_row_normalized(op), compute_uv=False)
-    return np.sum(sv < RANK_RTOL * (sv[..., :1] + 1e-300), axis=-1), sv
+    return np.sum(sv < RANK_RTOL * (sv[..., :1] + TINY), axis=-1), sv
 
 
 def kernel_dim(op: np.ndarray) -> int:
@@ -397,7 +404,7 @@ def gauge_project(phi, P: np.ndarray) -> np.ndarray:
     D = len(phi)
     phi = _check_covector(phi, D)
     _, sv, vt = np.linalg.svd(gauge_vector(phi, _frame(D)[2]).T)
-    rank = int(np.sum(sv > RANK_RTOL * (float(sv[0]) + 1e-300)))
+    rank = int(np.sum(sv > RANK_RTOL * (float(sv[0]) + TINY)))
     null_basis = vt[rank:]
     c = null_basis.T @ (null_basis @ components_from_pi(P))
     return pi_from_components(c, D)

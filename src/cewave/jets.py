@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DomainError, FloatOverflow
 
-_TINY = 1e-300
+TINY = 1e-300   # the zero floor of every module's checks and scales
 
 # From this many entries on, ``power`` finds an array's distinct values
 # first: np.unique costs a fixed 10-15 us, which mapping pow over about
@@ -202,7 +202,7 @@ def _difference(ff, f, gf, g):
 
 def _quotient(ff, f, gf, g):
     """f / g, where f has the value ff and g the value gf."""
-    gf = check_domain(gf, abs(gf) < _TINY,
+    gf = check_domain(gf, abs(gf) < TINY,
                       "division by a jet whose value is zero")
     hf = ff / gf
     ha = (f.fa - hf * g.fa) / gf
@@ -318,7 +318,7 @@ def _compose(f, g0, g1, g2, g3):
 
 
 def _sqrt(self):
-    v = check_domain(self.f, self.f < _TINY,
+    v = check_domain(self.f, self.f < TINY,
                      "sqrt of a non-positive jet value {:.6g}")
     r = _root(v)
     return self.compose(r, 0.5 / r, -0.25 / (v * r), 0.375 / (v * v * r))
@@ -341,7 +341,7 @@ def _pow(self, exponent):
                 out = out * self
         return out
     # fractional exponent: real branch only, positive base required
-    v = check_domain(self.f, self.f < _TINY,
+    v = check_domain(self.f, self.f < TINY,
                      "fractional power of a non-positive jet value {:.6g}")
     g0 = power(v, e)
     g1 = e * power(v, e - 1.0)
@@ -467,7 +467,7 @@ def sqrt(x):
     if isinstance(x, JETS):
         return x.sqrt()
     v = _slot(x)
-    return _root(check_domain(v, v < _TINY,
+    return _root(check_domain(v, v < TINY,
                               "sqrt of a non-positive value {:.6g}"))
 
 

@@ -35,8 +35,8 @@ from typing import Callable, NoReturn
 import numpy as np
 
 from .errors import BadParams, DomainError, KindError, ParseError, UnknownModel
-from .jets import JETS, InvariantPoint, Jet2, Jet3, check_domain, divide, power
-from .jets import sqrt as _sqrt
+from .jets import (JETS, TINY, InvariantPoint, Jet2, Jet3, check_domain,
+                   divide, power, sqrt as _sqrt)
 
 
 class Kind(enum.Enum):
@@ -97,7 +97,7 @@ def _pow(base: Callable, e: float) -> Callable:
         x = x if isinstance(x, np.ndarray) else float(x)
         if e == int(e):
             return power(x, int(e))
-        x = check_domain(x, x < 1e-300,
+        x = check_domain(x, x < TINY,
                          "fractional power of a non-positive value {:.6g}")
         return power(x, e)
     return fn

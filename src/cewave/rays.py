@@ -36,13 +36,13 @@ from .errors import (
     OffShellStart,
     StepFailure,
 )
+from .jets import TINY
 from .lagrangians import Kind, LagrangianModel
 
-_TINY = 1e-300
 DEFAULT_TOL = 1e-9
 DEFAULT_STEP = 1e-2
 BLOWUP_THRESHOLD = 1e12
-# a ray or transport run takes at most this many fixed steps: 100 times
+# a ray, transport or upwind run takes at most this many steps: 100 times
 # the longest run of the benchmark and the README (10,000 steps); a ray's
 # states then take at most 80 MB
 MAX_STEPS = 1_000_000
@@ -132,7 +132,7 @@ class QuarticHamiltonian:
         U_up, _, _, _ = u_and_g(self.F, p)
         u_abs, g_abs = float(U_up @ U_up), float(p @ p)
         return (abs(self.K) * u_abs ** 2 + u_abs * g_abs * abs(self.P)
-                + g_abs ** 2 * abs(self.R) + _TINY)
+                + g_abs ** 2 * abs(self.R) + TINY)
 
 
 RAY_HEADER = ["s", "x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3", "H"]
@@ -192,11 +192,7 @@ def trace(H, x0, p0, s_max: float, step: float = DEFAULT_STEP,
 
     n_steps = _step_count(s_max, step)
     states = np.empty((n_steps + 1, 10))
-    # s adds the step in sequence, as a running s += step does
-    s = states[:, 0]
-    s[0] = 0.0
-    s[1:] = step
-    np.cumsum(s, out=s)
+    s = _step_column(states[:, 0], step)
     y = np.concatenate([x, p])
     # a negative step would add +0.0 to p, turning its -0.0 entries into
     # +0.0, so the RK4 stages could differ in the sign of a zero
@@ -242,6 +238,13 @@ def _step_count(s_max: float, step: float) -> int:
     return count
 
 
+def _step_column(s: np.ndarray, step: float) -> np.ndarray:
+    """Fill s with 0, step, 2 step, ... as a running s += step adds them."""
+    s[0] = 0.0
+    s[1:] = step
+    return np.cumsum(s, out=s)
+
+
 def _straight_ray(k: np.ndarray, y0: np.ndarray, states: np.ndarray,
                   step: float) -> None:
     """Fill the x and p columns of ``states`` with the RK4 path of a
@@ -268,7 +271,7 @@ def euler_defect(H, x, p) -> float:
     lhs = float(p @ gp)
     rhs = H.degree * H.value(x, p)
     scale = H.degree * H.magnitude(x, p)
-    return abs(lhs - rhs) / (scale + _TINY)
+    return abs(lhs - rhs) / (scale + TINY)
 
 
 # --- amplitude transport ---------------------------------------------------------
@@ -321,11 +324,7 @@ def transport_amplitude(ts: TransportState, s_max: float,
         if not abs(v) <= BLOWUP_THRESHOLD:
             blown = True
             break
-    # s adds the step in sequence, as a running s += step does
-    s = np.empty(len(pis))
-    s[0] = 0.0
-    s[1:] = step
-    np.cumsum(s, out=s)
+    s = _step_column(np.empty(len(pis)), step)
 
     s_star = float(s[-1]) if blown else None
     if blown and m == 0.0 and c * ts.pi0 < 0.0:

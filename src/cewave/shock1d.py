@@ -39,11 +39,15 @@ from .errors import (
     ModeCollision,
 )
 from .lagrangians import Kind, LagrangianModel, builtin_names
-from .rays import crossing_time, ternary_argmin
+from .rays import MAX_STEPS, crossing_time, ternary_argmin
 
 MULTIVALUED_TOL = 1e-12
 PERIODIC_TOL = 1e-12
 MAX_CFL = 0.9
+# upwind_solve's bounds: a Godunov step takes about 11 us plus 10-16 ns
+# per cell (one Xeon core), so the largest solve allowed takes about 30 s
+MAX_CELLS = 1_000_000
+MAX_CELL_STEPS = 1_000_000_000
 
 
 # --- initial data -----------------------------------------------------------------
@@ -117,6 +121,13 @@ def _speed_samples(speed: Callable, u: np.ndarray) -> np.ndarray:
     return lam
 
 
+def _check_time(t: float, run: str) -> None:
+    if t < 0.0:
+        raise BadParams(f"{run} needs t >= 0")
+    if not math.isfinite(t):
+        raise BadParams(f"{run} needs a finite t")
+
+
 def moc_solve(speed: Callable, profile: Profile1D, t: float) -> MoCSolution:
     """Push every profile sample along x = phi + lam(u0(phi)) t.
 
@@ -124,10 +135,7 @@ def moc_solve(speed: Callable, profile: Profile1D, t: float) -> MoCSolution:
     time t is exact wherever the pushed positions are still monotone;
     a fold (non-monotone positions) marks the profile as multivalued.
     """
-    if t < 0.0:
-        raise BadParams("characteristic push needs t >= 0")
-    if not math.isfinite(t):
-        raise BadParams("characteristic push needs a finite t")
+    _check_time(t, "characteristic push")
     lam = _speed_samples(speed, profile.u)
     x_t = profile.x + lam * t
     multivalued = bool(np.any(np.diff(x_t) < -MULTIVALUED_TOL))
@@ -191,10 +199,7 @@ def upwind_solve(flux: Callable, profile: Profile1D, t: float, nx: int,
                            f"{MAX_CFL:g}")
     if not cfl > 0.0:
         raise BadParams("cfl must be positive")
-    if t < 0.0:
-        raise BadParams("upwind solve needs t >= 0")
-    if not math.isfinite(t):
-        raise BadParams("upwind solve needs a finite t")
+    _check_time(t, "upwind solve")
     try:
         nx = operator.index(nx)
     except TypeError:
@@ -202,6 +207,9 @@ def upwind_solve(flux: Callable, profile: Profile1D, t: float, nx: int,
                         f"got nx={nx!r}") from None
     if nx < 4:
         raise BadParams("upwind solve needs nx >= 4")
+    if nx > MAX_CELLS:
+        raise BadParams(f"upwind solve takes at most {MAX_CELLS} cells, "
+                        f"got nx={nx}")
 
     x_lo, x_hi = float(profile.x[0]), float(profile.x[-1])
     dx = (x_hi - x_lo) / nx
@@ -224,12 +232,21 @@ def upwind_solve(flux: Callable, profile: Profile1D, t: float, nx: int,
     # np.clip(u_star, lo, hi) without converting u_star in every step
     star = np.array(u_star)
 
+    def speed_bound() -> float:
+        return float(_nan_max(speed(float(u.min())), speed(float(u.max())),
+                              s_star))
+
+    # the scheme keeps u inside its initial range, where a convex flux is
+    # fastest at the ends, so no later step is shorter than the first
+    s_max = speed_bound()
+    steps = t * s_max / (cfl * dx)
+    if steps > MAX_STEPS or steps * nx > MAX_CELL_STEPS:
+        raise BadParams(f"upwind solve needs about {steps:.6g} steps of "
+                        f"{nx} cells; it takes at most {MAX_STEPS} steps "
+                        f"and {MAX_CELL_STEPS} cell updates")
+
     elapsed = 0.0
-    while elapsed < t:
-        s_max = float(_nan_max(speed(float(u.min())), speed(float(u.max())),
-                               s_star))
-        if s_max == 0.0:
-            break
+    while elapsed < t and s_max != 0.0:
         dt = min(cfl * dx / s_max, t - elapsed)
         u_ext[0], u_ext[-1] = u[left], u[right]  # the ghost cells
         lo = np.minimum(u_left, u_right)
@@ -240,6 +257,8 @@ def upwind_solve(flux: Callable, profile: Profile1D, t: float, nx: int,
         fluxes = np.where(u_left <= u_right, f_min, f_max)
         u -= (dt / dx) * (fluxes[1:] - fluxes[:-1])
         elapsed += dt
+        if elapsed < t:
+            s_max = speed_bound()
     return Snapshot(t=float(t), x=centers, u=u.copy())
 
 
@@ -267,12 +286,6 @@ class ReducedSystem(NamedTuple):
 
 
 MAX_MODES = 2
-
-
-def _check_size(n: int) -> None:
-    if n > MAX_MODES:
-        raise BadParams(f"simple waves take systems of at most {MAX_MODES} "
-                        f"modes, got {n}")
 
 
 def _unit(x: float, y: float) -> tuple[float, float]:
@@ -304,13 +317,6 @@ def _eig(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _umath_linalg.eig(M, signature="d->DD")
     finally:
         _extobj_contextvar.reset(token)
-
-
-def _reduced_from_matrix(M) -> ReducedSystem:
-    """Eigen-data of the float matrix M (see _reduced_2x2), which must
-    have at most two modes."""
-    _check_size(len(M))
-    return _reduced_2x2(M)
 
 
 def _reduced_2x2(M: np.ndarray) -> ReducedSystem:
@@ -359,7 +365,6 @@ class SimpleWave:
     right eigenvector; the recorded speed samples tell whether the mode
     is exceptional (constant lam) or genuinely nonlinear."""
 
-    mode: int
     component: int
     phis: np.ndarray
     states: np.ndarray
@@ -429,7 +434,9 @@ def simple_wave_construct(factory: Callable[[tuple[float, ...]],
         raise GridTooCoarse("simple wave needs at least 3 nodes")
 
     sys0 = factory(U0)
-    _check_size(len(sys0.eigenvalues))
+    if len(sys0.eigenvalues) > MAX_MODES:
+        raise BadParams(f"simple waves take systems of at most {MAX_MODES} "
+                        f"modes, got {len(sys0.eigenvalues)}")
     if not 0 <= mode < len(sys0.eigenvalues):
         raise BadParams(f"mode index {mode} out of range for a "
                         f"{len(sys0.eigenvalues)}-mode system")
@@ -483,7 +490,7 @@ def simple_wave_construct(factory: Callable[[tuple[float, ...]],
                    for u, a, b, c, d in zip(U, k1, k2, k3, k4)])
         sysk = factory(U)
 
-    return SimpleWave(mode=mode, component=component, phis=phis,
+    return SimpleWave(component=component, phis=phis,
                       states=np.array(states), lams=np.array(lams),
                       xi=np.array(xis))
 
@@ -505,9 +512,8 @@ def model_wave(model: LagrangianModel,
 # --- plot-ready exports --------------------------------------------------------------
 
 
-def write_characteristics_csv(path, phis, lams, x_by_t,
-                              t_list) -> None:
-    """Columns phi, lam, then one pushed-position column per time."""
+def write_characteristics_csv(path, phis, lams, t_list) -> None:
+    """Columns phi, lam, then the fan pushed to each t, phi + lam t."""
     write_csv(
         path, ["phi", "lam"] + [f"x_t{repr(float(t))}" for t in t_list],
-        [phis, lams, *x_by_t])
+        [phis, lams, *[phis + lams * t for t in t_list]])

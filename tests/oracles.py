@@ -364,11 +364,12 @@ def classify_per_point(model: LagrangianModel, grid: GridSpec | None = None,
                         degenerate_skipped += 1
             worst, arg = summarize(fallback)
             label = "CE" if worst < tol else "NotCE"
-            if (fallback == "general"
+            if (fallback == "general" and not worst >= tol
                     and guard_excluded + degenerate_skipped > 0.5 * total):
                 label, worst, arg = "Degenerate", float("nan"), None
 
-    if guard_excluded > 0.5 * total:
+    # a failing residual at an evaluated point stays NotCE
+    if guard_excluded > 0.5 * total and not worst >= tol:
         label = "Degenerate"
 
     return document(label, worst, arg,

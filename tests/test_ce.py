@@ -467,6 +467,26 @@ def test_classify_degenerate_when_guard_dominates():
     assert report.label == "Degenerate"
 
 
+@pytest.mark.parametrize("text, kind, worst, arg", [
+    ("z^0.5 + z^2", "scalar", 0.9809991795904043, {"z": 0.26999999999999996}),
+    ("sqrt(0.3 - a) + 0.3*a*b^2 + 0.2*b^2", "alpha-beta", 0.8269815933362118,
+     {"a": -0.5, "b": -0.09999999999999998}),
+    ("sqrt(0.3 - a + b^2) + a^2*b", "alpha-beta", 0.9995729536203407,
+     {"a": 0.25, "b": -0.9}),
+])
+def test_failing_sector_is_not_ce_when_the_guard_dominates(text, kind, worst,
+                                                           arg):
+    # more than half the grid is excluded, and a sector the evaluated
+    # points reach fails: NotCE, with that sector's summary
+    report = _assert_same_as_per_point(from_expression(text, kind))
+    counts = report.counts
+    assert counts["guard_excluded"] > 0.5 * counts["total"]
+    assert counts["degenerate_skipped"] == 0
+    assert report.label == "NotCE"
+    assert report.max_residual == pytest.approx(worst, rel=1e-12)
+    assert report.argmax_point == arg
+
+
 def test_report_json_shape():
     report = classify(builtin("maxwell"))
     doc = json.loads(report.to_json_text())

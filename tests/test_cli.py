@@ -265,6 +265,14 @@ def test_ce_check_oversized_grid_exits_2_at_once(tmp_path, capsys,
     (["fresnel", "--builtin", "born-infeld", "--trials", "100000000000"],
      f"--trials asks for 100000000000; a fresnel scan takes at most "
      f"{MAX_TRIALS}"),
+    # at D = 32 two trials took 76 MiB; D = 10^6 would ask for operators
+    # of about 2.5e23 entries per normal
+    (["gravity", "--D", str(gravity.MAX_DIMENSION + 1)],
+     f"spacetime dimension D (--D) is {gravity.MAX_DIMENSION + 1}; at most "
+     f"{gravity.MAX_DIMENSION} is taken"),
+    (["gravity", "--D", "1000000"],
+     f"spacetime dimension D (--D) is 1000000; at most "
+     f"{gravity.MAX_DIMENSION} is taken"),
 ])
 def test_over_bound_work_exits_2_at_once(argv, message, tmp_path, capsys,
                                          monkeypatch):
@@ -790,18 +798,31 @@ def test_gravity_rejects_zero_trials(capsys):
     capsys.readouterr()
 
 
+class _NoDrawRng:
+    def uniform(self, *args, **kwargs):
+        pytest.fail("the survey drew a normal before checking D")
+
+
 @pytest.mark.parametrize("D", ["1", "0", "3"])
 def test_gravity_low_dimension_exits_2(D, tmp_path, capsys, monkeypatch):
-    class NoDrawRng:
-        def uniform(self, *args, **kwargs):
-            pytest.fail("the survey drew a normal before checking D")
-
     monkeypatch.setattr(cli.np.random, "default_rng",
-                        lambda seed: NoDrawRng())
+                        lambda seed: _NoDrawRng())
     rc = main(["gravity", "--D", D, "--trials", "1",
                "--out", str(tmp_path / "g.json")])
     assert rc == 2
     assert "D >= 4" in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_gravity_high_dimension_exits_2_before_any_draw(tmp_path, capsys,
+                                                       monkeypatch):
+    # the largest survey the trial bound allows, one dimension too high
+    monkeypatch.setattr(cli.np.random, "default_rng",
+                        lambda seed: _NoDrawRng())
+    rc = main(["gravity", "--D", str(gravity.MAX_DIMENSION + 1), "--trials",
+               str(MAX_TRIALS), "--out", str(tmp_path / "g.json")])
+    assert rc == 2
+    assert "(--D)" in capsys.readouterr().err
     assert not (tmp_path / "g.json").exists()
 
 

@@ -100,6 +100,18 @@ def test_operator_shapes_and_input_checks():
         einstein_operator([1.0, 0.0, 0.0], D=3)
 
 
+def test_dimension_bound_admits_the_bound_itself():
+    D = gravity.MAX_DIMENSION
+    survey = gravity.kernel_survey("einstein", D, 1, np.random.default_rng(0))
+    assert survey["null_kernel_dims"] == {str(sym_dim(D) - D): 1}
+    assert einstein_operator(np.ones(D), D).shape == (sym_dim(D) + D,
+                                                     sym_dim(D))
+    with pytest.raises(BadParams) as err:
+        einstein_operator(np.ones(D + 1), D + 1)
+    assert str(err.value) == (f"spacetime dimension D (--D) is {D + 1}; "
+                              f"at most {D} is taken")
+
+
 def test_einstein_kernel_examples():
     assert kernel_dim(einstein_operator(NULL4)) >= 1
     assert kernel_dim(einstein_operator(TIME4)) == 0

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cewave import shock1d
-from cewave.charsys import FieldBackground, scalar_axis_block, scalar_system
+from cewave.charsys import FieldBackground, scalar_axis_entries, scalar_system
 from cewave.cli import main
 from cewave.errors import (
     BadParams,
@@ -30,7 +31,7 @@ from cewave.shock1d import (
     Profile1D,
     ReducedSystem,
     Snapshot,
-    _reduced_from_matrix,
+    _reduced_2x2,
     _track_mode,
     model_wave,
     moc_solve,
@@ -228,11 +229,66 @@ def test_upwind_constant_flux_keeps_the_initial_cells():
     (0.1, 64, math.nan, "cfl must be positive"),
     (math.inf, 64, 0.45, "upwind solve needs a finite t"),
     (math.nan, 64, 0.45, "upwind solve needs a finite t"),
+    # refused before the cells are allocated
+    (0.1, shock1d.MAX_CELLS + 1, 0.45,
+     f"upwind solve takes at most {shock1d.MAX_CELLS} cells, "
+     f"got nx={shock1d.MAX_CELLS + 1}"),
+    (0.1, 10 ** 12, 0.45, f"upwind solve takes at most {shock1d.MAX_CELLS} "
+     "cells, got nx=1000000000000"),
 ])
 def test_upwind_rejects_bad_params(t, nx, cfl, message):
     with pytest.raises(BadParams) as err:
         upwind_solve(_burgers_flux, _sin_profile(), t, nx, cfl=cfl)
     assert str(err.value) == message
+
+
+class _ArrayFluxCounter:
+    """Burgers' flux that counts its calls on arrays of cells, two per
+    Godunov step."""
+
+    def __init__(self):
+        self.array_calls = 0
+
+    def __call__(self, u):
+        self.array_calls += np.ndim(u) > 0
+        return 0.5 * u * u
+
+
+def test_upwind_ends_an_over_bound_solve_before_any_step():
+    # an amplitude-1e9 sine to t = 2 needs about 6.6e10 steps of 100 cells
+    prof = Profile1D.from_callable(lambda x: 1e9 * np.sin(x), 0.0,
+                                   2.0 * np.pi)
+    flux = _ArrayFluxCounter()
+    start = time.perf_counter()
+    with pytest.raises(BadParams, match=r"^upwind solve needs about "
+                       r"6\.\d+e\+10 steps of 100 cells; it takes at most "
+                       rf"{shock1d.MAX_STEPS} steps and "
+                       rf"{shock1d.MAX_CELL_STEPS} cell updates$"):
+        upwind_solve(flux, prof, 2.0, 100)
+    assert time.perf_counter() - start < 1.0
+    assert flux.array_calls == 0
+
+
+@pytest.mark.parametrize("profile, t, nx", [
+    (_sin_profile(), 2.0, 64),
+    (_sin_profile(), 0.7, 200),
+    (Profile1D.from_callable(lambda x: -np.tanh(x), -5.0, 5.0), 3.0, 100),
+    (Profile1D.from_callable(lambda x: 2.0 + np.cos(x), 0.0, 6.0), 1.5, 50),
+])
+def test_upwind_step_bound_covers_every_step(profile, t, nx, monkeypatch):
+    # the bound is read from the first step's speeds, which no later step
+    # exceeds; so a solve that takes n steps is refused when at most
+    # n - 1 steps, or n - 1 steps' cell updates, are allowed
+    flux = _ArrayFluxCounter()
+    upwind_solve(flux, profile, t, nx)
+    steps = flux.array_calls // 2
+    assert steps > 1
+    for name, value in (("MAX_STEPS", steps - 1),
+                        ("MAX_CELL_STEPS", (steps - 1) * nx)):
+        with monkeypatch.context() as m:
+            m.setattr(shock1d, name, value)
+            with pytest.raises(BadParams, match="upwind solve needs about"):
+                upwind_solve(_burgers_flux, profile, t, nx)
 
 
 def _nan_outside_burgers(u):
@@ -333,6 +389,13 @@ def test_simple_wave_speed_constant_for_exceptional_scalar_model():
     assert np.max(wave_alignment_sines(wave, factory)) < 1e-8
 
 
+def _is_axis_block(model, A, B, block) -> bool:
+    """scalar_axis_entries is the first row of the 2x2 block, bit for
+    bit, and the second row is (-1, 0)."""
+    return (_same_bits(np.array(scalar_axis_entries(model, A, B)), block[0])
+            and _same_bits(np.array([-1.0, 0.0]), block[1]))
+
+
 def test_scalar_reduction_equals_full_system_block_bit_for_bit():
     rng = np.random.default_rng(23)
     k, m, d = rng.uniform(-1, 1), rng.uniform(0.5, 2), rng.uniform(1, 2)
@@ -348,7 +411,7 @@ def test_scalar_reduction_equals_full_system_block_bit_for_bit():
         for A, B in states:
             bg = FieldBackground.scalar(A, B, 0.0, 0.0)
             full = reduced_from_matrix(scalar_system(bg, model).matrix[:2, :2])
-            assert _same_bits(scalar_axis_block(model, A, B), full.matrix)
+            assert _is_axis_block(model, A, B, full.matrix)
             assert _same_eigen_data(factory(np.array([A, B])), full)
 
 
@@ -382,7 +445,7 @@ def test_scalar_reduction_matches_the_full_system_path_bit_for_bit(model, A,
         with pytest.raises(type(exc)):
             factory(np.array([A, B]))
         return
-    assert _same_bits(scalar_axis_block(model, A, B), want.matrix)
+    assert _is_axis_block(model, A, B, want.matrix)
     assert _same_eigen_data(factory(np.array([A, B])), want)
 
 
@@ -398,9 +461,9 @@ def test_mode_tracking_on_floats_matches_numpy(entries, ref):
         want = reduced_from_matrix(M)
     except ModeCollision:
         with pytest.raises(ModeCollision):
-            _reduced_from_matrix(M)
+            _reduced_2x2(M)
         return
-    got = _reduced_from_matrix(M)
+    got = _reduced_2x2(M)
     assert _same_eigen_data(got, want)
     try:
         j_want, r_want = track_mode(want, np.array(ref))
@@ -438,9 +501,6 @@ def test_simple_wave_matches_the_numpy_array_loop_bit_for_bit(
 
 
 def test_simple_waves_take_at_most_two_modes():
-    with pytest.raises(BadParams):
-        _reduced_from_matrix(np.eye(3))
-
     def factory(U):
         return ReducedSystem(eigenvalues=(0.0, 0.0, 0.0),
                              right=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
@@ -756,26 +816,29 @@ def test_characteristics_csv_roundtrip(tmp_path):
     prof = _sin_profile(n=11)
     sols = [moc_solve(_identity, prof, t) for t in (0.5, 1.0)]
     out = tmp_path / "chars.csv"
-    write_characteristics_csv(out, prof.x, prof.u,
-                              [s.x for s in sols], [0.5, 1.0])
+    write_characteristics_csv(out, prof.x, prof.u, [0.5, 1.0])
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["phi", "lam", "x_t0.5", "x_t1.0"]
     assert len(rows) == 12
     assert float(rows[1][0]) == 0.0
+    # the writer pushes the fan as moc_solve does, bit for bit
+    assert out.read_bytes() == repr_csv(
+        rows[0], zip(prof.x, prof.u, *[s.x for s in sols]))
 
 
 def test_characteristics_csv_writes_non_finite_values_as_repr(tmp_path):
-    phis = np.array([0.0, -0.0, 1e-310, 2.0])
-    lams = np.array([np.nan, np.inf, -np.inf, 0.5])
-    xs = [phis + 0.5 * lams, np.array([1.0, 1.0, np.nan, -0.0])]
+    phis = np.array([0.0, -0.0, 1e-310, 2.0, -0.0])
+    lams = np.array([np.nan, np.inf, -np.inf, 0.5, -0.0])
+    xs = [phis + 0.5 * lams, phis + 2 * lams]
     out = tmp_path / "chars.csv"
-    write_characteristics_csv(out, phis, lams, xs, [0.5, 2])
+    write_characteristics_csv(out, phis, lams, [0.5, 2])
     want = repr_csv(["phi", "lam", "x_t0.5", "x_t2.0"],
                     zip(phis, lams, *xs))
     assert out.read_bytes() == want
-    assert out.read_text().splitlines()[1:4] == [
-        "0.0,nan,nan,1.0", "-0.0,inf,inf,1.0", "1e-310,-inf,-inf,nan"]
+    assert out.read_text().splitlines()[1:6] == [
+        "0.0,nan,nan,nan", "-0.0,inf,inf,inf", "1e-310,-inf,-inf,-inf",
+        "2.0,0.5,2.25,3.0", "-0.0,-0.0,-0.0,-0.0"]
 
 
 def test_snapshot_csv_roundtrip(tmp_path):

@@ -6,7 +6,10 @@ Its exit code, stdout and stderr (with the temporary directory replaced),
 whether it raised, its library values (dtype, shape and bytes) and its
 output files are hashed into one sha256 per job and compared with
 ``tests/data/workload_manifest_13.json``.  A change that moves any byte
-names every job that moved.  To re-record the manifest after a change
+names every job that moved.  Each job's output also goes through the
+benchmark's own checks, ``bench/checks.check`` with
+``bench/reference.json``, so a change that the benchmark would count as
+a failed job fails here first.  To re-record the manifest after a change
 that moves bytes on purpose, run ``python tests/test_workload_manifest.py``
 with ``src`` on ``PYTHONPATH``.  This test reads ``bench/`` and changes
 nothing there.
@@ -27,9 +30,9 @@ _MANIFEST = _ROOT / "tests" / "data" / "workload_manifest_13.json"
 _SEED = 13
 
 
-def _workloads():
+def _bench(name: str):
     spec = importlib.util.spec_from_file_location(
-        "bench_workloads", _ROOT / "bench" / "workloads.py")
+        f"bench_{name}", _ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up in sys.modules
     sys.modules[spec.name] = module
@@ -42,9 +45,16 @@ def _update(digest, label: str, data: bytes) -> None:
     digest.update(data)
 
 
-def _job_digest(workloads, job, outdir: Path) -> str:
+def _run(workloads, checks, reference, job,
+         outdir: Path) -> tuple[str, list[str]]:
+    """The sha256 of everything one job produced, and the failures the
+    benchmark's checks find in it."""
     stem = str(outdir / job.name)
     outcome = workloads.execute(job, stem)
+    files = {suffix: Path(stem + suffix).read_bytes()
+             for suffix in job.outputs if Path(stem + suffix).exists()}
+    failures = [f.message for f in checks.check(job, outcome, files,
+                                                reference)]
     digest = hashlib.sha256()
     _update(digest, "rc", repr(outcome.rc).encode())
     for label, text in (("stdout", outcome.stdout),
@@ -59,34 +69,37 @@ def _job_digest(workloads, job, outdir: Path) -> str:
         _update(digest, key, f"{array.dtype.str}{array.shape}".encode()
                 + array.tobytes())
     for suffix in job.outputs:
-        path = Path(stem + suffix)
-        _update(digest, suffix,
-                path.read_bytes() if path.exists() else b"<missing>")
-    return digest.hexdigest()
+        _update(digest, suffix, files.get(suffix, b"<missing>"))
+    return digest.hexdigest(), failures
 
 
-def manifest(outdir: Path) -> dict[str, str]:
-    """Job name -> sha256 of everything the job produced."""
-    workloads = _workloads()
-    return {f"{workload}/{job.name}": _job_digest(workloads, job, outdir)
+def run_jobs(outdir: Path) -> dict[str, tuple[str, list[str]]]:
+    """Job name -> the sha256 of everything the job produced, and the
+    failures bench/checks.check finds in it."""
+    workloads, checks = _bench("workloads"), _bench("checks")
+    reference = json.loads((_ROOT / "bench" / "reference.json").read_text())
+    return {f"{workload}/{job.name}": _run(workloads, checks, reference, job,
+                                           outdir)
             for workload in workloads.WORKLOADS
             for job in workloads.generate(workload, _SEED)}
 
 
 def test_every_workload_job_keeps_its_recorded_bytes(tmp_path):
     recorded = json.loads(_MANIFEST.read_text())
-    produced = manifest(tmp_path)
+    produced = run_jobs(tmp_path)
     assert sorted(produced) == sorted(recorded)
     moved = sorted(name for name in recorded
-                   if produced[name] != recorded[name])
+                   if produced[name][0] != recorded[name])
     assert not moved, f"{len(moved)} jobs moved: {moved}"
+    failed = {name: fails for name, (_, fails) in produced.items() if fails}
+    assert not failed, f"{len(failed)} jobs fail the bench checks: {failed}"
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        result = manifest(Path(tmp))
+        result = {name: sha for name, (sha, _) in run_jobs(Path(tmp)).items()}
     _MANIFEST.parent.mkdir(exist_ok=True)
     _MANIFEST.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(result)} jobs in {_MANIFEST}", file=sys.stderr)
