@@ -32,10 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charsys import (
-    DEGENERACY_RTOL,
     ROW_BLOCK,
     cone_coefficients,
-    degeneracy_scales,
+    cone_degeneracy,
     float_texts,
 )
 from .errors import (
@@ -54,20 +53,8 @@ GUARD_MARGIN = 0.05
 REPORT_SCHEMA = "cewave-report/1"
 
 
-def _raw_and_scale(terms) -> tuple[float, float]:
-    return sum(terms), sum(abs(t) for t in terms) + TINY
-
-
 def _norm(terms) -> float:
-    raw, scale = _raw_and_scale(terms)
-    return abs(raw) / scale
-
-
-def _raw_pair(first, second) -> tuple[float, float, float, float]:
-    """(raw1, raw2, scale1, scale2) of two additive term lists."""
-    raw1, scale1 = _raw_and_scale(first)
-    raw2, scale2 = _raw_and_scale(second)
-    return raw1, raw2, scale1, scale2
+    return abs(sum(terms)) / (sum(abs(t) for t in terms) + TINY)
 
 
 # ---------------------------------------------------------------------------
@@ -103,31 +90,20 @@ class VectorCharData:
     """Quartic-cone coefficients of an L(a,b) model at one point (floats)
     or at a set of points (arrays).
 
+    ``jet`` holds the L-partials (any object with slots fa ... fbbb);
     K, P, R are the coefficients of the dispersion quartic
     ``H = K u^2 + u g P + g^2 R`` (u the field-dependent square, g the
-    flat quadratic); p, q, r, s are the mode-decomposition combinations;
-    Delta = P^2 - 4KR is the pair-splitting discriminant.  Gradients of
-    K, P, R with respect to (a, b) are propagated exactly with first-order
-    jet arithmetic over the third-order input jet.
+    flat quadratic); Delta = P^2 - 4KR is the pair-splitting
+    discriminant.  Their (a, b)-gradients are propagated exactly with
+    first-order jet arithmetic over the third-order input jet.
     """
 
+    jet: Jet3
     alpha: float
     beta: float
-    La: float
-    Laa: float
-    Lab: float
-    Lbb: float
-    Laaa: float
-    Laab: float
-    Labb: float
-    Lbbb: float
     K: float
     P: float
     R: float
-    p: float
-    q: float
-    r: float
-    s: float
     Delta: float
     Ka: float
     Kb: float
@@ -151,31 +127,18 @@ class VectorCharData:
         K_j, P_j, R_j = cone_coefficients(La_j, Laa_j, Lab_j, Lbb_j, a_j, b_j)
 
         return cls(
-            alpha=a, beta=b,
-            La=jet.fa,
-            Laa=jet.faa, Lab=jet.fab, Lbb=jet.fbb,
-            Laaa=jet.faaa, Laab=jet.faab, Labb=jet.fabb, Lbbb=jet.fbbb,
+            jet=jet, alpha=a, beta=b,
             K=K_j.f, P=P_j.f, R=R_j.f,
-            p=2.0 * jet.faa,
-            q=jet.fa + b * jet.fab,
-            r=jet.fab,
-            s=0.5 * b * jet.fbb,
             Delta=P_j.f * P_j.f - 4.0 * K_j.f * R_j.f,
             Ka=K_j.fa, Kb=K_j.fb,
             Pa=P_j.fa, Pb=P_j.fb,
             Ra=R_j.fa, Rb=R_j.fb,
         )
 
-    def scales(self) -> tuple[float, float]:
-        """The magnitudes against which K and Delta count as zero."""
-        return degeneracy_scales(self.Laa, self.Lab, self.Lbb,
-                                 self.K, self.P, self.R)
-
     def _below_tolerance(self):
         """(K small, discriminant small), bools or boolean arrays."""
-        k_scale, delta_scale = self.scales()
-        return (abs(self.K) < DEGENERACY_RTOL * k_scale + TINY,
-                abs(self.Delta) < DEGENERACY_RTOL * delta_scale + TINY)
+        return cone_degeneracy(self.jet.faa, self.jet.fab, self.jet.fbb,
+                               self.K, self.P, self.R, self.Delta)
 
     def degenerate(self):
         """Where the birefringent-branch conditions do not apply."""
@@ -195,8 +158,10 @@ class VectorCharData:
 
 
 def _tar_terms(d: VectorCharData) -> tuple[list[float], list[float]]:
-    K, P, R = d.K, d.P, d.R
-    p, q, r, s = d.p, d.q, d.r, d.s
+    K, P, R, jet, b = d.K, d.P, d.R, d.jet, d.beta
+    # the mode-decomposition combinations
+    p, q, r, s = (2.0 * jet.faa, jet.fa + b * jet.fab, jet.fab,
+                  0.5 * b * jet.fbb)
     t3 = [
         2.0 * d.Ka * r * P * P,
         -2.0 * d.Ka * s * P * K,
@@ -226,11 +191,6 @@ def _tar_terms(d: VectorCharData) -> tuple[list[float], list[float]]:
         2.0 * s * P * K * K,
     ]
     return t3, t4
-
-
-def general_ce_raw(data: VectorCharData) -> tuple[float, float, float, float]:
-    """Raw values and normalizers of the two third-order conditions."""
-    return _raw_pair(*_tar_terms(data))
 
 
 def general_ce_residuals(data: VectorCharData) -> tuple[float, float]:
@@ -588,12 +548,13 @@ def classify(model: LagrangianModel, grid: GridSpec | None = None,
                 residuals["general"] = columns(_general(data))
             worst, arg = summarize(fallback)
             label = "CE" if worst < tol else "NotCE"
-            if (fallback == "general" and not worst >= tol
-                    and guard_excluded + degenerate_skipped > 0.5 * total):
-                label, worst, arg = "Degenerate", float("nan"), None
 
-    if guard_excluded > 0.5 * total and not worst >= tol:
+    # too few points decided: a failing residual still gives NotCE, and a
+    # birefringent-branch verdict reports no maximum
+    if guard_excluded + degenerate_skipped > 0.5 * total and not worst >= tol:
         label = "Degenerate"
+        if general_rows is not None:
+            worst, arg = float("nan"), None
 
     return CEReport(
         model=model.name, kind=model.kind.value, grid=grid, tol=tol,

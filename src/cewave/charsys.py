@@ -2,9 +2,7 @@
 
 Builds the explicit 4x4 (scalar field) and 6x6 (electromagnetic field)
 quasilinear systems for plane-wave analysis on constant backgrounds,
-solves the quartic dispersion relation for the wave frequency, and
-cross-validates eigenvalues of the system matrices against the roots of
-the covariant cones.
+and solves the quartic dispersion relation for the wave frequency.
 
 Conventions: metric diag(-1,1,1,1); spatial Levi-Civita with
 eps[0,1,2] = +1; electric and magnetic components E^i = F^{0i},
@@ -278,10 +276,11 @@ def _scalar_theta(A: float, jet: Jet2 | Jet3) -> float:
 
 
 def scalar_axis_entries(model: LagrangianModel, A: float,
-                        B: float) -> tuple[float, float]:
+                        B: float) -> tuple[float, float, float]:
     """Row 0, (m00, m01), of the leading 2x2 block of ``scalar_system``'s
-    matrix along x1 at the gradient (A, B, 0, 0), as Python floats; row 1
-    is always (-1.0, 0.0).  The block reads L' and L'' alone, so they come
+    matrix along x1 at the gradient (A, B, 0, 0), as Python floats, and
+    the theta = A^2 L'' - L' that the row divides by; row 1 is always
+    (-1.0, 0.0).  The block reads L' and L'' alone, so they come
     from the model's order-2 jet in z, whose slots are those of
     ``jet_at``, and with the same operations as the full matrix, so their
     bits equal the entries sliced from it.  Adding 0.0 makes a zero entry
@@ -290,8 +289,9 @@ def scalar_axis_entries(model: LagrangianModel, A: float,
     if not (math.isfinite(A) and math.isfinite(B)):
         raise DomainError("background components must be finite")
     jet = model.jet2_at(scalar_z(A, B, 0.0, 0.0))
-    m00, m01 = _scalar_row0(A, (B,), jet.fa, jet.faa, _scalar_theta(A, jet))
-    return m00 + 0.0, m01 + 0.0
+    theta = _scalar_theta(A, jet)
+    m00, m01 = _scalar_row0(A, (B,), jet.fa, jet.faa, theta)
+    return m00 + 0.0, m01 + 0.0, theta
 
 
 def _scalar_axis_matrix(model: LagrangianModel, Q: np.ndarray,
@@ -373,12 +373,6 @@ def vector_system(bg: FieldBackground, model: LagrangianModel,
         bg.state(), nhat, lambda Q, s: _vector_axis_matrix(model, Q, s))
 
 
-def biorthogonality_defect(system: CharSystem) -> float:
-    """Max |L_I R_J - delta_IJ| with the identity time matrix."""
-    G = system.left @ system.right
-    return float(np.max(np.abs(G - np.eye(system.n))))
-
-
 # --- covariant cones ----------------------------------------------------------
 
 
@@ -409,11 +403,14 @@ def cone_coefficients(La, Laa, Lab, Lbb, a, b):
     return K, P, R
 
 
-def degeneracy_scales(Laa: float, Lab: float, Lbb: float, K: float, P: float,
-                      R: float) -> tuple[float, float]:
-    """Magnitudes against which K and the pair-splitting discriminant
-    P^2 - 4KR count as zero, within DEGENERACY_RTOL."""
-    return abs(Laa * Lbb) + power(Lab, 2), P * P + abs(4.0 * K * R)
+def cone_degeneracy(Laa, Lab, Lbb, K, P, R, Delta):
+    """(K small, Delta small), bools or boolean arrays: where K and the
+    discriminant Delta = P^2 - 4KR are below DEGENERACY_RTOL times
+    |Laa Lbb| + Lab^2 and P^2 + |4KR| respectively, plus TINY."""
+    k_scale = abs(Laa * Lbb) + power(Lab, 2)
+    delta_scale = P * P + abs(4.0 * K * R)
+    return (abs(K) < DEGENERACY_RTOL * k_scale + TINY,
+            abs(Delta) < DEGENERACY_RTOL * delta_scale + TINY)
 
 
 @dataclass(frozen=True)
@@ -543,10 +540,11 @@ def fresnel_batch(model: LagrangianModel, E, B, nhat) -> FresnelBatch:
     else:
         point = InvariantPoint(a=a, b=b)
     jet = model.jet_at(point)
-    K, P, R = cone_coefficients(jet.fa, jet.faa, jet.fab, jet.fbb, a, b)
-    k_scale, d_scale = degeneracy_scales(jet.faa, jet.fab, jet.fbb, K, P, R)
-    K, P, R, k_scale, d_scale = np.broadcast_arrays(K, P, R, k_scale,
-                                                    d_scale, a)[:5]
+    K, P, R = np.broadcast_arrays(
+        *cone_coefficients(jet.fa, jet.faa, jet.fab, jet.fbb, a, b), a)[:3]
+    delta = P * P - 4.0 * K * R
+    k_small, delta_small = cone_degeneracy(jet.faa, jet.fab, jet.fbb, K, P,
+                                           R, delta)
 
     if not np.isfinite(nhat).all():
         raise DomainError("vector components must be finite")
@@ -559,8 +557,7 @@ def fresnel_batch(model: LagrangianModel, E, B, nhat) -> FresnelBatch:
     u2 = np.vecdot(nxB, nxB) - power(np.vecdot(E, n), 2)
 
     # the K != 0 factors u + h g for the two roots h of K h^2 - P h + R
-    delta = P * P - 4.0 * K * R
-    delta[np.abs(delta) <= DEGENERACY_RTOL * d_scale] = 0.0
+    delta[delta_small] = 0.0
     sq = np.sqrt(delta.astype(complex))
     h = np.stack([-P + sq, -P - sq], axis=-1) / (2.0 * K)[:, None]
     C = np.empty(h.shape + (3,), dtype=complex)
@@ -568,7 +565,7 @@ def fresnel_batch(model: LagrangianModel, E, B, nhat) -> FresnelBatch:
     C[..., 1] = u1[:, None]
     C[..., 2] = u2[:, None] - h
 
-    quadratic = np.abs(K) > DEGENERACY_RTOL * k_scale + TINY
+    quadratic = ~k_small
     # K = 0: the quartic is g (u P + g R)
     linear = ~quadratic & (np.abs(P) > TINY)
     # only the metric cone survives, doubled
@@ -655,22 +652,6 @@ def exceptionality_per_mode(system: CharSystem, index: int) -> float:
         return float(np.real(w2[j]))
 
     return richardson_central(tracked, h)
-
-
-def crosscheck_cone_vs_eigen(system: CharSystem, H) -> float:
-    """Insert each nonzero eigenvalue as p = (-lam, system.nhat) into the
-    dispersion function H; return the max of |H| over its magnitude."""
-    n = unit_direction(system.nhat)
-    w = np.real(system.eigenvalues)
-    scale = 1.0 + float(np.max(np.abs(w))) if w.size else 1.0
-    worst = 0.0
-    for lam in w:
-        if abs(lam) < COINCIDENCE_RTOL * scale:
-            continue
-        p = np.array([-lam, *n])
-        worst = max(worst, abs(H.value(None, p)) / (H.magnitude(None, p)
-                                                    + TINY))
-    return worst
 
 
 # --- CSV export ------------------------------------------------------------------

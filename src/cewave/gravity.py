@@ -395,21 +395,6 @@ def einstein_trace_coeff(D: int) -> float:
     return (D - 2.0) / 4.0
 
 
-# --- gauge projection ------------------------------------------------------------------
-
-
-def gauge_project(phi, P: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of a symmetric discontinuity onto the
-    subspace satisfying the gauge constraint."""
-    D = len(phi)
-    phi = _check_covector(phi, D)
-    _, sv, vt = np.linalg.svd(gauge_vector(phi, _frame(D)[2]).T)
-    rank = int(np.sum(sv > RANK_RTOL * (float(sv[0]) + TINY)))
-    null_basis = vt[rank:]
-    c = null_basis.T @ (null_basis @ components_from_pi(P))
-    return pi_from_components(c, D)
-
-
 # --- Monte-Carlo survey ------------------------------------------------------------------
 
 

@@ -34,6 +34,7 @@ from .charsys import (
 from .errors import (
     BadParams,
     CFLViolation,
+    DegenerateSystem,
     GridTooCoarse,
     KindError,
     ModeCollision,
@@ -279,10 +280,14 @@ def moc_upwind_l1(sol: MoCSolution, snap: Snapshot) -> float:
 class ReducedSystem(NamedTuple):
     """Eigen-data of a small quasilinear system at one state, as Python
     floats: at most two modes, eigenvalues ascending, and right[k] the
-    right eigenvector of mode k as a unit column."""
+    right eigenvector of mode k as a unit column.  theta is the
+    coefficient of the time derivatives that the system's matrix is
+    divided by (1.0 where the time matrix is the identity); where it
+    changes sign the time reduction is singular."""
 
     eigenvalues: tuple[float, ...]
     right: tuple[tuple[float, ...], ...]
+    theta: float = 1.0
 
 
 MAX_MODES = 2
@@ -353,8 +358,10 @@ def scalar_reduced_factory(
 
     def make(U) -> ReducedSystem:
         A, B = U
-        m00, m01 = scalar_axis_entries(model, A, B)
-        return _reduced_2x2(np.array(((m00, m01), (-1.0, 0.0))))
+        m00, m01, theta = scalar_axis_entries(model, A, B)
+        eigenvalues, right, _ = _reduced_2x2(np.array(((m00, m01),
+                                                       (-1.0, 0.0))))
+        return ReducedSystem(eigenvalues, right, theta)
 
     return make
 
@@ -424,7 +431,9 @@ def simple_wave_construct(factory: Callable[[tuple[float, ...]],
     RK4 step is rays.rk4_step written out on those floats with the same
     operations in the same order; each state's system is built once (the
     node's system is RK4 stage k1) and its eigen-data stay Python floats.
-    The factory receives the state tuple.
+    The factory receives the state tuple.  A wave whose systems, nodes
+    and RK4 stages alike, change the sign of their theta passes a state
+    where the time reduction is singular, and raises DegenerateSystem.
     """
     U0 = tuple(np.asarray(U0, dtype=float).reshape(-1).tolist())
     lo, hi = (float(v) for v in phi_range)
@@ -466,13 +475,24 @@ def simple_wave_construct(factory: Callable[[tuple[float, ...]],
         rc = normalizer(r)
         return tuple([c / rc for c in r])
 
+    def system(U: tuple[float, ...]) -> ReducedSystem:
+        # k and sysk are the current node and its system
+        sysU = factory(U)
+        if (sysU.theta > 0.0) != forward:
+            raise DegenerateSystem(
+                f"the time reduction is singular between nodes {k} and "
+                f"{k + 1}: theta changes sign from {sysk.theta:.3e} to "
+                f"{sysU.theta:.3e}")
+        return sysU
+
     def rhs(U: tuple[float, ...]) -> tuple[float, ...]:
-        return slope(factory(U))
+        return slope(system(U))
 
     half, sixth = 0.5 * h, h / 6.0
 
     states, lams, xis = [], [], []
     r_ref = r0 if r0[component] > 0 else tuple([-c for c in r0])
+    forward = sys0.theta > 0.0
     U, sysk = U0, sys0
     for k in range(len(phis)):
         j, r = _track_mode(sysk, r_ref)
@@ -488,7 +508,7 @@ def simple_wave_construct(factory: Callable[[tuple[float, ...]],
         k4 = rhs(tuple([u + h * du for u, du in zip(U, k3)]))
         U = tuple([u + sixth * (a + 2 * b + 2 * c + d)
                    for u, a, b, c, d in zip(U, k1, k2, k3, k4)])
-        sysk = factory(U)
+        sysk = system(U)
 
     return SimpleWave(component=component, phis=phis,
                       states=np.array(states), lams=np.array(lams),

@@ -3,10 +3,14 @@
 ``classify_per_point`` is the classification loop that evaluates one grid
 point at a time with float jets; ``ce.classify`` must reproduce its report
 exactly.  ``_am_groups`` writes the third-order conditions out in
-L-partials, ``synthetic_jet`` and ``nondegenerate_jet`` draw random
-third-order jets, and ``jet_check_fd`` cross-checks jets against finite
-differences.  ``CallableHamiltonian`` traces rays of an arbitrary H with
-central-difference gradients.  ``axis_matrices`` writes a characteristic
+L-partials, ``general_ce_raw`` gives the raw values and normalizers of
+their compact forms, ``synthetic_jet`` and ``nondegenerate_jet`` draw
+random third-order jets, and ``jet_check_fd`` cross-checks jets against
+finite differences.  ``biorthogonality_defect`` measures a
+characteristic system's left and right eigenvectors against each other,
+and ``crosscheck_cone_vs_eigen`` inserts its eigenvalues into a
+dispersion function.  ``CallableHamiltonian`` traces rays of an
+arbitrary H with central-difference gradients.  ``axis_matrices`` writes a characteristic
 system out per coordinate axis.  ``burgers_factory`` is the 1x1 system
 whose speed is its state.  ``scalar_reduced_oracle`` builds a simple
 wave's 2x2 eigen-data through the full scalar system with numpy
@@ -21,7 +25,8 @@ writer, ``upwind_oracle`` is the Godunov loop that rebuilds its ghost
 cells and all three wave speeds in every step, and ``fresnel_scan_per_draw`` is the dispersion scan that draws
 and solves one background at a time.  ``sym_pairs`` and ``sym_dim``
 enumerate and count the independent components of a symmetric D x D
-matrix, ``identity_checks`` and ``GravityProbe`` check gauge-bound
+matrix, ``gauge_project`` projects a discontinuity onto the gauge
+constraint, ``identity_checks`` and ``GravityProbe`` check gauge-bound
 gravity discontinuities, and ``survey_normals_per_draw`` draws a gravity
 survey's normals one candidate at a time, with Q as ``covector_q_dot``
 and the null norm as ``null_norm``.
@@ -45,11 +50,12 @@ from cewave.ce import (
     REPORT_SCHEMA,
     GridSpec,
     VectorCharData,
-    _raw_pair,
+    _tar_terms,
     general_ce_residuals,
 )
 from cewave.charsys import (
     COINCIDENCE_RTOL,
+    CharSystem,
     FieldBackground,
     _scalar_axis_matrix,
     fresnel_roots,
@@ -62,6 +68,7 @@ from cewave.errors import (
     BadParams,
     CFLViolation,
     DegeneracyError,
+    DegenerateSystem,
     DomainError,
     EmptyGrid,
     GridTooCoarse,
@@ -72,14 +79,19 @@ from cewave.errors import (
 )
 from cewave.gravity import (
     MIN_NONNULL_Q,
+    RANK_RTOL,
     _check_covector,
+    _frame,
     _phi_pi_terms,
     _phiphi_pi,
     _scalars,
+    components_from_pi,
     covector_q,
     eta,
+    gauge_vector,
+    pi_from_components,
 )
-from cewave.jets import InvariantPoint, Jet3
+from cewave.jets import TINY, InvariantPoint, Jet3
 from cewave.lagrangians import Kind, LagrangianModel
 from cewave.rays import (
     BLOWUP_THRESHOLD,
@@ -114,9 +126,9 @@ def _am_groups(d: VectorCharData) -> tuple[list[float], list[float]]:
     routes differ by La^2*Laa*Lbbb*b*(Lab-Lbb)*(8*Laa^2-3*Laa*Lbb+5*Lab^2)
     and no constant factor relates them.
     """
-    La = d.La
-    Laa, Lab, Lbb = d.Laa, d.Lab, d.Lbb
-    Laaa, Laab, Labb, Lbbb = d.Laaa, d.Laab, d.Labb, d.Lbbb
+    La = d.jet.fa
+    Laa, Lab, Lbb = d.jet.faa, d.jet.fab, d.jet.fbb
+    Laaa, Laab, Labb, Lbbb = d.jet.faaa, d.jet.faab, d.jet.fabb, d.jet.fbbb
     al, be = d.alpha, d.beta
     K = d.K
 
@@ -174,6 +186,17 @@ def _am_groups(d: VectorCharData) -> tuple[list[float], list[float]]:
     return g1, g2
 
 
+def _raw_pair(first, second) -> tuple[float, float, float, float]:
+    """(raw1, raw2, scale1, scale2) of two additive term lists."""
+    return (sum(first), sum(second), sum(abs(t) for t in first) + TINY,
+            sum(abs(t) for t in second) + TINY)
+
+
+def general_ce_raw(data: VectorCharData) -> tuple[float, float, float, float]:
+    """Raw values and normalizers of the two third-order conditions."""
+    return _raw_pair(*_tar_terms(data))
+
+
 def appendix_raw(jet: Jet3, point: InvariantPoint
                  ) -> tuple[float, float, float, float]:
     return _raw_pair(*_am_groups(VectorCharData.from_jet(jet, point)))
@@ -203,7 +226,8 @@ def nondegenerate_jet(rng) -> tuple[Jet3, InvariantPoint]:
     while True:
         jet, point = synthetic_jet(rng)
         data = VectorCharData.from_jet(jet, point)
-        k_scale, delta_scale = data.scales()
+        k_scale = abs(jet.faa * jet.fbb) + jet.fab ** 2
+        delta_scale = data.P * data.P + abs(4.0 * data.K * data.R)
         if (abs(data.K) > 0.05 * (k_scale + 1e-30)
                 and abs(data.Delta) > 0.05 * (delta_scale + 1e-30)):
             return jet, point
@@ -379,6 +403,32 @@ def classify_per_point(model: LagrangianModel, grid: GridSpec | None = None,
 
 
 # ---------------------------------------------------------------------------
+# Characteristic systems against their cones
+# ---------------------------------------------------------------------------
+
+def biorthogonality_defect(system: CharSystem) -> float:
+    """Max |L_I R_J - delta_IJ| with the identity time matrix."""
+    G = system.left @ system.right
+    return float(np.max(np.abs(G - np.eye(system.n))))
+
+
+def crosscheck_cone_vs_eigen(system: CharSystem, H) -> float:
+    """Insert each nonzero eigenvalue as p = (-lam, system.nhat) into the
+    dispersion function H; return the max of |H| over its magnitude."""
+    n = unit_direction(system.nhat)
+    w = np.real(system.eigenvalues)
+    scale = 1.0 + float(np.max(np.abs(w))) if w.size else 1.0
+    worst = 0.0
+    for lam in w:
+        if abs(lam) < COINCIDENCE_RTOL * scale:
+            continue
+        p = np.array([-lam, *n])
+        worst = max(worst, abs(H.value(None, p)) / (H.magnitude(None, p)
+                                                    + TINY))
+    return worst
+
+
+# ---------------------------------------------------------------------------
 # Rays and simple waves
 # ---------------------------------------------------------------------------
 
@@ -535,11 +585,24 @@ def simple_wave_oracle(model: LagrangianModel, mode: int,
     reduction of model, by the loop that keeps every state's eigen-data
     in numpy arrays: each system sliced from the full 4x4 axis matrix
     (``scalar_reduced_oracle``), each mode followed by ``track_mode``, and
-    the node's system reused as RK4 stage k1.  The caller passes valid
-    arguments; the checks of the inputs are not repeated here."""
+    the node's system reused as RK4 stage k1.  A system whose
+    theta = A^2 L'' - L' has another sign than the first one's raises
+    DegenerateSystem.  The caller passes valid arguments; the checks of
+    the inputs are not repeated here."""
+    forward = None
+
     def factory(U: np.ndarray) -> ArrayReduced:
+        nonlocal forward
         A, B = U.tolist()
-        return scalar_reduced_oracle(model, A, B)
+        system = scalar_reduced_oracle(model, A, B)
+        jet = model.jet_at(FieldBackground.scalar(A, B, 0.0, 0.0)
+                           .point(Kind.Scalar))
+        positive = A * A * jet.faa - jet.fa > 0.0
+        if forward is None:
+            forward = positive
+        if positive != forward:
+            raise DegenerateSystem("theta changes sign along the wave")
+        return system
 
     def normalizer(r: np.ndarray) -> float:
         if abs(r[component]) < 1e-12:
@@ -785,6 +848,18 @@ def identity_checks(phi, P: np.ndarray) -> tuple[float, float]:
     first = _phi_pi_terms(phi, P, g, trace)
     res2 = abs(phiphi_pi - 0.5 * Q * trace)
     return float(np.max(np.abs(first))) / scale, float(res2[0, 0]) / scale
+
+
+def gauge_project(phi, P: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of a symmetric discontinuity onto the
+    subspace satisfying the gauge constraint."""
+    D = len(phi)
+    phi = _check_covector(phi, D)
+    _, sv, vt = np.linalg.svd(gauge_vector(phi, _frame(D)[2]).T)
+    rank = int(np.sum(sv > RANK_RTOL * (float(sv[0]) + TINY)))
+    null_basis = vt[rank:]
+    c = null_basis.T @ (null_basis @ components_from_pi(P))
+    return pi_from_components(c, D)
 
 
 @dataclass(frozen=True)

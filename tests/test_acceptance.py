@@ -23,16 +23,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cewave.ce import (
-    VectorCharData,
-    classify,
-    general_ce_raw,
-    scalar_ce_residual,
-)
+from cewave.ce import VectorCharData, classify, scalar_ce_residual
 from cewave.charsys import (
     CharSystem,
     FieldBackground,
-    crosscheck_cone_vs_eigen,
     exceptionality_per_mode,
     fresnel_roots,
     scalar_system,
@@ -45,7 +39,6 @@ from cewave.gravity import (
     covector_q,
     einstein_tensor_disc,
     eta,
-    gauge_project,
     kernel_survey,
     quadratic_operator,
     random_nonnull_covector,
@@ -67,7 +60,13 @@ from cewave.shock1d import (
     simple_wave_construct,
 )
 
-from oracles import appendix_raw, nondegenerate_jet
+from oracles import (
+    appendix_raw,
+    crosscheck_cone_vs_eigen,
+    gauge_project,
+    general_ce_raw,
+    nondegenerate_jet,
+)
 
 
 def _accepted_vector_draws(probe, count, rng):

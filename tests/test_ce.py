@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from cewave.ce import (
     _tar_terms,
     classify,
     coupling_residuals,
-    general_ce_raw,
     general_ce_residuals,
     scalar_ce_residual,
     strong_ce_residuals,
@@ -40,6 +40,7 @@ from oracles import (
     appendix_c_residuals,
     appendix_raw,
     classify_per_point,
+    general_ce_raw,
     nondegenerate_jet,
     synthetic_jet,
 )
@@ -244,11 +245,12 @@ def test_appendix_and_general_on_third_partials_zero_jet():
         assert abs(am2 - raw4) / (s4 + 1e-30) < 1e-12
         # both reduce to the closed-form non-derivative group
         K = data.K
-        want3 = -1.5 * (4 * data.Laa + data.Lbb) * K**2 * (
-            data.La * data.Lab - data.beta * K)
+        want3 = -1.5 * (4 * data.jet.faa + data.jet.fbb) * K**2 * (
+            data.jet.fa * data.jet.fab - data.beta * K)
         want4 = -1.5 * K**2 * (
-            4 * data.La + 4 * data.beta * data.Lab
-            - data.alpha * data.Lbb) * (data.La * data.Lab - data.beta * K)
+            4 * data.jet.fa + 4 * data.beta * data.jet.fab
+            - data.alpha * data.jet.fbb) * (
+                data.jet.fa * data.jet.fab - data.beta * K)
         assert raw3 == pytest.approx(want3, rel=1e-10, abs=1e-12)
         assert raw4 == pytest.approx(want4, rel=1e-10, abs=1e-12)
 
@@ -267,11 +269,10 @@ def test_expanded_conditions_match_compact_forms_symbolically():
         return sum(sp.diff(f, v) * dv for v, dv in d.items())
 
     K, P, R = cone_coefficients(La, Laa, Lab, Lbb, a, b)
+    jet = types.SimpleNamespace(fa=La, faa=Laa, fab=Lab, fbb=Lbb, faaa=Laaa,
+                                faab=Laab, fabb=Labb, fbbb=Lbbb)
     data = VectorCharData(
-        alpha=a, beta=b, La=La, Laa=Laa, Lab=Lab, Lbb=Lbb,
-        Laaa=Laaa, Laab=Laab, Labb=Labb, Lbbb=Lbbb, K=K, P=P, R=R,
-        p=2 * Laa, q=La + b * Lab, r=Lab, s=b * Lbb / 2,
-        Delta=P**2 - 4 * K * R,
+        jet=jet, alpha=a, beta=b, K=K, P=P, R=R, Delta=P**2 - 4 * K * R,
         Ka=chain(K, d_a), Kb=chain(K, d_b), Pa=chain(P, d_a),
         Pb=chain(P, d_b), Ra=chain(R, d_a), Rb=chain(R, d_b))
     t3, t4 = _tar_terms(data)
@@ -290,6 +291,87 @@ def test_general_residuals_normalized_range():
         a1, a2 = appendix_c_residuals(jet, point)
         for v in (n3, n4, a1, a2):
             assert 0.0 <= v <= 1.0
+
+
+# --- the CE families in closed form --------------------------------------------
+
+def test_ce_families_meet_their_conditions_symbolically():
+    sp = pytest.importorskip("sympy")
+    # scalar: w = (L')^-2 has w'' = -2 (L')^-4 (L' L''' - 3 L''^2), so the
+    # scalar condition holds exactly where w is linear: L' ~ (1 + c z)^-1/2
+    z = sp.symbols("z")
+    L1 = sp.diff(sp.Function("L")(z), z)
+    L2, L3 = sp.diff(L1, z), sp.diff(L1, z, 2)
+    w = L1 ** -2
+    assert sp.simplify(sp.diff(w, z, 2)
+                       + 2 * L1 ** -4 * (L1 * L3 - 3 * L2 ** 2)) == 0
+
+    # the Born-Infeld family c0 + c1 sqrt(1 + k a - k^2 b^2) meets both
+    # strong (no-birefringence) conditions
+    a, b, k, c0, c1 = sp.symbols("a b k c0 c1")
+    L = c0 + c1 * sp.sqrt(1 + k * a - k ** 2 * b ** 2)
+    La, Laa, Lab, Lbb = (sp.diff(L, *v) for v in ([a], [a, a], [a, b],
+                                                  [b, b]))
+    K = Laa * Lbb - Lab * Lab
+    assert sp.simplify(-La * (4 * Laa - Lbb) + 2 * a * K) == 0
+    assert sp.simplify(-La * Lab + b * K) == 0
+
+
+def test_birefringent_born_infeld_family_meets_the_general_conditions():
+    # 1 - sqrt(1 + a - c b^2) is birefringent for c != 1, and both
+    # third-order conditions of _tar_terms vanish identically in (a, b, c)
+    sp = pytest.importorskip("sympy")
+    a, b, c = sp.symbols("a b c")
+    s = sp.symbols("s", positive=True)
+    L = 1 - sp.sqrt(1 + a - c * b ** 2)
+    # on 1 + a - c b^2 = s^2 every partial is rational in s
+    on_s = {a: s ** 2 - 1 + c * b ** 2}
+    jet = types.SimpleNamespace(**{
+        "f" + "a" * i + "b" * j: sp.diff(L, *[a] * i, *[b] * j).subs(on_s)
+        for i in range(4) for j in range(4) if 1 <= i + j <= 3})
+    K, P, R = cone_coefficients(*(sp.diff(L, *v) for v in (
+        [a], [a, a], [a, b], [b, b])), a, b)
+    data = VectorCharData(
+        jet=jet, alpha=on_s[a], beta=b, K=K.subs(on_s), P=P.subs(on_s),
+        R=R.subs(on_s), Delta=(P ** 2 - 4 * K * R).subs(on_s),
+        **{f"{name}{v}": sp.diff(f, v).subs(on_s)
+           for name, f in zip("KPR", (K, P, R)) for v in (a, b)})
+    assert data.Delta.subs({s: 1, b: 1, c: 2}) != 0
+    for terms in _tar_terms(data):
+        assert sp.cancel(sp.nsimplify(sum(terms), rational=True)) == 0
+
+
+def _signed(lo: float, hi: float):
+    return st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(lo, hi)).map(
+        lambda pair: pair[0] * pair[1])
+
+
+# the sqrt families on their default grids: 1 + c2 z, 1 + c2 a and
+# 1 + k a - (k b)^2 stay positive on the grid and its guard margin
+_CE_FAMILIES = st.one_of(
+    st.builds(lambda c0, c1, c2: (
+        f"{c0!r} + ({c1!r})*sqrt(1 + ({c2!r})*z)", "scalar", "z"),
+        st.floats(-2.0, 2.0), _signed(0.1, 3.0), _signed(0.1, 1.9)),
+    st.builds(lambda c0, c1, c2: (
+        f"{c0!r} + ({c1!r})*sqrt(1 + ({c2!r})*a)", "alpha", "a"),
+        st.floats(-2.0, 2.0), _signed(0.1, 3.0),
+        st.one_of(st.floats(-0.45, -0.1), st.floats(0.1, 1.8))),
+    st.builds(lambda c0, c1, k: (
+        f"{c0!r} + ({c1!r})*sqrt(1 + {k!r}*a - ({k!r}*b)^2)", "alpha-beta",
+        "a"),
+        st.floats(-2.0, 2.0), _signed(0.1, 3.0), st.floats(0.1, 0.6)),
+)
+
+
+@settings(max_examples=160, deadline=None)
+@given(family=_CE_FAMILIES, eps=_signed(0.01, 1.0))
+def test_ce_families_classify_as_ce_and_a_cubic_term_breaks_them(family,
+                                                                  eps):
+    text, kind, variable = family
+    assert classify(from_expression(text, kind)).label in ("CE",
+                                                           "StronglyCE")
+    perturbed = from_expression(f"{text} + ({eps!r})*{variable}^3", kind)
+    assert classify(perturbed).label == "NotCE"
 
 
 # --- mixed coupling ------------------------------------------------------------

@@ -10,14 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cewave import charsys
-from cewave.ce import classify
+from cewave.ce import VectorCharData, classify
 from cewave.charsys import (
     COINCIDENCE_RTOL,
     ROW_BLOCK,
     CharSystem,
     FieldBackground,
-    biorthogonality_defect,
-    crosscheck_cone_vs_eigen,
+    cone_degeneracy,
     exceptionality_per_mode,
     fresnel_batch,
     fresnel_roots,
@@ -37,10 +36,16 @@ from cewave.errors import (
     KindError,
     ModeCollision,
 )
-from cewave.jets import DomainMask
+from cewave.jets import DomainMask, InvariantPoint
 from cewave.lagrangians import Kind, builtin, builtin_names, from_expression
 from cewave.rays import ConeHamiltonian, QuarticHamiltonian
-from oracles import axis_matrices, repr_csv, scalar_axis_matrix
+from oracles import (
+    axis_matrices,
+    biorthogonality_defect,
+    crosscheck_cone_vs_eigen,
+    repr_csv,
+    scalar_axis_matrix,
+)
 
 _ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -378,6 +383,43 @@ def test_fresnel_kind_check():
     bg = FieldBackground.vector([0.3, 0, 0], [0, 0.4, 0])
     with pytest.raises(KindError):
         fresnel_roots(builtin("scalar-bi"), bg, (1, 0, 0))
+
+
+def test_classify_and_fresnel_batch_agree_where_k_or_delta_vanishes():
+    # cone_degeneracy decides both which points classify skips and how
+    # fresnel_batch factors the quartic.  Where K counts as zero the
+    # quartic keeps the metric cone g = 0, roots -1 and +1 along a unit
+    # normal; where only Delta does, its two factors coincide and no
+    # row is birefringent.
+    models = [builtin(name, params) for name, params in (
+        ("alpha-over-beta", None), ("born-infeld", None), ("maxwell", None),
+        ("perturbed-maxwell", [0.1]), ("sqrt-family", [0.2, 1.6, 0.5]))]
+    models += [from_expression(text, "alpha-beta") for text in (
+        "1 - sqrt(1 + a - 0.5*b^2)", "-a/2 + 0.1*a^2 + 0.05*b^2",
+        "1 - sqrt(1 + a + 0.3*b)")]
+    rng = np.random.default_rng(31)
+    k_rows = delta_rows = 0
+    for model in models:
+        E, B, n = (rng.uniform(-1.0, 1.0, size=(300, 3)) for _ in range(3))
+        a = np.vecdot(B, B) - np.vecdot(E, E)
+        point = (InvariantPoint(a=a) if model.kind is Kind.VectorAlpha
+                 else InvariantPoint(a=a, b=-np.vecdot(B, E)))
+        with DomainMask():
+            batch = fresnel_batch(model, E, B, n)
+            jet = model.jet_at(point)
+        d = VectorCharData.from_jet(jet, point)
+        k_small, delta_small = np.broadcast_arrays(*cone_degeneracy(
+            jet.faa, jet.fab, jet.fbb, d.K, d.P, d.R, d.Delta), a)[:2]
+        assert (d.degenerate() == k_small | delta_small).all()
+        usable = batch.unusable == 0
+        light = np.abs(batch.roots[:, :, None] - [-1.0, 1.0]) < 1e-12
+        k_rows += np.count_nonzero(usable & k_small)
+        assert light.any(axis=1).all(axis=1)[usable & k_small].all(), (
+            model.name)
+        only_delta = usable & delta_small & ~k_small
+        delta_rows += np.count_nonzero(only_delta)
+        assert not batch.birefringent[only_delta].any(), model.name
+    assert k_rows > 1000 and delta_rows > 500
 
 
 # --- mode probes -------------------------------------------------------------------

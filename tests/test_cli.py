@@ -517,6 +517,17 @@ def test_shock_with_exceptional_model(tmp_path):
     assert len(fan) == 202
 
 
+def test_shock_refuses_a_wave_through_a_singular_time_reduction(tmp_path,
+                                                                capsys):
+    # theta = A^2 L'' - L' of -z - 0.8 z^2 is +0.00445 at node 153 of the
+    # simple wave and -0.00265 at node 154
+    rc = main(["shock", "--model-expr", "-z - 0.8*z^2", "--model-kind",
+               "scalar", "--out", str(tmp_path / "s.json")])
+    assert rc == 3
+    assert "between nodes 153 and 154" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("profile", ["sin", "linear", "step"])
 def test_shock_with_a_model_builds_one_burgers_fan(profile, tmp_path,
                                                    monkeypatch):

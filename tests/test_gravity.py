@@ -24,7 +24,6 @@ from cewave.gravity import (
     einstein_trace_coeff,
     eta,
     fr_operator,
-    gauge_project,
     gauge_vector,
     kernel_dim,
     kernel_survey,
@@ -37,8 +36,9 @@ from cewave.gravity import (_check_normals, _frame, _operators,
                             _row_normalized, _scalars, _survey_normals,
                             _theory)
 
-from oracles import (GravityProbe, covector_q_dot, identity_checks,
-                     survey_normals_per_draw, sym_dim, sym_pairs)
+from oracles import (GravityProbe, covector_q_dot, gauge_project,
+                     identity_checks, survey_normals_per_draw, sym_dim,
+                     sym_pairs)
 
 NULL4 = np.array([1.0, 1.0, 0.0, 0.0])
 TIME4 = np.array([1.0, 0.0, 0.0, 0.0])

@@ -390,9 +390,10 @@ def test_simple_wave_speed_constant_for_exceptional_scalar_model():
 
 
 def _is_axis_block(model, A, B, block) -> bool:
-    """scalar_axis_entries is the first row of the 2x2 block, bit for
-    bit, and the second row is (-1, 0)."""
-    return (_same_bits(np.array(scalar_axis_entries(model, A, B)), block[0])
+    """scalar_axis_entries' row is the first row of the 2x2 block, bit
+    for bit, and the second row is (-1, 0)."""
+    return (_same_bits(np.array(scalar_axis_entries(model, A, B)[:2]),
+                       block[0])
             and _same_bits(np.array([-1.0, 0.0]), block[1]))
 
 

@@ -1,17 +1,19 @@
-"""Every benchmark workload job of seed 13 keeps its recorded bytes.
+"""Every benchmark workload job of seeds 13, 31 and 777 keeps its recorded
+bytes.
 
-Each job of ``generate(workload, 13)`` for the three workloads runs in
+Each job of ``generate(workload, seed)`` for the three workloads runs in
 process through ``bench/workloads.execute`` into a temporary directory.
 Its exit code, stdout and stderr (with the temporary directory replaced),
 whether it raised, its library values (dtype, shape and bytes) and its
 output files are hashed into one sha256 per job and compared with
-``tests/data/workload_manifest_13.json``.  A change that moves any byte
+``tests/data/workload_manifest_<seed>.json``.  A change that moves any byte
 names every job that moved.  Each job's output also goes through the
 benchmark's own checks, ``bench/checks.check`` with
 ``bench/reference.json``, so a change that the benchmark would count as
-a failed job fails here first.  To re-record the manifest after a change
-that moves bytes on purpose, run ``python tests/test_workload_manifest.py``
-with ``src`` on ``PYTHONPATH``.  This test reads ``bench/`` and changes
+a failed job fails here first.  To re-record a seed's manifest after a
+change that moves bytes on purpose, run
+``python tests/test_workload_manifest.py <seed>`` with ``src`` on
+``PYTHONPATH``.  This test reads ``bench/`` and changes
 nothing there.
 """
 
@@ -24,10 +26,14 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 _ROOT = Path(__file__).resolve().parent.parent
-_MANIFEST = _ROOT / "tests" / "data" / "workload_manifest_13.json"
-_SEED = 13
+_SEEDS = (13, 31, 777)
+
+
+def _manifest(seed: int) -> Path:
+    return _ROOT / "tests" / "data" / f"workload_manifest_{seed}.json"
 
 
 def _bench(name: str):
@@ -73,7 +79,7 @@ def _run(workloads, checks, reference, job,
     return digest.hexdigest(), failures
 
 
-def run_jobs(outdir: Path) -> dict[str, tuple[str, list[str]]]:
+def run_jobs(outdir: Path, seed: int) -> dict[str, tuple[str, list[str]]]:
     """Job name -> the sha256 of everything the job produced, and the
     failures bench/checks.check finds in it."""
     workloads, checks = _bench("workloads"), _bench("checks")
@@ -81,12 +87,13 @@ def run_jobs(outdir: Path) -> dict[str, tuple[str, list[str]]]:
     return {f"{workload}/{job.name}": _run(workloads, checks, reference, job,
                                            outdir)
             for workload in workloads.WORKLOADS
-            for job in workloads.generate(workload, _SEED)}
+            for job in workloads.generate(workload, seed)}
 
 
-def test_every_workload_job_keeps_its_recorded_bytes(tmp_path):
-    recorded = json.loads(_MANIFEST.read_text())
-    produced = run_jobs(tmp_path)
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_every_workload_job_keeps_its_recorded_bytes(tmp_path, seed):
+    recorded = json.loads(_manifest(seed).read_text())
+    produced = run_jobs(tmp_path, seed)
     assert sorted(produced) == sorted(recorded)
     moved = sorted(name for name in recorded
                    if produced[name][0] != recorded[name])
@@ -98,8 +105,11 @@ def test_every_workload_job_keeps_its_recorded_bytes(tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    seed = int(sys.argv[1])
     with tempfile.TemporaryDirectory() as tmp:
-        result = {name: sha for name, (sha, _) in run_jobs(Path(tmp)).items()}
-    _MANIFEST.parent.mkdir(exist_ok=True)
-    _MANIFEST.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(result)} jobs in {_MANIFEST}", file=sys.stderr)
+        result = {name: sha
+                  for name, (sha, _) in run_jobs(Path(tmp), seed).items()}
+    manifest = _manifest(seed)
+    manifest.parent.mkdir(exist_ok=True)
+    manifest.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(result)} jobs in {manifest}", file=sys.stderr)
