@@ -258,9 +258,9 @@ def _scalar_row0(A: float, s, L1: float, L2: float,
     """Row 0 of the scalar system's matrix along x1: the entry of the
     time component A, then one entry per spatial component s[j], which
     is (s[0] s[j] L'' + L' [j = 0]) / theta with 0.0 added for j > 0."""
-    s0, *rest = s
+    s0 = s[0]
     row = [-2.0 * A * s0 * L2 / theta, (s0 * s0 * L2 + L1) / theta]
-    for sj in rest:
+    for sj in s[1:]:
         row.append((s0 * sj * L2 + 0.0) / theta)
     return row
 
@@ -621,10 +621,17 @@ def fresnel_roots(model: LagrangianModel, bg: FieldBackground,
 def exceptionality_per_mode(system: CharSystem, index: int) -> float:
     """Directional derivative of eigenvalue `index` along its own
     (unit) right eigenvector, by rebuilding the system at perturbed
-    states; central difference plus one Richardson step.  The step is
+    states; central difference plus one Richardson step.  The step h is
     1e-5 (1 + |state|), or a tenth of the distance to the nearest other
-    eigenvalue if that is less; a mode within COINCIDENCE_RTOL
-    (1 + |state|) of another has no trustworthy gradient."""
+    eigenvalue if that is less.
+
+    A step below h_min = 3 eps (1 + |state|) / COINCIDENCE_RTOL gives no
+    trustworthy gradient.  Each eigenvalue carries a rounding error of
+    about eps (1 + |lam|), which (4 D(h/2) - D(h)) / 3 turns into up to
+    3 eps (1 + |lam|) / h.  Below h_min that exceeds COINCIDENCE_RTOL
+    times the gradient's own scale, (1 + |lam|) / (1 + |state|).  So a
+    mode closer than 10 h_min to another, a coincident one included,
+    raises ModeCollision."""
     w = np.real(system.eigenvalues)
     if not 0 <= index < system.n:
         raise BadUsage(f"mode index {index} out of range for n={system.n}")
@@ -633,12 +640,13 @@ def exceptionality_per_mode(system: CharSystem, index: int) -> float:
     others = np.delete(w, index)
     if others.size:
         spacing = float(np.min(np.abs(others - w[index])))
-        if spacing < COINCIDENCE_RTOL * scale:
-            raise ModeCollision(
-                f"eigenvalue spacing {spacing:.3e} below "
-                f"{COINCIDENCE_RTOL * scale:.3e}; the mode gradient is "
-                "untrustworthy")
         h = min(h, spacing / 10.0)
+        h_min = 3.0 * np.finfo(float).eps * scale / COINCIDENCE_RTOL
+        if h < h_min:
+            raise ModeCollision(
+                f"eigenvalue spacing {spacing:.3e} asks for a step "
+                f"{h:.3e} below {h_min:.3e}; the mode gradient is "
+                "untrustworthy")
 
     R = np.real(system.right[:, index])
     R = R / np.linalg.norm(R)

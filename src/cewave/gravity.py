@@ -78,11 +78,6 @@ def pi_from_components(c, D: int) -> np.ndarray:
     return P
 
 
-def components_from_pi(P: np.ndarray) -> np.ndarray:
-    P = np.asarray(P, dtype=float)
-    return P[(...,) + np.triu_indices(P.shape[-1])]
-
-
 @lru_cache(maxsize=_FRAMES)
 def _frame(D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Upper-triangle indices (a, b) and the symmetric basis stack

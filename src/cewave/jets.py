@@ -178,7 +178,9 @@ def _operand(jet, other):
     ``jet``'s type that supplies its derivative slots: ``other`` itself,
     or the type's zero jet for a number or an array, whose value is
     coerced as ``_slot`` does.  (NotImplemented, None) for anything
-    else."""
+    else.  A plain float, the commonest operand, is tested first."""
+    if other.__class__ is float:
+        return other, jet._zero
     if isinstance(other, jet.__class__):
         return other.f, other
     if isinstance(other, (int, float)):

@@ -298,7 +298,7 @@ class LagrangianModel:
         if self.kind is not Kind.Scalar:
             raise KindError("an order-2 jet in z needs a model in the "
                             "field invariant z")
-        out = self._eval({"z": Jet2.variable(z)})
+        out = self._eval({"z": Jet2._of(z, 1.0, 0.0)})  # the variable z
         if not isinstance(out, Jet2):
             out = Jet2.constant(out)
         return out

@@ -153,8 +153,8 @@ def rk4_step(f: Callable, y, k1, h: float):
 
     This is the one definition of the step.  ``transport_amplitude`` and
     ``shock1d.simple_wave_construct`` write its stages out on Python
-    floats with the same operations in the same order, and tests pin
-    both loops to it bit for bit."""
+    floats with the same operations in the same order (2.0 for the 2,
+    the same product), and tests pin both loops to it bit for bit."""
     k2 = f(y + 0.5 * h * k1)
     k3 = f(y + 0.5 * h * k2)
     k4 = f(y + h * k3)
@@ -307,21 +307,24 @@ def transport_amplitude(ts: TransportState, s_max: float,
     m, c = ts.m, ts.c
     n_steps = _step_count(s_max, step)
     half, sixth = 0.5 * step, step / 6.0
+    # -m * v is (-m) * v, so -m is negated once
+    neg_m, threshold = -m, BLOWUP_THRESHOLD
     v = ts.pi0
     pis = [v]
+    append = pis.append
     blown = False
     for _ in range(n_steps):
-        k1 = -m * v - c * v * v
+        k1 = neg_m * v - c * v * v
         w = v + half * k1
-        k2 = -m * w - c * w * w
+        k2 = neg_m * w - c * w * w
         w = v + half * k2
-        k3 = -m * w - c * w * w
+        k3 = neg_m * w - c * w * w
         w = v + step * k3
-        k4 = -m * w - c * w * w
-        v = v + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-        pis.append(v)
+        k4 = neg_m * w - c * w * w
+        v = v + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        append(v)
         # also true for nan and +-inf
-        if not abs(v) <= BLOWUP_THRESHOLD:
+        if not abs(v) <= threshold:
             blown = True
             break
     s = _step_column(np.empty(len(pis)), step)

@@ -293,11 +293,6 @@ class ReducedSystem(NamedTuple):
 MAX_MODES = 2
 
 
-def _unit(x: float, y: float) -> tuple[float, float]:
-    norm = math.sqrt(x * x + y * y)
-    return x / norm, y / norm
-
-
 # numpy's error state inside _eig, that of np.linalg.eig: LAPACK's
 # non-convergence sets the invalid flag, which raises LinAlgError, and
 # the other flags are ignored.  It is built once (its buffer size is the
@@ -324,11 +319,11 @@ def _eig(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         _extobj_contextvar.reset(token)
 
 
-def _reduced_2x2(M: np.ndarray) -> ReducedSystem:
+def _reduced_2x2(M: np.ndarray, theta: float = 1.0) -> ReducedSystem:
     """Sorted, real, unit-normalized eigen-data of the 2x2 float matrix M
-    from one LAPACK call.  The bookkeeping runs on Python floats and
-    gives the bits of charsys.sorted_eig, nearly_real and a numpy column
-    norm."""
+    from one LAPACK call, with the theta that M was divided by.  The
+    bookkeeping runs on Python floats and gives the bits of
+    charsys.sorted_eig, nearly_real and a numpy column norm."""
     w, V = _eig(M)
     (w0, w1), ((v00, v01), (v10, v11)) = w.tolist(), V.real.tolist()
     # a real M has two real eigenvalues or a conjugate pair (equal real
@@ -339,10 +334,12 @@ def _reduced_2x2(M: np.ndarray) -> ReducedSystem:
     if not abs(w0.imag) <= 1e-10 * (1.0 + abs(lam0)):
         raise ModeCollision("complex eigenvalues: system is not "
                             "hyperbolic at this state")
-    r0, r1 = _unit(v00, v10), _unit(v01, v11)
+    n0 = math.sqrt(v00 * v00 + v10 * v10)
+    n1 = math.sqrt(v01 * v01 + v11 * v11)
+    r0, r1 = (v00 / n0, v10 / n0), (v01 / n1, v11 / n1)
     if lam1 < lam0 or (lam1 == lam0 and w1.imag < w0.imag):
-        return ReducedSystem((lam1, lam0), (r1, r0))
-    return ReducedSystem((lam0, lam1), (r0, r1))
+        return ReducedSystem((lam1, lam0), (r1, r0), theta)
+    return ReducedSystem((lam0, lam1), (r0, r1), theta)
 
 
 def scalar_reduced_factory(
@@ -356,12 +353,13 @@ def scalar_reduced_factory(
                         "invariant z, such as the builtins "
                         + ", ".join(builtin_names((Kind.Scalar,))))
 
+    # the states' matrices differ in row 0 alone, which each state sets
+    M = np.array(((0.0, 0.0), (-1.0, 0.0)))
+
     def make(U) -> ReducedSystem:
         A, B = U
-        m00, m01, theta = scalar_axis_entries(model, A, B)
-        eigenvalues, right, _ = _reduced_2x2(np.array(((m00, m01),
-                                                       (-1.0, 0.0))))
-        return ReducedSystem(eigenvalues, right, theta)
+        M[0, 0], M[0, 1], theta = scalar_axis_entries(model, A, B)
+        return _reduced_2x2(M, theta)
 
     return make
 
@@ -389,31 +387,29 @@ def _track_mode(sys: ReducedSystem,
     distinct.  Runs on Python floats (at most two modes)."""
     columns = sys.right
     if len(columns) == 1:
-        j, dot = 0, r_ref[0] * columns[0][0]
-    else:
-        x, y = r_ref
-        (a0, a1), (b0, b1) = columns
-        dots = (x * a0 + y * a1, x * b0 + y * b1)
-        overlaps = (abs(dots[0]), abs(dots[1]))
-        # the first of equal overlaps wins, as in argmax
-        j = 1 if overlaps[1] > overlaps[0] else 0
-        dot = dots[j]
-        lam = sys.eigenvalues
-        gap = abs(lam[1 - j] - lam[j])
-        scale = 1.0 + max(abs(lam[0]), abs(lam[1]))
-        if gap < COINCIDENCE_RTOL * scale:
-            raise ModeCollision(
-                f"eigenvalue gap {gap:.3e} below "
-                f"{COINCIDENCE_RTOL * scale:.3e} while tracking a mode")
-        runner_up = overlaps[1 - j]
-        if runner_up > 0.99 * overlaps[j]:
-            raise ModeCollision(
-                "eigenvectors no longer distinguish the tracked mode "
-                f"(overlap ratio {runner_up / overlaps[j]:.4f})")
+        r = columns[0]
+        return 0, tuple([-c for c in r]) if r_ref[0] * r[0] < 0.0 else r
+    x, y = r_ref
+    (a0, a1), (b0, b1) = columns
+    dot, other = x * a0 + y * a1, x * b0 + y * b1
+    # the first of equal overlaps wins, as in argmax
+    j = 1 if abs(other) > abs(dot) else 0
+    if j:
+        dot, other = other, dot
+    lam = sys.eigenvalues
+    # |lam[1] - lam[0]| has the bits of |lam[0] - lam[1]|
+    gap = abs(lam[1] - lam[0])
+    scale = 1.0 + max(abs(lam[0]), abs(lam[1]))
+    if gap < COINCIDENCE_RTOL * scale:
+        raise ModeCollision(
+            f"eigenvalue gap {gap:.3e} below "
+            f"{COINCIDENCE_RTOL * scale:.3e} while tracking a mode")
+    if abs(other) > 0.99 * abs(dot):
+        raise ModeCollision(
+            "eigenvectors no longer distinguish the tracked mode "
+            f"(overlap ratio {abs(other) / abs(dot):.4f})")
     r = columns[j]
-    if dot < 0.0:
-        r = tuple([-c for c in r])
-    return j, r
+    return j, (-r[0], -r[1]) if dot < 0.0 else r
 
 
 def simple_wave_construct(factory: Callable[[tuple[float, ...]],
@@ -462,53 +458,47 @@ def simple_wave_construct(factory: Callable[[tuple[float, ...]],
     phis = np.linspace(lo, hi, int(n))
     h = float(phis[1] - phis[0])
 
-    def normalizer(r: tuple[float, ...]) -> float:
-        rc = r[component]
-        if abs(rc) < 1e-12:
-            raise BadParams("tracked eigenvector loses its normalizing "
-                            "component along the wave")
-        return rc
-
-    def slope(sysk: ReducedSystem) -> tuple[float, ...]:
-        # follows the mode tracked at the current node, r_ref
-        _, r = _track_mode(sysk, r_ref)
-        rc = normalizer(r)
-        return tuple([c / rc for c in r])
-
-    def system(U: tuple[float, ...]) -> ReducedSystem:
-        # k and sysk are the current node and its system
-        sysU = factory(U)
+    def stage(sysU: ReducedSystem):
+        # one system's stage of the loop: its theta's sign checked (k is
+        # the current node and sysk its system), then the mode tracked
+        # from r_ref: its index j, vector r, normalizer rc and slope r / rc
         if (sysU.theta > 0.0) != forward:
             raise DegenerateSystem(
                 f"the time reduction is singular between nodes {k} and "
                 f"{k + 1}: theta changes sign from {sysk.theta:.3e} to "
                 f"{sysU.theta:.3e}")
-        return sysU
+        j, r = _track_mode(sysU, r_ref)
+        rc = r[component]
+        if abs(rc) < 1e-12:
+            raise BadParams("tracked eigenvector loses its normalizing "
+                            "component along the wave")
+        return j, r, rc, tuple([c / rc for c in r])
 
-    def rhs(U: tuple[float, ...]) -> tuple[float, ...]:
-        return slope(system(U))
-
-    half, sixth = 0.5 * h, h / 6.0
+    half, sixth, last = 0.5 * h, h / 6.0, len(phis) - 1
 
     states, lams, xis = [], [], []
     r_ref = r0 if r0[component] > 0 else tuple([-c for c in r0])
     forward = sys0.theta > 0.0
     U, sysk = U0, sys0
+    j, r, rc, _ = stage(sys0)  # its theta decides forward, so it passes
     for k in range(len(phis)):
-        j, r = _track_mode(sysk, r_ref)
         states.append(U)
         lams.append(sysk.eigenvalues[j])
-        xis.append(1.0 / normalizer(r))
-        r_ref = r
-        if k == len(phis) - 1:
+        xis.append(1.0 / rc)
+        if k == last:
             break
-        k1 = slope(sysk)
-        k2 = rhs(tuple([u + half * du for u, du in zip(U, k1)]))
-        k3 = rhs(tuple([u + half * du for u, du in zip(U, k2)]))
-        k4 = rhs(tuple([u + h * du for u, du in zip(U, k3)]))
-        U = tuple([u + sixth * (a + 2 * b + 2 * c + d)
+        r_ref = r
+        k1 = stage(sysk)[3]
+        k2 = stage(factory(tuple([u + half * du
+                                  for u, du in zip(U, k1)])))[3]
+        k3 = stage(factory(tuple([u + half * du
+                                  for u, du in zip(U, k2)])))[3]
+        k4 = stage(factory(tuple([u + h * du for u, du in zip(U, k3)])))[3]
+        U = tuple([u + sixth * (a + 2.0 * b + 2.0 * c + d)
                    for u, a, b, c, d in zip(U, k1, k2, k3, k4)])
-        sysk = system(U)
+        sys_next = factory(U)
+        j, r, rc, _ = stage(sys_next)
+        sysk = sys_next
 
     return SimpleWave(component=component, phis=phis,
                       states=np.array(states), lams=np.array(lams),

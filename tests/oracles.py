@@ -85,7 +85,6 @@ from cewave.gravity import (
     _phi_pi_terms,
     _phiphi_pi,
     _scalars,
-    components_from_pi,
     covector_q,
     eta,
     gauge_vector,
@@ -834,6 +833,13 @@ def sym_pairs(D: int) -> list[tuple[int, int]]:
 
 def sym_dim(D: int) -> int:
     return D * (D + 1) // 2
+
+
+def components_from_pi(P: np.ndarray) -> np.ndarray:
+    """Upper-triangle component vectors (..., n) of symmetric matrices,
+    the inverse of gravity.pi_from_components."""
+    P = np.asarray(P, dtype=float)
+    return P[(...,) + np.triu_indices(P.shape[-1])]
 
 
 def identity_checks(phi, P: np.ndarray) -> tuple[float, float]:

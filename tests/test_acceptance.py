@@ -35,7 +35,6 @@ from cewave.charsys import (
 from cewave.cli import main
 from cewave.errors import InputError, NumericalError
 from cewave.gravity import (
-    components_from_pi,
     covector_q,
     einstein_tensor_disc,
     eta,
@@ -62,6 +61,7 @@ from cewave.shock1d import (
 
 from oracles import (
     appendix_raw,
+    components_from_pi,
     crosscheck_cone_vs_eigen,
     gauge_project,
     general_ce_raw,

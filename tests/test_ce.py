@@ -23,7 +23,7 @@ from cewave.ce import (
     scalar_ce_residual,
     strong_ce_residuals,
 )
-from cewave.charsys import ROW_BLOCK, cone_coefficients
+from cewave.charsys import ROW_BLOCK, cone_coefficients, fresnel_batch
 from cewave.cli import main, parse_grid
 from cewave.errors import CewaveError, DegeneracyError, EmptyGrid
 from cewave.jets import InvariantPoint
@@ -372,6 +372,24 @@ def test_ce_families_classify_as_ce_and_a_cubic_term_breaks_them(family,
                                                            "StronglyCE")
     perturbed = from_expression(f"{text} + ({eps!r})*{variable}^3", kind)
     assert classify(perturbed).label == "NotCE"
+
+
+# k = n/64 makes k^2 = n^2/4096 a float exactly, so the text is the
+# Born-Infeld family itself and not a rounded neighbour of it
+@settings(max_examples=200, deadline=None)
+@given(c0=st.floats(-2.0, 2.0), c1=_signed(0.1, 3.0), n=st.integers(7, 38),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_born_infeld_family_has_no_birefringent_background(c0, c1, n, seed):
+    k = n / 64
+    model = from_expression(
+        f"{c0!r} + ({c1!r})*sqrt(1 + {k!r}*a - {k * k!r}*b^2)", "alpha-beta")
+    rng = np.random.default_rng(seed)
+    # |a|, |b| <= 0.75 keep 1 + k a - k^2 b^2 >= 0.35 for k <= 0.6
+    E, B = rng.uniform(-0.5, 0.5, (2, 50, 3))
+    batch = fresnel_batch(model, E, B, rng.normal(size=(50, 3)))
+    usable = batch.unusable == 0
+    assert usable.any()
+    assert not batch.birefringent[usable].any()
 
 
 # --- mixed coupling ------------------------------------------------------------

@@ -510,6 +510,9 @@ def test_classify_label_matches_mode_probes(model):
        seed=st.integers(0, 2 ** 32 - 1))
 # a weak coupling: the two propagating modes split by about 5e-5
 @example(k=0.0, d=4.0, c=0.0625, c_sign=-1.0, seed=65125741)
+# two modes split by 9.6e-8, whose step spacing/10 would leave rounding
+# error of about 3e-7 in their probes: they raise ModeCollision instead
+@example(k=0.0, d=4.0, c=0.0625, c_sign=-1.0, seed=497)
 def test_sqrt_family_label_matches_mode_probes(k, d, c, c_sign, seed):
     # d > 2|c| keeps d + c*a positive on the default grid's a in [-0.5, 2]
     model = from_expression(f"{k!r} + sqrt({d!r} + {c_sign * c!r}*a)",

@@ -17,7 +17,6 @@ from cewave.errors import (
 from cewave.gravity import (
     KernelReport,
     classify_covector,
-    components_from_pi,
     covector_q,
     einstein_operator,
     einstein_tensor_disc,
@@ -36,9 +35,9 @@ from cewave.gravity import (_check_normals, _frame, _operators,
                             _row_normalized, _scalars, _survey_normals,
                             _theory)
 
-from oracles import (GravityProbe, covector_q_dot, gauge_project,
-                     identity_checks, survey_normals_per_draw, sym_dim,
-                     sym_pairs)
+from oracles import (GravityProbe, components_from_pi, covector_q_dot,
+                     gauge_project, identity_checks, survey_normals_per_draw,
+                     sym_dim, sym_pairs)
 
 NULL4 = np.array([1.0, 1.0, 0.0, 0.0])
 TIME4 = np.array([1.0, 0.0, 0.0, 0.0])

@@ -719,6 +719,22 @@ def test_simple_wave_builds_each_state_system_once(monkeypatch):
     assert len(solves) == len(calls)
 
 
+def test_simple_wave_builds_one_reduced_system_per_state(monkeypatch):
+    # the factory's 2x2 solve makes each state's ReducedSystem, theta
+    # included, and nothing copies it
+    built = []
+    reduced = shock1d.ReducedSystem
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return reduced(*args, **kwargs)
+
+    monkeypatch.setattr(shock1d, "ReducedSystem", counted)
+    simple_wave_construct(scalar_reduced_factory(builtin("scalar-bi")), 0,
+                          (0.1, 0.6), [0.3, 0.1], n=201)
+    assert len(built) == 4 * 201 - 3
+
+
 def test_simple_wave_builds_no_constant_jet_for_a_float_operand(
         monkeypatch):
     # scalar-bi is 1.0 - sqrt(1.0 + 2.0*z): each system's jet is the
