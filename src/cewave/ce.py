@@ -28,6 +28,7 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -286,16 +287,17 @@ def _json_items(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)[2:-2]
 
 
-def _row_template(names: list[str], widths: dict[str, int]) -> str:
-    """A per_point row as json.dumps(indent=2) writes it inside the
-    report, with a %s for each point coordinate and residual component
-    (points, then sectors in sorted order)."""
+def _row_template(names: list[str], widths: dict[str, int]) -> list[str]:
+    """The constant pieces of a per_point row as json.dumps(indent=2)
+    writes it inside the report: the texts around its fields, one per
+    point coordinate and residual component (sectors in sorted order)."""
     point = ",\n".join(f'        "{n}": %s' for n in names)
     sectors = ",\n".join(
         f'        "{s}": [\n' + ",\n".join(["          %s"] * widths[s])
         + "\n        ]" for s in sorted(widths))
-    return ('    {\n      "point": {\n' + point + '\n      },\n'
-            '      "residuals": {\n' + sectors + '\n      }\n    }')
+    row = ('    {\n      "point": {\n' + point + '\n      },\n'
+           '      "residuals": {\n' + sectors + '\n      }\n    }')
+    return row.split("%s")
 
 
 @dataclass
@@ -344,11 +346,9 @@ class CEReport:
             {k: v for k, v in head.items() if k < "per_point"})
             + ',\n  "per_point": ')
         count = len(next(iter(self.points.values()), ()))
-        separator = "[\n"
         for start in range(0, count, ROW_BLOCK):
-            fh.write(separator + ",\n".join(
+            fh.write((",\n" if start else "[\n") + ",\n".join(
                 self._per_point_rows(slice(start, start + ROW_BLOCK))))
-            separator = ",\n"
         fh.write(("\n  ]" if count else "[]") + ",\n" + _json_items(
             {k: v for k, v in head.items() if k > "per_point"}) + "\n}\n")
 
@@ -360,26 +360,26 @@ class CEReport:
 
     def _per_point_rows(self, block: slice) -> list[str]:
         names = sorted(self.points)
-        text = {n: [float_texts(self.points[n][block], _JSON_CONSTANTS)]
-                for n in names}
-        text.update({s: [float_texts(c[block], _JSON_CONSTANTS)
-                         for c in components]
-                     for s, components in self.residuals.items()})
+        columns = {**{n: [self.points[n]] for n in names}, **self.residuals}
+        text = {key: [float_texts(c[block], _JSON_CONSTANTS) for c in cs]
+                for key, cs in columns.items()}
 
-        def rows_of(sectors: list[str]):
-            template = _row_template(
+        def rows_of(sectors: list[str], keep=None):
+            pieces = _row_template(
                 names, {s: len(self.residuals[s]) for s in sectors})
-            values = [c for key in (*names, *sorted(sectors))
-                      for c in text[key]]
-            return template, zip(*values)
+            fields = [c if keep is None else compress(c, keep)
+                      for key in (*names, *sorted(sectors)) for c in text[key]]
+            return map("".join, zip(*chain.from_iterable(
+                zip(map(repeat, pieces), fields)), repeat(pieces[-1])))
 
-        plain, plain_values = rows_of(
-            [s for s in self.residuals if s != "general"])
+        plain = [s for s in self.residuals if s != "general"]
         if self.general_rows is None:
-            return [plain % v for v in plain_values]
-        full, full_values = rows_of(list(self.residuals))
-        return [full % f if keep else plain % p for keep, p, f in zip(
-            self.general_rows[block].tolist(), plain_values, full_values)]
+            return list(rows_of(plain))
+        keep = self.general_rows[block]
+        rows = np.empty(len(keep), dtype=object)
+        for sectors, mask in ((list(self.residuals), keep), (plain, ~keep)):
+            rows[mask] = np.fromiter(rows_of(sectors, mask.tolist()), object)
+        return rows.tolist()
 
 
 def _evaluate(compute, point: InvariantPoint):

@@ -26,6 +26,7 @@ from .errors import (
     DegenerateQuartic,
     DegenerateSystem,
     DomainError,
+    FloatOverflow,
     KindError,
     ModeCollision,
 )
@@ -83,8 +84,13 @@ class FieldBackground:
         return cls(sigma=sig)
 
     @classmethod
+    @np.errstate(over="ignore", invalid="ignore")
     def vector(cls, E, B) -> "FieldBackground":
-        return cls(E=_vec3(E), B=_vec3(B))
+        bg = cls(E=_vec3(E), B=_vec3(B))
+        if not (math.isfinite(bg.alpha) and math.isfinite(bg.beta)):
+            raise FloatOverflow(f"the field invariants a = {bg.alpha:g} and "
+                                f"b = {bg.beta:g} are not both finite")
+        return bg
 
     @property
     def A(self) -> float:
@@ -726,8 +732,8 @@ def write_csv(path: str, header: list[str], columns) -> None:
         csv.writer(fh).writerow(header)
         for start in range(0, rows, ROW_BLOCK):
             texts = [_field_texts(c[start:start + ROW_BLOCK]) for c in columns]
-            fh.writelines(",".join(row) + "\r\n"
-                          for row in zip(*texts, strict=True))
+            fh.write("\r\n".join(map(",".join, zip(*texts, strict=True)))
+                     + "\r\n")
 
 
 def write_scan_csv(path: str, header: list[str], columns) -> None:

@@ -56,6 +56,7 @@ from .rays import (
 )
 from .shock1d import (
     Profile1D,
+    fan_pushes,
     model_wave,
     shock_time,
     write_characteristics_csv,
@@ -342,8 +343,8 @@ def cmd_shock(args) -> int:
     }
 
     stem = _stem(args.out)
-    outputs = [args.out, f"{stem}_burgers.csv"]
-    wave = model_crossing = None
+    fans = {f"{stem}_burgers.csv": (profile.x, profile.u)}
+    model_crossing = None
     if model is not None:
         wave, model_crossing = model_wave(model, horizon=args.horizon)
         payload["model"] = {
@@ -354,19 +355,21 @@ def cmd_shock(args) -> int:
             "model_lam_variation": wave.lam_variation(),
             "horizon": args.horizon,
         }
-        outputs.append(f"{stem}_model.csv")
+        fans[f"{stem}_model.csv"] = (wave.phis, wave.lams)
 
-    # the report is opened first: an --out that cannot be written leaves
-    # no fan file behind
+    # every push is checked and the report opened before a fan file is
+    # written, so an overflowing push or an unwritable --out leaves none
+    for phis, lams in fans.values():
+        for t, x in zip(t_list, fan_pushes(phis, lams, t_list)):
+            if not np.isfinite(x).all():
+                raise FloatOverflow(f"the fan pushed to t={t:g} leaves the "
+                                    "double range")
     with open(args.out, "w") as report:
-        write_characteristics_csv(f"{stem}_burgers.csv", profile.x,
-                                  profile.u, t_list)
-        if wave is not None:
-            write_characteristics_csv(f"{stem}_model.csv", wave.phis,
-                                      wave.lams, t_list)
+        for path, (phis, lams) in fans.items():
+            write_characteristics_csv(path, phis, lams, t_list)
         report.write(_json_text(payload))
-    print(f"profile={args.profile} shock_time={t_star} "
-          f"model_crossing={model_crossing} -> {', '.join(outputs)}")
+    print(f"profile={args.profile} shock_time={t_star} model_crossing="
+          f"{model_crossing} -> {', '.join([args.out, *fans])}")
     return 0
 
 

@@ -55,6 +55,8 @@ class Kind(enum.Enum):
         return self.variables[:2]
 
 
+_SCALAR = Kind.Scalar  # bound once: jet2_at tests it per simple-wave state
+
 _KIND_VARS = {
     Kind.Scalar: ("z",),
     Kind.VectorAlpha: ("a",),
@@ -295,7 +297,7 @@ class LagrangianModel:
     def jet2_at(self, z: float) -> Jet2:
         """Order-2 jet in z of a Scalar model at the float z: the slots f,
         fa and faa of ``jet_at`` there, bit for bit."""
-        if self.kind is not Kind.Scalar:
+        if self.kind is not _SCALAR:
             raise KindError("an order-2 jet in z needs a model in the "
                             "field invariant z")
         out = self._eval({"z": Jet2._of(z, 1.0, 0.0)})  # the variable z

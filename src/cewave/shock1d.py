@@ -522,8 +522,14 @@ def model_wave(model: LagrangianModel,
 # --- plot-ready exports --------------------------------------------------------------
 
 
+@np.errstate(over="ignore")
+def fan_pushes(phis, lams, t_list) -> list[np.ndarray]:
+    """The fan pushed to each t, phi + lam t (inf where it overflows)."""
+    return [phis + lams * t for t in t_list]
+
+
 def write_characteristics_csv(path, phis, lams, t_list) -> None:
-    """Columns phi, lam, then the fan pushed to each t, phi + lam t."""
+    """Columns phi, lam, then the fan pushed to each t."""
     write_csv(
         path, ["phi", "lam"] + [f"x_t{repr(float(t))}" for t in t_list],
-        [phis, lams, *[phis + lams * t for t in t_list]])
+        [phis, lams, *fan_pushes(phis, lams, t_list)])

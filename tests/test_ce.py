@@ -777,7 +777,8 @@ def _draw_columns(rng, count: int, width: int) -> list[np.ndarray]:
                      rng.standard_normal(count)) for _ in range(width)]
 
 
-@pytest.mark.parametrize("general", [False, True], ids=["plain", "general"])
+@pytest.mark.parametrize("general", [None, "mixed", "whole-blocks"],
+                         ids=["plain", "general", "whole-blocks"])
 @pytest.mark.parametrize("count", _BLOCK_EDGES)
 def test_report_text_is_json_dumps_across_block_edges(count, general):
     rng = np.random.default_rng(count)
@@ -793,6 +794,10 @@ def test_report_text_is_json_dumps_across_block_edges(count, general):
         general_rows = rng.random(count) < 0.5
         if count > ROW_BLOCK:
             general_rows[ROW_BLOCK - 1:ROW_BLOCK + 1] = [True, False]
+    if general == "whole-blocks":
+        # every row of the first block carries the general sector, none of
+        # the second, every row of the third
+        general_rows = np.arange(count) // ROW_BLOCK % 2 == 0
     report = CEReport(
         model="m", kind="vector-scalar",
         grid=GridSpec({"a": (0.0, 1.0, count), "b": (0.0, 1.0, 1),

@@ -18,6 +18,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -443,6 +444,31 @@ def test_fresnel_gives_up_when_every_row_fails_alike(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fields, rc, message", [
+    (["--E", "1e160,0,0"], 3, "numerical error: the field invariants "
+     "a = -inf and b = -0 are not both finite"),
+    (["--B", "1e200,0,0"], 3, "numerical error: the field invariants "
+     "a = inf and b = -3e+199 are not both finite"),
+    (["--E", "0,1e200,0", "--B", "1e200,0,0"], 3, "numerical error: the "
+     "field invariants a = nan and b = -0 are not both finite"),
+    # a = -1e308 is finite, and outside born-infeld's domain
+    (["--E", "1e154,0,0"], 2,
+     "input error: sqrt of a non-positive jet value -1e+308"),
+])
+def test_rays_field_invariants_beyond_the_double_range_exit_3(fields, rc,
+                                                               message,
+                                                               tmp_path,
+                                                               capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = main(["rays", "--builtin", "born-infeld", *fields,
+                    "--out", str(tmp_path / "ray.csv")])
+    assert got == rc
+    assert capsys.readouterr().err == message + "\n"
+    assert list(tmp_path.iterdir()) == []
+    assert [w.message for w in caught] == []
+
+
 def test_rays_start_with_non_finite_coefficients_exits_3(tmp_path, capsys):
     out = tmp_path / "ray.csv"
     rc = main(["rays", "--expr", "1e300*a^2", "--kind", "alpha",
@@ -748,6 +774,26 @@ def test_shock_failing_model_fan_writes_no_file(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err.startswith("input error")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags, t", [
+    (["--t-list", "1.7e308"], "1.7e+308"),
+    (["--t-list", "0.5,1.7e308,2"], "1.7e+308"),
+    # with a model, neither fan file is written
+    (["--model-builtin", "scalar-bi", "--t-list", "1e308"], "1e+308"),
+])
+def test_shock_push_that_overflows_exits_3_and_writes_no_file(flags, t,
+                                                             tmp_path,
+                                                             capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["shock", "--profile", "linear", *flags,
+                   "--out", str(tmp_path / "s.json")])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        f"numerical error: the fan pushed to t={t} leaves the double range\n")
+    assert list(tmp_path.iterdir()) == []
+    assert [w.message for w in caught] == []
 
 
 # --- gravity --------------------------------------------------------------------------
