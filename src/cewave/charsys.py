@@ -43,6 +43,7 @@ from .lagrangians import Kind, LagrangianModel, builtin_names
 
 DEGENERACY_RTOL = 1e-12
 COINCIDENCE_RTOL = 1e-8
+REAL_RTOL = 1e-10  # imaginary parts below REAL_RTOL (1 + |real|) are noise
 
 # spatial Levi-Civita symbol, eps[i,j,k]
 _EPS3 = np.zeros((3, 3, 3))
@@ -144,11 +145,7 @@ class FieldBackground:
 
 
 def unit_direction(nhat) -> np.ndarray:
-    n = _vec3(nhat)
-    norm = float(np.linalg.norm(n))
-    if norm < TINY:
-        raise DomainError("wave direction must be nonzero")
-    return n / norm
+    return unit_rows(_vec3(nhat))
 
 
 def rotation_to_x1(nhat) -> np.ndarray:
@@ -215,7 +212,7 @@ def sorted_eig(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def nearly_real(x: np.ndarray) -> bool:
     """Whether the imaginary parts of x are rounding noise relative to
     its real parts."""
-    return bool(np.max(np.abs(x.imag)) <= 1e-10 * (1.0 + np.max(np.abs(x.real))))
+    return bool(np.abs(x.imag).max() <= REAL_RTOL * (1.0 + np.abs(x.real).max()))
 
 
 def _eig_sorted(M: np.ndarray):
@@ -509,10 +506,18 @@ def _check_field_model(model: LagrangianModel) -> None:
                         + ", ".join(builtin_names(FIELD_KINDS)))
 
 
+@np.errstate(over="ignore")
 def unit_rows(v: np.ndarray) -> np.ndarray:
-    """Each row of v divided by its norm (the bits of np.linalg.norm of
-    the row)."""
-    return v / np.sqrt(np.vecdot(v, v))[:, None]
+    """Each wave direction (row) of v divided by its norm, the bits of
+    np.linalg.norm of the row; DomainError where the squared norm is not
+    a normal double (it overflows, or is subnormal or zero)."""
+    sq = np.vecdot(v, v)
+    if not v.any(axis=-1).all():
+        raise DomainError("wave direction must be nonzero")
+    if not ((sq >= np.finfo(float).tiny) & np.isfinite(sq)).all():
+        raise DomainError("a wave direction's squared norm leaves the "
+                          "normal double range")
+    return v / np.sqrt(sq)[..., None]
 
 
 @np.errstate(all="ignore")
@@ -554,8 +559,6 @@ def fresnel_batch(model: LagrangianModel, E, B, nhat) -> FresnelBatch:
 
     if not np.isfinite(nhat).all():
         raise DomainError("vector components must be finite")
-    if (np.sqrt(np.vecdot(nhat, nhat)) < TINY).any():
-        raise DomainError("wave direction must be nonzero")
     n = unit_rows(nhat)
     nxB = np.cross(n, B)
     u0 = np.vecdot(E, E)

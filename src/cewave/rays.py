@@ -366,7 +366,9 @@ def crossing_time(lam, phis, t_max: float = np.inf) -> float | None:
     """Earliest positive intersection time of the straight
     characteristics x(t) = phi + lam(phi) t, from adjacent sample
     pairs t = -dphi/dlam, with phis in either order; None when no pair
-    converges within t_max.
+    converges within t_max.  A pair whose |dlam| is at most
+    8 eps max|lam| differs by rounding alone and does not converge, so
+    a speed constant to rounding (a CE fan) never folds.
     """
     phis = np.asarray(phis, dtype=float)
     if phis.size < 3:
@@ -377,8 +379,9 @@ def crossing_time(lam, phis, t_max: float = np.inf) -> float | None:
 
     dphi = np.diff(phis)
     dlam = np.diff(lam)
+    floor = 8.0 * np.finfo(float).eps * np.max(np.abs(lam))
     # opposite signs converge; the product dphi * dlam could underflow
-    converging = np.sign(dphi) * np.sign(dlam) < 0.0
+    converging = (np.sign(dphi) * np.sign(dlam) < 0.0) & (np.abs(dlam) > floor)
     with np.errstate(divide="ignore", invalid="ignore"):
         times = np.where(converging, -dphi / dlam, np.inf)
     t_star = float(np.min(times))

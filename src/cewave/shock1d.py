@@ -27,6 +27,7 @@ from numpy.linalg._linalg import _raise_linalgerror_eigenvalues_nonconvergence
 
 from .charsys import (
     COINCIDENCE_RTOL,
+    REAL_RTOL,
     scalar_axis_entries,
     scalar_system,  # unused here; bench/test_bench.py patches this binding
     write_csv,
@@ -278,19 +279,16 @@ def moc_upwind_l1(sol: MoCSolution, snap: Snapshot) -> float:
 
 
 class ReducedSystem(NamedTuple):
-    """Eigen-data of a small quasilinear system at one state, as Python
-    floats: at most two modes, eigenvalues ascending, and right[k] the
-    right eigenvector of mode k as a unit column.  theta is the
-    coefficient of the time derivatives that the system's matrix is
-    divided by (1.0 where the time matrix is the identity); where it
-    changes sign the time reduction is singular."""
+    """Eigen-data of a 2x2 quasilinear system at one state, as Python
+    floats: two modes, eigenvalues ascending, and right[k] the right
+    eigenvector of mode k as a unit column.  theta is the coefficient of
+    the time derivatives that the system's matrix is divided by (1.0
+    where the time matrix is the identity); where it changes sign the
+    time reduction is singular."""
 
-    eigenvalues: tuple[float, ...]
-    right: tuple[tuple[float, ...], ...]
+    eigenvalues: tuple[float, float]
+    right: tuple[tuple[float, float], tuple[float, float]]
     theta: float = 1.0
-
-
-MAX_MODES = 2
 
 
 # numpy's error state inside _eig, that of np.linalg.eig: LAPACK's
@@ -331,7 +329,7 @@ def _reduced_2x2(M: np.ndarray, theta: float = 1.0) -> ReducedSystem:
     # Equal real parts are ordered by the imaginary part, as sorted_eig
     # does: a nearly real pair may carry real parts -0.0 and 0.0
     lam0, lam1 = w0.real, w1.real
-    if not abs(w0.imag) <= 1e-10 * (1.0 + abs(lam0)):
+    if not abs(w0.imag) <= REAL_RTOL * (1.0 + abs(lam0)):
         raise ModeCollision("complex eigenvalues: system is not "
                             "hyperbolic at this state")
     n0 = math.sqrt(v00 * v00 + v10 * v10)
@@ -381,16 +379,12 @@ class SimpleWave:
 
 
 def _track_mode(sys: ReducedSystem,
-                r_ref) -> tuple[int, tuple[float, ...]]:
+                r_ref) -> tuple[int, tuple[float, float]]:
     """Index and sign-aligned right eigenvector of the mode of sys that
     best overlaps r_ref; ModeCollision when the mode is no longer
-    distinct.  Runs on Python floats (at most two modes)."""
-    columns = sys.right
-    if len(columns) == 1:
-        r = columns[0]
-        return 0, tuple([-c for c in r]) if r_ref[0] * r[0] < 0.0 else r
+    distinct.  Runs on Python floats."""
     x, y = r_ref
-    (a0, a1), (b0, b1) = columns
+    (a0, a1), (b0, b1) = sys.right
     dot, other = x * a0 + y * a1, x * b0 + y * b1
     # the first of equal overlaps wins, as in argmax
     j = 1 if abs(other) > abs(dot) else 0
@@ -408,11 +402,11 @@ def _track_mode(sys: ReducedSystem,
         raise ModeCollision(
             "eigenvectors no longer distinguish the tracked mode "
             f"(overlap ratio {abs(other) / abs(dot):.4f})")
-    r = columns[j]
+    r = sys.right[j]
     return j, (-r[0], -r[1]) if dot < 0.0 else r
 
 
-def simple_wave_construct(factory: Callable[[tuple[float, ...]],
+def simple_wave_construct(factory: Callable[[tuple[float, float]],
                                             ReducedSystem],
                           mode: int, phi_range: tuple[float, float],
                           U0, n: int = 201,
@@ -423,13 +417,12 @@ def simple_wave_construct(factory: Callable[[tuple[float, ...]],
     component).  The component defaults to the largest entry of the
     starting eigenvector.
 
-    The state is a tuple of Python floats, one per component, and each
-    RK4 step is rays.rk4_step written out on those floats with the same
-    operations in the same order; each state's system is built once (the
-    node's system is RK4 stage k1) and its eigen-data stay Python floats.
-    The factory receives the state tuple.  A wave whose systems, nodes
-    and RK4 stages alike, change the sign of their theta passes a state
-    where the time reduction is singular, and raises DegenerateSystem.
+    The state is a pair of Python floats, and each RK4 step is
+    rays.rk4_step written out on it with the same operations in the same
+    order; each state's two-mode system is built once (the node's system
+    is RK4 stage k1) and its eigen-data stay Python floats.  A wave whose
+    systems, nodes and stages alike, change the sign of their theta
+    crosses a singular time reduction and raises DegenerateSystem.
     """
     U0 = tuple(np.asarray(U0, dtype=float).reshape(-1).tolist())
     lo, hi = (float(v) for v in phi_range)
@@ -437,18 +430,19 @@ def simple_wave_construct(factory: Callable[[tuple[float, ...]],
         raise BadParams("phi range must be increasing")
     if n < 3:
         raise GridTooCoarse("simple wave needs at least 3 nodes")
+    if len(U0) != 2:
+        raise BadParams(f"simple waves step pairs, got {len(U0)} components")
 
     sys0 = factory(U0)
-    if len(sys0.eigenvalues) > MAX_MODES:
-        raise BadParams(f"simple waves take systems of at most {MAX_MODES} "
-                        f"modes, got {len(sys0.eigenvalues)}")
-    if not 0 <= mode < len(sys0.eigenvalues):
-        raise BadParams(f"mode index {mode} out of range for a "
-                        f"{len(sys0.eigenvalues)}-mode system")
+    if len(sys0.eigenvalues) != 2:
+        raise BadParams(f"simple waves take systems of two modes, got "
+                        f"{len(sys0.eigenvalues)}")
+    if not 0 <= mode < 2:
+        raise BadParams(f"mode index {mode} out of range for a 2-mode system")
     r0 = sys0.right[mode]
     if component is None:
         component = int(np.argmax(np.abs(r0)))
-    elif not 0 <= component < len(U0):
+    elif not 0 <= component < 2:
         raise BadParams(f"component index {component} out of range")
     if abs(U0[component] - lo) > 1e-12:
         raise BadParams(
@@ -458,10 +452,11 @@ def simple_wave_construct(factory: Callable[[tuple[float, ...]],
     phis = np.linspace(lo, hi, int(n))
     h = float(phis[1] - phis[0])
 
-    def stage(sysU: ReducedSystem):
+    def stage(sysU: ReducedSystem) -> tuple[float, float]:
         # one system's stage of the loop: its theta's sign checked (k is
         # the current node and sysk its system), then the mode tracked
-        # from r_ref: its index j, vector r, normalizer rc and slope r / rc
+        # from r_ref: it sets the index j, vector r and normalizer rc
+        nonlocal j, r, rc
         if (sysU.theta > 0.0) != forward:
             raise DegenerateSystem(
                 f"the time reduction is singular between nodes {k} and "
@@ -472,32 +467,31 @@ def simple_wave_construct(factory: Callable[[tuple[float, ...]],
         if abs(rc) < 1e-12:
             raise BadParams("tracked eigenvector loses its normalizing "
                             "component along the wave")
-        return j, r, rc, tuple([c / rc for c in r])
+        return r[0] / rc, r[1] / rc
 
     half, sixth, last = 0.5 * h, h / 6.0, len(phis) - 1
 
     states, lams, xis = [], [], []
-    r_ref = r0 if r0[component] > 0 else tuple([-c for c in r0])
+    r_ref = r0 if r0[component] > 0 else (-r0[0], -r0[1])
     forward = sys0.theta > 0.0
-    U, sysk = U0, sys0
-    j, r, rc, _ = stage(sys0)  # its theta decides forward, so it passes
+    (u, v), sysk, j, r, rc = U0, sys0, 0, r0, 1.0
+    stage(sys0)  # sets j, r and rc; its theta decides forward, so it passes
     for k in range(len(phis)):
-        states.append(U)
+        states.append((u, v))
         lams.append(sysk.eigenvalues[j])
         xis.append(1.0 / rc)
         if k == last:
             break
         r_ref = r
-        k1 = stage(sysk)[3]
-        k2 = stage(factory(tuple([u + half * du
-                                  for u, du in zip(U, k1)])))[3]
-        k3 = stage(factory(tuple([u + half * du
-                                  for u, du in zip(U, k2)])))[3]
-        k4 = stage(factory(tuple([u + h * du for u, du in zip(U, k3)])))[3]
-        U = tuple([u + sixth * (a + 2.0 * b + 2.0 * c + d)
-                   for u, a, b, c, d in zip(U, k1, k2, k3, k4)])
-        sys_next = factory(U)
-        j, r, rc, _ = stage(sys_next)
+        # k1 tracks the node's system again, from its own vector: a check
+        # that can fail where tracking from the previous node passed
+        a0, a1 = stage(sysk)
+        b0, b1 = stage(factory((u + half * a0, v + half * a1)))
+        c0, c1 = stage(factory((u + half * b0, v + half * b1)))
+        d0, d1 = stage(factory((u + h * c0, v + h * c1)))
+        u = u + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
+        v = v + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+        stage(sys_next := factory((u, v)))
         sysk = sys_next
 
     return SimpleWave(component=component, phis=phis,

@@ -11,8 +11,8 @@ characteristic system's left and right eigenvectors against each other,
 and ``crosscheck_cone_vs_eigen`` inserts its eigenvalues into a
 dispersion function.  ``CallableHamiltonian`` traces rays of an
 arbitrary H with central-difference gradients.  ``axis_matrices`` writes a characteristic
-system out per coordinate axis.  ``burgers_factory`` is the 1x1 system
-whose speed is its state.  ``scalar_reduced_oracle`` builds a simple
+system out per coordinate axis.  ``burgers_factory`` is the 2x2 system
+of a Burgers mode and a passive one.  ``scalar_reduced_oracle`` builds a simple
 wave's 2x2 eigen-data through the full scalar system with numpy
 bookkeeping, ``track_mode`` follows a mode with numpy,
 ``simple_wave_oracle`` integrates a whole simple wave on those arrays, and
@@ -512,12 +512,14 @@ def axis_matrices(bg: FieldBackground,
     return out
 
 
-def burgers_factory() -> Callable[[tuple[float, ...]], ReducedSystem]:
-    """1x1 system with speed equal to the state itself."""
+def burgers_factory() -> Callable[[tuple[float, float]], ReducedSystem]:
+    """2x2 system of states (u, w): mode 0 is Burgers, speed u along
+    (1, 0), and mode 1 a passive component w, carried at the constant
+    speed 10 along (0, 1), far above the u of the tests."""
 
     def make(U) -> ReducedSystem:
-        (u,) = U
-        return ReducedSystem((float(u),), ((1.0,),))
+        u, _ = U
+        return ReducedSystem((float(u), 10.0), ((1.0, 0.0), (0.0, 1.0)))
 
     return make
 

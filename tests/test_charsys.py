@@ -97,8 +97,27 @@ def test_scalar_invariant_z_dual_route():
 def test_unit_direction():
     n = unit_direction([3.0, 0.0, 4.0])
     assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-14)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="must be nonzero"):
         unit_direction([0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("nhat", [(1e300, 1e300, 0.0), (1e155, 0.0, 0.0),
+                                  (1e-160, 0.0, 0.0), (1e-170, 0.0, 0.0),
+                                  (5e-324, 0.0, 0.0)])
+def test_directions_whose_squared_norm_is_not_normal_are_refused(nhat):
+    # both the one-direction and the batch paths share the check
+    for refuse in (unit_direction, lambda n: fresnel_batch(
+            builtin("born-infeld"), [0.3, 0.0, 0.0], [0.0, 0.4, 0.0], n)):
+        with pytest.raises(DomainError, match="normal double range"):
+            refuse(nhat)
+
+
+def test_unit_direction_keeps_the_bits_of_the_numpy_norm():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = rng.normal(size=3) * 10.0 ** rng.uniform(-150.0, 150.0)
+        assert unit_direction(n).tobytes() == (
+            n / float(np.linalg.norm(n))).tobytes()
 
 
 def test_rotation_to_x1_is_proper():

@@ -469,6 +469,47 @@ def test_rays_field_invariants_beyond_the_double_range_exit_3(fields, rc,
     assert [w.message for w in caught] == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["--cone", "--nhat=1e300,1e300,0"],
+    ["--builtin", "born-infeld", "--nhat=1e155,0,0"],
+    ["--cone", "--nhat=1e-160,0,0"],
+    ["--builtin", "born-infeld", "--nhat=1e-160,0,0"],
+])
+def test_rays_direction_whose_squared_norm_is_not_normal_exits_2(
+        argv, tmp_path, capsys):
+    # a squared norm that overflows or is subnormal cannot give a unit
+    # normal: it used to leak numpy's overflow warning and exit 3, or
+    # trace along a normal that is not a unit vector
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = main(["rays", *argv, "--out", str(tmp_path / "ray.csv")])
+    assert got == 2
+    assert capsys.readouterr().err == ("input error: a wave direction's "
+                                       "squared norm leaves the normal "
+                                       "double range\n")
+    assert list(tmp_path.iterdir()) == []
+    assert [w.message for w in caught] == []
+
+
+@pytest.mark.parametrize("model", [["--builtin", "born-infeld"], ["--cone"]])
+@pytest.mark.parametrize("flag", ["--nhat", "--E", "--B"])
+@pytest.mark.parametrize("value", ["0", "1e-320", "1e-160", "1e155", "1e308"])
+@pytest.mark.parametrize("shape", ["{},0,0", "{0},{0},{0}"],
+                         ids=["axis", "diagonal"])
+def test_rays_extreme_vector_inputs_exit_cleanly(model, flag, value, shape,
+                                                 tmp_path, capsys):
+    # a value at the edges of the double range is traced, refused as
+    # input (2) or refused as numerics (3), never a traceback or a leaked
+    # numpy warning (pytest turns RuntimeWarning into an error), and a
+    # refused run writes nothing
+    out = tmp_path / "ray.csv"
+    got = main(["rays", *model, f"{flag}={shape.format(value)}",
+                "--out", str(out)])
+    assert got in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+    assert out.exists() == (got == 0)
+
+
 def test_rays_start_with_non_finite_coefficients_exits_3(tmp_path, capsys):
     out = tmp_path / "ray.csv"
     rc = main(["rays", "--expr", "1e300*a^2", "--kind", "alpha",

@@ -414,6 +414,19 @@ def test_crossing_time_with_decreasing_parameters():
     assert crossing_time([1.0, 0.0, -1.0], [0.0, 1.0, 2.0]) == 1.0
 
 
+def test_crossing_time_ignores_speeds_that_differ_by_rounding():
+    # a speed constant but for one sample an ulp low would meet its
+    # neighbour at t = dphi / ulp, about 2e13: a pair converges only
+    # when |dlam| exceeds 8 eps max|lam|, here 1.2e-15
+    phis = np.linspace(0.1, 0.6, 201)
+    lam = np.full(201, 0.7)
+    lam[100] = np.nextafter(0.7, 0.0)
+    assert crossing_time(lam, phis, t_max=1e308) is None
+    lam[100] = 0.7 - 2e-15
+    t = crossing_time(lam, phis, t_max=1e308)
+    assert t == (phis[100] - phis[99]) / (0.7 - lam[100])
+
+
 def test_crossing_time_needs_enough_samples():
     with pytest.raises(GridTooCoarse):
         crossing_time([1.0, 0.5], [0.0, 1.0])

@@ -501,14 +501,25 @@ def test_simple_wave_matches_the_numpy_array_loop_bit_for_bit(
         assert _same_bits(getattr(got, name), value), name
 
 
-def test_simple_waves_take_at_most_two_modes():
-    def factory(U):
-        return ReducedSystem(eigenvalues=(0.0, 0.0, 0.0),
+def test_simple_waves_take_exactly_two_modes():
+    def one_mode(U):
+        return ReducedSystem(eigenvalues=(0.0,), right=((1.0,),))
+
+    def three_modes(U):
+        return ReducedSystem(eigenvalues=(0.0, 1.0, 2.0),
                              right=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
                                     (0.0, 0.0, 1.0)))
 
-    with pytest.raises(BadParams):
-        simple_wave_construct(factory, 0, (0.1, 0.6), [0.1, 0.0, 0.0])
+    for factory in (one_mode, three_modes):
+        with pytest.raises(BadParams, match="systems of two modes"):
+            simple_wave_construct(factory, 0, (0.1, 0.6), [0.1, 0.0])
+    # the state is checked before the factory sees it, so a factory of
+    # pairs is never handed a state it cannot unpack
+    for factory in (burgers_factory(),
+                    scalar_reduced_factory(builtin("scalar-bi"))):
+        for U0 in ([0.1], [0.1, 0.0, 0.0]):
+            with pytest.raises(BadParams, match="step pairs"):
+                simple_wave_construct(factory, 0, (0.1, 0.6), U0)
 
 
 def test_scalar_reduction_keeps_its_checks():
@@ -759,7 +770,8 @@ def test_simple_wave_builds_no_constant_jet_for_a_float_operand(
 
 
 def test_simple_wave_for_scalar_conservation_law_has_linear_speed():
-    wave = simple_wave_construct(burgers_factory(), 0, (0.1, 0.6), [0.1])
+    wave = simple_wave_construct(burgers_factory(), 0, (0.1, 0.6),
+                                 [0.1, 0.0])
     assert np.max(np.abs(wave.lams - wave.phis)) < 1e-10
 
 
@@ -776,14 +788,36 @@ def test_simple_wave_linear_model_runs_at_unit_speed():
 
 def test_simple_wave_input_validation():
     factory = burgers_factory()
-    with pytest.raises(BadParams):
-        simple_wave_construct(factory, 0, (0.1, 0.6), [0.4])
-    with pytest.raises(BadParams):
-        simple_wave_construct(factory, 3, (0.1, 0.6), [0.1])
-    with pytest.raises(BadParams):
-        simple_wave_construct(factory, 0, (0.6, 0.1), [0.6])
+    with pytest.raises(BadParams, match="U0 must start the parameter range"):
+        simple_wave_construct(factory, 0, (0.1, 0.6), [0.4, 0.0])
+    with pytest.raises(BadParams, match="mode index 3 out of range"):
+        simple_wave_construct(factory, 3, (0.1, 0.6), [0.1, 0.0])
+    with pytest.raises(BadParams, match="phi range must be increasing"):
+        simple_wave_construct(factory, 0, (0.6, 0.1), [0.6, 0.0])
     with pytest.raises(GridTooCoarse):
-        simple_wave_construct(factory, 0, (0.1, 0.6), [0.1], n=2)
+        simple_wave_construct(factory, 0, (0.1, 0.6), [0.1, 0.0], n=2)
+
+
+def test_simple_wave_tracks_each_node_system_again_as_stage_k1():
+    # tracked from node 0's vector at 60 degrees, node 1's mode at 50
+    # degrees is told apart from its neighbour at 43 (overlap ratio
+    # cos 17 / cos 10 = 0.971); tracked again from its own vector, as
+    # RK4 stage k1 does, it is not (cos 7 = 0.9925 > 0.99)
+    def system(*degrees):
+        return ReducedSystem((0.0, 1.0), tuple(
+            (math.cos(math.radians(d)), math.sin(math.radians(d)))
+            for d in degrees))
+
+    calls = []
+
+    def factory(U):
+        calls.append(U)
+        return system(50.0, 43.0) if len(calls) == 5 else system(60.0,
+                                                                 150.0)
+
+    with pytest.raises(ModeCollision, match="overlap ratio 0.9925"):
+        simple_wave_construct(factory, 0, (0.1, 0.6), [0.3, 0.1])
+    assert len(calls) == 5
 
 
 def test_simple_wave_detects_mode_collision():
@@ -817,6 +851,34 @@ def test_flux_demo_contrasts_folding_and_exceptional_fans(tmp_path):
     wave, crossing = model_wave(builtin("scalar-bi"))
     assert crossing is None
     assert np.max(wave.lams) - np.min(wave.lams) < 1e-8
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.floats(-1.0, 1.0), m=st.floats(0.5, 2.0), d=st.floats(1.0, 2.0),
+       c=st.floats(-2.5, 2.5).filter(lambda c: abs(c) >= 1e-300))
+@example(k=1.0, m=1.0, d=1.0, c=2.0)  # scalar-bi
+def test_exceptional_fans_never_fold(k, m, d, c):
+    # the speed of a CE wave is constant to rounding, which no longer
+    # reads as a crossing at t = dphi / ulp (about 1e13)
+    model = from_expression(f"{k!r} - {m!r}*sqrt({d!r} + {c!r}*z)",
+                            "scalar")
+    assert model_wave(model, horizon=1e308)[1] is None
+
+
+def test_exceptional_fan_reports_no_crossing_at_a_far_horizon(tmp_path):
+    out = tmp_path / "s.json"
+    assert main(["shock", "--model-builtin", "scalar-bi", "--horizon",
+                 "1e14", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["model"]["model_crossing"] is None
+    assert model_wave(builtin("scalar-bi"), horizon=1e308)[1] is None
+
+
+@pytest.mark.parametrize("text, crossing", [("-z + 3*z^2", 6.131844340476199),
+                                            ("-z - 0.1*z^2",
+                                             1757.9650155205527)])
+def test_nonlinear_fans_keep_their_crossings(text, crossing):
+    model = from_expression(text, "scalar")
+    assert model_wave(model, horizon=1e308)[1] == crossing
 
 
 def test_flux_demo_reports_finite_crossing_for_genuinely_nonlinear_model():
