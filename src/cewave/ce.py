@@ -45,13 +45,15 @@ from .errors import (
     EmptyGrid,
     InternalCheckError,
 )
-from .jets import TINY, DomainMask, InvariantPoint, Jet3
+from .jets import TINY, DomainMask, InvariantPoint, Jet1, Jet3
 from .lagrangians import Kind, LagrangianModel
 
 DEFAULT_TOL = 1e-9
 GUARD_MARGIN = 0.05
 
 REPORT_SCHEMA = "cewave-report/1"
+
+Slot = float | np.ndarray  # a value at one point, or at a set of points
 
 
 def _norm(terms) -> float:
@@ -88,42 +90,44 @@ def strong_ce_residuals(jet: Jet3, point: InvariantPoint) -> tuple[float, float]
 
 @dataclass(frozen=True)
 class VectorCharData:
-    """Quartic-cone coefficients of an L(a,b) model at one point (floats)
-    or at a set of points (arrays).
+    """Quartic-cone coefficients of an L(a,b) model at one point or at a
+    set of points: every field but ``jet`` is a float, or an array over
+    the points.
 
     ``jet`` holds the L-partials (any object with slots fa ... fbbb);
     K, P, R are the coefficients of the dispersion quartic
     ``H = K u^2 + u g P + g^2 R`` (u the field-dependent square, g the
     flat quadratic); Delta = P^2 - 4KR is the pair-splitting
-    discriminant.  Their (a, b)-gradients are propagated exactly with
-    first-order jet arithmetic over the third-order input jet.
+    discriminant.  Their (a, b)-gradients are propagated exactly by
+    ``cone_coefficients`` on first-order jets (``Jet1``) of the
+    L-partials.
     """
 
     jet: Jet3
-    alpha: float
-    beta: float
-    K: float
-    P: float
-    R: float
-    Delta: float
-    Ka: float
-    Kb: float
-    Pa: float
-    Pb: float
-    Ra: float
-    Rb: float
+    alpha: Slot
+    beta: Slot
+    K: Slot
+    P: Slot
+    R: Slot
+    Delta: Slot
+    Ka: Slot
+    Kb: Slot
+    Pa: Slot
+    Pb: Slot
+    Ra: Slot
+    Rb: Slot
 
     @classmethod
     def from_jet(cls, jet: Jet3, point: InvariantPoint) -> "VectorCharData":
         a = point.get("a")
         b = point.b if point.b is not None else 0.0
         # first-order jets of each L-partial as functions of (a, b)
-        La_j = Jet3(f=jet.fa, fa=jet.faa, fb=jet.fab)
-        Laa_j = Jet3(f=jet.faa, fa=jet.faaa, fb=jet.faab)
-        Lab_j = Jet3(f=jet.fab, fa=jet.faab, fb=jet.fabb)
-        Lbb_j = Jet3(f=jet.fbb, fa=jet.fabb, fb=jet.fbbb)
-        a_j = Jet3.variable(a, "a")
-        b_j = Jet3.variable(b, "b")
+        La_j = Jet1(jet.fa, jet.faa, jet.fab)
+        Laa_j = Jet1(jet.faa, jet.faaa, jet.faab)
+        Lab_j = Jet1(jet.fab, jet.faab, jet.fabb)
+        Lbb_j = Jet1(jet.fbb, jet.fabb, jet.fbbb)
+        a_j = Jet1.variable(a, "a")
+        b_j = Jet1.variable(b, "b")
 
         K_j, P_j, R_j = cone_coefficients(La_j, Laa_j, Lab_j, Lbb_j, a_j, b_j)
 

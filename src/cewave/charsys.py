@@ -398,8 +398,8 @@ def u_and_g(F: np.ndarray, p: np.ndarray
 def cone_coefficients(La, Laa, Lab, Lbb, a, b):
     """Coefficients K, P, R of the dispersion quartic K u^2 + u g P + g^2 R
     from the L-partials at the invariant point (a, b).  The arguments may
-    be floats or Jet3 values; with jets the (a, b)-gradients of K, P, R
-    come out exactly."""
+    be floats, arrays or jets; with first-order jets in (a, b) (a Jet1
+    suffices) the (a, b)-gradients of K, P, R come out exactly."""
     K = Laa * Lbb - power(Lab, 2)
     P = 2.0 * La * (Laa + 0.25 * Lbb) - a * K
     R = La * (La + 2.0 * b * Lab - 0.5 * a * Lbb) - b * b * K

@@ -3,10 +3,12 @@
 A ``Jet3`` stores the value of a function of (x, y) together with every
 partial derivative up to third order, and propagates all of them exactly
 through arithmetic.  One-variable models simply ride the first slot and
-keep the y-derivatives at zero.  A ``Jet2`` keeps only the slots f, fa
-and faa of such a one-variable jet: every rule computes those slots from
-the same slots of its operands, so the two types share one copy of the
-rules for them and agree bit for bit.
+keep the y-derivatives at zero.  Two narrower jets keep some of those
+slots: a ``Jet2`` the slots f, fa and faa of a one-variable jet, a
+``Jet1`` the first-order slots f, fa and fb.  Every rule computes a slot
+from the slots of the same or lower order of its operands, so the three
+types share one copy of the rules and agree bit for bit on the slots
+they keep.
 
 The derivative coefficients are stored raw (not divided by factorials), so
 ``jet.faa`` literally equals d2f/dx2 at the expansion point.
@@ -158,13 +160,15 @@ def _short(x) -> str:
     return f"<{x.size} values>" if isinstance(x, np.ndarray) else f"{x:.6g}"
 
 
-# --- rules shared by Jet3 and Jet2 ------------------------------------------
+# --- rules shared by Jet3, Jet2 and Jet1 -------------------------------------
 #
-# Both jet types bind these functions as their operations.  The slots f,
-# fa and faa of a result come from the same slots of the operands alone,
-# so each rule computes those first, and a Jet3 goes on to its others.
-# The product, quotient and chain rules call their operand jets f and g,
-# as the formulas do.
+# The jet types bind these functions as their operations.  Each slot of
+# a result comes from the slots of the same or lower order of the
+# operands alone, so each rule computes f and fa first; a Jet2 skips fb
+# and returns after faa, a Jet1 returns after fb, and a Jet3 goes on to
+# its others.  A Jet2, the float path of simple waves, passes one class
+# test per rule.  The product, quotient and chain rules call their
+# operand jets f and g, as the formulas do.
 #
 # A binary rule takes its operand as a value and a jet that supplies the
 # derivative slots (see _operand); for a number or an array that jet is
@@ -194,10 +198,15 @@ def _difference(ff, f, gf, g):
     """f - g, where f has the value ff and g the value gf."""
     hf = ff - gf
     ha = f.fa - g.fa
+    has_b = f.__class__ is not Jet2
+    if has_b:
+        hb = f.fb - g.fb
+        if f.__class__ is Jet1:
+            return Jet1._of(hf, ha, hb)
     haa = f.faa - g.faa
-    if f.__class__ is Jet2:
+    if not has_b:
         return Jet2._of(hf, ha, haa)
-    return Jet3._of(hf, ha, f.fb - g.fb, haa, f.fab - g.fab, f.fbb - g.fbb,
+    return Jet3._of(hf, ha, hb, haa, f.fab - g.fab, f.fbb - g.fbb,
                     f.faaa - g.faaa, f.faab - g.faab, f.fabb - g.fabb,
                     f.fbbb - g.fbbb)
 
@@ -231,10 +240,15 @@ def _add(f, other):
         return NotImplemented
     hf = f.f + gf
     ha = f.fa + g.fa
+    has_b = f.__class__ is not Jet2
+    if has_b:
+        hb = f.fb + g.fb
+        if f.__class__ is Jet1:
+            return Jet1._of(hf, ha, hb)
     haa = f.faa + g.faa
-    if f.__class__ is Jet2:
+    if not has_b:
         return Jet2._of(hf, ha, haa)
-    return Jet3._of(hf, ha, f.fb + g.fb, haa, f.fab + g.fab, f.fbb + g.fbb,
+    return Jet3._of(hf, ha, hb, haa, f.fab + g.fab, f.fbb + g.fbb,
                     f.faaa + g.faaa, f.faab + g.faab, f.fabb + g.fabb,
                     f.fbbb + g.fbbb)
 
@@ -263,13 +277,18 @@ def _mul(f, other):
         return NotImplemented
     hf = f.f * gf
     ha = f.fa * gf + f.f * g.fa
+    has_b = f.__class__ is not Jet2
+    if has_b:
+        hb = f.fb * gf + f.f * g.fb
+        if f.__class__ is Jet1:
+            return Jet1._of(hf, ha, hb)
     haa = f.faa * gf + 2.0 * f.fa * g.fa + f.f * g.faa
-    if f.__class__ is Jet2:
+    if not has_b:
         return Jet2._of(hf, ha, haa)
     return Jet3._of(
         hf,
         ha,
-        f.fb * gf + f.f * g.fb,
+        hb,
         haa,
         f.fab * gf + f.fa * g.fb + f.fb * g.fa + f.f * g.fab,
         f.fbb * gf + 2.0 * f.fb * g.fb + f.f * g.fbb,
@@ -342,14 +361,16 @@ def _pow(self, exponent):
             if bit == "1":
                 out = out * self
         return out
-    # fractional exponent: real branch only, positive base required
+    # fractional exponent: real branch only, positive base required (a
+    # Jet1 raises TypeError here, before any domain check)
+    compose = self.compose
     v = check_domain(self.f, self.f < TINY,
                      "fractional power of a non-positive jet value {:.6g}")
     g0 = power(v, e)
     g1 = e * power(v, e - 1.0)
     g2 = e * (e - 1.0) * power(v, e - 2.0)
     g3 = e * (e - 1.0) * (e - 2.0) * power(v, e - 3.0)
-    return self.compose(g0, g1, g2, g3)
+    return compose(g0, g1, g2, g3)
 
 
 class Jet3:
@@ -457,11 +478,66 @@ class Jet2:
     __pow__ = _pow
 
 
+def _first_order_only(jet):
+    raise TypeError(f"a {jet.__class__.__name__} carries first-order slots "
+                    "only: sqrt, division and fractional powers need a Jet2 "
+                    "or a Jet3")
+
+
+class Jet1:
+    """First-order Taylor jet in two variables: the slots f, fa and fb of
+    a Jet3, by the same rules and so with the same bits.  It carries
+    sums, differences, products and integer powers; the chain and
+    quotient rules (sqrt, division, fractional and negative powers)
+    raise TypeError."""
+
+    __slots__ = ("f", "fa", "fb")
+
+    __array_ufunc__ = None
+
+    def __init__(self, f, fa, fb):
+        self.f = _slot(f)
+        self.fa = _slot(fa)
+        self.fb = _slot(fb)
+
+    @classmethod
+    def constant(cls, c) -> "Jet1":
+        return cls._of(_slot(c), 0.0, 0.0)
+
+    @classmethod
+    def variable(cls, value, slot: str = "a") -> "Jet1":
+        if slot == "a":
+            return cls._of(_slot(value), 1.0, 0.0)
+        if slot == "b":
+            return cls._of(_slot(value), 0.0, 1.0)
+        raise ValueError(f"slot must be 'a' or 'b', got {slot!r}")
+
+    @classmethod
+    def _of(cls, f, fa, fb) -> "Jet1":
+        jet = object.__new__(cls)
+        jet.f, jet.fa, jet.fb = f, fa, fb
+        return jet
+
+    def as_tuple(self) -> tuple[float, ...]:
+        return self.f, self.fa, self.fb
+
+    __add__ = __radd__ = _add
+    __neg__ = _neg
+    __sub__ = _sub
+    __rsub__ = _rsub
+    __mul__ = __rmul__ = _mul
+    __pow__ = _pow
+    # reading either raises TypeError; with no __truediv__, Python raises
+    # one for a division
+    compose = sqrt = property(_first_order_only)
+
+
 # the derivative slots of a number or array operand (see _operand)
 Jet3._zero = Jet3.constant(0.0)
 Jet2._zero = Jet2.constant(0.0)
+Jet1._zero = Jet1.constant(0.0)
 
-JETS = (Jet3, Jet2)
+JETS = (Jet3, Jet2, Jet1)
 
 
 def sqrt(x):

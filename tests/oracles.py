@@ -4,7 +4,8 @@
 point at a time with float jets; ``ce.classify`` must reproduce its report
 exactly.  ``_am_groups`` writes the third-order conditions out in
 L-partials, ``general_ce_raw`` gives the raw values and normalizers of
-their compact forms, ``synthetic_jet`` and ``nondegenerate_jet`` draw
+their compact forms, ``vector_char_data_jet3`` builds the cone data
+through full third-order jets, ``synthetic_jet`` and ``nondegenerate_jet`` draw
 random third-order jets, and ``jet_check_fd`` cross-checks jets against
 finite differences.  ``biorthogonality_defect`` measures a
 characteristic system's left and right eigenvectors against each other,
@@ -58,6 +59,7 @@ from cewave.charsys import (
     CharSystem,
     FieldBackground,
     _scalar_axis_matrix,
+    cone_coefficients,
     fresnel_roots,
     nearly_real,
     sorted_eig,
@@ -207,6 +209,33 @@ def appendix_c_residuals(jet: Jet3, point: InvariantPoint
     VectorCharData.from_jet(jet, point).check_nondegenerate()
     raw1, raw2, s1, s2 = appendix_raw(jet, point)
     return abs(raw1) / s1, abs(raw2) / s2
+
+
+def vector_char_data_jet3(jet: Jet3, point: InvariantPoint
+                          ) -> VectorCharData:
+    """``VectorCharData.from_jet`` on the full third-order route: its
+    L-partial and (a, b) jets are ``Jet3`` values, of which only the
+    slots f, fa and fb are read."""
+    a = point.get("a")
+    b = point.b if point.b is not None else 0.0
+    # first-order jets of each L-partial as functions of (a, b)
+    La_j = Jet3(f=jet.fa, fa=jet.faa, fb=jet.fab)
+    Laa_j = Jet3(f=jet.faa, fa=jet.faaa, fb=jet.faab)
+    Lab_j = Jet3(f=jet.fab, fa=jet.faab, fb=jet.fabb)
+    Lbb_j = Jet3(f=jet.fbb, fa=jet.fabb, fb=jet.fbbb)
+    a_j = Jet3.variable(a, "a")
+    b_j = Jet3.variable(b, "b")
+
+    K_j, P_j, R_j = cone_coefficients(La_j, Laa_j, Lab_j, Lbb_j, a_j, b_j)
+
+    return VectorCharData(
+        jet=jet, alpha=a, beta=b,
+        K=K_j.f, P=P_j.f, R=R_j.f,
+        Delta=P_j.f * P_j.f - 4.0 * K_j.f * R_j.f,
+        Ka=K_j.fa, Kb=K_j.fb,
+        Pa=P_j.fa, Pb=P_j.fb,
+        Ra=R_j.fa, Rb=R_j.fb,
+    )
 
 
 def synthetic_jet(rng) -> tuple[Jet3, InvariantPoint]:

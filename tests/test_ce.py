@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import math
@@ -26,7 +27,7 @@ from cewave.ce import (
 from cewave.charsys import ROW_BLOCK, cone_coefficients, fresnel_batch
 from cewave.cli import main, parse_grid
 from cewave.errors import CewaveError, DegeneracyError, EmptyGrid
-from cewave.jets import InvariantPoint
+from cewave.jets import InvariantPoint, Jet3
 from cewave.lagrangians import (
     Kind,
     LagrangianModel,
@@ -43,6 +44,7 @@ from oracles import (
     general_ce_raw,
     nondegenerate_jet,
     synthetic_jet,
+    vector_char_data_jet3,
 )
 
 
@@ -181,6 +183,52 @@ def test_discriminant_values():
     p = InvariantPoint(a=1.0, b=1.0)
     jet = pm.jet_at(InvariantPoint(a=1.0))
     assert VectorCharData.from_jet(jet, p).Delta > 1e-4
+
+
+_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-300, 1e300]
+_FLOAT = st.one_of(st.sampled_from(_EDGES), st.floats())
+_LANES = 3
+_LANE = st.lists(_FLOAT, min_size=_LANES, max_size=_LANES).map(np.array)
+
+
+@st.composite
+def _cone_inputs(draw):
+    """A third-order jet and an (a[, b]) point: all floats, or arrays of
+    _LANES entries (where a jet slot may also stay a float)."""
+    arrays = draw(st.booleans())
+    slot = st.one_of(_FLOAT, _LANE) if arrays else _FLOAT
+    jet = Jet3._of(*(draw(slot) for _ in range(10)))
+    coordinate = _LANE if arrays else _FLOAT
+    b = draw(st.one_of(st.none(), coordinate))
+    return jet, InvariantPoint(a=draw(coordinate), b=b)
+
+
+def _field_bits(data: VectorCharData) -> dict:
+    """Each field's type, dtype and bytes, with every nan written as the
+    one nan ``math.nan``: IEEE 754 leaves the sign of a nan result open,
+    and CPython's specialized float operations return another nan
+    operand than its generic ones."""
+    out = {}
+    for f in dataclasses.fields(data):
+        v = getattr(data, f.name)
+        if f.name == "jet":
+            out[f.name] = id(v)
+            continue
+        assert type(v) is float or type(v) is np.ndarray, f.name
+        canonical = np.where(np.isnan(v), math.nan, v)
+        out[f.name] = (type(v), canonical.dtype.str, canonical.shape,
+                       canonical.tobytes())
+    return out
+
+
+@settings(max_examples=600, deadline=None)
+@given(inputs=_cone_inputs())
+def test_from_jet_keeps_the_bits_of_the_jet3_route(inputs):
+    jet, point = inputs
+    with np.errstate(all="ignore"):
+        got = VectorCharData.from_jet(jet, point)
+        want = vector_char_data_jet3(jet, point)
+    assert _field_bits(got) == _field_bits(want)
 
 
 def test_perfect_square_when_discriminant_vanishes():

@@ -14,13 +14,20 @@ from cewave.errors import DomainError, FloatOverflow, KindError
 from cewave.jets import (
     DomainMask,
     InvariantPoint,
+    Jet1,
     Jet2,
     Jet3,
     divide,
     power,
     sqrt,
 )
-from cewave.lagrangians import builtin, builtin_names, from_expression
+from cewave.lagrangians import (
+    Kind,
+    builtin,
+    builtin_names,
+    from_expression,
+    parse_lagrangian,
+)
 
 from oracles import jet_check_fd
 
@@ -711,3 +718,105 @@ def test_float_operands_build_no_constant_jet(monkeypatch):
         for op, _ in _RULES.values():
             assert isinstance(op(jet, 2.0), type(jet))
     assert built == []
+
+
+# --- first-order jets ---------------------------------------------------------
+
+_JET1_OPS = ("__add__", "__radd__", "__neg__", "__sub__", "__rsub__",
+             "__mul__", "__rmul__", "__pow__")
+
+
+def test_jet1_binds_the_shared_rules():
+    for name in _JET1_OPS:
+        assert vars(Jet1)[name] is vars(Jet3)[name] is vars(Jet2)[name]
+    for name in ("__truediv__", "__rtruediv__"):
+        assert name not in vars(Jet1)
+    assert Jet1 in jets.JETS
+
+
+_ZEROS7 = (0.0,) * 7
+_JET1 = st.one_of(_slots(3, False), _slots(3, True)).map(
+    lambda slots: Jet1._of(*slots))
+# a Jet1 and its Jet3 with the same f, fa and fb; the Jet3's other slots
+# are drawn too, since no first-order slot may depend on them
+_JET1_PAIR = st.tuples(_JET1, _slots(7, False)).map(
+    lambda t: (t[0], Jet3._of(*t[0].as_tuple(), *t[1])))
+_JET1_OPERAND = st.one_of(_OPERAND.map(lambda c: (c, c)), _JET1_PAIR)
+_JET1_RULES = {
+    "jet + c": lambda j, c: j + c,
+    "c + jet": lambda j, c: c + j,
+    "jet - c": lambda j, c: j - c,
+    "c - jet": lambda j, c: c - j,
+    "jet * c": lambda j, c: j * c,
+    "c * jet": lambda j, c: c * j,
+    "-jet": lambda j, c: -j,
+    **{f"jet ** {n}": lambda j, c, n=n: j ** n for n in range(6)},
+}
+
+
+def _first_order(jet):
+    return Jet1._of(*jet.as_tuple()[:3])
+
+
+@settings(max_examples=1500, deadline=None)
+@given(pair=_JET1_PAIR, c=_JET1_OPERAND, rule=st.sampled_from(
+    sorted(_JET1_RULES)))
+@example(pair=(Jet1.variable(0.5, "b"), Jet3.variable(0.5, "b")),
+         c=(-0.0, -0.0), rule="c * jet")
+@example(pair=(Jet1._of(math.inf, -0.0, math.nan),
+               Jet3._of(math.inf, -0.0, math.nan, *_ZEROS7)),
+         c=(Jet1._of(0.0, math.inf, -math.inf),
+            Jet3._of(0.0, math.inf, -math.inf, *_ZEROS7)), rule="jet * c")
+def test_jet1_matches_the_first_order_slots_of_jet3_bit_for_bit(pair, c,
+                                                                rule):
+    # the same rule on the Jet3 computes f, fa and fb by the same
+    # operations, so a Jet1 keeps their bits, signs of zero included, and
+    # every error keeps its type and text
+    op = _JET1_RULES[rule]
+    jet1, jet3 = pair
+    got = _rule_outcome(lambda: op(jet1, c[0]))
+    want = _rule_outcome(lambda: _first_order(op(jet3, c[1])))
+    assert got == want
+
+
+def test_jet1_evaluates_a_polynomial_model_as_its_jet3_does():
+    fn = parse_lagrangian("a^2*b - 0.5*a + b^3 - (1 - a)*(b + 2)^2",
+                          Kind.VectorAlphaBeta)
+    for a, b in [(0.3, -0.7), (-0.0, 2.5), (1e154, 3.0)]:
+        got = fn({"a": Jet1.variable(a, "a"), "b": Jet1.variable(b, "b")})
+        want = fn({"a": Jet3.variable(a, "a"), "b": Jet3.variable(b, "b")})
+        assert isinstance(got, Jet1)
+        assert _slot_bits(got) == _slot_bits(_first_order(want))
+
+
+_REFUSED = {
+    "sqrt": lambda j: sqrt(j),
+    "sqrt method": lambda j: j.sqrt(),
+    "jet / c": lambda j: j / 2.0,
+    "c / jet": lambda j: 1.0 / j,
+    "array / jet": lambda j: np.ones(3) / j,
+    "divide(jet, c)": lambda j: divide(j, 2.0),
+    "divide(c, jet)": lambda j: divide(2.0, j),
+    "jet ** 0.5": lambda j: j ** 0.5,
+    "jet ** -1": lambda j: j ** -1,
+    "jet ** -1.5": lambda j: j ** -1.5,
+    "model sqrt": lambda j: parse_lagrangian(
+        "sqrt(1 + a)", Kind.VectorAlpha)({"a": j}),
+    "model fractional power": lambda j: parse_lagrangian(
+        "a^0.5", Kind.VectorAlpha)({"a": j}),
+    "model division": lambda j: parse_lagrangian(
+        "b / a", Kind.VectorAlphaBeta)({"a": j, "b": j}),
+}
+
+
+@pytest.mark.parametrize("value", [2.0, -1.0, 0.0,
+                                   np.array([2.0, -1.0, 0.0])])
+@pytest.mark.parametrize("call", sorted(_REFUSED))
+def test_jet1_refuses_the_rules_it_does_not_carry(call, value):
+    # a TypeError that names the type, before any domain check, whether a
+    # DomainMask is active or not
+    jet = Jet1.variable(value, "a")
+    with pytest.raises(TypeError, match="Jet1"):
+        _REFUSED[call](jet)
+    with DomainMask(), pytest.raises(TypeError, match="Jet1"):
+        _REFUSED[call](jet)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cewave import shock1d
+from cewave import ce, shock1d
 from cewave.charsys import FieldBackground, scalar_axis_entries, scalar_system
 from cewave.cli import main
 from cewave.errors import (
@@ -744,6 +744,41 @@ def test_simple_wave_builds_one_reduced_system_per_state(monkeypatch):
     simple_wave_construct(scalar_reduced_factory(builtin("scalar-bi")), 0,
                           (0.1, 0.6), [0.3, 0.1], n=201)
     assert len(built) == 4 * 201 - 3
+
+
+def test_classify_builds_no_jet3_for_the_cone_gradients(monkeypatch):
+    # the birefringent branch's K, P, R gradients are first-order jets:
+    # from_jet builds no Jet3, neither by hand nor as a rule's result
+    built, inside = [], []
+    from_jet = ce.VectorCharData.from_jet.__func__
+    of = Jet3._of.__func__
+    init = Jet3.__init__
+
+    def counted_from_jet(cls, *args):
+        inside.append(True)
+        try:
+            return from_jet(cls, *args)
+        finally:
+            inside.pop()
+
+    def counted_of(cls, *slots):
+        if inside:
+            built.append(slots)
+        return of(cls, *slots)
+
+    def counted_init(self, *args, **kwargs):
+        if inside:
+            built.append(args or kwargs)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ce.VectorCharData, "from_jet",
+                        classmethod(counted_from_jet))
+    monkeypatch.setattr(Jet3, "_of", classmethod(counted_of))
+    monkeypatch.setattr(Jet3, "__init__", counted_init)
+    model = from_expression("1 - sqrt(1 + a - 0.5*b^2)", "alpha-beta")
+    report = ce.classify(model)
+    assert report.general_rows is not None  # from_jet ran
+    assert built == []
 
 
 def test_simple_wave_builds_no_constant_jet_for_a_float_operand(
