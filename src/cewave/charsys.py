@@ -379,13 +379,6 @@ def vector_system(bg: FieldBackground, model: LagrangianModel,
 # --- covariant cones ----------------------------------------------------------
 
 
-def scalar_cone_matrix(jet: Jet3, bg: FieldBackground) -> np.ndarray:
-    """G^{mu nu} = eta L' + sigma^mu sigma^nu L'' of a scalar model on a
-    constant gradient background; its cone is G^{mu nu} p_mu p_nu = 0."""
-    sigma_up = np.array([-bg.sigma[0], *bg.sigma[1:]])
-    return ETA * jet.fa + np.outer(sigma_up, sigma_up) * jet.faa
-
-
 def u_and_g(F: np.ndarray, p: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """U^mu = F^{lam mu} p_lam with its lowered form U_mu, and the cone
@@ -440,6 +433,9 @@ _UNUSABLE = (
 
 # the metric cone g = p.p as a quadratic in p0 along a unit normal
 _METRIC_FACTOR = np.array([-1.0, 0.0, 1.0], dtype=complex)
+
+# the components after and before each of x1, x2, x3, cyclically
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 @dataclass(frozen=True)
@@ -560,7 +556,8 @@ def fresnel_batch(model: LagrangianModel, E, B, nhat) -> FresnelBatch:
     if not np.isfinite(nhat).all():
         raise DomainError("vector components must be finite")
     n = unit_rows(nhat)
-    nxB = np.cross(n, B)
+    # n x B by its component differences, the operations of np.cross
+    nxB = n[:, _NEXT] * B[:, _PREV] - n[:, _PREV] * B[:, _NEXT]
     u0 = np.vecdot(E, E)
     u1 = -2.0 * np.vecdot(E, nxB)
     u2 = np.vecdot(nxB, nxB) - power(np.vecdot(E, n), 2)
@@ -589,11 +586,16 @@ def fresnel_batch(model: LagrangianModel, E, B, nhat) -> FresnelBatch:
     # np.abs of a complex array may differ from abs() of one value in
     # the last bit; np.hypot gives the bits of the latter
     escapes = np.hypot(C[..., 0].real, C[..., 0].imag) <= 1e-14 * top
-    unusable = np.select(
-        [~np.isfinite([K, P, R]).all(axis=0), ~(quadratic | linear | metric),
-         ~np.isfinite(C).all(axis=(1, 2)), vanishes[:, 0], escapes[:, 0],
-         vanishes[:, 1], escapes[:, 1]],
-        [1, 2, 1, 3, 4, 3, 4], 0)
+    # the reason codes, lowest priority first, so that the first reason
+    # that holds at a row is the one it keeps
+    unusable = np.zeros(len(K), dtype=np.int64)
+    unusable[escapes[:, 1]] = 4
+    unusable[vanishes[:, 1]] = 3
+    unusable[escapes[:, 0]] = 4
+    unusable[vanishes[:, 0]] = 3
+    unusable[~np.isfinite(C).all(axis=(1, 2))] = 1
+    unusable[~(quadratic | linear | metric)] = 2
+    unusable[~(np.isfinite(K) & np.isfinite(P) & np.isfinite(R))] = 1
     C[unusable != 0] = _METRIC_FACTOR  # eigvals takes finite input only
     roots = np.sort_complex(_quadratic_roots(C).reshape(-1, 4))
     roots[unusable != 0] = np.nan

@@ -225,10 +225,10 @@ def cmd_ce_check(args) -> int:
 
 
 def _usable(model: LagrangianModel, E: np.ndarray, B: np.ndarray,
-            n: np.ndarray) -> list[FresnelBatch]:
-    """The rows of (E, B, n) that have dispersion roots, as a list of
-    batches; a row outside the model's domain, or without roots, is
-    left out."""
+            n: np.ndarray) -> tuple[np.ndarray, list[FresnelBatch]]:
+    """Which rows of (E, B, n) have dispersion roots, as a boolean mask,
+    and those rows as a list of batches; a row outside the model's
+    domain, or without roots, is left out."""
     try:
         with DomainMask():
             batch = fresnel_batch(model, E, B, n)
@@ -236,14 +236,17 @@ def _usable(model: LagrangianModel, E: np.ndarray, B: np.ndarray,
         # a power overflowing at one row raises for the whole stack, so
         # each row is solved alone to leave out only the rows it reaches
         if len(E) == 1:
-            return []
-        return [row for i in range(len(E))
-                for row in _usable(model, E[i:i + 1], B[i:i + 1], n[i:i + 1])]
+            return np.zeros(1, dtype=bool), []
+        rows = [_usable(model, E[i:i + 1], B[i:i + 1], n[i:i + 1])
+                for i in range(len(E))]
+        return (np.concatenate([keep for keep, _ in rows]),
+                [part for _, parts in rows for part in parts])
     except (InputError, NumericalError):
         # anything else fails at every row alike, such as a constant
         # outside the model's domain
-        return []
-    return [batch.take(batch.unusable == 0)]
+        return np.zeros(len(E), dtype=bool), []
+    keep = batch.unusable == 0
+    return keep, [batch.take(keep)]
 
 
 def _fresnel_scan(model: LagrangianModel, trials: int,
@@ -254,12 +257,13 @@ def _fresnel_scan(model: LagrangianModel, trials: int,
     Each round draws one (E, B, nhat) row of uniforms on [-1, 1] per
     background still missing, the values that drawing E, B and nhat in
     turn gives, and solves the rows whose |nhat| >= 1e-3 along the unit
-    normal the scan prints.  So every written background is solved once
-    and none is drawn past the last one, and after 200 draws per trial
-    the scan gives up.
+    normal the scan prints.  The zero field leads the rows of the first
+    round and counts as no draw, so one solve per round covers it.
+    Every written background is solved once and none is drawn past the
+    last one, and after 200 draws per trial the scan gives up.
     """
-    zero = np.zeros((1, 3))
-    found = _usable(model, zero, zero, np.array([[1.0, 0.0, 0.0]]))
+    lead = np.array([[0.0] * 6 + [1.0, 0.0, 0.0]])  # the zero field
+    found = []
     count = drawn = 0
     while count < trials:
         need = min(trials - count, 200 * trials - drawn)
@@ -269,11 +273,13 @@ def _fresnel_scan(model: LagrangianModel, trials: int,
         rows = rng.uniform(-1.0, 1.0, size=(need, 9))
         drawn += need
         rows = rows[np.sqrt(np.vecdot(rows[:, 6:], rows[:, 6:])) >= 1e-3]
+        rows = np.concatenate([lead, rows])
         # normalized twice, as the unit normal has always been printed
         n = unit_rows(unit_rows(rows[:, 6:]))
-        batches = _usable(model, rows[:, :3], rows[:, 3:6], n)
-        count += sum(map(len, batches))
+        keep, batches = _usable(model, rows[:, :3], rows[:, 3:6], n)
+        count += int(np.count_nonzero(keep[len(lead):]))
         found += batches
+        lead = lead[:0]  # only the first round carries it
     return FresnelBatch.concat(found)
 
 
@@ -413,6 +419,8 @@ def cmd_rays(args) -> int:
         label = model.name
     if args.p0:
         p0 = np.array(_parse_floats(args.p0, 4))
+        if not np.isfinite(p0).all():
+            raise BadParams("--p0 components must be finite")
     elif args.cone:
         p0 = np.array([-1.0, *unit_direction(nhat)])
     else:

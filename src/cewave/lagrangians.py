@@ -414,6 +414,9 @@ def builtin(name: str, params: list[float] | None = None) -> LagrangianModel:
         values = [float(p) for p in params]
     except (TypeError, ValueError):
         raise BadParams(f"parameters for {name!r} must be numbers") from None
+    if not all(map(math.isfinite, values)):
+        raise BadParams(f"parameters for {name!r} must be finite, got "
+                        + ",".join(f"{v:g}" for v in values))
     return factory(*values)
 
 

@@ -25,7 +25,6 @@ from .charsys import (
     FieldBackground,
     _check_field_model,
     cone_coefficients,
-    scalar_cone_matrix,
     u_and_g,
     write_csv,
 )
@@ -37,7 +36,7 @@ from .errors import (
     StepFailure,
 )
 from .jets import TINY
-from .lagrangians import Kind, LagrangianModel
+from .lagrangians import LagrangianModel
 
 DEFAULT_TOL = 1e-9
 DEFAULT_STEP = 1e-2
@@ -61,20 +60,6 @@ class ConeHamiltonian:
     @classmethod
     def metric(cls) -> "ConeHamiltonian":
         return cls(ETA)
-
-    @classmethod
-    def scalar_model(cls, model: LagrangianModel,
-                     bg: FieldBackground) -> "ConeHamiltonian":
-        return cls(scalar_cone_matrix(model.jet_at(bg.point(Kind.Scalar)), bg))
-
-    @classmethod
-    def alpha_model(cls, model: LagrangianModel,
-                    bg: FieldBackground) -> "ConeHamiltonian":
-        """The cone 2 u L'' + g L' of an L(alpha) model on an (E, B)
-        background: G = L' eta + 2 L'' F eta F^T, since u = p F eta F^T p."""
-        jet = model.jet_at(bg.point(Kind.VectorAlpha))
-        F = bg.f_upper()
-        return cls(ETA * jet.fa + 2.0 * jet.faa * (F @ ETA @ F.T))
 
     def value(self, x: np.ndarray, p: np.ndarray) -> float:
         return float(p @ self.G @ p)

@@ -11,7 +11,9 @@ finite differences.  ``biorthogonality_defect`` measures a
 characteristic system's left and right eigenvectors against each other,
 and ``crosscheck_cone_vs_eigen`` inserts its eigenvalues into a
 dispersion function.  ``CallableHamiltonian`` traces rays of an
-arbitrary H with central-difference gradients.  ``axis_matrices`` writes a characteristic
+arbitrary H with central-difference gradients, and ``scalar_model_cone`` and
+``alpha_model_cone`` build the quadratic cones of a scalar and an L(alpha)
+model.  ``axis_matrices`` writes a characteristic
 system out per coordinate axis.  ``burgers_factory`` is the 2x2 system
 of a Burgers mode and a passive one.  ``scalar_reduced_oracle`` builds a simple
 wave's 2x2 eigen-data through the full scalar system with numpy
@@ -23,8 +25,10 @@ with one ``rk4_step`` call per step.  ``repr_csv`` writes float rows one
 repr at a time through the csv module, as the column CSV writers must,
 ``write_snapshot_csv`` writes an upwind snapshot through the float CSV
 writer, ``upwind_oracle`` is the Godunov loop that rebuilds its ghost
-cells and all three wave speeds in every step, and ``fresnel_scan_per_draw`` is the dispersion scan that draws
-and solves one background at a time.  ``sym_pairs`` and ``sym_dim``
+cells and all three wave speeds in every step, ``fresnel_batch_numpy_helpers`` is
+the dispersion solve written with ``np.cross`` and ``np.select``, and
+``fresnel_scan_per_draw`` is the dispersion scan that draws and solves
+one background at a time.  ``sym_pairs`` and ``sym_dim``
 enumerate and count the independent components of a symmetric D x D
 matrix, ``gauge_project`` projects a discontinuity onto the gauge
 constraint, ``identity_checks`` and ``GravityProbe`` check gauge-bound
@@ -55,15 +59,22 @@ from cewave.ce import (
     general_ce_residuals,
 )
 from cewave.charsys import (
+    _METRIC_FACTOR,
     COINCIDENCE_RTOL,
+    ETA,
     CharSystem,
     FieldBackground,
+    FresnelBatch,
+    _check_field_model,
+    _quadratic_roots,
     _scalar_axis_matrix,
     cone_coefficients,
+    cone_degeneracy,
     fresnel_roots,
     nearly_real,
     sorted_eig,
     unit_direction,
+    unit_rows,
     write_csv,
 )
 from cewave.errors import (
@@ -92,10 +103,11 @@ from cewave.gravity import (
     gauge_vector,
     pi_from_components,
 )
-from cewave.jets import TINY, InvariantPoint, Jet3
+from cewave.jets import TINY, InvariantPoint, Jet3, power
 from cewave.lagrangians import Kind, LagrangianModel
 from cewave.rays import (
     BLOWUP_THRESHOLD,
+    ConeHamiltonian,
     TransportResult,
     TransportState,
     _step_count,
@@ -488,6 +500,25 @@ class CallableHamiltonian:
         return self._central(lambda y: self.fn(y, p), x)
 
 
+def scalar_model_cone(model: LagrangianModel,
+                      bg: FieldBackground) -> ConeHamiltonian:
+    """The cone G^{mu nu} p_mu p_nu = 0 of a scalar model on a constant
+    gradient background, G^{mu nu} = eta L' + sigma^mu sigma^nu L''."""
+    jet = model.jet_at(bg.point(Kind.Scalar))
+    sigma_up = np.array([-bg.sigma[0], *bg.sigma[1:]])
+    return ConeHamiltonian(ETA * jet.fa
+                           + np.outer(sigma_up, sigma_up) * jet.faa)
+
+
+def alpha_model_cone(model: LagrangianModel,
+                     bg: FieldBackground) -> ConeHamiltonian:
+    """The cone 2 u L'' + g L' of an L(alpha) model on an (E, B)
+    background: G = L' eta + 2 L'' F eta F^T, since u = p F eta F^T p."""
+    jet = model.jet_at(bg.point(Kind.VectorAlpha))
+    F = bg.f_upper()
+    return ConeHamiltonian(ETA * jet.fa + 2.0 * jet.faa * (F @ ETA @ F.T))
+
+
 def scalar_axis_matrix(bg: FieldBackground,
                        model: LagrangianModel) -> np.ndarray:
     """The matrix of ``scalar_system(bg, model)`` along x1, without its
@@ -788,6 +819,75 @@ def upwind_oracle(flux: Callable, profile: Profile1D, t: float, nx: int,
         u = u - (dt / dx) * (fluxes[1:] - fluxes[:-1])
         elapsed += dt
     return Snapshot(t=float(t), x=centers, u=u)
+
+
+@np.errstate(all="ignore")
+def fresnel_batch_numpy_helpers(model: LagrangianModel, E, B,
+                                nhat) -> FresnelBatch:
+    """``charsys.fresnel_batch`` as it was written with ``np.cross`` for
+    n x B and ``np.select`` over its seven reasons for ``unusable``; it
+    must give every field of the batch bit for bit."""
+    _check_field_model(model)
+    E, B, nhat = (np.asarray(v, dtype=float).reshape(-1, 3)
+                  for v in (E, B, nhat))
+    a = np.vecdot(B, B) - np.vecdot(E, E)
+    b = -np.vecdot(B, E)
+    if model.kind is Kind.VectorAlpha:
+        point, b = InvariantPoint(a=a), 0.0
+    else:
+        point = InvariantPoint(a=a, b=b)
+    jet = model.jet_at(point)
+    K, P, R = np.broadcast_arrays(
+        *cone_coefficients(jet.fa, jet.faa, jet.fab, jet.fbb, a, b), a)[:3]
+    delta = P * P - 4.0 * K * R
+    k_small, delta_small = cone_degeneracy(jet.faa, jet.fab, jet.fbb, K, P,
+                                           R, delta)
+
+    if not np.isfinite(nhat).all():
+        raise DomainError("vector components must be finite")
+    n = unit_rows(nhat)
+    nxB = np.cross(n, B)
+    u0 = np.vecdot(E, E)
+    u1 = -2.0 * np.vecdot(E, nxB)
+    u2 = np.vecdot(nxB, nxB) - power(np.vecdot(E, n), 2)
+
+    delta[delta_small] = 0.0
+    sq = np.sqrt(delta.astype(complex))
+    h = np.stack([-P + sq, -P - sq], axis=-1) / (2.0 * K)[:, None]
+    C = np.empty(h.shape + (3,), dtype=complex)
+    C[..., 0] = u0[:, None] + h
+    C[..., 1] = u1[:, None]
+    C[..., 2] = u2[:, None] - h
+
+    quadratic = ~k_small
+    linear = ~quadratic & (np.abs(P) > TINY)
+    metric = ~quadratic & ~linear & (np.abs(R) > TINY)
+    C[~quadratic, 0] = _METRIC_FACTOR
+    C[linear, 1] = np.stack([u0 * P - R, u1 * P, u2 * P + R],
+                            axis=-1)[linear]
+    C[metric, 1] = _METRIC_FACTOR
+
+    top = np.abs(C).max(axis=-1)
+    vanishes = top < TINY
+    escapes = np.hypot(C[..., 0].real, C[..., 0].imag) <= 1e-14 * top
+    unusable = np.select(
+        [~np.isfinite([K, P, R]).all(axis=0), ~(quadratic | linear | metric),
+         ~np.isfinite(C).all(axis=(1, 2)), vanishes[:, 0], escapes[:, 0],
+         vanishes[:, 1], escapes[:, 1]],
+        [1, 2, 1, 3, 4, 3, 4], 0)
+    C[unusable != 0] = _METRIC_FACTOR
+    roots = np.sort_complex(_quadratic_roots(C).reshape(-1, 4))
+    roots[unusable != 0] = np.nan
+
+    tol_c = COINCIDENCE_RTOL * (1.0 + np.abs(roots).max(axis=-1))
+    gap = roots[:, :, None] - roots[:, None, :]
+    close = np.hypot(gap.real, gap.imag) < tol_c[:, None, None]
+    close[:, range(4), range(4)] = False
+    partner = np.where(close.any(axis=-1), close.argmax(axis=-1), -1)
+    two_pairs = close[:, 0, 1] & close[:, 2, 3]
+    return FresnelBatch(E=E, B=B, n=nhat, roots=roots,
+                        coincident_with=partner, birefringent=~two_pairs,
+                        unusable=unusable)
 
 
 def fresnel_scan_per_draw(model: LagrangianModel, trials: int,

@@ -44,7 +44,6 @@ from cewave.gravity import (
 )
 from cewave.lagrangians import builtin, from_expression
 from cewave.rays import (
-    ConeHamiltonian,
     QuarticHamiltonian,
     TransportState,
     crossing_time,
@@ -66,6 +65,7 @@ from oracles import (
     gauge_project,
     general_ce_raw,
     nondegenerate_jet,
+    scalar_model_cone,
 )
 
 
@@ -194,7 +194,7 @@ def test_criterion_05_eigenvalues_land_on_the_cone():
         bg = FieldBackground.scalar(*rng.uniform(-0.5, 0.5, size=4))
         worst = crosscheck_cone_vs_eigen(
             scalar_system(bg, scalar),
-            ConeHamiltonian.scalar_model(scalar, bg))
+            scalar_model_cone(scalar, bg))
         assert worst < 1e-8, f"scalar crosscheck {worst:.3e}"
 
 

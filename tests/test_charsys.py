@@ -33,18 +33,23 @@ from cewave.errors import (
     DegenerateSystem,
     DomainError,
     FloatOverflow,
+    InputError,
     KindError,
     ModeCollision,
+    NumericalError,
 )
 from cewave.jets import DomainMask, InvariantPoint
 from cewave.lagrangians import Kind, builtin, builtin_names, from_expression
-from cewave.rays import ConeHamiltonian, QuarticHamiltonian
+from cewave.rays import QuarticHamiltonian
 from oracles import (
+    alpha_model_cone,
     axis_matrices,
     biorthogonality_defect,
     crosscheck_cone_vs_eigen,
+    fresnel_batch_numpy_helpers,
     repr_csv,
     scalar_axis_matrix,
+    scalar_model_cone,
 )
 
 _ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
@@ -209,7 +214,7 @@ def test_scalar_system_kind_check():
 
 def test_scalar_cone_null_covector_linear_model():
     bg = FieldBackground.scalar(0.2, 0.5, 0.1, 0.3)
-    H = ConeHamiltonian.scalar_model(builtin("scalar-maxwell"), bg)
+    H = scalar_model_cone(builtin("scalar-maxwell"), bg)
     assert H.value(None, np.array([1.0, 1.0, 0.0, 0.0])) == 0.0
     assert H.value(None, np.zeros(4)) == 0.0
 
@@ -220,7 +225,7 @@ def test_scalar_cone_dense_contraction_oracle():
     jet = model.jet_at(bg.point(model.kind))
     sigma_up = np.array([-0.2, 0.5, 0.1, 0.3])
     G = _ETA * jet.fa + np.outer(sigma_up, sigma_up) * jet.faa
-    H = ConeHamiltonian.scalar_model(model, bg)
+    H = scalar_model_cone(model, bg)
     rng = np.random.default_rng(25)
     for _ in range(10):
         p = rng.uniform(-1, 1, 4)
@@ -578,7 +583,7 @@ def test_crosscheck_sqrt_model_random():
 def test_inner_cone_vanishes_on_slow_pair_only():
     bg = FieldBackground.vector([0.3, 0, 0], [0, 0.4, 0])
     model = _bi_reduced()
-    H = ConeHamiltonian.alpha_model(model, bg)
+    H = alpha_model_cone(model, bg)
 
     def defect(lam: float) -> float:
         p = np.array([-lam, 1.0, 0.0, 0.0])
@@ -594,7 +599,7 @@ def test_alpha_cone_factors_the_quartic():
     # quartic is g L' (2 u L'' + g L')
     model = _bi_reduced()
     bg = FieldBackground.vector([0.3, 0.1, -0.2], [0.1, 0.4, 0.2])
-    cone = ConeHamiltonian.alpha_model(model, bg)
+    cone = alpha_model_cone(model, bg)
     quartic = QuarticHamiltonian(model, bg)
     L1 = model.jet_at(bg.point(model.kind)).fa
     rng = np.random.default_rng(32)
@@ -619,7 +624,7 @@ def test_crosscheck_scalar_sqrt_random():
         except DegenerateSystem:
             continue
         assert crosscheck_cone_vs_eigen(
-            sys, ConeHamiltonian.scalar_model(model, bg)) < 1e-8
+            sys, scalar_model_cone(model, bg)) < 1e-8
         checked += 1
 
 
@@ -790,6 +795,67 @@ def test_fresnel_roots_is_the_row_of_a_batch(model, stack, data):
     assert tuple(batch.coincident_with[row].tolist()) == fr.coincident_with
     assert bool(batch.birefringent[row]) is fr.birefringent
     assert batch.n[row].tobytes() == n[row].tobytes()
+
+
+# models whose rows leave the domain (under a DomainMask), whose
+# coefficients are not finite, or whose powers overflow for a whole
+# stack; a*b has a vanishing factor at the zero field and a leading
+# coefficient that vanishes where E = 0
+_EDGE_MODELS = _FIELD_BUILTINS + [from_expression(text, kind) for text, kind in (
+    ("sqrt(a - 1)", "alpha"), ("1e300*a^2", "alpha"), ("a^1500.5", "alpha"),
+    ("1e200*a*b^2", "alpha-beta"), ("-a/2 + 0.1*a^2 + 0.3*b^2", "alpha-beta"),
+    ("a*b", "alpha-beta"))]
+_signed_zeros = st.lists(st.sampled_from([0.0, -0.0]), min_size=3, max_size=3)
+_huge = st.lists(st.sampled_from([0.0, -0.0, 1.0, 1e155, -1e200]),
+                 min_size=3, max_size=3)
+_edge_row = st.one_of(st.tuples(_vector, _vector, _normal),
+                      st.tuples(_signed_zeros, _signed_zeros, _normal),
+                      st.tuples(_vector, _signed_zeros, _normal),
+                      st.tuples(_signed_zeros, _vector, _normal),
+                      st.tuples(_huge, _vector, _normal))
+
+
+def _canonical(field: np.ndarray) -> tuple[np.dtype, tuple, bytes, bytes]:
+    """dtype, shape, NaN positions and the bits of the rest of a batch
+    field; a complex field is compared part by part."""
+    parts = field.view(float) if field.dtype.kind == "c" else field
+    nan = np.isnan(parts) if parts.dtype.kind == "f" else np.zeros(0, bool)
+    rest = np.where(nan, 0.0, parts) if nan.size else parts
+    return field.dtype, field.shape, nan.tobytes(), rest.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=st.sampled_from(_EDGE_MODELS),
+       stack=st.lists(_edge_row, min_size=1, max_size=6))
+# a*b: both factors vanish at the zero field (reason 3, though the
+# leading coefficient vanishes too), and a leading coefficient vanishes
+# alone where E = 0 (reason 4)
+@example(model=_EDGE_MODELS[-1],
+         stack=[([0.0, -0.0, 0.0], [-0.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
+                ([0.0, 0.0, 0.0], [0.3, 0.1, 0.0], [0.0, 1.0, 0.5])])
+# born-infeld outside its domain, then a row whose K, P, R overflow
+@example(model=builtin("born-infeld"),
+         stack=[([1.5, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
+                ([1e155, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]),
+                ([0.1, 0.2, 0.0], [0.0, 0.3, 0.0], [1.0, 1.0, 0.0])])
+def test_fresnel_batch_keeps_the_bits_of_the_numpy_helpers(model, stack):
+    E, B, n = (np.array(v) for v in zip(*stack))
+
+    def solve(batch_fn):
+        try:
+            with DomainMask():
+                return batch_fn(model, E, B, n)
+        except (InputError, NumericalError) as exc:
+            return type(exc), str(exc)
+
+    got = solve(fresnel_batch)
+    want = solve(fresnel_batch_numpy_helpers)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert list(vars(got)) == list(vars(want))
+    for name, field in vars(want).items():
+        assert _canonical(getattr(got, name)) == _canonical(field), name
 
 
 @pytest.mark.parametrize("model, roots_hex", [

@@ -26,7 +26,7 @@ import pytest
 from cewave import cli, gravity, rays, shock1d
 from cewave.ce import classify
 from cewave.cli import MAX_GRID_POINTS, MAX_TRIALS, main, parse_grid
-from cewave.errors import BadParams
+from cewave.errors import BadParams, FloatOverflow
 from cewave.lagrangians import Kind, builtin, builtin_names, from_expression
 from oracles import fresnel_scan_per_draw
 
@@ -407,19 +407,94 @@ def test_fresnel_gives_up_after_200_draws_per_trial(tmp_path, capsys,
     ["--expr", "1e200*a*b^2", "--kind", "alpha-beta"],
     # non-finite coefficients at every background
     ["--expr", "1e300*a^2", "--kind", "alpha"],
+    # K = 0 at every background
+    ["--builtin", "maxwell"],
+    # the zero field and every draw outside the domain
+    ["--expr", "sqrt(a - 10)", "--kind", "alpha", "--trials", "2"],
+    # one draw, with the zero field inside and outside the domain, and
+    # with the overflow fallback
+    ["--builtin", "born-infeld", "--trials", "1"],
+    ["--builtin", "alpha-over-beta", "--trials", "1"],
+    ["--expr", "a^1500.5", "--kind", "alpha", "--trials", "1"],
 ])
 def test_fresnel_scan_writes_the_bytes_of_the_per_draw_loop(model, tmp_path,
                                                             capsys):
     out = tmp_path / "scan.csv"
-    rc = main(["fresnel", *model, "--trials", "12", "--seed", "5",
-               "--out", str(out)])
+    argv = ["fresnel", "--trials", "12", "--seed", "5", *model]
+    rc = main([*argv, "--out", str(out)])
     capsys.readouterr()
-    want = fresnel_scan_per_draw(cli._resolve_model(
-        cli.build_parser().parse_args(["fresnel", *model])), 12, 5)
+    args = cli.build_parser().parse_args(argv)
+    want = fresnel_scan_per_draw(cli._resolve_model(args), args.trials,
+                                 args.seed)
     if want is None:
         assert rc == 3 and not out.exists()
     else:
         assert rc == 0 and out.read_bytes() == want
+
+
+@pytest.mark.parametrize("model", [
+    ["--builtin", "born-infeld"],
+    # the zero field outside the domain
+    ["--builtin", "alpha-over-beta"],
+    # every round fails, until the scan gives up
+    ["--expr", "sqrt(a - 10)", "--kind", "alpha"],
+    # a power overflows at some rows, so each row of such a round is
+    # solved again alone
+    ["--expr", "a^1500.5", "--kind", "alpha"],
+])
+def test_fresnel_scan_solves_each_draw_round_in_one_call(model, tmp_path,
+                                                        capsys, monkeypatch):
+    # the zero field leads the rows of the first round: no call solves
+    # it alone, except the per-row fallback after an overflow
+    events = []
+
+    class Drawing:
+        def __init__(self, seed):
+            self.rng = np.random.default_rng(seed)
+
+        def uniform(self, *args, **kwargs):
+            rows = self.rng.uniform(*args, **kwargs)
+            events.append(("draw", rows))
+            return rows
+
+    def counting(model, E, B, n):
+        try:
+            batch = exact(model, E, B, n)
+        except FloatOverflow:
+            events.append(("solve", np.hstack([E, B, n]), True))
+            raise
+        events.append(("solve", np.hstack([E, B, n]), False))
+        return batch
+
+    exact = cli.fresnel_batch
+    monkeypatch.setattr(cli, "_rng", Drawing)
+    monkeypatch.setattr(cli, "fresnel_batch", counting)
+    main(["fresnel", *model, "--trials", "3", "--out",
+          str(tmp_path / "scan.csv")])
+    capsys.readouterr()
+    assert events[0][0] == "draw"
+    rounds = []
+    for event in events:
+        if event[0] == "draw":
+            rounds.append((event[1], []))
+        else:
+            rounds[-1][1].append(event[1:])
+    zero_field = np.array([[0.0] * 6 + [1.0, 0.0, 0.0]])
+    for i, (drawn, solves) in enumerate(rounds):
+        kept = drawn[np.linalg.norm(drawn[:, 6:], axis=1) >= 1e-3]
+        lead = zero_field[:int(i == 0)]
+        (stack, overflowed), *alone = solves
+        assert stack.shape == (len(lead) + len(kept), 9)
+        assert (stack[:, :6].tobytes()
+                == np.vstack([lead, kept])[:, :6].tobytes())
+        assert stack[:len(lead)].tobytes() == lead.tobytes()
+        if overflowed:
+            assert [row.tobytes() for row, _ in alone] == [
+                row[None].tobytes() for row in stack]
+        else:
+            assert alone == []
+    if model[-1] == "a^1500.5":
+        assert any(solves[0][1] for _, solves in rounds)
 
 
 def test_fresnel_skips_backgrounds_with_non_finite_coefficients(tmp_path,
@@ -517,6 +592,27 @@ def test_rays_start_with_non_finite_coefficients_exits_3(tmp_path, capsys):
     assert rc == 3
     assert "not finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # used to exit 0 labelled CE
+    ["ce", "check", "--builtin", "sqrt-family", "--params", "nan,1,1"],
+    # used to exit 0 labelled NotCE with a NaN maximum
+    ["ce", "check", "--builtin", "sqrt-family", "--params", "1,1,inf"],
+    ["ce", "check", "--builtin", "perturbed-maxwell", "--params", "inf"],
+    # used to draw 400 backgrounds and exit 3
+    ["fresnel", "--builtin", "perturbed-maxwell", "--params", "nan",
+     "--trials", "2"],
+])
+def test_non_finite_builtin_parameters_exit_2(argv, tmp_path, capsys,
+                                              monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "fresnel_batch", lambda *args: calls.append(1))
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+    assert calls == []
 
 
 @pytest.mark.parametrize("model", [["--builtin", "scalar-bi"],
@@ -1041,6 +1137,16 @@ def test_rays_step_pointing_away_from_s_max_exits_2(tmp_path, capsys):
                "--step", "-0.01", "--out", str(out)])
     assert rc == 2
     assert "the step must have the sign of s_max" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("p0", ["nan,1,0,0", "-1,inf,0,0", "-1,1,0,-inf"])
+def test_rays_non_finite_start_covector_exits_2(p0, tmp_path, capsys):
+    # a NaN entry used to exit 3 as a start off the cone
+    out = tmp_path / "ray.csv"
+    assert main(["rays", "--cone", f"--p0={p0}", "--out", str(out)]) == 2
+    assert (capsys.readouterr().err
+            == "input error: --p0 components must be finite\n")
     assert not out.exists()
 
 

@@ -33,7 +33,12 @@ from cewave.rays import (
     write_ray_csv,
     write_transport_csv,
 )
-from oracles import CallableHamiltonian, repr_csv, transport_oracle
+from oracles import (
+    CallableHamiltonian,
+    repr_csv,
+    scalar_model_cone,
+    transport_oracle,
+)
 
 BG = FieldBackground.vector([0.3, 0.0, 0.0], [0.0, 0.4, 0.0])
 # the x and p columns of RayPath.states, whose columns are s, x0..x3,
@@ -164,7 +169,7 @@ def test_closed_form_cone_rays_equal_rk4_loop_bit_for_bit(seed):
     cases = [(ConeHamiltonian.metric(), np.array([-1.0, *n]))]
     # scalar-bi cone: solve the quadratic in p0 along n
     bg = FieldBackground.scalar(*rng.uniform(-0.4, 0.4, size=4))
-    H = ConeHamiltonian.scalar_model(builtin("scalar-bi"), bg)
+    H = scalar_model_cone(builtin("scalar-bi"), bg)
     G = H.G
     roots = np.roots([G[0, 0], 2.0 * (G[0, 1:] @ n), n @ G[1:, 1:] @ n])
     cases.append((H, np.array([float(np.min(roots.real)), *n])))
