@@ -25,7 +25,6 @@ alike; ``classify`` evaluates a whole grid as arrays.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
@@ -256,10 +255,12 @@ class GridSpec:
         mixed["z"] = (-0.45, 0.45, 5)
         return cls(mixed)
 
-    def point(self, names: tuple[str, ...]) -> InvariantPoint:
-        """Every grid point, as flat coordinate arrays in C order (the
-        last axis varies fastest).  The grid must have exactly one axis
-        per name."""
+    def mesh(self, names: tuple[str, ...]) -> InvariantPoint:
+        """The grid as an open mesh: axis k of ``names`` is an n_k-long
+        array shaped to lie along dimension k (``np.meshgrid(...,
+        indexing="ij", sparse=True)``), so the coordinates broadcast to
+        every grid point.  The grid must have exactly one axis per
+        name."""
         wanted = ", ".join(names)
         for name in names:
             if name not in self.axes:
@@ -269,11 +270,17 @@ class GridSpec:
             if name not in names:
                 raise BadParams(f"grid axis '{name}' is not an invariant of "
                                 f"the model ({wanted})")
-        axes = []
-        for name in names:
-            lo, hi, n = self.axes[name]
-            axes.append(np.linspace(lo, hi, int(n)))
-        grids = np.meshgrid(*axes, indexing="ij")
+        axes = [np.linspace(lo, hi, int(n))
+                for lo, hi, n in map(self.axes.get, names)]
+        return InvariantPoint(**dict(zip(
+            names, np.meshgrid(*axes, indexing="ij", sparse=True))))
+
+    def point(self, names: tuple[str, ...]) -> InvariantPoint:
+        """Every grid point, as flat coordinate arrays in C order (the
+        last axis varies fastest): the open mesh broadcast to the whole
+        grid."""
+        mesh = self.mesh(names)
+        grids = np.broadcast_arrays(*(mesh.get(name) for name in names))
         return InvariantPoint(**{name: g.ravel()
                                  for name, g in zip(names, grids)})
 
@@ -356,12 +363,6 @@ class CEReport:
         fh.write(("\n  ]" if count else "[]") + ",\n" + _json_items(
             {k: v for k, v in head.items() if k > "per_point"}) + "\n}\n")
 
-    def to_json_text(self) -> str:
-        """The text that write_json writes."""
-        buf = io.StringIO()
-        self.write_json(buf)
-        return buf.getvalue()
-
     def _per_point_rows(self, block: slice) -> list[str]:
         names = sorted(self.points)
         columns = {**{n: [self.points[n]] for n in names}, **self.residuals}
@@ -412,21 +413,30 @@ def _on_grid(compute, point: InvariantPoint, single=None):
     return out
 
 
-def _margin_ok(model: LagrangianModel, point: InvariantPoint,
+def _margin_ok(model: LagrangianModel, mesh: InvariantPoint,
                names: tuple[str, ...]) -> np.ndarray:
-    """Which points of a set keep the guard, and evaluate, at the point
-    and GUARD_MARGIN away along each axis."""
-    ok = np.ones(point.get(names[0]).shape, dtype=bool)
-    probes = [point]
+    """Which grid points keep the guard, and evaluate, at the point and
+    GUARD_MARGIN away along each axis, as a flat mask in C order.
+
+    The probes run on the grid's open mesh (``GridSpec.mesh``), so a
+    shifted probe moves one n_k-long axis, and a value that reads some
+    of the axes is computed on their product alone; the masks meet at
+    the grid's broadcast shape.  Every entry is the IEEE operation the
+    flat grid would make there, so the mask, and any error raised, are
+    those of probing every point.
+    """
+    ok = np.ones(np.broadcast_shapes(*(mesh.get(n).shape for n in names)),
+                 dtype=bool)
+    probes = [mesh]
     for name in names:
         for sign in (+1.0, -1.0):
-            probes.append(point.shifted(name, sign * GUARD_MARGIN))
+            probes.append(mesh.shifted(name, sign * GUARD_MARGIN))
     for p in probes:
         ok &= model.guard_ok(p)
         # Expression models carry no declared guard, so probe the evaluator
         # itself; leaving the domain marks the point as outside it.
         ok &= np.logical_not(_evaluate(model.value_at, p)[1])
-    return ok
+    return ok.ravel()
 
 
 def _worst(components: list[np.ndarray],
@@ -486,11 +496,11 @@ def classify(model: LagrangianModel, grid: GridSpec | None = None,
              tol: float = DEFAULT_TOL) -> CEReport:
     """Classify a model as StronglyCE / CE / NotCE / Degenerate on a grid.
 
-    The grid is one array pass: the model's guard and value on the grid
-    and on its 2*dim GUARD_MARGIN-shifted copies select the evaluated
-    points, then each jet the sectors need is evaluated once over all of
-    them.  Where evaluating the points one at a time would raise, the same
-    DomainError is raised.
+    The grid is one array pass: the model's guard and value on the
+    grid's open mesh and on its 2*dim copies with one axis shifted by
+    GUARD_MARGIN select the evaluated points, then each jet the sectors
+    need is evaluated once over all of them.  Where evaluating the
+    points one at a time would raise, the same DomainError is raised.
     """
     if grid is None:
         grid = GridSpec.default(model.kind)
@@ -500,7 +510,7 @@ def classify(model: LagrangianModel, grid: GridSpec | None = None,
     if total == 0:
         raise EmptyGrid("grid has no points")
 
-    point = grid_point.take(_margin_ok(model, grid_point, names))
+    point = grid_point.take(_margin_ok(model, grid.mesh(names), names))
     evaluated = point.get(names[0]).size
     guard_excluded = total - evaluated
     if not evaluated:

@@ -234,13 +234,14 @@ def _usable(model: LagrangianModel, E: np.ndarray, B: np.ndarray,
             batch = fresnel_batch(model, E, B, n)
     except FloatOverflow:
         # a power overflowing at one row raises for the whole stack, so
-        # each row is solved alone to leave out only the rows it reaches
+        # each half is solved alone, and only a half that overflows splits
+        # again, down to the rows it reaches
         if len(E) == 1:
             return np.zeros(1, dtype=bool), []
-        rows = [_usable(model, E[i:i + 1], B[i:i + 1], n[i:i + 1])
-                for i in range(len(E))]
-        return (np.concatenate([keep for keep, _ in rows]),
-                [part for _, parts in rows for part in parts])
+        halves = [_usable(model, E[s], B[s], n[s])
+                  for s in (slice(len(E) // 2), slice(len(E) // 2, None))]
+        return (np.concatenate([keep for keep, _ in halves]),
+                [part for _, parts in halves for part in parts])
     except (InputError, NumericalError):
         # anything else fails at every row alike, such as a constant
         # outside the model's domain

@@ -115,10 +115,11 @@ def power(x, e):
 
     numpy's vectorized pow can differ from the C library pow behind
     Python's ``**`` in the last bit, so arrays go through Python floats.
-    An array of at least ``_DEDUPE_SIZE`` entries (grid axes and their
-    shifted copies repeat a lot) is raised one distinct bit pattern at a
-    time and the results gathered back; pow is a function of its input's
-    bits, so every entry, -0.0 and NaN included, keeps its bits.
+    An array of at least ``_DEDUPE_SIZE`` entries (a grid's evaluated
+    points repeat each axis value, so their jet slots repeat a lot) is
+    raised one distinct bit pattern at a time and the results gathered
+    back; pow is a function of its input's bits, so every entry, -0.0
+    and NaN included, keeps its bits.
     A zero array entry raised to a negative power is outside the domain
     (Python raises ZeroDivisionError); a negative value raised to a
     fractional power gives NaN (Python would return a complex number).

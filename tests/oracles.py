@@ -2,8 +2,9 @@
 
 ``classify_per_point`` is the classification loop that evaluates one grid
 point at a time with float jets; ``ce.classify`` must reproduce its report
-exactly.  ``_am_groups`` writes the third-order conditions out in
-L-partials, ``general_ce_raw`` gives the raw values and normalizers of
+exactly, which ``report_text`` writes out.  ``margin_ok_flat`` probes the
+guard margin on full shifted copies of the flat grid.  ``_am_groups``
+writes the third-order conditions out in L-partials, ``general_ce_raw`` gives the raw values and normalizers of
 their compact forms, ``vector_char_data_jet3`` builds the cone data
 through full third-order jets, ``synthetic_jet`` and ``nondegenerate_jet`` draw
 random third-order jets, and ``jet_check_fd`` cross-checks jets against
@@ -53,8 +54,10 @@ from cewave.ce import (
     DEFAULT_TOL,
     GUARD_MARGIN,
     REPORT_SCHEMA,
+    CEReport,
     GridSpec,
     VectorCharData,
+    _evaluate,
     _tar_terms,
     general_ce_residuals,
 )
@@ -357,6 +360,29 @@ def _margin_ok(model: LagrangianModel, point: InvariantPoint,
     except DomainError:
         return False
     return True
+
+
+def margin_ok_flat(model: LagrangianModel, point: InvariantPoint,
+                   names: tuple[str, ...]) -> np.ndarray:
+    """The margin mask of ``ce.classify`` probed on flat point sets: the
+    model's guard and value on every point and on full copies of the set
+    shifted by GUARD_MARGIN along each axis."""
+    ok = np.ones(point.get(names[0]).shape, dtype=bool)
+    probes = [point]
+    for name in names:
+        for sign in (+1.0, -1.0):
+            probes.append(point.shifted(name, sign * GUARD_MARGIN))
+    for p in probes:
+        ok &= model.guard_ok(p)
+        ok &= np.logical_not(_evaluate(model.value_at, p)[1])
+    return ok
+
+
+def report_text(report: CEReport) -> str:
+    """The text that ``report.write_json`` writes."""
+    buf = io.StringIO()
+    report.write_json(buf)
+    return buf.getvalue()
 
 
 def classify_per_point(model: LagrangianModel, grid: GridSpec | None = None,

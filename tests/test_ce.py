@@ -12,11 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cewave import lagrangians
 from cewave.ce import (
     REPORT_SCHEMA,
     CEReport,
     GridSpec,
     VectorCharData,
+    _margin_ok,
     _tar_terms,
     classify,
     coupling_residuals,
@@ -26,7 +28,7 @@ from cewave.ce import (
 )
 from cewave.charsys import ROW_BLOCK, cone_coefficients, fresnel_batch
 from cewave.cli import main, parse_grid
-from cewave.errors import CewaveError, DegeneracyError, EmptyGrid
+from cewave.errors import CewaveError, DegeneracyError, EmptyGrid, FloatOverflow
 from cewave.jets import InvariantPoint, Jet3
 from cewave.lagrangians import (
     Kind,
@@ -42,7 +44,9 @@ from oracles import (
     appendix_raw,
     classify_per_point,
     general_ce_raw,
+    margin_ok_flat,
     nondegenerate_jet,
+    report_text,
     synthetic_jet,
     vector_char_data_jet3,
 )
@@ -521,7 +525,7 @@ def test_classify_scalar_cubic_not_ce():
 
 
 def _rows(report: CEReport) -> list[dict]:
-    return json.loads(report.to_json_text())["per_point"]
+    return json.loads(report_text(report))["per_point"]
 
 
 def test_classify_separable_vector_scalar():
@@ -637,7 +641,7 @@ def test_failing_sector_is_not_ce_when_the_guard_dominates(text, kind, worst,
 
 def test_report_json_shape():
     report = classify(builtin("maxwell"))
-    doc = json.loads(report.to_json_text())
+    doc = json.loads(report_text(report))
     assert doc["schema"] == "cewave-report/1"
     assert doc["label"] == "StronglyCE"
     assert "max" in doc["residual_summary"]
@@ -664,7 +668,7 @@ def test_report_text_spells_non_finite_values_as_json_does():
                    "general": [np.array([inf, 1.0, 2.0, 3.0]),
                                np.array([nan, -inf, 0.5, 0.25])]},
         general_rows=np.array([True, False, True, False]))
-    text = report.to_json_text()
+    text = report_text(report)
     doc = json.loads(text)
     assert _dumps(doc) == text
     for literal in ("NaN", "Infinity", "-Infinity", "-0.0", "5e-324"):
@@ -693,7 +697,7 @@ def _assert_same_as_per_point(model, grid=None):
         assert str(got.value) == str(err)
         return None
     got = classify(model, grid)
-    assert got.to_json_text() == _dumps(want)
+    assert report_text(got) == _dumps(want)
     return got
 
 
@@ -790,6 +794,144 @@ def test_classify_grammar_draws_match_per_point_loop(kind_and_text):
     _assert_same_as_per_point(from_expression(text, kind), grid)
 
 
+# --- margin probes on the grid's open mesh -----------------------------------
+
+def _assert_same_margin(model, grid):
+    """_margin_ok on the grid's open mesh gives the mask of the probes on
+    full shifted copies of the flat grid, or raises the same error."""
+    names = model.kind.variables
+    try:
+        want = margin_ok_flat(model, grid.point(names), names)
+    except CewaveError as err:
+        with pytest.raises(type(err)) as got:
+            _margin_ok(model, grid.mesh(names), names)
+        assert str(got.value) == str(err)
+        return None
+    got = _margin_ok(model, grid.mesh(names), names)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    return got
+
+
+def _resized(kind: str, sizes: list[int]) -> GridSpec:
+    return GridSpec({name: (lo, hi, n) for (name, (lo, hi, _)), n
+                     in zip(_DYADIC_GRIDS[kind].items(), sizes)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind_and_text=_KIND_AND_TEXT,
+       sizes=st.lists(st.integers(1, 9), min_size=3, max_size=3))
+@example(kind_and_text=("alpha-beta", "(a / b)"), sizes=[11, 9, 1])
+@example(kind_and_text=("vector-scalar", "(sqrt((1 + a)) + ((z - 0.25))^-1)"),
+         sizes=[6, 1, 5])
+def test_margin_on_the_mesh_matches_the_flat_probes(kind_and_text, sizes):
+    kind, text = kind_and_text
+    model = from_expression(text, kind)
+    _assert_same_margin(model, GridSpec(dict(_DYADIC_GRIDS[kind])))
+    _assert_same_margin(model, _resized(kind, sizes))
+
+
+@pytest.mark.parametrize("name, params", [
+    *((n, {"sqrt-family": [1.0, 3.0, 1.0],
+           "perturbed-maxwell": [0.1]}.get(n)) for n in builtin_names()),
+    ("sqrt-family", [0.0, 0.3, -1.0]),
+])
+@pytest.mark.parametrize("n", [None, 1, 2, 61])
+def test_margin_on_the_mesh_matches_the_flat_probes_of_builtins(name, params,
+                                                                n):
+    # alpha-over-beta's guard reads b alone; born-infeld's squares b
+    model = builtin(name, params)
+    grid = GridSpec.default(model.kind)
+    if n is not None:
+        grid = GridSpec({k: (lo, hi, n) for k, (lo, hi, _)
+                         in grid.axes.items()})
+    _assert_same_margin(model, grid)
+
+
+@pytest.mark.parametrize("text, kind, grid", [
+    # a model that reads fewer variables than its kind has
+    ("-a/2 + 0.1*a^2", "alpha-beta", None),
+    ("1 - sqrt(1 + 2*z) + 0.1*a", "vector-scalar", None),
+    # a constant outside the domain fails at every point alike
+    ("sqrt(-1)", "alpha", None),
+    ("sqrt(-1) + a*b", "alpha-beta", None),
+    ("1/b", "alpha-beta", None),
+    # points that the margin alone excludes, along a and along b
+    ("sqrt(a - 0.33) + b", "alpha-beta", None),
+    ("sqrt(0.33 - b) + a", "alpha-beta", None),
+    ("1/b", "alpha-beta", {"a": (-0.5, 2.0, 1), "b": (0.0, 1.0, 1)}),
+    ("1/(a*b*z)", "vector-scalar",
+     {"a": (-0.5, 2.0, 6), "b": (-1.0, 1.0, 5), "z": (-0.5, 0.5, 5)}),
+    ("1 - sqrt(1 + a - b^2) + 0.1*z^2 - z", "vector-scalar", None),
+    ("1 - sqrt(1 + a - b^2) + 0.1*z^2 - z", "vector-scalar",
+     {"a": (-0.5, 2.0, 1), "b": (-1.0, 1.0, 7), "z": (-0.45, 0.45, 1)}),
+])
+def test_margin_on_the_mesh_matches_the_flat_probes_of_expressions(text, kind,
+                                                                   grid):
+    model = from_expression(text, kind)
+    _assert_same_margin(model, GridSpec(grid) if grid
+                        else GridSpec.default(model.kind))
+
+
+def test_margin_on_the_mesh_raises_the_flat_overflow():
+    model = from_expression("(1e200*a)^2", "alpha")
+    grid = GridSpec.default(model.kind)
+    with pytest.raises(FloatOverflow) as err:
+        _margin_ok(model, grid.mesh(("a",)), ("a",))
+    assert str(err.value) == ("a power with exponent 2 leaves the double "
+                              "range")
+    assert _assert_same_margin(model, grid) is None
+
+
+@pytest.mark.parametrize("axes", [
+    {"a": (0.0, 1.0, 0), "b": (-1.0, 1.0, 5)},
+    {"a": (0.0, 1.0, 5), "b": (-1.0, 1.0, 0)},
+])
+def test_classify_grid_with_an_empty_axis_has_no_points(axes):
+    with pytest.raises(EmptyGrid) as err:
+        classify(builtin("born-infeld"), grid=GridSpec(axes))
+    assert str(err.value) == "grid has no points"
+
+
+def test_margin_probes_raise_powers_of_axis_values(monkeypatch):
+    # a shifted probe moves one axis, so a power of a coordinate sees
+    # the axis values, not the whole grid
+    model = from_expression("-a/2 + 0.1*a^2 + 0.05*b^2", "alpha-beta")
+    grid = GridSpec({"a": (-0.5, 2.0, 61), "b": (-1.0, 1.0, 61)})
+    names = model.kind.variables
+    sizes = []
+    exact = lagrangians.power
+
+    def counting(x, e):
+        sizes.append(np.size(x))
+        return exact(x, e)
+
+    monkeypatch.setattr(lagrangians, "power", counting)
+    mesh_ok = _margin_ok(model, grid.mesh(names), names)
+    assert len(sizes) == 2 * (2 * 2 + 1) and max(sizes) == 61
+    sizes.clear()
+    flat_ok = margin_ok_flat(model, grid.point(names), names)
+    assert set(sizes) == {61 * 61}
+    assert mesh_ok.tobytes() == flat_ok.tobytes()
+
+
+@pytest.mark.parametrize("axes", [
+    {"z": (-0.45, 0.45, 21)},
+    {"a": (-0.5, 2.0, 101), "b": (-1.0, 1.0, 101)},
+    {"a": (-0.5, 2.0, 1), "b": (-1.0, 1.0, 7)},
+    {"a": (-0.5, 2.0, 6), "b": (-1.0, 1.0, 5), "z": (-0.45, 0.45, 3)},
+])
+def test_grid_points_are_the_dense_meshgrid_coordinates(axes):
+    names = tuple(axes)
+    point = GridSpec(axes).point(names)
+    dense = np.meshgrid(*(np.linspace(lo, hi, n)
+                          for lo, hi, n in axes.values()), indexing="ij")
+    for name, coords in zip(names, dense):
+        got = point.get(name)
+        assert got.dtype == coords.dtype and got.shape == (coords.size,)
+        assert got.tobytes() == coords.ravel().tobytes()
+
+
 # --- reports written in row blocks -------------------------------------------
 
 _BLOCK_EDGES = [0, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1]
@@ -855,7 +997,7 @@ def test_report_text_is_json_dumps_across_block_edges(count, general):
         points={"z": np.zeros(count), "b": b, "a": a},
         residuals=residuals, general_rows=general_rows)
     want = _dumps(_report_doc(report))
-    assert report.to_json_text() == want
+    assert report_text(report) == want
     fh = io.StringIO()
     report.write_json(fh)
     assert fh.getvalue() == want
@@ -878,7 +1020,7 @@ def test_ce_check_file_is_json_dumps_across_block_edges(count, text, kind,
     report = classify(from_expression(text, kind), parse_grid(grid))
     assert report.counts["evaluated"] == count
     want = _dumps(_report_doc(report))
-    assert report.to_json_text() == want
+    assert report_text(report) == want
     assert out.read_text() == want
 
 

@@ -28,7 +28,7 @@ from cewave.ce import classify
 from cewave.cli import MAX_GRID_POINTS, MAX_TRIALS, main, parse_grid
 from cewave.errors import BadParams, FloatOverflow
 from cewave.lagrangians import Kind, builtin, builtin_names, from_expression
-from oracles import fresnel_scan_per_draw
+from oracles import fresnel_scan_per_draw, report_text
 
 
 def _read_json(path):
@@ -152,7 +152,7 @@ def test_ce_check_writes_the_bytes_of_json_dumps(model, flags, grid,
     report = classify(builtin(text) if kind is None
                       else from_expression(text, kind),
                       grid=parse_grid(grid) if grid else None)
-    text = report.to_json_text()
+    text = report_text(report)
     assert (hashlib.sha256(out.read_bytes()).hexdigest()
             == hashlib.sha256(text.encode()).hexdigest())
     # the text is what json.dumps writes for the document it holds
@@ -495,6 +495,71 @@ def test_fresnel_scan_solves_each_draw_round_in_one_call(model, tmp_path,
             assert alone == []
     if model[-1] == "a^1500.5":
         assert any(solves[0][1] for _, solves in rounds)
+
+
+def test_fresnel_overflow_fallback_halves_the_stack(tmp_path, capsys,
+                                                   monkeypatch):
+    # a stack that overflows is solved again as its two halves, and only
+    # a half that overflows splits again, down to single rows
+    draws, solves = [], []
+
+    class Drawing:
+        def __init__(self, seed):
+            self.rng = np.random.default_rng(seed)
+
+        def uniform(self, *args, **kwargs):
+            rows = self.rng.uniform(*args, **kwargs)
+            draws.append(rows)
+            return rows
+
+    def counting(model, E, B, n):
+        rows = np.hstack([E, B, n])
+        try:
+            batch = exact(model, E, B, n)
+        except FloatOverflow:
+            solves.append((rows, True))
+            raise
+        solves.append((rows, False))
+        return batch
+
+    exact = cli.fresnel_batch
+    monkeypatch.setattr(cli, "_rng", Drawing)
+    monkeypatch.setattr(cli, "fresnel_batch", counting)
+    out = tmp_path / "scan.csv"
+    argv = ["fresnel", "--expr", "a^1500.5", "--kind", "alpha",
+            "--trials", "40", "--seed", "3", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == fresnel_scan_per_draw(
+        from_expression("a^1500.5", "alpha"), 40, 3)
+    assert len(solves) <= 55
+    pending = list(reversed(solves))
+    split = []
+
+    def leaves(stack):
+        """The leaf solves of ``stack``: itself, unless it overflowed,
+        then those of its two halves in row order."""
+        rows, overflowed = pending.pop()
+        assert rows.tobytes() == stack.tobytes()
+        if not overflowed or len(stack) == 1:
+            return [rows]
+        split.append(len(stack))
+        half = len(pending[-1][0])
+        assert half in {len(stack) // 2, (len(stack) + 1) // 2}
+        return leaves(stack[:half]) + leaves(stack[half:])
+
+    zero_field = np.array([[0.0] * 6 + [1.0, 0.0, 0.0]])
+    for i, drawn in enumerate(draws):
+        kept = drawn[np.linalg.norm(drawn[:, 6:], axis=1) >= 1e-3]
+        stack = np.vstack([zero_field[:int(i == 0)], kept])
+        # the round's one stacked solve leads; no row is solved alone
+        # unless the half that holds it overflowed
+        assert pending[-1][0][:, :6].tobytes() == stack[:, :6].tobytes()
+        stack = pending[-1][0]
+        assert np.vstack(leaves(stack)).tobytes() == stack.tobytes()
+    assert pending == []
+    # some half of more than one row overflowed and split again
+    assert any(1 < size < max(split) for size in split)
 
 
 def test_fresnel_skips_backgrounds_with_non_finite_coefficients(tmp_path,
