@@ -44,7 +44,7 @@ from .errors import (
     EmptyGrid,
     InternalCheckError,
 )
-from .jets import TINY, DomainMask, InvariantPoint, Jet1, Jet3
+from .jets import TINY, DomainMask, InvariantPoint, Jet1, Jet3, Jet3a
 from .lagrangians import Kind, LagrangianModel
 
 DEFAULT_TOL = 1e-9
@@ -63,8 +63,8 @@ def _norm(terms) -> float:
 # Scalar and strong (no-birefringence) conditions
 # ---------------------------------------------------------------------------
 
-def scalar_ce_residual(jet: Jet3) -> float:
-    """Normalized residual of L'L''' - 3(L'')^2 for a one-variable jet."""
+def scalar_ce_residual(jet: Jet3 | Jet3a) -> float:
+    """Normalized residual of L'L''' - 3(L'')^2 in a jet's a-slots."""
     terms = (jet.fa * jet.faaa, -3.0 * jet.faa * jet.faa)
     return _norm(terms)
 
@@ -216,13 +216,14 @@ def coupling_residuals(model: LagrangianModel, point: InvariantPoint,
                        jet: Jet3) -> tuple[float, float]:
     """Normalized mixed partials L_za, L_zb of an L(a,b,z) model.
 
-    Both are read exactly from third-order jets: L_za is the mixed slot
-    of the (a, z)-jet, L_zb that of the (b, z)-jet, and the (a, z)-jet's
-    z-z slot gives the L_zz of the normalization.  ``jet`` is the model's
-    primary (a, b)-jet at ``point``, which supplies the other terms.
+    Both are read exactly from second-order jets: L_za is the mixed
+    slot of the (a, z)-jet, L_zb that of the (b, z)-jet, and the (a,
+    z)-jet's z-z slot gives the L_zz of the normalization.  ``jet`` is
+    the model's primary (a, b)-jet at ``point``, which supplies the
+    other terms.
     """
-    az = model.jet_at(point, wrt=("a", "z"))
-    bz = model.jet_at(point, wrt=("b", "z"))
+    az = model.jet_at(point, wrt=("a", "z"), order=2)
+    bz = model.jet_at(point, wrt=("b", "z"), order=2)
     Lza, Lzb, Lzz = az.fab, bz.fab, az.fbb
     ref = abs(Lzz) + abs(jet.faa) + abs(jet.fab) + abs(jet.fbb)
 
@@ -442,25 +443,23 @@ def _margin_ok(model: LagrangianModel, mesh: InvariantPoint,
 def _worst(components: list[np.ndarray],
            rows: np.ndarray | None) -> tuple[float, int | None]:
     """Largest residual and its row, as a scan of the rows in order finds
-    it: each row's largest component (the first of equal ones), then the
-    first row above every earlier one; NaN never compares larger.  Only
-    the rows that ``rows`` marks (default all) take part."""
+    it: each row's largest component, then the first row above every
+    earlier one.  Only the rows that ``rows`` marks (default all) take
+    part.  A NaN residual in one of them fails the sector, and the result
+    is (nan, None), as when no row takes part."""
     value = components[0]
     for c in components[1:]:
-        value = np.where(c > value, c, value)
-    eligible = value > -1.0
+        value = np.maximum(value, c)  # NaN if either is
     if rows is not None:
-        eligible &= rows
-    if not eligible.any():
-        return float("nan"), None
-    index = int(np.argmax(np.where(eligible, value, -np.inf)))
+        value = np.where(rows, value, -1.0)  # residuals are never negative
+    index = int(np.argmax(value))  # the first NaN, if there is one
     worst = float(value[index])
-    return (worst if worst >= 0 else float("nan")), index
+    return (worst, index) if worst >= 0.0 else (float("nan"), None)
 
 
 def _scalar_sector(model: LagrangianModel, point: InvariantPoint,
-                   jet: Jet3) -> tuple[float]:
-    # a scalar model's primary jet is already its z-jet
+                   jet: Jet3 | Jet3a) -> tuple[float]:
+    # a scalar model's primary jet is already its third-order z-jet
     if model.kind is not Kind.Scalar:
         jet = model.jet_at(point, wrt=("z",))
     return (scalar_ce_residual(jet),)
@@ -521,7 +520,7 @@ def classify(model: LagrangianModel, grid: GridSpec | None = None,
     sectors = [s for s in dict.fromkeys((*gates, *strong, fallback))
                if s in _SECTORS]
 
-    def sector_residuals(p: InvariantPoint, jet: Jet3) -> dict:
+    def sector_residuals(p: InvariantPoint, jet: Jet3 | Jet3a) -> dict:
         return {s: _SECTORS[s](model, p, jet) for s in sectors}
 
     def columns(values) -> list[np.ndarray]:
@@ -541,12 +540,14 @@ def classify(model: LagrangianModel, grid: GridSpec | None = None,
             return worst, None
         return worst, {n: float(c[index]) for n, c in points.items()}
 
-    failing = [pair for pair in map(summarize, gates) if pair[0] >= tol]
+    # a NaN maximum fails its sector
+    failing = [pair for pair in map(summarize, gates) if not pair[0] < tol]
     if failing:
         label, (worst, arg) = "NotCE", failing[0]
     else:
-        # ties keep the earlier sector
-        worst, arg = max(map(summarize, strong), key=lambda pair: pair[0])
+        # a NaN maximum wins, and ties keep the earlier sector
+        worst, arg = max(map(summarize, strong),
+                         key=lambda pair: (np.isnan(pair[0]), pair[0]))
         if worst < tol:
             label = "StronglyCE"
         elif fallback is None:
@@ -564,8 +565,10 @@ def classify(model: LagrangianModel, grid: GridSpec | None = None,
             label = "CE" if worst < tol else "NotCE"
 
     # too few points decided: a failing residual still gives NotCE, and a
-    # birefringent-branch verdict reports no maximum
-    if guard_excluded + degenerate_skipped > 0.5 * total and not worst >= tol:
+    # birefringent-branch verdict, or a fallback that decided no row,
+    # reports no maximum
+    if (guard_excluded + degenerate_skipped > 0.5 * total
+            and (worst < tol or degenerate_skipped == evaluated)):
         label = "Degenerate"
         if general_rows is not None:
             worst, arg = float("nan"), None

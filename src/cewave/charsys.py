@@ -34,7 +34,6 @@ from .jets import (
     TINY,
     InvariantPoint,
     Jet2,
-    Jet3,
     distinct,
     power,
     richardson_central,
@@ -268,7 +267,7 @@ def _scalar_row0(A: float, s, L1: float, L2: float,
     return row
 
 
-def _scalar_theta(A: float, jet: Jet2 | Jet3) -> float:
+def _scalar_theta(A: float, jet: Jet2) -> float:
     theta = A * A * jet.faa - jet.fa
     scale = abs(A * A * jet.faa) + abs(jet.fa)
     if not abs(theta) > DEGENERACY_RTOL * scale:
@@ -303,7 +302,7 @@ def _scalar_axis_matrix(model: LagrangianModel, Q: np.ndarray,
     with its spatial part rotated by Q; the jet is taken at the
     gradient's own z."""
     bg = FieldBackground.scalar(*state)
-    jet = model.jet_at(bg.point(Kind.Scalar))
+    jet = model.jet_at(bg.point(Kind.Scalar), order=2)
     M = np.zeros((4, 4))
     M[0] = _scalar_row0(bg.A, Q @ bg.sigma_spatial, jet.fa, jet.faa,
                         _scalar_theta(bg.A, jet))
@@ -317,7 +316,7 @@ def _vector_axis_matrix(model: LagrangianModel, Q: np.ndarray,
     ``state`` = (E, B) rotated by Q: the flux blocks of the E and B
     equations, reduced by the inverse of the electric time block P."""
     bg = FieldBackground.vector(state[:3], state[3:])
-    jet = model.jet_at(bg.point(Kind.VectorAlpha))
+    jet = model.jet_at(bg.point(Kind.VectorAlpha), wrt=("a",), order=2)
     L1, L2 = jet.fa, jet.faa
     E, B = Q @ bg.E, Q @ bg.B
     eps = _EPS3[0]
@@ -546,7 +545,7 @@ def fresnel_batch(model: LagrangianModel, E, B, nhat) -> FresnelBatch:
         point, b = InvariantPoint(a=a), 0.0
     else:
         point = InvariantPoint(a=a, b=b)
-    jet = model.jet_at(point)
+    jet = model.jet_at(point, order=2)
     K, P, R = np.broadcast_arrays(
         *cone_coefficients(jet.fa, jet.faa, jet.fab, jet.fbb, a, b), a)[:3]
     delta = P * P - 4.0 * K * R

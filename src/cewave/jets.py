@@ -3,12 +3,14 @@
 A ``Jet3`` stores the value of a function of (x, y) together with every
 partial derivative up to third order, and propagates all of them exactly
 through arithmetic.  One-variable models simply ride the first slot and
-keep the y-derivatives at zero.  Two narrower jets keep some of those
-slots: a ``Jet2`` the slots f, fa and faa of a one-variable jet, a
-``Jet1`` the first-order slots f, fa and fb.  Every rule computes a slot
-from the slots of the same or lower order of its operands, so the three
-types share one copy of the rules and agree bit for bit on the slots
-they keep.
+keep the y-derivatives at zero.  Narrower jets keep some of those
+slots: a ``Jet2ab`` the slots up to second order (f, fa, fb, faa, fab,
+fbb), a ``Jet1`` the first-order slots f, fa and fb, and, of a
+one-variable jet, a ``Jet3a`` the slots f, fa, faa and faaa and a
+``Jet2`` the slots f, fa and faa.  Every rule computes a slot from the
+slots of the same or lower order of its operands, so the five types
+share one copy of the rules and agree bit for bit on the slots they
+keep.
 
 The derivative coefficients are stored raw (not divided by factorials), so
 ``jet.faa`` literally equals d2f/dx2 at the expansion point.
@@ -161,15 +163,18 @@ def _short(x) -> str:
     return f"<{x.size} values>" if isinstance(x, np.ndarray) else f"{x:.6g}"
 
 
-# --- rules shared by Jet3, Jet2 and Jet1 -------------------------------------
+# --- rules shared by every jet type ------------------------------------------
 #
 # The jet types bind these functions as their operations.  Each slot of
 # a result comes from the slots of the same or lower order of the
-# operands alone, so each rule computes f and fa first; a Jet2 skips fb
-# and returns after faa, a Jet1 returns after fb, and a Jet3 goes on to
-# its others.  A Jet2, the float path of simple waves, passes one class
-# test per rule.  The product, quotient and chain rules call their
-# operand jets f and g, as the formulas do.
+# operands alone, so a rule computes the slots in the order f, fa, fb,
+# faa, fab, fbb, faaa, faab, fabb, fbbb, skips those its type does not
+# carry and returns after the type's last one: a one-variable type (Jet2,
+# Jet3a) skips the b-slots, a Jet1 returns after fb, a Jet2 after faa, a
+# Jet2ab after fbb and a Jet3a after faaa.  A Jet2, the float path of
+# simple waves, passes at most two class tests per rule.  The product,
+# quotient and chain rules call their operand jets f and g, as the
+# formulas do.
 #
 # A binary rule takes its operand as a value and a jet that supplies the
 # derivative slots (see _operand); for a number or an array that jet is
@@ -197,19 +202,26 @@ def _operand(jet, other):
 
 def _difference(ff, f, gf, g):
     """f - g, where f has the value ff and g the value gf."""
+    cls = f.__class__
     hf = ff - gf
     ha = f.fa - g.fa
-    has_b = f.__class__ is not Jet2
-    if has_b:
+    if cls is not Jet2 and cls is not Jet3a:
         hb = f.fb - g.fb
-        if f.__class__ is Jet1:
+        if cls is Jet1:
             return Jet1._of(hf, ha, hb)
     haa = f.faa - g.faa
-    if not has_b:
+    if cls is Jet2:
         return Jet2._of(hf, ha, haa)
-    return Jet3._of(hf, ha, hb, haa, f.fab - g.fab, f.fbb - g.fbb,
-                    f.faaa - g.faaa, f.faab - g.faab, f.fabb - g.fabb,
-                    f.fbbb - g.fbbb)
+    if cls is not Jet3a:
+        hab = f.fab - g.fab
+        hbb = f.fbb - g.fbb
+        if cls is Jet2ab:
+            return Jet2ab._of(hf, ha, hb, haa, hab, hbb)
+    haaa = f.faaa - g.faaa
+    if cls is Jet3a:
+        return Jet3a._of(hf, ha, haa, haaa)
+    return Jet3._of(hf, ha, hb, haa, hab, hbb, haaa, f.faab - g.faab,
+                    f.fabb - g.fabb, f.fbbb - g.fbbb)
 
 
 def _quotient(ff, f, gf, g):
@@ -219,13 +231,19 @@ def _quotient(ff, f, gf, g):
     hf = ff / gf
     ha = (f.fa - hf * g.fa) / gf
     haa = (f.faa - 2.0 * ha * g.fa - hf * g.faa) / gf
-    if f.__class__ is Jet2:
+    cls = f.__class__
+    if cls is Jet2:
         return Jet2._of(hf, ha, haa)
-    hb = (f.fb - hf * g.fb) / gf
-    hab = (f.fab - ha * g.fb - hb * g.fa - hf * g.fab) / gf
-    hbb = (f.fbb - 2.0 * hb * g.fb - hf * g.fbb) / gf
+    if cls is not Jet3a:
+        hb = (f.fb - hf * g.fb) / gf
+        hab = (f.fab - ha * g.fb - hb * g.fa - hf * g.fab) / gf
+        hbb = (f.fbb - 2.0 * hb * g.fb - hf * g.fbb) / gf
+        if cls is Jet2ab:
+            return Jet2ab._of(hf, ha, hb, haa, hab, hbb)
     haaa = (f.faaa - 3.0 * haa * g.fa - 3.0 * ha * g.faa
             - hf * g.faaa) / gf
+    if cls is Jet3a:
+        return Jet3a._of(hf, ha, haa, haaa)
     haab = (f.faab - haa * g.fb - 2.0 * hab * g.fa
             - 2.0 * ha * g.fab - hb * g.faa - hf * g.faab) / gf
     habb = (f.fabb - 2.0 * hab * g.fb - hbb * g.fa
@@ -239,19 +257,26 @@ def _add(f, other):
     gf, g = _operand(f, other)
     if g is None:
         return NotImplemented
+    cls = f.__class__
     hf = f.f + gf
     ha = f.fa + g.fa
-    has_b = f.__class__ is not Jet2
-    if has_b:
+    if cls is not Jet2 and cls is not Jet3a:
         hb = f.fb + g.fb
-        if f.__class__ is Jet1:
+        if cls is Jet1:
             return Jet1._of(hf, ha, hb)
     haa = f.faa + g.faa
-    if not has_b:
+    if cls is Jet2:
         return Jet2._of(hf, ha, haa)
-    return Jet3._of(hf, ha, hb, haa, f.fab + g.fab, f.fbb + g.fbb,
-                    f.faaa + g.faaa, f.faab + g.faab, f.fabb + g.fabb,
-                    f.fbbb + g.fbbb)
+    if cls is not Jet3a:
+        hab = f.fab + g.fab
+        hbb = f.fbb + g.fbb
+        if cls is Jet2ab:
+            return Jet2ab._of(hf, ha, hb, haa, hab, hbb)
+    haaa = f.faaa + g.faaa
+    if cls is Jet3a:
+        return Jet3a._of(hf, ha, haa, haaa)
+    return Jet3._of(hf, ha, hb, haa, hab, hbb, haaa, f.faab + g.faab,
+                    f.fabb + g.fabb, f.fbbb + g.fbbb)
 
 
 def _neg(self):
@@ -276,24 +301,27 @@ def _mul(f, other):
     gf, g = _operand(f, other)
     if g is None:
         return NotImplemented
+    cls = f.__class__
     hf = f.f * gf
     ha = f.fa * gf + f.f * g.fa
-    has_b = f.__class__ is not Jet2
-    if has_b:
+    if cls is not Jet2 and cls is not Jet3a:
         hb = f.fb * gf + f.f * g.fb
-        if f.__class__ is Jet1:
+        if cls is Jet1:
             return Jet1._of(hf, ha, hb)
     haa = f.faa * gf + 2.0 * f.fa * g.fa + f.f * g.faa
-    if not has_b:
+    if cls is Jet2:
         return Jet2._of(hf, ha, haa)
+    if cls is not Jet3a:
+        hab = f.fab * gf + f.fa * g.fb + f.fb * g.fa + f.f * g.fab
+        hbb = f.fbb * gf + 2.0 * f.fb * g.fb + f.f * g.fbb
+        if cls is Jet2ab:
+            return Jet2ab._of(hf, ha, hb, haa, hab, hbb)
+    haaa = (f.faaa * gf + 3.0 * f.faa * g.fa + 3.0 * f.fa * g.faa
+            + f.f * g.faaa)
+    if cls is Jet3a:
+        return Jet3a._of(hf, ha, haa, haaa)
     return Jet3._of(
-        hf,
-        ha,
-        hb,
-        haa,
-        f.fab * gf + f.fa * g.fb + f.fb * g.fa + f.f * g.fab,
-        f.fbb * gf + 2.0 * f.fb * g.fb + f.f * g.fbb,
-        f.faaa * gf + 3.0 * f.faa * g.fa + 3.0 * f.fa * g.faa + f.f * g.faaa,
+        hf, ha, hb, haa, hab, hbb, haaa,
         f.faab * gf + f.faa * g.fb + 2.0 * f.fab * g.fa
         + 2.0 * f.fa * g.fab + f.fb * g.faa + f.f * g.faab,
         f.fabb * gf + 2.0 * f.fab * g.fb + f.fbb * g.fa
@@ -317,20 +345,24 @@ def _rtruediv(self, other):
 
 
 def _compose(f, g0, g1, g2, g3):
-    """Chain rule for h = g(f) given g, g', g'', g''' at f.f (a Jet2 has
-    no use for g''')."""
+    """Chain rule for h = g(f) given g, g', g'', g''' at f.f (only the
+    third-order types use g''')."""
     ha = g1 * f.fa
     haa = g2 * f.fa * f.fa + g1 * f.faa
-    if f.__class__ is Jet2:
+    cls = f.__class__
+    if cls is Jet2:
         return Jet2._of(g0, ha, haa)
+    if cls is not Jet3a:
+        hb = g1 * f.fb
+        hab = g2 * f.fa * f.fb + g1 * f.fab
+        hbb = g2 * f.fb * f.fb + g1 * f.fbb
+        if cls is Jet2ab:
+            return Jet2ab._of(g0, ha, hb, haa, hab, hbb)
+    haaa = g3 * power(f.fa, 3) + 3.0 * g2 * f.fa * f.faa + g1 * f.faaa
+    if cls is Jet3a:
+        return Jet3a._of(g0, ha, haa, haaa)
     return Jet3._of(
-        g0,
-        ha,
-        g1 * f.fb,
-        haa,
-        g2 * f.fa * f.fb + g1 * f.fab,
-        g2 * f.fb * f.fb + g1 * f.fbb,
-        g3 * power(f.fa, 3) + 3.0 * g2 * f.fa * f.faa + g1 * f.faaa,
+        g0, ha, hb, haa, hab, hbb, haaa,
         (g3 * f.fa * f.fa * f.fb
          + g2 * (f.faa * f.fb + 2.0 * f.fa * f.fab) + g1 * f.faab),
         (g3 * f.fa * f.fb * f.fb
@@ -374,6 +406,19 @@ def _pow(self, exponent):
     return compose(g0, g1, g2, g3)
 
 
+def _constant(cls, c):
+    return cls._of(_slot(c), *_ZEROS[:len(cls.__slots__) - 1])
+
+
+def _variable(cls, value, slot: str = "a"):
+    allowed = [s for s in "ab" if "f" + s in cls.__slots__]
+    if slot not in allowed:
+        raise ValueError(f"slot must be {' or '.join(map(repr, allowed))}, "
+                         f"got {slot!r}")
+    return cls._of(_slot(value), *(float(s == "f" + slot)
+                                    for s in cls.__slots__[1:]))
+
+
 class Jet3:
     """Order-3 Taylor jet in two variables."""
 
@@ -397,17 +442,8 @@ class Jet3:
 
     # --- constructors ---------------------------------------------------
 
-    @classmethod
-    def constant(cls, c) -> "Jet3":
-        return cls._of(_slot(c), *_ZEROS)
-
-    @classmethod
-    def variable(cls, value, slot: str = "a") -> "Jet3":
-        if slot == "a":
-            return cls._of(_slot(value), 1.0, *_ZEROS[1:])
-        if slot == "b":
-            return cls._of(_slot(value), 0.0, 1.0, *_ZEROS[2:])
-        raise ValueError(f"slot must be 'a' or 'b', got {slot!r}")
+    constant = classmethod(_constant)
+    variable = classmethod(_variable)
 
     @classmethod
     def _of(cls, *slots) -> "Jet3":
@@ -440,6 +476,74 @@ class Jet3:
     __pow__ = _pow
 
 
+class Jet2ab:
+    """Order-2 Taylor jet in two variables: the slots f, fa, fb, faa, fab
+    and fbb of a Jet3, by the same rules and so with the same bits.  It
+    raises where that Jet3 does, except where only the Jet3's third
+    derivatives leave the double range."""
+
+    __slots__ = ("f", "fa", "fb", "faa", "fab", "fbb")
+
+    __array_ufunc__ = None
+
+    constant = classmethod(_constant)
+    variable = classmethod(_variable)
+
+    @classmethod
+    def _of(cls, f, fa, fb, faa, fab, fbb) -> "Jet2ab":
+        jet = object.__new__(cls)
+        jet.f, jet.fa, jet.fb, jet.faa, jet.fab, jet.fbb = (f, fa, fb, faa,
+                                                            fab, fbb)
+        return jet
+
+    def as_tuple(self) -> tuple[float, ...]:
+        return self.f, self.fa, self.fb, self.faa, self.fab, self.fbb
+
+    __add__ = __radd__ = _add
+    __neg__ = _neg
+    __sub__ = _sub
+    __rsub__ = _rsub
+    __mul__ = __rmul__ = _mul
+    __truediv__ = _truediv
+    __rtruediv__ = _rtruediv
+    compose = _compose
+    sqrt = _sqrt
+    __pow__ = _pow
+
+
+class Jet3a:
+    """Order-3 Taylor jet in one variable: the slots f, fa, faa and faaa
+    of the Jet3 that rides its first slot, by the same rules and so with
+    the same bits.  It raises where that Jet3 does."""
+
+    __slots__ = ("f", "fa", "faa", "faaa")
+
+    __array_ufunc__ = None
+
+    constant = classmethod(_constant)
+    variable = classmethod(_variable)
+
+    @classmethod
+    def _of(cls, f, fa, faa, faaa) -> "Jet3a":
+        jet = object.__new__(cls)
+        jet.f, jet.fa, jet.faa, jet.faaa = f, fa, faa, faaa
+        return jet
+
+    def as_tuple(self) -> tuple[float, ...]:
+        return self.f, self.fa, self.faa, self.faaa
+
+    __add__ = __radd__ = _add
+    __neg__ = _neg
+    __sub__ = _sub
+    __rsub__ = _rsub
+    __mul__ = __rmul__ = _mul
+    __truediv__ = _truediv
+    __rtruediv__ = _rtruediv
+    compose = _compose
+    sqrt = _sqrt
+    __pow__ = _pow
+
+
 class Jet2:
     """Order-2 Taylor jet in one variable: the slots f, fa and faa of the
     Jet3 that rides its first slot, by the same rules and so with the
@@ -450,13 +554,8 @@ class Jet2:
 
     __array_ufunc__ = None
 
-    @classmethod
-    def constant(cls, c) -> "Jet2":
-        return cls._of(_slot(c), 0.0, 0.0)
-
-    @classmethod
-    def variable(cls, value) -> "Jet2":
-        return cls._of(_slot(value), 1.0, 0.0)
+    constant = classmethod(_constant)
+    variable = classmethod(_variable)
 
     @classmethod
     def _of(cls, f, fa, faa) -> "Jet2":
@@ -481,8 +580,8 @@ class Jet2:
 
 def _first_order_only(jet):
     raise TypeError(f"a {jet.__class__.__name__} carries first-order slots "
-                    "only: sqrt, division and fractional powers need a Jet2 "
-                    "or a Jet3")
+                    "only: sqrt, division and fractional powers need a jet "
+                    "of second or third order")
 
 
 class Jet1:
@@ -501,17 +600,8 @@ class Jet1:
         self.fa = _slot(fa)
         self.fb = _slot(fb)
 
-    @classmethod
-    def constant(cls, c) -> "Jet1":
-        return cls._of(_slot(c), 0.0, 0.0)
-
-    @classmethod
-    def variable(cls, value, slot: str = "a") -> "Jet1":
-        if slot == "a":
-            return cls._of(_slot(value), 1.0, 0.0)
-        if slot == "b":
-            return cls._of(_slot(value), 0.0, 1.0)
-        raise ValueError(f"slot must be 'a' or 'b', got {slot!r}")
+    constant = classmethod(_constant)
+    variable = classmethod(_variable)
 
     @classmethod
     def _of(cls, f, fa, fb) -> "Jet1":
@@ -533,12 +623,11 @@ class Jet1:
     compose = sqrt = property(_first_order_only)
 
 
-# the derivative slots of a number or array operand (see _operand)
-Jet3._zero = Jet3.constant(0.0)
-Jet2._zero = Jet2.constant(0.0)
-Jet1._zero = Jet1.constant(0.0)
+JETS = (Jet3, Jet2ab, Jet3a, Jet2, Jet1)
 
-JETS = (Jet3, Jet2, Jet1)
+# the derivative slots of a number or array operand (see _operand)
+for _type in JETS:
+    _type._zero = _type.constant(0.0)
 
 
 def sqrt(x):

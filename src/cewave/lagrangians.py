@@ -9,10 +9,11 @@ A model is a scalar function of up to three invariants:
 Models come from a small built-in catalog (families whose exceptionality
 status is known in closed form) or from expression text parsed by
 ``parse_lagrangian``.  Either way the evaluator is polymorphic: fed plain
-floats it returns a float, fed ``Jet3`` values it returns the full
-third-order jet, which is what every downstream residual needs, and fed
-a ``Jet2`` in z it returns the order-2 jet of a scalar model.  Arrays
-(and jets with array slots) evaluate a whole grid of points at once.
+floats it returns a float, and fed jets of one type it returns the
+model's jet of that type, with the slots its reader needs
+(``LagrangianModel.jet_at`` picks the type from the number of
+variables and the order).  Arrays (and jets with array slots) evaluate
+a whole grid of points at once.
 
 The expression grammar is deliberately tiny: ``+ - * / ^`` with numeric
 literals, ``sqrt``, and the invariant names.  ``^`` binds tighter than
@@ -35,8 +36,8 @@ from typing import Callable, NoReturn
 import numpy as np
 
 from .errors import BadParams, DomainError, KindError, ParseError, UnknownModel
-from .jets import (JETS, TINY, InvariantPoint, Jet2, Jet3, check_domain,
-                   divide, power, sqrt as _sqrt)
+from .jets import (JETS, TINY, InvariantPoint, Jet2, Jet2ab, Jet3, Jet3a,
+                   check_domain, divide, power, sqrt as _sqrt)
 
 
 class Kind(enum.Enum):
@@ -51,8 +52,10 @@ class Kind(enum.Enum):
 
     @property
     def jet_variables(self) -> tuple[str, ...]:
-        """Invariants that become jet slots (at most two)."""
-        return self.variables[:2]
+        """The variables of the kind's primary jet: z for a Scalar model,
+        (a, b) for the others, whose readers take (a, b)-jets (an L(a)
+        model's b-slots are zero)."""
+        return ("z",) if self is Kind.Scalar else ("a", "b")
 
 
 _SCALAR = Kind.Scalar  # bound once: jet2_at tests it per simple-wave state
@@ -63,6 +66,10 @@ _KIND_VARS = {
     Kind.VectorAlphaBeta: ("a", "b"),
     Kind.VectorScalar: ("a", "b", "z"),
 }
+
+# (number of variables, order) -> the jet type with exactly those slots
+# (first-order jets are built from a jet's slots, not from the model)
+_JET_TYPES = {(1, 2): Jet2, (1, 3): Jet3a, (2, 2): Jet2ab, (2, 3): Jet3}
 
 
 def kind_from_text(text: str) -> Kind:
@@ -260,16 +267,6 @@ class LagrangianModel:
     fn: Callable  # maps an env dict of jet/float/array values to one
     guard: Callable[[dict], bool] | None = None
 
-    def _env(self, point: InvariantPoint, jet_names: tuple[str, ...]) -> dict:
-        env: dict = {}
-        for i, name in enumerate(jet_names):
-            slot = "a" if i == 0 else "b"
-            env[name] = Jet3.variable(point.get(name), slot)
-        for name in self.kind.variables:
-            if name not in env:
-                env[name] = point.get(name)
-        return env
-
     def _eval(self, env: dict):
         try:
             return self.fn(env)
@@ -284,14 +281,26 @@ class LagrangianModel:
         return out if isinstance(out, np.ndarray) else float(out)
 
     def jet_at(self, point: InvariantPoint,
-               wrt: tuple[str, ...] | None = None) -> Jet3:
-        """Third-order jet with respect to ``wrt`` (default: primary vars)."""
+               wrt: tuple[str, ...] | None = None, order: int = 3):
+        """The jet of ``order`` in the variables ``wrt`` (default: the
+        kind's ``jet_variables``), of the type that carries exactly those
+        slots (``_JET_TYPES``); the first variable rides slot a.  A
+        variable the model does not read keeps zero slots, and a constant
+        output is wrapped in the same type."""
         names = self.kind.jet_variables if wrt is None else wrt
         if len(names) > 2:
             raise ValueError("a jet covers at most two variables")
-        out = self._eval(self._env(point, names))
-        if not isinstance(out, Jet3):
-            out = Jet3.constant(out)
+        jet_type = _JET_TYPES.get((len(names), order))
+        if jet_type is None:
+            raise ValueError(f"no jet of order {order} in {len(names)} "
+                             "variable(s)")
+        env = {name: point.get(name) for name in self.kind.variables}
+        for slot, name in zip("ab", names):
+            if name in env:
+                env[name] = jet_type.variable(env[name], slot)
+        out = self._eval(env)
+        if not isinstance(out, jet_type):
+            out = jet_type.constant(out)
         return out
 
     def jet2_at(self, z: float) -> Jet2:

@@ -89,7 +89,7 @@ class QuarticHamiltonian:
     def __init__(self, model: LagrangianModel, bg: FieldBackground):
         _check_field_model(model)
         point = bg.point(model.kind)
-        jet = model.jet_at(point)
+        jet = model.jet_at(point, order=2)
         b = point.b if point.b is not None else 0.0
         K, P, R = cone_coefficients(jet.fa, jet.faa, jet.fab, jet.fbb,
                                     point.a, b)

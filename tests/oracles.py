@@ -289,7 +289,7 @@ def jet_check_fd(model, point: InvariantPoint, step: float = 1e-5) -> float:
     forward-mode propagation rules are wired correctly.
     """
     jet = model.jet_at(point)
-    names = model.kind.jet_variables
+    names = model.kind.variables[:2]
     h = float(step)
 
     def val(p: InvariantPoint) -> float:
@@ -302,13 +302,11 @@ def jet_check_fd(model, point: InvariantPoint, step: float = 1e-5) -> float:
         worst = max(worst, abs(got - fd) / (1.0 + abs(fd)))
 
     v0 = val(point)
-    first = {"a": jet.fa, "b": jet.fb}
-    pure2 = {"a": jet.faa, "b": jet.fbb}
     for slot, name in zip(("a", "b"), names):
         vp = val(point.shifted(name, +h))
         vm = val(point.shifted(name, -h))
-        track(first[slot], (vp - vm) / (2.0 * h))
-        track(pure2[slot], (vp - 2.0 * v0 + vm) / (h * h))
+        track(getattr(jet, "f" + slot), (vp - vm) / (2.0 * h))
+        track(getattr(jet, "f" + 2 * slot), (vp - 2.0 * v0 + vm) / (h * h))
     if len(names) == 2:
         na, nb = names
         vpp = val(point.shifted(na, +h).shifted(nb, +h))
@@ -317,6 +315,38 @@ def jet_check_fd(model, point: InvariantPoint, step: float = 1e-5) -> float:
         vmm = val(point.shifted(na, -h).shifted(nb, -h))
         track(jet.fab, (vpp - vpm - vmp + vmm) / (4.0 * h * h))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# The third-order jets the readers took before they took narrower ones
+# ---------------------------------------------------------------------------
+
+def jet3_at(model: LagrangianModel, point: InvariantPoint,
+            wrt: tuple[str, ...] | None = None) -> Jet3:
+    """The model's ``Jet3`` in ``wrt`` (default: the first two variables
+    of its kind), the first riding slot a: one-variable jets keep zero
+    b-slots.  This is what ``LagrangianModel.jet_at`` gave every reader
+    before it picked the type from the variable count and the order."""
+    names = model.kind.variables[:2] if wrt is None else wrt
+    env = {name: point.get(name) for name in model.kind.variables}
+    for slot, name in zip("ab", names):
+        env[name] = Jet3.variable(point.get(name), slot)
+    out = model._eval(env)
+    return out if isinstance(out, Jet3) else Jet3.constant(out)
+
+
+class Jet3Model(LagrangianModel):
+    """A model whose every jet is its ``Jet3`` (``jet3_at``), whatever
+    variables and order a reader asks for: each reader of ``jet_at``
+    runs its route from before the narrower types on it."""
+
+    def jet_at(self, point: InvariantPoint,
+               wrt: tuple[str, ...] | None = None, order: int = 3) -> Jet3:
+        return jet3_at(self, point, wrt)
+
+
+def jet3_model(model: LagrangianModel) -> Jet3Model:
+    return Jet3Model(model.name, model.kind, model.fn, model.guard)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +418,8 @@ def report_text(report: CEReport) -> str:
 def classify_per_point(model: LagrangianModel, grid: GridSpec | None = None,
                        tol: float = DEFAULT_TOL) -> dict:
     """The report document that ``ce.classify`` writes as JSON text,
-    computed one grid point at a time."""
+    computed one grid point at a time, every sector on the model's
+    ``Jet3`` (``jet3_model``)."""
     if grid is None:
         grid = GridSpec.default(model.kind)
     names = model.kind.variables
@@ -417,28 +448,34 @@ def classify_per_point(model: LagrangianModel, grid: GridSpec | None = None,
     gates, strong, fallback = _CLASSIFY_TABLE[model.kind]
     sectors = [s for s in dict.fromkeys((*gates, *strong, fallback))
                if s in _SECTORS]
-    jets = [model.jet_at(pt) for pt in points]
+    jet3 = jet3_model(model)
+    jets = [jet3.jet_at(pt) for pt in points]
     per_point = [{"point": _point_dict(pt),
-                  "residuals": {s: _SECTORS[s](model, pt, jet)
+                  "residuals": {s: _SECTORS[s](jet3, pt, jet)
                                 for s in sectors}}
                  for pt, jet in zip(points, jets)]
     degenerate_skipped = 0
 
     def summarize(key: str) -> tuple[float, dict | None]:
+        # a NaN residual fails the sector, with no argmax
         worst, arg = -1.0, None
         for row in per_point:
             if key in row["residuals"]:
-                value = max(row["residuals"][key])
-                if value > worst:
-                    worst, arg = value, row["point"]
+                values = row["residuals"][key]
+                if any(map(math.isnan, values)):
+                    return float("nan"), None
+                if max(values) > worst:
+                    worst, arg = max(values), row["point"]
         return (worst if worst >= 0 else float("nan")), arg
 
-    failing = [pair for pair in map(summarize, gates) if pair[0] >= tol]
+    failing = [pair for pair in map(summarize, gates)
+               if not pair[0] < tol]
     if failing:
         label, (worst, arg) = "NotCE", failing[0]
     else:
-        # ties keep the earlier sector
-        worst, arg = max(map(summarize, strong), key=lambda pair: pair[0])
+        # a NaN maximum wins, and ties keep the earlier sector
+        worst, arg = max(map(summarize, strong),
+                         key=lambda pair: (math.isnan(pair[0]), pair[0]))
         if worst < tol:
             label = "StronglyCE"
         elif fallback is None:
@@ -454,12 +491,13 @@ def classify_per_point(model: LagrangianModel, grid: GridSpec | None = None,
                         degenerate_skipped += 1
             worst, arg = summarize(fallback)
             label = "CE" if worst < tol else "NotCE"
-            if (fallback == "general" and not worst >= tol
+            no_row = degenerate_skipped == len(points)
+            if (fallback == "general" and (worst < tol or no_row)
                     and guard_excluded + degenerate_skipped > 0.5 * total):
                 label, worst, arg = "Degenerate", float("nan"), None
 
     # a failing residual at an evaluated point stays NotCE
-    if guard_excluded > 0.5 * total and not worst >= tol:
+    if guard_excluded > 0.5 * total and worst < tol:
         label = "Degenerate"
 
     return document(label, worst, arg,
@@ -852,7 +890,9 @@ def fresnel_batch_numpy_helpers(model: LagrangianModel, E, B,
                                 nhat) -> FresnelBatch:
     """``charsys.fresnel_batch`` as it was written with ``np.cross`` for
     n x B and ``np.select`` over its seven reasons for ``unusable``; it
-    must give every field of the batch bit for bit."""
+    must give every field of the batch bit for bit.  (Its jet is the
+    second-order one ``fresnel_batch`` reads; ``jet3_model`` gives the
+    route on the ``Jet3``.)"""
     _check_field_model(model)
     E, B, nhat = (np.asarray(v, dtype=float).reshape(-1, 3)
                   for v in (E, B, nhat))
@@ -862,7 +902,7 @@ def fresnel_batch_numpy_helpers(model: LagrangianModel, E, B,
         point, b = InvariantPoint(a=a), 0.0
     else:
         point = InvariantPoint(a=a, b=b)
-    jet = model.jet_at(point)
+    jet = model.jet_at(point, order=2)
     K, P, R = np.broadcast_arrays(
         *cone_coefficients(jet.fa, jet.faa, jet.fab, jet.fbb, a, b), a)[:3]
     delta = P * P - 4.0 * K * R

@@ -19,7 +19,9 @@ from cewave.ce import (
     GridSpec,
     VectorCharData,
     _margin_ok,
+    _scalar_sector,
     _tar_terms,
+    _worst,
     classify,
     coupling_residuals,
     general_ce_residuals,
@@ -29,7 +31,7 @@ from cewave.ce import (
 from cewave.charsys import ROW_BLOCK, cone_coefficients, fresnel_batch
 from cewave.cli import main, parse_grid
 from cewave.errors import CewaveError, DegeneracyError, EmptyGrid, FloatOverflow
-from cewave.jets import InvariantPoint, Jet3
+from cewave.jets import DomainMask, InvariantPoint, Jet3, Jet3a
 from cewave.lagrangians import (
     Kind,
     LagrangianModel,
@@ -44,6 +46,7 @@ from oracles import (
     appendix_raw,
     classify_per_point,
     general_ce_raw,
+    jet3_model,
     margin_ok_flat,
     nondegenerate_jet,
     report_text,
@@ -1039,3 +1042,126 @@ def test_writing_a_report_holds_a_bounded_share_of_it(tmp_path):
             tracemalloc.stop()
     assert out.stat().st_size > 7_000_000
     assert peak < 2_000_000
+
+
+# --- readers of second-order and one-variable jets against their Jet3 routes --
+
+def _column_bits(values) -> list:
+    """Each value's type, shape, NaN positions and the bits of the rest."""
+    out = []
+    for v in values:
+        a = np.asarray(v, dtype=float)
+        nan = np.isnan(a)
+        out.append((type(v), a.shape, nan.tobytes(),
+                    np.where(nan, 0.0, a).tobytes()))
+    return out
+
+
+def _sector_outcome(call):
+    try:
+        with DomainMask(), np.errstate(all="ignore"):
+            return _column_bits(call())
+    except CewaveError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_readers_match_jet3(model, point) -> None:
+    """The coupling and z sectors give the columns of their Jet3 routes,
+    NaN for NaN, at the grid's points and at single points."""
+    jet3 = jet3_model(model)
+    points = [point, *(point.take(i) for i in (0, -1, 7))]
+    for p in points:
+        try:
+            with DomainMask(), np.errstate(all="ignore"):
+                jet, old = model.jet_at(p), jet3.jet_at(p)
+        except CewaveError:
+            continue
+        assert type(jet) is (Jet3a if model.kind is Kind.Scalar else Jet3)
+        sectors = [_scalar_sector]
+        if model.kind is Kind.VectorScalar:
+            sectors.append(coupling_residuals)
+        for sector in sectors:
+            got = _sector_outcome(lambda: sector(model, p, jet))
+            want = _sector_outcome(lambda: sector(jet3, p, old))
+            assert got == want, sector.__name__
+
+
+# models that read none of a, b or z, or only some of them, and chain
+# rules whose mixed slots the couplings read
+_PARTIAL_MODELS = ["1", "a", "b", "z", "b*b", "a*z", "0.5*z^2 - z",
+                   "sqrt(1 + a) - z", "1/(a + 1)", "(b - 2)^-1 + z^3",
+                   "sqrt(2 + a*z + b)", "(3 + a - b*z)^-1.5"]
+
+
+@pytest.mark.parametrize("text", _PARTIAL_MODELS)
+def test_coupling_and_z_sector_match_their_jet3_routes(text):
+    grid = GridSpec(dict(_DYADIC_GRIDS["vector-scalar"]))
+    _assert_readers_match_jet3(from_expression(text, "vector-scalar"),
+                               grid.point(("a", "b", "z")))
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind_and_text=_KIND_AND_TEXT.filter(
+    lambda kt: kt[0] in ("scalar", "vector-scalar")))
+@example(kind_and_text=("vector-scalar", "(sqrt((1 + a)) + ((z - 0.25))^-1)"))
+@example(kind_and_text=("scalar", "((1 + (2 * z)))^-0.5"))
+def test_readers_of_grammar_draws_match_their_jet3_routes(kind_and_text):
+    kind, text = kind_and_text
+    names = Kind(kind).variables
+    grid = GridSpec(dict(_DYADIC_GRIDS[kind]))
+    _assert_readers_match_jet3(from_expression(text, kind), grid.point(names))
+
+
+@pytest.mark.parametrize("model", [
+    builtin("scalar-bi"), builtin("scalar-maxwell"),
+    from_expression("1 - sqrt(1 + a - b^2) + 0.1*z^2 - z", "vector-scalar"),
+    from_expression("0.7*a*z + b", "vector-scalar"),
+    from_expression("-0.5*a + 0.25*a^3 - b^2 + z + 2*z^2",
+                    "vector-scalar"),
+    from_expression("b", "vector-scalar"),
+    from_expression("1e200*z*z*z", "vector-scalar"),
+    from_expression("z + z^3", "scalar"),
+    from_expression("2", "scalar"),
+], ids=lambda m: m.name)
+def test_classify_reports_the_bytes_of_the_jet3_routes(model):
+    assert report_text(classify(model)) == report_text(
+        classify(jet3_model(model)))
+
+
+# --- a NaN residual fails its sector -------------------------------------------
+
+def test_worst_is_nan_when_a_taking_part_row_is_nan():
+    nan = math.nan
+    first, second = np.array([0.1, nan, 0.3]), np.array([0.2, 0.0, nan])
+    assert _worst([first], None)[1] is None
+    assert _worst([second, first], None)[1] is None
+    keep = np.array([True, False, False])
+    assert _worst([first, second], keep) == (0.2, 0)
+    assert _worst([np.array([0.1, 0.3, 0.3])], None) == (0.3, 1)
+    worst, index = _worst([first], np.zeros(3, dtype=bool))
+    assert math.isnan(worst) and index is None
+
+
+@pytest.mark.parametrize("text, kind, sector, nan_rows", [
+    # the rows of 21, 441 and 2205 whose sector residual is NaN; the
+    # others pass
+    ("1e200*a*a*a", "alpha", "strong", 20),
+    ("1e160*(a*a*a + b*b*b)", "alpha-beta", "strong", 420),
+    ("1e200*z*z*z", "vector-scalar", "scalar", 1764),
+    # more than half the points fail the margin: NaN fails, so the
+    # label stays NotCE and is not Degenerate
+    ("1e200*a*a*a + sqrt(a - 1)", "alpha", "strong", None),
+])
+def test_a_nan_residual_fails_its_sector(text, kind, sector, nan_rows):
+    model = from_expression(text, kind)
+    report = classify(model)
+    assert report.label == "NotCE"
+    assert math.isnan(report.max_residual) and report.argmax_point is None
+    rows = np.logical_or.reduce([np.isnan(c)
+                                 for c in report.residuals[sector]])
+    assert rows.any()
+    if nan_rows is not None:
+        assert int(rows.sum()) == nan_rows
+    else:
+        assert report.counts["guard_excluded"] > report.counts["total"] / 2
+    _assert_same_as_per_point(model)

@@ -29,6 +29,7 @@ from cewave.charsys import (
     write_scan_csv,
 )
 from cewave.errors import (
+    CewaveError,
     DegenerateQuartic,
     DegenerateSystem,
     DomainError,
@@ -47,6 +48,7 @@ from oracles import (
     biorthogonality_defect,
     crosscheck_cone_vs_eigen,
     fresnel_batch_numpy_helpers,
+    jet3_model,
     repr_csv,
     scalar_axis_matrix,
     scalar_model_cone,
@@ -886,3 +888,90 @@ def test_fresnel_roots_with_non_finite_coefficients_raise():
         fresnel_batch(from_expression("1e200*a*b^2", "alpha-beta"),
                       [[0.3, 0, 0], [0, 0, 0]], [[0.2, 0.4, 0], [0, 0, 0]],
                       [[1, 0, 0], [1, 0, 0]])
+
+
+# --- second-order jets against the Jet3 routes --------------------------------
+
+# field models that read neither a nor b, or one of them only
+_PARTIAL_FIELD_MODELS = [from_expression(text, kind) for text, kind in (
+    ("1", "alpha"), ("0.5", "alpha-beta"), ("a", "alpha-beta"),
+    ("b*b", "alpha-beta"), ("-0.5*a + b^4", "alpha-beta"),
+    ("1 - sqrt(1 + 1e200*a)", "alpha"))]
+
+
+def _outcome(call):
+    try:
+        with DomainMask(), np.errstate(all="ignore"):
+            return call()
+    except CewaveError as exc:
+        return type(exc), str(exc)
+
+
+_CUBE_OVERFLOW = (FloatOverflow,
+                  "a power with exponent 3 leaves the double range")
+
+
+def _only_the_jet3_overflows(got, want) -> bool:
+    """Whether the Jet3 route raised where only its third derivatives
+    left the double range (the cube of a first-order slot in the chain
+    rule), and the route on second-order jets did not raise that: it
+    gives a result or overflows later, in its own powers."""
+    raised = isinstance(got, tuple) and isinstance(got[0], type)
+    return (want == _CUBE_OVERFLOW and got != want
+            and (not raised or got[0] is FloatOverflow))
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=st.sampled_from(_EDGE_MODELS + _PARTIAL_FIELD_MODELS),
+       stack=st.lists(_edge_row, min_size=1, max_size=6))
+@example(model=builtin("born-infeld"),
+         stack=[([0.0, 0.0, 1e155], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0])])
+def test_fresnel_batch_matches_its_jet3_route(model, stack):
+    # every field of the batch, NaN for NaN, or the same error; the Jet3
+    # route also raises where only its third derivatives overflow
+    E, B, n = (np.array(v) for v in zip(*stack))
+    got = _outcome(lambda: fresnel_batch(model, E, B, n))
+    want = _outcome(lambda: fresnel_batch(jet3_model(model), E, B, n))
+    if _only_the_jet3_overflows(got, want) or isinstance(want, tuple):
+        assert got == want or want == _CUBE_OVERFLOW
+        return
+    assert list(vars(got)) == list(vars(want))
+    for name, field in vars(want).items():
+        assert _canonical(getattr(got, name)) == _canonical(field), name
+
+
+def _coefficient_bits(h: QuarticHamiltonian) -> tuple:
+    return _canonical(np.array([h.K, h.P, h.R]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=st.sampled_from(_FIELD_BUILTINS + _PARTIAL_FIELD_MODELS),
+       E=_vector, B=_vector)
+@example(model=builtin("born-infeld"), E=[0.0, -0.0, 0.0], B=[-0.0, 0.0, 0.0])
+@example(model=_PARTIAL_FIELD_MODELS[-1], E=[0.0, 0.0, 0.0], B=[0.0, 0.0, 0.0])
+def test_quartic_hamiltonian_matches_its_jet3_route(model, E, B):
+    bg = FieldBackground.vector(E, B)
+    got = _outcome(lambda: _coefficient_bits(QuarticHamiltonian(model, bg)))
+    want = _outcome(lambda: _coefficient_bits(
+        QuarticHamiltonian(jet3_model(model), bg)))
+    assert got == want or _only_the_jet3_overflows(got, want)
+
+
+def test_axis_matrices_match_their_jet3_routes():
+    rng = np.random.default_rng(23)
+    Q = charsys.rotation_to_x1(np.array([0.6, 0.0, 0.8]))
+    cases = [(charsys._scalar_axis_matrix, model, rng.uniform(-0.5, 0.5, 4))
+             for model in (builtin("scalar-bi"), builtin("scalar-maxwell"),
+                           from_expression("z - z^3", "scalar"),
+                           from_expression("2", "scalar"))
+             for _ in range(5)]
+    cases += [(charsys._vector_axis_matrix, model, rng.uniform(-1.0, 1.0, 6))
+              for model in (builtin("maxwell"),
+                            builtin("perturbed-maxwell", [0.1]),
+                            builtin("sqrt-family", [1.0, 3.0, 1.0]),
+                            from_expression("1", "alpha"))
+              for _ in range(5)]
+    for build, model, state in cases:
+        got = _outcome(lambda: build(model, Q, state).tobytes())
+        want = _outcome(lambda: build(jet3_model(model), Q, state).tobytes())
+        assert got == want

@@ -16,7 +16,9 @@ from cewave.jets import (
     InvariantPoint,
     Jet1,
     Jet2,
+    Jet2ab,
     Jet3,
+    Jet3a,
     divide,
     power,
     sqrt,
@@ -29,7 +31,7 @@ from cewave.lagrangians import (
     parse_lagrangian,
 )
 
-from oracles import jet_check_fd
+from oracles import jet3_at, jet_check_fd
 
 
 def _bi_partials(a: float, b: float) -> dict[str, float]:
@@ -820,3 +822,181 @@ def test_jet1_refuses_the_rules_it_does_not_carry(call, value):
         _REFUSED[call](jet)
     with DomainMask(), pytest.raises(TypeError, match="Jet1"):
         _REFUSED[call](jet)
+
+
+# --- second-order jets in (a, b) and third-order jets in a ---------------------
+
+_RULE_OPS = ("__add__", "__radd__", "__neg__", "__sub__", "__rsub__",
+             "__mul__", "__rmul__", "__truediv__", "__rtruediv__", "compose",
+             "sqrt", "__pow__")
+
+
+@pytest.mark.parametrize("cls", [Jet2ab, Jet3a])
+def test_narrow_jets_bind_the_shared_rules(cls):
+    for name in _RULE_OPS:
+        assert vars(cls)[name] is vars(Jet3)[name] is vars(Jet2)[name]
+    assert cls in jets.JETS
+
+
+# The slots of a Jet3 that each narrower type keeps, by position in
+# Jet3.as_tuple(): f fa fb faa fab fbb faaa faab fabb fbbb.
+_KEPT = {Jet2ab: (0, 1, 2, 3, 4, 5), Jet3a: (0, 1, 3, 6)}
+
+
+def _narrowed(cls, jet3: Jet3):
+    slots = jet3.as_tuple()
+    return cls._of(*(slots[i] for i in _KEPT[cls]))
+
+
+def _riding_jet3(cls, slots: list) -> Jet3:
+    """The Jet3 whose kept slots are ``slots``: a Jet2ab's Jet3 draws its
+    third-order slots too, since no second-order slot may depend on
+    them; a Jet3a's Jet3 rides slot a, with zero b-slots."""
+    out = [0.0] * 10
+    for i, v in zip(_KEPT[cls], slots):
+        out[i] = v
+    if cls is Jet2ab:
+        out[6:] = slots[len(_KEPT[cls]):]
+    return Jet3._of(*out)
+
+
+def _narrow_pair(cls):
+    """(narrow jet, its Jet3), slots all floats or all arrays."""
+    size = len(_KEPT[cls]) + (4 if cls is Jet2ab else 0)
+    return st.one_of(_slots(size, False), _slots(size, True)).map(
+        lambda slots: (cls._of(*slots[:len(_KEPT[cls])]),
+                       _riding_jet3(cls, slots)))
+
+
+_NARROW_RULES = {
+    **_JET1_RULES,
+    "jet / c": lambda j, c: j / c,
+    "c / jet": lambda j, c: c / j,
+    "divide(c, jet)": lambda j, c: divide(c, j),
+    "sqrt": lambda j, c: sqrt(j),
+    **{f"jet ** {e}": lambda j, c, e=e: j ** e
+       for e in (-2, -1, 0.5, 1.5, -0.5, 2.5)},
+    "compose": lambda j, c: j.compose(2.0, -0.5, 3.0, 1e300),
+}
+
+
+def _assert_narrow_matches_jet3(cls, op, pair, c) -> None:
+    narrow, jet3 = pair
+    got = _rule_outcome(lambda: op(narrow, c[0]))
+    want = _rule_outcome(lambda: _narrowed(cls, op(jet3, c[1])))
+    if (cls is Jet2ab and want[0] is FloatOverflow
+            and isinstance(got[0], type) and got[0] is Jet2ab):
+        # only the Jet3's third derivatives left the double range: the
+        # cube of a first-order slot in the chain rule
+        assert want[1] == "a power with exponent 3 leaves the double range"
+        return
+    assert got == want
+
+
+_PAIR_OF = {cls: _narrow_pair(cls) for cls in _KEPT}
+
+
+@pytest.mark.parametrize("cls", [Jet2ab, Jet3a])
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data(), rule=st.sampled_from(sorted(_NARROW_RULES)))
+def test_narrow_jets_match_the_slots_of_jet3_bit_for_bit(cls, data, rule):
+    # the same rule on the Jet3 computes the kept slots by the same
+    # operations, so the narrow jet keeps their bits, signs of zero
+    # included, a NaN stays a NaN, and every DomainError and
+    # FloatOverflow keeps its text
+    pair = data.draw(_PAIR_OF[cls])
+    c = data.draw(st.one_of(_OPERAND.map(lambda c: (c, c)), _PAIR_OF[cls]))
+    _assert_narrow_matches_jet3(cls, _NARROW_RULES[rule], pair, c)
+
+
+@pytest.mark.parametrize("cls, pair, c, rule", [
+    # the cube of fb = 1e200 overflows in the Jet3's fbbb only
+    (Jet2ab, (Jet2ab._of(4.0, 1.0, 1e200, 0.0, 0.0, 0.0),
+              Jet3._of(4.0, 1.0, 1e200, *(0.0,) * 7)), (0.0, 0.0), "sqrt"),
+    (Jet3a, (Jet3a._of(-0.0, math.inf, math.nan, -0.0),
+             Jet3._of(-0.0, math.inf, 0.0, math.nan, 0.0, 0.0, -0.0,
+                      0.0, 0.0, 0.0)), (-0.0, -0.0), "c * jet"),
+    (Jet2ab, (Jet2ab._of(0.0, 1.0, 2.0, 3.0, 4.0, 5.0),
+              Jet3._of(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0)),
+     (1.0, 1.0), "c / jet"),
+])
+def test_narrow_jets_match_jet3_at_the_edges(cls, pair, c, rule):
+    _assert_narrow_matches_jet3(cls, _NARROW_RULES[rule], pair, c)
+
+
+def test_narrow_jets_raise_where_jet3_does():
+    # a Jet2ab carries no third derivative that could overflow
+    with pytest.raises(FloatOverflow, match="exponent 3"):
+        sqrt(Jet3._of(4.0, 1.0, 1e200, *(0.0,) * 7))
+    assert sqrt(Jet2ab._of(4.0, 1.0, 1e200, 0.0, 0.0, 0.0)).fb == 2.5e199
+    with pytest.raises(FloatOverflow, match="exponent 3"):
+        sqrt(Jet3a.variable(4.0) * 1e200 + 1.0)
+    for cls in (Jet2ab, Jet3a):
+        with pytest.raises(DomainError, match="sqrt of a non-positive jet"):
+            sqrt(cls.variable(-1.0))
+        with pytest.raises(DomainError, match="division by a jet"):
+            1.0 / cls.variable(0.0)
+        with DomainMask() as mask:
+            out = sqrt(cls.variable(np.array([4.0, -1.0])))
+        assert mask.bad.tolist() == [False, True]
+        assert np.isnan(out.f[1]) and out.f[0] == 2.0
+
+
+_JET_TYPES = {(1, 2): Jet2, (1, 3): Jet3a, (2, 2): Jet2ab, (2, 3): Jet3}
+
+
+@pytest.mark.parametrize("text, kind, point", [
+    ("a*a*b - 0.5*a + b^3", "alpha-beta", InvariantPoint(a=0.3, b=-0.7)),
+    ("a*z + b*b*z - z^3", "vector-scalar",
+     InvariantPoint(a=0.5, b=0.25, z=-0.3)),
+    ("1.5", "vector-scalar", InvariantPoint(a=0.5, b=0.25, z=-0.3)),
+    ("-0.5*a + 0.1*a^2", "alpha", InvariantPoint(a=0.4)),
+    ("z - z^2", "scalar", InvariantPoint(z=0.2)),
+])
+def test_jet_at_picks_the_type_from_variables_and_order(text, kind, point):
+    model = from_expression(text, kind)
+    names = [n for n in ("a", "b", "z") if n in model.kind.variables]
+    for wrt in [None, *((n,) for n in names),
+                *((m, n) for m in names for n in names if m != n)]:
+        count = len(model.kind.jet_variables if wrt is None else wrt)
+        want3 = jet3_at(model, point, wrt if wrt is not None
+                        else tuple(model.kind.variables[:2]))
+        for order in (1, 2, 3):
+            cls = _JET_TYPES.get((count, order))
+            if cls is None:
+                with pytest.raises(ValueError, match="no jet of order"):
+                    model.jet_at(point, wrt, order)
+                continue
+            got = model.jet_at(point, wrt, order)
+            assert type(got) is cls  # constant outputs too
+            kept = dict(zip(jets._SLOTS, want3.as_tuple()))
+            assert got.as_tuple() == tuple(kept[s] for s in cls.__slots__)
+
+
+def test_jet_at_of_a_one_variable_field_model_is_an_ab_jet():
+    # the L(a) readers (strong sector, cone) read b-slots, which are zero
+    jet = builtin("perturbed-maxwell", [0.1]).jet_at(InvariantPoint(a=1.0))
+    assert type(jet) is Jet3
+    assert (jet.fb, jet.fab, jet.fbb, jet.faab, jet.fabb, jet.fbbb) == (
+        (0.0,) * 6)
+    assert type(builtin("scalar-bi").jet_at(InvariantPoint(z=0.1))) is Jet3a
+    with pytest.raises(ValueError, match="at most two"):
+        builtin("born-infeld").jet_at(InvariantPoint(a=0.1, b=0.2, z=0.0),
+                                      ("a", "b", "z"))
+
+
+@pytest.mark.parametrize("cls", [Jet3, Jet2ab, Jet3a, Jet2, Jet1])
+def test_variable_and_constant_of_every_type(cls):
+    names = [s for s in "ab" if "f" + s in cls.__slots__]
+    for slot in names:
+        jet = cls.variable(0.5, slot)
+        assert jet.as_tuple() == tuple(
+            0.5 if s == "f" else float(s == "f" + slot)
+            for s in cls.__slots__)
+    with pytest.raises(ValueError, match="slot must be 'a'"):
+        cls.variable(0.5, "z")
+    if names == ["a"]:
+        with pytest.raises(ValueError, match="slot must be 'a', got 'b'"):
+            cls.variable(0.5, "b")
+    assert cls.constant(2).as_tuple() == (2.0,) + (0.0,) * (
+        len(cls.__slots__) - 1)

@@ -5,17 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from cewave import jets
+from cewave import charsys, jets
+from cewave.ce import classify
+from cewave.charsys import FieldBackground, fresnel_batch
 from cewave.errors import BadParams, KindError, ParseError, UnknownModel
 from cewave.jets import InvariantPoint, Jet3
 from cewave.lagrangians import (
     Kind,
+    LagrangianModel,
     builtin,
     builtin_names,
     from_expression,
     kind_from_text,
     parse_lagrangian,
 )
+from cewave.rays import QuarticHamiltonian
 
 
 def test_parse_maxwell_matches_builtin():
@@ -249,3 +253,47 @@ def test_kind_from_text_roundtrip():
         assert kind_from_text(kind.value) is kind
     with pytest.raises(BadParams):
         kind_from_text("tensor")
+
+
+def _jets_built(monkeypatch, call) -> list[str]:
+    """The type of each jet ``jet_at`` returns while ``call`` runs."""
+    built = []
+    jet_at = LagrangianModel.jet_at
+
+    def recorded(self, point, wrt=None, order=3):
+        jet = jet_at(self, point, wrt, order)
+        built.append(type(jet).__name__)
+        return jet
+
+    monkeypatch.setattr(LagrangianModel, "jet_at", recorded)
+    call()
+    monkeypatch.undo()
+    return built
+
+
+def test_each_reader_builds_the_narrowest_jet(monkeypatch):
+    # the (a, z)- and (b, z)-jets of the couplings, the cones and the axis
+    # blocks read second-order slots, the z-sector and a scalar model's
+    # sectors third-order slots in one variable; the (a, b) primary jets
+    # of the field kinds stay Jet3
+    def built(call):
+        return _jets_built(monkeypatch, call)
+
+    vs = from_expression("1 - sqrt(1 + a - b^2) + 0.1*z^2 - z",
+                         "vector-scalar")
+    assert built(lambda: classify(vs)) == ["Jet3", "Jet2ab", "Jet2ab",
+                                           "Jet3a"]
+    assert built(lambda: classify(builtin("scalar-bi"))) == ["Jet3a"]
+    assert built(lambda: classify(builtin("maxwell"))) == ["Jet3"]
+    assert built(lambda: classify(builtin("born-infeld"))) == ["Jet3"]
+    bg = FieldBackground.vector([0.1, 0.2, 0.0], [0.0, 0.3, 0.1])
+    for name in ("born-infeld", "maxwell"):
+        model = builtin(name)
+        assert built(lambda: fresnel_batch(model, bg.E, bg.B,
+                                           [1.0, 0.0, 0.0])) == ["Jet2ab"]
+        assert built(lambda: QuarticHamiltonian(model, bg)) == ["Jet2ab"]
+    Q = np.eye(3)
+    assert built(lambda: charsys._vector_axis_matrix(
+        builtin("maxwell"), Q, np.r_[bg.E, bg.B])) == ["Jet2"]
+    assert built(lambda: charsys._scalar_axis_matrix(
+        builtin("scalar-bi"), Q, np.array([0.3, 0.1, 0.0, 0.2]))) == ["Jet2"]
