@@ -42,6 +42,7 @@ from .errors import (
     DegeneracyError,
     DomainError,
     EmptyGrid,
+    FloatOverflow,
     InternalCheckError,
 )
 from .jets import TINY, DomainMask, InvariantPoint, Jet1, Jet3, Jet3a
@@ -367,8 +368,12 @@ class CEReport:
     def _per_point_rows(self, block: slice) -> list[str]:
         names = sorted(self.points)
         columns = {**{n: [self.points[n]] for n in names}, **self.residuals}
-        text = {key: [float_texts(c[block], _JSON_CONSTANTS) for c in cs]
-                for key, cs in columns.items()}
+        # one text pass over the block of every column, sliced back
+        cells = [c[block] for cs in columns.values() for c in cs]
+        size = len(cells[0])
+        texts = float_texts(np.concatenate(cells), _JSON_CONSTANTS)
+        pieces = (texts[i:i + size] for i in range(0, len(texts), size))
+        text = {key: [next(pieces) for _ in cs] for key, cs in columns.items()}
 
         def rows_of(sectors: list[str], keep=None):
             pieces = _row_template(
@@ -398,19 +403,25 @@ def _evaluate(compute, point: InvariantPoint):
             return None, True
 
 
-def _on_grid(compute, point: InvariantPoint, single=None):
-    """compute(point) on a set of points.
+def _on_grid(compute, at: InvariantPoint, flat, points: InvariantPoint,
+             single=None):
+    """compute(at) on a set of points ``at``: the grid's open mesh or the
+    evaluated ``points``, with ``flat`` mapping an array on ``at`` to a
+    column over ``points``.
 
-    Computing the points one at a time, in order, would stop at the first
-    one outside the domain; that point's own DomainError is raised here,
-    by ``single`` (default ``compute``) on that point alone.
+    Computing the evaluated points one at a time, in order, would stop at
+    the first one outside the domain; that point's own DomainError is
+    raised here, by ``single`` (default ``compute``) on that point
+    alone.  Points of ``at`` that are not evaluated stay masked.
     """
-    out, bad = _evaluate(compute, point)
+    out, bad = _evaluate(compute, at)
     if np.any(bad):
-        index = int(np.argmax(bad))
-        (single or compute)(point.take(index))
-        raise InternalCheckError(
-            f"grid point {index} left the domain in the array pass only")
+        bad = flat(bad)
+        if bad.any():
+            index = int(np.argmax(bad))
+            (single or compute)(points.take(index))
+            raise InternalCheckError(
+                f"grid point {index} left the domain in the array pass only")
     return out
 
 
@@ -495,11 +506,17 @@ def classify(model: LagrangianModel, grid: GridSpec | None = None,
              tol: float = DEFAULT_TOL) -> CEReport:
     """Classify a model as StronglyCE / CE / NotCE / Degenerate on a grid.
 
-    The grid is one array pass: the model's guard and value on the
-    grid's open mesh and on its 2*dim copies with one axis shifted by
-    GUARD_MARGIN select the evaluated points, then each jet the sectors
-    need is evaluated once over all of them.  Where evaluating the
-    points one at a time would raise, the same DomainError is raised.
+    The grid is one array pass on its open mesh (``GridSpec.mesh``): the
+    model's guard and value there and on its 2*dim copies with one axis
+    shifted by GUARD_MARGIN select the evaluated points, then each jet
+    the sectors need, the sectors' residuals and the birefringent
+    branch are computed once on the mesh, so a sub-expression that reads
+    some of the axes runs on their product alone.  Each result is
+    broadcast to the grid, flattened in C order and restricted to the
+    evaluated points.  Where evaluating the points one at a time would
+    raise, the same DomainError is raised; a point that the margin
+    excludes stays masked, and where a power overflows on the mesh the
+    same pass runs again on the evaluated points alone.
     """
     if grid is None:
         grid = GridSpec.default(model.kind)
@@ -509,12 +526,22 @@ def classify(model: LagrangianModel, grid: GridSpec | None = None,
     if total == 0:
         raise EmptyGrid("grid has no points")
 
-    point = grid_point.take(_margin_ok(model, grid.mesh(names), names))
+    mesh = grid.mesh(names)
+    keep = _margin_ok(model, mesh, names)
+    point = grid_point.take(keep)
     evaluated = point.get(names[0]).size
     guard_excluded = total - evaluated
     if not evaluated:
         raise EmptyGrid("every grid point violates the domain guard "
                         "(or its margin)")
+    shape = np.broadcast_shapes(*(mesh.get(n).shape for n in names))
+
+    def on_mesh(value) -> np.ndarray:
+        column = np.broadcast_to(value, shape).reshape(-1)
+        return column if evaluated == total else column[keep]
+
+    def on_points(value) -> np.ndarray:
+        return np.broadcast_to(value, (evaluated,))
 
     gates, strong, fallback = _CLASSIFY_TABLE[model.kind]
     sectors = [s for s in dict.fromkeys((*gates, *strong, fallback))
@@ -523,13 +550,26 @@ def classify(model: LagrangianModel, grid: GridSpec | None = None,
     def sector_residuals(p: InvariantPoint, jet: Jet3 | Jet3a) -> dict:
         return {s: _SECTORS[s](model, p, jet) for s in sectors}
 
-    def columns(values) -> list[np.ndarray]:
-        return [np.broadcast_to(v, (evaluated,)) for v in values]
+    def array_pass(at: InvariantPoint, flat):
+        """The sectors' residual columns, computed at ``at`` (the mesh or
+        the evaluated points) and flattened by ``flat``, and a function
+        that gives the birefringent branch's (rows it decides, columns)
+        from the same primary jet."""
+        jet = _on_grid(model.jet_at, at, flat, point)
+        values = _on_grid(lambda p: sector_residuals(p, jet), at, flat, point,
+                          lambda p: sector_residuals(p, model.jet_at(p)))
 
-    jet = _on_grid(model.jet_at, point)
-    residuals = _on_grid(lambda p: sector_residuals(p, jet), point,
-                         lambda p: sector_residuals(p, model.jet_at(p)))
-    residuals = {s: columns(values) for s, values in residuals.items()}
+        def general():
+            data = VectorCharData.from_jet(jet, at)
+            return ~flat(data.degenerate()), list(map(flat, _general(data)))
+
+        return {s: list(map(flat, v)) for s, v in values.items()}, general
+
+    # a power may overflow at a point that the margin alone excludes
+    try:
+        residuals, general = array_pass(mesh, on_mesh)
+    except FloatOverflow:
+        residuals, general = array_pass(point, on_points)
     points = {n: point.get(n) for n in names}
     general_rows, degenerate_skipped = None, 0
 
@@ -556,11 +596,12 @@ def classify(model: LagrangianModel, grid: GridSpec | None = None,
             if fallback == "general":
                 # the vector sector may still pass on the birefringent
                 # branch, at the points where it is not degenerate
-                data = VectorCharData.from_jet(jet, point)
-                general_rows = ~np.broadcast_to(data.degenerate(),
-                                                (evaluated,))
+                try:
+                    general_rows, residuals["general"] = general()
+                except FloatOverflow:
+                    general_rows, residuals["general"] = array_pass(
+                        point, on_points)[1]()
                 degenerate_skipped = evaluated - int(general_rows.sum())
-                residuals["general"] = columns(_general(data))
             worst, arg = summarize(fallback)
             label = "CE" if worst < tol else "NotCE"
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cewave import lagrangians
+from cewave import ce, lagrangians
 from cewave.ce import (
     REPORT_SCHEMA,
     CEReport,
@@ -603,6 +603,29 @@ def test_classify_evaluates_one_primary_jet_per_point():
     assert calls_on(7) == calls_on(61) == (2 * 2 + 1) + 1
 
 
+def test_classify_evaluates_jets_on_the_open_mesh(monkeypatch):
+    # every jet of the pass (primary, z, (a, z) and (b, z)) sees each
+    # coordinate as its own axis, never as a column over the grid
+    model = from_expression("(1 - sqrt(1 + 0.700*a - 0.490000*b^2))"
+                            " + (0.3 - 1.2*sqrt(1.5 + 0.8*z))",
+                            "vector-scalar")
+    grid = GridSpec.default(model.kind)
+    sizes = []
+    jet_at = LagrangianModel.jet_at
+
+    def recording(self, point, *args, **kwargs):
+        sizes.append({n: np.size(point.get(n)) for n in self.kind.variables})
+        return jet_at(self, point, *args, **kwargs)
+
+    monkeypatch.setattr(LagrangianModel, "jet_at", recording)
+    report = classify(model, grid)
+    assert report.label == "StronglyCE"
+    assert report.counts["evaluated"] == 2205
+    assert len(sizes) == 4
+    for seen in sizes:
+        assert all(size <= grid.axes[n][2] for n, size in seen.items())
+
+
 def test_classify_empty_grid():
     model = builtin("sqrt-family", [0.0, 0.01, -1.0])
     grid = GridSpec({"a": (1.0, 2.0, 5)})
@@ -747,8 +770,12 @@ def test_classify_raises_what_the_per_point_loop_raises(text, kind):
     # one-axis grids
     ("z + z^3", "scalar", lambda r: set(r.points) == {"z"}),
     ("-a/2 + 0.1*a^2", "alpha", lambda r: set(r.points) == {"a"}),
+    # L_ab^2 of the degeneracy test overflows at a = 0 alone, which the
+    # margin excludes
+    ("sqrt(a + 0.04) + 1e18*b/(a + 0.04)^99", "alpha-beta",
+     lambda r: "general" in r.residuals and 0.0 not in r.points["a"]),
 ], ids=["overflow-nan", "degenerate-rows", "degenerate-rows-vector-scalar",
-        "z-axis", "a-axis"])
+        "z-axis", "a-axis", "overflow-at-excluded-point"])
 def test_report_text_matches_per_point_loop(text, kind, check):
     assert check(_assert_same_as_per_point(from_expression(text, kind)))
 
@@ -785,16 +812,27 @@ _KIND_AND_TEXT = st.sampled_from(sorted(_DYADIC_GRIDS)).flatmap(
 
 
 @settings(max_examples=80, deadline=None)
-@given(kind_and_text=_KIND_AND_TEXT)
-@example(kind_and_text=("alpha-beta", "(a / b)"))
-@example(kind_and_text=("alpha", "sqrt((a - 0.25))"))
-@example(kind_and_text=("scalar", "((1 + (2 * z)))^-0.5"))
+@given(kind_and_text=_KIND_AND_TEXT,
+       sizes=st.lists(st.integers(1, 9), min_size=3, max_size=3))
+@example(kind_and_text=("alpha-beta", "(a / b)"), sizes=[11, 9, 1])
+@example(kind_and_text=("alpha", "sqrt((a - 0.25))"), sizes=[1, 1, 1])
+@example(kind_and_text=("scalar", "((1 + (2 * z)))^-0.5"), sizes=[2, 1, 1])
 @example(kind_and_text=("vector-scalar",
-                        "(sqrt((1 + a)) + ((z - 0.25))^-1)"))
-def test_classify_grammar_draws_match_per_point_loop(kind_and_text):
+                        "(sqrt((1 + a)) + ((z - 0.25))^-1)"),
+         sizes=[6, 1, 5])
+# g3 of the power overflows at a = 0 alone, which the margin excludes
+@example(kind_and_text=("alpha", "(sqrt(a) + ((a * a) + 1e-200)^0.5)"),
+         sizes=[6, 1, 1])
+# the margin drops the b = 0 row, where the division leaves the domain
+@example(kind_and_text=("alpha-beta", "(a / b)"), sizes=[4, 5, 1])
+# a model that does not read z
+@example(kind_and_text=("vector-scalar", "((a + 0.25) * b)"),
+         sizes=[6, 3, 2])
+def test_classify_grammar_draws_match_per_point_loop(kind_and_text, sizes):
     kind, text = kind_and_text
-    grid = GridSpec(dict(_DYADIC_GRIDS[kind]))
-    _assert_same_as_per_point(from_expression(text, kind), grid)
+    model = from_expression(text, kind)
+    _assert_same_as_per_point(model, GridSpec(dict(_DYADIC_GRIDS[kind])))
+    _assert_same_as_per_point(model, _resized(kind, sizes))
 
 
 # --- margin probes on the grid's open mesh -----------------------------------
@@ -1004,6 +1042,46 @@ def test_report_text_is_json_dumps_across_block_edges(count, general):
     fh = io.StringIO()
     report.write_json(fh)
     assert fh.getvalue() == want
+
+
+@pytest.mark.parametrize("general", [False, True], ids=["plain", "general"])
+def test_report_block_is_one_text_pass(general, monkeypatch):
+    # one block whose columns share values: 0.5 in several columns, -0.0
+    # and 0.0 in different ones, NaN, inf and -inf in different ones;
+    # the texts of one pass over the block are sliced back per column
+    inf, nan = math.inf, math.nan
+    rows = [
+        # a, b, strong (2), scalar (1), general (2)
+        (0.5, 0.5, 0.5, -0.0, 0.0, nan, 0.5),
+        (-0.0, 0.0, nan, inf, -inf, 0.5, -0.0),
+        (0.0, -0.0, 0.5, -inf, inf, 0.0, nan),
+        (nan, 0.25, inf, 0.5, 0.5, -inf, inf),
+    ]
+    a, b, *components = map(np.array, zip(*rows))
+    residuals = {"strong": components[:2], "scalar": components[2:3]}
+    general_rows = None
+    if general:
+        residuals["general"] = components[3:]
+        general_rows = np.array([True, False, True, True])
+    report = CEReport(
+        model="m", kind="alpha-beta",
+        grid=GridSpec({"a": (0.0, 1.0, 2), "b": (0.0, 1.0, 2)}), tol=1e-9,
+        label="NotCE", max_residual=nan, argmax_point=None,
+        counts={"total": 4, "evaluated": 4},
+        points={"b": b, "a": a}, residuals=residuals,
+        general_rows=general_rows)
+    calls = []
+    texts = ce.float_texts
+
+    def counting(column, spelling=None):
+        calls.append(len(column))
+        return texts(column, spelling)
+
+    monkeypatch.setattr(ce, "float_texts", counting)
+    fh = io.StringIO()
+    report.write_json(fh)
+    assert calls == [4 * (2 + sum(map(len, residuals.values())))]
+    assert fh.getvalue() == _dumps(_report_doc(report))
 
 
 @pytest.mark.parametrize("text, kind, grid", [

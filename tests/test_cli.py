@@ -123,6 +123,24 @@ def test_ce_check_overflowing_values_print_no_warnings(tmp_path, capsys):
                             f"-> {out}\n")
 
 
+def test_ce_check_overflowing_builtin_coefficients_fail_the_sector(tmp_path,
+                                                                capsys):
+    # L'' = 2e308 overflows at every point: NaN residuals fail the
+    # strong and alpha_ce sectors, and there is no worst point
+    out = tmp_path / "r.json"
+    rc = main(["ce", "check", "--builtin", "perturbed-maxwell",
+               "--params", "1e308", "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    text = out.read_text()
+    assert '"max": NaN' in text
+    payload = _read_json(out)
+    assert payload["label"] == "NotCE"
+    assert math.isnan(payload["residual_summary"]["max"])
+    assert payload["residual_summary"]["argmax_point"] is None
+    assert payload["counts"]["evaluated"] == 21
+
+
 # The five large grids of the benchmark's classify-grid workload: a 2 MB
 # strong-pass report, third-order residuals at every point, the
 # birefringent branch, a vector-scalar model and a 10001-point scalar grid.
